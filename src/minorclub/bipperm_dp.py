@@ -65,13 +65,13 @@ def is_clique_matching(G: Graph, edges) -> bool:
     return True
 
 
-def max_clique_matching(G: Graph, ordering: StrongOrdering | None = None,
-                        threads: int = 1) -> tuple[int, CliqueMatching]:
+def max_clique_matching(G: Graph, ordering: StrongOrdering | None = None
+                        ) -> tuple[int, CliqueMatching]:
     """Size and witness of a maximum clique-matching.
 
     Requires a strong ordering; one is computed (and always verified) when
-    not supplied.  Anchors are independent; with threads > 1 they are solved
-    in a thread pool and merged by a deterministic maximum.
+    not supplied.  Anchors are solved independently and merged by a
+    deterministic maximum.
     """
     if ordering is None:
         ordering = strong_ordering(G)
@@ -93,18 +93,10 @@ def max_clique_matching(G: Graph, ordering: StrongOrdering | None = None,
         anchors.append((rank[v], u))
     anchors.sort()
 
-    def solve(anchor):
-        return _solve_anchor(G, intervals, anchor[1], anchor[0])
-    if threads > 1 and anchors:
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(solve, anchors))
-    else:
-        results = [solve(a) for a in anchors]
-
     best = 0
     best_pairs: tuple[tuple[int, int], ...] = ()
-    for anchor, (size, pairs) in zip(anchors, results):
+    for v_rank, u in anchors:
+        size, pairs = _solve_anchor(G, intervals, u, v_rank)
         if size > best:
             best = size
             best_pairs = pairs
@@ -396,7 +388,7 @@ class BippermHadwiger:
         return tuple((v,) for v in self.singletons) + tuple(self.matching)
 
 
-def hadwiger_bipperm(G: Graph, threads: int = 1, with_details: bool = False):
+def hadwiger_bipperm(G: Graph, with_details: bool = False):
     """Largest complete minor of a bipartite permutation graph.
 
     Per connected component the answer is the best of: a clique-matching
@@ -418,7 +410,7 @@ def hadwiger_bipperm(G: Graph, threads: int = 1, with_details: bool = False):
         H = induced_subgraph(G, comp)
         ordH = restrict_ordering(ordering, comp)
         assert verify_ordering(H, ordH)
-        size, M = max_clique_matching(H, ordH, threads=threads)
+        size, M = max_clique_matching(H, ordH)
         cand = BippermHadwiger(size, 0, (), _map_edges(M.edges, comp))
         comp_side1 = set(ordH.side1)
         for u in range(H.n):

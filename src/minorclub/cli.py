@@ -7,7 +7,8 @@ that is byte-identical across runs on identical input; timing is shown only
 in the human-readable output so reports stay deterministic.
 
 Exit codes: 0 success, 2 malformed input, 3 no applicable method or problem
-precondition violated, 4 size cap exceeded.
+precondition violated, 4 a brute-force oracle's size cap exceeded (the
+polynomial solvers and their recognizers have no caps).
 """
 
 from __future__ import annotations
@@ -143,7 +144,7 @@ def cmd_hadwiger(args) -> int:
                 raise
     if solver is None and method in ("auto", "bipperm"):
         try:
-            det = hadwiger_bipperm(G, threads=args.threads, with_details=True)
+            det = hadwiger_bipperm(G, with_details=True)
             solver = "bipperm"
             result = {"h": det.h, "case": det.case,
                       "witness": [list(b) for b in det.bags()]}
@@ -173,7 +174,7 @@ def cmd_hadwiger(args) -> int:
 def cmd_clique_matching(args) -> int:
     G, digest = _load_graph(args)
     t0 = time.perf_counter()
-    size, matching = max_clique_matching(G, threads=args.threads)
+    size, matching = max_clique_matching(G)
     report = RunReport(
         "clique-matching", digest,
         {"size": size, "matching_edges": [list(e) for e in matching.edges]},
@@ -315,7 +316,6 @@ def _common(parser: argparse.ArgumentParser):
     parser.add_argument("--json", action="store_true")
     parser.add_argument("--cap", type=int, default=12,
                         help="size cap for brute-force fallbacks")
-    parser.add_argument("--threads", type=int, default=1)
 
 
 def make_parser() -> argparse.ArgumentParser:

@@ -11,6 +11,7 @@ tables by choosing how many bags straddle the two sides.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 
 from .errors import DomainError
 from .graph import Graph
@@ -78,14 +79,8 @@ def cr_join(t1: CrTable, t2: CrTable) -> CrTable:
 
 def cotree_cr_table(tree: Cotree) -> CrTable:
     """Fold the table bottom-up; multi-child nodes fold left to right."""
-    if tree.kind == "leaf":
-        return cr_leaf()
-    op = cr_union if tree.kind == "union" else cr_join
-    tables = [cotree_cr_table(c) for c in tree.children]
-    acc = tables[0]
-    for t in tables[1:]:
-        acc = op(acc, t)
-    return acc
+    return tree.fold(lambda v: cr_leaf(), lambda kind, tables: reduce(
+        cr_union if kind == "union" else cr_join, tables))
 
 
 def cograph_cr_table(G: Graph) -> CrTable:

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations
 from typing import Iterable, Iterator, Sequence
 
 from .errors import CapacityError, DomainError
@@ -181,24 +180,32 @@ def diameter(G: Graph) -> int | float:
     return best
 
 
+def _mask_component(rows: Sequence[int], mask: int) -> int:
+    """Connected component, as a bitmask, of the lowest vertex of ``mask`` in
+    the subgraph that the adjacency ``rows`` induce on ``mask`` (0 if empty)."""
+    comp = frontier = mask & -mask
+    while frontier:
+        reach = 0
+        for u in _iter_bits(frontier):
+            reach |= rows[u]
+        frontier = reach & mask & ~comp
+        comp |= frontier
+    return comp
+
+
+def _mask_components(rows: Sequence[int], mask: int) -> list[int]:
+    """Connected components of the subgraph that the adjacency ``rows``
+    induce on ``mask``, as bitmasks ordered by minimum vertex."""
+    comps = []
+    while mask:
+        comps.append(_mask_component(rows, mask))
+        mask &= ~comps[-1]
+    return comps
+
+
 def components(G: Graph) -> list[list[int]]:
     """Connected components as sorted vertex lists, ordered by minimum vertex."""
-    seen = 0
-    comps = []
-    for start in range(G.n):
-        if seen >> start & 1:
-            continue
-        comp = 1 << start
-        frontier = comp
-        while frontier:
-            reach = 0
-            for u in _iter_bits(frontier):
-                reach |= G.rows[u]
-            frontier = reach & ~comp
-            comp |= frontier
-        seen |= comp
-        comps.append(list(_iter_bits(comp)))
-    return comps
+    return [list(_iter_bits(c)) for c in _mask_components(G.rows, (1 << G.n) - 1)]
 
 
 def is_connected(G: Graph) -> bool:
@@ -207,18 +214,7 @@ def is_connected(G: Graph) -> bool:
 
 def _mask_connected(G: Graph, mask: int) -> bool:
     """Is the subgraph induced by the vertex bitmask connected?"""
-    if mask == 0:
-        return True
-    start = mask & -mask
-    comp = start
-    frontier = comp
-    while frontier:
-        reach = 0
-        for u in _iter_bits(frontier):
-            reach |= G.rows[u]
-        frontier = reach & mask & ~comp
-        comp |= frontier
-    return comp == mask
+    return _mask_component(G.rows, mask) == mask
 
 
 def contract_edges(G: Graph, S: Iterable[Edge]) -> Graph:
@@ -383,8 +379,3 @@ def shortest_path(G: Graph, u: int, v: int) -> list[int] | None:
 def all_pairs_distances(G: Graph) -> list[list[int]]:
     """BFS distance matrix with -1 for unreachable pairs."""
     return [_bfs(G, u) for u in range(G.n)]
-
-
-def edge_subsets(edges: Sequence[Edge], size: int) -> Iterator[tuple[Edge, ...]]:
-    """Deterministic lexicographic enumeration of edge subsets of a given size."""
-    return combinations(edges, size)

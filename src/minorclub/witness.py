@@ -34,10 +34,6 @@ class WitnessStructure:
         )
 
 
-def singleton_witness(vertices: Iterable[int], mode: str = "contraction") -> WitnessStructure:
-    return WitnessStructure({i: frozenset([v]) for i, v in enumerate(vertices)}, mode)
-
-
 def verify_witness(G: Graph, target_n: int, target_edges: Iterable[Edge],
                    W: WitnessStructure) -> bool:
     """Check whether W realizes the target graph in G under W.mode.

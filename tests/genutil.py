@@ -132,6 +132,31 @@ def random_bipperm(n: int, rng: random.Random) -> Graph:
     return Graph.from_edges(n, edges)
 
 
+def random_staircase(n: int, rng: random.Random, dense: bool = False) -> Graph:
+    """Monotone interval staircase with its vertices relabelled at random.
+
+    Each of n1 first-side vertices sees an interval of the n2 second-side
+    positions, and both interval ends never move left, so the graph is a
+    bipartite permutation graph (possibly with several components and
+    isolated vertices).  Sparse intervals are at most 3 wide, dense ones up
+    to n2/2.
+    """
+    n1 = rng.randint(1, n - 1)
+    n2 = n - n1
+    width = max(1, n2 // 2) if dense else 3
+    lo = hi = 0
+    intervals = []
+    for _ in range(n1):
+        lo = min(lo + rng.randint(0, 2), n2 - 1)
+        hi = min(max(hi, lo + rng.randint(0, width - 1)), n2 - 1)
+        intervals.append((lo, hi))
+    label = list(range(n))
+    rng.shuffle(label)
+    return Graph.from_edges(n, [(label[u], label[n1 + v])
+                                for u, (a, b) in enumerate(intervals)
+                                for v in range(a, b + 1)])
+
+
 def random_interval_graph(n: int, rng: random.Random, spread: float = 0.8) -> Graph:
     xs = []
     x = 0.0

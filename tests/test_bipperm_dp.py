@@ -79,14 +79,6 @@ def test_random_instances_match_oracle():
         assert hadwiger_bipperm(G) == hadwiger_oracle(G)
 
 
-def test_threads_do_not_change_results():
-    rng = random.Random(21)
-    for _ in range(10):
-        G = random_bipperm(rng.randint(3, 9), rng)
-        assert max_clique_matching(G)[0] == max_clique_matching(G, threads=3)[0]
-        assert hadwiger_bipperm(G) == hadwiger_bipperm(G, threads=2)
-
-
 def test_forced_pairs_extend_to_some_maximum_matching():
     # anchored preprocessing claim: with the anchor forced, the greedy pairs
     # (cover vertices matched to the rightmost ranks above the anchor's

@@ -4,9 +4,11 @@ import random
 
 import pytest
 
+from minorclub.cograph_dp import hadwiger_cograph
 from minorclub.errors import DomainError
 from minorclub.graph import (Graph, complement, disjoint_union, diameter,
-                             induced_subgraph, is_connected, join)
+                             induced_subgraph, is_bipartite, is_connected,
+                             join)
 from minorclub.recognition import (Certificate, Cotree, StrongOrdering,
                                    diameter_dominating_pair, find_induced_p4,
                                    is_at_free, is_chordal_bipartite,
@@ -17,7 +19,7 @@ from minorclub.recognition import (Certificate, Cotree, StrongOrdering,
 
 from genutil import (all_graphs, connected_graphs, induced_p4_exists,
                      ordering_exists_exhaustive, random_bipperm,
-                     random_cograph)
+                     random_cograph, random_staircase)
 
 
 # Cotrees ------------------------------------------------------------------
@@ -42,12 +44,15 @@ def test_c4_cotree_shape():
 
 
 def _check_canonical(tree: Cotree):
-    if tree.kind == "leaf":
-        return
-    assert len(tree.children) >= 2
-    for child in tree.children:
-        assert child.kind != tree.kind
-        _check_canonical(child)
+    stack = [tree]
+    while stack:
+        node = stack.pop()
+        if node.kind == "leaf":
+            continue
+        assert len(node.children) >= 2
+        for child in node.children:
+            assert child.kind != node.kind
+            stack.append(child)
 
 
 def test_cotree_reproduces_edges_and_is_canonical():
@@ -77,6 +82,44 @@ def test_cograph_recognition_matches_p4_search():
 
 def test_find_induced_p4_none_on_cograph():
     assert find_induced_p4(Graph.complete(5)) is None
+
+
+def _threshold_cograph(n: int) -> Graph:
+    """Vertex v joins as an isolated vertex for even v and as a dominating
+    vertex for odd v, so the cotree alternates union and join, one level
+    per vertex."""
+    rows = [0] * n
+    for v in range(1, n, 2):
+        rows[v] = (1 << v) - 1
+        for u in range(v):
+            rows[u] |= 1 << v
+    return Graph(n, tuple(rows))
+
+
+@pytest.mark.parametrize("edges, text", [
+    ([(0, 3), (0, 4), (0, 5), (1, 2)], "(U (J 0 (U 3 4 5)) (J 1 2))"),
+    ([(0, 1), (1, 2), (2, 3), (3, 0), (4, 0), (4, 1), (4, 2), (4, 3)],
+     "(J (U 0 2) (U 1 3) 4)"),
+    ([(6, 1), (6, 4), (1, 4), (2, 5), (3, 5), (0, 2), (0, 3), (0, 5)],
+     "(U (J 0 (U 2 3) 5) (J 1 4 6))"),
+    (_threshold_cograph(8).edges(), "(J (U (J (U (J (U (J 0 1) 2) 3) 4) 5) 6) 7)"),
+])
+def test_cotree_text_is_pinned(edges, text):
+    G = Graph.from_edges(max(max(e) for e in edges) + 1, edges)
+    assert recognize_cograph(G).to_text() == text
+
+
+@pytest.mark.parametrize("n", [600, 2000])
+def test_deep_threshold_cograph_needs_no_recursion(n):
+    G = _threshold_cograph(n)
+    tree = recognize_cograph(G)
+    assert isinstance(tree, Cotree)
+    _check_canonical(tree)
+    assert tree.to_graph(n) == G
+    assert tree.to_text().count("(") == n - 1
+    # Vertex 0 and the odd vertices form the largest clique; an even vertex
+    # sees neither 0 nor 1, so no minor has one more bag.
+    assert hadwiger_cograph(G) == n // 2 + 1
 
 
 # Strong orderings ---------------------------------------------------------
@@ -124,13 +167,42 @@ def test_verify_ordering_rejects_bad_bipartition():
 
 
 def test_strong_ordering_matches_exhaustive_on_small_graphs():
-    for n in range(1, 7):
+    for n in range(1, 8):
         for G in all_graphs(n):
             got = strong_ordering(G)
             want = ordering_exists_exhaustive(G)
             assert (got is not None) == want, G.edges()
             if got is not None:
                 assert verify_ordering(G, got)
+
+
+@pytest.mark.parametrize("dense", [False, True])
+def test_relabelled_staircases_always_get_an_ordering(dense):
+    rng = random.Random(31 + dense)
+    for n in list(range(2, 41)) + [60, 90, 130, 200]:
+        for _ in range(5):
+            G = random_staircase(n, rng, dense)
+            got = strong_ordering(G)
+            assert got is not None, G.edges()
+            assert verify_ordering(G, got)
+
+
+def test_strong_ordering_exists_iff_bipartite_and_at_free():
+    graphs = [G for n in range(1, 8) for G in all_graphs(n)]
+    rng = random.Random(32)
+    for _ in range(300):
+        # staircases with one pair toggled across the sides
+        G = random_staircase(rng.randint(4, 16), rng, rng.random() < 0.5)
+        a, b = is_bipartite(G)
+        if a and b:
+            u, v = rng.choice(a), rng.choice(b)
+            rows = list(G.rows)
+            rows[u] ^= 1 << v
+            rows[v] ^= 1 << u
+            graphs.append(Graph(G.n, tuple(rows)))
+    for G in graphs:
+        want = is_bipartite(G) is not None and is_at_free(G) is True
+        assert (strong_ordering(G) is not None) == want, G.edges()
 
 
 def test_isolated_vertices_go_last():
@@ -160,6 +232,20 @@ def test_small_paths_and_cycles_are_at_free():
 
 def test_c6_asteroidal_triple():
     assert is_at_free(Graph.cycle(6)) == (0, 2, 4)
+
+
+def test_at_free_agrees_with_networkx():
+    nx = pytest.importorskip("networkx")
+    rng = random.Random(33)
+    for _ in range(300):
+        n = rng.randint(1, 10)
+        p = rng.random()
+        G = Graph.from_edges(n, [(u, v) for u in range(n) for v in range(u + 1, n)
+                                 if rng.random() < p])
+        H = nx.Graph()
+        H.add_nodes_from(range(n))
+        H.add_edges_from(G.edges())
+        assert (is_at_free(G) is True) == nx.is_at_free(H), G.edges()
 
 
 def test_subdivided_claw_has_at():

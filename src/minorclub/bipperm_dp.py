@@ -19,17 +19,20 @@ of u's side split into three groups:
 The table c(i, j, l) is the best matching size using the anchor plus edges
 at x_1..x_i and y_1..y_j with at most l saturated ranks inside the common
 interval of those neighborhoods.  Matched ranks inside an interval are
-interchangeable, which keeps the state space to interval counts only; back
-pointers replay a concrete matching afterwards, rearranging interchangeable
-ranks on the fly.  Every returned matching is re-verified from scratch.
+interchangeable, which keeps the state space to interval counts only.  One
+walk down the back pointers gives each matched vertex an interval of ranks
+that keeps every cross pair adjacent, and an earliest-deadline sweep
+(Glover, Naval Res. Logist. Q. 1967) gives each vertex a distinct rank
+inside its interval.  Every returned matching is re-verified from scratch.
 """
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 
 from .errors import DomainError
-from .graph import Edge, Graph, _iter_bits, components, induced_subgraph
+from .graph import Edge, Graph, components, induced_subgraph
 from .recognition import (StrongOrdering, restrict_ordering, strong_ordering,
                           verify_ordering)
 
@@ -158,11 +161,11 @@ def _solve_anchor(G: Graph, intervals, u: int, v_rank: int):
 
     for i in range(1, s_len + 1):
         _, _, ln = bounds(i, 0)
-        c[i][0] = [_greedy_x(R, i, ell)[0] if ell else NEG for ell in range(ln + 1)]
+        c[i][0] = [_greedy_x(R, i, ell) if ell else NEG for ell in range(ln + 1)]
         bp[i][0] = [("base_x",)] * (ln + 1)
     for j in range(1, t_len + 1):
         _, _, ln = bounds(0, j)
-        c[0][j] = [_greedy_y(L, r, j, ell)[0] for ell in range(ln + 1)]
+        c[0][j] = [_greedy_y(L, r, j, ell) for ell in range(ln + 1)]
         bp[0][j] = [("base_y",)] * (ln + 1)
 
     for i in range(1, s_len + 1):
@@ -175,8 +178,7 @@ def _solve_anchor(G: Graph, intervals, u: int, v_rank: int):
             jumps = []
             for p in range(2, min(R[i - 1], a_ij - 1) + 1):
                 jp = _max_y_below(L, j, p)
-                gs, cum = _greedy_jump(L, r, jp, j, p, b_ij, a_ij)
-                jumps.append((p, jp, gs, cum))
+                jumps.append((jp, _greedy_jump(L, jp, j, p, b_ij, a_ij)))
             for ell in range(ln + 1):
                 best = c[i - 1][j][ell + ln_up - ln]
                 ptr = ("skip", ell + ln_up - ln)
@@ -185,9 +187,9 @@ def _solve_anchor(G: Graph, intervals, u: int, v_rank: int):
                     if sub > NEG and sub + 1 > best:
                         best = sub + 1
                         ptr = ("core", ell - 1 + ln_up - ln)
-                for p, jp, gs, cum in jumps:
+                for jp, cum in jumps:
                     q = 0
-                    while q < len(gs) and cum[q + 1] <= ell:
+                    while q + 1 < len(cum) and cum[q + 1] <= ell:
                         q += 1
                     _, _, ln_ch = bounds(i - 1, jp)
                     ell2 = (ln_ch - ln) + ell - (q + 1)
@@ -196,7 +198,7 @@ def _solve_anchor(G: Graph, intervals, u: int, v_rank: int):
                     sub = c[i - 1][jp][ell2]
                     if sub > NEG and sub + q + 1 > best:
                         best = sub + q + 1
-                        ptr = ("jump", p, jp, tuple(gs[:q]), ell2)
+                        ptr = ("jump", jp, q, ell2)
                 vals.append(best)
                 ptrs.append(ptr)
             assert all(x <= y for x, y in zip(vals, vals[1:])), \
@@ -207,7 +209,7 @@ def _solve_anchor(G: Graph, intervals, u: int, v_rank: int):
     _, _, ln_final = bounds(s_len, t_len)
     value = c[s_len][t_len][ln_final]
     assert value >= 1
-    pairs = _replay(bp, c, R, L, r, xs, ys, s_len, t_len, ln_final)
+    pairs = _replay(bp, R, L, r, xs, ys, s_len, t_len, ln_final)
     assert len(pairs) + 1 == value
     all_pairs = [(u, 1 + shift)] + [(w, j + shift) for w, j in forced] \
         + [(w, j + shift) for w, j in pairs]
@@ -215,13 +217,12 @@ def _solve_anchor(G: Graph, intervals, u: int, v_rank: int):
 
 
 def _greedy_x(R, i, budget):
-    """Match x_1..x_i to ranks below their right ends, rightmost available
-    first, keeping at most budget saturated ranks in [1, R[i-1]] (rank 1,
-    taken by the anchor, always counts)."""
+    """Size (anchor included) of the matching of a prefix x_1..x_k to ranks
+    below their right ends, rightmost available first, keeping at most budget
+    saturated ranks in [1, R[i-1]] (rank 1, the anchor's, always counts)."""
     used = {1}
     core_hi = R[i - 1]
     incore = 1
-    picks = []
     for f in range(1, i + 1):
         cand = next((jv for jv in range(R[f - 1], 1, -1) if jv not in used), None)
         if cand is None:
@@ -231,17 +232,15 @@ def _greedy_x(R, i, budget):
                 break
             incore += 1
         used.add(cand)
-        picks.append((f, cand))
-    return len(picks) + 1, picks
+    return len(used)
 
 
 def _greedy_y(L, r, j, budget):
-    """Match y_1..y_j leftmost-first with at most budget saturated ranks in
-    [L[j-1], r]."""
+    """Size (anchor included) of the matching of a prefix y_1..y_k,
+    leftmost-first, with at most budget saturated ranks in [L[j-1], r]."""
     used: set[int] = set()
     core_lo = L[j - 1]
     incore = 0
-    picks = []
     for f in range(1, j + 1):
         cand = next((jv for jv in range(L[f - 1], r + 1) if jv not in used), None)
         if cand is None:
@@ -251,8 +250,7 @@ def _greedy_y(L, r, j, budget):
                 break
             incore += 1
         used.add(cand)
-        picks.append((f, cand))
-    return len(picks) + 1, picks
+    return len(used) + 1
 
 
 def _max_y_below(L, j, p):
@@ -264,12 +262,12 @@ def _max_y_below(L, j, p):
     return jp
 
 
-def _greedy_jump(L, r, jp, j, p, b_ij, a_ij):
+def _greedy_jump(L, jp, j, p, b_ij, a_ij):
     """Unbounded greedy for the y vertices newly matched when x_i takes a
     rank p left of the interval: y_{jp+1}.. pick the leftmost available rank
-    in (p, b_ij], recorded with cumulative counts inside [a_ij, b_ij]."""
+    in (p, b_ij].  Returns the cumulative counts of picks inside
+    [a_ij, b_ij], so cum[q] is the budget the first q picks use."""
     used: set[int] = set()
-    gs = []
     cum = [0]
     for f in range(jp + 1, j + 1):
         cand = next((jv for jv in range(max(L[f - 1], p + 1), b_ij + 1)
@@ -277,102 +275,60 @@ def _greedy_jump(L, r, jp, j, p, b_ij, a_ij):
         if cand is None:
             break
         used.add(cand)
-        gs.append(cand)
         cum.append(cum[-1] + (1 if cand >= a_ij else 0))
-    return gs, cum
+    return cum
 
 
-def _replay(bp, c, R, L, r, xs, ys, i, j, ell):
-    """Materialize one optimal matching by walking the back pointers and
-    re-running the greedy bases, swapping interchangeable ranks when a
-    recorded pick is already taken."""
-    steps = []
-    while True:
-        ptr = bp[i][j][ell]
-        kind = ptr[0]
-        if kind == "one":
-            break
-        if kind == "base_x":
-            steps.append(("base_x", i, ell))
-            break
-        if kind == "base_y":
-            steps.append(("base_y", j, ell))
-            break
-        if kind == "skip":
-            steps.append(("skip", i, j))
-            i, ell = i - 1, ptr[1]
-        elif kind == "core":
-            steps.append(("core", i, j))
-            i, ell = i - 1, ptr[1]
-        else:  # jump
-            _, p, jp, gs, ell2 = ptr
-            steps.append(("jump", i, j, p, jp, gs))
-            i, j, ell = i - 1, jp, ell2
+def _replay(bp, R, L, r, xs, ys, i, j, ell):
+    """One optimal matching as (vertex, rank) pairs, anchor excluded.
 
-    sat = {1}
-    pairs: list[list[int]] = []  # mutable [vertex, rank]
+    The walk down the back pointers gives each matched vertex a rank
+    interval (L_0 = 2 here, since rank 1 is the anchor's; skip adds none):
+      * base_x with k matched: x_f gets [2, R_f] for f = 1..k;
+      * base_y with k matched: y_f gets [L_f, r];
+      * core at (i, j): x_i gets [L_j, R_i];
+      * jump from (i, j) to (i-1, jp) with q new y's: x_i gets [L_jp, R_i]
+        and y_{jp+1}..y_{jp+q} each get [L_f, R_i].
+    Any distinct ranks in these intervals form a clique-matching.  An x
+    recorded at a state gets a rank of at least the L of every y matched at
+    or below it; a y added by a jump at x_i gets a rank of at most R_i, at
+    most the R of every earlier x; two x's share their lower end, two y's
+    their upper end r; the anchor and the forced pairs see all of [1, r].
+    The DP's choices put distinct ranks in these intervals, so an
+    earliest-deadline sweep (each rank, ascending, to the open interval
+    with the smallest right end) matches all of them; the caller checks.
+    """
+    want: list[tuple[int, int, int]] = []  # (lo, hi, vertex)
+    kind, *rest = bp[i][j][ell]
+    while kind in ("skip", "core", "jump"):
+        if kind == "jump":
+            jp, q, ell = rest
+            want.append((L[jp - 1] if jp else 2, R[i - 1], xs[i - 1]))
+            want += [(L[f], R[i - 1], ys[f]) for f in range(jp, jp + q)]
+            j = jp
+        else:
+            if kind == "core":
+                want.append((L[j - 1] if j else 2, R[i - 1], xs[i - 1]))
+            ell = rest[0]
+        i -= 1
+        kind, *rest = bp[i][j][ell]
+    if kind == "base_x":
+        want += [(2, R[f], xs[f]) for f in range(_greedy_x(R, i, ell) - 1)]
+    elif kind == "base_y":
+        want += [(L[f], r, ys[f]) for f in range(_greedy_y(L, r, j, ell) - 1)]
 
-    def child_bounds(ii, jj):
-        a = L[jj - 1] if jj else 1
-        b = R[ii - 1] if ii else r
-        return a, b
-
-    def move_off(target: int, lo: int, hi: int, banned: set[int]):
-        """Free the rank `target` by reassigning its edge to an unsaturated
-        rank inside [lo, hi] (interchangeable by construction)."""
-        repl = next((q for q in range(lo, hi + 1)
-                     if q != 1 and q not in sat and q not in banned), None)
-        assert repl is not None, "budget arithmetic left no spare rank"
-        for pr in pairs:
-            if pr[1] == target:
-                pr[1] = repl
-                sat.discard(target)
-                sat.add(repl)
-                return
-        raise AssertionError("no edge saturates the targeted rank")
-
-    for step in reversed(steps):
-        kind = step[0]
-        if kind == "base_x":
-            _, i0, ell0 = step
-            _, picks = _greedy_x(R, i0, ell0)
-            for f, jv in picks:
-                pairs.append([xs[f - 1], jv])
-                sat.add(jv)
-        elif kind == "base_y":
-            _, j0, ell0 = step
-            _, picks = _greedy_y(L, r, j0, ell0)
-            for f, jv in picks:
-                pairs.append([ys[f - 1], jv])
-                sat.add(jv)
-        elif kind == "skip":
-            continue
-        elif kind == "core":
-            _, ii, jj = step
-            a, b = child_bounds(ii, jj)
-            ca, cb = child_bounds(ii - 1, jj)
-            free = next((q for q in range(a, b + 1) if q not in sat), None)
-            while free is None:
-                movable = next((q for q in range(a, b + 1)
-                                if q != 1 and q in sat), None)
-                assert movable is not None, "saturated core without movable rank"
-                move_off(movable, b + 1, cb, set())
-                free = next((q for q in range(a, b + 1) if q not in sat), None)
-            pairs.append([xs[ii - 1], free])
-            sat.add(free)
-        else:  # jump
-            _, ii, jj, p, jp, gs = step
-            ca, cb = child_bounds(ii - 1, jp)
-            targets = {p, *gs}
-            for tgt in sorted(targets):
-                if tgt in sat:
-                    move_off(tgt, ca, cb, targets)
-            pairs.append([xs[ii - 1], p])
-            sat.add(p)
-            for f, g in enumerate(gs):
-                pairs.append([ys[jp + f], g])
-                sat.add(g)
-    return [(w, jv) for w, jv in pairs]
+    want.sort(reverse=True)
+    open_: list[tuple[int, int]] = []  # (hi, vertex)
+    pairs = []
+    for rank in range(2, r + 1):
+        while want and want[-1][0] <= rank:
+            _, hi, w = want.pop()
+            heapq.heappush(open_, (hi, w))
+        while open_ and open_[0][0] < rank:
+            heapq.heappop(open_)  # unmatched: the caller's count check fails
+        if open_:
+            pairs.append((heapq.heappop(open_)[1], rank))
+    return pairs
 
 
 @dataclass(frozen=True)
@@ -409,7 +365,6 @@ def hadwiger_bipperm(G: Graph, with_details: bool = False):
             continue
         H = induced_subgraph(G, comp)
         ordH = restrict_ordering(ordering, comp)
-        assert verify_ordering(H, ordH)
         size, M = max_clique_matching(H, ordH)
         cand = BippermHadwiger(size, 0, (), _map_edges(M.edges, comp))
         comp_side1 = set(ordH.side1)
@@ -446,6 +401,5 @@ def _sub_matching(H: Graph, ordH: StrongOrdering, keep: list[int]):
         return 0, ()
     sub = induced_subgraph(H, keep)
     sub_ord = restrict_ordering(ordH, keep)
-    assert verify_ordering(sub, sub_ord)
     size, M = max_clique_matching(sub, sub_ord)
     return size, _map_edges(M.edges, sorted(keep))

@@ -7,12 +7,13 @@ import pytest
 from minorclub.bipperm_dp import (BippermHadwiger, hadwiger_bipperm,
                                   is_clique_matching, max_clique_matching)
 from minorclub.errors import DomainError
+from minorclub.formats import parse_graph
 from minorclub.graph import Graph, disjoint_union, induced_subgraph
 from minorclub.oracle import clique_matching_oracle, hadwiger_oracle
 from minorclub.recognition import strong_ordering
 
 from genutil import (connected_graphs, maximum_clique_matchings,
-                     random_bipperm)
+                     random_bipperm, random_staircase)
 
 
 def test_examples():
@@ -55,7 +56,7 @@ def test_hadwiger_examples():
 
 
 def test_exhaustive_small_graphs_match_oracle():
-    for n in range(1, 7):
+    for n in range(1, 8):
         for G in connected_graphs(n):
             if strong_ordering(G) is None:
                 continue
@@ -77,6 +78,45 @@ def test_random_instances_match_oracle():
         assert is_clique_matching(G, M.edges) and len(M.edges) == size
         assert size == clique_matching_oracle(G)
         assert hadwiger_bipperm(G) == hadwiger_oracle(G)
+
+
+@pytest.mark.parametrize("g6, cm, h", [
+    ("G?zrb_", 4, 4),
+    ("H?bfb_o", 4, 4),
+    ("HFJd?~@", 4, 5),
+    ("IFwN?Td?G", 4, 5),
+])
+def test_shrunk_witness_counterexamples(g6, cm, h):
+    # each of these once crashed while the optimal value was turned into a
+    # concrete matching; the values come from the brute-force oracles
+    G = parse_graph(g6)
+    size, M = max_clique_matching(G)
+    assert size == cm and is_clique_matching(G, M.edges)
+    assert hadwiger_bipperm(G) == h
+    assert clique_matching_oracle(G) == cm and hadwiger_oracle(G) == h
+
+
+def test_relabelled_staircases_match_oracle():
+    rng = random.Random(25)
+    for k in range(120):
+        G = random_staircase(rng.randint(2, 11), rng, dense=k % 2 == 1)
+        size, M = max_clique_matching(G)
+        assert is_clique_matching(G, M.edges) and len(M.edges) == size
+        assert size == clique_matching_oracle(G), G.edges()
+        assert hadwiger_bipperm(G) == hadwiger_oracle(G), G.edges()
+
+
+def test_large_relabelled_staircases_give_verified_witnesses():
+    rng = random.Random(24)
+    for k in range(80):
+        n = (16, 24, 32, 40)[k % 4]
+        G = random_staircase(n, rng, dense=k % 8 >= 4)
+        size, M = max_clique_matching(G)
+        assert len(M.edges) == size and is_clique_matching(G, M.edges)
+        if n <= 24:
+            # a case-0 bag family is the matching itself, and every case
+            # adds at most two singletons to a matching of a subgraph
+            assert size <= hadwiger_bipperm(G) <= size + 2
 
 
 def test_forced_pairs_extend_to_some_maximum_matching():

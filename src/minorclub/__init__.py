@@ -19,9 +19,7 @@ from .oracle import (clique_matching_oracle, connected_partitions,
                      min_club_contraction_oracle, nice_structure_oracle)
 from .cograph_dp import CrTable, cr_join, cr_leaf, cr_union, hadwiger_cograph
 from .bipperm_dp import hadwiger_bipperm, max_clique_matching
-from .club_contraction import (distance_profile, find_satisfying_path,
-                               is_satisfying_path, max_s_club_minor_atfree,
-                               min_club_contraction_atfree,
+from .club_contraction import (distance_profile, is_satisfying_path,
                                s_club_contract_decide)
 from .reductions import (HittingSetInstance, NaeFormula, ReductionInstance,
                          hitting_set_solve, hitting_set_to_chordal,

@@ -9,6 +9,10 @@ in the human-readable output so reports stay deterministic.
 Exit codes: 0 success, 2 malformed input, 3 no applicable method or problem
 precondition violated, 4 a brute-force oracle's size cap exceeded (the
 polynomial solvers and their recognizers have no caps).
+
+club-contract and club-minor run the AT-free solver when s >= 2 and the graph
+has no asteroidal triple, else the brute-force oracle within --cap, else exit
+3.  A negative budget --k exits 3 on every path, `oracle club-contract` too.
 """
 
 from __future__ import annotations
@@ -183,34 +187,35 @@ def cmd_clique_matching(args) -> int:
     return 0
 
 
-def _club_dispatch(G, s: int, cap: int):
-    """Pick the AT-free algorithm when it applies, else the oracle."""
-    if s >= 2 and is_at_free(G) is True:
-        return "atfree"
-    if G.n <= cap:
-        return "oracle"
-    raise MethodError(
-        "graph is not AT-free (or s < 2) and exceeds the brute-force cap")
+def _check_club_oracle_cap(G, cap: int) -> None:
+    if G.n > cap:
+        raise MethodError(
+            "graph is not AT-free (or s < 2) and exceeds the brute-force cap")
 
 
 def cmd_club_contract(args) -> int:
     G, digest = _load_graph(args)
     t0 = time.perf_counter()
-    solver = _club_dispatch(G, args.s, args.cap)
-    if solver == "atfree":
-        dec = s_club_contract_decide(G, args.k, args.s)
-        answer, witness = dec.yes, dec.witness
-    else:
-        if not is_connected(G) or args.k < 0:
-            answer, witness = False, None
-        else:
-            kmin = oracle_mod.min_club_contraction_oracle(G, args.s, args.k)
-            answer = kmin is not None
-            witness = () if answer else None
-            if answer and kmin > 0:
-                witness = next(
-                    S for S in combinations(G.edges(), kmin)
-                    if diameter(contract_edges(G, S)) <= args.s)
+    solver = None
+    if args.s >= 2:
+        try:
+            dec = s_club_contract_decide(G, args.k, args.s)
+            solver = "atfree"
+            answer, witness = dec.yes, dec.witness
+        except DomainError as exc:
+            if exc.certificate is None:
+                raise
+    if solver is None:
+        _check_club_oracle_cap(G, args.cap)
+        solver = "oracle"
+        kmin = oracle_mod.min_club_contraction_oracle(G, args.s, args.k) \
+            if is_connected(G) else None
+        answer = kmin is not None
+        witness = () if answer else None
+        if answer and kmin > 0:
+            witness = next(
+                S for S in combinations(G.edges(), kmin)
+                if diameter(contract_edges(G, S)) <= args.s)
     result = {"answer": "yes" if answer else "no",
               "witness_edges": [list(e) for e in witness] if witness else None}
     report = RunReport("club-contract", digest, result, solver=solver,
@@ -225,10 +230,17 @@ def cmd_club_minor(args) -> int:
     if not is_connected(G) or G.n == 0:
         raise DomainError(
             "disconnected graphs cannot be contracted to finite diameter")
-    solver = _club_dispatch(G, args.s, args.cap)
-    if solver == "atfree":
-        kmin, witness = minimum_contraction(G, args.s)
-    else:
+    solver = None
+    if args.s >= 2:
+        try:
+            kmin, witness = minimum_contraction(G, args.s)
+            solver = "atfree"
+        except DomainError as exc:
+            if exc.certificate is None:
+                raise
+    if solver is None:
+        _check_club_oracle_cap(G, args.cap)
+        solver = "oracle"
         kmin = oracle_mod.min_club_contraction_oracle(G, args.s, G.n - 1)
         witness = None
     result = {"k_min": kmin, "p": G.n - kmin,

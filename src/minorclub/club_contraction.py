@@ -9,10 +9,14 @@ far vertex sets X_v, Y_v, X_u, Y_u (vertices at distance d and d-1 from v
 and u).  Contracting an interior satisfying path of length d-s is enough;
 when every satisfying path starts at u or ends at v, the near-end edges of
 the unique shortest chain are forced and only two edges remain to guess.
+
+``is_satisfying_path`` states the definition directly; the tests hold the
+path scan of the decision procedure to it.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -36,17 +40,6 @@ class DistanceProfile:
     Y_v: frozenset[int]
     dist_u: tuple[int, ...]
     dist_v: tuple[int, ...]
-
-
-@dataclass(frozen=True)
-class SatisfyingPath:
-    vertices: tuple[int, ...]
-    profile: DistanceProfile
-
-    def edges(self) -> tuple[Edge, ...]:
-        vs = self.vertices
-        return tuple(tuple(sorted((vs[i], vs[i + 1])))
-                     for i in range(len(vs) - 1))
 
 
 @dataclass(frozen=True)
@@ -94,62 +87,36 @@ def is_satisfying_path(G: Graph, prof: DistanceProfile, Q) -> bool:
         return False
     if base + k + dv[Q[-1]] != prof.d:
         return False
-    return _end_conditions_ok(G, prof, Q[0], Q[1]) and \
-        _end_conditions_ok_far(G, prof, Q[-1], Q[-2])
+    return (_end_conditions_ok(G, Q[0], Q[1], prof.dist_u, prof.X_v, prof.Y_v)
+            and _end_conditions_ok(G, Q[-1], Q[-2], prof.dist_v, prof.X_u, prof.Y_u))
 
 
-def _end_conditions_ok(G: Graph, prof: DistanceProfile, x0: int, x1: int) -> bool:
+def _end_conditions_ok(G: Graph, x0: int, x1: int, dist_row, X, Y) -> bool:
+    """End conditions at path end x0, next vertex x1: with ref = dist_row[x0],
+    all of X lies at distance ref from x0 and all of Y within ref of x0 or x1."""
     d0 = _bfs(G, x0)
     d1 = _bfs(G, x1)
-    ref = prof.dist_u[x0]
-    if any(d0[z] != ref for z in prof.X_v):
+    ref = dist_row[x0]
+    if any(d0[z] != ref for z in X):
         return False
-    return all(d0[z] <= ref or d1[z] <= ref for z in prof.Y_v)
-
-
-def _end_conditions_ok_far(G: Graph, prof: DistanceProfile, xk: int, xk1: int) -> bool:
-    dk = _bfs(G, xk)
-    dk1 = _bfs(G, xk1)
-    ref = prof.dist_v[xk]
-    if any(dk[z] != ref for z in prof.X_u):
-        return False
-    return all(dk[z] <= ref or dk1[z] <= ref for z in prof.Y_u)
-
-
-def find_satisfying_path(G: Graph, prof: DistanceProfile, k: int):
-    """Search for a satisfying path of length k >= 3 by trying all ordered
-    choices of the first and last edge.
-
-    Returns (path_or_None, pinned) where the path avoids x_0 = u and
-    x_k = v whenever possible, and pinned is True iff paths exist but all
-    of them start at u or end at v.
-    """
-    unpinned, found_any, pinned_example = _scan_paths(G, prof, k)
-    if unpinned is not None:
-        return SatisfyingPath(tuple(unpinned), prof), False
-    if pinned_example is not None:
-        return SatisfyingPath(tuple(pinned_example), prof), True
-    assert not found_any
-    return None, False
+    return all(d0[z] <= ref or d1[z] <= ref for z in Y)
 
 
 def _scan_paths(G: Graph, prof: DistanceProfile, k: int):
-    """(first unpinned path, any path found, first pinned path)."""
+    """Search for a satisfying path of length k >= 3 by trying all ordered
+    choices of the first and last edge.  Returns (first path with x_0 != u
+    and x_k != v, whether any path was found, first path found that starts
+    at u or ends at v)."""
     assert k >= 3
     du, dv = prof.dist_u, prof.dist_v
     d = prof.d
     layered = [(a, b) for a in range(G.n) for b in _iter_bits(G.rows[a])
                if du[b] == du[a] + 1]
-    start_ok = {}
     end_ok = {}
     pinned_example = None
-    found_any = False
     for x0, x1 in layered:
-        if du[x0] + k > d:
-            continue
-        if (x0, x1) not in start_ok:
-            start_ok[(x0, x1)] = _end_conditions_ok(G, prof, x0, x1)
-        if not start_ok[(x0, x1)]:
+        if du[x0] + k > d or not _end_conditions_ok(G, x0, x1, du,
+                                                    prof.X_v, prof.Y_v):
             continue
         for xk1, xk in layered:
             if du[xk1] != du[x0] + k - 1 or du[xk] != du[x0] + k:
@@ -157,19 +124,19 @@ def _scan_paths(G: Graph, prof: DistanceProfile, k: int):
             if du[x0] + k + dv[xk] != d:
                 continue
             if (xk, xk1) not in end_ok:
-                end_ok[(xk, xk1)] = _end_conditions_ok_far(G, prof, xk, xk1)
+                end_ok[(xk, xk1)] = _end_conditions_ok(G, xk, xk1, dv,
+                                                       prof.X_u, prof.Y_u)
             if not end_ok[(xk, xk1)]:
                 continue
             interior = _layered_interior(G, du, x1, xk1, k - 2)
             if interior is None:
                 continue
             path = [x0] + interior + [xk]
-            found_any = True
             if x0 != prof.u and xk != prof.v:
                 return path, True, pinned_example
             if pinned_example is None:
                 pinned_example = path
-    return None, found_any, pinned_example
+    return None, pinned_example is not None, pinned_example
 
 
 def _layered_interior(G: Graph, du, x1: int, xk1: int, steps: int):
@@ -211,30 +178,55 @@ def s_club_contract_decide(G: Graph, k: int, s: int) -> ClubDecision:
     Every yes comes with a witness edge set that has been re-verified by
     contracting it and measuring the diameter.
     """
-    _check_inputs(G, s)
     if k < 0:
         raise DomainError("contraction budget must be non-negative")
-    if not is_connected(G):
-        return ClubDecision(False)
-    d = diameter(G)
+    d = _checked_diameter(G, s)
     if d <= s:
         return ClubDecision(True, ())
     if k < d - s:
         return ClubDecision(False)
+    return _ladder(G, s, d, k)
+
+
+def minimum_contraction(G: Graph, s: int) -> tuple[int, tuple[Edge, ...]]:
+    """Smallest k with diam(G/S) <= s for some k-edge set S, plus a witness."""
+    d = _checked_diameter(G, s)
+    if d == math.inf:
+        raise DomainError("disconnected graphs cannot reach finite diameter")
+    if d <= s:
+        return 0, ()
+    dec = _ladder(G, s, d, d - s + 1)
+    if dec.yes:
+        return len(dec.witness), dec.witness
+    return d - s + 2, _dominating_path_witness(G, s, d)
+
+
+def _checked_diameter(G: Graph, s: int):
+    """diam(G), infinite when G is disconnected, after checking that s >= 2
+    and that G is AT-free."""
+    if s <= 1:
+        raise DomainError(
+            "only s >= 2 is supported on AT-free graphs; use the brute-force "
+            "oracle for s = 1")
+    at = is_at_free(G)
+    if at is not True:
+        raise DomainError("graph has an asteroidal triple", certificate=at)
+    return diameter(G)
+
+
+def _ladder(G: Graph, s: int, d: int, k: int) -> ClubDecision:
+    """Decide budget k >= d - s on G with s < d = diam(G).  Budget d-s+2
+    always suffices; otherwise try the tight budget d-s, then with one spare
+    contraction brute force (k <= 2) or guess the extra contractions."""
     if k >= d - s + 2:
-        return ClubDecision(True, _dominating_path_witness(G, s))
-    if k == d - s:
-        return _decide_tight(G, s)
-    # k == d - s + 1
-    sub = _decide_tight(G, s)
-    if sub.yes:
-        return sub
+        return ClubDecision(True, _dominating_path_witness(G, s, d))
+    tight = _decide_tight(G, s, d)
+    if tight.yes or k == d - s:
+        return tight
     if k <= 2:
         return _brute_force(G, k, s)
-    res = _one_extra_contraction(G, s, d)
-    if res is not None:
-        return _verified_yes(G, res, k, s)
-    return ClubDecision(False)
+    S = _one_extra_contraction(G, s, d)
+    return ClubDecision(False) if S is None else _verified_yes(G, S, k, s)
 
 
 def _one_extra_contraction(G: Graph, s: int, d: int):
@@ -246,20 +238,10 @@ def _one_extra_contraction(G: Graph, s: int, d: int):
             Gq = contract_edges(G, Sp)
             if diameter(Gq) != d - size + 1:
                 continue
-            rec = _decide_tight(Gq, s)
+            rec = _decide_tight(Gq, s, d - size + 1)
             if rec.yes:
                 return Sp + _lift_edges(G, Sp, rec.witness)
     return None
-
-
-def _check_inputs(G: Graph, s: int):
-    if s <= 1:
-        raise DomainError(
-            "only s >= 2 is supported on AT-free graphs; use the brute-force "
-            "oracle for s = 1")
-    at = is_at_free(G)
-    if at is not True:
-        raise DomainError("graph has an asteroidal triple", certificate=at)
 
 
 def _verified_yes(G: Graph, S, k: int, s: int) -> ClubDecision:
@@ -268,10 +250,9 @@ def _verified_yes(G: Graph, S, k: int, s: int) -> ClubDecision:
     return ClubDecision(True, S)
 
 
-def _dominating_path_witness(G: Graph, s: int) -> tuple[Edge, ...]:
+def _dominating_path_witness(G: Graph, s: int, d: int) -> tuple[Edge, ...]:
     """Contract d-s+2 edges of a shortest path between a diameter dominating
     pair; what remains of the path still dominates and has length s-2."""
-    d = diameter(G)
     u, v = diameter_dominating_pair(G)
     P = shortest_path(G, u, v)
     S = tuple(tuple(sorted((P[i], P[i + 1]))) for i in range(d - s + 2))
@@ -288,9 +269,8 @@ def _brute_force(G: Graph, k: int, s: int) -> ClubDecision:
     return ClubDecision(False)
 
 
-def _decide_tight(G: Graph, s: int) -> ClubDecision:
-    """Budget exactly d - s >= 1."""
-    d = diameter(G)
+def _decide_tight(G: Graph, s: int, d: int) -> ClubDecision:
+    """Budget exactly k = d - s >= 1, where d = diam(G)."""
     k = d - s
     if k <= 2:
         return _brute_force(G, k, s)
@@ -340,36 +320,3 @@ def _lift_edges(G: Graph, contracted, quotient_edges) -> tuple[Edge, ...]:
                    if {vmap[u], vmap[v]} == {a, b})
         lifts.append(pick)
     return tuple(lifts)
-
-
-def minimum_contraction(G: Graph, s: int) -> tuple[int, tuple[Edge, ...]]:
-    """Smallest k with diam(G/S) <= s for some k-edge set S, plus a witness."""
-    _check_inputs(G, s)
-    if not is_connected(G):
-        raise DomainError("disconnected graphs cannot reach finite diameter")
-    d = diameter(G)
-    if d <= s:
-        return 0, ()
-    tight = _decide_tight(G, s)
-    if tight.yes:
-        return d - s, tight.witness
-    k1 = d - s + 1
-    if k1 <= 2:
-        res = _brute_force(G, k1, s)
-        if res.yes:
-            return k1, res.witness
-    else:
-        S = _one_extra_contraction(G, s, d)
-        if S is not None:
-            return k1, _verified_yes(G, S, k1, s).witness
-    return d - s + 2, _dominating_path_witness(G, s)
-
-
-def min_club_contraction_atfree(G: Graph, s: int) -> int:
-    return minimum_contraction(G, s)[0]
-
-
-def max_s_club_minor_atfree(G: Graph, s: int) -> int:
-    """Each contraction loses exactly one vertex, so the largest bounded-
-    diameter minor has n minus the minimum contraction count vertices."""
-    return G.n - min_club_contraction_atfree(G, s)

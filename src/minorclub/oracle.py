@@ -166,6 +166,8 @@ def min_club_contraction_oracle(G: Graph, s: int, k_max: int,
     """Smallest k <= k_max with some k-edge set S satisfying
     diam(G/S) <= s, by increasing-size subset enumeration; None if no such
     set exists within the bound."""
+    if k_max < 0:
+        raise DomainError("contraction budget must be non-negative")
     if len(components(G)) != 1 or G.n == 0:
         raise DomainError("graph must be connected")
     if diameter(G) <= s:

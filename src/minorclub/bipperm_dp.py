@@ -99,7 +99,7 @@ def max_clique_matching(G: Graph, ordering: StrongOrdering | None = None
     best = 0
     best_pairs: tuple[tuple[int, int], ...] = ()
     for v_rank, u in anchors:
-        size, pairs = _solve_anchor(G, intervals, u, v_rank)
+        size, pairs = _solve_anchor(G, intervals, u, v_rank, best)
         if size > best:
             best = size
             best_pairs = pairs
@@ -110,10 +110,11 @@ def max_clique_matching(G: Graph, ordering: StrongOrdering | None = None
     return best, matching
 
 
-def _solve_anchor(G: Graph, intervals, u: int, v_rank: int):
+def _solve_anchor(G: Graph, intervals, u: int, v_rank: int, beat: int):
     """Best matching containing the anchor, assuming no rank below v_rank is
     saturated.  Returns (size, pairs) with pairs in global (vertex, rank)
-    form including the anchor and the forced pairs."""
+    form including the anchor and the forced pairs; pairs is None, and no
+    witness is replayed, when size does not exceed beat."""
     shift = v_rank - 1
     r = intervals[u][1] - shift
 
@@ -209,6 +210,8 @@ def _solve_anchor(G: Graph, intervals, u: int, v_rank: int):
     _, _, ln_final = bounds(s_len, t_len)
     value = c[s_len][t_len][ln_final]
     assert value >= 1
+    if len(forced) + value <= beat:
+        return len(forced) + value, None
     pairs = _replay(bp, R, L, r, xs, ys, s_len, t_len, ln_final)
     assert len(pairs) + 1 == value
     all_pairs = [(u, 1 + shift)] + [(w, j + shift) for w, j in forced] \

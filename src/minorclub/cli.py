@@ -206,6 +206,8 @@ def cmd_club_contract(args) -> int:
             if exc.certificate is None:
                 raise
     if solver is None:
+        if args.k < 0:
+            raise DomainError("contraction budget must be non-negative")
         _check_club_oracle_cap(G, args.cap)
         solver = "oracle"
         kmin = oracle_mod.min_club_contraction_oracle(G, args.s, args.k) \

@@ -45,7 +45,9 @@ def cr_union(t1: CrTable, t2: CrTable) -> CrTable:
     """Disjoint union: bags cannot straddle sides or see across, so the best
     family lives entirely in one side; pointwise maximum."""
     n = t1.n + t2.n
-    return CrTable(n, tuple(max(t1.get(r), t2.get(r)) for r in range(n + 1)))
+    short, longer = sorted((t1.values, t2.values), key=len)
+    values = tuple(map(max, short, longer)) + longer[len(short):]
+    return CrTable(n, values + (0,) * (n + 1 - len(values)))
 
 
 def cr_join(t1: CrTable, t2: CrTable) -> CrTable:
@@ -58,23 +60,30 @@ def cr_join(t1: CrTable, t2: CrTable) -> CrTable:
     c_{r-s}(side i) = 0 is discarded: it cannot be realized with exactly r
     edge bags (only with s), and counting it would overstate c_r even though
     it never changes the overall maximum.
+
+    The loop runs over k = r-s, the edge bags inside side i (k = 0 or
+    c_k(side i) > 0), then over s <= min(n_1, n_2, n_i - 2k), which is the
+    admissibility condition.  So 2r = 2k + 2s <= n_i + s <= n: entries past
+    n/2 are never reached and stay 0.
     """
     n1, n2 = t1.n, t2.n
-    n = n1 + n2
-    values = []
-    for r in range(n + 1):
-        best = 0
-        for s in range(min(n1, n2, r) + 1):
-            for ti, ni, tother, nother in ((t1, n1, t2, n2), (t2, n2, t1, n1)):
-                if ni - 2 * r + s < 0:
-                    continue
-                inner = ti.get(r - s)
-                if r - s > 0 and inner == 0:
-                    continue
-                val = s + min(inner, ni - r) + min(nother - s, tother.get(0))
-                best = max(best, val)
-        values.append(best)
-    return CrTable(n, tuple(values))
+    cross = min(n1, n2)
+    values = [0] * (n1 + n2 + 1)
+    for ci, ni, nother, c0other in ((t1.values, n1, n2, t2.values[0]),
+                                    (t2.values, n2, n1, t1.values[0])):
+        for k in range(ni // 2 + 1):
+            inner = ci[k]
+            if k and not inner:
+                continue
+            room = ni - k
+            for s in range(min(cross, room - k) + 1):
+                # the two min() terms, spelled out: this is the DP's hot loop
+                free, rest = room - s, nother - s
+                val = (s + (inner if inner < free else free)
+                       + (c0other if c0other < rest else rest))
+                if val > values[k + s]:
+                    values[k + s] = val
+    return CrTable(n1 + n2, tuple(values))
 
 
 def cotree_cr_table(tree: Cotree) -> CrTable:

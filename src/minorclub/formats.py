@@ -2,7 +2,8 @@
 
 Edge list format: a header line ``n m`` followed by one ``u v`` pair per
 line, 0-based.  DIMACS: ``p edge n m`` then ``e u v`` lines, 1-based.
-graph6 is the standard 6-bit packed upper-triangle encoding.
+graph6 is the standard 6-bit packed upper-triangle encoding; decoding is
+linear in the payload, and the padding bits of the last byte are ignored.
 """
 
 from __future__ import annotations
@@ -41,6 +42,8 @@ def emit_graph(G: Graph, format: str = "graph6") -> bytes:
 # graph6 ---------------------------------------------------------------
 
 _G6_HEADER = b">>graph6<<"
+_G6_DIGITS = bytes(range(63, 127))
+_G6_BITS = {byte: format(byte - 63, "06b") for byte in _G6_DIGITS}
 
 
 def _parse_graph6(raw: bytes) -> Graph:
@@ -51,9 +54,9 @@ def _parse_graph6(raw: bytes) -> Graph:
         base += len(_G6_HEADER)
     if not data:
         raise ParseError("empty graph6 input", base)
-    for i, byte in enumerate(data):
-        if not 63 <= byte <= 126:
-            raise ParseError(f"invalid graph6 byte {byte}", base + i)
+    if data.translate(None, _G6_DIGITS):
+        i = next(i for i, byte in enumerate(data) if byte not in _G6_DIGITS)
+        raise ParseError(f"invalid graph6 byte {data[i]}", base + i)
     n, pos = _g6_decode_order(data, base)
     nbits = n * (n - 1) // 2
     need = (nbits + 5) // 6
@@ -61,18 +64,19 @@ def _parse_graph6(raw: bytes) -> Graph:
         raise FormatError(
             f"graph6 payload for n={n} needs {need} bytes, got {len(data) - pos}"
         )
-    bits = 0
-    for byte in data[pos:]:
-        bits = (bits << 6) | (byte - 63)
-    bits >>= (6 * need - nbits)
+    # Bit (i, j), i < j, is character j(j-1)/2 + i: column j is one slice.
+    bits = "".join(map(_G6_BITS.__getitem__, data[pos:]))
     rows = [0] * n
-    shift = nbits
+    start = 0
     for j in range(1, n):
-        for i in range(j):
-            shift -= 1
-            if bits >> shift & 1:
-                rows[i] |= 1 << j
-                rows[j] |= 1 << i
+        col = bits[start:start + j]
+        start += j
+        rows[j] = int(col[::-1], 2)
+        bit = 1 << j
+        i = col.find("1")
+        while i >= 0:
+            rows[i] |= bit
+            i = col.find("1", i + 1)
     return Graph(n, tuple(rows))
 
 

@@ -125,6 +125,15 @@ def test_negative_budget_exits_3(tmp_path, capsys, data):
     assert code == 3 and out == "" and "non-negative" in err
 
 
+@pytest.mark.parametrize("data", [
+    C6, _g6(disjoint_union(Graph.cycle(6), Graph.empty(1))),
+])
+def test_negative_budget_below_s_two_exits_3(tmp_path, capsys, data):
+    code, out, err = run(tmp_path, capsys,
+                         ["club-contract", "--s", "1", "--k", "-1"], data)
+    assert code == 3 and out == "" and "non-negative" in err
+
+
 def test_oracle_negative_budget_exits_3(tmp_path, capsys):
     code, out, err = run(tmp_path, capsys,
                          ["oracle", "club-contract", "--k", "-1"], P5)

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+from functools import reduce
 
 import pytest
 
@@ -13,6 +14,35 @@ from minorclub.oracle import (enumerate_nice_structures, hadwiger_oracle,
 from minorclub.recognition import recognize_cograph
 
 from genutil import all_graphs, random_cograph
+
+
+def reference_join(t1: CrTable, t2: CrTable) -> tuple[int, ...]:
+    """The cr_join docstring formula as a plain loop over every (r, s)."""
+    n1, n2 = t1.n, t2.n
+    values = []
+    for r in range(n1 + n2 + 1):
+        best = 0
+        for s in range(min(n1, n2, r) + 1):
+            for ti, ni, tother, nother in ((t1, n1, t2, n2), (t2, n2, t1, n1)):
+                if ni - 2 * r + s < 0:
+                    continue
+                inner = ti.get(r - s)
+                if r - s > 0 and inner == 0:
+                    continue
+                val = s + min(inner, ni - r) + min(nother - s, tother.get(0))
+                best = max(best, val)
+        values.append(best)
+    return tuple(values)
+
+
+def reference_union(t1: CrTable, t2: CrTable) -> tuple[int, ...]:
+    return tuple(max(t1.get(r), t2.get(r)) for r in range(t1.n + t2.n + 1))
+
+
+def random_table(rng: random.Random) -> CrTable:
+    n = rng.randint(1, 12)
+    return CrTable(n, tuple(0 if rng.random() < 0.4 else rng.randint(1, n + 1)
+                            for _ in range(n + 1)))
 
 
 def test_leaf_table():
@@ -138,3 +168,28 @@ def test_optimal_join_structures_can_avoid_two_sided_edge_bags():
                     ok = True
                     break
             assert ok, (G.edges(), r, val)
+
+
+def test_join_and_union_match_the_reference_on_random_tables():
+    rng = random.Random(11)
+    for _ in range(3000):
+        t1, t2 = random_table(rng), random_table(rng)
+        assert cr_join(t1, t2).values == reference_join(t1, t2), (t1, t2)
+        assert cr_union(t1, t2).values == reference_union(t1, t2), (t1, t2)
+
+
+def test_join_and_union_match_the_reference_on_cotree_children():
+    def checked(kind, tables):
+        combine, reference = ((cr_join, reference_join) if kind == "join"
+                              else (cr_union, reference_union))
+
+        def step(t1, t2):
+            t = combine(t1, t2)
+            assert t.values == reference(t1, t2), (kind, t1, t2)
+            return t
+        return reduce(step, tables)
+
+    rng = random.Random(12)
+    for _ in range(40):
+        tree = recognize_cograph(random_cograph(rng.randint(2, 40), rng))
+        tree.fold(lambda v: cr_leaf(), checked)

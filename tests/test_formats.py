@@ -38,6 +38,23 @@ def test_graph6_known_encodings():
     assert emit_graph(Graph.complete(4), "graph6") == b"C~"
 
 
+def test_graph6_padding_bits_are_ignored():
+    # n = 2 has one payload bit; the five padding bits after it are ignored
+    assert parse_graph(b"AA", "graph6") == Graph.empty(2)
+    assert parse_graph(b"A~", "graph6") == Graph.complete(2)
+
+
+@pytest.mark.parametrize("density", [0.1, 0.5, 0.9])
+def test_graph6_agrees_with_networkx(density):
+    nx = pytest.importorskip("networkx")
+    for n in [*range(1, 70), 126, 127, 200, 300]:
+        H = nx.gnp_random_graph(n, density, seed=n)
+        data = nx.to_graph6_bytes(H, header=False).strip()
+        G = parse_graph(data, "graph6")
+        assert G == Graph.from_edges(n, H.edges()), (n, density)
+        assert emit_graph(G, "graph6") == data, (n, density)
+
+
 def test_graph6_long_order_boundary():
     G = Graph.empty(63)
     data = emit_graph(G, "graph6")
@@ -49,6 +66,12 @@ def test_graph6_errors():
     with pytest.raises(ParseError) as err:
         parse_graph(b"C\x07", "graph6")
     assert err.value.offset == 1
+    # a bad byte deep in the payload is located exactly, header included
+    data = bytearray(emit_graph(Graph.cycle(40), "graph6"))
+    data[100] = 0x7F
+    with pytest.raises(ParseError) as err:
+        parse_graph(b"  >>graph6<<" + bytes(data), "graph6")
+    assert err.value.offset == 12 + 100
     with pytest.raises(FormatError):
         parse_graph(b"D?", "graph6")  # truncated payload for n=5
     with pytest.raises(ParseError):

@@ -4,17 +4,17 @@ graph classes, certified by brute-force oracles on small graphs."""
 from .errors import (CapacityError, DomainError, FormatError,
                      InvalidStructureError, MethodError, MinorclubError,
                      ParseError)
-from .graph import (Graph, chordality, complement, components, contract_edge,
-                    contract_edges, diameter, disjoint_union, distances,
-                    induced_subgraph, is_connected, join, max_clique,
-                    clique_number)
+from .graph import (Graph, clique_number, complement, components,
+                    contract_edge, contract_edges, diameter, disjoint_union,
+                    distances, induced_subgraph, is_connected, join,
+                    max_clique)
 from .formats import emit_graph, parse_graph
 from .witness import WitnessStructure, verify_witness
-from .recognition import (Certificate, Cotree, StrongOrdering,
-                          diameter_dominating_pair, is_at_free,
-                          is_chordal_bipartite, is_cobipartite, is_split,
-                          recognize_cograph, strong_ordering, verify_ordering)
-from .oracle import (clique_matching_oracle, connected_partitions,
+from .recognition import (Cotree, StrongOrdering, diameter_dominating_pair,
+                          is_at_free, is_chordal_bipartite, is_cobipartite,
+                          is_split, recognize_cograph, strong_ordering,
+                          verify_ordering)
+from .oracle import (chordality, clique_matching_oracle, connected_partitions,
                      hadwiger_oracle, max_s_club_minor_oracle,
                      min_club_contraction_oracle, nice_structure_oracle)
 from .cograph_dp import CrTable, cr_join, cr_leaf, cr_union, hadwiger_cograph

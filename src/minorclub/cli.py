@@ -2,260 +2,168 @@
 
 Commands: recognize, hadwiger, clique-matching, club-contract, club-minor,
 oracle, reduce.  Input graphs come from --input (path or '-' for stdin) in
-graph6, edgelist, or dimacs format.  --json prints a machine-readable report
-that is byte-identical across runs on identical input; timing is shown only
-in the human-readable output so reports stay deterministic.
+graph6, edgelist, or dimacs format; reduce reads its source problem (DIMACS
+CNF or a set system) or graph from the same option.  --json prints a
+machine-readable report that is byte-identical across runs on identical
+input; timing is shown only in the human-readable output so reports stay
+deterministic.
 
-Exit codes: 0 success, 2 malformed input, 3 no applicable method or problem
-precondition violated, 4 a brute-force oracle's size cap exceeded (the
+Exit codes: 0 success, 2 malformed input (with its byte offset where one
+applies), 3 no applicable method or problem precondition violated, such as
+a negative budget --k, 4 a brute-force oracle's size cap exceeded (the
 polynomial solvers and their recognizers have no caps).
 
+recognize reports every class, chordal-bipartite included, at any size.
 club-contract and club-minor run the AT-free solver when s >= 2 and the graph
 has no asteroidal triple, else the brute-force oracle within --cap, else exit
-3.  A negative budget --k exits 3 on every path, `oracle club-contract` too.
+3.  A negative budget --k exits 3 on every path, `oracle club-contract` and
+`reduce` too.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import sys
 import time
-from dataclasses import dataclass, field
 from itertools import combinations
 
 from . import oracle as oracle_mod
 from .bipperm_dp import hadwiger_bipperm, max_clique_matching
-from .club_contraction import minimum_contraction, s_club_contract_decide
+from .club_contraction import (ClubDecision, minimum_contraction,
+                               s_club_contract_decide)
 from .cograph_dp import cograph_cr_table
 from .errors import (CapacityError, DomainError, FormatError, MethodError,
-                     MinorclubError, ParseError)
+                     ParseError)
 from .formats import FORMATS, emit_graph, parse_graph
-from .graph import Graph, components, contract_edges, diameter, is_connected
-from .recognition import (Certificate, Cotree, is_at_free,
-                          is_chordal_bipartite, is_cobipartite, is_split,
-                          recognize_cograph, strong_ordering, verify_ordering)
+from .graph import components, contract_edges, diameter, is_connected
+from .recognition import (Cotree, is_at_free, is_chordal_bipartite,
+                          is_cobipartite, is_split, recognize_cograph,
+                          strong_ordering)
 from .reductions import (hitting_set_to_chordal, hitting_set_to_split,
                          nae3sat_to_cobipartite, parse_dimacs_cnf,
                          parse_set_system, pendant_lift, subdivide_edges)
 
 SCHEMA_VERSION = 1
 
-
-@dataclass
-class RunReport:
-    command: str
-    input_digest: str
-    result: dict
-    solver: str | None = None
-    certificates: dict = field(default_factory=dict)
-    elapsed: float = 0.0
-
-    def to_json(self) -> str:
-        payload = {
-            "schema": SCHEMA_VERSION,
-            "command": self.command,
-            "input_sha256": self.input_digest,
-            "certificates": self.certificates,
-            "result": self.result,
-            "solver": self.solver,
-        }
-        return json.dumps(payload, sort_keys=True, separators=(",", ":"))
-
-    def human(self) -> str:
-        lines = [f"command: {self.command}", f"input: sha256:{self.input_digest[:12]}"]
-        if self.solver:
-            lines.append(f"solver: {self.solver}")
-        for key, val in sorted(self.certificates.items()):
-            lines.append(f"{key}: {val}")
-        for key, val in sorted(self.result.items()):
-            lines.append(f"{key}: {val}")
-        lines.append(f"elapsed: {self.elapsed:.3f}s")
-        return "\n".join(lines)
+# Every command maps (parsed graph, or raw bytes for reduce; args) to
+# (result, solver, certificates).
 
 
-def _read_input(path: str) -> bytes:
-    if path == "-":
-        return sys.stdin.buffer.read()
-    with open(path, "rb") as fh:
-        return fh.read()
-
-
-def _load_graph(args) -> tuple[Graph, str]:
-    raw = _read_input(args.input)
-    digest = hashlib.sha256(raw).hexdigest()
-    return parse_graph(raw, args.format), digest
-
-
-def _emit(report: RunReport, args) -> None:
-    print(report.to_json() if args.json else report.human())
-
-
-def cmd_recognize(args) -> int:
-    G, digest = _load_graph(args)
-    t0 = time.perf_counter()
+def cmd_recognize(G, args):
     certs: dict[str, str] = {}
     result: dict[str, object] = {}
-
     cograph = recognize_cograph(G) if G.n else None
     if isinstance(cograph, Cotree):
         assert cograph.to_graph(G.n) == G
         result["cograph"] = True
-        certs["cotree"] = Certificate("cotree", cograph).to_text()
+        certs["cotree"] = cograph.to_text()
     elif cograph is not None:
         result["cograph"] = False
-        certs["induced-P4"] = Certificate("induced-P4", cograph).to_text()
-
+        certs["induced-P4"] = " ".join(map(str, cograph))
     ordering = strong_ordering(G)
+    result["bipartite-permutation"] = ordering is not None
     if ordering is not None:
-        assert verify_ordering(G, ordering)
-        result["bipartite-permutation"] = True
-        certs["strong-ordering"] = Certificate("ordering", ordering).to_text()
-    else:
-        result["bipartite-permutation"] = False
-
+        certs["strong-ordering"] = ("side1 " + " ".join(map(str, ordering.side1))
+                                    + " | order2 " + " ".join(map(str, ordering.order2)))
     at = is_at_free(G)
-    if at is True:
-        result["at-free"] = True
-    else:
-        result["at-free"] = False
-        certs["asteroidal-triple"] = Certificate("asteroidal-triple", at).to_text()
-
+    result["at-free"] = at is True
+    if at is not True:
+        certs["asteroidal-triple"] = " ".join(map(str, at))
     result["split"] = is_split(G)
     result["co-bipartite"] = is_cobipartite(G)
-    if G.n <= args.cap:
-        result["chordal-bipartite"] = is_chordal_bipartite(G, cap=args.cap)
-    report = RunReport("recognize", digest, result, certificates=certs,
-                       elapsed=time.perf_counter() - t0)
-    _emit(report, args)
-    return 0
+    result["chordal-bipartite"] = is_chordal_bipartite(G)
+    return result, None, certs
 
 
-def cmd_hadwiger(args) -> int:
-    G, digest = _load_graph(args)
-    t0 = time.perf_counter()
+def cmd_hadwiger(G, args):
     method = args.method
-    result: dict[str, object] = {}
-    solver = None
     if method in ("auto", "cograph"):
         try:
             table = cograph_cr_table(G)
-            solver = "cograph"
-            result = {"h": table.best, "cr_table": list(table.values)}
         except DomainError:
             if method == "cograph":
                 raise
-    if solver is None and method in ("auto", "bipperm"):
+        else:
+            return {"h": table.best, "cr_table": list(table.values)}, "cograph", {}
+    if method in ("auto", "bipperm"):
         try:
             det = hadwiger_bipperm(G, with_details=True)
-            solver = "bipperm"
-            result = {"h": det.h, "case": det.case,
-                      "witness": [list(b) for b in det.bags()]}
         except DomainError:
             if method == "bipperm":
                 raise
-    if solver is None and method in ("auto", "oracle"):
-        feasible = all(len(c) <= args.cap for c in components(G))
-        if not feasible and method == "oracle":
-            raise CapacityError(f"a component exceeds the oracle cap {args.cap}")
-        if feasible:
-            value, bags = oracle_mod.hadwiger_oracle(G, cap=args.cap, with_witness=True)
-            solver = "oracle"
-            result = {"h": value,
-                      "witness_bags": [list(b) for b in (bags or ())]}
-    if solver is None:
-        raise MethodError(
-            "no polynomial method applies (not a cograph, no strong ordering) "
-            "and the graph exceeds the brute-force cap; the general problem "
-            "is intractable")
-    report = RunReport("hadwiger", digest, result, solver=solver,
-                       elapsed=time.perf_counter() - t0)
-    _emit(report, args)
-    return 0
+        else:
+            return ({"h": det.h, "case": det.case,
+                     "witness": [list(b) for b in det.bags()]}, "bipperm", {})
+    if all(len(c) <= args.cap for c in components(G)):
+        value, bags = oracle_mod.hadwiger_oracle(G, cap=args.cap, with_witness=True)
+        return {"h": value, "witness_bags": [list(b) for b in (bags or ())]}, "oracle", {}
+    if method == "oracle":
+        raise CapacityError(f"a component exceeds the oracle cap {args.cap}")
+    raise MethodError(
+        "no polynomial method applies (not a cograph, no strong ordering) "
+        "and the graph exceeds the brute-force cap; the general problem "
+        "is intractable")
 
 
-def cmd_clique_matching(args) -> int:
-    G, digest = _load_graph(args)
-    t0 = time.perf_counter()
+def cmd_clique_matching(G, args):
     size, matching = max_clique_matching(G)
-    report = RunReport(
-        "clique-matching", digest,
-        {"size": size, "matching_edges": [list(e) for e in matching.edges]},
-        solver="bipperm", elapsed=time.perf_counter() - t0)
-    _emit(report, args)
-    return 0
+    return {"size": size, "matching_edges": [list(e) for e in matching.edges]}, "bipperm", {}
 
 
-def _check_club_oracle_cap(G, cap: int) -> None:
-    if G.n > cap:
-        raise MethodError(
-            "graph is not AT-free (or s < 2) and exceeds the brute-force cap")
-
-
-def cmd_club_contract(args) -> int:
-    G, digest = _load_graph(args)
-    t0 = time.perf_counter()
-    solver = None
+def _atfree_or_oracle(G, args, atfree, oracle):
+    """(solver, value): ``atfree()`` when s >= 2, unless it finds an
+    asteroidal triple; otherwise ``oracle()`` when G fits within --cap."""
     if args.s >= 2:
         try:
-            dec = s_club_contract_decide(G, args.k, args.s)
-            solver = "atfree"
-            answer, witness = dec.yes, dec.witness
+            return "atfree", atfree()
         except DomainError as exc:
             if exc.certificate is None:
                 raise
-    if solver is None:
-        if args.k < 0:
-            raise DomainError("contraction budget must be non-negative")
-        _check_club_oracle_cap(G, args.cap)
-        solver = "oracle"
-        kmin = oracle_mod.min_club_contraction_oracle(G, args.s, args.k) \
-            if is_connected(G) else None
-        answer = kmin is not None
-        witness = () if answer else None
-        if answer and kmin > 0:
-            witness = next(
-                S for S in combinations(G.edges(), kmin)
-                if diameter(contract_edges(G, S)) <= args.s)
-    result = {"answer": "yes" if answer else "no",
-              "witness_edges": [list(e) for e in witness] if witness else None}
-    report = RunReport("club-contract", digest, result, solver=solver,
-                       elapsed=time.perf_counter() - t0)
-    _emit(report, args)
-    return 0
+    if G.n > args.cap:
+        raise MethodError(
+            "graph is not AT-free (or s < 2) and exceeds the brute-force cap")
+    return "oracle", oracle()
 
 
-def cmd_club_minor(args) -> int:
-    G, digest = _load_graph(args)
-    t0 = time.perf_counter()
+def _club_contract_oracle(G, s: int, k: int) -> ClubDecision:
+    """The oracle's answer; a yes carries the first smallest edge set that
+    reaches diameter s."""
+    kmin = oracle_mod.min_club_contraction_oracle(G, s, k) if is_connected(G) else None
+    if kmin is None:
+        return ClubDecision(False)
+    if kmin == 0:
+        return ClubDecision(True, ())
+    return ClubDecision(True, next(S for S in combinations(G.edges(), kmin)
+                                   if diameter(contract_edges(G, S)) <= s))
+
+
+def cmd_club_contract(G, args):
+    if args.k < 0:
+        raise DomainError("contraction budget must be non-negative")
+    solver, dec = _atfree_or_oracle(
+        G, args, lambda: s_club_contract_decide(G, args.k, args.s),
+        lambda: _club_contract_oracle(G, args.s, args.k))
+    return ({"answer": "yes" if dec.yes else "no",
+             "witness_edges": [list(e) for e in dec.witness] if dec.witness else None},
+            solver, {})
+
+
+def cmd_club_minor(G, args):
     if not is_connected(G) or G.n == 0:
         raise DomainError(
             "disconnected graphs cannot be contracted to finite diameter")
-    solver = None
-    if args.s >= 2:
-        try:
-            kmin, witness = minimum_contraction(G, args.s)
-            solver = "atfree"
-        except DomainError as exc:
-            if exc.certificate is None:
-                raise
-    if solver is None:
-        _check_club_oracle_cap(G, args.cap)
-        solver = "oracle"
-        kmin = oracle_mod.min_club_contraction_oracle(G, args.s, G.n - 1)
-        witness = None
-    result = {"k_min": kmin, "p": G.n - kmin,
-              "witness_edges": [list(e) for e in witness] if witness else None}
-    report = RunReport("club-minor", digest, result, solver=solver,
-                       elapsed=time.perf_counter() - t0)
-    _emit(report, args)
-    return 0
+    solver, (kmin, witness) = _atfree_or_oracle(
+        G, args, lambda: minimum_contraction(G, args.s),
+        lambda: (oracle_mod.min_club_contraction_oracle(G, args.s, G.n - 1), None))
+    return ({"k_min": kmin, "p": G.n - kmin,
+             "witness_edges": [list(e) for e in witness] if witness else None},
+            solver, {})
 
 
-def cmd_oracle(args) -> int:
-    G, digest = _load_graph(args)
-    t0 = time.perf_counter()
+def cmd_oracle(G, args):
     what = args.problem
     if what == "hadwiger":
         value, bags = oracle_mod.hadwiger_oracle(G, cap=args.cap, with_witness=True)
@@ -263,131 +171,105 @@ def cmd_oracle(args) -> int:
     elif what == "club-minor":
         result = {"value": oracle_mod.max_s_club_minor_oracle(G, args.s, cap=args.cap)}
     elif what == "club-contract":
-        kmin = oracle_mod.min_club_contraction_oracle(G, args.s, args.k)
-        result = {"value": kmin}
+        result = {"value": oracle_mod.min_club_contraction_oracle(G, args.s, args.k)}
     elif what == "clique-matching":
         result = {"value": oracle_mod.clique_matching_oracle(G, cap=max(args.cap, 14))}
     else:  # nice-structure
         best, table = oracle_mod.nice_structure_oracle(G, cap=args.cap)
         result = {"value": best, "per_edge_bag_count": list(table)}
-    report = RunReport(f"oracle:{what}", digest, result, solver="oracle",
-                       elapsed=time.perf_counter() - t0)
-    _emit(report, args)
-    return 0
+    return result, "oracle", {}
 
 
-def cmd_reduce(args) -> int:
-    raw = _read_input(args.input)
-    digest = hashlib.sha256(raw).hexdigest()
-    t0 = time.perf_counter()
+def cmd_reduce(raw: bytes, args):
+    """Build the instance; --out also gets the graph in --format, and the
+    source reductions' metadata in a .json sidecar."""
     kind = args.construction
+    meta = {}
     if kind == "nae3sat":
-        inst = nae3sat_to_cobipartite(parse_dimacs_cnf(raw.decode("ascii", "replace")))
+        inst = nae3sat_to_cobipartite(parse_dimacs_cnf(raw))
     elif kind == "hitting-set":
         if args.k is None:
             raise ParseError("hitting-set reduction needs --k")
-        hs = parse_set_system(raw.decode("ascii", "replace"), args.k)
+        hs = parse_set_system(raw, args.k)
         inst = hitting_set_to_split(hs) if args.s == 2 else hitting_set_to_chordal(hs)
     elif kind == "lift":
         if args.k is None:
             raise ParseError("lift needs --k")
-        G = parse_graph(raw, args.format)
-        lifted = pendant_lift(G, args.k)
-        return _emit_plain_graph(args, digest, "reduce:lift", lifted, t0)
+        G = pendant_lift(parse_graph(raw, args.format), args.k)
     else:  # subdivide
-        G = parse_graph(raw, args.format)
-        return _emit_plain_graph(args, digest, "reduce:subdivide",
-                                 subdivide_edges(G), t0)
-    payload = emit_graph(inst.graph, "graph6").decode("ascii")
-    sidecar = {"k": inst.k, "target": inst.target, "role_labels": inst.labels}
-    if args.out:
-        with open(args.out, "wb") as fh:
-            fh.write(emit_graph(inst.graph, args.format) + b"\n")
-        with open(args.out + ".json", "w") as fh:
-            json.dump(sidecar, fh, sort_keys=True, indent=2)
-    result = {"graph6": payload, "n": inst.graph.n, "m": inst.graph.m, **sidecar}
-    report = RunReport(f"reduce:{kind}", digest, result,
-                       solver="generator", elapsed=time.perf_counter() - t0)
-    _emit(report, args)
-    return 0
-
-
-def _emit_plain_graph(args, digest, command, G, t0) -> int:
+        G = subdivide_edges(parse_graph(raw, args.format))
+    if kind in ("nae3sat", "hitting-set"):
+        G = inst.graph
+        meta = {"k": inst.k, "target": inst.target, "role_labels": inst.labels}
     if args.out:
         with open(args.out, "wb") as fh:
             fh.write(emit_graph(G, args.format) + b"\n")
-    result = {"graph6": emit_graph(G, "graph6").decode("ascii"),
-              "n": G.n, "m": G.m}
-    report = RunReport(command, digest, result, solver="generator",
-                       elapsed=time.perf_counter() - t0)
-    _emit(report, args)
-    return 0
+        if meta:
+            with open(args.out + ".json", "w") as fh:
+                json.dump(meta, fh, sort_keys=True, indent=2)
+    result = {"graph6": emit_graph(G, "graph6").decode("ascii"), "n": G.n, "m": G.m, **meta}
+    return result, "generator", {}
 
 
-def _common(parser: argparse.ArgumentParser):
-    parser.add_argument("--input", required=True, help="path or '-' for stdin")
-    parser.add_argument("--format", choices=FORMATS, default="graph6")
-    parser.add_argument("--json", action="store_true")
-    parser.add_argument("--cap", type=int, default=12,
-                        help="size cap for brute-force fallbacks")
-
-
+@functools.cache
 def make_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process and shared: do not
+    modify it."""
     parser = argparse.ArgumentParser(
         prog="minorclub",
         description="Clique minors and bounded-diameter minors on structured "
                     "graph classes.")
     sub = parser.add_subparsers(dest="cmd", required=True)
 
-    p = sub.add_parser("recognize", help="run all class recognizers")
-    _common(p)
-    p.set_defaults(fn=cmd_recognize)
+    def command(name, fn, help, positional=None, choices=()):
+        p = sub.add_parser(name, help=help)
+        if positional:
+            p.add_argument(positional, choices=choices)
+        p.add_argument("--input", required=True, help="path or '-' for stdin")
+        p.add_argument("--format", choices=FORMATS, default="graph6")
+        p.add_argument("--json", action="store_true")
+        p.add_argument("--cap", type=int, default=12,
+                       help="size cap for brute-force fallbacks")
+        p.set_defaults(fn=fn)
+        return p
 
-    p = sub.add_parser("hadwiger", help="largest complete minor")
-    _common(p)
+    command("recognize", cmd_recognize, "run all class recognizers")
+    p = command("hadwiger", cmd_hadwiger, "largest complete minor")
     p.add_argument("--method", choices=("auto", "cograph", "bipperm", "oracle"),
                    default="auto")
-    p.set_defaults(fn=cmd_hadwiger)
-
-    p = sub.add_parser("clique-matching", help="maximum clique-matching")
-    _common(p)
-    p.set_defaults(fn=cmd_clique_matching)
-
-    p = sub.add_parser("club-contract", help="can k contractions reach diameter s?")
-    _common(p)
+    command("clique-matching", cmd_clique_matching, "maximum clique-matching")
+    p = command("club-contract", cmd_club_contract,
+                "can k contractions reach diameter s?")
     p.add_argument("--s", type=int, required=True)
     p.add_argument("--k", type=int, required=True)
-    p.set_defaults(fn=cmd_club_contract)
-
-    p = sub.add_parser("club-minor", help="largest bounded-diameter minor")
-    _common(p)
+    p = command("club-minor", cmd_club_minor, "largest bounded-diameter minor")
     p.add_argument("--s", type=int, required=True)
-    p.set_defaults(fn=cmd_club_minor)
-
-    p = sub.add_parser("oracle", help="brute-force reference answers")
-    p.add_argument("problem", choices=("hadwiger", "club-minor", "club-contract",
-                                       "clique-matching", "nice-structure"))
-    _common(p)
+    p = command("oracle", cmd_oracle, "brute-force reference answers", "problem",
+                ("hadwiger", "club-minor", "club-contract", "clique-matching",
+                 "nice-structure"))
     p.add_argument("--s", type=int, default=2)
     p.add_argument("--k", type=int, default=4)
-    p.set_defaults(fn=cmd_oracle)
-
-    p = sub.add_parser("reduce", help="generate hard instances")
-    p.add_argument("construction", choices=("nae3sat", "hitting-set", "lift",
-                                            "subdivide"))
-    _common(p)
+    p = command("reduce", cmd_reduce, "generate hard instances", "construction",
+                ("nae3sat", "hitting-set", "lift", "subdivide"))
     p.add_argument("--s", type=int, choices=(2, 3), default=2)
     p.add_argument("--k", type=int, default=None)
     p.add_argument("--out", default=None, help="write the graph here "
                    "(plus a .json sidecar for instance metadata)")
-    p.set_defaults(fn=cmd_reduce)
     return parser
 
 
 def main(argv=None) -> int:
     args = make_parser().parse_args(argv)
     try:
-        return args.fn(args)
+        if args.input == "-":
+            raw = sys.stdin.buffer.read()
+        else:
+            with open(args.input, "rb") as fh:
+                raw = fh.read()
+        data = raw if args.cmd == "reduce" else parse_graph(raw, args.format)
+        t0 = time.perf_counter()
+        result, solver, certs = args.fn(data, args)
+        elapsed = time.perf_counter() - t0
     except (ParseError, FormatError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2
@@ -397,6 +279,24 @@ def main(argv=None) -> int:
     except CapacityError as exc:
         print(f"capacity exceeded: {exc}", file=sys.stderr)
         return 4
+    command = args.cmd
+    if args.cmd in ("oracle", "reduce"):
+        command += ":" + (args.problem if args.cmd == "oracle" else args.construction)
+    digest = hashlib.sha256(raw).hexdigest()
+    if args.json:
+        print(json.dumps({"schema": SCHEMA_VERSION, "command": command,
+                          "input_sha256": digest, "certificates": certs,
+                          "result": result, "solver": solver},
+                         sort_keys=True, separators=(",", ":")))
+        return 0
+    lines = [f"command: {command}", f"input: sha256:{digest[:12]}"]
+    if solver:
+        lines.append(f"solver: {solver}")
+    lines += [f"{key}: {val}" for key, val in sorted(certs.items())]
+    lines += [f"{key}: {val}" for key, val in sorted(result.items())]
+    lines.append(f"elapsed: {elapsed:.3f}s")
+    print("\n".join(lines))
+    return 0
 
 
 if __name__ == "__main__":

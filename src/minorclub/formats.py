@@ -141,6 +141,24 @@ def _tokenize(raw: bytes):
         yield tok.decode("ascii", errors="replace"), start
 
 
+def _lines(raw: bytes):
+    """Yield the (token, byte_offset) pairs of each line that has a token;
+    offsets count from the start of ``raw``."""
+    offset = 0
+    for line in raw.splitlines(keepends=True):
+        toks = [(tok, offset + off) for tok, off in _tokenize(line)]
+        offset += len(line)
+        if toks:
+            yield toks
+
+
+def _int(tok: str, off: int) -> int:
+    try:
+        return int(tok)
+    except ValueError:
+        raise ParseError(f"expected an integer, got {tok!r}", off) from None
+
+
 def _ints(raw: bytes, what: str) -> list[tuple[int, int]]:
     out = []
     for tok, off in _tokenize(raw):
@@ -167,34 +185,24 @@ def _parse_edgelist(raw: bytes) -> Graph:
 def _parse_dimacs(raw: bytes) -> Graph:
     n = m = None
     pairs: list[tuple[int, int]] = []
-    offset = 0
-    for line in raw.split(b"\n"):
-        stripped = line.strip()
-        if stripped.startswith(b"c") or not stripped:
-            offset += len(line) + 1
+    for toks in _lines(raw):
+        kind, off0 = toks[0]
+        if kind.startswith("c"):
             continue
-        toks = list(_tokenize(line))
-        kind = toks[0][0]
         if kind == "p":
             if len(toks) != 4 or toks[1][0] != "edge":
-                raise ParseError("malformed problem line, expected 'p edge n m'",
-                                 offset + toks[0][1])
-            n, m = int(toks[2][0]), int(toks[3][0])
+                raise ParseError("malformed problem line, expected 'p edge n m'", off0)
+            n, m = (_int(tok, off) for tok, off in toks[2:])
+            if n < 0 or m < 0:
+                raise ParseError("negative count in header", toks[2][1])
         elif kind == "e":
             if n is None:
-                raise ParseError("edge line before problem line", offset + toks[0][1])
+                raise ParseError("edge line before problem line", off0)
             if len(toks) != 3:
-                raise ParseError("malformed edge line, expected 'e u v'",
-                                 offset + toks[0][1])
-            for tok, off in toks[1:]:
-                try:
-                    pairs.append((int(tok), offset + off))
-                except ValueError:
-                    raise ParseError(f"expected an integer, got {tok!r}",
-                                     offset + off) from None
+                raise ParseError("malformed edge line, expected 'e u v'", off0)
+            pairs += ((_int(tok, off), off) for tok, off in toks[1:])
         else:
-            raise ParseError(f"unknown DIMACS line type {kind!r}", offset + toks[0][1])
-        offset += len(line) + 1
+            raise ParseError(f"unknown DIMACS line type {kind!r}", off0)
     if n is None or m is None:
         raise ParseError("missing 'p edge n m' line", 0)
     if len(pairs) != 2 * m:

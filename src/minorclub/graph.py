@@ -11,11 +11,9 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
-from .errors import CapacityError, DomainError
+from .errors import DomainError
 
 Edge = tuple[int, int]
-
-DEFAULT_CHORDALITY_CAP = 16
 
 
 def _iter_bits(x: int) -> Iterator[int]:
@@ -274,40 +272,6 @@ def _quotient(G: Graph, S: Iterable[Edge]) -> tuple[Graph, list[int]]:
 def contract_edge(G: Graph, e: Edge) -> Graph:
     """Contract a single edge; the new vertex keeps the smaller endpoint's label."""
     return contract_edges(G, [e])
-
-
-def chordality(G: Graph, cap: int = DEFAULT_CHORDALITY_CAP) -> int:
-    """Length of a longest induced cycle; 0 if the graph is acyclic.
-
-    Exponential search over induced paths, intended for n <= cap.
-    """
-    if G.n > cap:
-        raise CapacityError(f"chordality supports at most {cap} vertices, got {G.n}")
-    best = 0
-    for s in range(G.n):
-        # Search induced cycles whose minimum vertex is s.  A path
-        # s, p1, ..., pk is grown keeping it induced; closing back to s is
-        # allowed once it has length >= 2.
-        start_nbrs = [v for v in _iter_bits(G.rows[s]) if v > s]
-        for p1 in start_nbrs:
-            stack = [([s, p1], 1 << s | 1 << p1)]
-            while stack:
-                path, used = stack.pop()
-                last = path[-1]
-                closing = G.rows[last] >> s & 1 and len(path) >= 3
-                if closing and path[1] < path[-1]:
-                    best = max(best, len(path))
-                if closing:
-                    continue  # a chord to s forbids any longer induced cycle
-                forbidden = 0
-                for w in path[:-1]:
-                    if w != s:
-                        forbidden |= G.rows[w]
-                cand = G.rows[last] & ~used & ~forbidden & ~(1 << s)
-                for w in _iter_bits(cand):
-                    if w > s:
-                        stack.append((path + [w], used | 1 << w))
-    return best
 
 
 def max_clique(G: Graph) -> tuple[int, list[int]]:

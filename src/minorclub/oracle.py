@@ -18,6 +18,7 @@ from .graph import (Graph, _iter_bits, _mask_connected, _quotient, diameter,
 PARTITION_CAP = 12
 MATCHING_CAP = 14
 SUBSET_BUDGET = 5_000_000
+DEFAULT_CHORDALITY_CAP = 16
 
 
 def connected_partitions(G: Graph) -> Iterator[list[tuple[int, ...]]]:
@@ -256,3 +257,37 @@ def nice_structure_oracle(G: Graph, cap: int = PARTITION_CAP) -> tuple[int, tupl
         r = sum(1 for b in bags if len(b) == 2)
         table[r] = max(table[r], len(bags))
     return max(table, default=0), tuple(table)
+
+
+def chordality(G: Graph, cap: int = DEFAULT_CHORDALITY_CAP) -> int:
+    """Length of a longest induced cycle; 0 if the graph is acyclic.
+
+    Exponential search over induced paths, intended for n <= cap.
+    """
+    if G.n > cap:
+        raise CapacityError(f"chordality supports at most {cap} vertices, got {G.n}")
+    best = 0
+    for s in range(G.n):
+        # Search induced cycles whose minimum vertex is s.  A path
+        # s, p1, ..., pk is grown keeping it induced; closing back to s is
+        # allowed once it has length >= 2.
+        start_nbrs = [v for v in _iter_bits(G.rows[s]) if v > s]
+        for p1 in start_nbrs:
+            stack = [([s, p1], 1 << s | 1 << p1)]
+            while stack:
+                path, used = stack.pop()
+                last = path[-1]
+                closing = G.rows[last] >> s & 1 and len(path) >= 3
+                if closing and path[1] < path[-1]:
+                    best = max(best, len(path))
+                if closing:
+                    continue  # a chord to s forbids any longer induced cycle
+                forbidden = 0
+                for w in path[:-1]:
+                    if w != s:
+                        forbidden |= G.rows[w]
+                cand = G.rows[last] & ~used & ~forbidden & ~(1 << s)
+                for w in _iter_bits(cand):
+                    if w > s:
+                        stack.append((path + [w], used | 1 << w))
+    return best

@@ -16,9 +16,9 @@ from dataclasses import dataclass
 from functools import reduce
 
 from .errors import DomainError
-from .graph import (DEFAULT_CHORDALITY_CAP, Graph, _bfs, _iter_bits,
-                    _mask_components, all_pairs_distances, chordality,
-                    complement, components, induced_subgraph, is_bipartite)
+from .graph import (Graph, _bfs, _iter_bits, _mask_components,
+                    all_pairs_distances, complement, components,
+                    induced_subgraph, is_bipartite)
 
 
 # Cotrees ----------------------------------------------------------------
@@ -336,28 +336,30 @@ def is_cobipartite(G: Graph) -> bool:
     return is_bipartite(complement(G)) is not None
 
 
-def is_chordal_bipartite(G: Graph, cap: int = DEFAULT_CHORDALITY_CAP) -> bool:
+def is_chordal_bipartite(G: Graph) -> bool:
+    """Bipartite with no induced cycle of length 6 or more.
+
+    Bisimplicial-edge elimination (Golumbic & Goss, J. Graph Theory 1978):
+    an edge uv is bisimplicial when every neighbor of u is adjacent to every
+    neighbor of v.  Every chordal bipartite graph with an edge has one, and
+    deleting it (the edge only) creates no long induced cycle: such a cycle
+    would have uv as its only chord, yet a cycle neighbor of u would also be
+    adjacent to both cycle neighbors of v.  No edge of an intact induced
+    cycle of length 6 or more is bisimplicial.  So deleting bisimplicial
+    edges in any order removes every edge exactly when G is chordal
+    bipartite.  Deleting uv can make an edge bisimplicial only if it shares
+    u or v, so only those edges are checked again.
+    """
     if is_bipartite(G) is None:
         return False
-    return chordality(G, cap=cap) <= 4
-
-
-# Certificates ------------------------------------------------------------
-
-@dataclass(frozen=True)
-class Certificate:
-    """Outcome of one recognizer: the certifying object or an obstruction."""
-
-    variant: str  # cotree | ordering | induced-P4 | asteroidal-triple | dominating-pair | none
-    payload: object = None
-
-    def to_text(self) -> str:
-        if self.variant == "cotree":
-            return self.payload.to_text()
-        if self.variant == "ordering":
-            o: StrongOrdering = self.payload
-            return ("side1 " + " ".join(map(str, o.side1))
-                    + " | order2 " + " ".join(map(str, o.order2)))
-        if self.variant in ("induced-P4", "asteroidal-triple", "dominating-pair"):
-            return " ".join(map(str, self.payload))
-        return "none"
+    rows = list(G.rows)
+    todo = G.edges()
+    while todo:
+        u, v = todo.pop()
+        nv = rows[v]
+        if rows[u] >> v & 1 and all(rows[w] & nv == nv for w in _iter_bits(rows[u])):
+            rows[u] ^= 1 << v
+            rows[v] ^= 1 << u
+            todo += [(u, w) for w in _iter_bits(rows[u])]
+            todo += [(v, w) for w in _iter_bits(rows[v])]
+    return not any(rows)

@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 from itertools import combinations
 
 from .errors import CapacityError, DomainError, ParseError
+from .formats import _int, _lines
 from .graph import Graph, _iter_bits
 from .recognition import is_cobipartite, is_split
 
@@ -58,6 +59,8 @@ class HittingSetInstance:
                 raise DomainError("sets must be nonempty")
             if any(not 0 <= x < self.n for x in S):
                 raise DomainError("set element outside the universe")
+        if self.k < 0:
+            raise DomainError("hitting-set budget k must be non-negative")
 
 
 @dataclass(frozen=True)
@@ -202,6 +205,8 @@ def _is_chordal(G: Graph) -> bool:
 def pendant_lift(G: Graph, k: int) -> Graph:
     """Attach k+1 new degree-one vertices to every vertex; n(k+2) vertices
     total, chordality unchanged."""
+    if k < 0:
+        raise DomainError("lift size k must be non-negative")
     edges = list(G.edges())
     nv = G.n
     for v in range(G.n):
@@ -255,23 +260,22 @@ def hitting_set_solve(inst: HittingSetInstance, cap: int = SOLVER_CAP):
 
 # Input formats ------------------------------------------------------------
 
-def parse_dimacs_cnf(text: str) -> NaeFormula:
+def parse_dimacs_cnf(data: bytes) -> NaeFormula:
     """DIMACS CNF: 'p cnf n m' then clauses terminated by 0."""
     n = None
     clauses = []
     current: list[int] = []
-    for raw in text.splitlines():
-        line = raw.strip()
-        if not line or line.startswith(("c", "%")):
+    for toks in _lines(data):
+        kind = toks[0][0]
+        if kind.startswith(("c", "%")):
             continue
-        if line.startswith("p"):
-            parts = line.split()
-            if len(parts) != 4 or parts[1] != "cnf":
+        if kind.startswith("p"):
+            if len(toks) != 4 or toks[1][0] != "cnf":
                 raise ParseError("malformed problem line, expected 'p cnf n m'")
-            n = int(parts[2])
+            n = _int(*toks[2])
             continue
-        for tok in line.split():
-            lit = int(tok)
+        for tok, off in toks:
+            lit = _int(tok, off)
             if lit == 0:
                 if current:
                     clauses.append(tuple(current))
@@ -285,16 +289,15 @@ def parse_dimacs_cnf(text: str) -> NaeFormula:
     return NaeFormula(n, tuple(clauses))
 
 
-def parse_set_system(text: str, k: int) -> HittingSetInstance:
+def parse_set_system(data: bytes, k: int) -> HittingSetInstance:
     """Line format: 'n m' header, then one set per line as member indexes."""
-    lines = [ln for ln in (raw.strip() for raw in text.splitlines()) if ln]
+    lines = list(_lines(data))
     if not lines:
         raise ParseError("empty set system")
-    head = lines[0].split()
-    if len(head) != 2:
+    if len(lines[0]) != 2:
         raise ParseError("set system needs an 'n m' header")
-    n, m = int(head[0]), int(head[1])
+    n, m = (_int(tok, off) for tok, off in lines[0])
     if len(lines) - 1 != m:
         raise ParseError(f"header declares {m} sets but {len(lines) - 1} follow")
-    sets = [frozenset(int(tok) for tok in ln.split()) for ln in lines[1:]]
+    sets = [frozenset(_int(tok, off) for tok, off in line) for line in lines[1:]]
     return HittingSetInstance(n, tuple(sets), k)

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import hashlib
+import io
 import json
 
 import pytest
@@ -12,6 +14,27 @@ P5 = b"DhC"
 C6 = b"EhEG"
 CNF = b"p cnf 3 2\n1 2 -3 0\n-1 2 3 0\n"
 SETS = b"4 2\n0 1\n2 3\n"
+
+
+# SHA-256 of the --json report (with its newline) of each subcommand in
+# test_every_subcommand_reports_deterministically, as printed by the
+# earlier, per-command implementation of the CLI.
+PINNED_SHA256 = {
+    "recognize": "9f274f939698ca41bc547124f91876702b73ece3f0d32528aa886be0e6127c1a",
+    "hadwiger": "098bcbee6bebae304a6e47417388e727982bb538054b1782f9b0c4d3aa901298",
+    "clique-matching": "1203b28792041ff28c4fc0adafd2d6e22814b340462e0d3f74fed02ca3b604ea",
+    "club-contract": "24d390ed2ac7a7f9b405d56c7f80c2ba21b2cb3eae4bf63c75d8fbfeea6a8b42",
+    "club-minor": "4f82c915533283e2d3d944ed62787efb39c11c502972e855c1d1723409d1a3ea",
+    "oracle:hadwiger": "b1f11b09c8049c22c6738e305d11930ea1a119e89a8a24daa7a6c989a0d69a9e",
+    "oracle:club-minor": "b1169993b2a0c32885b471856e737b539cc428afebd88e08df94a3313f41e3e3",
+    "oracle:club-contract": "96e489a263dd747588d1f2f8e1e920d5fb26c23fc27b53f2233db47c2a0eadfd",
+    "oracle:clique-matching": "fd14a5cb082adf91f6e038f70dd33738973c2194b9d7401a3aa2151d83b7a90e",
+    "oracle:nice-structure": "4122e33081770afed8367af98b23524f6ea8cea7a9ed7fa2f14909579b528cf3",
+    "reduce:nae3sat": "6ba09f7473d844109e2042114e7296466c390a8f6198d10be886ea013d839195",
+    "reduce:hitting-set": "4375bda859ef30f6b8a1611aa854a98f03e7c705daf7ccf97b81eb9c822b0cf5",
+    "reduce:lift": "9b5473fd7e602874e77172e055d2e9c3a8f3c899f43457350a27882a24217778",
+    "reduce:subdivide": "64b2220c216dc77d2da4f303e53c5601710f313bb4cfc9f701ce1ed7e4b4f611",
+}
 
 
 def _g6(G: Graph) -> bytes:
@@ -58,10 +81,36 @@ def test_every_subcommand_reports_deterministically(tmp_path, capsys, argv,
     code, first, err = run(tmp_path, capsys, argv + ["--json"], data)
     assert code == 0, err
     assert json.loads(first)["command"] == command
+    assert hashlib.sha256(first.encode()).hexdigest() == PINNED_SHA256[command], first
     code, second, _ = run(tmp_path, capsys, argv + ["--json"], data)
     assert code == 0 and second == first
     code, human, _ = run(tmp_path, capsys, argv, data)
     assert code == 0 and f"command: {command}" in human
+
+
+def test_recognize_cograph_report(tmp_path, capsys):
+    code, out, err = run(tmp_path, capsys, ["recognize", "--json"], b"Cr")  # C4
+    assert code == 0, err
+    assert out == (
+        '{"certificates":{"cotree":"(J (U 0 3) (U 1 2))",'
+        '"strong-ordering":"side1 3 0 | order2 1 2"},"command":"recognize",'
+        '"input_sha256":"55f5520007c809c88fb73e01ab6a1c1dac3eb0e419052234bd07e2c3640ea2da",'
+        '"result":{"at-free":true,"bipartite-permutation":true,'
+        '"chordal-bipartite":true,"co-bipartite":true,"cograph":true,'
+        '"split":false},"schema":1,"solver":null}\n')
+
+
+def test_input_from_stdin(monkeypatch, capsys):
+    monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(P5)))
+    assert main(["hadwiger", "--input", "-", "--json"]) == 0
+    out, _ = capsys.readouterr()
+    assert hashlib.sha256(out.encode()).hexdigest() == PINNED_SHA256["hadwiger"]
+
+
+def test_chordal_bipartite_reported_above_cap(tmp_path, capsys):
+    data = _g6(Graph.cycle(14))
+    rep = run_json(tmp_path, capsys, ["recognize", "--cap", "4"], data)
+    assert rep["result"]["chordal-bipartite"] is False
 
 
 def test_known_answers(tmp_path, capsys):
@@ -147,3 +196,27 @@ def test_oracle_negative_budget_exits_3(tmp_path, capsys):
 def test_disconnected_club_contract_says_no(tmp_path, capsys, data):
     rep = run_json(tmp_path, capsys, ["club-contract", "--s", "2", "--k", "3"], data)
     assert rep["result"] == {"answer": "no", "witness_edges": None}
+
+
+@pytest.mark.parametrize("argv, data, offset", [
+    (["hadwiger", "--format", "dimacs"], b"p edge x 1\n", 7),
+    (["hadwiger", "--format", "dimacs"], b"p edge -2 0\n", 7),
+    (["reduce", "nae3sat"], b"p cnf 3 1\n1 x -3 0\n", 12),
+    (["reduce", "nae3sat"], b"p cnf three 1\n1 2 3 0\n", 6),
+    (["reduce", "hitting-set", "--k", "1"], b"4 2\n0 1\n2 y\n", 10),
+    (["reduce", "hitting-set", "--k", "1"], b"4 two\n0 1\n2 3\n", 2),
+])
+def test_malformed_text_input_exits_2_with_offset(tmp_path, capsys, argv, data, offset):
+    code, out, err = run(tmp_path, capsys, argv, data)
+    assert code == 2 and out == "" and err.startswith("input error: ")
+    assert err.endswith(f"(byte offset {offset})\n")
+
+
+@pytest.mark.parametrize("argv, data", [
+    (["reduce", "lift", "--k", "-3"], P5),
+    (["reduce", "hitting-set", "--k", "-1"], SETS),
+    (["reduce", "hitting-set", "--k", "-1", "--s", "3"], SETS),
+])
+def test_negative_reduce_budget_exits_3(tmp_path, capsys, argv, data):
+    code, out, err = run(tmp_path, capsys, argv, data)
+    assert code == 3 and out == "" and "non-negative" in err

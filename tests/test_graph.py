@@ -7,12 +7,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from minorclub.errors import CapacityError, DomainError
-from minorclub.graph import (Graph, chordality, clique_number, complement,
-                             components, contract_edge, contract_edges,
-                             diameter, disjoint_union, distances,
-                             induced_subgraph, is_bipartite, is_connected,
-                             join, max_clique, shortest_path)
+from minorclub.errors import DomainError
+from minorclub.graph import (Graph, clique_number, complement, components,
+                             contract_edge, contract_edges, diameter,
+                             disjoint_union, distances, induced_subgraph,
+                             is_bipartite, is_connected, join, max_clique,
+                             shortest_path)
 
 from genutil import canonical_key
 
@@ -171,17 +171,6 @@ def test_components_and_connectivity():
     assert components(G) == [[0, 1, 2], [3, 4]]
     assert not is_connected(G)
     assert is_connected(Graph.complete(4))
-
-
-def test_chordality_examples():
-    assert chordality(Graph.cycle(7)) == 7
-    assert chordality(Graph.path(6)) == 0
-    assert chordality(Graph.complete(4)) == 3
-    # 7-cycle plus a chord splitting it into a 4-cycle and a 5-cycle
-    G = Graph.from_edges(7, Graph.cycle(7).edges() + [(0, 3)])
-    assert chordality(G) == 5
-    with pytest.raises(CapacityError):
-        chordality(Graph.empty(20))
 
 
 def test_max_clique():

@@ -7,7 +7,8 @@ import pytest
 from minorclub.errors import CapacityError, DomainError
 from minorclub.graph import (Graph, clique_number, contract_edges, diameter,
                              disjoint_union, is_connected, join)
-from minorclub.oracle import (clique_matching_oracle, connected_partitions,
+from minorclub.oracle import (chordality, clique_matching_oracle,
+                              connected_partitions,
                               enumerate_nice_structures, hadwiger_oracle,
                               max_s_club_minor_oracle,
                               min_club_contraction_oracle,
@@ -177,7 +178,7 @@ def test_chordal_bipartite_hadwiger_equals_best_nice_structure():
 
 
 def test_minimal_structures_have_clique_bags_when_chordality_small():
-    from minorclub.graph import chordality, _mask_connected
+    from minorclub.graph import _mask_connected
     from itertools import combinations
 
     def shrink_to_minimal(G, bags):
@@ -227,3 +228,14 @@ def test_minimal_structures_have_clique_bags_when_chordality_small():
         minimal = shrink_to_minimal(G, bags)
         for b in minimal:
             assert all(G.has_edge(a, c) for a, c in combinations(sorted(b), 2))
+
+
+def test_chordality_examples():
+    assert chordality(Graph.cycle(7)) == 7
+    assert chordality(Graph.path(6)) == 0
+    assert chordality(Graph.complete(4)) == 3
+    # 7-cycle plus a chord splitting it into a 4-cycle and a 5-cycle
+    G = Graph.from_edges(7, Graph.cycle(7).edges() + [(0, 3)])
+    assert chordality(G) == 5
+    with pytest.raises(CapacityError):
+        chordality(Graph.empty(20))

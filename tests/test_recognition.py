@@ -9,7 +9,8 @@ from minorclub.errors import DomainError
 from minorclub.graph import (Graph, complement, disjoint_union, diameter,
                              induced_subgraph, is_bipartite, is_connected,
                              join)
-from minorclub.recognition import (Certificate, Cotree, StrongOrdering,
+from minorclub.oracle import chordality
+from minorclub.recognition import (Cotree, StrongOrdering,
                                    diameter_dominating_pair, find_induced_p4,
                                    is_at_free, is_chordal_bipartite,
                                    is_cobipartite, is_dominating_pair,
@@ -335,10 +336,36 @@ def test_class_examples():
     assert not is_cobipartite(join(Graph.empty(2), Graph.empty(3)))
 
 
-def test_certificate_text():
-    tree = recognize_cograph(Graph.cycle(4))
-    assert Certificate("cotree", tree).to_text() == "(J (U 0 2) (U 1 3))"
-    assert Certificate("induced-P4", (0, 1, 2, 3)).to_text() == "0 1 2 3"
-    o = StrongOrdering((0,), (1, 2))
-    assert Certificate("ordering", o).to_text() == "side1 0 | order2 1 2"
-    assert Certificate("none").to_text() == "none"
+def _chordal_bipartite_by_cycles(G):
+    return is_bipartite(G) is not None and chordality(G) <= 4
+
+
+def test_chordal_bipartite_matches_longest_induced_cycle_on_small_graphs():
+    checked = 0
+    for n in range(1, 8):
+        for G in all_graphs(n):
+            if is_bipartite(G) is not None:
+                checked += 1
+                assert is_chordal_bipartite(G) == _chordal_bipartite_by_cycles(G), G.edges()
+    assert checked == 149
+
+
+def test_chordal_bipartite_matches_longest_induced_cycle_on_random_graphs():
+    rng = random.Random(31)
+    found = {True: 0, False: 0}
+    for _ in range(400):
+        n = rng.randint(4, 14)
+        n1 = rng.randint(1, n - 1)
+        p = rng.uniform(0.15, 0.7)
+        G = Graph.from_edges(n, [(u, v) for u in range(n1) for v in range(n1, n)
+                                 if rng.random() < p])
+        expected = _chordal_bipartite_by_cycles(G)
+        assert is_chordal_bipartite(G) == expected, G.edges()
+        found[expected] += 1
+    assert min(found.values()) >= 50
+
+
+def test_chordal_bipartite_has_no_size_cap():
+    assert is_chordal_bipartite(Graph.path(200))
+    assert not is_chordal_bipartite(Graph.cycle(200))
+    assert is_chordal_bipartite(join(Graph.empty(40), Graph.empty(40)))

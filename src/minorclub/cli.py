@@ -8,10 +8,10 @@ machine-readable report that is byte-identical across runs on identical
 input; timing is shown only in the human-readable output so reports stay
 deterministic.
 
-Exit codes: 0 success, 2 malformed input (with its byte offset where one
-applies), 3 no applicable method or problem precondition violated, such as
-a negative budget --k, 4 a brute-force oracle's size cap exceeded (the
-polynomial solvers and their recognizers have no caps).
+Exit codes: 0 success, 2 unreadable or malformed input (with its byte offset
+where one applies), 3 no applicable method or problem precondition violated,
+such as a negative budget --k, 4 a brute-force oracle's size cap exceeded
+(the polynomial solvers and their recognizers have no caps).
 
 recognize reports every class, chordal-bipartite included, at any size.
 club-contract and club-minor run the AT-free solver when s >= 2 and the graph
@@ -38,7 +38,7 @@ from .cograph_dp import cograph_cr_table
 from .errors import (CapacityError, DomainError, FormatError, MethodError,
                      ParseError)
 from .formats import FORMATS, emit_graph, parse_graph
-from .graph import components, contract_edges, diameter, is_connected
+from .graph import components, contract_edges, diameter_at_most, is_connected
 from .recognition import (Cotree, is_at_free, is_chordal_bipartite,
                           is_cobipartite, is_split, recognize_cograph,
                           strong_ordering)
@@ -137,7 +137,7 @@ def _club_contract_oracle(G, s: int, k: int) -> ClubDecision:
     if kmin == 0:
         return ClubDecision(True, ())
     return ClubDecision(True, next(S for S in combinations(G.edges(), kmin)
-                                   if diameter(contract_edges(G, S)) <= s))
+                                   if diameter_at_most(contract_edges(G, S), s)))
 
 
 def cmd_club_contract(G, args):
@@ -266,6 +266,10 @@ def main(argv=None) -> int:
         else:
             with open(args.input, "rb") as fh:
                 raw = fh.read()
+    except OSError as exc:
+        print(f"input error: cannot read {args.input}: {exc.strerror}", file=sys.stderr)
+        return 2
+    try:
         data = raw if args.cmd == "reduce" else parse_graph(raw, args.format)
         t0 = time.perf_counter()
         result, solver, certs = args.fn(data, args)

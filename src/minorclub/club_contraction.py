@@ -21,9 +21,10 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .errors import DomainError
-from .graph import (Edge, Graph, _bfs, _iter_bits, contract_edges,
-                    contraction_map, diameter, is_connected, shortest_path)
-from .recognition import diameter_dominating_pair, is_at_free
+from .graph import (Edge, Graph, _bfs, _iter_bits, _matrix_diameter,
+                    all_pairs_distances, contract_edges, contraction_map,
+                    diameter_at_most, shortest_path)
+from .recognition import AvoidingComponents, _dominating_diametral_pair
 
 
 @dataclass(frozen=True)
@@ -50,19 +51,25 @@ class ClubDecision:
 
 def distance_profile(G: Graph, u: int, v: int) -> DistanceProfile:
     """Profile for a diameter pair; errors when dist(u, v) != diam(G)."""
-    if not is_connected(G):
+    dist = all_pairs_distances(G)
+    d = _matrix_diameter(dist)
+    if d == math.inf:
         raise DomainError("graph must be connected")
-    du = _bfs(G, u)
-    dv = _bfs(G, v)
-    d = du[v]
-    if d != diameter(G):
+    if dist[u][v] != d:
         raise DomainError(f"({u},{v}) is not a diameter pair")
+    return _profile(dist, u, v)
+
+
+def _profile(dist: list[list[int]], u: int, v: int) -> DistanceProfile:
+    """The profile of the diameter pair (u, v), read off the distance matrix."""
+    du, dv = dist[u], dist[v]
+    d = du[v]
     return DistanceProfile(
         u, v, d,
-        frozenset(x for x in range(G.n) if du[x] == d),
-        frozenset(x for x in range(G.n) if du[x] == d - 1),
-        frozenset(x for x in range(G.n) if dv[x] == d),
-        frozenset(x for x in range(G.n) if dv[x] == d - 1),
+        frozenset(x for x, t in enumerate(du) if t == d),
+        frozenset(x for x, t in enumerate(du) if t == d - 1),
+        frozenset(x for x, t in enumerate(dv) if t == d),
+        frozenset(x for x, t in enumerate(dv) if t == d - 1),
         tuple(du), tuple(dv),
     )
 
@@ -87,26 +94,26 @@ def is_satisfying_path(G: Graph, prof: DistanceProfile, Q) -> bool:
         return False
     if base + k + dv[Q[-1]] != prof.d:
         return False
-    return (_end_conditions_ok(G, Q[0], Q[1], prof.dist_u, prof.X_v, prof.Y_v)
-            and _end_conditions_ok(G, Q[-1], Q[-2], prof.dist_v, prof.X_u, prof.Y_u))
+    return (_end_conditions_ok(_bfs(G, Q[0]), _bfs(G, Q[1]), du[Q[0]],
+                               prof.X_v, prof.Y_v)
+            and _end_conditions_ok(_bfs(G, Q[-1]), _bfs(G, Q[-2]), dv[Q[-1]],
+                                   prof.X_u, prof.Y_u))
 
 
-def _end_conditions_ok(G: Graph, x0: int, x1: int, dist_row, X, Y) -> bool:
-    """End conditions at path end x0, next vertex x1: with ref = dist_row[x0],
-    all of X lies at distance ref from x0 and all of Y within ref of x0 or x1."""
-    d0 = _bfs(G, x0)
-    d1 = _bfs(G, x1)
-    ref = dist_row[x0]
+def _end_conditions_ok(d0, d1, ref: int, X, Y) -> bool:
+    """End conditions at a path end x0 with next vertex x1, given their BFS
+    rows d0 and d1: all of X lies at distance ref from x0 and all of Y
+    within ref of x0 or x1."""
     if any(d0[z] != ref for z in X):
         return False
     return all(d0[z] <= ref or d1[z] <= ref for z in Y)
 
 
-def _scan_paths(G: Graph, prof: DistanceProfile, k: int):
+def _scan_paths(G: Graph, prof: DistanceProfile, k: int, dist: list[list[int]]):
     """Search for a satisfying path of length k >= 3 by trying all ordered
-    choices of the first and last edge.  Returns (first path with x_0 != u
-    and x_k != v, whether any path was found, first path found that starts
-    at u or ends at v)."""
+    choices of the first and last edge; ``dist`` is G's distance matrix.
+    Returns (first path with x_0 != u and x_k != v, whether any path was
+    found, first path found that starts at u or ends at v)."""
     assert k >= 3
     du, dv = prof.dist_u, prof.dist_v
     d = prof.d
@@ -115,7 +122,7 @@ def _scan_paths(G: Graph, prof: DistanceProfile, k: int):
     end_ok = {}
     pinned_example = None
     for x0, x1 in layered:
-        if du[x0] + k > d or not _end_conditions_ok(G, x0, x1, du,
+        if du[x0] + k > d or not _end_conditions_ok(dist[x0], dist[x1], du[x0],
                                                     prof.X_v, prof.Y_v):
             continue
         for xk1, xk in layered:
@@ -124,7 +131,7 @@ def _scan_paths(G: Graph, prof: DistanceProfile, k: int):
             if du[x0] + k + dv[xk] != d:
                 continue
             if (xk, xk1) not in end_ok:
-                end_ok[(xk, xk1)] = _end_conditions_ok(G, xk, xk1, dv,
+                end_ok[(xk, xk1)] = _end_conditions_ok(dist[xk], dist[xk1], dv[xk],
                                                        prof.X_u, prof.Y_u)
             if not end_ok[(xk, xk1)]:
                 continue
@@ -180,47 +187,51 @@ def s_club_contract_decide(G: Graph, k: int, s: int) -> ClubDecision:
     """
     if k < 0:
         raise DomainError("contraction budget must be non-negative")
-    d = _checked_diameter(G, s)
+    d, dist, table = _checked_diameter(G, s)
     if d <= s:
         return ClubDecision(True, ())
     if k < d - s:
         return ClubDecision(False)
-    return _ladder(G, s, d, k)
+    return _ladder(G, s, d, k, dist, table)
 
 
 def minimum_contraction(G: Graph, s: int) -> tuple[int, tuple[Edge, ...]]:
     """Smallest k with diam(G/S) <= s for some k-edge set S, plus a witness."""
-    d = _checked_diameter(G, s)
+    d, dist, table = _checked_diameter(G, s)
     if d == math.inf:
         raise DomainError("disconnected graphs cannot reach finite diameter")
     if d <= s:
         return 0, ()
-    dec = _ladder(G, s, d, d - s + 1)
+    dec = _ladder(G, s, d, d - s + 1, dist, table)
     if dec.yes:
         return len(dec.witness), dec.witness
-    return d - s + 2, _dominating_path_witness(G, s, d)
+    return d - s + 2, _dominating_path_witness(G, s, d, dist, table)
 
 
 def _checked_diameter(G: Graph, s: int):
-    """diam(G), infinite when G is disconnected, after checking that s >= 2
-    and that G is AT-free."""
+    """(diam(G), its BFS distance matrix, its AvoidingComponents table),
+    the diameter infinite when G is disconnected, after checking that
+    s >= 2 and that the table shows no asteroidal triple."""
     if s <= 1:
         raise DomainError(
             "only s >= 2 is supported on AT-free graphs; use the brute-force "
             "oracle for s = 1")
-    at = is_at_free(G)
-    if at is not True:
+    table = AvoidingComponents(G)
+    at = table.asteroidal_triple()
+    if at is not None:
         raise DomainError("graph has an asteroidal triple", certificate=at)
-    return diameter(G)
+    dist = all_pairs_distances(G)
+    return _matrix_diameter(dist), dist, table
 
 
-def _ladder(G: Graph, s: int, d: int, k: int) -> ClubDecision:
-    """Decide budget k >= d - s on G with s < d = diam(G).  Budget d-s+2
-    always suffices; otherwise try the tight budget d-s, then with one spare
+def _ladder(G: Graph, s: int, d: int, k: int, dist, table) -> ClubDecision:
+    """Decide budget k >= d - s on G with s < d = diam(G), given G's
+    distance matrix and AvoidingComponents table.  Budget d-s+2 always
+    suffices; otherwise try the tight budget d-s, then with one spare
     contraction brute force (k <= 2) or guess the extra contractions."""
     if k >= d - s + 2:
-        return ClubDecision(True, _dominating_path_witness(G, s, d))
-    tight = _decide_tight(G, s, d)
+        return ClubDecision(True, _dominating_path_witness(G, s, d, dist, table))
+    tight = _decide_tight(G, s, d, dist, table)
     if tight.yes or k == d - s:
         return tight
     if k <= 2:
@@ -236,9 +247,10 @@ def _one_extra_contraction(G: Graph, s: int, d: int):
     for size in (1, 2):
         for Sp in combinations(G.edges(), size):
             Gq = contract_edges(G, Sp)
-            if diameter(Gq) != d - size + 1:
+            dist = all_pairs_distances(Gq)
+            if _matrix_diameter(dist) != d - size + 1:
                 continue
-            rec = _decide_tight(Gq, s, d - size + 1)
+            rec = _decide_tight(Gq, s, d - size + 1, dist)
             if rec.yes:
                 return Sp + _lift_edges(G, Sp, rec.witness)
     return None
@@ -246,17 +258,17 @@ def _one_extra_contraction(G: Graph, s: int, d: int):
 
 def _verified_yes(G: Graph, S, k: int, s: int) -> ClubDecision:
     S = tuple(sorted(set(tuple(sorted(e)) for e in S)))
-    assert len(S) <= k and diameter(contract_edges(G, S)) <= s
+    assert len(S) <= k and diameter_at_most(contract_edges(G, S), s)
     return ClubDecision(True, S)
 
 
-def _dominating_path_witness(G: Graph, s: int, d: int) -> tuple[Edge, ...]:
+def _dominating_path_witness(G: Graph, s: int, d: int, dist, table) -> tuple[Edge, ...]:
     """Contract d-s+2 edges of a shortest path between a diameter dominating
     pair; what remains of the path still dominates and has length s-2."""
-    u, v = diameter_dominating_pair(G)
+    u, v = _dominating_diametral_pair(dist, table)
     P = shortest_path(G, u, v)
     S = tuple(tuple(sorted((P[i], P[i + 1]))) for i in range(d - s + 2))
-    assert diameter(contract_edges(G, S)) <= s
+    assert diameter_at_most(contract_edges(G, S), s)
     return S
 
 
@@ -264,19 +276,21 @@ def _brute_force(G: Graph, k: int, s: int) -> ClubDecision:
     edges = G.edges()
     for size in range(1, min(k, len(edges)) + 1):
         for S in combinations(edges, size):
-            if diameter(contract_edges(G, S)) <= s:
+            if diameter_at_most(contract_edges(G, S), s):
                 return ClubDecision(True, S)
     return ClubDecision(False)
 
 
-def _decide_tight(G: Graph, s: int, d: int) -> ClubDecision:
-    """Budget exactly k = d - s >= 1, where d = diam(G)."""
+def _decide_tight(G: Graph, s: int, d: int, dist, table=None) -> ClubDecision:
+    """Budget exactly k = d - s >= 1, where d = diam(G) and ``dist`` is G's
+    distance matrix; G's AvoidingComponents ``table`` is built here when
+    the budget needs a dominating pair and none is given."""
     k = d - s
     if k <= 2:
         return _brute_force(G, k, s)
-    u, v = diameter_dominating_pair(G)
-    prof = distance_profile(G, u, v)
-    unpinned, found_any, _ = _scan_paths(G, prof, k)
+    u, v = _dominating_diametral_pair(dist, table or AvoidingComponents(G))
+    prof = _profile(dist, u, v)
+    unpinned, found_any, _ = _scan_paths(G, prof, k, dist)
     if unpinned is not None:
         S = tuple(tuple(sorted((unpinned[i], unpinned[i + 1]))) for i in range(k))
         return _verified_yes(G, S, k, s)
@@ -305,7 +319,7 @@ def _pinned_attempt(G: Graph, s: int, k: int, dist_from):
     Gq = contract_edges(G, forced)
     q_edges = Gq.edges()
     for e, f in combinations(q_edges, 2):
-        if diameter(contract_edges(Gq, (e, f))) <= s:
+        if diameter_at_most(contract_edges(Gq, (e, f)), s):
             lifts = _lift_edges(G, forced, (e, f))
             return tuple(forced) + lifts
     return None

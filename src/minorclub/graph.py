@@ -135,19 +135,16 @@ def induced_subgraph(G: Graph, U: Iterable[int]) -> Graph:
 def _bfs(G: Graph, source: int) -> list[int]:
     """Hop distances from source; -1 marks unreachable vertices."""
     dist = [-1] * G.n
-    dist[source] = 0
-    seen = 1 << source
-    frontier = seen
+    seen = frontier = 1 << source
     d = 0
     while frontier:
         reach = 0
         for u in _iter_bits(frontier):
+            dist[u] = d
             reach |= G.rows[u]
         frontier = reach & ~seen
         seen |= frontier
         d += 1
-        for u in _iter_bits(frontier):
-            dist[u] = d
     return dist
 
 
@@ -158,24 +155,37 @@ def distances(G: Graph, u: int) -> list[int | float]:
     return [d if d >= 0 else math.inf for d in _bfs(G, u)]
 
 
-def eccentricity(G: Graph, u: int) -> int | float:
-    dist = _bfs(G, u)
-    if min(dist) < 0:
-        return math.inf
-    return max(dist)
-
-
 def diameter(G: Graph) -> int | float:
     """Largest hop distance over all vertex pairs; inf iff disconnected (n >= 2)."""
-    if G.n == 0:
-        return 0
-    best = 0
-    for u in range(G.n):
-        ecc = eccentricity(G, u)
-        if ecc is math.inf:
-            return math.inf
-        best = max(best, ecc)
-    return best
+    return _matrix_diameter(all_pairs_distances(G))
+
+
+def _matrix_diameter(dist: list[list[int]]) -> int | float:
+    """The diameter read off a BFS distance matrix (-1 marks unreachable)."""
+    if any(-1 in row for row in dist):
+        return math.inf
+    return max(map(max, dist), default=0)
+
+
+def diameter_at_most(G: Graph, s: int) -> bool:
+    """diameter(G) <= s, decided by growing the radius-s ball of each vertex
+    as a bitset and stopping at the first vertex whose ball misses one."""
+    if s < 0:
+        return False
+    full = (1 << G.n) - 1
+    for v in range(G.n):
+        ball = frontier = 1 << v
+        for _ in range(s):
+            reach = 0
+            for u in _iter_bits(frontier):
+                reach |= G.rows[u]
+            frontier = reach & ~ball
+            ball |= frontier
+            if ball == full or not frontier:
+                break
+        if ball != full:
+            return False
+    return True
 
 
 def _mask_component(rows: Sequence[int], mask: int) -> int:

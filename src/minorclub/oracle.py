@@ -12,8 +12,9 @@ from itertools import combinations
 from typing import Iterator
 
 from .errors import CapacityError, DomainError
-from .graph import (Graph, _iter_bits, _mask_connected, _quotient, diameter,
-                    components, induced_subgraph, max_clique)
+from .graph import (Graph, _iter_bits, _mask_connected, _quotient,
+                    components, diameter_at_most, induced_subgraph,
+                    max_clique)
 
 PARTITION_CAP = 12
 MATCHING_CAP = 14
@@ -135,7 +136,7 @@ def max_s_club_minor_oracle(G: Graph, s: int, cap: int = PARTITION_CAP) -> int:
         if len(blocks) <= best:
             continue
         quotient, _ = _quotient(G, _spanning_edges(G, blocks))
-        if diameter(quotient) <= s:
+        if diameter_at_most(quotient, s):
             best = len(blocks)
     return best
 
@@ -171,7 +172,7 @@ def min_club_contraction_oracle(G: Graph, s: int, k_max: int,
         raise DomainError("contraction budget must be non-negative")
     if len(components(G)) != 1 or G.n == 0:
         raise DomainError("graph must be connected")
-    if diameter(G) <= s:
+    if diameter_at_most(G, s):
         return 0
     edges = G.edges()
     total = 0
@@ -182,7 +183,7 @@ def min_club_contraction_oracle(G: Graph, s: int, k_max: int,
                 f"subset enumeration up to size {k} needs {total} checks "
                 f"(budget {budget})")
         for S in combinations(edges, k):
-            if diameter(_quotient(G, S)[0]) <= s:
+            if diameter_at_most(_quotient(G, S)[0], s):
                 return k
     return None
 

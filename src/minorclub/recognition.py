@@ -12,13 +12,14 @@ verify_ordering accepts it.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import reduce
 
 from .errors import DomainError
 from .graph import (Graph, _bfs, _iter_bits, _mask_components,
-                    all_pairs_distances, complement, components,
-                    induced_subgraph, is_bipartite)
+                    _matrix_diameter, all_pairs_distances, complement,
+                    components, induced_subgraph, is_bipartite)
 
 
 # Cotrees ----------------------------------------------------------------
@@ -244,76 +245,116 @@ def restrict_ordering(ordering: StrongOrdering, keep: list[int]) -> StrongOrderi
 
 # AT-freeness and dominating pairs ---------------------------------------
 
-def _avoiding_components(G: Graph, w: int) -> list[int]:
-    """Component id of each vertex in G minus the closed neighborhood of w
-    (-1 inside the neighborhood)."""
-    banned = G.rows[w] | (1 << w)
-    comp_id = [-1] * G.n
-    cid = 0
-    for start in range(G.n):
-        if comp_id[start] != -1 or (banned >> start) & 1:
-            continue
-        mask = 1 << start
-        frontier = mask
-        while frontier:
-            reach = 0
-            for u in _iter_bits(frontier):
-                reach |= G.rows[u]
-            frontier = reach & ~mask & ~banned
-            mask |= frontier
-        for u in _iter_bits(mask):
-            comp_id[u] = cid
-        cid += 1
-    return comp_id
+class AvoidingComponents:
+    """The components of G - N[w] for every vertex w, indexed for
+    whole-int set operations.
+
+    ``comps[w]`` lists the component masks of G - N[w], largest first (so
+    most vertices get id 0, which sets no plane bit), and a vertex x outside
+    N[w] has component id i when ``comps[w][i]`` holds it.
+    The ids are stored as bit planes: bit w of ``planes[j][x]`` is bit j of
+    x's id for w (0 when x is in N[w]), so every vertex's ids over all w
+    take one int per plane and there are ceil(log2(#components)) planes.
+    Two vertices a, b then share a component of G - N[c] exactly for the
+    c outside N[a] and N[b] at which no plane of a differs from that of b,
+    which ``linking`` computes in O(log n) int operations.
+    """
+
+    def __init__(self, G: Graph):
+        n = G.n
+        self.full = (1 << n) - 1
+        self.closed = [row | 1 << v for v, row in enumerate(G.rows)]
+        self.comps: list[list[int]] = []
+        self.planes: list[list[int]] = []
+        for w in range(n):
+            comps = sorted(_mask_components(G.rows, self.full & ~self.closed[w]),
+                           key=int.bit_count, reverse=True)
+            self.comps.append(comps)
+            while len(comps) > 1 << len(self.planes):
+                self.planes.append([0] * n)
+            bit = 1 << w
+            for i in range(1, len(comps)):
+                for j, plane in enumerate(self.planes):
+                    if i >> j & 1:
+                        for x in _iter_bits(comps[i]):
+                            plane[x] |= bit
+
+    def linking(self, a: int, b: int) -> int:
+        """C_ab: the mask of the c for which a and b lie in one component of
+        G - N[c]."""
+        differ = self.closed[a] | self.closed[b]
+        for plane in self.planes:
+            differ |= plane[a] ^ plane[b]
+        return self.full & ~differ
+
+    def component(self, w: int, x: int) -> int:
+        """K_w(x): the mask of x's component in G - N[w], for x outside N[w]."""
+        i = 0
+        for j, plane in enumerate(self.planes):
+            i |= (plane[x] >> w & 1) << j
+        return self.comps[w][i]
+
+    def asteroidal_triple(self):
+        """The lexicographically first asteroidal triple, or None.
+
+        For non-adjacent a < b, c > b completes an asteroidal triple iff c
+        is in C_ab (a, b linked avoiding N[c]), in K_b(a) (a, c linked
+        avoiding N[b]) and in K_a(b) (b, c linked avoiding N[a]).
+        """
+        for a, closed_a in enumerate(self.closed):
+            above_a = self.full >> (a + 1) << (a + 1)
+            for b in _iter_bits(above_a & ~closed_a):
+                cands = self.linking(a, b) >> (b + 1) << (b + 1)
+                if cands:
+                    cands &= self.component(b, a) & self.component(a, b)
+                    if cands:
+                        return (a, b, (cands & -cands).bit_length() - 1)
+        return None
 
 
 def is_at_free(G: Graph):
     """True, or the lexicographically first asteroidal triple.
 
     A triple of pairwise non-adjacent vertices is asteroidal when each pair
-    lies in one component of the graph minus the third's closed neighborhood.
+    lies in one component of the graph minus the third's closed neighborhood
+    (Corneil, Olariu & Stewart 1997).  The test reads this off one
+    AvoidingComponents table: for each non-adjacent pair a < b, the lowest
+    c > b in C_ab & K_b(a) & K_a(b), so the pairs cost O(n^2 log n) whole-int
+    operations after the n component sweeps that build the table.
     """
-    comp = [_avoiding_components(G, w) for w in range(G.n)]
-
-    def linked(a: int, b: int, through: int) -> bool:
-        return comp[through][a] != -1 and comp[through][a] == comp[through][b]
-
-    for a in range(G.n):
-        for b in range(a + 1, G.n):
-            if G.has_edge(a, b):
-                continue
-            for c in range(b + 1, G.n):
-                if G.has_edge(a, c) or G.has_edge(b, c):
-                    continue
-                if linked(a, b, c) and linked(a, c, b) and linked(b, c, a):
-                    return (a, b, c)
-    return True
+    return AvoidingComponents(G).asteroidal_triple() or True
 
 
 def is_dominating_pair(G: Graph, u: int, v: int) -> bool:
     """Does every (u, v)-path dominate the graph?  Equivalently, no third
-    vertex z leaves u and v in one component of G minus N[z]."""
-    for z in range(G.n):
-        if z in (u, v):
-            continue
-        comp = _avoiding_components(G, z)
-        if comp[u] != -1 and comp[u] == comp[v]:
-            return False
-    return True
+    vertex z leaves u and v in one component of G minus N[z]: C_uv is empty."""
+    return AvoidingComponents(G).linking(u, v) == 0
 
 
 def diameter_dominating_pair(G: Graph) -> tuple[int, int]:
     """Lexicographically smallest pair at distance diam(G) whose every
-    connecting path dominates G.  Exists on connected AT-free graphs."""
-    dist = all_pairs_distances(G)
-    if G.n == 0 or any(d < 0 for row in dist for d in row):
+    connecting path dominates G.  Exists on connected AT-free graphs.
+
+    One BFS distance matrix gives the diametral pairs and one
+    AvoidingComponents table decides each of them, (u, v) being dominating
+    iff C_uv is empty."""
+    return _dominating_diametral_pair(all_pairs_distances(G), AvoidingComponents(G))
+
+
+def _dominating_diametral_pair(dist: list[list[int]],
+                              table: AvoidingComponents) -> tuple[int, int]:
+    """diameter_dominating_pair from the graph's BFS distance matrix and its
+    AvoidingComponents table: the first pair (u, v) at the largest distance
+    with C_uv empty."""
+    n = len(dist)
+    d = _matrix_diameter(dist)
+    if n == 0 or d == math.inf:
         raise DomainError("graph must be connected")
-    d = max(max(row) for row in dist)
-    for u in range(G.n):
-        for v in range(u + 1, G.n):
-            if dist[u][v] == d and is_dominating_pair(G, u, v):
+    for u in range(n):
+        for v in range(u + 1, n):
+            if dist[u][v] == d and table.linking(u, v) == 0:
                 return (u, v)
-    if G.n == 1:
+    if n == 1:
         return (0, 0)
     raise DomainError("no diameter dominating pair exists; is the graph AT-free?")
 

@@ -261,8 +261,8 @@ def hitting_set_solve(inst: HittingSetInstance, cap: int = SOLVER_CAP):
 # Input formats ------------------------------------------------------------
 
 def parse_dimacs_cnf(data: bytes) -> NaeFormula:
-    """DIMACS CNF: 'p cnf n m' then clauses terminated by 0."""
-    n = None
+    """DIMACS CNF: 'p cnf n m' then m clauses, each terminated by 0."""
+    n = m = None
     clauses = []
     current: list[int] = []
     for toks in _lines(data):
@@ -273,6 +273,9 @@ def parse_dimacs_cnf(data: bytes) -> NaeFormula:
             if len(toks) != 4 or toks[1][0] != "cnf":
                 raise ParseError("malformed problem line, expected 'p cnf n m'")
             n = _int(*toks[2])
+            m, m_off = _int(*toks[3]), toks[3][1]
+            if m < 0:
+                raise ParseError("negative clause count in header", m_off)
             continue
         for tok, off in toks:
             lit = _int(tok, off)
@@ -286,18 +289,30 @@ def parse_dimacs_cnf(data: bytes) -> NaeFormula:
         clauses.append(tuple(current))
     if n is None:
         raise ParseError("missing 'p cnf n m' line")
+    if m != len(clauses):
+        raise ParseError(f"header declares {m} clauses but {len(clauses)} follow", m_off)
     return NaeFormula(n, tuple(clauses))
 
 
 def parse_set_system(data: bytes, k: int) -> HittingSetInstance:
-    """Line format: 'n m' header, then one set per line as member indexes."""
+    """Line format: 'n m' header, then one set per line as member indexes
+    in 0..n-1."""
     lines = list(_lines(data))
     if not lines:
         raise ParseError("empty set system")
     if len(lines[0]) != 2:
         raise ParseError("set system needs an 'n m' header")
     n, m = (_int(tok, off) for tok, off in lines[0])
+    if n < 0:
+        raise ParseError("negative universe size in header", lines[0][0][1])
     if len(lines) - 1 != m:
         raise ParseError(f"header declares {m} sets but {len(lines) - 1} follow")
-    sets = [frozenset(_int(tok, off) for tok, off in line) for line in lines[1:]]
+
+    def member(tok: str, off: int) -> int:
+        x = _int(tok, off)
+        if not 0 <= x < n:
+            raise ParseError(f"set member {x} outside the universe 0..{n - 1}", off)
+        return x
+
+    sets = [frozenset(member(tok, off) for tok, off in line) for line in lines[1:]]
     return HittingSetInstance(n, tuple(sets), k)

@@ -205,11 +205,25 @@ def test_disconnected_club_contract_says_no(tmp_path, capsys, data):
     (["reduce", "nae3sat"], b"p cnf three 1\n1 2 3 0\n", 6),
     (["reduce", "hitting-set", "--k", "1"], b"4 2\n0 1\n2 y\n", 10),
     (["reduce", "hitting-set", "--k", "1"], b"4 two\n0 1\n2 3\n", 2),
+    (["reduce", "nae3sat"], b"p cnf 3 x\n1 2 3 0\n", 8),
+    (["reduce", "nae3sat"], b"p cnf 3 5\n1 2 3 0\n", 8),
+    (["reduce", "nae3sat"], b"p cnf 3 -1\n", 8),
+    (["reduce", "hitting-set", "--k", "1"], b"-2 0\n", 0),
+    (["reduce", "hitting-set", "--k", "1"], b"3 2\n0 1\n2 3\n", 10),
+    (["reduce", "hitting-set", "--k", "1"], b"3 1\n-1 2\n", 4),
 ])
 def test_malformed_text_input_exits_2_with_offset(tmp_path, capsys, argv, data, offset):
     code, out, err = run(tmp_path, capsys, argv, data)
     assert code == 2 and out == "" and err.startswith("input error: ")
     assert err.endswith(f"(byte offset {offset})\n")
+
+
+def test_unreadable_input_exits_2(tmp_path, capsys):
+    for path in (tmp_path / "missing.g6", tmp_path):
+        code = main(["hadwiger", "--input", str(path)])
+        out, err = capsys.readouterr()
+        assert code == 2 and out == ""
+        assert err.startswith(f"input error: cannot read {path}: "), err
 
 
 @pytest.mark.parametrize("argv, data", [

@@ -11,8 +11,8 @@ from minorclub.club_contraction import (_scan_paths, distance_profile,
                                         s_club_contract_decide)
 from minorclub.errors import DomainError
 from minorclub.formats import parse_graph
-from minorclub.graph import (Graph, contract_edges, diameter, disjoint_union,
-                             is_connected)
+from minorclub.graph import (Graph, all_pairs_distances, contract_edges,
+                             diameter, disjoint_union, is_connected)
 from minorclub.oracle import min_club_contraction_oracle
 from minorclub.recognition import diameter_dominating_pair, is_at_free
 
@@ -112,8 +112,9 @@ def test_scanned_paths_satisfy_the_definition():
                     continue
                 u, v = diameter_dominating_pair(G)
                 prof = distance_profile(G, u, v)
+                dist = all_pairs_distances(G)
                 for k in range(3, prof.d + 1):
-                    unpinned, found_any, pinned = _scan_paths(G, prof, k)
+                    unpinned, found_any, pinned = _scan_paths(G, prof, k, dist)
                     paths = [p for p in (unpinned, pinned) if p is not None]
                     assert found_any == bool(paths)
                     for Q in paths:

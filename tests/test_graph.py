@@ -10,11 +10,12 @@ from hypothesis import strategies as st
 from minorclub.errors import DomainError
 from minorclub.graph import (Graph, clique_number, complement, components,
                              contract_edge, contract_edges, diameter,
-                             disjoint_union, distances, induced_subgraph,
+                             diameter_at_most, disjoint_union, distances,
+                             induced_subgraph,
                              is_bipartite, is_connected, join, max_clique,
                              shortest_path)
 
-from genutil import canonical_key
+from genutil import all_graphs, canonical_key
 
 
 @st.composite
@@ -124,6 +125,21 @@ def test_distances_and_diameter():
     assert diameter(Graph.empty(1)) == 0
     assert diameter(Graph.path(9)) == 8
     assert diameter(Graph.empty(2)) == math.inf
+
+
+def test_diameter_at_most_matches_diameter():
+    rng = random.Random(19)
+    graphs = [G for n in range(8) for G in all_graphs(n)]
+    for _ in range(300):
+        n = rng.randint(0, 30)
+        p = rng.random()
+        graphs.append(Graph.from_edges(n, [(u, v) for u in range(n)
+                                           for v in range(u + 1, n) if rng.random() < p]))
+    graphs += [Graph.path(40), disjoint_union(Graph.path(3), Graph.empty(1))]
+    for G in graphs:
+        d = diameter(G)
+        for s in range(-1, G.n + 2):
+            assert diameter_at_most(G, s) == (d <= s), (G.rows, s)
 
 
 @settings(max_examples=40, deadline=None)

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import math
 import random
 
 import pytest
@@ -7,10 +8,10 @@ import pytest
 from minorclub.cograph_dp import hadwiger_cograph
 from minorclub.errors import DomainError
 from minorclub.graph import (Graph, complement, disjoint_union, diameter,
-                             induced_subgraph, is_bipartite, is_connected,
-                             join)
+                             distances, induced_subgraph, is_bipartite,
+                             is_connected, join)
 from minorclub.oracle import chordality
-from minorclub.recognition import (Cotree, StrongOrdering,
+from minorclub.recognition import (AvoidingComponents, Cotree, StrongOrdering,
                                    diameter_dominating_pair, find_induced_p4,
                                    is_at_free, is_chordal_bipartite,
                                    is_cobipartite, is_dominating_pair,
@@ -20,7 +21,9 @@ from minorclub.recognition import (Cotree, StrongOrdering,
 
 from genutil import (all_graphs, connected_graphs, induced_p4_exists,
                      ordering_exists_exhaustive, random_bipperm,
-                     random_cograph, random_staircase)
+                     random_caterpillar, random_cograph,
+                     random_interval_graph, random_permutation_graph,
+                     random_staircase)
 
 
 # Cotrees ------------------------------------------------------------------
@@ -301,6 +304,119 @@ def test_connected_at_free_graphs_have_diameter_dominating_pair():
         if is_at_free(G) is True:
             u, v = diameter_dominating_pair(G)
             assert is_dominating_pair(G, u, v)
+
+
+# References for the avoiding-component table: one component sweep of
+# G - N[w] per vertex w, then the plain triple loop and the per-pair sweep.
+
+def _reference_avoiding(G: Graph) -> list[list[int]]:
+    """comp[w][x]: component id of x in G - N[w], -1 inside N[w]."""
+    out = []
+    for w in range(G.n):
+        banned = set(G.neighbors(w)) | {w}
+        comp = [-1] * G.n
+        cid = 0
+        for start in range(G.n):
+            if comp[start] != -1 or start in banned:
+                continue
+            comp[start] = cid
+            stack = [start]
+            while stack:
+                x = stack.pop()
+                for y in G.neighbors(x):
+                    if comp[y] == -1 and y not in banned:
+                        comp[y] = cid
+                        stack.append(y)
+            cid += 1
+        out.append(comp)
+    return out
+
+
+def _reference_at_free(G: Graph, comp):
+    def linked(a, b, through):
+        return comp[through][a] != -1 and comp[through][a] == comp[through][b]
+
+    for a in range(G.n):
+        for b in range(a + 1, G.n):
+            if G.has_edge(a, b):
+                continue
+            for c in range(b + 1, G.n):
+                if G.has_edge(a, c) or G.has_edge(b, c):
+                    continue
+                if linked(a, b, c) and linked(a, c, b) and linked(b, c, a):
+                    return (a, b, c)
+    return True
+
+
+def _reference_dominating(comp, u: int, v: int) -> bool:
+    return not any(z not in (u, v) and comp[z][u] != -1 and comp[z][u] == comp[z][v]
+                   for z in range(len(comp)))
+
+
+def _reference_diameter_pair(G: Graph, comp):
+    dist = [distances(G, u) for u in range(G.n)]
+    d = diameter(G)
+    if G.n == 0 or d == math.inf:
+        return None
+    for u in range(G.n):
+        for v in range(u + 1, G.n):
+            if dist[u][v] == d and _reference_dominating(comp, u, v):
+                return (u, v)
+    return (0, 0) if G.n == 1 else None
+
+
+def _relabelled(G: Graph, rng: random.Random) -> Graph:
+    perm = list(range(G.n))
+    rng.shuffle(perm)
+    return Graph.from_edges(G.n, [(perm[u], perm[v]) for u, v in G.edges()])
+
+
+def _random_graphs(count: int, max_n: int, seed: int):
+    """G(n, p) graphs mixed with relabelled interval, caterpillar and
+    permutation graphs, which are AT-free, with 1 <= n <= max_n."""
+    rng = random.Random(seed)
+    for i in range(count):
+        n = rng.randint(1, max_n)
+        kind = i % 4
+        if kind == 0 or n < 4:
+            p = rng.random()
+            yield Graph.from_edges(n, [(u, v) for u in range(n) for v in range(u + 1, n)
+                                       if rng.random() < p])
+        else:
+            make = (random_interval_graph, random_caterpillar,
+                    random_permutation_graph)[kind - 1]
+            yield _relabelled(make(n, rng), rng)
+
+
+def _table_reference_graphs():
+    for n in range(8):
+        yield from all_graphs(n)
+    yield from _random_graphs(500, 40, 2024)
+
+
+def _check_against_references(G: Graph) -> bool:
+    comp = _reference_avoiding(G)
+    at = is_at_free(G)
+    assert at == _reference_at_free(G, comp), G.rows
+    want = _reference_diameter_pair(G, comp)
+    if want is None:
+        with pytest.raises(DomainError):
+            diameter_dominating_pair(G)
+    else:
+        assert diameter_dominating_pair(G) == want, G.rows
+    table = AvoidingComponents(G)
+    for u in range(G.n):
+        for v in range(u, G.n):
+            want = _reference_dominating(comp, u, v)
+            assert (table.linking(u, v) == 0) == want, (G.rows, u, v)
+            if v == G.n - 1 and u in (0, v // 2):
+                assert is_dominating_pair(G, u, v) == want, (G.rows, u, v)
+    return at is True
+
+
+def test_at_free_and_dominating_pairs_match_the_reference_loops():
+    at_free = sum(map(_check_against_references, _table_reference_graphs()))
+    assert at_free > 800
 
 
 # Simple predicates --------------------------------------------------------

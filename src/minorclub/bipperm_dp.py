@@ -2,11 +2,25 @@
 complete minor obtained from it.
 
 A clique-matching is a matching in which every two edges have some pair of
-adjacent end-vertices.  The solver fixes an anchor edge (u, v) in turn,
-assuming v is the smallest vertex of the ordered side saturated by an
-optimal matching.  After deleting the order prefix before v, renaming v to
-rank 1 and writing r for u's rightmost neighbor, the other usable vertices
-of u's side split into three groups:
+adjacent end-vertices.  Each call computes one strong ordering and reads it
+as an interval table: with the ordered side ranked 1, 2, ... in order, every
+vertex of the other side maps to the (lo, hi) rank interval of its
+neighborhood.  Every sub-problem, a connected component or a keep set of the
+Hadwiger cases, runs on this table clipped to the kept vertices: a kept
+vertex keeps the kept ranks of its interval, renumbered in order.  Clipping
+is sound because strong orderings are hereditary (Spinrad, Brandstaedt &
+Stewart, Discrete Appl. Math. 1987): the kept part of an interval is again
+an interval once renumbered, and two clipped intervals that nest share an
+endpoint, as the enclosure property asks.  So the clipped table is the
+table of the induced subgraph under the inherited ordering, and since every
+tie below is broken on labels, which clipping leaves in order, no subgraph
+is built.
+
+The solver fixes an anchor edge (u, v) in turn, assuming v is the smallest
+vertex of the ordered side saturated by an optimal matching.  After
+deleting the order prefix before v, renaming v to rank 1 and writing r for
+u's rightmost neighbor, the other usable vertices of u's side split into
+three groups:
 
   * vertices whose neighborhood covers [1, r]: a greedy pass matches a
     maximal chain of them to ranks above r (the forced pairs S) and removes
@@ -24,17 +38,25 @@ walk down the back pointers gives each matched vertex an interval of ranks
 that keeps every cross pair adjacent, and an earliest-deadline sweep
 (Glover, Naval Res. Logist. Q. 1967) gives each vertex a distinct rank
 inside its interval.  Every returned matching is re-verified from scratch.
+
+Every greedy pass above, the forced pairs, the rows c(i, 0) and c(0, j),
+and the y's matched when x_i jumps left of the interval, is one greedy:
+vertices with non-decreasing lower ends each take the smallest free rank up
+to a cap (the largest free rank, on negated ranks, for the x-side passes).
+The picks of a prefix of the list are a prefix of the picks, and picks
+inside the current interval come last, so one run per starting vertex
+serves every prefix and every budget.
 """
 
 from __future__ import annotations
 
 import heapq
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 
 from .errors import DomainError
-from .graph import Edge, Graph, components, induced_subgraph
-from .recognition import (StrongOrdering, restrict_ordering, strong_ordering,
-                          verify_ordering)
+from .graph import Edge, Graph, components
+from .recognition import StrongOrdering, strong_ordering
 
 NEG = -(1 << 30)
 
@@ -68,75 +90,94 @@ def is_clique_matching(G: Graph, edges) -> bool:
     return True
 
 
-def max_clique_matching(G: Graph, ordering: StrongOrdering | None = None
-                        ) -> tuple[int, CliqueMatching]:
+def max_clique_matching(G: Graph) -> tuple[int, CliqueMatching]:
     """Size and witness of a maximum clique-matching.
 
-    Requires a strong ordering; one is computed (and always verified) when
-    not supplied.  Anchors are solved independently and merged by a
-    deterministic maximum.
+    Anchors are solved independently and merged by a deterministic maximum.
     """
+    ordering, table = _interval_table(G)
+    size, edges = _solve(G, ordering.order2, table)
+    return size, CliqueMatching(edges)
+
+
+def _interval_table(G: Graph) -> tuple[StrongOrdering, dict[int, tuple[int, int]]]:
+    """A verified strong ordering, and the (lo, hi) rank interval of every
+    first-side vertex with a neighbor, ranking ``order2`` from 1."""
+    ordering = strong_ordering(G)
     if ordering is None:
-        ordering = strong_ordering(G)
-        if ordering is None:
-            raise DomainError("graph is not a bipartite permutation graph")
-    elif not verify_ordering(G, ordering):
-        raise DomainError("supplied ordering violates the adjacency/enclosure properties")
-
-    rank = {v: i + 1 for i, v in enumerate(ordering.order2)}  # ranks 1..n2
-    intervals: dict[int, tuple[int, int]] = {}
+        raise DomainError("graph is not a bipartite permutation graph")
+    rank = {v: i for i, v in enumerate(ordering.order2, 1)}
+    table = {}
     for w in ordering.side1:
-        ranks = sorted(rank[x] for x in G.neighbors(w))
+        ranks = [rank[x] for x in G.neighbors(w)]
         if ranks:
-            intervals[w] = (ranks[0], ranks[-1])
+            table[w] = (min(ranks), max(ranks))
+    return ordering, table
 
-    anchors = []
-    for a, b in G.edges():
-        u, v = (a, b) if a in intervals else (b, a)
-        anchors.append((rank[v], u))
-    anchors.sort()
 
+def _clip(order2, table, keep: int):
+    """Ordered side and interval table of the subgraph induced by the vertex
+    bitmask ``keep``, its ranks renumbered 1, 2, ... over the kept side."""
+    below = [0]  # below[k]: kept vertices among ranks 1..k
+    for v in order2:
+        below.append(below[-1] + (keep >> v & 1))
+    clipped = {w: (below[lo - 1] + 1, below[hi]) for w, (lo, hi) in table.items()
+               if keep >> w & 1 and below[hi] > below[lo - 1]}
+    return [v for v in order2 if keep >> v & 1], clipped
+
+
+def _solve(G: Graph, order2, table) -> tuple[int, tuple[Edge, ...]]:
+    """Maximum clique-matching of the subgraph of G described by an interval
+    table over the ordered side ``order2``; edges in G's labels."""
+    anchors = sorted((v_rank, u) for u, (lo, hi) in table.items()
+                     for v_rank in range(lo, hi + 1))
     best = 0
     best_pairs: tuple[tuple[int, int], ...] = ()
     for v_rank, u in anchors:
-        size, pairs = _solve_anchor(G, intervals, u, v_rank, best)
+        size, pairs = _solve_anchor(table, u, v_rank, best)
         if size > best:
             best = size
             best_pairs = pairs
-    order2 = ordering.order2
     edges = tuple(sorted(tuple(sorted((w, order2[r - 1]))) for w, r in best_pairs))
-    matching = CliqueMatching(edges)
     assert len(edges) == best and is_clique_matching(G, edges)
-    return best, matching
+    return best, edges
 
 
-def _solve_anchor(G: Graph, intervals, u: int, v_rank: int, beat: int):
+def _greedy(starts, cap: int) -> list[int]:
+    """Ranks picked when each vertex in turn, its lower end taken from the
+    non-decreasing ``starts``, gets the smallest free rank in [start, cap];
+    stops at the first vertex left without one.  The earlier picks fill the
+    ranks from the previous start up to the last pick, so the smallest free
+    rank is max(start, last pick + 1)."""
+    picks: list[int] = []
+    for s in starts:
+        q = max(s, picks[-1] + 1) if picks else s
+        if q > cap:
+            break
+        picks.append(q)
+    return picks
+
+
+def _solve_anchor(table, u: int, v_rank: int, beat: int):
     """Best matching containing the anchor, assuming no rank below v_rank is
     saturated.  Returns (size, pairs) with pairs in global (vertex, rank)
     form including the anchor and the forced pairs; pairs is None, and no
     witness is replayed, when size does not exceed beat."""
     shift = v_rank - 1
-    r = intervals[u][1] - shift
+    r = table[u][1] - shift
 
     act: dict[int, tuple[int, int]] = {}
-    for w, (lo, hi) in intervals.items():
+    for w, (lo, hi) in table.items():
         if w != u and hi > shift:
             act[w] = (max(lo - shift, 1), hi - shift)
 
-    # Forced pairs: vertices covering [1, r] grab ranks above r, rightmost
-    # first, scanning by decreasing rightmost neighbor.
+    # Forced pairs: vertices covering [1, r] grab the largest free rank above
+    # r, scanning by decreasing rightmost neighbor.
     vcands = sorted((w for w, (lo, hi) in act.items() if lo == 1 and hi >= r),
                     key=lambda w: (-act[w][1], w))
-    used: set[int] = set()
-    forced: list[tuple[int, int]] = []
-    deleted: set[int] = set()
-    for w in vcands:
-        cand = next((j for j in range(act[w][1], r, -1) if j not in used), None)
-        if cand is None:
-            break
-        used.add(cand)
-        forced.append((w, cand))
-        deleted.add(w)
+    grabs = _greedy([-act[w][1] for w in vcands], -r - 1)
+    forced = [(w, -p) for w, p in zip(vcands, grabs)]
+    deleted = set(vcands[:len(grabs)])
 
     xs = sorted((w for w, (lo, hi) in act.items()
                  if w not in deleted and lo == 1 and hi >= 2),
@@ -153,46 +194,55 @@ def _solve_anchor(G: Graph, intervals, u: int, v_rank: int, beat: int):
         b = R[i - 1] if i else r
         return a, b, max(0, b - a + 1)
 
+    # x_1, x_2, ... each take the largest free rank in [2, R_f] (negated),
+    # and y_{s+1}, y_{s+2}, ... the smallest free one in [L_f, r].
+    xpicks = [-p for p in _greedy([-x for x in R], -2)]
+    ypicks = [_greedy(L[s:], r) for s in range(t_len + 1)]
+
     c = [[None] * (t_len + 1) for _ in range(s_len + 1)]
     bp = [[None] * (t_len + 1) for _ in range(s_len + 1)]
 
-    _, _, len00 = bounds(0, 0)
-    c[0][0] = [NEG] + [1] * len00
-    bp[0][0] = [("one",)] * (len00 + 1)
-
-    for i in range(1, s_len + 1):
-        _, _, ln = bounds(i, 0)
-        c[i][0] = [_greedy_x(R, i, ell) if ell else NEG for ell in range(ln + 1)]
-        bp[i][0] = [("base_x",)] * (ln + 1)
+    # Base rows: greedy prefixes.  The anchor uses one rank of [1, R_i], and
+    # the budget cuts only the picks inside the interval, which come last.
+    for i in range(s_len + 1):
+        _, b, ln = bounds(i, 0)
+        picks = xpicks[:i]
+        out = sum(p > b for p in picks)
+        c[i][0] = [NEG] + [1 + out + min(len(picks) - out, ell - 1)
+                           for ell in range(1, ln + 1)]
     for j in range(1, t_len + 1):
-        _, _, ln = bounds(0, j)
-        c[0][j] = [_greedy_y(L, r, j, ell) for ell in range(ln + 1)]
-        bp[0][j] = [("base_y",)] * (ln + 1)
+        a, _, ln = bounds(0, j)
+        picks = ypicks[0][:j]
+        out = bisect_left(picks, a)
+        c[0][j] = [1 + out + min(len(picks) - out, ell) for ell in range(ln + 1)]
 
     for i in range(1, s_len + 1):
         for j in range(1, t_len + 1):
             a_ij, b_ij, ln = bounds(i, j)
             _, _, ln_up = bounds(i - 1, j)
+            # Jumps: x_i takes a rank p in [2, a_ij), which y_1..y_jp still
+            # see, and y_{jp+1}..y_j greedily take ranks up to b_ij.  The
+            # picks depend on jp only; the first `outside` fall left of the
+            # interval, so a budget ell admits min(got, outside + ell).
+            jumps = []
+            for jp in sorted({bisect_right(L, p, 0, j)
+                              for p in range(2, min(b_ij, a_ij - 1) + 1)}):
+                picks = ypicks[jp][:j - jp]
+                got = bisect_right(picks, b_ij)
+                jumps.append((jp, got, bisect_left(picks, a_ij, 0, got),
+                              bounds(i - 1, jp)[2]))
             vals = []
             ptrs = []
-            # Case 3 greedy data depends on p only; compute once per p.
-            jumps = []
-            for p in range(2, min(R[i - 1], a_ij - 1) + 1):
-                jp = _max_y_below(L, j, p)
-                jumps.append((jp, _greedy_jump(L, jp, j, p, b_ij, a_ij)))
             for ell in range(ln + 1):
                 best = c[i - 1][j][ell + ln_up - ln]
                 ptr = ("skip", ell + ln_up - ln)
-                if ell >= 1 and ln >= 1:
+                if ell >= 1:
                     sub = c[i - 1][j][ell - 1 + ln_up - ln]
                     if sub > NEG and sub + 1 > best:
                         best = sub + 1
                         ptr = ("core", ell - 1 + ln_up - ln)
-                for jp, cum in jumps:
-                    q = 0
-                    while q + 1 < len(cum) and cum[q + 1] <= ell:
-                        q += 1
-                    _, _, ln_ch = bounds(i - 1, jp)
+                for jp, got, outside, ln_ch in jumps:
+                    q = min(got, outside + ell)
                     ell2 = (ln_ch - ln) + ell - (q + 1)
                     if ell2 < 0:
                         continue
@@ -212,83 +262,20 @@ def _solve_anchor(G: Graph, intervals, u: int, v_rank: int, beat: int):
     assert value >= 1
     if len(forced) + value <= beat:
         return len(forced) + value, None
-    pairs = _replay(bp, R, L, r, xs, ys, s_len, t_len, ln_final)
+    pairs = _replay(bp, c, R, L, r, xs, ys, s_len, t_len, ln_final)
     assert len(pairs) + 1 == value
     all_pairs = [(u, 1 + shift)] + [(w, j + shift) for w, j in forced] \
         + [(w, j + shift) for w, j in pairs]
     return len(forced) + value, tuple(all_pairs)
 
 
-def _greedy_x(R, i, budget):
-    """Size (anchor included) of the matching of a prefix x_1..x_k to ranks
-    below their right ends, rightmost available first, keeping at most budget
-    saturated ranks in [1, R[i-1]] (rank 1, the anchor's, always counts)."""
-    used = {1}
-    core_hi = R[i - 1]
-    incore = 1
-    for f in range(1, i + 1):
-        cand = next((jv for jv in range(R[f - 1], 1, -1) if jv not in used), None)
-        if cand is None:
-            break
-        if cand <= core_hi:
-            if incore >= budget:
-                break
-            incore += 1
-        used.add(cand)
-    return len(used)
-
-
-def _greedy_y(L, r, j, budget):
-    """Size (anchor included) of the matching of a prefix y_1..y_k,
-    leftmost-first, with at most budget saturated ranks in [L[j-1], r]."""
-    used: set[int] = set()
-    core_lo = L[j - 1]
-    incore = 0
-    for f in range(1, j + 1):
-        cand = next((jv for jv in range(L[f - 1], r + 1) if jv not in used), None)
-        if cand is None:
-            break
-        if cand >= core_lo:
-            if incore >= budget:
-                break
-            incore += 1
-        used.add(cand)
-    return len(used) + 1
-
-
-def _max_y_below(L, j, p):
-    """Largest f in [0, j] whose y-interval still contains rank p."""
-    jp = 0
-    for f in range(1, j + 1):
-        if L[f - 1] <= p:
-            jp = f
-    return jp
-
-
-def _greedy_jump(L, jp, j, p, b_ij, a_ij):
-    """Unbounded greedy for the y vertices newly matched when x_i takes a
-    rank p left of the interval: y_{jp+1}.. pick the leftmost available rank
-    in (p, b_ij].  Returns the cumulative counts of picks inside
-    [a_ij, b_ij], so cum[q] is the budget the first q picks use."""
-    used: set[int] = set()
-    cum = [0]
-    for f in range(jp + 1, j + 1):
-        cand = next((jv for jv in range(max(L[f - 1], p + 1), b_ij + 1)
-                     if jv not in used), None)
-        if cand is None:
-            break
-        used.add(cand)
-        cum.append(cum[-1] + (1 if cand >= a_ij else 0))
-    return cum
-
-
-def _replay(bp, R, L, r, xs, ys, i, j, ell):
+def _replay(bp, c, R, L, r, xs, ys, i, j, ell):
     """One optimal matching as (vertex, rank) pairs, anchor excluded.
 
     The walk down the back pointers gives each matched vertex a rank
     interval (L_0 = 2 here, since rank 1 is the anchor's; skip adds none):
-      * base_x with k matched: x_f gets [2, R_f] for f = 1..k;
-      * base_y with k matched: y_f gets [L_f, r];
+      * a base state (i, 0) or (0, j) of value 1 + k: x_f gets [2, R_f],
+        or y_f gets [L_f, r], for f = 1..k;
       * core at (i, j): x_i gets [L_j, R_i];
       * jump from (i, j) to (i-1, jp) with q new y's: x_i gets [L_jp, R_i]
         and y_{jp+1}..y_{jp+q} each get [L_f, R_i].
@@ -302,8 +289,8 @@ def _replay(bp, R, L, r, xs, ys, i, j, ell):
     with the smallest right end) matches all of them; the caller checks.
     """
     want: list[tuple[int, int, int]] = []  # (lo, hi, vertex)
-    kind, *rest = bp[i][j][ell]
-    while kind in ("skip", "core", "jump"):
+    while i and j:
+        kind, *rest = bp[i][j][ell]
         if kind == "jump":
             jp, q, ell = rest
             want.append((L[jp - 1] if jp else 2, R[i - 1], xs[i - 1]))
@@ -311,14 +298,12 @@ def _replay(bp, R, L, r, xs, ys, i, j, ell):
             j = jp
         else:
             if kind == "core":
-                want.append((L[j - 1] if j else 2, R[i - 1], xs[i - 1]))
+                want.append((L[j - 1], R[i - 1], xs[i - 1]))
             ell = rest[0]
         i -= 1
-        kind, *rest = bp[i][j][ell]
-    if kind == "base_x":
-        want += [(2, R[f], xs[f]) for f in range(_greedy_x(R, i, ell) - 1)]
-    elif kind == "base_y":
-        want += [(L[f], r, ys[f]) for f in range(_greedy_y(L, r, j, ell) - 1)]
+    k = c[i][j][ell] - 1
+    want += [(2, R[f], xs[f]) for f in range(k)] if i else \
+        [(L[f], r, ys[f]) for f in range(k)]
 
     want.sort(reverse=True)
     open_: list[tuple[int, int]] = []  # (hi, vertex)
@@ -354,11 +339,16 @@ def hadwiger_bipperm(G: Graph, with_details: bool = False):
     (no singleton bags); one singleton u plus a clique-matching of the
     subgraph on (u's side minus u) together with u's neighbors; two adjacent
     singletons u, v plus a clique-matching among their other neighbors.
-    The winning bag family is verified as a complete-minor witness.
+    Each clique-matching is solved on G's interval table clipped to its
+    vertex set.  The winning bag family is verified as a complete-minor
+    witness.
     """
-    ordering = strong_ordering(G)
-    if ordering is None:
-        raise DomainError("graph is not a bipartite permutation graph")
+    ordering, table = _interval_table(G)
+    side1 = sum(1 << w for w in ordering.side1)
+
+    def matching(keep: int):
+        return _solve(G, *_clip(ordering.order2, table, keep))
+
     best = BippermHadwiger(0, 0, (), ())
     for comp in components(G):
         if len(comp) == 1:
@@ -366,23 +356,21 @@ def hadwiger_bipperm(G: Graph, with_details: bool = False):
             if cand.h > best.h:
                 best = cand
             continue
-        H = induced_subgraph(G, comp)
-        ordH = restrict_ordering(ordering, comp)
-        size, M = max_clique_matching(H, ordH)
-        cand = BippermHadwiger(size, 0, (), _map_edges(M.edges, comp))
-        comp_side1 = set(ordH.side1)
-        for u in range(H.n):
-            mine = comp_side1 if u in comp_side1 else set(range(H.n)) - comp_side1
-            keep = sorted((mine - {u}) | set(H.neighbors(u)))
-            sz, edges = _sub_matching(H, ordH, keep)
+        mask = sum(1 << v for v in comp)
+        size, edges = matching(mask)
+        cand = BippermHadwiger(size, 0, (), edges)
+        for u in comp:
+            mine = mask & (side1 if side1 >> u & 1 else ~side1)
+            sz, edges = matching(mine & ~(1 << u) | G.rows[u])
             if 1 + sz > cand.h:
-                cand = BippermHadwiger(1 + sz, 1, (comp[u],), _map_edges(edges, comp))
-        for a, b in H.edges():
-            keep = sorted((set(H.neighbors(a)) - {b}) | (set(H.neighbors(b)) - {a}))
-            sz, edges = _sub_matching(H, ordH, keep)
-            if 2 + sz > cand.h:
-                cand = BippermHadwiger(2 + sz, 2, (comp[a], comp[b]),
-                                       _map_edges(edges, comp))
+                cand = BippermHadwiger(1 + sz, 1, (u,), edges)
+        for a in comp:
+            for b in G.neighbors(a):
+                if b < a:
+                    continue
+                sz, edges = matching((G.rows[a] | G.rows[b]) & ~(1 << a | 1 << b))
+                if 2 + sz > cand.h:
+                    cand = BippermHadwiger(2 + sz, 2, (a, b), edges)
         if cand.h > best.h:
             best = cand
     if G.n:
@@ -392,17 +380,3 @@ def hadwiger_bipperm(G: Graph, with_details: bool = False):
         target_edges = [(i, j) for i in range(best.h) for j in range(i + 1, best.h)]
         assert verify_witness(G, best.h, target_edges, W)
     return best if with_details else best.h
-
-
-def _map_edges(edges, labels) -> tuple[Edge, ...]:
-    return tuple(tuple(sorted((labels[a], labels[b]))) for a, b in edges)
-
-
-def _sub_matching(H: Graph, ordH: StrongOrdering, keep: list[int]):
-    """Clique-matching of the induced subgraph, edges in H's labels."""
-    if not keep:
-        return 0, ()
-    sub = induced_subgraph(H, keep)
-    sub_ord = restrict_ordering(ordH, keep)
-    size, M = max_clique_matching(sub, sub_ord)
-    return size, _map_edges(M.edges, sorted(keep))

@@ -233,16 +233,6 @@ def strong_ordering(G: Graph) -> StrongOrdering | None:
     return ordering if verify_ordering(G, ordering) else None
 
 
-def restrict_ordering(ordering: StrongOrdering, keep: list[int]) -> StrongOrdering:
-    """Ordering inherited by the induced subgraph on ``keep`` (which
-    induced_subgraph relabels to 0..len(keep)-1 in sorted label order)."""
-    keep_sorted = sorted(set(keep))
-    pos = {v: i for i, v in enumerate(keep_sorted)}
-    side1 = tuple(pos[v] for v in ordering.side1 if v in pos)
-    order2 = tuple(pos[v] for v in ordering.order2 if v in pos)
-    return StrongOrdering(side1, order2)
-
-
 # AT-freeness and dominating pairs ---------------------------------------
 
 class AvoidingComponents:

@@ -271,9 +271,12 @@ def parse_dimacs_cnf(data: bytes) -> NaeFormula:
             continue
         if kind.startswith("p"):
             if len(toks) != 4 or toks[1][0] != "cnf":
-                raise ParseError("malformed problem line, expected 'p cnf n m'")
+                raise ParseError("malformed problem line, expected 'p cnf n m'",
+                                 toks[0][1])
             n = _int(*toks[2])
             m, m_off = _int(*toks[3]), toks[3][1]
+            if n < 0:
+                raise ParseError("negative variable count in header", toks[2][1])
             if m < 0:
                 raise ParseError("negative clause count in header", m_off)
             continue
@@ -301,12 +304,13 @@ def parse_set_system(data: bytes, k: int) -> HittingSetInstance:
     if not lines:
         raise ParseError("empty set system")
     if len(lines[0]) != 2:
-        raise ParseError("set system needs an 'n m' header")
+        raise ParseError("set system needs an 'n m' header", lines[0][0][1])
     n, m = (_int(tok, off) for tok, off in lines[0])
     if n < 0:
         raise ParseError("negative universe size in header", lines[0][0][1])
     if len(lines) - 1 != m:
-        raise ParseError(f"header declares {m} sets but {len(lines) - 1} follow")
+        raise ParseError(f"header declares {m} sets but {len(lines) - 1} follow",
+                         lines[0][1][1])
 
     def member(tok: str, off: int) -> int:
         x = _int(tok, off)

@@ -337,6 +337,16 @@ def ordering_exists_exhaustive(G: Graph) -> bool:
     return False
 
 
+def restrict_ordering(ordering, keep):
+    """The ordering a strong ordering induces on the subgraph over ``keep``,
+    in induced_subgraph's labels (``keep`` renumbered in sorted order)."""
+    from minorclub.recognition import StrongOrdering
+
+    pos = {v: i for i, v in enumerate(sorted(set(keep)))}
+    return StrongOrdering(tuple(pos[v] for v in ordering.side1 if v in pos),
+                          tuple(pos[v] for v in ordering.order2 if v in pos))
+
+
 def induced_p4_exists(G: Graph) -> bool:
     for quad in combinations(range(G.n), 4):
         H = [[G.has_edge(a, b) for b in quad] for a in quad]

@@ -4,16 +4,17 @@ import random
 
 import pytest
 
-from minorclub.bipperm_dp import (BippermHadwiger, hadwiger_bipperm,
+from minorclub.bipperm_dp import (BippermHadwiger, _clip, _interval_table,
+                                  _solve, hadwiger_bipperm,
                                   is_clique_matching, max_clique_matching)
 from minorclub.errors import DomainError
 from minorclub.formats import parse_graph
 from minorclub.graph import Graph, disjoint_union, induced_subgraph
 from minorclub.oracle import clique_matching_oracle, hadwiger_oracle
-from minorclub.recognition import strong_ordering
+from minorclub.recognition import strong_ordering, verify_ordering
 
 from genutil import (connected_graphs, maximum_clique_matchings,
-                     random_bipperm, random_staircase)
+                     random_bipperm, random_staircase, restrict_ordering)
 
 
 def test_examples():
@@ -37,14 +38,6 @@ def test_rejects_non_bipartite_permutation_inputs():
         max_clique_matching(Graph.cycle(6))
     with pytest.raises(DomainError):
         hadwiger_bipperm(Graph.cycle(5))
-
-
-def test_rejects_invalid_supplied_ordering():
-    from minorclub.recognition import StrongOrdering
-
-    P5 = Graph.path(5)
-    with pytest.raises(DomainError):
-        max_clique_matching(P5, StrongOrdering((1, 3), (0, 4, 2)))
 
 
 def test_hadwiger_examples():
@@ -183,8 +176,7 @@ def _forced_pairs(G, ordering, u, v_rank):
 
 
 def test_induced_subgraphs_inherit_valid_orderings():
-    from minorclub.recognition import restrict_ordering, verify_ordering
-
+    # the clipped interval tables rely on this heredity
     rng = random.Random(23)
     for _ in range(30):
         G = random_bipperm(rng.randint(3, 10), rng)
@@ -192,3 +184,30 @@ def test_induced_subgraphs_inherit_valid_orderings():
         keep = sorted(rng.sample(range(G.n), rng.randint(1, G.n)))
         sub = induced_subgraph(G, keep)
         assert verify_ordering(sub, restrict_ordering(full, keep))
+
+
+def test_clipped_tables_solve_induced_subgraphs():
+    # a sub-problem runs on G's interval table clipped to its keep set: the
+    # clipped table is the induced subgraph's table under the inherited
+    # ordering, and its matching is a maximum one of the induced subgraph
+    rng = random.Random(26)
+    for k in range(300):
+        G = random_staircase(rng.randint(2, 12), rng, dense=k % 2 == 1)
+        ordering, table = _interval_table(G)
+        for _ in range(3):
+            keep = sorted(rng.sample(range(G.n), rng.randint(1, G.n)))
+            order2, clipped = _clip(ordering.order2, table,
+                                    sum(1 << v for v in keep))
+            sub = induced_subgraph(G, keep)
+            sub_ord = restrict_ordering(ordering, keep)
+            assert verify_ordering(sub, sub_ord)
+            rank = {v: i for i, v in enumerate(sub_ord.order2, 1)}
+            assert [keep[v] for v in sub_ord.order2] == order2
+            assert clipped == {
+                keep[w]: (min(rank[x] for x in sub.neighbors(w)),
+                          max(rank[x] for x in sub.neighbors(w)))
+                for w in sub_ord.side1 if sub.degree(w)}
+            size, edges = _solve(G, order2, clipped)
+            assert len(edges) == size and is_clique_matching(G, edges)
+            assert {v for e in edges for v in e} <= set(keep)
+            assert size == clique_matching_oracle(sub), (G.edges(), keep)

@@ -3,12 +3,15 @@ from __future__ import annotations
 import hashlib
 import io
 import json
+import random
 
 import pytest
 
 from minorclub.cli import main
 from minorclub.formats import emit_graph, parse_graph
 from minorclub.graph import Graph, disjoint_union
+
+from genutil import random_staircase
 
 P5 = b"DhC"
 C6 = b"EhEG"
@@ -86,6 +89,35 @@ def test_every_subcommand_reports_deterministically(tmp_path, capsys, argv,
     assert code == 0 and second == first
     code, human, _ = run(tmp_path, capsys, argv, data)
     assert code == 0 and f"command: {command}" in human
+
+
+# SHA-256 over the concatenated --json reports of 16 relabelled dense
+# staircases per n, keyed by (n, command), as printed when every
+# bipartite-permutation sub-problem still built its induced subgraph and
+# re-verified its ordering.  Witness ties are broken on labels, so a change
+# in any tie-break shows here even where the values stay the same.
+STAIRCASE_SHA256 = {
+    (16, "hadwiger"): "852ae5907cf7c330d3a9cbdf69484e10318affaa4879a8c5475d7c85a1e519c7",
+    (16, "clique-matching"): "1ab79100f0486b3b8d2f5b36e5cc4a2eee7550d8a4257266f474d0e6f36f9e4d",
+    (24, "hadwiger"): "b654408056f89da2ab098e8d4aa7d72a7dae9c455e2de1d4d59c636502c51787",
+    (24, "clique-matching"): "2b562da821f6ad3bcda826af3be0d9a3aa23c8bd22a0bdf578fc85214ec347f8",
+    (32, "hadwiger"): "8d6b8192cec588516905a95e4e2004712a5ed89af0c3075f22e7a0e7e184a225",
+    (32, "clique-matching"): "a0b864aee4e1d502829a34eef369d8522fc3c2b0fc82c971a4759bac0970b054",
+}
+
+
+@pytest.mark.parametrize("n", [16, 24, 32])
+def test_dense_staircase_reports_are_pinned(tmp_path, capsys, n):
+    rng = random.Random(n)
+    digests = {"hadwiger": hashlib.sha256(), "clique-matching": hashlib.sha256()}
+    for _ in range(16):
+        data = _g6(random_staircase(n, rng, dense=True))
+        for command, digest in digests.items():
+            code, out, err = run(tmp_path, capsys, [command, "--json"], data)
+            assert code == 0, err
+            digest.update(out.encode())
+    for command, digest in digests.items():
+        assert digest.hexdigest() == STAIRCASE_SHA256[n, command], command
 
 
 def test_recognize_cograph_report(tmp_path, capsys):
@@ -211,6 +243,10 @@ def test_disconnected_club_contract_says_no(tmp_path, capsys, data):
     (["reduce", "hitting-set", "--k", "1"], b"-2 0\n", 0),
     (["reduce", "hitting-set", "--k", "1"], b"3 2\n0 1\n2 3\n", 10),
     (["reduce", "hitting-set", "--k", "1"], b"3 1\n-1 2\n", 4),
+    (["reduce", "nae3sat"], b"p cnf -3 0\n", 6),
+    (["reduce", "nae3sat"], b"c three variables\np cnf 3\n1 2 3 0\n", 18),
+    (["reduce", "hitting-set", "--k", "1"], b"\n3\n0 1\n", 1),
+    (["reduce", "hitting-set", "--k", "1"], b"3 2\n0 1\n", 2),
 ])
 def test_malformed_text_input_exits_2_with_offset(tmp_path, capsys, argv, data, offset):
     code, out, err = run(tmp_path, capsys, argv, data)

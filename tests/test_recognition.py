@@ -16,14 +16,13 @@ from minorclub.recognition import (AvoidingComponents, Cotree, StrongOrdering,
                                    is_at_free, is_chordal_bipartite,
                                    is_cobipartite, is_dominating_pair,
                                    is_split, recognize_cograph,
-                                   restrict_ordering, strong_ordering,
-                                   verify_ordering)
+                                   strong_ordering, verify_ordering)
 
 from genutil import (all_graphs, connected_graphs, induced_p4_exists,
                      ordering_exists_exhaustive, random_bipperm,
                      random_caterpillar, random_cograph,
                      random_interval_graph, random_permutation_graph,
-                     random_staircase)
+                     random_staircase, restrict_ordering)
 
 
 # Cotrees ------------------------------------------------------------------
@@ -70,7 +69,7 @@ def test_cotree_reproduces_edges_and_is_canonical():
 
 
 def test_cograph_recognition_matches_p4_search():
-    for n in range(1, 7):
+    for n in range(1, 8):
         for G in all_graphs(n):
             got = recognize_cograph(G)
             if isinstance(got, Cotree):

@@ -9,7 +9,7 @@ from .graph import (Graph, clique_number, complement, components,
                     distances, induced_subgraph, is_connected, join,
                     max_clique)
 from .formats import emit_graph, parse_graph
-from .witness import WitnessStructure, verify_witness
+from .witness import verify_witness
 from .recognition import (Cotree, StrongOrdering, diameter_dominating_pair,
                           is_at_free, is_chordal_bipartite, is_cobipartite,
                           is_split, recognize_cograph, strong_ordering,

@@ -57,19 +57,9 @@ from dataclasses import dataclass
 from .errors import DomainError
 from .graph import Edge, Graph, components
 from .recognition import StrongOrdering, strong_ordering
+from .witness import certify, verify_witness
 
 NEG = -(1 << 30)
-
-
-@dataclass(frozen=True)
-class CliqueMatching:
-    """A verified clique-matching, edges as (u, v) pairs with u < v."""
-
-    edges: tuple[Edge, ...]
-
-    @property
-    def size(self) -> int:
-        return len(self.edges)
 
 
 def is_clique_matching(G: Graph, edges) -> bool:
@@ -90,14 +80,14 @@ def is_clique_matching(G: Graph, edges) -> bool:
     return True
 
 
-def max_clique_matching(G: Graph) -> tuple[int, CliqueMatching]:
-    """Size and witness of a maximum clique-matching.
+def max_clique_matching(G: Graph) -> tuple[int, tuple[Edge, ...]]:
+    """Size and edges of a maximum clique-matching, as sorted (u, v) pairs
+    with u < v.
 
     Anchors are solved independently and merged by a deterministic maximum.
     """
     ordering, table = _interval_table(G)
-    size, edges = _solve(G, ordering.order2, table)
-    return size, CliqueMatching(edges)
+    return _solve(G, ordering.order2, table)
 
 
 def _interval_table(G: Graph) -> tuple[StrongOrdering, dict[int, tuple[int, int]]]:
@@ -139,7 +129,8 @@ def _solve(G: Graph, order2, table) -> tuple[int, tuple[Edge, ...]]:
             best = size
             best_pairs = pairs
     edges = tuple(sorted(tuple(sorted((w, order2[r - 1]))) for w, r in best_pairs))
-    assert len(edges) == best and is_clique_matching(G, edges)
+    certify(len(edges) == best and is_clique_matching(G, edges),
+            f"matching of size {best} is not a clique-matching")
     return best, edges
 
 
@@ -263,7 +254,8 @@ def _solve_anchor(table, u: int, v_rank: int, beat: int):
     if len(forced) + value <= beat:
         return len(forced) + value, None
     pairs = _replay(bp, c, R, L, r, xs, ys, s_len, t_len, ln_final)
-    assert len(pairs) + 1 == value
+    certify(len(pairs) + 1 == value,
+            f"replay matched {len(pairs) + 1} of {value} vertices")
     all_pairs = [(u, 1 + shift)] + [(w, j + shift) for w, j in forced] \
         + [(w, j + shift) for w, j in pairs]
     return len(forced) + value, tuple(all_pairs)
@@ -373,10 +365,7 @@ def hadwiger_bipperm(G: Graph, with_details: bool = False):
                     cand = BippermHadwiger(2 + sz, 2, (a, b), edges)
         if cand.h > best.h:
             best = cand
-    if G.n:
-        from .witness import WitnessStructure, verify_witness
-        bags = best.bags()
-        W = WitnessStructure({i: frozenset(b) for i, b in enumerate(bags)}, "minor")
-        target_edges = [(i, j) for i in range(best.h) for j in range(i + 1, best.h)]
-        assert verify_witness(G, best.h, target_edges, W)
+    bags = best.bags()
+    certify(len(bags) == best.h and verify_witness(G, bags),
+            f"bags {bags} are not a complete minor of size {best.h}")
     return best if with_details else best.h

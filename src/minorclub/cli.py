@@ -11,7 +11,9 @@ deterministic.
 Exit codes: 0 success, 2 unreadable or malformed input (with its byte offset
 where one applies), 3 no applicable method or problem precondition violated,
 such as a negative budget --k, 4 a brute-force oracle's size cap exceeded
-(the polynomial solvers and their recognizers have no caps).
+(the polynomial solvers and their recognizers have no caps), 5 internal
+error: a solver's output failed its certificate check; stderr then names the
+command and the input's SHA-256.
 
 recognize reports every class, chordal-bipartite included, at any size.
 club-contract and club-minor run the AT-free solver when s >= 2 and the graph
@@ -28,23 +30,23 @@ import hashlib
 import json
 import sys
 import time
-from itertools import combinations
 
 from . import oracle as oracle_mod
 from .bipperm_dp import hadwiger_bipperm, max_clique_matching
 from .club_contraction import (ClubDecision, minimum_contraction,
                                s_club_contract_decide)
 from .cograph_dp import cograph_cr_table
-from .errors import (CapacityError, DomainError, FormatError, MethodError,
-                     ParseError)
+from .errors import (CapacityError, DomainError, FormatError,
+                     InvalidStructureError, MethodError, ParseError)
 from .formats import FORMATS, emit_graph, parse_graph
-from .graph import components, contract_edges, diameter_at_most, is_connected
+from .graph import components, is_connected
 from .recognition import (Cotree, is_at_free, is_chordal_bipartite,
                           is_cobipartite, is_split, recognize_cograph,
                           strong_ordering)
 from .reductions import (hitting_set_to_chordal, hitting_set_to_split,
                          nae3sat_to_cobipartite, parse_dimacs_cnf,
                          parse_set_system, pendant_lift, subdivide_edges)
+from .witness import certify
 
 SCHEMA_VERSION = 1
 
@@ -57,7 +59,7 @@ def cmd_recognize(G, args):
     result: dict[str, object] = {}
     cograph = recognize_cograph(G) if G.n else None
     if isinstance(cograph, Cotree):
-        assert cograph.to_graph(G.n) == G
+        certify(cograph.to_graph(G.n) == G, "cotree does not rebuild the input graph")
         result["cograph"] = True
         certs["cotree"] = cograph.to_text()
     elif cograph is not None:
@@ -109,8 +111,8 @@ def cmd_hadwiger(G, args):
 
 
 def cmd_clique_matching(G, args):
-    size, matching = max_clique_matching(G)
-    return {"size": size, "matching_edges": [list(e) for e in matching.edges]}, "bipperm", {}
+    size, edges = max_clique_matching(G)
+    return {"size": size, "matching_edges": [list(e) for e in edges]}, "bipperm", {}
 
 
 def _atfree_or_oracle(G, args, atfree, oracle):
@@ -131,13 +133,8 @@ def _atfree_or_oracle(G, args, atfree, oracle):
 def _club_contract_oracle(G, s: int, k: int) -> ClubDecision:
     """The oracle's answer; a yes carries the first smallest edge set that
     reaches diameter s."""
-    kmin = oracle_mod.min_club_contraction_oracle(G, s, k) if is_connected(G) else None
-    if kmin is None:
-        return ClubDecision(False)
-    if kmin == 0:
-        return ClubDecision(True, ())
-    return ClubDecision(True, next(S for S in combinations(G.edges(), kmin)
-                                   if diameter_at_most(contract_edges(G, S), s)))
+    S = oracle_mod.min_club_contraction_set(G, s, k) if is_connected(G) else None
+    return ClubDecision(S is not None, S)
 
 
 def cmd_club_contract(G, args):
@@ -221,32 +218,34 @@ def make_parser() -> argparse.ArgumentParser:
                     "graph classes.")
     sub = parser.add_subparsers(dest="cmd", required=True)
 
-    def command(name, fn, help, positional=None, choices=()):
+    def command(name, fn, help, positional=None, choices=(), cap=False):
         p = sub.add_parser(name, help=help)
         if positional:
             p.add_argument(positional, choices=choices)
         p.add_argument("--input", required=True, help="path or '-' for stdin")
         p.add_argument("--format", choices=FORMATS, default="graph6")
         p.add_argument("--json", action="store_true")
-        p.add_argument("--cap", type=int, default=12,
-                       help="size cap for brute-force fallbacks")
+        if cap:
+            p.add_argument("--cap", type=int, default=12,
+                           help="size cap for brute-force fallbacks")
         p.set_defaults(fn=fn)
         return p
 
     command("recognize", cmd_recognize, "run all class recognizers")
-    p = command("hadwiger", cmd_hadwiger, "largest complete minor")
+    p = command("hadwiger", cmd_hadwiger, "largest complete minor", cap=True)
     p.add_argument("--method", choices=("auto", "cograph", "bipperm", "oracle"),
                    default="auto")
     command("clique-matching", cmd_clique_matching, "maximum clique-matching")
     p = command("club-contract", cmd_club_contract,
-                "can k contractions reach diameter s?")
+                "can k contractions reach diameter s?", cap=True)
     p.add_argument("--s", type=int, required=True)
     p.add_argument("--k", type=int, required=True)
-    p = command("club-minor", cmd_club_minor, "largest bounded-diameter minor")
+    p = command("club-minor", cmd_club_minor, "largest bounded-diameter minor",
+                cap=True)
     p.add_argument("--s", type=int, required=True)
     p = command("oracle", cmd_oracle, "brute-force reference answers", "problem",
                 ("hadwiger", "club-minor", "club-contract", "clique-matching",
-                 "nice-structure"))
+                 "nice-structure"), cap=True)
     p.add_argument("--s", type=int, default=2)
     p.add_argument("--k", type=int, default=4)
     p = command("reduce", cmd_reduce, "generate hard instances", "construction",
@@ -269,6 +268,10 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"input error: cannot read {args.input}: {exc.strerror}", file=sys.stderr)
         return 2
+    command = args.cmd
+    if args.cmd in ("oracle", "reduce"):
+        command += ":" + (args.problem if args.cmd == "oracle" else args.construction)
+    digest = hashlib.sha256(raw).hexdigest()
     try:
         data = raw if args.cmd == "reduce" else parse_graph(raw, args.format)
         t0 = time.perf_counter()
@@ -283,10 +286,10 @@ def main(argv=None) -> int:
     except CapacityError as exc:
         print(f"capacity exceeded: {exc}", file=sys.stderr)
         return 4
-    command = args.cmd
-    if args.cmd in ("oracle", "reduce"):
-        command += ":" + (args.problem if args.cmd == "oracle" else args.construction)
-    digest = hashlib.sha256(raw).hexdigest()
+    except InvalidStructureError as exc:
+        print(f"internal error: {exc}\ncommand: {command}\ninput: sha256:{digest}",
+              file=sys.stderr)
+        return 5
     if args.json:
         print(json.dumps({"schema": SCHEMA_VERSION, "command": command,
                           "input_sha256": digest, "certificates": certs,

@@ -25,6 +25,7 @@ from .graph import (Edge, Graph, _bfs, _iter_bits, _matrix_diameter,
                     all_pairs_distances, contract_edges, contraction_map,
                     diameter_at_most, shortest_path)
 from .recognition import AvoidingComponents, _dominating_diametral_pair
+from .witness import certify
 
 
 @dataclass(frozen=True)
@@ -258,7 +259,8 @@ def _one_extra_contraction(G: Graph, s: int, d: int):
 
 def _verified_yes(G: Graph, S, k: int, s: int) -> ClubDecision:
     S = tuple(sorted(set(tuple(sorted(e)) for e in S)))
-    assert len(S) <= k and diameter_at_most(contract_edges(G, S), s)
+    certify(len(S) <= k and diameter_at_most(contract_edges(G, S), s),
+            f"contracting {S} does not reach diameter {s} within {k} edges")
     return ClubDecision(True, S)
 
 
@@ -268,7 +270,8 @@ def _dominating_path_witness(G: Graph, s: int, d: int, dist, table) -> tuple[Edg
     u, v = _dominating_diametral_pair(dist, table)
     P = shortest_path(G, u, v)
     S = tuple(tuple(sorted((P[i], P[i + 1]))) for i in range(d - s + 2))
-    assert diameter_at_most(contract_edges(G, S), s)
+    certify(diameter_at_most(contract_edges(G, S), s),
+            f"contracting {S} does not reach diameter {s}")
     return S
 
 

@@ -38,7 +38,9 @@ class CapacityError(MinorclubError):
 
 
 class InvalidStructureError(MinorclubError):
-    """A witness structure violates its own structural invariants."""
+    """A solver's output failed its certificate check (``witness.certify``).
+
+    This is an internal fault, not a fault of the input."""
 
 
 class MethodError(MinorclubError):

@@ -12,9 +12,10 @@ from itertools import combinations
 from typing import Iterator
 
 from .errors import CapacityError, DomainError
-from .graph import (Graph, _iter_bits, _mask_connected, _quotient,
+from .graph import (Edge, Graph, _iter_bits, _mask_connected, _quotient,
                     components, diameter_at_most, induced_subgraph,
                     max_clique)
+from .witness import certify, verify_witness
 
 PARTITION_CAP = 12
 MATCHING_CAP = 14
@@ -93,6 +94,8 @@ def hadwiger_oracle(G: Graph, cap: int = PARTITION_CAP,
         if value > best:
             best = value
             best_bags = tuple(tuple(comp[v] for v in bag) for bag in bags)
+    certify(len(best_bags) == best and verify_witness(G, best_bags),
+            f"bags {best_bags} are not a complete minor of size {best}")
     return (best, best_bags) if with_witness else best
 
 
@@ -166,14 +169,23 @@ def _spanning_edges(G: Graph, blocks: list[tuple[int, ...]]) -> list[tuple[int, 
 def min_club_contraction_oracle(G: Graph, s: int, k_max: int,
                                 budget: int = SUBSET_BUDGET):
     """Smallest k <= k_max with some k-edge set S satisfying
-    diam(G/S) <= s, by increasing-size subset enumeration; None if no such
-    set exists within the bound."""
+    diam(G/S) <= s; None if no such set exists within the bound."""
+    S = min_club_contraction_set(G, s, k_max, budget)
+    return None if S is None else len(S)
+
+
+def min_club_contraction_set(G: Graph, s: int, k_max: int,
+                             budget: int = SUBSET_BUDGET) -> tuple[Edge, ...] | None:
+    """The first smallest edge set S, in ``combinations`` order over
+    ``G.edges()``, with diam(G/S) <= s, by increasing-size subset
+    enumeration: () when G is already within s, None if no set of at most
+    k_max edges works."""
     if k_max < 0:
         raise DomainError("contraction budget must be non-negative")
     if len(components(G)) != 1 or G.n == 0:
         raise DomainError("graph must be connected")
     if diameter_at_most(G, s):
-        return 0
+        return ()
     edges = G.edges()
     total = 0
     for k in range(1, min(k_max, len(edges)) + 1):
@@ -184,7 +196,7 @@ def min_club_contraction_oracle(G: Graph, s: int, k_max: int,
                 f"(budget {budget})")
         for S in combinations(edges, k):
             if diameter_at_most(_quotient(G, S)[0], s):
-                return k
+                return S
     return None
 
 

@@ -16,6 +16,7 @@ from .errors import CapacityError, DomainError, ParseError
 from .formats import _int, _lines
 from .graph import Graph, _iter_bits
 from .recognition import is_cobipartite, is_split
+from .witness import certify
 
 SOLVER_CAP = 20
 
@@ -119,9 +120,9 @@ def nae3sat_to_cobipartite(phi: NaeFormula) -> ReductionInstance:
             edges.add((labels[f"literal:+{i}"], dv))
             edges.add((labels[f"literal:-{i}"], dv))
     G = Graph.from_edges(nv, edges)
-    assert is_cobipartite(G)
     N = copies * (n + m)
-    assert N == nv - 2 * n
+    certify(is_cobipartite(G) and N == nv - 2 * n,
+            "NAE-3SAT reduction graph is not co-bipartite on 2n + N vertices")
     return ReductionInstance(G, 2 * n - 2, f"complete graph on {N + 2} vertices",
                              labels, phi)
 
@@ -134,7 +135,7 @@ def hitting_set_to_split(inst: HittingSetInstance) -> ReductionInstance:
     to its members, a hub x sees the whole universe, and 2k+1 pendants hang
     off the hub."""
     G, labels = _hitting_core(inst)
-    assert is_split(G)
+    certify(is_split(G), "hitting-set reduction graph is not split")
     return ReductionInstance(G, inst.k, "diameter at most 2", labels, inst)
 
 
@@ -142,7 +143,7 @@ def hitting_set_to_chordal(inst: HittingSetInstance) -> ReductionInstance:
     """Chordal variant for diameter 3: the pendants are pushed one level
     down behind a clique of 2k+1 middle vertices."""
     G, labels = _hitting_core(inst, chordal_variant=True)
-    assert _is_chordal(G)
+    certify(_is_chordal(G), "hitting-set reduction graph is not chordal")
     return ReductionInstance(G, inst.k, "diameter at most 3", labels, inst)
 
 

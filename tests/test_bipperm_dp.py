@@ -18,8 +18,8 @@ from genutil import (connected_graphs, maximum_clique_matchings,
 
 
 def test_examples():
-    size, M = max_clique_matching(Graph.path(4))
-    assert size == 2 and is_clique_matching(Graph.path(4), M.edges)
+    size, edges = max_clique_matching(Graph.path(4))
+    assert size == 2 and is_clique_matching(Graph.path(4), edges)
     assert max_clique_matching(Graph.complete_bipartite(1, 3))[0] == 1
     assert max_clique_matching(Graph.complete_bipartite(3, 3))[0] == 3
     assert max_clique_matching(Graph.empty(4))[0] == 0
@@ -53,8 +53,8 @@ def test_exhaustive_small_graphs_match_oracle():
         for G in connected_graphs(n):
             if strong_ordering(G) is None:
                 continue
-            size, M = max_clique_matching(G)
-            assert is_clique_matching(G, M.edges)
+            size, edges = max_clique_matching(G)
+            assert is_clique_matching(G, edges)
             assert size == clique_matching_oracle(G), G.edges()
             assert hadwiger_bipperm(G) == hadwiger_oracle(G), G.edges()
 
@@ -67,8 +67,8 @@ def test_random_instances_match_oracle():
             G = disjoint_union(G, random_bipperm(rng.randint(2, 4), rng))
         if G.n > 12:
             continue
-        size, M = max_clique_matching(G)
-        assert is_clique_matching(G, M.edges) and len(M.edges) == size
+        size, edges = max_clique_matching(G)
+        assert is_clique_matching(G, edges) and len(edges) == size
         assert size == clique_matching_oracle(G)
         assert hadwiger_bipperm(G) == hadwiger_oracle(G)
 
@@ -83,8 +83,8 @@ def test_shrunk_witness_counterexamples(g6, cm, h):
     # each of these once crashed while the optimal value was turned into a
     # concrete matching; the values come from the brute-force oracles
     G = parse_graph(g6)
-    size, M = max_clique_matching(G)
-    assert size == cm and is_clique_matching(G, M.edges)
+    size, edges = max_clique_matching(G)
+    assert size == cm and is_clique_matching(G, edges)
     assert hadwiger_bipperm(G) == h
     assert clique_matching_oracle(G) == cm and hadwiger_oracle(G) == h
 
@@ -93,8 +93,8 @@ def test_relabelled_staircases_match_oracle():
     rng = random.Random(25)
     for k in range(120):
         G = random_staircase(rng.randint(2, 11), rng, dense=k % 2 == 1)
-        size, M = max_clique_matching(G)
-        assert is_clique_matching(G, M.edges) and len(M.edges) == size
+        size, edges = max_clique_matching(G)
+        assert is_clique_matching(G, edges) and len(edges) == size
         assert size == clique_matching_oracle(G), G.edges()
         assert hadwiger_bipperm(G) == hadwiger_oracle(G), G.edges()
 
@@ -104,8 +104,8 @@ def test_large_relabelled_staircases_give_verified_witnesses():
     for k in range(80):
         n = (16, 24, 32, 40)[k % 4]
         G = random_staircase(n, rng, dense=k % 8 >= 4)
-        size, M = max_clique_matching(G)
-        assert len(M.edges) == size and is_clique_matching(G, M.edges)
+        size, edges = max_clique_matching(G)
+        assert len(edges) == size and is_clique_matching(G, edges)
         if n <= 24:
             # a case-0 bag family is the matching itself, and every case
             # adds at most two singletons to a matching of a subgraph

@@ -141,7 +141,7 @@ def test_input_from_stdin(monkeypatch, capsys):
 
 def test_chordal_bipartite_reported_above_cap(tmp_path, capsys):
     data = _g6(Graph.cycle(14))
-    rep = run_json(tmp_path, capsys, ["recognize", "--cap", "4"], data)
+    rep = run_json(tmp_path, capsys, ["recognize"], data)
     assert rep["result"]["chordal-bipartite"] is False
 
 
@@ -172,6 +172,32 @@ def test_malformed_graph6_exits_2(tmp_path, capsys, data):
 def test_no_applicable_method_exits_3(tmp_path, capsys, argv, data):
     code, out, err = run(tmp_path, capsys, argv, data)
     assert code == 3 and out == "" and "error" in err
+
+
+def _never(*args):
+    return False
+
+
+# Each case breaks the check of one family of certified outputs, so that a
+# correct solver output fails its certificate.
+@pytest.mark.parametrize("argv, data, command, target, fake", [
+    (["clique-matching"], P5, "clique-matching",
+     "minorclub.bipperm_dp.is_clique_matching", _never),
+    (["hadwiger"], P5, "hadwiger", "minorclub.bipperm_dp.verify_witness", _never),
+    (["club-contract", "--s", "2", "--k", "4"], P5, "club-contract",
+     "minorclub.club_contraction.diameter_at_most", _never),
+    (["recognize"], b"Cr", "recognize", "minorclub.recognition.Cotree.to_graph",
+     lambda tree, n: Graph.empty(n)),
+    (["oracle", "hadwiger"], P5, "oracle:hadwiger", "minorclub.oracle.verify_witness",
+     _never),
+])
+def test_failed_certificate_exits_5(tmp_path, capsys, monkeypatch, argv, data,
+                                    command, target, fake):
+    monkeypatch.setattr(target, fake)
+    code, out, err = run(tmp_path, capsys, argv + ["--json"], data)
+    assert code == 5 and out == "" and err.startswith("internal error: "), err
+    assert f"command: {command}\n" in err
+    assert f"input: sha256:{hashlib.sha256(data).hexdigest()}\n" in err
 
 
 def test_oracle_above_cap_exits_4(tmp_path, capsys):

@@ -12,8 +12,9 @@ from minorclub.oracle import (chordality, clique_matching_oracle,
                               enumerate_nice_structures, hadwiger_oracle,
                               max_s_club_minor_oracle,
                               min_club_contraction_oracle,
+                              min_club_contraction_set,
                               nice_structure_oracle)
-from minorclub.witness import WitnessStructure, verify_witness
+from minorclub.witness import verify_witness
 
 from genutil import (brute_minor_bags, connected_graphs, is_chordal_peo,
                      random_bipperm, random_chordal, random_interval_graph)
@@ -53,10 +54,8 @@ def test_hadwiger_petersen():
 def test_hadwiger_witness_verifies():
     G = disjoint_union(Graph.cycle(6), Graph.complete(4))
     value, bags = hadwiger_oracle(G, with_witness=True)
-    assert value == 4
-    W = WitnessStructure({i: frozenset(b) for i, b in enumerate(bags)}, "minor")
-    edges = [(i, j) for i in range(value) for j in range(i + 1, value)]
-    assert verify_witness(G, value, edges, W)
+    assert value == 4 and len(bags) == value
+    assert verify_witness(G, bags)
 
 
 def test_hadwiger_cap():
@@ -112,6 +111,11 @@ def test_min_club_examples():
     assert min_club_contraction_oracle(Graph.path(9), 2, 3) is None
     with pytest.raises(DomainError):
         min_club_contraction_oracle(Graph.empty(2), 2, 1)
+    # the witness is the first smallest set in combinations order
+    assert min_club_contraction_set(Graph.cycle(6), 2, 5) == ((0, 1),)
+    assert min_club_contraction_set(Graph.path(5), 2, 4) == ((0, 1), (1, 2))
+    assert min_club_contraction_set(Graph.complete(4), 2, 3) == ()
+    assert min_club_contraction_set(Graph.path(9), 2, 3) is None
 
 
 def test_club_duality():

@@ -2,9 +2,14 @@ from __future__ import annotations
 
 import random
 
+import pytest
+
 from minorclub.graph import Graph, induced_subgraph, is_bipartite
 from minorclub.oracle import chordality
-from minorclub.reductions import pendant_lift, subdivide_edges
+from minorclub.reductions import (HittingSetInstance, NaeFormula,
+                                  hitting_set_to_chordal, hitting_set_to_split,
+                                  nae3sat_to_cobipartite, pendant_lift,
+                                  subdivide_edges)
 
 from genutil import all_graphs, random_chordal
 
@@ -37,3 +42,31 @@ def test_subdivide_edges_is_bipartite_on_n_plus_m_vertices():
         for i, (u, v) in enumerate(G.edges()):
             assert set(H.neighbors(G.n + i)) == {u, v}
         assert induced_subgraph(H, range(G.n)).m == 0
+
+
+def test_reduction_graphs_lie_in_their_classes():
+    # networkx is the independent oracle: a split graph is a chordal graph
+    # with a chordal complement (Foldes & Hammer 1977).
+    nx = pytest.importorskip("networkx")
+
+    def nx_graph(G):
+        H = nx.Graph()
+        H.add_nodes_from(range(G.n))
+        H.add_edges_from(G.edges())
+        return H
+
+    rng = random.Random(33)
+    for _ in range(100):
+        n = rng.randint(3, 4)
+        clauses = tuple(tuple(rng.choice((1, -1)) * v
+                              for v in rng.sample(range(1, n + 1), 3))
+                        for _ in range(rng.randint(1, 3)))
+        H = nx_graph(nae3sat_to_cobipartite(NaeFormula(n, clauses)).graph)
+        assert nx.is_bipartite(nx.complement(H)), clauses
+        u = rng.randint(1, 6)
+        hs = HittingSetInstance(
+            u, tuple(rng.sample(range(u), rng.randint(1, u))
+                     for _ in range(rng.randint(1, 4))), rng.randint(0, 3))
+        H = nx_graph(hitting_set_to_split(hs).graph)
+        assert nx.is_chordal(H) and nx.is_chordal(nx.complement(H)), hs
+        assert nx.is_chordal(nx_graph(hitting_set_to_chordal(hs).graph)), hs

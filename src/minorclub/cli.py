@@ -154,7 +154,7 @@ def cmd_club_minor(G, args):
             "disconnected graphs cannot be contracted to finite diameter")
     solver, (kmin, witness) = _atfree_or_oracle(
         G, args, lambda: minimum_contraction(G, args.s),
-        lambda: (oracle_mod.min_club_contraction_oracle(G, args.s, G.n - 1), None))
+        lambda: (len(S := oracle_mod.min_club_contraction_set(G, args.s, G.n - 1)), S))
     return ({"k_min": kmin, "p": G.n - kmin,
              "witness_edges": [list(e) for e in witness] if witness else None},
             solver, {})

@@ -113,69 +113,51 @@ def _end_conditions_ok(d0, d1, ref: int, X, Y) -> bool:
 def _scan_paths(G: Graph, prof: DistanceProfile, k: int, dist: list[list[int]]):
     """Search for a satisfying path of length k >= 3 by trying all ordered
     choices of the first and last edge; ``dist`` is G's distance matrix.
-    Returns (first path with x_0 != u and x_k != v, whether any path was
-    found, first path found that starts at u or ends at v)."""
+
+    Each first edge (x0, x1) grows its reach once, one u-layer per step, up
+    to x_{k-1}'s layer; every last edge (x_{k-1}, x_k) whose x_{k-1} is
+    reached closes a path, traced back through the smallest reached
+    neighbour per layer.  Returns (first path with x_0 != u and x_k != v,
+    whether any path was found, first path found that starts at u or ends
+    at v)."""
     assert k >= 3
     du, dv = prof.dist_u, prof.dist_v
     d = prof.d
+    layers = [0] * (d + 1)
+    for w, t in enumerate(du):
+        layers[t] |= 1 << w
     layered = [(a, b) for a in range(G.n) for b in _iter_bits(G.rows[a])
                if du[b] == du[a] + 1]
-    end_ok = {}
+    # Last edges by x_k's u-layer: x_k must lie on a shortest (u, v)-path.
+    lasts: dict[int, list[Edge]] = {}
+    for xk1, xk in layered:
+        if du[xk] + dv[xk] == d and _end_conditions_ok(dist[xk], dist[xk1], dv[xk],
+                                                       prof.X_u, prof.Y_u):
+            lasts.setdefault(du[xk], []).append((xk1, xk))
     pinned_example = None
     for x0, x1 in layered:
-        if du[x0] + k > d or not _end_conditions_ok(dist[x0], dist[x1], du[x0],
-                                                    prof.X_v, prof.Y_v):
+        if du[x0] + k not in lasts or not _end_conditions_ok(
+                dist[x0], dist[x1], du[x0], prof.X_v, prof.Y_v):
             continue
-        for xk1, xk in layered:
-            if du[xk1] != du[x0] + k - 1 or du[xk] != du[x0] + k:
+        reach = [1 << x1]
+        for layer in layers[du[x1] + 1:du[x1] + k - 1]:
+            nxt = 0
+            for w in _iter_bits(reach[-1]):
+                nxt |= G.rows[w]
+            reach.append(nxt & layer)
+        for xk1, xk in lasts[du[x0] + k]:
+            if not reach[-1] >> xk1 & 1:
                 continue
-            if du[x0] + k + dv[xk] != d:
-                continue
-            if (xk, xk1) not in end_ok:
-                end_ok[(xk, xk1)] = _end_conditions_ok(dist[xk], dist[xk1], dv[xk],
-                                                       prof.X_u, prof.Y_u)
-            if not end_ok[(xk, xk1)]:
-                continue
-            interior = _layered_interior(G, du, x1, xk1, k - 2)
-            if interior is None:
-                continue
-            path = [x0] + interior + [xk]
+            path = [xk, xk1]
+            for t in range(k - 3, -1, -1):
+                path.append(min(_iter_bits(G.rows[path[-1]] & reach[t])))
+            path.append(x0)
+            path.reverse()
             if x0 != prof.u and xk != prof.v:
                 return path, True, pinned_example
             if pinned_example is None:
                 pinned_example = path
     return None, pinned_example is not None, pinned_example
-
-
-def _layered_interior(G: Graph, du, x1: int, xk1: int, steps: int):
-    """A path from x1 to xk1 moving up one u-layer per step, or None."""
-    if steps == 0:
-        return [x1] if x1 == xk1 else None
-    reach = [1 << x1]
-    for t in range(steps):
-        layer = du[x1] + t + 1
-        nxt = 0
-        for w in _iter_bits(reach[-1]):
-            nxt |= G.rows[w]
-        nxt &= _layer_mask(G, du, layer)
-        reach.append(nxt)
-    if not (reach[-1] >> xk1) & 1:
-        return None
-    path = [xk1]
-    cur = xk1
-    for t in range(steps - 1, -1, -1):
-        prev = min(w for w in _iter_bits(G.rows[cur] & reach[t]))
-        path.append(prev)
-        cur = prev
-    return path[::-1]
-
-
-def _layer_mask(G: Graph, du, layer: int) -> int:
-    mask = 0
-    for w in range(G.n):
-        if du[w] == layer:
-            mask |= 1 << w
-    return mask
 
 
 # Decision procedure ------------------------------------------------------
@@ -276,11 +258,14 @@ def _dominating_path_witness(G: Graph, s: int, d: int, dist, table) -> tuple[Edg
 
 
 def _brute_force(G: Graph, k: int, s: int) -> ClubDecision:
-    edges = G.edges()
-    for size in range(1, min(k, len(edges)) + 1):
-        for S in combinations(edges, size):
-            if diameter_at_most(contract_edges(G, S), s):
-                return ClubDecision(True, S)
+    """The first k-edge set, in ``combinations`` order over ``G.edges()``,
+    whose contraction leaves diameter at most s.  Only sets of exactly k
+    edges are tried: every caller passes k = d - s, or d - s + 1 after d - s
+    failed, and one contraction shortens a distance by at most 1, so no
+    smaller set can succeed."""
+    for S in combinations(G.edges(), k):
+        if diameter_at_most(contract_edges(G, S), s):
+            return ClubDecision(True, S)
     return ClubDecision(False)
 
 
@@ -319,13 +304,8 @@ def _pinned_attempt(G: Graph, s: int, k: int, dist_from):
     if any(not G.has_edge(a, b) for a, b in zip(chain, chain[1:])):
         return None
     forced = [tuple(sorted((chain[i], chain[i + 1]))) for i in range(k - 2)]
-    Gq = contract_edges(G, forced)
-    q_edges = Gq.edges()
-    for e, f in combinations(q_edges, 2):
-        if diameter_at_most(contract_edges(Gq, (e, f)), s):
-            lifts = _lift_edges(G, forced, (e, f))
-            return tuple(forced) + lifts
-    return None
+    dec = _brute_force(contract_edges(G, forced), 2, s)
+    return tuple(forced) + _lift_edges(G, forced, dec.witness) if dec.yes else None
 
 
 def _lift_edges(G: Graph, contracted, quotient_edges) -> tuple[Edge, ...]:

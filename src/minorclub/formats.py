@@ -8,10 +8,13 @@ linear in the payload, and the padding bits of the last byte are ignored.
 
 from __future__ import annotations
 
+import re
+
 from .errors import FormatError, ParseError
 from .graph import Graph
 
 FORMATS = ("graph6", "edgelist", "dimacs")
+_TOKEN = re.compile(rb"[^ \t\r\n]+")
 
 
 def parse_graph(data: bytes | str, format: str = "graph6") -> Graph:
@@ -125,20 +128,10 @@ def _emit_graph6(G: Graph) -> bytes:
 
 
 def _tokenize(raw: bytes):
-    """Yield (token, byte_offset) pairs."""
-    tok = bytearray()
-    start = 0
-    for i, byte in enumerate(raw):
-        if byte in b" \t\r\n":
-            if tok:
-                yield tok.decode("ascii", errors="replace"), start
-                tok = bytearray()
-        else:
-            if not tok:
-                start = i
-            tok.append(byte)
-    if tok:
-        yield tok.decode("ascii", errors="replace"), start
+    """Yield (token, byte_offset) pairs; tokens are separated by spaces,
+    tabs, CRs and LFs."""
+    for m in _TOKEN.finditer(raw):
+        yield m.group().decode("ascii", errors="replace"), m.start()
 
 
 def _lines(raw: bytes):

@@ -242,6 +242,8 @@ def contraction_map(G: Graph, S: Iterable[Edge]) -> list[int]:
 
 
 def _quotient(G: Graph, S: Iterable[Edge]) -> tuple[Graph, list[int]]:
+    """``_bag_quotient`` over the components of the spanning subgraph (V, S),
+    found by union-find; each component's root is its smallest vertex."""
     parent = list(range(G.n))
 
     def find(x: int) -> int:
@@ -256,27 +258,31 @@ def _quotient(G: Graph, S: Iterable[Edge]) -> tuple[Graph, list[int]]:
         ru, rv = find(u), find(v)
         if ru != rv:
             parent[max(ru, rv)] = min(ru, rv)
-    groups: dict[int, int] = {}
+    bags: dict[int, int] = {}
     for v in range(G.n):
         r = find(v)
-        groups[r] = groups.get(r, 0) | (1 << v)
-    reps = sorted(groups)
-    label = {r: i for i, r in enumerate(reps)}
-    vmap = [label[find(v)] for v in range(G.n)]
-    k = len(reps)
-    rows = [0] * k
-    union_rows = []
-    for r in reps:
-        acc = 0
-        for v in _iter_bits(groups[r]):
-            acc |= G.rows[v]
-        union_rows.append(acc)
-    for i in range(k):
-        for j in range(i + 1, k):
-            if union_rows[i] & groups[reps[j]]:
-                rows[i] |= 1 << j
-                rows[j] |= 1 << i
-    return Graph(k, tuple(rows)), vmap
+        bags[r] = bags.get(r, 0) | (1 << v)
+    return _bag_quotient(G, list(bags.values()))
+
+
+def _bag_quotient(G: Graph, bags: Sequence[int]) -> tuple[Graph, list[int]]:
+    """The graph with one vertex per bag, bags being disjoint vertex bitmasks
+    that cover V(G) ordered by smallest vertex, and bags i and j adjacent iff
+    some edge of G joins them; returned with vmap[v], the bag holding v."""
+    vmap = [0] * G.n
+    for i, bag in enumerate(bags):
+        for v in _iter_bits(bag):
+            vmap[v] = i
+    rows = []
+    for bag in bags:
+        reach = 0
+        for v in _iter_bits(bag):
+            reach |= G.rows[v]
+        row = 0
+        for w in _iter_bits(reach & ~bag):
+            row |= 1 << vmap[w]
+        rows.append(row)
+    return Graph(len(bags), tuple(rows)), vmap
 
 
 def contract_edge(G: Graph, e: Edge) -> Graph:

@@ -12,9 +12,9 @@ from itertools import combinations
 from typing import Iterator
 
 from .errors import CapacityError, DomainError
-from .graph import (Edge, Graph, _iter_bits, _mask_connected, _quotient,
-                    components, diameter_at_most, induced_subgraph,
-                    max_clique)
+from .graph import (Edge, Graph, _bag_quotient, _iter_bits, _mask_component,
+                    _mask_connected, _quotient, components, diameter_at_most,
+                    induced_subgraph, max_clique)
 from .witness import certify, verify_witness
 
 PARTITION_CAP = 12
@@ -36,19 +36,7 @@ def connected_partitions(G: Graph) -> Iterator[list[tuple[int, ...]]]:
         return
 
     def reconnectable(mask: int, future: int) -> bool:
-        if _mask_connected(G, mask):
-            return True
-        allowed = mask | future
-        start = mask & -mask
-        comp = start
-        frontier = comp
-        while frontier:
-            reach = 0
-            for u in _iter_bits(frontier):
-                reach |= G.rows[u]
-            frontier = reach & allowed & ~comp
-            comp |= frontier
-        return mask & ~comp == 0
+        return _mask_component(G.rows, mask | future) & mask == mask
 
     blocks: list[int] = []
 
@@ -138,44 +126,20 @@ def max_s_club_minor_oracle(G: Graph, s: int, cap: int = PARTITION_CAP) -> int:
     for blocks in connected_partitions(G):
         if len(blocks) <= best:
             continue
-        quotient, _ = _quotient(G, _spanning_edges(G, blocks))
-        if diameter_at_most(quotient, s):
+        masks = [sum(1 << v for v in block) for block in blocks]
+        if diameter_at_most(_bag_quotient(G, masks)[0], s):
             best = len(blocks)
     return best
 
 
-def _spanning_edges(G: Graph, blocks: list[tuple[int, ...]]) -> list[tuple[int, int]]:
-    """A spanning forest of each block, as contractible edges."""
-    out = []
-    for block in blocks:
-        mask = 0
-        for v in block:
-            mask |= 1 << v
-        reached = 1 << block[0]
-        while reached != mask:
-            grown = False
-            for u in _iter_bits(reached):
-                cand = G.rows[u] & mask & ~reached
-                if cand:
-                    v = (cand & -cand).bit_length() - 1
-                    out.append((min(u, v), max(u, v)))
-                    reached |= 1 << v
-                    grown = True
-                    break
-            assert grown, "block is not connected"
-    return out
-
-
-def min_club_contraction_oracle(G: Graph, s: int, k_max: int,
-                                budget: int = SUBSET_BUDGET):
+def min_club_contraction_oracle(G: Graph, s: int, k_max: int):
     """Smallest k <= k_max with some k-edge set S satisfying
     diam(G/S) <= s; None if no such set exists within the bound."""
-    S = min_club_contraction_set(G, s, k_max, budget)
+    S = min_club_contraction_set(G, s, k_max)
     return None if S is None else len(S)
 
 
-def min_club_contraction_set(G: Graph, s: int, k_max: int,
-                             budget: int = SUBSET_BUDGET) -> tuple[Edge, ...] | None:
+def min_club_contraction_set(G: Graph, s: int, k_max: int) -> tuple[Edge, ...] | None:
     """The first smallest edge set S, in ``combinations`` order over
     ``G.edges()``, with diam(G/S) <= s, by increasing-size subset
     enumeration: () when G is already within s, None if no set of at most
@@ -190,10 +154,10 @@ def min_club_contraction_set(G: Graph, s: int, k_max: int,
     total = 0
     for k in range(1, min(k_max, len(edges)) + 1):
         total += math.comb(len(edges), k)
-        if total > budget:
+        if total > SUBSET_BUDGET:
             raise CapacityError(
                 f"subset enumeration up to size {k} needs {total} checks "
-                f"(budget {budget})")
+                f"(budget {SUBSET_BUDGET})")
         for S in combinations(edges, k):
             if diameter_at_most(_quotient(G, S)[0], s):
                 return S
@@ -272,13 +236,14 @@ def nice_structure_oracle(G: Graph, cap: int = PARTITION_CAP) -> tuple[int, tupl
     return max(table, default=0), tuple(table)
 
 
-def chordality(G: Graph, cap: int = DEFAULT_CHORDALITY_CAP) -> int:
+def chordality(G: Graph) -> int:
     """Length of a longest induced cycle; 0 if the graph is acyclic.
 
-    Exponential search over induced paths, intended for n <= cap.
+    Exponential search over induced paths, for n <= DEFAULT_CHORDALITY_CAP.
     """
-    if G.n > cap:
-        raise CapacityError(f"chordality supports at most {cap} vertices, got {G.n}")
+    if G.n > DEFAULT_CHORDALITY_CAP:
+        raise CapacityError(f"chordality supports at most "
+                            f"{DEFAULT_CHORDALITY_CAP} vertices, got {G.n}")
     best = 0
     for s in range(G.n):
         # Search induced cycles whose minimum vertex is s.  A path

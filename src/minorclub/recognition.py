@@ -54,14 +54,11 @@ class Cotree:
                 values.append(node(t.kind, kids))
         return values[0]
 
-    def leaves(self) -> list[int]:
-        return self.fold(lambda v: [v], lambda kind, kids: [v for kid in kids for v in kid])
-
-    def to_graph(self, n: int | None = None) -> Graph:
-        """Rebuild the graph encoded by this cotree (lowest common ancestor
-        of two leaves is a join node iff the vertices are adjacent)."""
-        size = max(self.leaves()) + 1 if n is None else n
-        rows = [0] * size
+    def to_graph(self, n: int) -> Graph:
+        """Rebuild the graph on n vertices encoded by this cotree (lowest
+        common ancestor of two leaves is a join node iff the vertices are
+        adjacent)."""
+        rows = [0] * n
 
         def node(kind: str, masks: list[int]) -> int:
             union = reduce(int.__or__, masks)
@@ -72,7 +69,7 @@ class Cotree:
             return union
 
         self.fold(lambda v: 1 << v, node)
-        return Graph(size, tuple(rows))
+        return Graph(n, tuple(rows))
 
     def to_text(self) -> str:
         def node(kind: str, kids: list[str]) -> str:

@@ -229,11 +229,11 @@ def subdivide_edges(G: Graph) -> Graph:
     return Graph.from_edges(nv, edges)
 
 
-def nae3sat_solve(phi: NaeFormula, cap: int = SOLVER_CAP):
+def nae3sat_solve(phi: NaeFormula):
     """First assignment (as a bool tuple) giving every clause at least one
-    true and one false literal, else None.  Exhaustive, n <= cap."""
-    if phi.n > cap:
-        raise CapacityError(f"solver capped at {cap} variables")
+    true and one false literal, else None.  Exhaustive, n <= SOLVER_CAP."""
+    if phi.n > SOLVER_CAP:
+        raise CapacityError(f"solver capped at {SOLVER_CAP} variables")
     for bits in range(1 << phi.n):
         assign = [(bits >> i) & 1 == 1 for i in range(phi.n)]
         ok = True
@@ -247,10 +247,11 @@ def nae3sat_solve(phi: NaeFormula, cap: int = SOLVER_CAP):
     return None
 
 
-def hitting_set_solve(inst: HittingSetInstance, cap: int = SOLVER_CAP):
-    """Smallest hitting set within the budget, else None.  Exhaustive."""
-    if inst.n > cap:
-        raise CapacityError(f"solver capped at {cap} universe elements")
+def hitting_set_solve(inst: HittingSetInstance):
+    """Smallest hitting set within the budget, else None.  Exhaustive,
+    n <= SOLVER_CAP."""
+    if inst.n > SOLVER_CAP:
+        raise CapacityError(f"solver capped at {SOLVER_CAP} universe elements")
     for size in range(0, inst.k + 1):
         for U in combinations(range(inst.n), size):
             chosen = set(U)

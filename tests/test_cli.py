@@ -9,7 +9,7 @@ import pytest
 
 from minorclub.cli import main
 from minorclub.formats import emit_graph, parse_graph
-from minorclub.graph import Graph, disjoint_union
+from minorclub.graph import Graph, contract_edges, diameter, disjoint_union
 
 from genutil import random_staircase
 
@@ -212,6 +212,17 @@ def test_oracle_above_cap_exits_4(tmp_path, capsys):
 def test_club_dispatch(tmp_path, capsys, argv):
     assert run_json(tmp_path, capsys, argv, P5)["solver"] == "atfree"
     assert run_json(tmp_path, capsys, argv, C6)["solver"] == "oracle"
+
+
+@pytest.mark.parametrize("data, s", [(C6, 2), (P5, 1)])
+def test_club_minor_oracle_reports_its_witness(tmp_path, capsys, data, s):
+    rep = run_json(tmp_path, capsys, ["club-minor", "--s", str(s)], data)
+    assert rep["solver"] == "oracle"
+    edges = [tuple(e) for e in rep["result"]["witness_edges"]]
+    assert len(edges) == rep["result"]["k_min"]
+    G = parse_graph(data, "graph6")
+    assert all(G.has_edge(a, b) for a, b in edges)
+    assert diameter(contract_edges(G, edges)) <= s
 
 
 def test_s_below_two_uses_the_oracle_within_cap(tmp_path, capsys):

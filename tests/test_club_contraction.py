@@ -99,31 +99,98 @@ def test_pinned_instances_have_the_expected_diameters():
     assert diameter(parse_graph(b"GUW?KG", "graph6")) == 5
 
 
-def test_scanned_paths_satisfy_the_definition():
+_SCAN_MAKERS = (random_interval_graph, random_caterpillar, random_permutation_graph)
+
+
+def _scan_graphs():
+    """Connected AT-free interval, caterpillar and permutation graphs with
+    n = 12..40, three per family and size."""
     rng = random.Random(41)
-    makers = (random_interval_graph, random_caterpillar,
-              random_permutation_graph)
-    checked = 0
     for n in range(12, 41, 4):
-        for make in makers:
+        for make in _SCAN_MAKERS:
             for _ in range(3):
                 G = make(n, rng)
-                if not is_connected(G) or is_at_free(G) is not True:
-                    continue
-                u, v = diameter_dominating_pair(G)
-                prof = distance_profile(G, u, v)
-                dist = all_pairs_distances(G)
-                for k in range(3, prof.d + 1):
-                    unpinned, found_any, pinned = _scan_paths(G, prof, k, dist)
-                    paths = [p for p in (unpinned, pinned) if p is not None]
-                    assert found_any == bool(paths)
-                    for Q in paths:
-                        assert len(Q) == k + 1
-                        assert is_satisfying_path(G, prof, Q)
-                        checked += 1
-                    if unpinned is not None:
-                        assert unpinned[0] != u and unpinned[-1] != v
+                if is_connected(G) and is_at_free(G) is True:
+                    yield G
+
+
+def _scan_setup(G: Graph):
+    u, v = diameter_dominating_pair(G)
+    return distance_profile(G, u, v), all_pairs_distances(G)
+
+
+def test_scanned_paths_satisfy_the_definition():
+    checked = 0
+    for G in _scan_graphs():
+        prof, dist = _scan_setup(G)
+        u, v = prof.u, prof.v
+        for k in range(3, prof.d + 1):
+            unpinned, found_any, pinned = _scan_paths(G, prof, k, dist)
+            paths = [p for p in (unpinned, pinned) if p is not None]
+            assert found_any == bool(paths)
+            for Q in paths:
+                assert len(Q) == k + 1
+                assert is_satisfying_path(G, prof, Q)
+                checked += 1
+            if unpinned is not None:
+                assert unpinned[0] != u and unpinned[-1] != v
     assert checked > 600
+
+
+def _per_pair_scan(G: Graph, prof, k: int, dist):
+    """Reference scan: for every ordered (first edge, last edge) pair that
+    meets the end conditions, grow a layered reach from x1 from scratch and
+    trace it back from x_{k-1} through the smallest reached neighbours."""
+    du, dv, d = prof.dist_u, prof.dist_v, prof.d
+
+    def ends_ok(x0, x1, ref, X, Y):
+        d0, d1 = dist[x0], dist[x1]
+        return (all(d0[z] == ref for z in X)
+                and all(d0[z] <= ref or d1[z] <= ref for z in Y))
+
+    layered = [(a, b) for a in range(G.n) for b in G.neighbors(a)
+               if du[b] == du[a] + 1]
+    pinned = None
+    for x0, x1 in layered:
+        if du[x0] + k > d or not ends_ok(x0, x1, du[x0], prof.X_v, prof.Y_v):
+            continue
+        for xk1, xk in layered:
+            if (du[xk1] != du[x0] + k - 1 or du[xk] != du[x0] + k
+                    or du[x0] + k + dv[xk] != d
+                    or not ends_ok(xk, xk1, dv[xk], prof.X_u, prof.Y_u)):
+                continue
+            reach = [{x1}]
+            for _ in range(k - 2):
+                reach.append({w for a in reach[-1] for w in G.neighbors(a)
+                              if du[w] == du[a] + 1})
+            if xk1 not in reach[-1]:
+                continue
+            interior = [xk1]
+            for t in range(k - 3, -1, -1):
+                interior.append(min(w for w in G.neighbors(interior[-1])
+                                    if w in reach[t]))
+            path = [x0] + interior[::-1] + [xk]
+            if x0 != prof.u and xk != prof.v:
+                return path, True, pinned
+            if pinned is None:
+                pinned = path
+    return None, pinned is not None, pinned
+
+
+def test_path_scan_matches_the_per_pair_scan():
+    graphs = list(_scan_graphs())
+    rng = random.Random(43)
+    for _ in range(100):
+        for make in _SCAN_MAKERS:
+            G = make(rng.randint(8, 40), rng)
+            if is_connected(G) and is_at_free(G) is True:
+                graphs.append(G)
+    assert len(graphs) > 250
+    for G in graphs:
+        prof, dist = _scan_setup(G)
+        for k in range(3, prof.d + 1):
+            assert _scan_paths(G, prof, k, dist) == _per_pair_scan(G, prof, k, dist), \
+                (G.rows, k)
 
 
 def test_is_satisfying_path_rejects_non_paths():

@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 
 from minorclub.errors import DomainError
 from minorclub.graph import (Graph, clique_number, complement, components,
-                             contract_edge, contract_edges, diameter,
-                             diameter_at_most, disjoint_union, distances,
+                             contract_edge, contract_edges, contraction_map,
+                             diameter, diameter_at_most, disjoint_union, distances,
                              induced_subgraph,
                              is_bipartite, is_connected, join, max_clique,
                              shortest_path)
@@ -109,6 +109,27 @@ def test_contract_edges_vertex_count_and_order_independence(G, rng):
         H = contract_edge(H, (a, b))
         labels = [lb - 1 if lb > b else (a if lb == b else lb) for lb in labels]
     assert canonical_key(H) == canonical_key(merged)
+
+
+def test_contraction_matches_networkx_quotient_graph():
+    nx = pytest.importorskip("networkx")
+    rng = random.Random(17)
+    for _ in range(300):
+        n = rng.randint(1, 12)
+        G = Graph.from_edges(n, [(i, j) for i in range(n) for j in range(i + 1, n)
+                                 if rng.random() < rng.choice((0.2, 0.4, 0.7))])
+        edges = G.edges()
+        S = rng.sample(edges, rng.randint(0, len(edges)))
+        H, span = nx.empty_graph(n), nx.empty_graph(n)
+        H.add_edges_from(edges)
+        span.add_edges_from(S)
+        # Blocks are labelled by their smallest vertex, in increasing order.
+        Q = nx.quotient_graph(H, list(nx.connected_components(span)))
+        label = {b: i for i, b in enumerate(sorted(Q.nodes, key=min))}
+        want = Graph.from_edges(len(label), [(label[a], label[b]) for a, b in Q.edges])
+        assert contract_edges(G, S) == want, (G.edges(), S)
+        assert contraction_map(G, S) == [label[next(b for b in Q.nodes if v in b)]
+                                         for v in range(n)]
 
 
 def test_forest_contraction_loses_one_vertex_per_edge():

@@ -1,13 +1,15 @@
 from __future__ import annotations
 
 import random
+from itertools import combinations, combinations_with_replacement, product
 
 import pytest
 
 from minorclub.graph import Graph, induced_subgraph, is_bipartite
-from minorclub.oracle import chordality
+from minorclub.oracle import chordality, min_club_contraction_oracle
 from minorclub.reductions import (HittingSetInstance, NaeFormula,
-                                  hitting_set_to_chordal, hitting_set_to_split,
+                                  hitting_set_solve, hitting_set_to_chordal,
+                                  hitting_set_to_split, nae3sat_solve,
                                   nae3sat_to_cobipartite, pendant_lift,
                                   subdivide_edges)
 
@@ -70,3 +72,43 @@ def test_reduction_graphs_lie_in_their_classes():
         H = nx_graph(hitting_set_to_split(hs).graph)
         assert nx.is_chordal(H) and nx.is_chordal(nx.complement(H)), hs
         assert nx.is_chordal(nx_graph(hitting_set_to_chordal(hs).graph)), hs
+
+
+def test_hitting_set_reductions_preserve_the_answer():
+    # Four seeded set systems per (universe size, set count, budget): a
+    # hitting set of size <= k exists iff k contractions reach the target
+    # diameter, on the split graph for s = 2 and the chordal graph for s = 3.
+    rng = random.Random(34)
+    for n, nsets, k in product(range(1, 6), range(1, 4), range(4)):
+        for _ in range(4):
+            inst = HittingSetInstance(
+                n, tuple(rng.sample(range(n), rng.randint(1, n))
+                         for _ in range(nsets)), k)
+            want = hitting_set_solve(inst) is not None
+            for build, s in ((hitting_set_to_split, 2), (hitting_set_to_chordal, 3)):
+                got = min_club_contraction_oracle(build(inst).graph, s, k)
+                assert (got is not None) == want, (inst, s)
+
+
+def test_nae3sat_solve_finds_an_assignment_iff_one_exists():
+    # Every formula with n <= 3 and 1-4 clauses over distinct variables.
+    # Two clauses never rule out all assignments; four can, since each
+    # clause forbids one complementary pair of the 8 assignments.
+    def nae(assign, clause):
+        return len({assign[abs(lit) - 1] == (lit > 0) for lit in clause}) == 2
+
+    unsatisfiable = 0
+    for n in range(1, 4):
+        clauses = [tuple(sign * v for sign, v in zip(signs, vs))
+                   for vs in combinations(range(1, n + 1), 3)
+                   for signs in product((1, -1), repeat=3)]
+        for m in range(1, 5):
+            for cs in combinations_with_replacement(clauses, m):
+                got = nae3sat_solve(NaeFormula(n, cs))
+                exists = any(all(nae(a, c) for c in cs)
+                             for a in product((False, True), repeat=n))
+                assert (got is not None) == exists, cs
+                if got is not None:
+                    assert len(got) == n and all(nae(got, c) for c in cs)
+                unsatisfiable += not exists
+    assert unsatisfiable == 16

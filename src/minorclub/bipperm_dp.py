@@ -55,7 +55,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 
 from .errors import DomainError
-from .graph import Edge, Graph, components
+from .graph import Edge, Graph, _iter_bits, _mask_components
 from .recognition import StrongOrdering, strong_ordering
 from .witness import certify, verify_witness
 
@@ -327,44 +327,34 @@ class BippermHadwiger:
 def hadwiger_bipperm(G: Graph, with_details: bool = False):
     """Largest complete minor of a bipartite permutation graph.
 
-    Per connected component the answer is the best of: a clique-matching
-    (no singleton bags); one singleton u plus a clique-matching of the
-    subgraph on (u's side minus u) together with u's neighbors; two adjacent
-    singletons u, v plus a clique-matching among their other neighbors.
-    Each clique-matching is solved on G's interval table clipped to its
-    vertex set.  The winning bag family is verified as a complete-minor
-    witness.
+    Per connected component the answer is a set T of singleton bags (none,
+    one vertex, or the two ends of an edge) plus a clique-matching among
+    the component's vertices near every t in T, near(t) being t's side
+    without t together with t's neighbors.  For an edge ab that leaves
+    exactly the neighbors of a or b other than a and b.  One loop tries
+    T = (), then each (u,), then each edge (a, b) with a < b, component by
+    component, and keeps the first strictly larger candidate.  Each
+    clique-matching is solved on G's interval table clipped to its vertex
+    set.  The winning bag family is verified as a complete-minor witness.
     """
     ordering, table = _interval_table(G)
     side1 = sum(1 << w for w in ordering.side1)
 
-    def matching(keep: int):
-        return _solve(G, *_clip(ordering.order2, table, keep))
+    def near(t: int) -> int:
+        side = side1 if side1 >> t & 1 else ~side1
+        return side & ~(1 << t) | G.rows[t]
 
     best = BippermHadwiger(0, 0, (), ())
-    for comp in components(G):
-        if len(comp) == 1:
-            cand = BippermHadwiger(1, 1, (comp[0],), ())
-            if cand.h > best.h:
-                best = cand
-            continue
-        mask = sum(1 << v for v in comp)
-        size, edges = matching(mask)
-        cand = BippermHadwiger(size, 0, (), edges)
-        for u in comp:
-            mine = mask & (side1 if side1 >> u & 1 else ~side1)
-            sz, edges = matching(mine & ~(1 << u) | G.rows[u])
-            if 1 + sz > cand.h:
-                cand = BippermHadwiger(1 + sz, 1, (u,), edges)
-        for a in comp:
-            for b in G.neighbors(a):
-                if b < a:
-                    continue
-                sz, edges = matching((G.rows[a] | G.rows[b]) & ~(1 << a | 1 << b))
-                if 2 + sz > cand.h:
-                    cand = BippermHadwiger(2 + sz, 2, (a, b), edges)
-        if cand.h > best.h:
-            best = cand
+    for comp in _mask_components(G.rows, (1 << G.n) - 1):
+        singles = [()] + [(u,) for u in _iter_bits(comp)] + [
+            (a, b) for a in _iter_bits(comp) for b in _iter_bits(G.rows[a] >> a << a)]
+        for T in singles:
+            keep = comp
+            for t in T:
+                keep &= near(t)
+            size, edges = _solve(G, *_clip(ordering.order2, table, keep))
+            if len(T) + size > best.h:
+                best = BippermHadwiger(len(T) + size, len(T), T, edges)
     bags = best.bags()
     certify(len(bags) == best.h and verify_witness(G, bags),
             f"bags {bags} are not a complete minor of size {best.h}")

@@ -21,9 +21,9 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .errors import DomainError
-from .graph import (Edge, Graph, _bfs, _iter_bits, _matrix_diameter,
-                    all_pairs_distances, contract_edges, contraction_map,
-                    diameter_at_most, shortest_path)
+from .graph import (Edge, Graph, _bfs, _iter_bits, _layers,
+                    _matrix_diameter, all_pairs_distances, contract_edges,
+                    contraction_map, diameter_at_most, shortest_path)
 from .recognition import AvoidingComponents, _dominating_diametral_pair
 from .witness import certify
 
@@ -123,9 +123,7 @@ def _scan_paths(G: Graph, prof: DistanceProfile, k: int, dist: list[list[int]]):
     assert k >= 3
     du, dv = prof.dist_u, prof.dist_v
     d = prof.d
-    layers = [0] * (d + 1)
-    for w, t in enumerate(du):
-        layers[t] |= 1 << w
+    layers = _layers(G, prof.u)
     layered = [(a, b) for a in range(G.n) for b in _iter_bits(G.rows[a])
                if du[b] == du[a] + 1]
     # Last edges by x_k's u-layer: x_k must lie on a shortest (u, v)-path.

@@ -206,7 +206,6 @@ def _parse_dimacs(raw: bytes) -> Graph:
 def _build(n: int, pairs: list[tuple[int, int]], one_based: bool) -> Graph:
     shift = 1 if one_based else 0
     rows = [0] * n
-    seen = set()
     for k in range(0, len(pairs), 2):
         (u, off_u), (v, off_v) = pairs[k], pairs[k + 1]
         u -= shift
@@ -216,10 +215,8 @@ def _build(n: int, pairs: list[tuple[int, int]], one_based: bool) -> Graph:
         for w, off in ((u, off_u), (v, off_v)):
             if not 0 <= w < n:
                 raise FormatError(f"vertex {w + shift} out of range for n={n}")
-        key = (min(u, v), max(u, v))
-        if key in seen:
+        if rows[u] >> v & 1:
             raise ParseError(f"duplicate edge ({u + shift},{v + shift})", off_u)
-        seen.add(key)
         rows[u] |= 1 << v
         rows[v] |= 1 << u
     return Graph(n, tuple(rows))

@@ -93,9 +93,6 @@ class Graph:
     def m(self) -> int:
         return sum(r.bit_count() for r in self.rows) // 2
 
-    def vertices(self) -> range:
-        return range(self.n)
-
 
 def complement(G: Graph) -> Graph:
     full = (1 << G.n) - 1
@@ -146,6 +143,21 @@ def _bfs(G: Graph, source: int) -> list[int]:
         seen |= frontier
         d += 1
     return dist
+
+
+def _layers(G: Graph, source: int) -> list[int]:
+    """Breadth-first layers from source as vertex masks: layer t holds the
+    vertices at distance t."""
+    layers = []
+    seen = frontier = 1 << source
+    while frontier:
+        layers.append(frontier)
+        reach = 0
+        for u in _iter_bits(frontier):
+            reach |= G.rows[u]
+        frontier = reach & ~seen
+        seen |= frontier
+    return layers
 
 
 def distances(G: Graph, u: int) -> list[int | float]:
@@ -319,40 +331,37 @@ def clique_number(G: Graph) -> int:
 def is_bipartite(G: Graph) -> tuple[list[int], list[int]] | None:
     """A bipartition (sides sorted, first side holds the smaller-labelled
     vertex of each component) if G is bipartite, else None.  Isolated
-    vertices are placed in the second side."""
-    color = [-1] * G.n
+    vertices are placed in the second side.
+
+    Each component is layered breadth-first from its smallest vertex; the
+    even layers go to the first side and the odd layers to the second, and
+    G is bipartite iff no layer holds an edge."""
+    sides = [0, 0]
     for start in range(G.n):
-        if color[start] != -1:
+        if (sides[0] | sides[1]) >> start & 1:
             continue
-        if G.rows[start] == 0:
-            color[start] = 1
+        if not G.rows[start]:
+            sides[1] |= 1 << start
             continue
-        color[start] = 0
-        queue = [start]
-        while queue:
-            u = queue.pop(0)
-            for v in _iter_bits(G.rows[u]):
-                if color[v] == -1:
-                    color[v] = 1 - color[u]
-                    queue.append(v)
-                elif color[v] == color[u]:
-                    return None
-    side0 = [v for v in range(G.n) if color[v] == 0]
-    side1 = [v for v in range(G.n) if color[v] == 1]
-    return side0, side1
+        for depth, layer in enumerate(_layers(G, start)):
+            if any(G.rows[u] & layer for u in _iter_bits(layer)):
+                return None
+            sides[depth % 2] |= layer
+    return list(_iter_bits(sides[0])), list(_iter_bits(sides[1]))
 
 
 def shortest_path(G: Graph, u: int, v: int) -> list[int] | None:
-    """A lexicographically smallest shortest (u, v)-path, or None."""
-    dist = _bfs(G, u)
-    if dist[v] < 0:
+    """A lexicographically smallest shortest (u, v)-path, or None: back from
+    v through the breadth-first layers from u, taking the lowest neighbour in
+    each previous layer."""
+    layers = _layers(G, u)
+    depth = next((t for t, layer in enumerate(layers) if layer >> v & 1), None)
+    if depth is None:
         return None
     path = [v]
-    cur = v
-    while cur != u:
-        prev = min(w for w in _iter_bits(G.rows[cur]) if dist[w] == dist[cur] - 1)
-        path.append(prev)
-        cur = prev
+    for layer in reversed(layers[:depth]):
+        back = G.rows[path[-1]] & layer
+        path.append((back & -back).bit_length() - 1)
     return path[::-1]
 
 

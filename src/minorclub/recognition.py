@@ -17,9 +17,9 @@ from dataclasses import dataclass
 from functools import reduce
 
 from .errors import DomainError
-from .graph import (Graph, _bfs, _iter_bits, _mask_components,
+from .graph import (Graph, _iter_bits, _layers, _mask_components,
                     _matrix_diameter, all_pairs_distances, complement,
-                    components, induced_subgraph, is_bipartite)
+                    induced_subgraph, is_bipartite)
 
 
 # Cotrees ----------------------------------------------------------------
@@ -122,8 +122,6 @@ def find_induced_p4(G: Graph):
     scan order, or None when G is a cograph."""
     for b in range(G.n):
         for c in _iter_bits(G.rows[b]):
-            if b == c:
-                continue
             a_cands = G.rows[b] & ~G.rows[c] & ~(1 << c)
             d_cands = G.rows[c] & ~G.rows[b] & ~(1 << b)
             for a in _iter_bits(a_cands):
@@ -182,19 +180,19 @@ def strong_ordering(G: Graph) -> StrongOrdering | None:
     """A verified strong ordering if G is a bipartite permutation graph,
     else None.
 
-    Each component with an edge is ordered by BFS layers from an end
-    vertex, found by a double sweep: BFS from the component's smallest
+    Each component with an edge is ordered by breadth-first layers from an
+    end vertex, found by one sweep: layer the component from its smallest
     vertex, then take the minimum-degree vertex of the last layer (lower
     label on ties).  Read a strong ordering as a staircase, in which the
     neighborhood intervals move monotonically along both sides.  From an end
-    vertex of a staircase, the BFS layers are consecutive blocks that
-    alternate between the sides.  Inside a block the staircase order follows
-    the first neighbor in the previous block, and vertices with the same
-    first neighbor differ only in how far their interval reaches, so they
-    follow degree.  Hence each layer is sorted by (position of its first
-    neighbor in the previous layer, degree, label); the even layers form
-    ``side1`` and the odd layers ``order2``.  Isolated vertices go last in
-    ``order2``.
+    vertex of a staircase, the layers are consecutive blocks that alternate
+    between the sides.  Inside a block the staircase order follows the first
+    neighbor in the previous block, and vertices with the same first
+    neighbor differ only in how far their interval reaches, so they follow
+    degree.  Hence each layer is sorted by (position of its first neighbor
+    in the previous layer, degree, label); the even layers form ``side1``
+    and the odd layers ``order2``.  Isolated vertices go last in ``order2``.
+    A layer that holds an edge shows an odd cycle, and the result is None.
 
     There is no search and no size cap: a single verify_ordering call on
     the whole graph decides the result, so a returned ordering is always
@@ -202,28 +200,27 @@ def strong_ordering(G: Graph) -> StrongOrdering | None:
     the tests confirm this against exhaustive search on every graph with at
     most 7 vertices and against bipartite AT-freeness on larger ones.
     """
-    if is_bipartite(G) is None:
-        return None
     side1: list[int] = []
     order2: list[int] = []
     isolated: list[int] = []
-    for comp in components(G):
-        if len(comp) == 1:
-            isolated.append(comp[0])
+    seen = 0
+    for start in range(G.n):
+        if seen >> start & 1:
             continue
-        sweep = _bfs(G, comp[0])
-        far = max(sweep[v] for v in comp)
-        end = min((v for v in comp if sweep[v] == far), key=lambda v: (G.degree(v), v))
-        dist = _bfs(G, end)
-        layers: list[list[int]] = [[] for _ in range(max(dist[v] for v in comp) + 1)]
-        for v in comp:
-            layers[dist[v]].append(v)
+        if not G.rows[start]:
+            isolated.append(start)
+            continue
+        end = min(_iter_bits(_layers(G, start)[-1]), key=lambda v: (G.degree(v), v))
+        layers = _layers(G, end)
+        seen |= reduce(int.__or__, layers)
         pos = {end: 0}
         side1.append(end)
         for depth in range(1, len(layers)):
-            layer = sorted(layers[depth], key=lambda v: (
-                min(pos[w] for w in G.neighbors(v) if dist[w] == depth - 1),
-                G.degree(v), v))
+            prev, here = layers[depth - 1], layers[depth]
+            if any(G.rows[v] & here for v in _iter_bits(here)):
+                return None
+            layer = sorted(_iter_bits(here), key=lambda v: (
+                min(pos[w] for w in _iter_bits(G.rows[v] & prev)), G.degree(v), v))
             pos.update((v, i) for i, v in enumerate(layer))
             (order2 if depth % 2 else side1).extend(layer)
     ordering = StrongOrdering(tuple(side1), tuple(order2 + isolated))

@@ -67,14 +67,23 @@ class HittingSetInstance:
 @dataclass(frozen=True)
 class ReductionInstance:
     """A generated hard instance: the graph, the contraction budget, a
-    human-readable target, role labels for every constructed vertex, and the
-    source object for round-trip checks."""
+    human-readable target, and role labels for every constructed vertex."""
 
     graph: Graph
     k: int
     target: str
     labels: dict[str, int] = field(default_factory=dict)
-    source: object = None
+
+
+def _add_vertex(rows: list[int], labels: dict[str, int], label: str, nbrs: int) -> int:
+    """Append a vertex named ``label`` adjacent to the earlier vertices in
+    the mask ``nbrs``; returns its number."""
+    v = len(rows)
+    for w in _iter_bits(nbrs):
+        rows[w] |= 1 << v
+    rows.append(nbrs)
+    labels[label] = v
+    return v
 
 
 def nae3sat_to_cobipartite(phi: NaeFormula) -> ReductionInstance:
@@ -90,41 +99,27 @@ def nae3sat_to_cobipartite(phi: NaeFormula) -> ReductionInstance:
     if n < 1:
         raise DomainError("formula needs at least one variable")
     copies = 4 * n - 3
+    rows: list[int] = []
     labels: dict[str, int] = {}
     for i in range(1, n + 1):
-        labels[f"literal:+{i}"] = 2 * (i - 1)
-        labels[f"literal:-{i}"] = 2 * (i - 1) + 1
-    nv = 2 * n
-    for j in range(m):
-        for p in range(copies):
-            labels[f"clause:{j}:{p}"] = nv
-            nv += 1
-    for i in range(1, n + 1):
-        for p in range(copies):
-            labels[f"dummy:{i}:{p}"] = nv
-            nv += 1
-    x_clique = list(range(2 * n))
-    rest = list(range(2 * n, nv))
-    edges = set()
-    for group in (x_clique, rest):
-        edges.update((a, b) for a, b in combinations(group, 2))
+        for sign in "+-":
+            _add_vertex(rows, labels, f"literal:{sign}{i}", (1 << len(rows)) - 1)
+    rest = 0  # the clause copies and dummies so far, which form a clique
     for j, clause in enumerate(phi.clauses):
-        for lit in clause:
-            lv = labels[f"literal:{'+' if lit > 0 else '-'}{abs(lit)}"]
-            for p in range(copies):
-                cv = labels[f"clause:{j}:{p}"]
-                edges.add((min(lv, cv), max(lv, cv)))
+        lits = 0
+        for lit in clause:  # literal +i is vertex 2i - 2, literal -i is 2i - 1
+            lits |= 1 << (2 * abs(lit) - 2 + (lit < 0))
+        for p in range(copies):
+            rest |= 1 << _add_vertex(rows, labels, f"clause:{j}:{p}", lits | rest)
     for i in range(1, n + 1):
         for p in range(copies):
-            dv = labels[f"dummy:{i}:{p}"]
-            edges.add((labels[f"literal:+{i}"], dv))
-            edges.add((labels[f"literal:-{i}"], dv))
-    G = Graph.from_edges(nv, edges)
+            rest |= 1 << _add_vertex(rows, labels, f"dummy:{i}:{p}",
+                                     3 << (2 * i - 2) | rest)
+    G = Graph(len(rows), tuple(rows))
     N = copies * (n + m)
-    certify(is_cobipartite(G) and N == nv - 2 * n,
+    certify(is_cobipartite(G) and N == G.n - 2 * n,
             "NAE-3SAT reduction graph is not co-bipartite on 2n + N vertices")
-    return ReductionInstance(G, 2 * n - 2, f"complete graph on {N + 2} vertices",
-                             labels, phi)
+    return ReductionInstance(G, 2 * n - 2, f"complete graph on {N + 2} vertices", labels)
 
 
 def hitting_set_to_split(inst: HittingSetInstance) -> ReductionInstance:
@@ -136,7 +131,7 @@ def hitting_set_to_split(inst: HittingSetInstance) -> ReductionInstance:
     off the hub."""
     G, labels = _hitting_core(inst)
     certify(is_split(G), "hitting-set reduction graph is not split")
-    return ReductionInstance(G, inst.k, "diameter at most 2", labels, inst)
+    return ReductionInstance(G, inst.k, "diameter at most 2", labels)
 
 
 def hitting_set_to_chordal(inst: HittingSetInstance) -> ReductionInstance:
@@ -144,44 +139,30 @@ def hitting_set_to_chordal(inst: HittingSetInstance) -> ReductionInstance:
     down behind a clique of 2k+1 middle vertices."""
     G, labels = _hitting_core(inst, chordal_variant=True)
     certify(_is_chordal(G), "hitting-set reduction graph is not chordal")
-    return ReductionInstance(G, inst.k, "diameter at most 3", labels, inst)
+    return ReductionInstance(G, inst.k, "diameter at most 3", labels)
 
 
 def _hitting_core(inst: HittingSetInstance, chordal_variant: bool = False):
-    n, k = inst.n, inst.k
-    copies = 2 * k + 1
-    labels: dict[str, int] = {f"universe:{i}": i for i in range(n)}
-    nv = n
-    for j in range(len(inst.sets)):
-        for p in range(copies):
-            labels[f"set:{j}:{p}"] = nv
-            nv += 1
-    labels["hub"] = nv
-    hub = nv
-    nv += 1
-    edges = set((a, b) for a, b in combinations(range(n), 2))
-    edges.update((i, hub) for i in range(n))
+    copies = 2 * inst.k + 1
+    rows: list[int] = []
+    labels: dict[str, int] = {}
+    for i in range(inst.n):
+        _add_vertex(rows, labels, f"universe:{i}", (1 << i) - 1)
     for j, S in enumerate(inst.sets):
+        members = sum(1 << i for i in S)
         for p in range(copies):
-            cv = labels[f"set:{j}:{p}"]
-            edges.update((min(i, cv), max(i, cv)) for i in S)
+            _add_vertex(rows, labels, f"set:{j}:{p}", members)
+    hub = _add_vertex(rows, labels, "hub", (1 << inst.n) - 1)
     if not chordal_variant:
         for p in range(copies):
-            labels[f"pendant:{p}"] = nv
-            edges.add((hub, nv))
-            nv += 1
+            _add_vertex(rows, labels, f"pendant:{p}", 1 << hub)
     else:
-        mids = []
+        mids = 1 << hub  # the middle vertices and the hub form a clique
         for p in range(copies):
-            labels[f"mid:{p}"] = nv
-            mids.append(nv)
-            nv += 1
-        edges.update((min(a, b), max(a, b)) for a, b in combinations(mids + [hub], 2))
+            mids |= 1 << _add_vertex(rows, labels, f"mid:{p}", mids)
         for p in range(copies):
-            labels[f"pendant:{p}"] = nv
-            edges.add((mids[p], nv))
-            nv += 1
-    return Graph.from_edges(nv, edges), labels
+            _add_vertex(rows, labels, f"pendant:{p}", 1 << (hub + 1 + p))
+    return Graph(len(rows), tuple(rows)), labels
 
 
 def _is_chordal(G: Graph) -> bool:

@@ -9,12 +9,15 @@ import pytest
 
 from minorclub.cli import main
 from minorclub.formats import emit_graph, parse_graph
-from minorclub.graph import Graph, contract_edges, diameter, disjoint_union
+from minorclub.graph import (Graph, contract_edges, diameter, disjoint_union,
+                             induced_subgraph, is_connected)
 
 from genutil import random_staircase
 
 P5 = b"DhC"
+C5 = b"Dhc"
 C6 = b"EhEG"
+C13 = b"LhCGGC@?G?_@_@"
 CNF = b"p cnf 3 2\n1 2 -3 0\n-1 2 3 0\n"
 SETS = b"4 2\n0 1\n2 3\n"
 
@@ -60,7 +63,9 @@ def run_json(tmp_path, capsys, argv, data: bytes) -> dict:
 
 def test_fixture_graphs():
     assert parse_graph(P5, "graph6") == Graph.path(5)
+    assert parse_graph(C5, "graph6") == Graph.cycle(5)
     assert parse_graph(C6, "graph6") == Graph.cycle(6)
+    assert parse_graph(C13, "graph6") == Graph.cycle(13)
 
 
 @pytest.mark.parametrize("argv, data, command", [
@@ -168,6 +173,8 @@ def test_malformed_graph6_exits_2(tmp_path, capsys, data):
     (["club-contract", "--s", "2", "--k", "1", "--cap", "5"], C6),
     (["club-minor", "--s", "2", "--cap", "5"], C6),
     (["hadwiger", "--method", "cograph"], P5),
+    (["hadwiger", "--method", "bipperm"], C5),
+    (["hadwiger"], C13),
 ])
 def test_no_applicable_method_exits_3(tmp_path, capsys, argv, data):
     code, out, err = run(tmp_path, capsys, argv, data)
@@ -201,8 +208,23 @@ def test_failed_certificate_exits_5(tmp_path, capsys, monkeypatch, argv, data,
 
 
 def test_oracle_above_cap_exits_4(tmp_path, capsys):
-    code, out, err = run(tmp_path, capsys, ["oracle", "hadwiger", "--cap", "4"], P5)
-    assert code == 4 and out == "" and "capacity exceeded" in err
+    for argv, data in ((["oracle", "hadwiger", "--cap", "4"], P5),
+                       (["hadwiger", "--method", "oracle", "--cap", "4"], C5)):
+        code, out, err = run(tmp_path, capsys, argv, data)
+        assert code == 4 and out == "" and "capacity exceeded" in err
+
+
+def test_hadwiger_falls_back_to_the_oracle(tmp_path, capsys):
+    # C5 is neither a cograph nor a bipartite permutation graph.
+    rep = run_json(tmp_path, capsys, ["hadwiger"], C5)
+    assert rep["solver"] == "oracle" and rep["result"]["h"] == 3
+    G = parse_graph(C5, "graph6")
+    bags = [set(b) for b in rep["result"]["witness_bags"]]
+    assert len(bags) == 3 and sum(map(len, bags)) == len(set().union(*bags))
+    assert all(bag and is_connected(induced_subgraph(G, bag)) for bag in bags)
+    for i, a in enumerate(bags):
+        for b in bags[i + 1:]:
+            assert any(G.has_edge(x, y) for x in a for y in b)
 
 
 @pytest.mark.parametrize("argv", [
@@ -284,11 +306,37 @@ def test_disconnected_club_contract_says_no(tmp_path, capsys, data):
     (["reduce", "nae3sat"], b"c three variables\np cnf 3\n1 2 3 0\n", 18),
     (["reduce", "hitting-set", "--k", "1"], b"\n3\n0 1\n", 1),
     (["reduce", "hitting-set", "--k", "1"], b"3 2\n0 1\n", 2),
+    (["hadwiger", "--format", "edgelist"], b"3\n", 0),
+    (["hadwiger", "--format", "edgelist"], b"-3 1\n0 1\n", 0),
+    (["hadwiger", "--format", "dimacs"], b"p edge 3\ne 1 2\n", 0),
+    (["hadwiger", "--format", "dimacs"], b"p edge 3 1\ne 1 2 3\n", 11),
+    (["hadwiger", "--format", "dimacs"], b"p edge 3 1\nx 1 2\n", 11),
+    (["hadwiger", "--format", "dimacs"], b"c only a comment\n", 0),
+    (["hadwiger"], b"~?", 2),
 ])
 def test_malformed_text_input_exits_2_with_offset(tmp_path, capsys, argv, data, offset):
     code, out, err = run(tmp_path, capsys, argv, data)
     assert code == 2 and out == "" and err.startswith("input error: ")
     assert err.endswith(f"(byte offset {offset})\n")
+
+
+@pytest.mark.parametrize("construction, data", [("hitting-set", SETS), ("lift", P5)])
+def test_reduce_without_k_exits_2(tmp_path, capsys, construction, data):
+    code, out, err = run(tmp_path, capsys, ["reduce", construction], data)
+    assert code == 2 and out == "" and err.startswith("input error: ")
+    assert "needs --k" in err
+
+
+def test_reduce_out_writes_the_graph_and_its_metadata(tmp_path, capsys):
+    path = tmp_path / "nae.g6"
+    rep = run_json(tmp_path, capsys, ["reduce", "nae3sat", "--out", str(path)], CNF)
+    assert path.read_text() == rep["result"]["graph6"] + "\n"
+    meta = json.loads((tmp_path / "nae.g6.json").read_text())
+    assert meta == {key: rep["result"][key] for key in ("k", "target", "role_labels")}
+    path = tmp_path / "sub.g6"
+    rep = run_json(tmp_path, capsys, ["reduce", "subdivide", "--out", str(path)], P5)
+    assert path.read_text() == rep["result"]["graph6"] + "\n"
+    assert not (tmp_path / "sub.g6.json").exists()
 
 
 def test_unreadable_input_exits_2(tmp_path, capsys):

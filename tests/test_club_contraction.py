@@ -94,6 +94,33 @@ def test_pinned_branches_beyond_the_exhaustive_sweep(monkeypatch, g6, step):
             _check_witness(G, dec.witness, k, s)
 
 
+# AT-free graphs with d = 5 whose tight budget d - s = 3 fails: the first
+# has no satisfying path of length 3, the second has only pinned ones, and
+# neither pinned attempt succeeds.  Budget 4 then succeeds through one
+# guessed contraction.
+@pytest.mark.parametrize("g6, found_any", [("ItLwO?B?G", False), ("IgKWWKA@W", True)])
+def test_tight_no_answers_beyond_the_exhaustive_sweep(monkeypatch, g6, found_any):
+    G = parse_graph(g6.encode(), "graph6")
+    s, d = 2, 5
+    assert is_at_free(G) is True and G.n == 10 and diameter(G) == d
+    k_min = min_club_contraction_oracle(G, s, G.n)
+    assert k_min == 4
+    scans = _spy(monkeypatch, "_scan_paths")
+    pinned = _spy(monkeypatch, "_pinned_attempt")
+    extra = _spy(monkeypatch, "_one_extra_contraction")
+    dec = s_club_contract_decide(G, d - s, s)
+    assert not dec.yes and dec.witness is None
+    assert [scan[1] for scan in scans] == [found_any]
+    assert pinned == ([None, None] if found_any else [])
+    assert extra == []
+    for k in range(0, d - s + 3):
+        dec = s_club_contract_decide(G, k, s)
+        assert dec.yes == (k >= k_min)
+        if dec.yes:
+            _check_witness(G, dec.witness, k, s)
+    assert len(extra) == 1 and extra[0] is not None
+
+
 def test_pinned_instances_have_the_expected_diameters():
     assert diameter(parse_graph(b"GQr@Og", "graph6")) == 4
     assert diameter(parse_graph(b"GUW?KG", "graph6")) == 5

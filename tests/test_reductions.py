@@ -7,13 +7,20 @@ import pytest
 
 from minorclub.graph import Graph, induced_subgraph, is_bipartite
 from minorclub.oracle import chordality, min_club_contraction_oracle
-from minorclub.reductions import (HittingSetInstance, NaeFormula,
+from minorclub.reductions import (HittingSetInstance, NaeFormula, _is_chordal,
                                   hitting_set_solve, hitting_set_to_chordal,
                                   hitting_set_to_split, nae3sat_solve,
                                   nae3sat_to_cobipartite, pendant_lift,
                                   subdivide_edges)
 
-from genutil import all_graphs, random_chordal
+from genutil import all_graphs, is_chordal_peo, random_chordal
+
+
+def _nx_graph(nx, G: Graph):
+    H = nx.Graph()
+    H.add_nodes_from(range(G.n))
+    H.add_edges_from(G.edges())
+    return H
 
 
 def test_pendant_lift_adds_k_plus_one_leaves_per_vertex_and_keeps_chordality():
@@ -51,27 +58,21 @@ def test_reduction_graphs_lie_in_their_classes():
     # with a chordal complement (Foldes & Hammer 1977).
     nx = pytest.importorskip("networkx")
 
-    def nx_graph(G):
-        H = nx.Graph()
-        H.add_nodes_from(range(G.n))
-        H.add_edges_from(G.edges())
-        return H
-
     rng = random.Random(33)
     for _ in range(100):
         n = rng.randint(3, 4)
         clauses = tuple(tuple(rng.choice((1, -1)) * v
                               for v in rng.sample(range(1, n + 1), 3))
                         for _ in range(rng.randint(1, 3)))
-        H = nx_graph(nae3sat_to_cobipartite(NaeFormula(n, clauses)).graph)
+        H = _nx_graph(nx, nae3sat_to_cobipartite(NaeFormula(n, clauses)).graph)
         assert nx.is_bipartite(nx.complement(H)), clauses
         u = rng.randint(1, 6)
         hs = HittingSetInstance(
             u, tuple(rng.sample(range(u), rng.randint(1, u))
                      for _ in range(rng.randint(1, 4))), rng.randint(0, 3))
-        H = nx_graph(hitting_set_to_split(hs).graph)
+        H = _nx_graph(nx, hitting_set_to_split(hs).graph)
         assert nx.is_chordal(H) and nx.is_chordal(nx.complement(H)), hs
-        assert nx.is_chordal(nx_graph(hitting_set_to_chordal(hs).graph)), hs
+        assert nx.is_chordal(_nx_graph(nx, hitting_set_to_chordal(hs).graph)), hs
 
 
 def test_hitting_set_reductions_preserve_the_answer():
@@ -112,3 +113,21 @@ def test_nae3sat_solve_finds_an_assignment_iff_one_exists():
                     assert len(got) == n and all(nae(got, c) for c in cs)
                 unsatisfiable += not exists
     assert unsatisfiable == 16
+
+
+def test_is_chordal_matches_two_independent_tests():
+    # Random chordal graphs, and G(n, p) graphs of which many are not.
+    nx = pytest.importorskip("networkx")
+    rng = random.Random(35)
+    answers = []
+    for _ in range(400):
+        n = rng.randint(1, 12)
+        if rng.random() < 0.3:
+            G = random_chordal(n, rng)
+        else:
+            p = rng.random()
+            G = Graph.from_edges(n, [e for e in combinations(range(n), 2) if rng.random() < p])
+        want = is_chordal_peo(G)
+        assert _is_chordal(G) == want == nx.is_chordal(_nx_graph(nx, G)), G.edges()
+        answers.append(want)
+    assert 50 < answers.count(False) < 350

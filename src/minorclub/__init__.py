@@ -1,9 +1,8 @@
 """Exact clique-minor and bounded-diameter-minor algorithms on structured
 graph classes, certified by brute-force oracles on small graphs."""
 
-from .errors import (CapacityError, DomainError, FormatError,
-                     InvalidStructureError, MethodError, MinorclubError,
-                     ParseError)
+from .errors import (CapacityError, DomainError, InvalidStructureError,
+                     MinorclubError, ParseError)
 from .graph import (Graph, clique_number, complement, components,
                     contract_edge, contract_edges, diameter, disjoint_union,
                     distances, induced_subgraph, is_connected, join,

@@ -8,12 +8,13 @@ machine-readable report that is byte-identical across runs on identical
 input; timing is shown only in the human-readable output so reports stay
 deterministic.
 
-Exit codes: 0 success, 2 unreadable or malformed input (with its byte offset
-where one applies), 3 no applicable method or problem precondition violated,
-such as a negative budget --k, 4 a brute-force oracle's size cap exceeded
-(the polynomial solvers and their recognizers have no caps), 5 internal
-error: a solver's output failed its certificate check; stderr then names the
-command and the input's SHA-256.
+Exit codes: 0 success, 2 unreadable or malformed input (malformed input bytes
+always name their byte offset; a missing --k for `reduce hitting-set` or
+`reduce lift` exits 2 without one), 3 no applicable method or problem
+precondition violated, such as a negative budget --k, 4 a brute-force
+oracle's size cap exceeded (the polynomial solvers and their recognizers have
+no caps), 5 internal error: a solver's output failed its certificate check;
+stderr then names the command and the input's SHA-256.
 
 recognize reports every class, chordal-bipartite included, at any size.
 club-contract and club-minor run the AT-free solver when s >= 2 and the graph
@@ -36,16 +37,16 @@ from .bipperm_dp import hadwiger_bipperm, max_clique_matching
 from .club_contraction import (ClubDecision, minimum_contraction,
                                s_club_contract_decide)
 from .cograph_dp import cograph_cr_table
-from .errors import (CapacityError, DomainError, FormatError,
-                     InvalidStructureError, MethodError, ParseError)
-from .formats import FORMATS, emit_graph, parse_graph
-from .graph import components, is_connected
+from .errors import (CapacityError, DomainError, InvalidStructureError,
+                     ParseError)
+from .formats import (FORMATS, emit_graph, parse_dimacs_cnf, parse_graph,
+                      parse_set_system)
+from .graph import is_connected
 from .recognition import (Cotree, is_at_free, is_chordal_bipartite,
                           is_cobipartite, is_split, recognize_cograph,
                           strong_ordering)
 from .reductions import (hitting_set_to_chordal, hitting_set_to_split,
-                         nae3sat_to_cobipartite, parse_dimacs_cnf,
-                         parse_set_system, pendant_lift, subdivide_edges)
+                         nae3sat_to_cobipartite, pendant_lift, subdivide_edges)
 from .witness import certify
 
 SCHEMA_VERSION = 1
@@ -99,15 +100,16 @@ def cmd_hadwiger(G, args):
         else:
             return ({"h": det.h, "case": det.case,
                      "witness": [list(b) for b in det.bags()]}, "bipperm", {})
-    if all(len(c) <= args.cap for c in components(G)):
+    try:
         value, bags = oracle_mod.hadwiger_oracle(G, cap=args.cap, with_witness=True)
-        return {"h": value, "witness_bags": [list(b) for b in (bags or ())]}, "oracle", {}
-    if method == "oracle":
-        raise CapacityError(f"a component exceeds the oracle cap {args.cap}")
-    raise MethodError(
-        "no polynomial method applies (not a cograph, no strong ordering) "
-        "and the graph exceeds the brute-force cap; the general problem "
-        "is intractable")
+    except CapacityError:
+        if method == "oracle":
+            raise
+        raise DomainError(
+            "no polynomial method applies (not a cograph, no strong ordering) "
+            "and the graph exceeds the brute-force cap; the general problem "
+            "is intractable") from None
+    return {"h": value, "witness_bags": [list(b) for b in (bags or ())]}, "oracle", {}
 
 
 def cmd_clique_matching(G, args):
@@ -125,7 +127,7 @@ def _atfree_or_oracle(G, args, atfree, oracle):
             if exc.certificate is None:
                 raise
     if G.n > args.cap:
-        raise MethodError(
+        raise DomainError(
             "graph is not AT-free (or s < 2) and exceeds the brute-force cap")
     return "oracle", oracle()
 
@@ -277,10 +279,10 @@ def main(argv=None) -> int:
         t0 = time.perf_counter()
         result, solver, certs = args.fn(data, args)
         elapsed = time.perf_counter() - t0
-    except (ParseError, FormatError) as exc:
+    except ParseError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2
-    except (DomainError, MethodError) as exc:
+    except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except CapacityError as exc:

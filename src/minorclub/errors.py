@@ -17,12 +17,9 @@ class ParseError(MinorclubError):
         self.offset = offset
 
 
-class FormatError(MinorclubError):
-    """Structurally valid input whose declared counts or ranges are inconsistent."""
-
-
 class DomainError(MinorclubError):
-    """A precondition on the operation's input does not hold.
+    """A precondition on the operation's input does not hold, or no solving
+    method applies to it.
 
     ``certificate`` optionally carries a witness of the violation, e.g. the
     four vertices of an induced P4 when a cograph was required.
@@ -41,7 +38,3 @@ class InvalidStructureError(MinorclubError):
     """A solver's output failed its certificate check (``witness.certify``).
 
     This is an internal fault, not a fault of the input."""
-
-
-class MethodError(MinorclubError):
-    """No applicable solving method for this input."""

@@ -1,17 +1,24 @@
-"""Graph file formats: graph6 (canonical interchange), edge list, DIMACS.
+"""Input formats: graphs in graph6 (canonical interchange), edge list and
+DIMACS, and the reductions' source problems in DIMACS CNF and as set systems.
 
 Edge list format: a header line ``n m`` followed by one ``u v`` pair per
-line, 0-based.  DIMACS: ``p edge n m`` then ``e u v`` lines, 1-based.
-graph6 is the standard 6-bit packed upper-triangle encoding; decoding is
-linear in the payload, and the padding bits of the last byte are ignored.
+line, 0-based.  DIMACS: ``p edge n m`` then ``e u v`` lines, 1-based, with
+``c`` comment lines.  graph6 is the standard 6-bit packed upper-triangle
+encoding; decoding is linear in the payload, and the padding bits of the last
+byte are ignored.  DIMACS CNF: ``p cnf n m`` then m clauses of nonzero signed
+1-based literals, each ended by 0, with ``c`` and ``%`` comment lines.  Set
+system: an ``n m`` header line, then one set per line as member indexes in
+0..n-1.  Every ParseError raised for malformed bytes carries the byte offset
+of the offending token.
 """
 
 from __future__ import annotations
 
 import re
 
-from .errors import FormatError, ParseError
+from .errors import ParseError
 from .graph import Graph
+from .reductions import HittingSetInstance, NaeFormula
 
 FORMATS = ("graph6", "edgelist", "dimacs")
 _TOKEN = re.compile(rb"[^ \t\r\n]+")
@@ -47,6 +54,7 @@ def emit_graph(G: Graph, format: str = "graph6") -> bytes:
 _G6_HEADER = b">>graph6<<"
 _G6_DIGITS = bytes(range(63, 127))
 _G6_BITS = {byte: format(byte - 63, "06b") for byte in _G6_DIGITS}
+_G6_BYTE = {bits: byte for byte, bits in _G6_BITS.items()}
 
 
 def _parse_graph6(raw: bytes) -> Graph:
@@ -61,12 +69,10 @@ def _parse_graph6(raw: bytes) -> Graph:
         i = next(i for i, byte in enumerate(data) if byte not in _G6_DIGITS)
         raise ParseError(f"invalid graph6 byte {data[i]}", base + i)
     n, pos = _g6_decode_order(data, base)
-    nbits = n * (n - 1) // 2
-    need = (nbits + 5) // 6
+    need = (n * (n - 1) // 2 + 5) // 6
     if len(data) - pos != need:
-        raise FormatError(
-            f"graph6 payload for n={n} needs {need} bytes, got {len(data) - pos}"
-        )
+        raise ParseError(f"graph6 payload for n={n} needs {need} bytes, "
+                         f"got {len(data) - pos}", base + min(len(data), pos + need))
     # Bit (i, j), i < j, is character j(j-1)/2 + i: column j is one slice.
     bits = "".join(map(_G6_BITS.__getitem__, data[pos:]))
     rows = [0] * n
@@ -102,29 +108,20 @@ def _g6_decode_order(data: bytes, base: int) -> tuple[int, int]:
 
 
 def _emit_graph6(G: Graph) -> bytes:
-    n = G.n
+    n, rows = G.n, G.rows
     if n <= 62:
         head = bytes([n + 63])
     elif n <= 258047:
         head = bytes([126, (n >> 12 & 63) + 63, (n >> 6 & 63) + 63, (n & 63) + 63])
     else:
         head = bytes([126, 126] + [((n >> (6 * k)) & 63) + 63 for k in range(5, -1, -1)])
-    bits = 0
-    nbits = 0
-    out = bytearray(head)
-    for j in range(1, n):
-        for i in range(j):
-            bits = (bits << 1) | (G.rows[i] >> j & 1)
-            nbits += 1
-            if nbits == 6:
-                out.append(bits + 63)
-                bits = nbits = 0
-    if nbits:
-        out.append((bits << (6 - nbits)) + 63)
-    return bytes(out)
+    # Column j is the slice that _parse_graph6 decodes: bit i of rows[j], i < j.
+    bits = "".join(format(rows[j] & ((1 << j) - 1), f"0{j}b")[::-1] for j in range(1, n))
+    bits += "0" * (-len(bits) % 6)
+    return head + bytes(_G6_BYTE[bits[k:k + 6]] for k in range(0, len(bits), 6))
 
 
-# edge list ------------------------------------------------------------
+# text formats -----------------------------------------------------------
 
 
 def _tokenize(raw: bytes):
@@ -152,42 +149,44 @@ def _int(tok: str, off: int) -> int:
         raise ParseError(f"expected an integer, got {tok!r}", off) from None
 
 
-def _ints(raw: bytes, what: str) -> list[tuple[int, int]]:
-    out = []
-    for tok, off in _tokenize(raw):
-        try:
-            out.append((int(tok), off))
-        except ValueError:
-            raise ParseError(f"expected an integer in {what}, got {tok!r}", off) from None
-    return out
+def _counts(toks) -> list[int]:
+    """The two counts of an ``n m`` header, given its two tokens."""
+    counts = [_int(tok, off) for tok, off in toks]
+    for count, (_, off) in zip(counts, toks):
+        if count < 0:
+            raise ParseError("negative count in header", off)
+    return counts
+
+
+def _problem_line(toks, kind: str) -> list[int]:
+    """n and m of a DIMACS ``p <kind> n m`` line."""
+    if len(toks) != 4 or toks[1][0] != kind:
+        raise ParseError(f"malformed problem line, expected 'p {kind} n m'", toks[0][1])
+    return _counts(toks[2:])
 
 
 def _parse_edgelist(raw: bytes) -> Graph:
-    toks = _ints(raw, "edge list")
+    toks = list(_tokenize(raw))
     if len(toks) < 2:
         raise ParseError("edge list needs an 'n m' header", 0)
-    (n, off_n), (m, _) = toks[0], toks[1]
-    if n < 0 or m < 0:
-        raise ParseError("negative count in header", off_n)
-    pairs = toks[2:]
+    n, m = _counts(toks[:2])
+    pairs = [(_int(tok, off), off) for tok, off in toks[2:]]
     if len(pairs) != 2 * m:
-        raise FormatError(f"header declares {m} edges but {len(pairs) // 2} pairs follow")
+        raise ParseError(f"header declares {m} edges but {len(pairs) // 2} pairs follow",
+                         toks[1][1])
     return _build(n, pairs, one_based=False)
 
 
 def _parse_dimacs(raw: bytes) -> Graph:
-    n = m = None
+    n = m = m_off = None
     pairs: list[tuple[int, int]] = []
     for toks in _lines(raw):
         kind, off0 = toks[0]
         if kind.startswith("c"):
             continue
         if kind == "p":
-            if len(toks) != 4 or toks[1][0] != "edge":
-                raise ParseError("malformed problem line, expected 'p edge n m'", off0)
-            n, m = (_int(tok, off) for tok, off in toks[2:])
-            if n < 0 or m < 0:
-                raise ParseError("negative count in header", toks[2][1])
+            n, m = _problem_line(toks, "edge")
+            m_off = toks[3][1]
         elif kind == "e":
             if n is None:
                 raise ParseError("edge line before problem line", off0)
@@ -196,10 +195,11 @@ def _parse_dimacs(raw: bytes) -> Graph:
             pairs += ((_int(tok, off), off) for tok, off in toks[1:])
         else:
             raise ParseError(f"unknown DIMACS line type {kind!r}", off0)
-    if n is None or m is None:
+    if n is None:
         raise ParseError("missing 'p edge n m' line", 0)
     if len(pairs) != 2 * m:
-        raise FormatError(f"problem line declares {m} edges but {len(pairs) // 2} follow")
+        raise ParseError(f"problem line declares {m} edges but {len(pairs) // 2} follow",
+                         m_off)
     return _build(n, pairs, one_based=True)
 
 
@@ -214,9 +214,62 @@ def _build(n: int, pairs: list[tuple[int, int]], one_based: bool) -> Graph:
             raise ParseError(f"self-loop at vertex {u + shift}", off_u)
         for w, off in ((u, off_u), (v, off_v)):
             if not 0 <= w < n:
-                raise FormatError(f"vertex {w + shift} out of range for n={n}")
+                raise ParseError(f"vertex {w + shift} out of range for n={n}", off)
         if rows[u] >> v & 1:
             raise ParseError(f"duplicate edge ({u + shift},{v + shift})", off_u)
         rows[u] |= 1 << v
         rows[v] |= 1 << u
     return Graph(n, tuple(rows))
+
+
+def parse_dimacs_cnf(data: bytes) -> NaeFormula:
+    """DIMACS CNF: 'p cnf n m' then m clauses, each terminated by 0."""
+    n = m = m_off = None
+    clauses = []
+    current: list[int] = []
+    for toks in _lines(data):
+        kind = toks[0][0]
+        if kind.startswith(("c", "%")):
+            continue
+        if kind.startswith("p"):
+            n, m = _problem_line(toks, "cnf")
+            m_off = toks[3][1]
+            continue
+        for tok, off in toks:
+            lit = _int(tok, off)
+            if lit == 0:
+                if current:
+                    clauses.append(tuple(current))
+                    current = []
+            else:
+                current.append(lit)
+    if current:
+        clauses.append(tuple(current))
+    if n is None:
+        raise ParseError("missing 'p cnf n m' line", 0)
+    if m != len(clauses):
+        raise ParseError(f"header declares {m} clauses but {len(clauses)} follow", m_off)
+    return NaeFormula(n, tuple(clauses))
+
+
+def parse_set_system(data: bytes, k: int) -> HittingSetInstance:
+    """Line format: 'n m' header, then one set per line as member indexes
+    in 0..n-1."""
+    lines = list(_lines(data))
+    if not lines:
+        raise ParseError("empty set system", 0)
+    if len(lines[0]) != 2:
+        raise ParseError("set system needs an 'n m' header", lines[0][0][1])
+    n, m = _counts(lines[0])
+    if len(lines) - 1 != m:
+        raise ParseError(f"header declares {m} sets but {len(lines) - 1} follow",
+                         lines[0][1][1])
+
+    def member(tok: str, off: int) -> int:
+        x = _int(tok, off)
+        if not 0 <= x < n:
+            raise ParseError(f"set member {x} outside the universe 0..{n - 1}", off)
+        return x
+
+    sets = [frozenset(member(tok, off) for tok, off in line) for line in lines[1:]]
+    return HittingSetInstance(n, tuple(sets), k)

@@ -68,16 +68,19 @@ def hadwiger_oracle(G: Graph, cap: int = PARTITION_CAP,
     """Largest p such that some component has p disjoint connected bags that
     are pairwise adjacent.  Searches all quotients reachable by contractions
     (equivalently, all full connected partitions per component) and takes the
-    best clique over them.
+    best clique over them.  Raises CapacityError, before any search, when
+    some component has more than ``cap`` vertices.
     """
     if G.n == 0:
         return (0, None) if with_witness else 0
-    best = 0
-    best_bags = None
-    for comp in components(G):
+    comps = components(G)
+    for comp in comps:
         if len(comp) > cap:
             raise CapacityError(
                 f"component of size {len(comp)} exceeds oracle cap {cap}")
+    best = 0
+    best_bags = None
+    for comp in comps:
         value, bags = _component_hadwiger(induced_subgraph(G, comp))
         if value > best:
             best = value

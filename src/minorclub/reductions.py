@@ -12,8 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from itertools import combinations
 
-from .errors import CapacityError, DomainError, ParseError
-from .formats import _int, _lines
+from .errors import CapacityError, DomainError
 from .graph import Graph, _iter_bits
 from .recognition import is_cobipartite, is_split
 from .witness import certify
@@ -166,22 +165,18 @@ def _hitting_core(inst: HittingSetInstance, chordal_variant: bool = False):
 
 
 def _is_chordal(G: Graph) -> bool:
-    """Simplicial elimination: repeatedly delete a vertex whose neighborhood
-    is a clique."""
-    rows = list(G.rows)
+    """Simplicial elimination from a worklist: deleting a vertex can make
+    only its neighbours simplicial, so only they are checked again."""
+    rows = G.rows
     alive = (1 << G.n) - 1
-    for _ in range(G.n):
-        pick = -1
-        for v in _iter_bits(alive):
-            nb = rows[v] & alive
-            if all(rows[a] & (nb & ~(1 << a)) == (nb & ~(1 << a))
-                   for a in _iter_bits(nb)):
-                pick = v
-                break
-        if pick < 0:
-            return False
-        alive &= ~(1 << pick)
-    return True
+    work = list(range(G.n))
+    while work:
+        v = work.pop()
+        nb = rows[v] & alive
+        if alive >> v & 1 and all(nb & ~rows[a] == 1 << a for a in _iter_bits(nb)):
+            alive &= ~(1 << v)
+            work += _iter_bits(nb)
+    return not alive
 
 
 def pendant_lift(G: Graph, k: int) -> Graph:
@@ -239,67 +234,3 @@ def hitting_set_solve(inst: HittingSetInstance):
             if all(chosen & S for S in inst.sets):
                 return tuple(U)
     return None
-
-
-# Input formats ------------------------------------------------------------
-
-def parse_dimacs_cnf(data: bytes) -> NaeFormula:
-    """DIMACS CNF: 'p cnf n m' then m clauses, each terminated by 0."""
-    n = m = None
-    clauses = []
-    current: list[int] = []
-    for toks in _lines(data):
-        kind = toks[0][0]
-        if kind.startswith(("c", "%")):
-            continue
-        if kind.startswith("p"):
-            if len(toks) != 4 or toks[1][0] != "cnf":
-                raise ParseError("malformed problem line, expected 'p cnf n m'",
-                                 toks[0][1])
-            n = _int(*toks[2])
-            m, m_off = _int(*toks[3]), toks[3][1]
-            if n < 0:
-                raise ParseError("negative variable count in header", toks[2][1])
-            if m < 0:
-                raise ParseError("negative clause count in header", m_off)
-            continue
-        for tok, off in toks:
-            lit = _int(tok, off)
-            if lit == 0:
-                if current:
-                    clauses.append(tuple(current))
-                    current = []
-            else:
-                current.append(lit)
-    if current:
-        clauses.append(tuple(current))
-    if n is None:
-        raise ParseError("missing 'p cnf n m' line")
-    if m != len(clauses):
-        raise ParseError(f"header declares {m} clauses but {len(clauses)} follow", m_off)
-    return NaeFormula(n, tuple(clauses))
-
-
-def parse_set_system(data: bytes, k: int) -> HittingSetInstance:
-    """Line format: 'n m' header, then one set per line as member indexes
-    in 0..n-1."""
-    lines = list(_lines(data))
-    if not lines:
-        raise ParseError("empty set system")
-    if len(lines[0]) != 2:
-        raise ParseError("set system needs an 'n m' header", lines[0][0][1])
-    n, m = (_int(tok, off) for tok, off in lines[0])
-    if n < 0:
-        raise ParseError("negative universe size in header", lines[0][0][1])
-    if len(lines) - 1 != m:
-        raise ParseError(f"header declares {m} sets but {len(lines) - 1} follow",
-                         lines[0][1][1])
-
-    def member(tok: str, off: int) -> int:
-        x = _int(tok, off)
-        if not 0 <= x < n:
-            raise ParseError(f"set member {x} outside the universe 0..{n - 1}", off)
-        return x
-
-    sets = [frozenset(member(tok, off) for tok, off in line) for line in lines[1:]]
-    return HittingSetInstance(n, tuple(sets), k)

@@ -313,6 +313,13 @@ def test_disconnected_club_contract_says_no(tmp_path, capsys, data):
     (["hadwiger", "--format", "dimacs"], b"p edge 3 1\nx 1 2\n", 11),
     (["hadwiger", "--format", "dimacs"], b"c only a comment\n", 0),
     (["hadwiger"], b"~?", 2),
+    (["hadwiger", "--format", "dimacs"], b"p edge 3 1\ne 1 5\n", 15),
+    (["hadwiger", "--format", "dimacs"], b"p edge 3 2\ne 1 2\n", 9),
+    (["hadwiger", "--format", "edgelist"], b"3 2\n0 1\n", 2),
+    (["hadwiger"], b"D?", 2),
+    (["hadwiger"], b"D??????", 3),
+    (["reduce", "hitting-set", "--k", "1"], b"", 0),
+    (["reduce", "nae3sat"], b"1 2 3 0\n", 0),
 ])
 def test_malformed_text_input_exits_2_with_offset(tmp_path, capsys, argv, data, offset):
     code, out, err = run(tmp_path, capsys, argv, data)

@@ -2,7 +2,7 @@ from __future__ import annotations
 
 import pytest
 
-from minorclub.errors import FormatError, ParseError
+from minorclub.errors import ParseError
 from minorclub.formats import emit_graph, parse_graph
 from minorclub.graph import Graph, disjoint_union
 
@@ -72,8 +72,9 @@ def test_graph6_errors():
     with pytest.raises(ParseError) as err:
         parse_graph(b"  >>graph6<<" + bytes(data), "graph6")
     assert err.value.offset == 12 + 100
-    with pytest.raises(FormatError):
+    with pytest.raises(ParseError) as err:
         parse_graph(b"D?", "graph6")  # truncated payload for n=5
+    assert err.value.offset == 2
     with pytest.raises(ParseError):
         parse_graph(b"", "graph6")
 
@@ -91,11 +92,13 @@ def test_edgelist_self_loop_is_parse_error_with_offset():
     assert err.value.offset == 4
 
 
-def test_edgelist_count_mismatch_is_format_error():
-    with pytest.raises(FormatError):
+def test_edgelist_count_mismatch_is_parse_error_with_offset():
+    with pytest.raises(ParseError) as err:
         parse_graph(b"3 2\n0 1\n", "edgelist")
-    with pytest.raises(FormatError):
+    assert err.value.offset == 2
+    with pytest.raises(ParseError) as err:
         parse_graph(b"2 1\n0 5\n", "edgelist")
+    assert err.value.offset == 6
 
 
 def test_edgelist_duplicate_edge():
@@ -114,8 +117,9 @@ def test_dimacs():
     assert parse_graph(data, "dimacs") == Graph.path(4)
     with pytest.raises(ParseError):
         parse_graph(b"e 1 2\n", "dimacs")
-    with pytest.raises(FormatError):
+    with pytest.raises(ParseError) as err:
         parse_graph(b"p edge 3 2\ne 1 2\n", "dimacs")
+    assert err.value.offset == 9
     with pytest.raises(ParseError):
         parse_graph(b"p edge 2 1\ne 1 1\n", "dimacs")
 

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from minorclub import oracle
 from minorclub.errors import CapacityError, DomainError
 from minorclub.graph import (Graph, clique_number, contract_edges, diameter,
                              disjoint_union, is_connected, join)
@@ -58,9 +59,17 @@ def test_hadwiger_witness_verifies():
     assert verify_witness(G, bags)
 
 
-def test_hadwiger_cap():
+def test_hadwiger_cap(monkeypatch):
     with pytest.raises(CapacityError):
         hadwiger_oracle(Graph.complete(13))
+
+    # Every component is held to the cap before any of them is searched.
+    def search(H):
+        raise AssertionError("searched a component before checking the cap")
+
+    monkeypatch.setattr(oracle, "_component_hadwiger", search)
+    with pytest.raises(CapacityError):
+        hadwiger_oracle(disjoint_union(Graph.cycle(5), Graph.path(13)))
 
 
 def test_full_vs_partial_partitions_agree():

@@ -46,6 +46,14 @@ to a cap (the largest free rank, on negated ranks, for the x-side passes).
 The picks of a prefix of the list are a prefix of the picks, and picks
 inside the current interval come last, so one run per starting vertex
 serves every prefix and every budget.
+
+Three cuts skip work that cannot beat the best candidate so far.  A
+Hadwiger case whose keep set has too few vertices on one side to improve on
+it is not solved; the anchor loop stops once too few ranks remain from the
+anchor's rank up; and an anchor stops after its forced pairs when the x's
+and y's, which all take distinct ranks in [2, r], are too few.  Each cut
+compares an upper bound with the best so far, and a candidate replaces the
+best only when strictly larger, so no value, tie-break or witness changes.
 """
 
 from __future__ import annotations
@@ -124,6 +132,8 @@ def _solve(G: Graph, order2, table) -> tuple[int, tuple[Edge, ...]]:
     best = 0
     best_pairs: tuple[tuple[int, int], ...] = ()
     for v_rank, u in anchors:
+        if len(order2) - v_rank + 1 <= best:
+            break
         size, pairs = _solve_anchor(table, u, v_rank, best)
         if size > best:
             best = size
@@ -152,8 +162,9 @@ def _greedy(starts, cap: int) -> list[int]:
 def _solve_anchor(table, u: int, v_rank: int, beat: int):
     """Best matching containing the anchor, assuming no rank below v_rank is
     saturated.  Returns (size, pairs) with pairs in global (vertex, rank)
-    form including the anchor and the forced pairs; pairs is None, and no
-    witness is replayed, when size does not exceed beat."""
+    form including the anchor and the forced pairs.  When size does not
+    exceed beat, pairs is None and no witness is replayed; if a bound
+    already shows that, no table is built and beat stands in for size."""
     shift = v_rank - 1
     r = table[u][1] - shift
 
@@ -179,6 +190,8 @@ def _solve_anchor(table, u: int, v_rank: int, beat: int):
     R = [min(act[w][1], r) for w in xs]  # x intervals are [1, R[i-1]]
     L = [act[w][0] for w in ys]          # y intervals are [L[j-1], r]
     s_len, t_len = len(xs), len(ys)
+    if len(forced) + 1 + min(s_len + t_len, r - 1) <= beat:
+        return beat, None  # every x and y takes a distinct rank in [2, r]
 
     def bounds(i: int, j: int) -> tuple[int, int, int]:
         a = L[j - 1] if j else 1
@@ -335,7 +348,9 @@ def hadwiger_bipperm(G: Graph, with_details: bool = False):
     T = (), then each (u,), then each edge (a, b) with a < b, component by
     component, and keeps the first strictly larger candidate.  Each
     clique-matching is solved on G's interval table clipped to its vertex
-    set.  The winning bag family is verified as a complete-minor witness.
+    set, unless len(T) plus the smaller side of that set, which bounds the
+    matching, cannot beat the best so far.  The winning bag family is
+    verified as a complete-minor witness.
     """
     ordering, table = _interval_table(G)
     side1 = sum(1 << w for w in ordering.side1)
@@ -352,6 +367,9 @@ def hadwiger_bipperm(G: Graph, with_details: bool = False):
             keep = comp
             for t in T:
                 keep &= near(t)
+            if len(T) + min((keep & side1).bit_count(),
+                            (keep & ~side1).bit_count()) <= best.h:
+                continue
             size, edges = _solve(G, *_clip(ordering.order2, table, keep))
             if len(T) + size > best.h:
                 best = BippermHadwiger(len(T) + size, len(T), T, edges)

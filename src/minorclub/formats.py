@@ -226,7 +226,7 @@ def parse_dimacs_cnf(data: bytes) -> NaeFormula:
     """DIMACS CNF: 'p cnf n m' then m clauses, each terminated by 0."""
     n = m = m_off = None
     clauses = []
-    current: list[int] = []
+    current: list[tuple[int, int]] = []  # (literal, byte offset)
     for toks in _lines(data):
         kind = toks[0][0]
         if kind.startswith(("c", "%")):
@@ -239,17 +239,23 @@ def parse_dimacs_cnf(data: bytes) -> NaeFormula:
             lit = _int(tok, off)
             if lit == 0:
                 if current:
-                    clauses.append(tuple(current))
+                    clauses.append(current)
                     current = []
             else:
-                current.append(lit)
+                current.append((lit, off))
     if current:
-        clauses.append(tuple(current))
+        clauses.append(current)
     if n is None:
         raise ParseError("missing 'p cnf n m' line", 0)
     if m != len(clauses):
         raise ParseError(f"header declares {m} clauses but {len(clauses)} follow", m_off)
-    return NaeFormula(n, tuple(clauses))
+    for clause in clauses:
+        if len(clause) != 3:
+            raise ParseError(f"clause has {len(clause)} literals, expected 3", clause[0][1])
+        for lit, off in clause:
+            if abs(lit) > n:
+                raise ParseError(f"literal {lit} out of range for n={n}", off)
+    return NaeFormula(n, tuple(tuple(lit for lit, _ in clause) for clause in clauses))
 
 
 def parse_set_system(data: bytes, k: int) -> HittingSetInstance:

@@ -5,11 +5,12 @@ import random
 import pytest
 
 from minorclub.bipperm_dp import (BippermHadwiger, _clip, _interval_table,
-                                  _solve, hadwiger_bipperm,
+                                  _solve, _solve_anchor, hadwiger_bipperm,
                                   is_clique_matching, max_clique_matching)
 from minorclub.errors import DomainError
 from minorclub.formats import parse_graph
-from minorclub.graph import Graph, disjoint_union, induced_subgraph
+from minorclub.graph import (Graph, _iter_bits, _mask_components,
+                             disjoint_union, induced_subgraph)
 from minorclub.oracle import clique_matching_oracle, hadwiger_oracle
 from minorclub.recognition import strong_ordering, verify_ordering
 
@@ -211,3 +212,65 @@ def test_clipped_tables_solve_induced_subgraphs():
             assert len(edges) == size and is_clique_matching(G, edges)
             assert {v for e in edges for v in e} <= set(keep)
             assert size == clique_matching_oracle(sub), (G.edges(), keep)
+
+
+# The solver skips Hadwiger cases, anchors and anchor tables whose upper
+# bound cannot beat the best so far.  Each test below holds one of those
+# cuts to the uncut answer, witness included, on small staircases.
+
+
+def _staircases(seed: int) -> list[Graph]:
+    rng = random.Random(seed)
+    return [random_staircase(rng.randint(2, 14), rng, dense=k % 2 == 1)
+            for k in range(300)]
+
+
+def _anchors(table) -> list[tuple[int, int]]:
+    return sorted((v_rank, u) for u, (lo, hi) in table.items()
+                  for v_rank in range(lo, hi + 1))
+
+
+def test_anchor_bound_never_cuts_a_winning_anchor():
+    # one below an anchor's uncut value the anchor still wins with the same
+    # pairs; at its value it loses, with no pairs replayed
+    for G in _staircases(27):
+        _, table = _interval_table(G)
+        for v_rank, u in _anchors(table):
+            value, pairs = _solve_anchor(table, u, v_rank, -1)
+            assert pairs is not None and len(pairs) == value
+            assert _solve_anchor(table, u, v_rank, value - 1) == (value, pairs)
+            assert _solve_anchor(table, u, v_rank, value) == (value, None)
+
+
+def test_anchor_loop_stop_keeps_the_first_best_anchor():
+    for G in _staircases(28):
+        ordering, table = _interval_table(G)
+        best, best_pairs = 0, ()
+        for v_rank, u in _anchors(table):
+            size, pairs = _solve_anchor(table, u, v_rank, -1)
+            if size > best:
+                best, best_pairs = size, pairs
+        edges = tuple(sorted(tuple(sorted((w, ordering.order2[r - 1])))
+                             for w, r in best_pairs))
+        assert _solve(G, ordering.order2, table) == (best, edges), G.edges()
+
+
+def test_case_bound_keeps_the_first_best_case():
+    # every T of hadwiger_bipperm's docstring, in its order, each solved
+    for G in _staircases(29):
+        ordering, table = _interval_table(G)
+        side1 = sum(1 << w for w in ordering.side1)
+        best = BippermHadwiger(0, 0, (), ())
+        for comp in _mask_components(G.rows, (1 << G.n) - 1):
+            singles = [()] + [(u,) for u in _iter_bits(comp)] + [
+                (a, b) for a in _iter_bits(comp) for b in _iter_bits(comp & G.rows[a])
+                if a < b]
+            for T in singles:
+                keep = comp
+                for t in T:
+                    side = side1 if side1 >> t & 1 else ~side1
+                    keep &= side & ~(1 << t) | G.rows[t]
+                size, edges = _solve(G, *_clip(ordering.order2, table, keep))
+                if len(T) + size > best.h:
+                    best = BippermHadwiger(len(T) + size, len(T), T, edges)
+        assert hadwiger_bipperm(G, with_details=True) == best, G.edges()

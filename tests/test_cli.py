@@ -96,11 +96,14 @@ def test_every_subcommand_reports_deterministically(tmp_path, capsys, argv,
     assert code == 0 and f"command: {command}" in human
 
 
-# SHA-256 over the concatenated --json reports of 16 relabelled dense
-# staircases per n, keyed by (n, command), as printed when every
-# bipartite-permutation sub-problem still built its induced subgraph and
-# re-verified its ordering.  Witness ties are broken on labels, so a change
-# in any tie-break shows here even where the values stay the same.
+# SHA-256 over the concatenated --json reports of STAIRCASE_COUNT[n]
+# relabelled dense staircases per n, keyed by (n, command).  Those for
+# n <= 32 were printed when every bipartite-permutation sub-problem still
+# built its induced subgraph and re-verified its ordering; those for n = 48
+# and 64 before any sub-problem or anchor was skipped on a bound.  Witness
+# ties are broken on labels, so a change in any tie-break shows here even
+# where the values stay the same.
+STAIRCASE_COUNT = {16: 16, 24: 16, 32: 16, 48: 8, 64: 8}
 STAIRCASE_SHA256 = {
     (16, "hadwiger"): "852ae5907cf7c330d3a9cbdf69484e10318affaa4879a8c5475d7c85a1e519c7",
     (16, "clique-matching"): "1ab79100f0486b3b8d2f5b36e5cc4a2eee7550d8a4257266f474d0e6f36f9e4d",
@@ -108,14 +111,18 @@ STAIRCASE_SHA256 = {
     (24, "clique-matching"): "2b562da821f6ad3bcda826af3be0d9a3aa23c8bd22a0bdf578fc85214ec347f8",
     (32, "hadwiger"): "8d6b8192cec588516905a95e4e2004712a5ed89af0c3075f22e7a0e7e184a225",
     (32, "clique-matching"): "a0b864aee4e1d502829a34eef369d8522fc3c2b0fc82c971a4759bac0970b054",
+    (48, "hadwiger"): "8967957fadfc7ea42924bafa627f45d70cec8b28a6aa8b6b6d9ebe4ca7e82a14",
+    (48, "clique-matching"): "027d6908bd7b73df2c3ede6e8a1583a7afce64de17847ed2ffa0a76d08611a3e",
+    (64, "hadwiger"): "4e953d3371a0c7aa09291f3f69609a2b10ae6bdfaba469916dbb91de0c7e36b4",
+    (64, "clique-matching"): "2e204ce920a586f133b474cdc4f929d0d355f92c85f6c49fa3cdbf38f6c91d69",
 }
 
 
-@pytest.mark.parametrize("n", [16, 24, 32])
+@pytest.mark.parametrize("n", sorted(STAIRCASE_COUNT))
 def test_dense_staircase_reports_are_pinned(tmp_path, capsys, n):
     rng = random.Random(n)
     digests = {"hadwiger": hashlib.sha256(), "clique-matching": hashlib.sha256()}
-    for _ in range(16):
+    for _ in range(STAIRCASE_COUNT[n]):
         data = _g6(random_staircase(n, rng, dense=True))
         for command, digest in digests.items():
             code, out, err = run(tmp_path, capsys, [command, "--json"], data)
@@ -320,6 +327,8 @@ def test_disconnected_club_contract_says_no(tmp_path, capsys, data):
     (["hadwiger"], b"D??????", 3),
     (["reduce", "hitting-set", "--k", "1"], b"", 0),
     (["reduce", "nae3sat"], b"1 2 3 0\n", 0),
+    (["reduce", "nae3sat"], b"p cnf 3 1\n1 2 5 0\n", 14),
+    (["reduce", "nae3sat"], b"p cnf 3 1\n1 2 0\n", 10),
 ])
 def test_malformed_text_input_exits_2_with_offset(tmp_path, capsys, argv, data, offset):
     code, out, err = run(tmp_path, capsys, argv, data)

@@ -256,7 +256,7 @@ def _solve_anchor(table, u: int, v_rank: int, beat: int):
                         ptr = ("jump", jp, q, ell2)
                 vals.append(best)
                 ptrs.append(ptr)
-            assert all(x <= y for x, y in zip(vals, vals[1:])), \
+            assert vals == sorted(vals), \
                 "table must be non-decreasing in the interval budget"
             c[i][j] = vals
             bp[i][j] = ptrs

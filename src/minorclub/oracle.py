@@ -8,13 +8,12 @@ failures reproduce exactly.
 from __future__ import annotations
 
 import math
-from itertools import combinations
 from typing import Iterator
 
 from .errors import CapacityError, DomainError
-from .graph import (Edge, Graph, _bag_quotient, _iter_bits, _mask_component,
-                    _mask_connected, _quotient, components, diameter_at_most,
-                    induced_subgraph, max_clique)
+from .graph import (Edge, Graph, _bag_quotient, _contract_rows, _iter_bits,
+                    _mask_component, _mask_connected, components,
+                    diameter_at_most, induced_subgraph, max_clique)
 from .witness import certify, verify_witness
 
 PARTITION_CAP = 12
@@ -91,29 +90,38 @@ def hadwiger_oracle(G: Graph, cap: int = PARTITION_CAP,
 
 
 def _component_hadwiger(H: Graph) -> tuple[int, tuple[tuple[int, ...], ...]]:
+    """Depth-first search over the quotients of H for the largest clique.
+
+    A state is (rows, bags): the quotient's adjacency rows and, per quotient
+    vertex, the bitmask of the vertices of H it holds.  A child contracts one
+    edge ij, i < j, in ``edges()`` order, by ``_contract_rows``, and bag j
+    merges into bag i.  Its rows are those of ``_quotient`` (vertices
+    ordered by smallest member), so ``seen``, keyed on rows, holds one key
+    per labelled quotient whatever contraction order reached it.  Bags
+    become sorted tuples only for the answer.
+    """
     best = 0
-    best_bags: tuple = ()
+    best_bags: tuple[int, ...] = ()
     seen: set[tuple[int, ...]] = set()
-    stack = [(H, tuple((v,) for v in range(H.n)))]
+    stack = [(H.rows, tuple(1 << v for v in range(H.n)))]
     while stack:
-        g, bags = stack.pop()
-        if g.n <= best or g.rows in seen:
+        rows, bags = stack.pop()
+        if len(rows) <= best or rows in seen:
             continue
-        seen.add(g.rows)
+        seen.add(rows)
+        g = Graph(len(rows), rows)
         w, wverts = max_clique(g)
         if w > best:
             best = w
             best_bags = tuple(bags[v] for v in wverts)
         if _edge_bound(g.m) <= best or g.n - 1 <= best:
             continue
-        for e in g.edges():
-            q, vmap = _quotient(g, [e])
-            if q.n > best and q.rows not in seen:
-                merged: list[list[int]] = [[] for _ in range(q.n)]
-                for old, new in enumerate(vmap):
-                    merged[new].extend(bags[old])
-                stack.append((q, tuple(tuple(sorted(b)) for b in merged)))
-    return best, best_bags
+        for i, j in g.edges():
+            child = _contract_rows(rows, i, j)
+            if child not in seen:
+                stack.append((child, bags[:i] + (bags[i] | bags[j],)
+                              + bags[i + 1:j] + bags[j + 1:]))
+    return best, tuple(tuple(_iter_bits(bag)) for bag in best_bags)
 
 
 def max_s_club_minor_oracle(G: Graph, s: int, cap: int = PARTITION_CAP) -> int:
@@ -161,10 +169,42 @@ def min_club_contraction_set(G: Graph, s: int, k_max: int) -> tuple[Edge, ...] |
             raise CapacityError(
                 f"subset enumeration up to size {k} needs {total} checks "
                 f"(budget {SUBSET_BUDGET})")
-        for S in combinations(edges, k):
-            if diameter_at_most(_quotient(G, S)[0], s):
-                return S
+        S = _first_club_set(edges, G.rows, s, k)
+        if S is not None:
+            return S
     return None
+
+
+def _first_club_set(edges: list[Edge], rows: tuple[int, ...], s: int,
+                    k: int) -> tuple[Edge, ...] | None:
+    """The first k-subset of ``edges``, in ``itertools.combinations``
+    order, whose contraction has diameter at most s.
+
+    The subsets are walked depth first, and each prefix carries its
+    quotient: its rows, built by ``_contract_rows`` and so equal to
+    ``_quotient``'s, and ``label``, each original vertex's quotient vertex.
+    An edge whose ends already share a bag leaves the quotient as it is.
+    """
+    chosen: list[Edge] = []
+
+    def extend(start: int, rows: tuple[int, ...], label: list[int]) -> bool:
+        if len(chosen) == k:
+            return diameter_at_most(Graph(len(rows), rows), s)
+        for t in range(start, len(edges) - k + len(chosen) + 1):
+            u, v = edges[t]
+            a, b = sorted((label[u], label[v]))
+            chosen.append(edges[t])
+            if a == b:
+                found = extend(t + 1, rows, label)
+            else:
+                found = extend(t + 1, _contract_rows(rows, a, b),
+                               [a if x == b else x - (x > b) for x in label])
+            if found:
+                return True
+            chosen.pop()
+        return False
+
+    return tuple(chosen) if extend(0, rows, list(range(len(rows)))) else None
 
 
 def clique_matching_oracle(G: Graph, cap: int = MATCHING_CAP) -> int:

@@ -11,6 +11,7 @@ from minorclub.cli import main
 from minorclub.formats import emit_graph, parse_graph
 from minorclub.graph import (Graph, contract_edges, diameter, disjoint_union,
                              induced_subgraph, is_connected)
+from minorclub.recognition import is_at_free
 
 from genutil import random_staircase
 
@@ -130,6 +131,57 @@ def test_dense_staircase_reports_are_pinned(tmp_path, capsys, n):
             digest.update(out.encode())
     for command, digest in digests.items():
         assert digest.hexdigest() == STAIRCASE_SHA256[n, command], command
+
+
+# SHA-256 over the concatenated --json reports of seeded random graphs that
+# no polynomial solver takes, so every answer and witness comes from a
+# brute-force oracle: ``hadwiger`` (``--method auto``) on
+# ORACLE_HADWIGER_COUNT[n] graphs G(n, 1/2) per n, and, on
+# ORACLE_CLUB_COUNT[n] connected graphs G(n, 0.4) per n with an asteroidal
+# triple, ``club-contract --s s`` with budgets d - s and d - s + 1 (d the
+# diameter, s = 2, 3) and ``club-minor --s 2``.  Printed while both oracle
+# searches rebuilt every quotient from G.
+ORACLE_HADWIGER_COUNT = {8: 6, 9: 6, 10: 4, 11: 3}
+ORACLE_CLUB_COUNT = {8: 4, 9: 4, 10: 4}
+ORACLE_SHA256 = {
+    "hadwiger": "1f85fe83505759c7719966882015436587f718d5f15b3aa9facb58dfd8040781",
+    "club": "34d70d3c8c01babcdbb5fc8e801b0fab9c78571f4f5dde2de728e2deeb17f2aa",
+}
+
+
+def _gnp(n: int, p: float, rng: random.Random) -> Graph:
+    return Graph.from_edges(n, [(i, j) for i in range(n) for j in range(i + 1, n)
+                                if rng.random() < p])
+
+
+def test_oracle_reports_are_pinned(tmp_path, capsys):
+    digests = {"hadwiger": hashlib.sha256(), "club": hashlib.sha256()}
+    for n, count in ORACLE_HADWIGER_COUNT.items():
+        rng = random.Random(n)
+        while count:
+            code, out, err = run(tmp_path, capsys, ["hadwiger", "--json"],
+                                 _g6(_gnp(n, 0.5, rng)))
+            assert code == 0, err
+            if json.loads(out)["solver"] == "oracle":
+                digests["hadwiger"].update(out.encode())
+                count -= 1
+    for n, count in ORACLE_CLUB_COUNT.items():
+        rng = random.Random(100 + n)
+        while count:
+            G = _gnp(n, 0.4, rng)
+            if not is_connected(G) or is_at_free(G) is True:
+                continue
+            count -= 1
+            d = diameter(G)
+            argvs = [["club-contract", "--s", str(s), "--k", str(max(0, d - s + extra))]
+                     for s in (2, 3) for extra in (0, 1)] + [["club-minor", "--s", "2"]]
+            for argv in argvs:
+                code, out, err = run(tmp_path, capsys, argv + ["--json"], _g6(G))
+                assert code == 0, err
+                assert json.loads(out)["solver"] == "oracle"
+                digests["club"].update(out.encode())
+    for kind, digest in digests.items():
+        assert digest.hexdigest() == ORACLE_SHA256[kind], kind
 
 
 def test_recognize_cograph_report(tmp_path, capsys):

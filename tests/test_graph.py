@@ -8,10 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from minorclub.errors import DomainError
-from minorclub.graph import (Graph, clique_number, complement, components,
-                             contract_edge, contract_edges, contraction_map,
-                             diameter, diameter_at_most, disjoint_union, distances,
-                             induced_subgraph,
+from minorclub.graph import (Graph, _contract_rows, clique_number, complement,
+                             components, contract_edge, contract_edges,
+                             contraction_map, diameter, diameter_at_most,
+                             disjoint_union, distances, induced_subgraph,
                              is_bipartite, is_connected, join, max_clique,
                              shortest_path)
 
@@ -130,6 +130,9 @@ def test_contraction_matches_networkx_quotient_graph():
         assert contract_edges(G, S) == want, (G.edges(), S)
         assert contraction_map(G, S) == [label[next(b for b in Q.nodes if v in b)]
                                          for v in range(n)]
+        if edges:
+            a, b = rng.choice(edges)
+            assert _contract_rows(G.rows, a, b) == contract_edges(G, [(a, b)]).rows
 
 
 def test_forest_contraction_loses_one_vertex_per_edge():

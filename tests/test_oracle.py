@@ -1,13 +1,17 @@
 from __future__ import annotations
 
+import math
 import random
+from itertools import combinations
 
 import pytest
 
 from minorclub import oracle
 from minorclub.errors import CapacityError, DomainError
-from minorclub.graph import (Graph, clique_number, contract_edges, diameter,
-                             disjoint_union, is_connected, join)
+from minorclub.graph import (Graph, _quotient, clique_number, components,
+                             contract_edges, diameter, diameter_at_most,
+                             disjoint_union, induced_subgraph, is_connected,
+                             join, max_clique)
 from minorclub.oracle import (chordality, clique_matching_oracle,
                               connected_partitions,
                               enumerate_nice_structures, hadwiger_oracle,
@@ -17,8 +21,9 @@ from minorclub.oracle import (chordality, clique_matching_oracle,
                               nice_structure_oracle)
 from minorclub.witness import verify_witness
 
-from genutil import (brute_minor_bags, connected_graphs, is_chordal_peo,
-                     random_bipperm, random_chordal, random_interval_graph)
+from genutil import (all_graphs, brute_minor_bags, connected_graphs,
+                     is_chordal_peo, random_bipperm, random_chordal,
+                     random_interval_graph)
 
 
 def test_connected_partitions_counts():
@@ -102,6 +107,75 @@ def test_chordal_graphs_clique_equals_minor():
         assert hadwiger_oracle(G) == clique_number(G)
 
 
+def _reference_component_hadwiger(H):
+    """Reference quotient search: every child is rebuilt from g by
+    ``_quotient(g, [e])``, and its bags are merged as sorted vertex lists."""
+    best = 0
+    best_bags = ()
+    seen = set()
+    stack = [(H, tuple((v,) for v in range(H.n)))]
+    while stack:
+        g, bags = stack.pop()
+        if g.n <= best or g.rows in seen:
+            continue
+        seen.add(g.rows)
+        w, wverts = max_clique(g)
+        if w > best:
+            best = w
+            best_bags = tuple(bags[v] for v in wverts)
+        if (1 + math.isqrt(1 + 8 * g.m)) // 2 <= best or g.n - 1 <= best:
+            continue
+        for e in g.edges():
+            q, vmap = _quotient(g, [e])
+            if q.n > best and q.rows not in seen:
+                merged = [[] for _ in range(q.n)]
+                for old, new in enumerate(vmap):
+                    merged[new].extend(bags[old])
+                stack.append((q, tuple(tuple(sorted(b)) for b in merged)))
+    return best, best_bags
+
+
+def _reference_club_set(G, s, k_max):
+    """The first smallest edge set in ``combinations`` order whose
+    simultaneous contraction has diameter at most s."""
+    if diameter_at_most(G, s):
+        return ()
+    edges = G.edges()
+    for k in range(1, min(k_max, len(edges)) + 1):
+        for S in combinations(edges, k):
+            if diameter_at_most(contract_edges(G, S), s):
+                return S
+    return None
+
+
+def _random_graphs(seed, sizes, count):
+    rng = random.Random(seed)
+    for _ in range(count):
+        n = rng.choice(sizes)
+        p = rng.choice((0.3, 0.5, 0.7))
+        yield Graph.from_edges(n, [(i, j) for i in range(n) for j in range(i + 1, n)
+                                   if rng.random() < p])
+
+
+def test_hadwiger_search_matches_the_quotient_reference():
+    graphs = [G for n in range(8) for G in all_graphs(n)]
+    graphs += list(_random_graphs(21, (8, 9, 10), 40))
+    for G in graphs:
+        for comp in components(G):
+            H = induced_subgraph(G, comp)
+            assert oracle._component_hadwiger(H) == _reference_component_hadwiger(H), H
+
+
+def test_club_search_matches_the_subset_reference():
+    graphs = [G for n in range(1, 8) for G in connected_graphs(n)]
+    graphs += [G for G in _random_graphs(22, (8, 9, 10), 60) if is_connected(G)]
+    for G in graphs:
+        for s in (1, 2, 3):
+            for k_max in (1, 2, 3):
+                assert (min_club_contraction_set(G, s, k_max)
+                        == _reference_club_set(G, s, k_max)), (G, s, k_max)
+
+
 def test_max_s_club_examples():
     G = Graph.cycle(6)
     assert max_s_club_minor_oracle(G, 3) == 6  # s >= diam keeps everything
@@ -125,6 +199,12 @@ def test_min_club_examples():
     assert min_club_contraction_set(Graph.path(5), 2, 4) == ((0, 1), (1, 2))
     assert min_club_contraction_set(Graph.complete(4), 2, 3) == ()
     assert min_club_contraction_set(Graph.path(9), 2, 3) is None
+    # A triangle hanging off K4 by the edge 23.  The first 3-set is the
+    # triangle, whose third edge joins vertices already in one bag; the
+    # quotient must keep that bag, so the answer is the next set.
+    G = Graph.from_edges(7, [(0, 1), (0, 2), (1, 2), (2, 3)]
+                         + [(a, b) for a in range(3, 7) for b in range(a + 1, 7)])
+    assert min_club_contraction_set(G, 1, 3) == ((0, 1), (0, 2), (2, 3))
 
 
 def test_club_duality():

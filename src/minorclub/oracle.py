@@ -57,9 +57,10 @@ def connected_partitions(G: Graph) -> Iterator[list[tuple[int, ...]]]:
     yield from assign(0)
 
 
-def _edge_bound(m: int) -> int:
-    """Largest h with h(h-1)/2 <= m; a complete minor needs that many edges."""
-    return (1 + math.isqrt(1 + 8 * m)) // 2
+def _cycle_bound(e: int) -> int:
+    """Largest h with h(h-3)/2 <= e: minors never raise the cycle rank e + 1
+    of a connected graph with m - n = e, and K_h has rank h(h-3)/2 + 1."""
+    return (3 + math.isqrt(9 + 8 * e)) // 2
 
 
 def hadwiger_oracle(G: Graph, cap: int = PARTITION_CAP,
@@ -67,8 +68,11 @@ def hadwiger_oracle(G: Graph, cap: int = PARTITION_CAP,
     """Largest p such that some component has p disjoint connected bags that
     are pairwise adjacent.  Searches all quotients reachable by contractions
     (equivalently, all full connected partitions per component) and takes the
-    best clique over them.  Raises CapacityError, before any search, when
-    some component has more than ``cap`` vertices.
+    best clique over them, skipping by the cycle-rank bound (per quotient
+    and per child) and the parent's clique number plus one only quotients
+    that cannot beat the best so far, so the witness is the full search's.
+    Raises CapacityError, before any search, when some component has more
+    than ``cap`` vertices.
     """
     if G.n == 0:
         return (0, None) if with_witness else 0
@@ -92,35 +96,47 @@ def hadwiger_oracle(G: Graph, cap: int = PARTITION_CAP,
 def _component_hadwiger(H: Graph) -> tuple[int, tuple[tuple[int, ...], ...]]:
     """Depth-first search over the quotients of H for the largest clique.
 
-    A state is (rows, bags): the quotient's adjacency rows and, per quotient
-    vertex, the bitmask of the vertices of H it holds.  A child contracts one
-    edge ij, i < j, in ``edges()`` order, by ``_contract_rows``, and bag j
-    merges into bag i.  Its rows are those of ``_quotient`` (vertices
-    ordered by smallest member), so ``seen``, keyed on rows, holds one key
-    per labelled quotient whatever contraction order reached it.  Bags
-    become sorted tuples only for the answer.
+    A state is (rows, bags, bound): the quotient's adjacency rows, per
+    quotient vertex the bitmask of the vertices of H it holds, and a bound
+    on its clique number.  A child contracts one edge ij, i < j, in
+    ``edges()`` order, by ``_contract_rows``, and bag j merges into bag i.
+    Its rows are those of ``_quotient`` (vertices ordered by smallest
+    member), so ``seen``, keyed on rows, holds one key per labelled quotient
+    whatever contraction order reached it.  Bags become sorted tuples only
+    for the answer.  Three cuts skip only work that cannot beat ``best``,
+    which only grows and changes only on a strict ``>``, so value and
+    witness are the uncut search's: a quotient with m - n = e is dropped
+    when ``_cycle_bound(e) <= best``; edge ij is not contracted when the
+    child's excess e - |N(i) & N(j)| fails that test; ``max_clique`` runs
+    only when ``bound > best``, the root's bound being n and a child's its
+    parent's (exact once ``max_clique`` ran) plus one.
     """
     best = 0
     best_bags: tuple[int, ...] = ()
     seen: set[tuple[int, ...]] = set()
-    stack = [(H.rows, tuple(1 << v for v in range(H.n)))]
+    stack = [(H.rows, tuple(1 << v for v in range(H.n)), H.n)]
     while stack:
-        rows, bags = stack.pop()
+        rows, bags, bound = stack.pop()
         if len(rows) <= best or rows in seen:
             continue
         seen.add(rows)
         g = Graph(len(rows), rows)
-        w, wverts = max_clique(g)
-        if w > best:
-            best = w
-            best_bags = tuple(bags[v] for v in wverts)
-        if _edge_bound(g.m) <= best or g.n - 1 <= best:
+        e = g.m - g.n
+        if _cycle_bound(e) <= best:
+            continue
+        if bound > best:
+            bound, wverts = max_clique(g)
+            if bound > best:
+                best = bound
+                best_bags = tuple(bags[v] for v in wverts)
+        if g.n - 1 <= best:
             continue
         for i, j in g.edges():
-            child = _contract_rows(rows, i, j)
-            if child not in seen:
-                stack.append((child, bags[:i] + (bags[i] | bags[j],)
-                              + bags[i + 1:j] + bags[j + 1:]))
+            if _cycle_bound(e - (rows[i] & rows[j]).bit_count()) > best:
+                child = _contract_rows(rows, i, j)
+                if child not in seen:
+                    stack.append((child, bags[:i] + (bags[i] | bags[j],)
+                                  + bags[i + 1:j] + bags[j + 1:], bound + 1))
     return best, tuple(tuple(_iter_bits(bag)) for bag in best_bags)
 
 

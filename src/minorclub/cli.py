@@ -17,10 +17,14 @@ no caps), 5 internal error: a solver's output failed its certificate check;
 stderr then names the command and the input's SHA-256.
 
 recognize reports every class, chordal-bipartite included, at any size.
-club-contract and club-minor run the AT-free solver when s >= 2 and the graph
-has no asteroidal triple, else the brute-force oracle within --cap, else exit
-3.  A negative budget --k exits 3 on every path, `oracle club-contract` and
-`reduce` too.
+club-contract and club-minor, when s >= 2 and d - s >= 3 (d the diameter),
+first scan for d - s edges of a shortest path whose contraction leaves
+diameter s.  No graph gets there with fewer contractions, so that set, once
+re-checked, answers on any graph, AT-free or not, with solver "bound"; a
+graph above --cap that it answers does not exit 3.  Otherwise they run the
+AT-free solver when s >= 2 and the graph has no asteroidal triple, else the
+brute-force oracle within --cap, else exit 3.  A negative budget --k exits 3
+on every path, `oracle club-contract` and `reduce` too.
 """
 
 from __future__ import annotations
@@ -35,13 +39,13 @@ import time
 from . import oracle as oracle_mod
 from .bipperm_dp import hadwiger_bipperm, max_clique_matching
 from .club_contraction import (ClubDecision, minimum_contraction,
-                               s_club_contract_decide)
+                               s_club_contract_decide, tight_contraction)
 from .cograph_dp import cograph_cr_table
 from .errors import (CapacityError, DomainError, InvalidStructureError,
                      ParseError)
 from .formats import (FORMATS, emit_graph, parse_dimacs_cnf, parse_graph,
                       parse_set_system)
-from .graph import is_connected
+from .graph import all_pairs_distances, is_connected
 from .recognition import (Cotree, is_at_free, is_chordal_bipartite,
                           is_cobipartite, is_split, recognize_cograph,
                           strong_ordering)
@@ -117,12 +121,20 @@ def cmd_clique_matching(G, args):
     return {"size": size, "matching_edges": [list(e) for e in edges]}, "bipperm", {}
 
 
-def _atfree_or_oracle(G, args, atfree, oracle):
-    """(solver, value): ``atfree()`` when s >= 2, unless it finds an
-    asteroidal triple; otherwise ``oracle()`` when G fits within --cap."""
+def _club_solver(G, args, bound, atfree, oracle):
+    """(solver, value) for s >= 2: ``bound(S)`` under solver "bound" when
+    ``tight_contraction`` finds a set S of d - s edges, which is optimal on
+    any graph and so needs no recognition; else ``atfree(dist)``, given G's
+    distance matrix, unless it finds an asteroidal triple.  Otherwise, and
+    for s < 2, ``oracle()`` when G fits within --cap.  A graph above --cap
+    exits 3 only when neither the bound nor the AT-free solver answers."""
     if args.s >= 2:
+        dist = all_pairs_distances(G)
+        S = tight_contraction(G, args.s, dist)
+        if S is not None:
+            return "bound", bound(S)
         try:
-            return "atfree", atfree()
+            return "atfree", atfree(dist)
         except DomainError as exc:
             if exc.certificate is None:
                 raise
@@ -142,8 +154,10 @@ def _club_contract_oracle(G, s: int, k: int) -> ClubDecision:
 def cmd_club_contract(G, args):
     if args.k < 0:
         raise DomainError("contraction budget must be non-negative")
-    solver, dec = _atfree_or_oracle(
-        G, args, lambda: s_club_contract_decide(G, args.k, args.s),
+    solver, dec = _club_solver(
+        G, args,
+        lambda S: ClubDecision(True, S) if args.k >= len(S) else ClubDecision(False),
+        lambda dist: s_club_contract_decide(G, args.k, args.s, dist),
         lambda: _club_contract_oracle(G, args.s, args.k))
     return ({"answer": "yes" if dec.yes else "no",
              "witness_edges": [list(e) for e in dec.witness] if dec.witness else None},
@@ -154,8 +168,9 @@ def cmd_club_minor(G, args):
     if not is_connected(G) or G.n == 0:
         raise DomainError(
             "disconnected graphs cannot be contracted to finite diameter")
-    solver, (kmin, witness) = _atfree_or_oracle(
-        G, args, lambda: minimum_contraction(G, args.s),
+    solver, (kmin, witness) = _club_solver(
+        G, args, lambda S: (len(S), S),
+        lambda dist: minimum_contraction(G, args.s, dist),
         lambda: (len(S := oracle_mod.min_club_contraction_set(G, args.s, G.n - 1)), S))
     return ({"k_min": kmin, "p": G.n - kmin,
              "witness_edges": [list(e) for e in witness] if witness else None},

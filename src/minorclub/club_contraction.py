@@ -2,13 +2,19 @@
 at most s (s >= 2).
 
 Writing d for the diameter, the minimum number of contractions always lies
-in [d-s, d-s+2].  The decision procedure is driven by paths between a
-diameter dominating pair (u, v): a path Q = x_0..x_k is *satisfying* when it
-extends to a (u,v)-path of length d and its end segments stay close to the
-far vertex sets X_v, Y_v, X_u, Y_u (vertices at distance d and d-1 from v
-and u).  Contracting an interior satisfying path of length d-s is enough;
-when every satisfying path starts at u or ends at v, the near-end edges of
-the unique shortest chain are forced and only two edges remain to guess.
+in [d-s, d-s+2].  The lower end holds on every connected graph, AT-free or
+not: contracting one edge shortens each distance by at most 1.  So a set of
+exactly d-s edges whose contraction is re-checked to reach diameter s is
+optimal on any graph, and ``tight_contraction`` looks for one with the path
+scan below before anything asks whether the graph is AT-free.
+
+The decision procedure is driven by paths between a diameter dominating
+pair (u, v): a path Q = x_0..x_k is *satisfying* when it extends to a
+(u,v)-path of length d and its end segments stay close to the far vertex
+sets X_v, Y_v, X_u, Y_u (vertices at distance d and d-1 from v and u).
+Contracting an interior satisfying path of length d-s is enough; when every
+satisfying path starts at u or ends at v, the near-end edges of the unique
+shortest chain are forced and only two edges remain to guess.
 
 ``is_satisfying_path`` states the definition directly; the tests hold the
 path scan of the decision procedure to it.
@@ -24,6 +30,7 @@ from .errors import DomainError
 from .graph import (Edge, Graph, _bfs, _iter_bits, _layers,
                     _matrix_diameter, all_pairs_distances, contract_edges,
                     contraction_map, diameter_at_most, shortest_path)
+from .oracle import _first_club_set
 from .recognition import AvoidingComponents, _dominating_diametral_pair
 from .witness import certify
 
@@ -160,15 +167,40 @@ def _scan_paths(G: Graph, prof: DistanceProfile, k: int, dist: list[list[int]]):
 
 # Decision procedure ------------------------------------------------------
 
-def s_club_contract_decide(G: Graph, k: int, s: int) -> ClubDecision:
+def tight_contraction(G: Graph, s: int, dist=None) -> tuple[Edge, ...] | None:
+    """A set of exactly d - s edges whose contraction leaves diameter at
+    most s, found without recognizing any graph class; None decides nothing.
+
+    When d - s >= 3, the path scan runs for k = d - s from the first
+    diametral pair, and the unpinned path it returns is contracted and
+    re-checked.  No smaller set reaches diameter s on any connected graph,
+    so the set is optimal.  None means d - s <= 2, G is disconnected, the
+    scan found no unpinned path or the re-check failed.  ``dist`` is G's
+    distance matrix, computed when not given.
+    """
+    if dist is None:
+        dist = all_pairs_distances(G)
+    d = _matrix_diameter(dist)
+    if d == math.inf or d - s < 3:
+        return None
+    u = next(x for x, row in enumerate(dist) if d in row)
+    path, _, _ = _scan_paths(G, _profile(dist, u, dist[u].index(d)), d - s, dist)
+    if path is None:
+        return None
+    S = tuple(sorted(_path_edges(path, d - s)))
+    return S if diameter_at_most(contract_edges(G, S), s) else None
+
+
+def s_club_contract_decide(G: Graph, k: int, s: int, dist=None) -> ClubDecision:
     """Can at most k edge contractions bring diam(G) down to s or less?
 
     Every yes comes with a witness edge set that has been re-verified by
-    contracting it and measuring the diameter.
+    contracting it and measuring the diameter.  ``dist`` is G's distance
+    matrix, computed when not given.
     """
     if k < 0:
         raise DomainError("contraction budget must be non-negative")
-    d, dist, table = _checked_diameter(G, s)
+    d, dist, table = _checked_diameter(G, s, dist)
     if d <= s:
         return ClubDecision(True, ())
     if k < d - s:
@@ -176,9 +208,10 @@ def s_club_contract_decide(G: Graph, k: int, s: int) -> ClubDecision:
     return _ladder(G, s, d, k, dist, table)
 
 
-def minimum_contraction(G: Graph, s: int) -> tuple[int, tuple[Edge, ...]]:
-    """Smallest k with diam(G/S) <= s for some k-edge set S, plus a witness."""
-    d, dist, table = _checked_diameter(G, s)
+def minimum_contraction(G: Graph, s: int, dist=None) -> tuple[int, tuple[Edge, ...]]:
+    """Smallest k with diam(G/S) <= s for some k-edge set S, plus a witness;
+    ``dist`` is G's distance matrix, computed when not given."""
+    d, dist, table = _checked_diameter(G, s, dist)
     if d == math.inf:
         raise DomainError("disconnected graphs cannot reach finite diameter")
     if d <= s:
@@ -189,10 +222,11 @@ def minimum_contraction(G: Graph, s: int) -> tuple[int, tuple[Edge, ...]]:
     return d - s + 2, _dominating_path_witness(G, s, d, dist, table)
 
 
-def _checked_diameter(G: Graph, s: int):
+def _checked_diameter(G: Graph, s: int, dist):
     """(diam(G), its BFS distance matrix, its AvoidingComponents table),
     the diameter infinite when G is disconnected, after checking that
-    s >= 2 and that the table shows no asteroidal triple."""
+    s >= 2 and that the table shows no asteroidal triple; the matrix is
+    computed when ``dist`` is None."""
     if s <= 1:
         raise DomainError(
             "only s >= 2 is supported on AT-free graphs; use the brute-force "
@@ -201,7 +235,8 @@ def _checked_diameter(G: Graph, s: int):
     at = table.asteroidal_triple()
     if at is not None:
         raise DomainError("graph has an asteroidal triple", certificate=at)
-    dist = all_pairs_distances(G)
+    if dist is None:
+        dist = all_pairs_distances(G)
     return _matrix_diameter(dist), dist, table
 
 
@@ -249,7 +284,7 @@ def _dominating_path_witness(G: Graph, s: int, d: int, dist, table) -> tuple[Edg
     pair; what remains of the path still dominates and has length s-2."""
     u, v = _dominating_diametral_pair(dist, table)
     P = shortest_path(G, u, v)
-    S = tuple(tuple(sorted((P[i], P[i + 1]))) for i in range(d - s + 2))
+    S = _path_edges(P, d - s + 2)
     certify(diameter_at_most(contract_edges(G, S), s),
             f"contracting {S} does not reach diameter {s}")
     return S
@@ -257,14 +292,18 @@ def _dominating_path_witness(G: Graph, s: int, d: int, dist, table) -> tuple[Edg
 
 def _brute_force(G: Graph, k: int, s: int) -> ClubDecision:
     """The first k-edge set, in ``combinations`` order over ``G.edges()``,
-    whose contraction leaves diameter at most s.  Only sets of exactly k
+    whose contraction leaves diameter at most s, found by the oracle's
+    walk over the subsets and their quotients.  Only sets of exactly k
     edges are tried: every caller passes k = d - s, or d - s + 1 after d - s
     failed, and one contraction shortens a distance by at most 1, so no
     smaller set can succeed."""
-    for S in combinations(G.edges(), k):
-        if diameter_at_most(contract_edges(G, S), s):
-            return ClubDecision(True, S)
-    return ClubDecision(False)
+    S = _first_club_set(G.edges(), G.rows, s, k)
+    return ClubDecision(S is not None, S)
+
+
+def _path_edges(P, k: int) -> tuple[Edge, ...]:
+    """The first k edges of the path P, each as a sorted pair."""
+    return tuple(tuple(sorted(e)) for e in zip(P, P[1:k + 1]))
 
 
 def _decide_tight(G: Graph, s: int, d: int, dist, table=None) -> ClubDecision:
@@ -278,8 +317,7 @@ def _decide_tight(G: Graph, s: int, d: int, dist, table=None) -> ClubDecision:
     prof = _profile(dist, u, v)
     unpinned, found_any, _ = _scan_paths(G, prof, k, dist)
     if unpinned is not None:
-        S = tuple(tuple(sorted((unpinned[i], unpinned[i + 1]))) for i in range(k))
-        return _verified_yes(G, S, k, s)
+        return _verified_yes(G, _path_edges(unpinned, k), k, s)
     if not found_any:
         return ClubDecision(False)
     for dist_row in (prof.dist_u, prof.dist_v):

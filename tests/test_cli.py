@@ -295,6 +295,54 @@ def test_club_dispatch(tmp_path, capsys, argv):
     assert run_json(tmp_path, capsys, argv, C6)["solver"] == "oracle"
 
 
+def _check_contraction(data: bytes, edges, s: int) -> None:
+    G = parse_graph(data, "graph6")
+    edges = [tuple(e) for e in edges]
+    assert all(G.has_edge(a, b) for a, b in edges)
+    assert diameter(contract_edges(G, edges)) <= s
+
+
+def test_club_bound_on_a_path(tmp_path, capsys):
+    # P8 has d = 7, so d - s = 5 contractions are needed on any graph.
+    data = _g6(Graph.path(8))
+    rep = run_json(tmp_path, capsys, ["club-minor", "--s", "2"], data)
+    assert rep["solver"] == "bound"
+    assert rep["result"]["k_min"] == 5 and rep["result"]["p"] == 3
+    witness = rep["result"]["witness_edges"]
+    assert len(witness) == 5
+    _check_contraction(data, witness, 2)
+    rep = run_json(tmp_path, capsys, ["club-contract", "--s", "2", "--k", "5"], data)
+    assert rep["solver"] == "bound"
+    assert rep["result"] == {"answer": "yes", "witness_edges": witness}
+    rep = run_json(tmp_path, capsys, ["club-contract", "--s", "2", "--k", "4"], data)
+    assert rep["solver"] == "bound"
+    assert rep["result"] == {"answer": "no", "witness_edges": None}
+
+
+# C6 with a pendant path of 10 vertices: n = 16 is above --cap and the graph
+# has an asteroidal triple, so only the bound can answer.  d = 13; for s = 3
+# the scan finds 10 edges that reach diameter 3, for s = 2 it finds none.
+C6_TAIL = b"OhEK?C@?G?_@?@??_?G?@"
+
+
+def test_club_bound_answers_above_the_cap(tmp_path, capsys):
+    G = parse_graph(C6_TAIL, "graph6")
+    assert G.n == 16 and diameter(G) == 13 and is_at_free(G) is not True
+    rep = run_json(tmp_path, capsys, ["club-minor", "--s", "3"], C6_TAIL)
+    assert rep["solver"] == "bound" and rep["result"]["k_min"] == 10
+    _check_contraction(C6_TAIL, rep["result"]["witness_edges"], 3)
+    code, out, err = run(tmp_path, capsys, ["club-minor", "--s", "2"], C6_TAIL)
+    assert code == 3 and out == "" and "error" in err
+
+
+# Non-AT-free graphs with d = 5 where the bound misses for s = 2: the
+# contraction of the scanned path fails its re-check.
+@pytest.mark.parametrize("g6, k_min", [(b"Il_OQP_?O", 4), (b"HrGGWd?", 3)])
+def test_club_bound_miss_falls_back_to_the_oracle(tmp_path, capsys, g6, k_min):
+    rep = run_json(tmp_path, capsys, ["club-minor", "--s", "2"], g6)
+    assert rep["solver"] == "oracle" and rep["result"]["k_min"] == k_min
+
+
 @pytest.mark.parametrize("data, s", [(C6, 2), (P5, 1)])
 def test_club_minor_oracle_reports_its_witness(tmp_path, capsys, data, s):
     rep = run_json(tmp_path, capsys, ["club-minor", "--s", str(s)], data)

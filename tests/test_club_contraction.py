@@ -8,7 +8,8 @@ from minorclub import club_contraction
 from minorclub.club_contraction import (_scan_paths, distance_profile,
                                         is_satisfying_path,
                                         minimum_contraction,
-                                        s_club_contract_decide)
+                                        s_club_contract_decide,
+                                        tight_contraction)
 from minorclub.errors import DomainError
 from minorclub.formats import parse_graph
 from minorclub.graph import (Graph, all_pairs_distances, contract_edges,
@@ -56,6 +57,75 @@ def test_exhaustive_small_atfree_graphs_match_oracle():
                     assert dec.witness is None
                 decided += 1
     assert decided > 3000
+
+
+def _bound_graphs():
+    """Connected seeded interval graphs and caterpillars with n = 20..160,
+    then every AT-free graph of the exhaustive sweep."""
+    rng = random.Random(47)
+    for n in (20, 40, 80, 160):
+        for make in (random_interval_graph, random_caterpillar):
+            for _ in range(3):
+                G = make(n, rng)
+                if is_connected(G):
+                    yield G
+    yield from _atfree_connected(7)
+
+
+def test_tight_contraction_meets_the_atfree_minimum():
+    answered = 0
+    for G in _bound_graphs():
+        for s in (2, 3):
+            S = tight_contraction(G, s)
+            if S is None:
+                continue
+            k_min, _ = minimum_contraction(G, s)
+            assert len(S) == k_min == diameter(G) - s, (G.rows, s)
+            _check_witness(G, S, k_min, s)
+            answered += 1
+    assert answered > 40
+
+
+def _sparse_connected(n: int, rng: random.Random) -> Graph:
+    """A random spanning tree on n vertices plus up to three random edges."""
+    edges = [(rng.randrange(v), v) for v in range(1, n)]
+    edges += [tuple(rng.sample(range(n), 2)) for _ in range(rng.randint(0, 3))]
+    return Graph.from_edges(n, [(min(e), max(e)) for e in edges])
+
+
+def test_tight_contraction_matches_the_oracle_on_any_small_graph():
+    """Graphs of any class, AT-free or not: every connected graph with
+    n <= 7 and 400 seeded sparse connected graphs with n = 8."""
+    rng = random.Random(53)
+    graphs = [G for n in range(2, 8) for G in connected_graphs(n)]
+    graphs += [_sparse_connected(8, rng) for _ in range(400)]
+    answered = 0
+    for G in graphs:
+        for s in (2, 3):
+            S = tight_contraction(G, s)
+            if S is None:
+                continue
+            assert len(S) == diameter(G) - s == min_club_contraction_oracle(G, s, G.n), \
+                (G.rows, s)
+            _check_witness(G, S, len(S), s)
+            answered += 1
+    assert answered > 100
+
+
+# Graphs with d = 5 whose first diametral pair's scanned path of length
+# d - s = 3 fails the re-check (neither is AT-free); the oracle needs more
+# than d - s contractions on both.
+@pytest.mark.parametrize("g6, k_min", [("Il_OQP_?O", 4), ("HrGGWd?", 3)])
+def test_tight_contraction_misses_when_the_recheck_fails(g6, k_min):
+    G = parse_graph(g6.encode(), "graph6")
+    s = 2
+    assert diameter(G) == 5 and is_at_free(G) is not True
+    dist = all_pairs_distances(G)
+    u = next(x for x, row in enumerate(dist) if 5 in row)
+    prof = distance_profile(G, u, dist[u].index(5))
+    assert _scan_paths(G, prof, 3, dist)[0] is not None
+    assert tight_contraction(G, s) is None
+    assert min_club_contraction_oracle(G, s, G.n) == k_min
 
 
 def _spy(monkeypatch, name: str) -> list:

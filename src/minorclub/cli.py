@@ -17,13 +17,18 @@ no caps), 5 internal error: a solver's output failed its certificate check;
 stderr then names the command and the input's SHA-256.
 
 recognize reports every class, chordal-bipartite included, at any size.
-club-contract and club-minor, when s >= 2 and d - s >= 3 (d the diameter),
-first scan for d - s edges of a shortest path whose contraction leaves
-diameter s.  No graph gets there with fewer contractions, so that set, once
-re-checked, answers on any graph, AT-free or not, with solver "bound"; a
-graph above --cap that it answers does not exit 3.  Otherwise they run the
-AT-free solver when s >= 2 and the graph has no asteroidal triple, else the
-brute-force oracle within --cap, else exit 3.  A negative budget --k exits 3
+club-contract and club-minor, when s >= 2, first take a pair (u, v) at
+distance d' by a double BFS sweep (the farthest vertex u from vertex 0, then
+the farthest from u), and when d' - s >= 3 scan for d' - s edges of a
+shortest (u, v)-path whose contraction leaves diameter s, computing the other
+BFS rows the scan reads on first use.  No graph gets there with fewer than
+d - s contractions (d the diameter), so that set, once re-checked, proves
+d' = d and answers on any graph, AT-free or not, with solver "bound"; a
+graph above --cap that it answers does not exit 3.  On a miss they build the
+distance matrix and, when its first diametral pair differs from the sweep's,
+rerun the scan from that pair.  Otherwise they run the AT-free solver when
+s >= 2 and the graph has no asteroidal triple, else the brute-force oracle
+within --cap, else exit 3.  A negative budget --k exits 3
 on every path, `oracle club-contract` and `reduce` too.
 """
 
@@ -38,8 +43,9 @@ import time
 
 from . import oracle as oracle_mod
 from .bipperm_dp import hadwiger_bipperm, max_clique_matching
-from .club_contraction import (ClubDecision, minimum_contraction,
-                               s_club_contract_decide, tight_contraction)
+from .club_contraction import (ClubDecision, diametral_pair,
+                               minimum_contraction, s_club_contract_decide,
+                               sweep_pair, tight_contraction)
 from .cograph_dp import cograph_cr_table
 from .errors import (CapacityError, DomainError, InvalidStructureError,
                      ParseError)
@@ -124,13 +130,21 @@ def cmd_clique_matching(G, args):
 def _club_solver(G, args, bound, atfree, oracle):
     """(solver, value) for s >= 2: ``bound(S)`` under solver "bound" when
     ``tight_contraction`` finds a set S of d - s edges, which is optimal on
-    any graph and so needs no recognition; else ``atfree(dist)``, given G's
-    distance matrix, unless it finds an asteroidal triple.  Otherwise, and
-    for s < 2, ``oracle()`` when G fits within --cap.  A graph above --cap
-    exits 3 only when neither the bound nor the AT-free solver answers."""
+    any graph and so needs no recognition.  It first scans from the double
+    sweep's pair, reading BFS rows only as the scan needs them; on a miss,
+    G's distance matrix is built and the scan reruns from its first
+    diametral pair, unless that pair and d are the sweep's.  Else
+    ``atfree(dist)``, given the matrix, unless it finds an asteroidal
+    triple.  Otherwise, and for s < 2, ``oracle()`` when G fits within
+    --cap.  A graph above --cap exits 3 only when neither the bound nor the
+    AT-free solver answers."""
     if args.s >= 2:
-        dist = all_pairs_distances(G)
-        S = tight_contraction(G, args.s, dist)
+        S = tight_contraction(G, args.s)
+        if S is None:
+            dist = all_pairs_distances(G)
+            pair = diametral_pair(dist)
+            if pair is not None and pair != sweep_pair(dist):
+                S = tight_contraction(G, args.s, dist)
         if S is not None:
             return "bound", bound(S)
         try:

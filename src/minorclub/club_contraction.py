@@ -6,7 +6,13 @@ in [d-s, d-s+2].  The lower end holds on every connected graph, AT-free or
 not: contracting one edge shortens each distance by at most 1.  So a set of
 exactly d-s edges whose contraction is re-checked to reach diameter s is
 optimal on any graph, and ``tight_contraction`` looks for one with the path
-scan below before anything asks whether the graph is AT-free.
+scan below before anything asks whether the graph is AT-free.  It needs no
+distance matrix: a double BFS sweep gives a pair at distance d' <= d (on
+AT-free graphs such sweeps fall short by at most 1; Corneil, Dragan and
+Koehler, Networks 2003), the scan computes the few other BFS rows it reads
+on first use, and a set of d' - s edges that passes the re-check proves
+d' = d.  Callers holding the matrix can rerun the scan from its first
+diametral pair.
 
 The decision procedure is driven by paths between a diameter dominating
 pair (u, v): a path Q = x_0..x_k is *satisfying* when it extends to a
@@ -68,8 +74,9 @@ def distance_profile(G: Graph, u: int, v: int) -> DistanceProfile:
     return _profile(dist, u, v)
 
 
-def _profile(dist: list[list[int]], u: int, v: int) -> DistanceProfile:
-    """The profile of the diameter pair (u, v), read off the distance matrix."""
+def _profile(dist, u: int, v: int) -> DistanceProfile:
+    """The profile of the pair (u, v), with d = dist(u, v), read off
+    ``dist``, BFS rows indexed by vertex; only the rows of u and v are read."""
     du, dv = dist[u], dist[v]
     d = du[v]
     return DistanceProfile(
@@ -117,9 +124,10 @@ def _end_conditions_ok(d0, d1, ref: int, X, Y) -> bool:
     return all(d0[z] <= ref or d1[z] <= ref for z in Y)
 
 
-def _scan_paths(G: Graph, prof: DistanceProfile, k: int, dist: list[list[int]]):
+def _scan_paths(G: Graph, prof: DistanceProfile, k: int, dist):
     """Search for a satisfying path of length k >= 3 by trying all ordered
-    choices of the first and last edge; ``dist`` is G's distance matrix.
+    choices of the first and last edge; ``dist`` is BFS rows indexed by
+    vertex, and only rows of candidate first and last edges are read.
 
     Each first edge (x0, x1) grows its reach once, one u-layer per step, up
     to x_{k-1}'s layer; every last edge (x_{k-1}, x_k) whose x_{k-1} is
@@ -133,11 +141,12 @@ def _scan_paths(G: Graph, prof: DistanceProfile, k: int, dist: list[list[int]]):
     layers = _layers(G, prof.u)
     layered = [(a, b) for a in range(G.n) for b in _iter_bits(G.rows[a])
                if du[b] == du[a] + 1]
-    # Last edges by x_k's u-layer: x_k must lie on a shortest (u, v)-path.
+    # Last edges by x_k's u-layer: x_k must lie on a shortest (u, v)-path,
+    # and only layers >= k are ever looked up.
     lasts: dict[int, list[Edge]] = {}
     for xk1, xk in layered:
-        if du[xk] + dv[xk] == d and _end_conditions_ok(dist[xk], dist[xk1], dv[xk],
-                                                       prof.X_u, prof.Y_u):
+        if du[xk] >= k and du[xk] + dv[xk] == d and _end_conditions_ok(
+                dist[xk], dist[xk1], dv[xk], prof.X_u, prof.Y_u):
             lasts.setdefault(du[xk], []).append((xk1, xk))
     pinned_example = None
     for x0, x1 in layered:
@@ -167,24 +176,68 @@ def _scan_paths(G: Graph, prof: DistanceProfile, k: int, dist: list[list[int]]):
 
 # Decision procedure ------------------------------------------------------
 
+class _BFSRows(dict):
+    """BFS rows of G indexed by vertex, each computed on first use."""
+
+    def __init__(self, G: Graph):
+        super().__init__()
+        self.G = G
+
+    def __missing__(self, x: int) -> list[int]:
+        row = self[x] = _bfs(self.G, x)
+        return row
+
+
+def sweep_pair(dist):
+    """The double sweep's pair (u, v, d'): u is the lowest-labelled vertex
+    farthest from vertex 0, d' = ecc(u) <= diam(G) and v is the lowest-labelled
+    vertex at distance d' from u.  ``dist`` is BFS rows indexed by vertex, of
+    which only the rows of 0 and u are read.  None when G is disconnected."""
+    first = dist[0]
+    if -1 in first:
+        return None
+    u = first.index(max(first))
+    d = max(dist[u])
+    return u, dist[u].index(d), d
+
+
+def diametral_pair(dist: list[list[int]]):
+    """The first diametral pair (u, v, d) of the distance matrix: u is the
+    lowest-labelled vertex of eccentricity d = diam(G) and v the
+    lowest-labelled vertex at distance d from u.  None when G is empty or
+    disconnected."""
+    d = _matrix_diameter(dist)
+    if not dist or d == math.inf:
+        return None
+    u = next(x for x, row in enumerate(dist) if d in row)
+    return u, dist[u].index(d), d
+
+
 def tight_contraction(G: Graph, s: int, dist=None) -> tuple[Edge, ...] | None:
     """A set of exactly d - s edges whose contraction leaves diameter at
     most s, found without recognizing any graph class; None decides nothing.
 
-    When d - s >= 3, the path scan runs for k = d - s from the first
-    diametral pair, and the unpinned path it returns is contracted and
-    re-checked.  No smaller set reaches diameter s on any connected graph,
-    so the set is optimal.  None means d - s <= 2, G is disconnected, the
-    scan found no unpinned path or the re-check failed.  ``dist`` is G's
-    distance matrix, computed when not given.
+    The pair (u, v) and d' <= diam(G) come from ``sweep_pair``, two BFS
+    runs, with every other BFS row computed on first use; given G's distance
+    matrix ``dist``, they are its first diametral pair and d = diam(G)
+    instead.  When d' - s >= 3 the path scan runs for k = d' - s from that
+    pair, and the unpinned path it returns is contracted and re-checked.
+    No connected graph reaches diameter s with fewer than diam(G) - s
+    contractions, so a set that passes proves d' = diam(G) and is optimal.
+    None means d' - s <= 2, G is empty or disconnected, the scan found no
+    unpinned path or the re-check failed.
     """
-    if dist is None:
-        dist = all_pairs_distances(G)
-    d = _matrix_diameter(dist)
-    if d == math.inf or d - s < 3:
+    if G.n == 0:
         return None
-    u = next(x for x, row in enumerate(dist) if d in row)
-    path, _, _ = _scan_paths(G, _profile(dist, u, dist[u].index(d)), d - s, dist)
+    if dist is None:
+        dist = _BFSRows(G)
+        pair = sweep_pair(dist)
+    else:
+        pair = diametral_pair(dist)
+    if pair is None or pair[2] - s < 3:
+        return None
+    u, v, d = pair
+    path, _, _ = _scan_paths(G, _profile(dist, u, v), d - s, dist)
     if path is None:
         return None
     S = tuple(sorted(_path_edges(path, d - s)))

@@ -181,7 +181,10 @@ def _matrix_diameter(dist: list[list[int]]) -> int | float:
 
 def diameter_at_most(G: Graph, s: int) -> bool:
     """diameter(G) <= s, decided by growing the radius-s ball of each vertex
-    as a bitset and stopping at the first vertex whose ball misses one."""
+    as a bitset and stopping at the first vertex whose ball misses one.
+    Each step ORs the rows of the frontier, or, when fewer vertices are
+    missing than on the frontier, keeps the missing ones with a frontier
+    neighbour, so a hub's ball does not cost a pass over the graph."""
     if s < 0:
         return False
     full = (1 << G.n) - 1
@@ -189,8 +192,14 @@ def diameter_at_most(G: Graph, s: int) -> bool:
         ball = frontier = 1 << v
         for _ in range(s):
             reach = 0
-            for u in _iter_bits(frontier):
-                reach |= G.rows[u]
+            missing = full & ~ball
+            if missing.bit_count() < frontier.bit_count():
+                for w in _iter_bits(missing):
+                    if G.rows[w] & frontier:
+                        reach |= 1 << w
+            else:
+                for u in _iter_bits(frontier):
+                    reach |= G.rows[u]
             frontier = reach & ~ball
             ball |= frontier
             if ball == full or not frontier:

@@ -7,6 +7,7 @@ import pytest
 from minorclub.bipperm_dp import (BippermHadwiger, _clip, _interval_table,
                                   _solve, _solve_anchor, hadwiger_bipperm,
                                   is_clique_matching, max_clique_matching)
+from minorclub.cograph_dp import hadwiger_cograph
 from minorclub.errors import DomainError
 from minorclub.formats import parse_graph
 from minorclub.graph import (Graph, _iter_bits, _mask_components,
@@ -274,3 +275,36 @@ def test_case_bound_keeps_the_first_best_case():
                 if len(T) + size > best.h:
                     best = BippermHadwiger(len(T) + size, len(T), T, edges)
         assert hadwiger_bipperm(G, with_details=True) == best, G.edges()
+
+
+# Hadwiger numbers above the oracle's cap, from exact relations rather than
+# the brute force.
+
+@pytest.mark.parametrize("a, b", [(30, 30), (25, 60), (1, 100)])
+def test_complete_bipartite_closed_form(a, b):
+    """h(K_{a,b}) = a + 1 for 1 <= a <= b."""
+    G = Graph.complete_bipartite(a, b)
+    assert hadwiger_cograph(G) == hadwiger_bipperm(G) == a + 1
+
+
+def _complete_bipartite_union(n: int, rng: random.Random) -> Graph:
+    """A relabelled disjoint union of complete bipartite graphs K_{a,b}
+    with 0 <= a <= b <= 12 (a = 0 gives isolated vertices) on n vertices."""
+    G = Graph.empty(0)
+    while G.n < n:
+        b = rng.randint(1, min(12, n - G.n))
+        a = rng.randint(0, min(b, n - G.n - b))
+        G = disjoint_union(G, Graph.complete_bipartite(a, b))
+    perm = list(range(n))
+    rng.shuffle(perm)
+    return Graph.from_edges(n, [(perm[u], perm[v]) for u, v in G.edges()])
+
+
+@pytest.mark.parametrize("n", [40, 80, 160])
+def test_bipartite_cographs_agree_across_solvers(n):
+    """A bipartite cograph is a disjoint union of complete bipartite graphs,
+    so both polynomial solvers apply to it and must agree."""
+    rng = random.Random(n)
+    for _ in range(5):
+        G = _complete_bipartite_union(n, rng)
+        assert hadwiger_cograph(G) == hadwiger_bipperm(G), G.edges()

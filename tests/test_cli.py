@@ -343,6 +343,54 @@ def test_club_bound_miss_falls_back_to_the_oracle(tmp_path, capsys, g6, k_min):
     assert rep["solver"] == "oracle" and rep["result"]["k_min"] == k_min
 
 
+# HrO__OG (n = 9) has an asteroidal triple and d = 5, but the double sweep
+# from vertex 0 stops at distance 4, where d' - s = 2 leaves no path to scan.
+# Only the rerun from the distance matrix's first diametral pair finds the 3
+# edges; without it, the graph above --cap 8 would exit 3.
+SWEEP_SHORT = b"HrO__OG"
+
+
+def test_club_bound_reruns_from_the_matrix_pair(tmp_path, capsys):
+    code, out, err = run(tmp_path, capsys,
+                         ["club-minor", "--s", "2", "--cap", "8", "--json"], SWEEP_SHORT)
+    assert code == 0 and err == ""
+    rep = json.loads(out)
+    assert rep["solver"] == "bound" and rep["result"]["k_min"] == 3
+    _check_contraction(SWEEP_SHORT, rep["result"]["witness_edges"], 2)
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "edb5bc799f2aa4c6de8b45a29ff6cd0cdee11819da157e21e6f4fa37f0656340")
+
+
+# SHA-256 of the --json stdout (empty on an error), exit code and stderr on
+# graphs with at most two vertices: the empty graph, K1, K2 and two isolated
+# vertices, as the solver printed them when every call built the distance
+# matrix first.
+TINY_CLUB_REPORTS = {
+    (b"?", "club-contract"): (0, "ae0fc34dd1786120efbca9ccef48845655415153d7507d41e1e4d74863a132b1"),
+    (b"?", "club-minor"): (3, None),
+    (b"@", "club-contract"): (0, "c07a75aa431ebe6a18ad25030e72fad9ad8641e45793f1b7d6ea42716820bd80"),
+    (b"@", "club-minor"): (0, "6b574eff7c1d0bbc8df29760681a4a8c398bb18e4060c28632500ccc3709c167"),
+    (b"A_", "club-contract"): (0, "adfcbbcd75fed0e99003af95415c8907f887850cf29faa88cb788a3714e55c87"),
+    (b"A_", "club-minor"): (0, "e26d1565b4131c90c04c5565905b4ba0b2ccc30e95c47fdb0819e577e81f4cb7"),
+    (b"A?", "club-contract"): (0, "6cdc680b65039bd1af32ff7fffda8b6fa169c22f8c3623487c510d1afe0a343d"),
+    (b"A?", "club-minor"): (3, None),
+}
+
+
+@pytest.mark.parametrize("data, command", sorted(TINY_CLUB_REPORTS))
+def test_club_reports_on_tiny_graphs_are_pinned(tmp_path, capsys, data, command):
+    argv = [command, "--s", "2"] + (["--k", "0"] if command == "club-contract" else [])
+    code, out, err = run(tmp_path, capsys, argv + ["--json"], data)
+    want_code, want_sha = TINY_CLUB_REPORTS[data, command]
+    assert code == want_code
+    if want_sha is None:
+        assert out == ""
+        assert err == "error: disconnected graphs cannot be contracted to finite diameter\n"
+    else:
+        assert err == ""
+        assert hashlib.sha256(out.encode()).hexdigest() == want_sha
+
+
 @pytest.mark.parametrize("data, s", [(C6, 2), (P5, 1)])
 def test_club_minor_oracle_reports_its_witness(tmp_path, capsys, data, s):
     rep = run_json(tmp_path, capsys, ["club-minor", "--s", str(s)], data)

@@ -5,10 +5,11 @@ import random
 import pytest
 
 from minorclub import club_contraction
-from minorclub.club_contraction import (_scan_paths, distance_profile,
+from minorclub.club_contraction import (_BFSRows, _profile, _scan_paths,
+                                        diametral_pair, distance_profile,
                                         is_satisfying_path,
                                         minimum_contraction,
-                                        s_club_contract_decide,
+                                        s_club_contract_decide, sweep_pair,
                                         tight_contraction)
 from minorclub.errors import DomainError
 from minorclub.formats import parse_graph
@@ -72,11 +73,17 @@ def _bound_graphs():
     yield from _atfree_connected(7)
 
 
-def test_tight_contraction_meets_the_atfree_minimum():
+def _tight_from_the_matrix(G: Graph, s: int):
+    """tight_contraction scanning from the distance matrix's first diametral
+    pair instead of the double sweep's."""
+    return tight_contraction(G, s, all_pairs_distances(G))
+
+
+def _check_tight_meets_the_atfree_minimum(tight) -> None:
     answered = 0
     for G in _bound_graphs():
         for s in (2, 3):
-            S = tight_contraction(G, s)
+            S = tight(G, s)
             if S is None:
                 continue
             k_min, _ = minimum_contraction(G, s)
@@ -86,6 +93,27 @@ def test_tight_contraction_meets_the_atfree_minimum():
     assert answered > 40
 
 
+def test_tight_contraction_meets_the_atfree_minimum():
+    _check_tight_meets_the_atfree_minimum(tight_contraction)
+
+
+def test_tight_contraction_from_the_matrix_meets_the_atfree_minimum():
+    _check_tight_meets_the_atfree_minimum(_tight_from_the_matrix)
+
+
+def test_tight_contraction_meets_the_atfree_minimum_at_scale():
+    """Seeded interval graphs (connected, as consecutive intervals overlap
+    when spread <= 0.5) and caterpillars with n = 320 and 640."""
+    rng = random.Random(59)
+    for n in (320, 640):
+        for G in (random_interval_graph(n, rng, spread=0.5), random_caterpillar(n, rng)):
+            dist = all_pairs_distances(G)
+            for s in (2, 3):
+                S = tight_contraction(G, s)
+                assert S is not None and len(S) == minimum_contraction(G, s, dist)[0], \
+                    (n, s)
+
+
 def _sparse_connected(n: int, rng: random.Random) -> Graph:
     """A random spanning tree on n vertices plus up to three random edges."""
     edges = [(rng.randrange(v), v) for v in range(1, n)]
@@ -93,7 +121,7 @@ def _sparse_connected(n: int, rng: random.Random) -> Graph:
     return Graph.from_edges(n, [(min(e), max(e)) for e in edges])
 
 
-def test_tight_contraction_matches_the_oracle_on_any_small_graph():
+def _check_tight_matches_the_oracle(tight) -> None:
     """Graphs of any class, AT-free or not: every connected graph with
     n <= 7 and 400 seeded sparse connected graphs with n = 8."""
     rng = random.Random(53)
@@ -102,7 +130,7 @@ def test_tight_contraction_matches_the_oracle_on_any_small_graph():
     answered = 0
     for G in graphs:
         for s in (2, 3):
-            S = tight_contraction(G, s)
+            S = tight(G, s)
             if S is None:
                 continue
             assert len(S) == diameter(G) - s == min_club_contraction_oracle(G, s, G.n), \
@@ -110,6 +138,54 @@ def test_tight_contraction_matches_the_oracle_on_any_small_graph():
             _check_witness(G, S, len(S), s)
             answered += 1
     assert answered > 100
+
+
+def test_tight_contraction_matches_the_oracle_on_any_small_graph():
+    _check_tight_matches_the_oracle(tight_contraction)
+
+
+def test_tight_contraction_from_the_matrix_matches_the_oracle_on_any_small_graph():
+    _check_tight_matches_the_oracle(_tight_from_the_matrix)
+
+
+@pytest.mark.parametrize("G", [
+    Graph.empty(0), Graph.empty(1), Graph.path(2), Graph.empty(2),
+    disjoint_union(Graph.path(8), Graph.path(3)),
+    disjoint_union(Graph.empty(1), Graph.path(8)),
+])
+def test_tight_contraction_decides_nothing_on_tiny_or_disconnected_graphs(G):
+    for s in (2, 3):
+        assert tight_contraction(G, s) is None
+        assert _tight_from_the_matrix(G, s) is None
+
+
+# Not AT-free, d = 5: the double sweep from vertex 0 reaches the pair (6, 7)
+# at distance 4, so d' - s = 2 and nothing is scanned, while the matrix's
+# first diametral pair (5, 7) yields 3 edges.
+def test_tight_contraction_from_the_matrix_pair_when_the_sweep_falls_short():
+    G = parse_graph(b"HrO__OG", "graph6")
+    dist = all_pairs_distances(G)
+    assert G.n == 9 and is_at_free(G) is not True and diameter(G) == 5
+    assert sweep_pair(dist) == sweep_pair(_BFSRows(G)) == (6, 7, 4)
+    assert diametral_pair(dist) == (5, 7, 5)
+    assert tight_contraction(G, 2) is None
+    S = tight_contraction(G, 2, dist)
+    assert len(S) == 3 == min_club_contraction_oracle(G, 2, G.n)
+    _check_witness(G, S, 3, 2)
+
+
+def test_tight_scan_reads_only_rows_near_the_ends():
+    """The scan from the sweep's pair computes few BFS rows, and finds the
+    same path as from the full matrix."""
+    G = random_interval_graph(320, random.Random(61), spread=0.5)
+    rows = _BFSRows(G)
+    u, v, d = sweep_pair(rows)
+    prof = _profile(rows, u, v)
+    for s in (2, 3):
+        path = _scan_paths(G, prof, d - s, rows)
+        assert path[0] is not None
+        assert path == _scan_paths(G, prof, d - s, all_pairs_distances(G))
+    assert len(rows) < 40
 
 
 # Graphs with d = 5 whose first diametral pair's scanned path of length

@@ -17,18 +17,15 @@ no caps), 5 internal error: a solver's output failed its certificate check;
 stderr then names the command and the input's SHA-256.
 
 recognize reports every class, chordal-bipartite included, at any size.
-club-contract and club-minor, when s >= 2, first take a pair (u, v) at
-distance d' by a double BFS sweep (the farthest vertex u from vertex 0, then
-the farthest from u), and when d' - s >= 3 scan for d' - s edges of a
-shortest (u, v)-path whose contraction leaves diameter s, computing the other
-BFS rows the scan reads on first use.  No graph gets there with fewer than
-d - s contractions (d the diameter), so that set, once re-checked, proves
-d' = d and answers on any graph, AT-free or not, with solver "bound"; a
-graph above --cap that it answers does not exit 3.  On a miss they build the
-distance matrix and, when its first diametral pair differs from the sweep's,
-rerun the scan from that pair.  Otherwise they run the AT-free solver when
-s >= 2 and the graph has no asteroidal triple, else the brute-force oracle
-within --cap, else exit 3.  A negative budget --k exits 3
+club-contract and club-minor, when s >= 2, first ask
+``club_contraction.tight_contraction`` for d - s edges (d the diameter) whose
+contraction leaves diameter s.  It scans a shortest path between the double
+BFS sweep's pair, and on a miss between the first diametral pair.  No graph
+gets there with fewer than d - s contractions, so that set, once re-checked,
+answers on any graph, AT-free or not, with solver "bound"; a graph above
+--cap that it answers does not exit 3.  Otherwise they run the AT-free solver
+when s >= 2 and the graph has no asteroidal triple, else the brute-force
+oracle within --cap, else exit 3.  A negative budget --k exits 3
 on every path, `oracle club-contract` and `reduce` too.
 """
 
@@ -43,15 +40,14 @@ import time
 
 from . import oracle as oracle_mod
 from .bipperm_dp import hadwiger_bipperm, max_clique_matching
-from .club_contraction import (ClubDecision, diametral_pair,
-                               minimum_contraction, s_club_contract_decide,
-                               sweep_pair, tight_contraction)
+from .club_contraction import (ClubDecision, minimum_contraction,
+                               s_club_contract_decide, tight_contraction)
 from .cograph_dp import cograph_cr_table
 from .errors import (CapacityError, DomainError, InvalidStructureError,
                      ParseError)
 from .formats import (FORMATS, emit_graph, parse_dimacs_cnf, parse_graph,
                       parse_set_system)
-from .graph import all_pairs_distances, is_connected
+from .graph import is_connected
 from .recognition import (Cotree, is_at_free, is_chordal_bipartite,
                           is_cobipartite, is_split, recognize_cograph,
                           strong_ordering)
@@ -130,25 +126,17 @@ def cmd_clique_matching(G, args):
 def _club_solver(G, args, bound, atfree, oracle):
     """(solver, value) for s >= 2: ``bound(S)`` under solver "bound" when
     ``tight_contraction`` finds a set S of d - s edges, which is optimal on
-    any graph and so needs no recognition.  It first scans from the double
-    sweep's pair, reading BFS rows only as the scan needs them; on a miss,
-    G's distance matrix is built and the scan reruns from its first
-    diametral pair, unless that pair and d are the sweep's.  Else
-    ``atfree(dist)``, given the matrix, unless it finds an asteroidal
-    triple.  Otherwise, and for s < 2, ``oracle()`` when G fits within
-    --cap.  A graph above --cap exits 3 only when neither the bound nor the
-    AT-free solver answers."""
+    any graph and so needs no recognition.  Else ``atfree()``, which reuses
+    the BFS rows that G memoizes, unless it finds an asteroidal triple.
+    Otherwise, and for s < 2, ``oracle()`` when G fits within --cap.  A
+    graph above --cap exits 3 only when neither the bound nor the AT-free
+    solver answers."""
     if args.s >= 2:
         S = tight_contraction(G, args.s)
-        if S is None:
-            dist = all_pairs_distances(G)
-            pair = diametral_pair(dist)
-            if pair is not None and pair != sweep_pair(dist):
-                S = tight_contraction(G, args.s, dist)
         if S is not None:
             return "bound", bound(S)
         try:
-            return "atfree", atfree(dist)
+            return "atfree", atfree()
         except DomainError as exc:
             if exc.certificate is None:
                 raise
@@ -171,7 +159,7 @@ def cmd_club_contract(G, args):
     solver, dec = _club_solver(
         G, args,
         lambda S: ClubDecision(True, S) if args.k >= len(S) else ClubDecision(False),
-        lambda dist: s_club_contract_decide(G, args.k, args.s, dist),
+        lambda: s_club_contract_decide(G, args.k, args.s),
         lambda: _club_contract_oracle(G, args.s, args.k))
     return ({"answer": "yes" if dec.yes else "no",
              "witness_edges": [list(e) for e in dec.witness] if dec.witness else None},
@@ -184,7 +172,7 @@ def cmd_club_minor(G, args):
             "disconnected graphs cannot be contracted to finite diameter")
     solver, (kmin, witness) = _club_solver(
         G, args, lambda S: (len(S), S),
-        lambda dist: minimum_contraction(G, args.s, dist),
+        lambda: minimum_contraction(G, args.s),
         lambda: (len(S := oracle_mod.min_club_contraction_set(G, args.s, G.n - 1)), S))
     return ({"k_min": kmin, "p": G.n - kmin,
              "witness_edges": [list(e) for e in witness] if witness else None},

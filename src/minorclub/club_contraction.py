@@ -6,13 +6,12 @@ in [d-s, d-s+2].  The lower end holds on every connected graph, AT-free or
 not: contracting one edge shortens each distance by at most 1.  So a set of
 exactly d-s edges whose contraction is re-checked to reach diameter s is
 optimal on any graph, and ``tight_contraction`` looks for one with the path
-scan below before anything asks whether the graph is AT-free.  It needs no
-distance matrix: a double BFS sweep gives a pair at distance d' <= d (on
-AT-free graphs such sweeps fall short by at most 1; Corneil, Dragan and
-Koehler, Networks 2003), the scan computes the few other BFS rows it reads
-on first use, and a set of d' - s edges that passes the re-check proves
-d' = d.  Callers holding the matrix can rerun the scan from its first
-diametral pair.
+scan below before anything asks whether the graph is AT-free.  A double BFS
+sweep gives a pair at distance d' <= d (on AT-free graphs such sweeps fall
+short by at most 1; Corneil, Dragan and Koehler, Networks 2003), the scan
+reads a few other rows of the graph's BFS memo ``G.dist``, and a set of
+d' - s edges that passes the re-check proves d' = d.  On a miss it reruns
+from the first diametral pair, which reads every row, when that differs.
 
 The decision procedure is driven by paths between a diameter dominating
 pair (u, v): a path Q = x_0..x_k is *satisfying* when it extends to a
@@ -33,9 +32,9 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .errors import DomainError
-from .graph import (Edge, Graph, _bfs, _iter_bits, _layers,
-                    _matrix_diameter, all_pairs_distances, contract_edges,
-                    contraction_map, diameter_at_most, shortest_path)
+from .graph import (Edge, Graph, _diametral_pairs, _iter_bits, _layers,
+                    contract_edges, contraction_map, diameter,
+                    diameter_at_most, shortest_path)
 from .oracle import _first_club_set
 from .recognition import AvoidingComponents, _dominating_diametral_pair
 from .witness import certify
@@ -65,19 +64,18 @@ class ClubDecision:
 
 def distance_profile(G: Graph, u: int, v: int) -> DistanceProfile:
     """Profile for a diameter pair; errors when dist(u, v) != diam(G)."""
-    dist = all_pairs_distances(G)
-    d = _matrix_diameter(dist)
+    d = diameter(G)
     if d == math.inf:
         raise DomainError("graph must be connected")
-    if dist[u][v] != d:
+    if G.dist[u][v] != d:
         raise DomainError(f"({u},{v}) is not a diameter pair")
-    return _profile(dist, u, v)
+    return _profile(G, u, v)
 
 
-def _profile(dist, u: int, v: int) -> DistanceProfile:
-    """The profile of the pair (u, v), with d = dist(u, v), read off
-    ``dist``, BFS rows indexed by vertex; only the rows of u and v are read."""
-    du, dv = dist[u], dist[v]
+def _profile(G: Graph, u: int, v: int) -> DistanceProfile:
+    """The profile of the pair (u, v), with d = dist(u, v); only the BFS
+    rows of u and v are read."""
+    du, dv = G.dist[u], G.dist[v]
     d = du[v]
     return DistanceProfile(
         u, v, d,
@@ -109,9 +107,10 @@ def is_satisfying_path(G: Graph, prof: DistanceProfile, Q) -> bool:
         return False
     if base + k + dv[Q[-1]] != prof.d:
         return False
-    return (_end_conditions_ok(_bfs(G, Q[0]), _bfs(G, Q[1]), du[Q[0]],
+    dist = G.dist
+    return (_end_conditions_ok(dist[Q[0]], dist[Q[1]], du[Q[0]],
                                prof.X_v, prof.Y_v)
-            and _end_conditions_ok(_bfs(G, Q[-1]), _bfs(G, Q[-2]), dv[Q[-1]],
+            and _end_conditions_ok(dist[Q[-1]], dist[Q[-2]], dv[Q[-1]],
                                    prof.X_u, prof.Y_u))
 
 
@@ -124,10 +123,10 @@ def _end_conditions_ok(d0, d1, ref: int, X, Y) -> bool:
     return all(d0[z] <= ref or d1[z] <= ref for z in Y)
 
 
-def _scan_paths(G: Graph, prof: DistanceProfile, k: int, dist):
+def _scan_paths(G: Graph, prof: DistanceProfile, k: int):
     """Search for a satisfying path of length k >= 3 by trying all ordered
-    choices of the first and last edge; ``dist`` is BFS rows indexed by
-    vertex, and only rows of candidate first and last edges are read.
+    choices of the first and last edge; of G's BFS rows, only those of
+    candidate first and last edges are read.
 
     Each first edge (x0, x1) grows its reach once, one u-layer per step, up
     to x_{k-1}'s layer; every last edge (x_{k-1}, x_k) whose x_{k-1} is
@@ -138,6 +137,7 @@ def _scan_paths(G: Graph, prof: DistanceProfile, k: int, dist):
     assert k >= 3
     du, dv = prof.dist_u, prof.dist_v
     d = prof.d
+    dist = G.dist
     layers = _layers(G, prof.u)
     layered = [(a, b) for a in range(G.n) for b in _iter_bits(G.rows[a])
                if du[b] == du[a] + 1]
@@ -176,110 +176,85 @@ def _scan_paths(G: Graph, prof: DistanceProfile, k: int, dist):
 
 # Decision procedure ------------------------------------------------------
 
-class _BFSRows(dict):
-    """BFS rows of G indexed by vertex, each computed on first use."""
-
-    def __init__(self, G: Graph):
-        super().__init__()
-        self.G = G
-
-    def __missing__(self, x: int) -> list[int]:
-        row = self[x] = _bfs(self.G, x)
-        return row
-
-
-def sweep_pair(dist):
+def sweep_pair(G: Graph):
     """The double sweep's pair (u, v, d'): u is the lowest-labelled vertex
     farthest from vertex 0, d' = ecc(u) <= diam(G) and v is the lowest-labelled
-    vertex at distance d' from u.  ``dist`` is BFS rows indexed by vertex, of
-    which only the rows of 0 and u are read.  None when G is disconnected."""
-    first = dist[0]
-    if -1 in first:
+    vertex at distance d' from u.  Only the BFS rows of 0 and u are read.
+    None when G is empty or disconnected."""
+    if G.n == 0 or -1 in G.dist[0]:
         return None
-    u = first.index(max(first))
-    d = max(dist[u])
-    return u, dist[u].index(d), d
+    u = G.dist[0].index(max(G.dist[0]))
+    d = max(G.dist[u])
+    return u, G.dist[u].index(d), d
 
 
-def diametral_pair(dist: list[list[int]]):
-    """The first diametral pair (u, v, d) of the distance matrix: u is the
-    lowest-labelled vertex of eccentricity d = diam(G) and v the
-    lowest-labelled vertex at distance d from u.  None when G is empty or
-    disconnected."""
-    d = _matrix_diameter(dist)
-    if not dist or d == math.inf:
-        return None
-    u = next(x for x, row in enumerate(dist) if d in row)
-    return u, dist[u].index(d), d
+def diametral_pair(G: Graph):
+    """The first pair (u, v, d) with u < v at distance d = diam(G); None when
+    G is disconnected or has fewer than two vertices."""
+    return next(_diametral_pairs(G), None)
 
 
-def tight_contraction(G: Graph, s: int, dist=None) -> tuple[Edge, ...] | None:
+def tight_contraction(G: Graph, s: int) -> tuple[Edge, ...] | None:
     """A set of exactly d - s edges whose contraction leaves diameter at
     most s, found without recognizing any graph class; None decides nothing.
 
-    The pair (u, v) and d' <= diam(G) come from ``sweep_pair``, two BFS
-    runs, with every other BFS row computed on first use; given G's distance
-    matrix ``dist``, they are its first diametral pair and d = diam(G)
-    instead.  When d' - s >= 3 the path scan runs for k = d' - s from that
-    pair, and the unpinned path it returns is contracted and re-checked.
-    No connected graph reaches diameter s with fewer than diam(G) - s
-    contractions, so a set that passes proves d' = diam(G) and is optimal.
-    None means d' - s <= 2, G is empty or disconnected, the scan found no
-    unpinned path or the re-check failed.
+    It tries ``sweep_pair``, two BFS runs, then ``diametral_pair`` when
+    that differs.  No connected graph reaches diameter s with fewer than
+    diam(G) - s contractions, so a set that passes is optimal.
     """
-    if G.n == 0:
-        return None
-    if dist is None:
-        dist = _BFSRows(G)
-        pair = sweep_pair(dist)
-    else:
-        pair = diametral_pair(dist)
+    pair = sweep_pair(G)
+    S = _tight_from_pair(G, s, pair)
+    if S is None and (first := diametral_pair(G)) != pair:
+        S = _tight_from_pair(G, s, first)
+    return S
+
+
+def _tight_from_pair(G: Graph, s: int, pair) -> tuple[Edge, ...] | None:
+    """The scan for k = d' - s >= 3 from the pair (u, v, d'), its unpinned
+    path contracted and re-checked, which proves d' = diam(G); else None."""
     if pair is None or pair[2] - s < 3:
         return None
     u, v, d = pair
-    path, _, _ = _scan_paths(G, _profile(dist, u, v), d - s, dist)
+    path, _, _ = _scan_paths(G, _profile(G, u, v), d - s)
     if path is None:
         return None
     S = tuple(sorted(_path_edges(path, d - s)))
     return S if diameter_at_most(contract_edges(G, S), s) else None
 
 
-def s_club_contract_decide(G: Graph, k: int, s: int, dist=None) -> ClubDecision:
+def s_club_contract_decide(G: Graph, k: int, s: int) -> ClubDecision:
     """Can at most k edge contractions bring diam(G) down to s or less?
 
     Every yes comes with a witness edge set that has been re-verified by
-    contracting it and measuring the diameter.  ``dist`` is G's distance
-    matrix, computed when not given.
+    contracting it and measuring the diameter.
     """
     if k < 0:
         raise DomainError("contraction budget must be non-negative")
-    d, dist, table = _checked_diameter(G, s, dist)
+    d, table = _checked_diameter(G, s)
     if d <= s:
         return ClubDecision(True, ())
     if k < d - s:
         return ClubDecision(False)
-    return _ladder(G, s, d, k, dist, table)
+    return _ladder(G, s, d, k, table)
 
 
-def minimum_contraction(G: Graph, s: int, dist=None) -> tuple[int, tuple[Edge, ...]]:
-    """Smallest k with diam(G/S) <= s for some k-edge set S, plus a witness;
-    ``dist`` is G's distance matrix, computed when not given."""
-    d, dist, table = _checked_diameter(G, s, dist)
+def minimum_contraction(G: Graph, s: int) -> tuple[int, tuple[Edge, ...]]:
+    """Smallest k with diam(G/S) <= s for some k-edge set S, plus a witness."""
+    d, table = _checked_diameter(G, s)
     if d == math.inf:
         raise DomainError("disconnected graphs cannot reach finite diameter")
     if d <= s:
         return 0, ()
-    dec = _ladder(G, s, d, d - s + 1, dist, table)
+    dec = _ladder(G, s, d, d - s + 1, table)
     if dec.yes:
         return len(dec.witness), dec.witness
-    return d - s + 2, _dominating_path_witness(G, s, d, dist, table)
+    return d - s + 2, _dominating_path_witness(G, s, d, table)
 
 
-def _checked_diameter(G: Graph, s: int, dist):
-    """(diam(G), its BFS distance matrix, its AvoidingComponents table),
-    the diameter infinite when G is disconnected, after checking that
-    s >= 2 and that the table shows no asteroidal triple; the matrix is
-    computed when ``dist`` is None."""
+def _checked_diameter(G: Graph, s: int):
+    """(diam(G), its AvoidingComponents table), the diameter infinite when
+    G is disconnected, after checking that s >= 2 and that the table shows
+    no asteroidal triple."""
     if s <= 1:
         raise DomainError(
             "only s >= 2 is supported on AT-free graphs; use the brute-force "
@@ -288,19 +263,17 @@ def _checked_diameter(G: Graph, s: int, dist):
     at = table.asteroidal_triple()
     if at is not None:
         raise DomainError("graph has an asteroidal triple", certificate=at)
-    if dist is None:
-        dist = all_pairs_distances(G)
-    return _matrix_diameter(dist), dist, table
+    return diameter(G), table
 
 
-def _ladder(G: Graph, s: int, d: int, k: int, dist, table) -> ClubDecision:
+def _ladder(G: Graph, s: int, d: int, k: int, table) -> ClubDecision:
     """Decide budget k >= d - s on G with s < d = diam(G), given G's
-    distance matrix and AvoidingComponents table.  Budget d-s+2 always
-    suffices; otherwise try the tight budget d-s, then with one spare
-    contraction brute force (k <= 2) or guess the extra contractions."""
+    AvoidingComponents table.  Budget d-s+2 always suffices; otherwise try
+    the tight budget d-s, then with one spare contraction brute force
+    (k <= 2) or guess the extra contractions."""
     if k >= d - s + 2:
-        return ClubDecision(True, _dominating_path_witness(G, s, d, dist, table))
-    tight = _decide_tight(G, s, d, dist, table)
+        return ClubDecision(True, _dominating_path_witness(G, s, d, table))
+    tight = _decide_tight(G, s, d, table)
     if tight.yes or k == d - s:
         return tight
     if k <= 2:
@@ -316,10 +289,9 @@ def _one_extra_contraction(G: Graph, s: int, d: int):
     for size in (1, 2):
         for Sp in combinations(G.edges(), size):
             Gq = contract_edges(G, Sp)
-            dist = all_pairs_distances(Gq)
-            if _matrix_diameter(dist) != d - size + 1:
+            if diameter(Gq) != d - size + 1:
                 continue
-            rec = _decide_tight(Gq, s, d - size + 1, dist)
+            rec = _decide_tight(Gq, s, d - size + 1)
             if rec.yes:
                 return Sp + _lift_edges(G, Sp, rec.witness)
     return None
@@ -332,10 +304,10 @@ def _verified_yes(G: Graph, S, k: int, s: int) -> ClubDecision:
     return ClubDecision(True, S)
 
 
-def _dominating_path_witness(G: Graph, s: int, d: int, dist, table) -> tuple[Edge, ...]:
+def _dominating_path_witness(G: Graph, s: int, d: int, table) -> tuple[Edge, ...]:
     """Contract d-s+2 edges of a shortest path between a diameter dominating
     pair; what remains of the path still dominates and has length s-2."""
-    u, v = _dominating_diametral_pair(dist, table)
+    u, v = _dominating_diametral_pair(G, table)
     P = shortest_path(G, u, v)
     S = _path_edges(P, d - s + 2)
     certify(diameter_at_most(contract_edges(G, S), s),
@@ -359,39 +331,37 @@ def _path_edges(P, k: int) -> tuple[Edge, ...]:
     return tuple(tuple(sorted(e)) for e in zip(P, P[1:k + 1]))
 
 
-def _decide_tight(G: Graph, s: int, d: int, dist, table=None) -> ClubDecision:
-    """Budget exactly k = d - s >= 1, where d = diam(G) and ``dist`` is G's
-    distance matrix; G's AvoidingComponents ``table`` is built here when
-    the budget needs a dominating pair and none is given."""
+def _decide_tight(G: Graph, s: int, d: int, table=None) -> ClubDecision:
+    """Budget exactly k = d - s >= 1, where d = diam(G); G's
+    AvoidingComponents ``table`` is built here when the budget needs a
+    dominating pair and none is given."""
     k = d - s
     if k <= 2:
         return _brute_force(G, k, s)
-    u, v = _dominating_diametral_pair(dist, table or AvoidingComponents(G))
-    prof = _profile(dist, u, v)
-    unpinned, found_any, _ = _scan_paths(G, prof, k, dist)
+    u, v = _dominating_diametral_pair(G, table or AvoidingComponents(G))
+    prof = _profile(G, u, v)
+    unpinned, found_any, _ = _scan_paths(G, prof, k)
     if unpinned is not None:
         return _verified_yes(G, _path_edges(unpinned, k), k, s)
     if not found_any:
         return ClubDecision(False)
-    for dist_row in (prof.dist_u, prof.dist_v):
-        S = _pinned_attempt(G, s, k, dist_row)
+    for anchor in (u, v):
+        S = _pinned_attempt(G, s, k, anchor)
         if S is not None:
             return _verified_yes(G, S, k, s)
     return ClubDecision(False)
 
 
-def _pinned_attempt(G: Graph, s: int, k: int, dist_from):
+def _pinned_attempt(G: Graph, s: int, k: int, anchor: int):
     """All satisfying paths start at this anchor: the vertex at each distance
     0..k-2 from it must be unique, those chain edges are forced, and two
-    more contractions are guessed exhaustively."""
-    chain = []
-    for i in range(k - 1):
-        layer = [w for w in range(G.n) if dist_from[w] == i]
-        if len(layer) != 1:
-            return None
-        chain.append(layer[0])
-    if any(not G.has_edge(a, b) for a, b in zip(chain, chain[1:])):
+    more contractions are guessed exhaustively.  Consecutive chain vertices
+    are always adjacent: chain[i+1] is the only vertex at distance i + 1,
+    so its BFS parent is the only vertex at distance i, chain[i]."""
+    layers = _layers(G, anchor)[:k - 1]
+    if any(layer & (layer - 1) for layer in layers):
         return None
+    chain = [layer.bit_length() - 1 for layer in layers]
     forced = [tuple(sorted((chain[i], chain[i + 1]))) for i in range(k - 2)]
     dec = _brute_force(contract_edges(G, forced), 2, s)
     return tuple(forced) + _lift_edges(G, forced, dec.witness) if dec.yes else None

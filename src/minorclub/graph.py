@@ -3,12 +3,18 @@
 Every algorithm in this library works on small dense graphs, so adjacency is
 stored as one Python int per vertex (bit v of ``rows[u]`` set iff uv is an
 edge).  Graphs are immutable; all operations return fresh graphs.
+
+So BFS distances are a memo on the graph that every reader shares:
+``G.dist[u]`` computes u's BFS row on first use and keeps it.  The memo holds
+the adjacency rows, not the graph, so it makes no reference cycle, and a
+graph whose distances are never read allocates nothing.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Iterator, Sequence
 
 from .errors import DomainError
@@ -93,6 +99,24 @@ class Graph:
     def m(self) -> int:
         return sum(r.bit_count() for r in self.rows) // 2
 
+    @cached_property
+    def dist(self) -> "_BFSRows":
+        """BFS rows by source vertex (-1 marks unreachable), each computed on
+        first read and kept; callers must not mutate a row."""
+        return _BFSRows(self.rows)
+
+
+class _BFSRows(dict):
+    """BFS rows over adjacency ``rows`` by vertex, computed on first use."""
+
+    def __init__(self, rows: tuple[int, ...]):
+        super().__init__()
+        self.rows = rows
+
+    def __missing__(self, x: int) -> list[int]:
+        row = self[x] = _bfs(self.rows, x)
+        return row
+
 
 def complement(G: Graph) -> Graph:
     full = (1 << G.n) - 1
@@ -129,16 +153,16 @@ def induced_subgraph(G: Graph, U: Iterable[int]) -> Graph:
     return Graph(len(keep), tuple(rows))
 
 
-def _bfs(G: Graph, source: int) -> list[int]:
-    """Hop distances from source; -1 marks unreachable vertices."""
-    dist = [-1] * G.n
+def _bfs(rows: Sequence[int], source: int) -> list[int]:
+    """Hop distances from source over adjacency ``rows``; -1 if unreachable."""
+    dist = [-1] * len(rows)
     seen = frontier = 1 << source
     d = 0
     while frontier:
         reach = 0
         for u in _iter_bits(frontier):
             dist[u] = d
-            reach |= G.rows[u]
+            reach |= rows[u]
         frontier = reach & ~seen
         seen |= frontier
         d += 1
@@ -164,19 +188,28 @@ def distances(G: Graph, u: int) -> list[int | float]:
     """Exact BFS distances from u; math.inf for unreachable vertices."""
     if not 0 <= u < G.n:
         raise DomainError(f"vertex {u} not in graph of order {G.n}")
-    return [d if d >= 0 else math.inf for d in _bfs(G, u)]
+    return [d if d >= 0 else math.inf for d in G.dist[u]]
 
 
 def diameter(G: Graph) -> int | float:
     """Largest hop distance over all vertex pairs; inf iff disconnected (n >= 2)."""
-    return _matrix_diameter(all_pairs_distances(G))
-
-
-def _matrix_diameter(dist: list[list[int]]) -> int | float:
-    """The diameter read off a BFS distance matrix (-1 marks unreachable)."""
+    dist = all_pairs_distances(G)
     if any(-1 in row for row in dist):
         return math.inf
     return max(map(max, dist), default=0)
+
+
+def _diametral_pairs(G: Graph) -> Iterator[tuple[int, int, int]]:
+    """The pairs u < v at distance d = diam(G), as (u, v, d) in lexicographic
+    order; none when G is disconnected or has fewer than two vertices.  The
+    first is (lowest vertex of eccentricity d, lowest vertex at distance d
+    from it): no lower vertex reaches distance d."""
+    d = diameter(G)
+    if d == math.inf:
+        return
+    for u, row in enumerate(all_pairs_distances(G)):
+        if d in row:
+            yield from ((u, v, d) for v in range(u + 1, G.n) if row[v] == d)
 
 
 def diameter_at_most(G: Graph, s: int) -> bool:
@@ -392,5 +425,5 @@ def shortest_path(G: Graph, u: int, v: int) -> list[int] | None:
 
 
 def all_pairs_distances(G: Graph) -> list[list[int]]:
-    """BFS distance matrix with -1 for unreachable pairs."""
-    return [_bfs(G, u) for u in range(G.n)]
+    """BFS distance matrix with -1 for unreachable pairs; its rows are G.dist's."""
+    return [G.dist[u] for u in range(G.n)]

@@ -12,14 +12,13 @@ verify_ordering accepts it.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import reduce
 
 from .errors import DomainError
-from .graph import (Graph, _iter_bits, _layers, _mask_components,
-                    _matrix_diameter, all_pairs_distances, complement,
-                    induced_subgraph, is_bipartite)
+from .graph import (Graph, _diametral_pairs, _iter_bits, _layers,
+                    _mask_components, complement, induced_subgraph,
+                    is_bipartite, is_connected)
 
 
 # Cotrees ----------------------------------------------------------------
@@ -319,27 +318,23 @@ def diameter_dominating_pair(G: Graph) -> tuple[int, int]:
     """Lexicographically smallest pair at distance diam(G) whose every
     connecting path dominates G.  Exists on connected AT-free graphs.
 
-    One BFS distance matrix gives the diametral pairs and one
-    AvoidingComponents table decides each of them, (u, v) being dominating
-    iff C_uv is empty."""
-    return _dominating_diametral_pair(all_pairs_distances(G), AvoidingComponents(G))
+    The graph's BFS rows give the diametral pairs and one AvoidingComponents
+    table decides each of them, (u, v) being dominating iff C_uv is empty."""
+    return _dominating_diametral_pair(G, AvoidingComponents(G))
 
 
-def _dominating_diametral_pair(dist: list[list[int]],
+def _dominating_diametral_pair(G: Graph,
                               table: AvoidingComponents) -> tuple[int, int]:
-    """diameter_dominating_pair from the graph's BFS distance matrix and its
-    AvoidingComponents table: the first pair (u, v) at the largest distance
-    with C_uv empty."""
-    n = len(dist)
-    d = _matrix_diameter(dist)
-    if n == 0 or d == math.inf:
+    """diameter_dominating_pair given G's AvoidingComponents table: the
+    first pair (u, v), in the order of ``_diametral_pairs``, with C_uv
+    empty."""
+    if G.n == 0 or not is_connected(G):
         raise DomainError("graph must be connected")
-    for u in range(n):
-        for v in range(u + 1, n):
-            if dist[u][v] == d and table.linking(u, v) == 0:
-                return (u, v)
-    if n == 1:
+    if G.n == 1:
         return (0, 0)
+    for u, v, _ in _diametral_pairs(G):
+        if table.linking(u, v) == 0:
+            return (u, v)
     raise DomainError("no diameter dominating pair exists; is the graph AT-free?")
 
 

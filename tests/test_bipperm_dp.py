@@ -308,3 +308,20 @@ def test_bipartite_cographs_agree_across_solvers(n):
     for _ in range(5):
         G = _complete_bipartite_union(n, rng)
         assert hadwiger_cograph(G) == hadwiger_bipperm(G), G.edges()
+
+
+# Dense staircases stop at n = 48: at n = 96 the relations take about 10 s.
+@pytest.mark.parametrize("n, dense", [(24, False), (48, False), (96, False),
+                                      (24, True), (48, True)])
+def test_hadwiger_relations_on_staircases_above_the_oracle_cap(n, dense):
+    """Exact relations on seeded staircases: h(G + H) = max(h(G), h(H)) and
+    h(G) - 1 <= h(G - v) <= h(G); bipartite permutation graphs are closed
+    under both."""
+    rng = random.Random(73 + n)
+    G = random_staircase(n, rng, dense)
+    H = random_staircase(n // 2, rng, dense)
+    h = hadwiger_bipperm(G)
+    assert hadwiger_bipperm(disjoint_union(G, H)) == max(h, hadwiger_bipperm(H))
+    for v in rng.sample(range(n), 3):
+        rest = [w for w in range(n) if w != v]
+        assert h - 1 <= hadwiger_bipperm(induced_subgraph(G, rest)) <= h, (G.rows, v)

@@ -5,9 +5,9 @@ import random
 import pytest
 
 from minorclub import club_contraction
-from minorclub.club_contraction import (_BFSRows, _profile, _scan_paths,
-                                        diametral_pair, distance_profile,
-                                        is_satisfying_path,
+from minorclub.club_contraction import (_profile, _scan_paths,
+                                        _tight_from_pair, diametral_pair,
+                                        distance_profile, is_satisfying_path,
                                         minimum_contraction,
                                         s_club_contract_decide, sweep_pair,
                                         tight_contraction)
@@ -74,9 +74,9 @@ def _bound_graphs():
 
 
 def _tight_from_the_matrix(G: Graph, s: int):
-    """tight_contraction scanning from the distance matrix's first diametral
-    pair instead of the double sweep's."""
-    return tight_contraction(G, s, all_pairs_distances(G))
+    """The scan and re-check from the distance matrix's first diametral pair
+    alone, not the double sweep's."""
+    return _tight_from_pair(G, s, diametral_pair(G))
 
 
 def _check_tight_meets_the_atfree_minimum(tight) -> None:
@@ -107,10 +107,9 @@ def test_tight_contraction_meets_the_atfree_minimum_at_scale():
     rng = random.Random(59)
     for n in (320, 640):
         for G in (random_interval_graph(n, rng, spread=0.5), random_caterpillar(n, rng)):
-            dist = all_pairs_distances(G)
             for s in (2, 3):
                 S = tight_contraction(G, s)
-                assert S is not None and len(S) == minimum_contraction(G, s, dist)[0], \
+                assert S is not None and len(S) == minimum_contraction(G, s)[0], \
                     (n, s)
 
 
@@ -164,28 +163,28 @@ def test_tight_contraction_decides_nothing_on_tiny_or_disconnected_graphs(G):
 # first diametral pair (5, 7) yields 3 edges.
 def test_tight_contraction_from_the_matrix_pair_when_the_sweep_falls_short():
     G = parse_graph(b"HrO__OG", "graph6")
-    dist = all_pairs_distances(G)
     assert G.n == 9 and is_at_free(G) is not True and diameter(G) == 5
-    assert sweep_pair(dist) == sweep_pair(_BFSRows(G)) == (6, 7, 4)
-    assert diametral_pair(dist) == (5, 7, 5)
-    assert tight_contraction(G, 2) is None
-    S = tight_contraction(G, 2, dist)
+    assert sweep_pair(G) == (6, 7, 4)
+    assert diametral_pair(G) == (5, 7, 5)
+    assert _tight_from_pair(G, 2, sweep_pair(G)) is None
+    S = _tight_from_the_matrix(G, 2)
     assert len(S) == 3 == min_club_contraction_oracle(G, 2, G.n)
     _check_witness(G, S, 3, 2)
+    assert tight_contraction(G, 2) == S
 
 
 def test_tight_scan_reads_only_rows_near_the_ends():
     """The scan from the sweep's pair computes few BFS rows, and finds the
     same path as from the full matrix."""
     G = random_interval_graph(320, random.Random(61), spread=0.5)
-    rows = _BFSRows(G)
-    u, v, d = sweep_pair(rows)
-    prof = _profile(rows, u, v)
-    for s in (2, 3):
-        path = _scan_paths(G, prof, d - s, rows)
-        assert path[0] is not None
-        assert path == _scan_paths(G, prof, d - s, all_pairs_distances(G))
-    assert len(rows) < 40
+    u, v, d = sweep_pair(G)
+    prof = _profile(G, u, v)
+    paths = [_scan_paths(G, prof, d - s) for s in (2, 3)]
+    assert len(G.dist) < 40
+    assert all(path[0] is not None for path in paths)
+    H = Graph(G.n, G.rows)
+    all_pairs_distances(H)
+    assert paths == [_scan_paths(H, _profile(H, u, v), d - s) for s in (2, 3)]
 
 
 # Graphs with d = 5 whose first diametral pair's scanned path of length
@@ -196,10 +195,9 @@ def test_tight_contraction_misses_when_the_recheck_fails(g6, k_min):
     G = parse_graph(g6.encode(), "graph6")
     s = 2
     assert diameter(G) == 5 and is_at_free(G) is not True
-    dist = all_pairs_distances(G)
-    u = next(x for x, row in enumerate(dist) if 5 in row)
-    prof = distance_profile(G, u, dist[u].index(5))
-    assert _scan_paths(G, prof, 3, dist)[0] is not None
+    u, v, _ = diametral_pair(G)
+    prof = distance_profile(G, u, v)
+    assert _scan_paths(G, prof, 3)[0] is not None
     assert tight_contraction(G, s) is None
     assert min_club_contraction_oracle(G, s, G.n) == k_min
 
@@ -295,10 +293,10 @@ def _scan_setup(G: Graph):
 def test_scanned_paths_satisfy_the_definition():
     checked = 0
     for G in _scan_graphs():
-        prof, dist = _scan_setup(G)
+        prof, _ = _scan_setup(G)
         u, v = prof.u, prof.v
         for k in range(3, prof.d + 1):
-            unpinned, found_any, pinned = _scan_paths(G, prof, k, dist)
+            unpinned, found_any, pinned = _scan_paths(G, prof, k)
             paths = [p for p in (unpinned, pinned) if p is not None]
             assert found_any == bool(paths)
             for Q in paths:
@@ -362,7 +360,7 @@ def test_path_scan_matches_the_per_pair_scan():
     for G in graphs:
         prof, dist = _scan_setup(G)
         for k in range(3, prof.d + 1):
-            assert _scan_paths(G, prof, k, dist) == _per_pair_scan(G, prof, k, dist), \
+            assert _scan_paths(G, prof, k) == _per_pair_scan(G, prof, k, dist), \
                 (G.rows, k)
 
 

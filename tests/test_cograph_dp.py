@@ -8,7 +8,8 @@ import pytest
 from minorclub.cograph_dp import (CrTable, cograph_cr_table, cr_join, cr_leaf,
                                   cr_union, hadwiger_cograph)
 from minorclub.errors import DomainError
-from minorclub.graph import Graph, clique_number, disjoint_union, join
+from minorclub.graph import (Graph, clique_number, disjoint_union,
+                             induced_subgraph, join)
 from minorclub.oracle import (enumerate_nice_structures, hadwiger_oracle,
                               nice_structure_oracle)
 from minorclub.recognition import recognize_cograph
@@ -193,3 +194,18 @@ def test_join_and_union_match_the_reference_on_cotree_children():
     for _ in range(40):
         tree = recognize_cograph(random_cograph(rng.randint(2, 40), rng))
         tree.fold(lambda v: cr_leaf(), checked)
+
+
+def test_hadwiger_relations_above_the_oracle_cap():
+    """Exact relations on seeded cographs with 40-160 leaves: h(G v K1) =
+    h(G) + 1 (drop the new vertex's bag), h(G + H) = max(h(G), h(H)) and
+    h(G) - 1 <= h(G - v) <= h(G); cographs are closed under all three."""
+    rng = random.Random(71)
+    for leaves in (40, 80, 160):
+        G, H = random_cograph(leaves, rng), random_cograph(leaves // 2, rng)
+        h = hadwiger_cograph(G)
+        assert hadwiger_cograph(join(G, Graph.empty(1))) == h + 1
+        assert hadwiger_cograph(disjoint_union(G, H)) == max(h, hadwiger_cograph(H))
+        for v in rng.sample(range(G.n), 4):
+            rest = [w for w in range(G.n) if w != v]
+            assert h - 1 <= hadwiger_cograph(induced_subgraph(G, rest)) <= h, (G.rows, v)

@@ -1,15 +1,18 @@
 from __future__ import annotations
 
+import gc
 import math
 import random
+import weakref
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from minorclub.errors import DomainError
-from minorclub.graph import (Graph, _contract_rows, clique_number, complement,
-                             components, contract_edge, contract_edges,
+from minorclub.graph import (Graph, _contract_rows, _diametral_pairs,
+                             clique_number, complement, components,
+                             contract_edge, contract_edges,
                              contraction_map, diameter, diameter_at_most,
                              disjoint_union, distances, induced_subgraph,
                              is_bipartite, is_connected, join, max_clique,
@@ -149,6 +152,44 @@ def test_distances_and_diameter():
     assert diameter(Graph.empty(1)) == 0
     assert diameter(Graph.path(9)) == 8
     assert diameter(Graph.empty(2)) == math.inf
+
+
+def test_distance_memo_fills_on_demand_and_frees_with_the_graph():
+    """Reading G.dist keeps the rows on G but no reference cycle: with the
+    cycle collector off, the graph is freed once its last reference goes."""
+    G = Graph.path(6)
+    assert len(G.dist) == 0
+    assert G.dist[2] == [2, 1, 0, 1, 2, 3]
+    assert distances(G, 5) == [5, 4, 3, 2, 1, 0]
+    assert sorted(G.dist) == [2, 5]
+    assert diameter(G) == 5 and len(G.dist) == 6
+    gc.disable()
+    try:
+        H = Graph.cycle(7)
+        H.dist[0]
+        diameter(H)
+        gone = weakref.ref(H)
+        del H
+        assert gone() is None
+    finally:
+        gc.enable()
+
+
+def test_distance_memo_leaves_equality_and_hash_alone():
+    read, fresh = Graph.cycle(6), Graph.cycle(6)
+    diameter(read)
+    assert len(read.dist) == 6 and "dist" not in vars(fresh)
+    assert read == fresh and hash(read) == hash(fresh)
+    assert read != Graph.path(6)
+
+
+def test_diametral_pairs_are_every_pair_at_the_diameter_in_order():
+    for n in range(7):
+        for G in all_graphs(n):
+            d = diameter(G)
+            want = [(u, v, d) for u in range(n) for v in range(u + 1, n)
+                    if d < math.inf and distances(G, u)[v] == d]
+            assert list(_diametral_pairs(G)) == want, G.rows
 
 
 def test_diameter_at_most_matches_diameter():

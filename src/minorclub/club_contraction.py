@@ -23,6 +23,18 @@ shortest chain are forced and only two edges remain to guess.
 
 ``is_satisfying_path`` states the definition directly; the tests hold the
 path scan of the decision procedure to it.
+
+Budgets k <= 2 are decided by the oracle's subset walk
+(``oracle._first_club_set``), which skips sets by the excess bound: for a
+diametral pair (u, v) and slack t = k - (d - s), a k-edge set S with
+diam(G/S) <= s has at most t edges ab with excess
+min(du[a] + dv[b], du[b] + dv[a]) + 1 - d above t.  A shortest path between
+the bags of u and v in G/S lifts to a (u, v)-walk in G that crosses each
+bag along its S-edges.  The walk is at least d and at most s + k = d + t
+long, so it uses at least d - s edges of S and none of excess above t;
+those all lie among the at most t edges of S off the walk.  So t < 0
+needs no search, and at t = 0 every edge of S lies on a shortest path
+between every diametral pair.
 """
 
 from __future__ import annotations
@@ -318,11 +330,12 @@ def _dominating_path_witness(G: Graph, s: int, d: int, table) -> tuple[Edge, ...
 def _brute_force(G: Graph, k: int, s: int) -> ClubDecision:
     """The first k-edge set, in ``combinations`` order over ``G.edges()``,
     whose contraction leaves diameter at most s, found by the oracle's
-    walk over the subsets and their quotients.  Only sets of exactly k
-    edges are tried: every caller passes k = d - s, or d - s + 1 after d - s
-    failed, and one contraction shortens a distance by at most 1, so no
-    smaller set can succeed."""
-    S = _first_club_set(G.edges(), G.rows, s, k)
+    pruned walk over the subsets and their quotients.  Only sets of exactly
+    k edges are tried.  Callers pass k = d - s, or d - s + 1 after d - s
+    failed, where d = diam(G), so no smaller set could succeed; but
+    ``_pinned_attempt`` passes k = 2 on a quotient whose diameter may exceed
+    s + 2, where no set succeeds and the walk ends before it starts."""
+    S = _first_club_set(G, s, k)
     return ClubDecision(S is not None, S)
 
 

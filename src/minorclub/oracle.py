@@ -11,9 +11,10 @@ import math
 from typing import Iterator
 
 from .errors import CapacityError, DomainError
-from .graph import (Edge, Graph, _bag_quotient, _contract_rows, _iter_bits,
-                    _mask_component, _mask_connected, components,
-                    diameter_at_most, induced_subgraph, max_clique)
+from .graph import (Edge, Graph, _bag_quotient, _contract_rows,
+                    _diametral_pairs, _iter_bits, _mask_component,
+                    _mask_connected, components, diameter_at_most,
+                    induced_subgraph, max_clique)
 from .witness import certify, verify_witness
 
 PARTITION_CAP = 12
@@ -170,57 +171,105 @@ def min_club_contraction_set(G: Graph, s: int, k_max: int) -> tuple[Edge, ...] |
     """The first smallest edge set S, in ``combinations`` order over
     ``G.edges()``, with diam(G/S) <= s, by increasing-size subset
     enumeration: () when G is already within s, None if no set of at most
-    k_max edges works."""
+    k_max edges works.  ``SUBSET_BUDGET`` caps the subsets of every size up
+    to the one being tried, sizes below d - s included although
+    ``_first_club_set`` rules those out at once, so the CapacityError fires
+    on exactly the inputs where the unpruned walk would have raised it."""
     if k_max < 0:
         raise DomainError("contraction budget must be non-negative")
     if len(components(G)) != 1 or G.n == 0:
         raise DomainError("graph must be connected")
     if diameter_at_most(G, s):
         return ()
-    edges = G.edges()
+    m = G.m
     total = 0
-    for k in range(1, min(k_max, len(edges)) + 1):
-        total += math.comb(len(edges), k)
+    for k in range(1, min(k_max, m) + 1):
+        total += math.comb(m, k)
         if total > SUBSET_BUDGET:
             raise CapacityError(
                 f"subset enumeration up to size {k} needs {total} checks "
                 f"(budget {SUBSET_BUDGET})")
-        S = _first_club_set(edges, G.rows, s, k)
+        S = _first_club_set(G, s, k)
         if S is not None:
             return S
     return None
 
 
-def _first_club_set(edges: list[Edge], rows: tuple[int, ...], s: int,
-                    k: int) -> tuple[Edge, ...] | None:
-    """The first k-subset of ``edges``, in ``itertools.combinations``
-    order, whose contraction has diameter at most s.
+def _first_club_set(G: Graph, s: int, k: int) -> tuple[Edge, ...] | None:
+    """The first k-subset of ``G.edges()``, in ``itertools.combinations``
+    order, whose contraction has diameter at most s, or None.
 
     The subsets are walked depth first, and each prefix carries its
     quotient: its rows, built by ``_contract_rows`` and so equal to
     ``_quotient``'s, and ``label``, each original vertex's quotient vertex.
     An edge whose ends already share a bag leaves the quotient as it is.
+
+    The walk skips only sets that cannot succeed, by the excess bound.  Let
+    (u, v) be a diametral pair, d = diam(G) and t = k - (d - s) the slack.
+    The excess of an edge ab is min(du[a] + dv[b], du[b] + dv[a]) + 1 - d,
+    0 exactly on the edges of shortest (u, v)-paths.  A k-edge set S with
+    diam(G/S) <= s has at most t edges of excess above t.  Proof: a
+    shortest path between the bags of u and v in G/S has at most s edges;
+    lifted to G, crossing each bag along the tree its S-edges span, it is a
+    (u, v)-walk W of length at most s + w, where w <= k edges of S lie on
+    W.  Its length is at least d, so w >= d - s, and an edge ab on W makes
+    it at least d + excess(ab), so no edge on W has excess above t.  The
+    edges of excess above t thus lie among the k - w <= t edges of S off W.
+    Hence t < 0 needs no walk; t = 0 walks only the edges on a shortest path
+    between every diametral pair; t >= 1 lets a prefix hold at most t edges
+    of excess above t for the first diametral pair.  Every set that
+    succeeds passes, so the first one found is the unpruned walk's.
     """
+    pairs = _diametral_pairs(G)
+    first = next(pairs, None)
+    if first is None:  # disconnected, or fewer than two vertices
+        return () if k == 0 and diameter_at_most(G, s) else None
+    slack = k - (first[2] - s)
+    if slack < 0:
+        return None
+    edges = G.edges()
+    high = [_excess(G, first, e) > slack for e in edges]
+    if slack == 0:
+        edges = [e for e, h in zip(edges, high) if not h]
+        for pair in pairs:
+            if len(edges) < k:
+                return None
+            edges = [e for e in edges if not _excess(G, pair, e)]
+        high = [False] * len(edges)
     chosen: list[Edge] = []
 
-    def extend(start: int, rows: tuple[int, ...], label: list[int]) -> bool:
+    def extend(start: int, rows: tuple[int, ...], label: list[int],
+               spare: int) -> bool:
         if len(chosen) == k:
             return diameter_at_most(Graph(len(rows), rows), s)
-        for t in range(start, len(edges) - k + len(chosen) + 1):
-            u, v = edges[t]
+        for i in range(start, len(edges) - k + len(chosen) + 1):
+            if high[i] and not spare:
+                continue
+            u, v = edges[i]
             a, b = sorted((label[u], label[v]))
-            chosen.append(edges[t])
+            chosen.append(edges[i])
             if a == b:
-                found = extend(t + 1, rows, label)
+                found = extend(i + 1, rows, label, spare - high[i])
             else:
-                found = extend(t + 1, _contract_rows(rows, a, b),
-                               [a if x == b else x - (x > b) for x in label])
+                found = extend(i + 1, _contract_rows(rows, a, b),
+                               [a if x == b else x - (x > b) for x in label],
+                               spare - high[i])
             if found:
                 return True
             chosen.pop()
         return False
 
-    return tuple(chosen) if extend(0, rows, list(range(len(rows)))) else None
+    found = extend(0, G.rows, list(range(G.n)), slack)
+    return tuple(chosen) if found else None
+
+
+def _excess(G: Graph, pair: tuple[int, int, int], e: Edge) -> int:
+    """How much longer than d the shortest (u, v)-walk through the edge e
+    is, for the pair (u, v, d); 0 iff e lies on a shortest (u, v)-path."""
+    u, v, d = pair
+    du, dv = G.dist[u], G.dist[v]
+    a, b = e
+    return min(du[a] + dv[b], du[b] + dv[a]) + 1 - d
 
 
 def clique_matching_oracle(G: Graph, cap: int = MATCHING_CAP) -> int:

@@ -11,8 +11,8 @@ from functools import lru_cache
 from itertools import combinations, permutations, product
 
 from minorclub.graph import (Graph, _iter_bits, _mask_connected, complement,
-                             components, contract_edges, disjoint_union,
-                             is_connected, join)
+                             components, contract_edges, diameter_at_most,
+                             disjoint_union, is_connected, join)
 
 # Canonical forms and isomorph-free enumeration ---------------------------
 
@@ -284,6 +284,20 @@ def complete_after_contractions_subsets(G: Graph, k: int) -> bool:
             if all(H.rows[v] == ((1 << H.n) - 1) ^ (1 << v) for v in range(H.n)):
                 return True
     return False
+
+
+def reference_club_set(G: Graph, s: int, k_max: int):
+    """The first smallest edge set of at most k_max edges, in
+    ``combinations`` order over ``G.edges()``, whose simultaneous
+    contraction has diameter at most s; every subset is tried."""
+    if diameter_at_most(G, s):
+        return ()
+    edges = G.edges()
+    for k in range(1, min(k_max, len(edges)) + 1):
+        for S in combinations(edges, k):
+            if diameter_at_most(contract_edges(G, S), s):
+                return S
+    return None
 
 
 def all_matchings(G: Graph):

@@ -19,7 +19,8 @@ from minorclub.oracle import min_club_contraction_oracle
 from minorclub.recognition import diameter_dominating_pair, is_at_free
 
 from genutil import (connected_graphs, random_caterpillar,
-                     random_interval_graph, random_permutation_graph)
+                     random_interval_graph, random_permutation_graph,
+                     reference_club_set)
 
 
 def _check_witness(G: Graph, S, k: int, s: int) -> None:
@@ -111,6 +112,32 @@ def test_tight_contraction_meets_the_atfree_minimum_at_scale():
                 S = tight_contraction(G, s)
                 assert S is not None and len(S) == minimum_contraction(G, s)[0], \
                     (n, s)
+
+
+def test_brute_force_answers_match_the_unpruned_walk_at_scale():
+    """Seeded permutation graphs with n = 16..40 and d - s in {1, 2}, where
+    the AT-free solver's k <= 2 search decides: its witnesses at the tight
+    budget and for the minimum are the first sets that the unpruned subset
+    walk finds.  At n = 40 that walk takes 1-2.5 s on seeds 2 and 5, so two
+    other seeds stand in for the larger size."""
+    cases = [(n, seed) for n in (16, 24, 32) for seed in range(10)]
+    cases += [(40, 3), (40, 4)]
+    seen = set()
+    for n, seed in cases:
+        G = random_permutation_graph(n, random.Random(1000 * n + seed))
+        if not is_connected(G):
+            continue
+        d = diameter(G)
+        for s in (2, 3):
+            if d - s not in (1, 2):
+                continue
+            ref = reference_club_set(G, s, d - s + 1)
+            assert ref is not None and len(ref) <= 2, (n, seed, s)
+            tight = ref if len(ref) == d - s else None
+            assert s_club_contract_decide(G, d - s, s).witness == tight
+            assert minimum_contraction(G, s) == (len(ref), ref), (n, seed, s)
+            seen.add((d - s, len(ref)))
+    assert seen == {(1, 1), (2, 2), (1, 2)}
 
 
 def _sparse_connected(n: int, rng: random.Random) -> Graph:

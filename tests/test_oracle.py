@@ -24,7 +24,8 @@ from minorclub.witness import verify_witness
 
 from genutil import (all_graphs, brute_minor_bags, connected_graphs,
                      is_chordal_peo, random_bipperm, random_chordal,
-                     random_interval_graph)
+                     random_interval_graph, random_permutation_graph,
+                     reference_club_set)
 
 
 def test_connected_partitions_counts():
@@ -183,19 +184,6 @@ def _reference_component_hadwiger(H):
     return best, best_bags
 
 
-def _reference_club_set(G, s, k_max):
-    """The first smallest edge set in ``combinations`` order whose
-    simultaneous contraction has diameter at most s."""
-    if diameter_at_most(G, s):
-        return ()
-    edges = G.edges()
-    for k in range(1, min(k_max, len(edges)) + 1):
-        for S in combinations(edges, k):
-            if diameter_at_most(contract_edges(G, S), s):
-                return S
-    return None
-
-
 def _random_graphs(seed, sizes, count):
     rng = random.Random(seed)
     for _ in range(count):
@@ -224,7 +212,122 @@ def test_club_search_matches_the_subset_reference():
         for s in (1, 2, 3):
             for k_max in (1, 2, 3):
                 assert (min_club_contraction_set(G, s, k_max)
-                        == _reference_club_set(G, s, k_max)), (G, s, k_max)
+                        == reference_club_set(G, s, k_max)), (G, s, k_max)
+
+
+def _bfs_rows(G):
+    """Hop distances between all pairs of a connected graph, by a plain
+    breadth-first search kept apart from the library's."""
+    rows = []
+    for src in range(G.n):
+        dist = [-1] * G.n
+        dist[src] = 0
+        queue = [src]
+        for x in queue:
+            for y in G.neighbors(x):
+                if dist[y] < 0:
+                    dist[y] = dist[x] + 1
+                    queue.append(y)
+        rows.append(dist)
+    return rows
+
+
+def _excesses(dist, u, v, edges):
+    """Per edge ab, how much longer than dist(u, v) the shortest
+    (u, v)-walk through ab is."""
+    d = dist[u][v]
+    return [min(dist[u][a] + dist[v][b], dist[u][b] + dist[v][a]) + 1 - d
+            for a, b in edges]
+
+
+def test_excess_bound_holds_for_every_valid_set():
+    # The bound the club walk prunes by: a k-edge set S with diam(G/S) <= s
+    # has, for every diametral pair, at most t = k - (d - s) edges of excess
+    # above t, and at t = 0 lies on shortest paths between every such pair.
+    checked = tight = 0
+    for n in range(2, 7):
+        for G in connected_graphs(n):
+            dist = _bfs_rows(G)
+            d = max(map(max, dist))
+            pairs = [(u, v) for u in range(n) for v in range(u + 1, n)
+                     if dist[u][v] == d]
+            edges = G.edges()
+            excess = [_excesses(dist, u, v, edges) for u, v in pairs]
+            for s in (1, 2, 3):
+                for k in range(max(1, d - s), d - s + 3):
+                    t = k - (d - s)
+                    for S in combinations(range(len(edges)), k):
+                        if not diameter_at_most(
+                                contract_edges(G, [edges[i] for i in S]), s):
+                            continue
+                        checked += 1
+                        for ex in excess:
+                            assert sum(ex[i] > t for i in S) <= t, (G, s, S)
+                        if t == 0:
+                            tight += 1
+                            assert all(ex[i] == 0 for ex in excess for i in S)
+    assert (checked, tight) == (19237, 435)
+
+
+@pytest.mark.parametrize("g6, sizes, answers", [
+    # random_permutation_graph(40, Random(40005)): 341 edges, d = 4.  The
+    # unpruned walk checked 8 172 sets for s = 2, k = 2 and 6 550 610 for
+    # s = 1, k = 3; the walk checks 25 and 8 436.
+    (None, (1, 2, 3), {(2, 2): ((0, 30), (29, 30)),
+                       (2, 3): ((0, 1), (0, 30), (29, 30)), (3, 1): ((0, 30),),
+                       (3, 2): ((0, 1), (0, 30)),
+                       (3, 3): ((0, 1), (0, 2), (0, 30))}),
+    # 13 edges, d = 4: at s = 1, k = 4 (slack 1) no set works, and the walk
+    # checks 155 of the 715 4-subsets.
+    (b"I?gQhAi@_", (1, 2, 3, 4), {
+        (2, 2): ((2, 7), (6, 8)), (2, 3): ((0, 4), (2, 7), (6, 8)),
+        (2, 4): ((0, 4), (0, 8), (2, 4), (2, 7)), (3, 1): ((2, 7),),
+        (3, 2): ((0, 4), (2, 7)), (3, 3): ((0, 4), (0, 8), (2, 4)),
+        (3, 4): ((0, 4), (0, 8), (1, 6), (2, 4))}),
+])
+def test_club_walk_checks_only_sets_within_the_excess_bound(monkeypatch, g6,
+                                                            sizes, answers):
+    # Each quotient the walk checks belongs to a k-set with at most t edges
+    # of excess above t for the first diametral pair, and at t = 0 to a set
+    # of edges on shortest paths between every diametral pair, so the checks
+    # number at most the count of such sets.  The answers are the unpruned
+    # walk's.
+    G = (parse_graph(g6) if g6 else
+         random_permutation_graph(40, random.Random(40005)))
+    dist = _bfs_rows(G)
+    d = max(map(max, dist))
+    assert d == 4
+    pairs = [(u, v) for u in range(G.n) for v in range(u + 1, G.n)
+             if dist[u][v] == d]
+    excess = _excesses(dist, *pairs[0], G.edges())
+    geodesic = sum(not any(_excesses(dist, u, v, [e])[0] for u, v in pairs)
+                   for e in G.edges())
+    checks = []
+    monkeypatch.setattr(oracle, "diameter_at_most",
+                        lambda H, s: checks.append(H.n) or diameter_at_most(H, s))
+    for s in (1, 2, 3):
+        for k in sizes:
+            t = k - (d - s)
+            high = sum(x > t for x in excess)
+            allowed = sum(math.comb(high, j) * math.comb(G.m - high, k - j)
+                          for j in range(t + 1))
+            if t == 0:
+                allowed = math.comb(geodesic, k)
+            checks.clear()
+            assert oracle._first_club_set(G, s, k) == answers.get((s, k)), (s, k)
+            assert len(checks) <= allowed, (s, k, len(checks), allowed)
+
+
+def test_club_budget_counts_sizes_the_walk_rules_out(monkeypatch):
+    # P9 with s = 2 needs 6 contractions, so sizes 1..5 end before any walk,
+    # yet the budget still counts their 8 + 28 + 56 + 70 subsets up to size
+    # 4: the error fires where the unpruned walk raised it.
+    monkeypatch.setattr(oracle, "SUBSET_BUDGET", 161)
+    with pytest.raises(CapacityError, match="up to size 4 needs 162 checks"):
+        min_club_contraction_set(Graph.path(9), 2, 6)
+    monkeypatch.setattr(oracle, "SUBSET_BUDGET", 247)
+    assert min_club_contraction_set(Graph.path(9), 2, 6) == tuple(
+        (i, i + 1) for i in range(6))
 
 
 def test_max_s_club_examples():

@@ -4,12 +4,18 @@ DIMACS, and the reductions' source problems in DIMACS CNF and as set systems.
 Edge list format: a header line ``n m`` followed by one ``u v`` pair per
 line, 0-based.  DIMACS: ``p edge n m`` then ``e u v`` lines, 1-based, with
 ``c`` comment lines.  graph6 is the standard 6-bit packed upper-triangle
-encoding; decoding is linear in the payload, and the padding bits of the last
-byte are ignored.  DIMACS CNF: ``p cnf n m`` then m clauses of nonzero signed
-1-based literals, each ended by 0, with ``c`` and ``%`` comment lines.  Set
-system: an ``n m`` header line, then one set per line as member indexes in
-0..n-1.  Every ParseError raised for malformed bytes carries the byte offset
-of the offending token.
+encoding, and the padding bits of the last byte are ignored.  The decoder
+takes one of two paths, chosen by the share of set bits in the payload.  A
+sparse payload (at most 1 bit in 8 set) is decoded one edge at a time, O(m)
+Python steps.  A denser one is laid out as an n x n square of padded
+columns, and each bit row is read as two integer conversions: O(n) Python
+steps on O(n^2) characters.  Both paths stay: the square is 2-4x faster
+from density 0.2 on, but 1.2-3x slower on sparse graphs such as interval
+graphs, where it converts n^2 characters for O(n) edges.  DIMACS CNF:
+``p cnf n m`` then m clauses of nonzero signed 1-based literals, each ended
+by 0, with ``c`` and ``%`` comment lines.  Set system: an ``n m`` header
+line, then one set per line as member indexes in 0..n-1.  Every ParseError
+raised for malformed bytes carries the byte offset of the offending token.
 """
 
 from __future__ import annotations
@@ -75,6 +81,14 @@ def _parse_graph6(raw: bytes) -> Graph:
                          f"got {len(data) - pos}", base + min(len(data), pos + need))
     # Bit (i, j), i < j, is character j(j-1)/2 + i: column j is one slice.
     bits = "".join(map(_G6_BITS.__getitem__, data[pos:]))
+    if bits.count("1") * 8 > len(bits):
+        # Column j padded to n characters is row j of an n x n square; the
+        # stride-n slice at column i is then i's upper neighbours.  Reversed,
+        # row and slice read as bit rows with vertex 0 last.
+        square = "".join(bits[j * (j - 1) // 2:j * (j + 1) // 2].ljust(n, "0")
+                         for j in range(n))[::-1]
+        return Graph(n, tuple(int(square[k * n:k * n + n], 2) | int(square[k::n], 2)
+                              for k in range(n - 1, -1, -1)))
     rows = [0] * n
     start = 0
     for j in range(1, n):
@@ -118,7 +132,7 @@ def _emit_graph6(G: Graph) -> bytes:
     # Column j is the slice that _parse_graph6 decodes: bit i of rows[j], i < j.
     bits = "".join(format(rows[j] & ((1 << j) - 1), f"0{j}b")[::-1] for j in range(1, n))
     bits += "0" * (-len(bits) % 6)
-    return head + bytes(_G6_BYTE[bits[k:k + 6]] for k in range(0, len(bits), 6))
+    return head + bytes(map(_G6_BYTE.__getitem__, map("".join, zip(*[iter(bits)] * 6))))
 
 
 # text formats -----------------------------------------------------------

@@ -5,9 +5,11 @@ solvers consume (cotree, strong ordering, dominating pair) or exhibits a
 small obstruction (an induced P4, an asteroidal triple).  The two class
 recognizers are direct polynomial constructions with no search and no size
 cap: the cotree splits vertex masks into components or co-components until
-a mask splits neither way, which happens exactly at an induced P4; the
-strong ordering is read off BFS layers and returned only when
-verify_ordering accepts it.
+a mask splits neither way, which happens exactly at an induced P4.  Only the
+root tries both splits: the parts of a union are connected and those of a
+join co-connected, so every other cotree node tests the one split its
+parent's kind leaves open.  The strong ordering is read off BFS layers and
+returned only when verify_ordering accepts it.
 """
 
 from __future__ import annotations
@@ -84,7 +86,8 @@ def recognize_cograph(G: Graph):
     subgraph is disconnected is a union over its components, one whose
     complement is disconnected is a join over its co-components, and one
     where both are connected contains an induced P4 (located by direct
-    search).  Children are ordered by their smallest vertex.
+    search).  A child mask is tested only for the split its parent's kind
+    does not rule out.  Children are ordered by their smallest vertex.
     """
     if G.n == 0:
         raise DomainError("cograph recognition needs at least one vertex")
@@ -92,20 +95,24 @@ def recognize_cograph(G: Graph):
     root = (1 << G.n) - 1
     splits: dict[int, tuple[str, list[int]]] = {}
     visited = []
-    stack = [root]
+    stack = [(root, "")]
     while stack:
-        mask = stack.pop()
+        mask, parent = stack.pop()
         visited.append(mask)
         if mask & (mask - 1) == 0:
             continue
-        kind, parts = "union", _mask_components(G.rows, mask)
-        if len(parts) == 1:
-            kind, parts = "join", _mask_components(co_rows, mask)
-        if len(parts) == 1:
+        # A union's parts are connected and a join's co-connected, so below
+        # the root only the split of the other kind can succeed.
+        for kind, rows in (("union", G.rows), ("join", co_rows)):
+            if kind != parent:
+                parts = _mask_components(rows, mask)
+                if len(parts) > 1:
+                    break
+        else:
             verts = list(_iter_bits(mask))
             return tuple(verts[i] for i in find_induced_p4(induced_subgraph(G, verts)))
         splits[mask] = (kind, parts)
-        stack.extend(reversed(parts))
+        stack.extend((part, kind) for part in reversed(parts))
     trees: dict[int, Cotree] = {}
     for mask in reversed(visited):  # children before their parent
         if mask in splits:

@@ -98,24 +98,27 @@ def nae3sat_to_cobipartite(phi: NaeFormula) -> ReductionInstance:
     if n < 1:
         raise DomainError("formula needs at least one variable")
     copies = 4 * n - 3
-    rows: list[int] = []
-    labels: dict[str, int] = {}
-    for i in range(1, n + 1):
-        for sign in "+-":
-            _add_vertex(rows, labels, f"literal:{sign}{i}", (1 << len(rows)) - 1)
-    rest = 0  # the clause copies and dummies so far, which form a clique
+    N = copies * (n + m)
+    block = (1 << copies) - 1
+    X = (1 << 2 * n) - 1  # literal +i is vertex 2i - 2, literal -i is 2i - 1
+    rest = ((1 << N) - 1) << 2 * n  # the clause copies and dummies, a clique
+    rows = [X & ~(1 << v) for v in range(2 * n)]
+    labels = {f"literal:{sign}{i}": 2 * i - 2 + (sign == "-")
+              for i in range(1, n + 1) for sign in "+-"}
+    groups = []  # (label prefix, literal mask) of each block of copies
     for j, clause in enumerate(phi.clauses):
         lits = 0
-        for lit in clause:  # literal +i is vertex 2i - 2, literal -i is 2i - 1
+        for lit in clause:
             lits |= 1 << (2 * abs(lit) - 2 + (lit < 0))
-        for p in range(copies):
-            rest |= 1 << _add_vertex(rows, labels, f"clause:{j}:{p}", lits | rest)
-    for i in range(1, n + 1):
-        for p in range(copies):
-            rest |= 1 << _add_vertex(rows, labels, f"dummy:{i}:{p}",
-                                     3 << (2 * i - 2) | rest)
+        groups.append((f"clause:{j}", lits))
+    groups += ((f"dummy:{i}", 3 << (2 * i - 2)) for i in range(1, n + 1))
+    for name, lits in groups:
+        start = len(rows)
+        for v in _iter_bits(lits):
+            rows[v] |= block << start
+        rows += ((rest | lits) & ~(1 << w) for w in range(start, start + copies))
+        labels.update((f"{name}:{p}", start + p) for p in range(copies))
     G = Graph(len(rows), tuple(rows))
-    N = copies * (n + m)
     certify(is_cobipartite(G) and N == G.n - 2 * n,
             "NAE-3SAT reduction graph is not co-bipartite on 2n + N vertices")
     return ReductionInstance(G, 2 * n - 2, f"complete graph on {N + 2} vertices", labels)

@@ -44,10 +44,16 @@ def test_graph6_padding_bits_are_ignored():
     assert parse_graph(b"A~", "graph6") == Graph.complete(2)
 
 
-@pytest.mark.parametrize("density", [0.1, 0.5, 0.9])
+# The decoder reads payloads with more than 1 bit in 8 set through an n x n
+# square and sparser ones edge by edge: 0.02 and 0.1 lie below that switch,
+# 0.15 just above it, and n = 1000 runs each path at scale.
+@pytest.mark.parametrize("density", [0.02, 0.1, 0.15, 0.5, 0.9])
 def test_graph6_agrees_with_networkx(density):
     nx = pytest.importorskip("networkx")
-    for n in [*range(1, 70), 126, 127, 200, 300]:
+    sizes = [*range(1, 70), 126, 127, 200, 300]
+    if density in (0.02, 0.5):
+        sizes.append(1000)
+    for n in sizes:
         H = nx.gnp_random_graph(n, density, seed=n)
         data = nx.to_graph6_bytes(H, header=False).strip()
         G = parse_graph(data, "graph6")

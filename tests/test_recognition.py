@@ -2,14 +2,16 @@ from __future__ import annotations
 
 import math
 import random
+from itertools import combinations
 
 import pytest
 
 from minorclub.cograph_dp import hadwiger_cograph
 from minorclub.errors import DomainError
-from minorclub.graph import (Graph, complement, disjoint_union, diameter,
-                             distances, induced_subgraph, is_bipartite,
-                             is_connected, join)
+from minorclub.graph import (Graph, _iter_bits, _mask_components, complement,
+                             disjoint_union, diameter, distances,
+                             induced_subgraph, is_bipartite, is_connected,
+                             join)
 from minorclub.oracle import chordality
 from minorclub.recognition import (AvoidingComponents, Cotree, StrongOrdering,
                                    diameter_dominating_pair, find_induced_p4,
@@ -110,6 +112,82 @@ def _threshold_cograph(n: int) -> Graph:
 def test_cotree_text_is_pinned(edges, text):
     G = Graph.from_edges(max(max(e) for e in edges) + 1, edges)
     assert recognize_cograph(G).to_text() == text
+
+
+def _reference_cotree(G: Graph):
+    """recognize_cograph with both splits tried at every mask, not only at
+    the root."""
+    co_rows = complement(G).rows
+    root = (1 << G.n) - 1
+    splits = {}
+    visited = []
+    stack = [root]
+    while stack:
+        mask = stack.pop()
+        visited.append(mask)
+        if mask & (mask - 1) == 0:
+            continue
+        kind, parts = "union", _mask_components(G.rows, mask)
+        if len(parts) == 1:
+            kind, parts = "join", _mask_components(co_rows, mask)
+        if len(parts) == 1:
+            verts = list(_iter_bits(mask))
+            return tuple(verts[i] for i in find_induced_p4(induced_subgraph(G, verts)))
+        splits[mask] = (kind, parts)
+        stack.extend(reversed(parts))
+    trees = {}
+    for mask in reversed(visited):
+        if mask in splits:
+            kind, parts = splits[mask]
+            trees[mask] = Cotree(kind, tuple(trees[p] for p in parts))
+        else:
+            trees[mask] = Cotree("leaf", vertex=mask.bit_length() - 1)
+    return trees[root]
+
+
+def _random_threshold_graph(n: int, rng: random.Random) -> Graph:
+    """Each new vertex arrives isolated or dominating, at random."""
+    rows = [0] * n
+    for v in range(1, n):
+        if rng.random() < 0.5:
+            rows[v] = (1 << v) - 1
+            for u in range(v):
+                rows[u] |= 1 << v
+    return Graph(n, tuple(rows))
+
+
+def _non_cograph(n: int, rng: random.Random) -> Graph:
+    """A P4 under a random chain of unions and joins with random cographs,
+    so the first mask that splits neither way can sit below either kind."""
+    G = Graph.path(4)
+    while G.n < n:
+        other = random_cograph(rng.randint(1, n - G.n), rng)
+        G = (disjoint_union if rng.random() < 0.5 else join)(other, G)
+    return G
+
+
+def test_cotrees_and_p4s_match_the_reference_that_tries_both_splits():
+    rng = random.Random(41)
+    for leaves in (50, 100, 200, 400):
+        for _ in range(3):
+            for G in (random_cograph(leaves, rng), _random_threshold_graph(leaves, rng)):
+                G = _relabelled(G, rng)
+                tree = recognize_cograph(G)
+                assert isinstance(tree, Cotree)
+                assert tree.to_text() == _reference_cotree(G).to_text()
+    for _ in range(200):
+        n = rng.randint(4, 40)
+        if rng.random() < 0.5:
+            G = _non_cograph(n, rng)
+        else:
+            p = rng.random()
+            G = Graph.from_edges(n, (e for e in combinations(range(n), 2) if rng.random() < p))
+        G = _relabelled(G, rng)
+        want = _reference_cotree(G)
+        if isinstance(want, Cotree):
+            assert recognize_cograph(G).to_text() == want.to_text()
+        else:
+            assert recognize_cograph(G) == want
 
 
 @pytest.mark.parametrize("n", [600, 2000])

@@ -91,6 +91,60 @@ def test_hitting_set_reductions_preserve_the_answer():
                 assert (got is not None) == want, (inst, s)
 
 
+def _reference_nae_graph(phi: NaeFormula):
+    """The NAE-3SAT reduction graph and role labels built one vertex at a
+    time, each new vertex adjacent to a mask of the earlier ones."""
+    n = phi.n
+    copies = 4 * n - 3
+    rows: list[int] = []
+    labels: dict[str, int] = {}
+
+    def add(label: str, nbrs: int) -> int:
+        v = len(rows)
+        for w in range(v):
+            if nbrs >> w & 1:
+                rows[w] |= 1 << v
+        rows.append(nbrs)
+        labels[label] = v
+        return v
+
+    for i in range(1, n + 1):
+        for sign in "+-":
+            add(f"literal:{sign}{i}", (1 << len(rows)) - 1)
+    rest = 0
+    for j, clause in enumerate(phi.clauses):
+        lits = 0
+        for lit in clause:
+            lits |= 1 << (2 * abs(lit) - 2 + (lit < 0))
+        for p in range(copies):
+            rest |= 1 << add(f"clause:{j}:{p}", lits | rest)
+    for i in range(1, n + 1):
+        for p in range(copies):
+            rest |= 1 << add(f"dummy:{i}:{p}", 3 << (2 * i - 2) | rest)
+    return Graph(len(rows), tuple(rows)), labels
+
+
+def test_nae_reduction_matches_the_vertex_by_vertex_reference():
+    # Literals are drawn with replacement, so a clause can repeat a literal
+    # (1 1 2) or hold both signs of a variable (1 -1 2); 8 variables and 16
+    # clauses make a 712-vertex graph.
+    rng = random.Random(36)
+    formulas = [NaeFormula(1, ((1, 1, 1),)), NaeFormula(2, ((1, 1, 2), (1, -1, 2))),
+                NaeFormula(8, tuple(tuple(rng.choice((1, -1)) * rng.randint(1, 8)
+                                          for _ in range(3)) for _ in range(16)))]
+    for _ in range(60):
+        n = rng.randint(1, 8)
+        formulas.append(NaeFormula(n, tuple(
+            tuple(rng.choice((1, -1)) * rng.randint(1, n) for _ in range(3))
+            for _ in range(rng.randint(0, 6)))))
+    for phi in formulas:
+        inst = nae3sat_to_cobipartite(phi)
+        G, labels = _reference_nae_graph(phi)
+        assert inst.graph == G, phi
+        assert list(inst.labels.items()) == list(labels.items()), phi
+    assert nae3sat_to_cobipartite(formulas[2]).graph.n == 712
+
+
 def test_nae3sat_solve_finds_an_assignment_iff_one_exists():
     # Every formula with n <= 3 and 1-4 clauses over distinct variables.
     # Two clauses never rule out all assignments; four can, since each

@@ -13,9 +13,9 @@ from .recognition import (Cotree, StrongOrdering, diameter_dominating_pair,
                           is_at_free, is_chordal_bipartite, is_cobipartite,
                           is_split, recognize_cograph, strong_ordering,
                           verify_ordering)
-from .oracle import (chordality, clique_matching_oracle, connected_partitions,
-                     hadwiger_oracle, max_s_club_minor_oracle,
-                     min_club_contraction_oracle, nice_structure_oracle)
+from .oracle import (clique_matching_oracle, hadwiger_oracle,
+                     max_s_club_minor_oracle, min_club_contraction_oracle,
+                     nice_structure_oracle)
 from .cograph_dp import CrTable, cr_join, cr_leaf, cr_union, hadwiger_cograph
 from .bipperm_dp import hadwiger_bipperm, max_clique_matching
 from .club_contraction import (distance_profile, is_satisfying_path,

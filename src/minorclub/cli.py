@@ -189,7 +189,8 @@ def cmd_oracle(G, args):
     elif what == "club-contract":
         result = {"value": oracle_mod.min_club_contraction_oracle(G, args.s, args.k)}
     elif what == "clique-matching":
-        result = {"value": oracle_mod.clique_matching_oracle(G, cap=max(args.cap, 14))}
+        cap = max(args.cap, oracle_mod.MATCHING_CAP)
+        result = {"value": oracle_mod.clique_matching_oracle(G, cap=cap)}
     else:  # nice-structure
         best, table = oracle_mod.nice_structure_oracle(G, cap=args.cap)
         result = {"value": best, "per_edge_bag_count": list(table)}

@@ -24,17 +24,9 @@ shortest chain are forced and only two edges remain to guess.
 ``is_satisfying_path`` states the definition directly; the tests hold the
 path scan of the decision procedure to it.
 
-Budgets k <= 2 are decided by the oracle's subset walk
-(``oracle._first_club_set``), which skips sets by the excess bound: for a
-diametral pair (u, v) and slack t = k - (d - s), a k-edge set S with
-diam(G/S) <= s has at most t edges ab with excess
-min(du[a] + dv[b], du[b] + dv[a]) + 1 - d above t.  A shortest path between
-the bags of u and v in G/S lifts to a (u, v)-walk in G that crosses each
-bag along its S-edges.  The walk is at least d and at most s + k = d + t
-long, so it uses at least d - s edges of S and none of excess above t;
-those all lie among the at most t edges of S off the walk.  So t < 0
-needs no search, and at t = 0 every edge of S lies on a shortest path
-between every diametral pair.
+Budgets k <= 2 are decided by the oracle's subset walk,
+``oracle._first_club_set``, whose docstring proves the excess bound it
+prunes by.
 """
 
 from __future__ import annotations
@@ -281,7 +273,7 @@ def _checked_diameter(G: Graph, s: int):
 def _ladder(G: Graph, s: int, d: int, k: int, table) -> ClubDecision:
     """Decide budget k >= d - s on G with s < d = diam(G), given G's
     AvoidingComponents table.  Budget d-s+2 always suffices; otherwise try
-    the tight budget d-s, then with one spare contraction brute force
+    the tight budget d-s, then with one spare contraction the subset walk
     (k <= 2) or guess the extra contractions."""
     if k >= d - s + 2:
         return ClubDecision(True, _dominating_path_witness(G, s, d, table))
@@ -289,7 +281,8 @@ def _ladder(G: Graph, s: int, d: int, k: int, table) -> ClubDecision:
     if tight.yes or k == d - s:
         return tight
     if k <= 2:
-        return _brute_force(G, k, s)
+        S = _first_club_set(G, s, k)
+        return ClubDecision(S is not None, S)
     S = _one_extra_contraction(G, s, d)
     return ClubDecision(False) if S is None else _verified_yes(G, S, k, s)
 
@@ -327,18 +320,6 @@ def _dominating_path_witness(G: Graph, s: int, d: int, table) -> tuple[Edge, ...
     return S
 
 
-def _brute_force(G: Graph, k: int, s: int) -> ClubDecision:
-    """The first k-edge set, in ``combinations`` order over ``G.edges()``,
-    whose contraction leaves diameter at most s, found by the oracle's
-    pruned walk over the subsets and their quotients.  Only sets of exactly
-    k edges are tried.  Callers pass k = d - s, or d - s + 1 after d - s
-    failed, where d = diam(G), so no smaller set could succeed; but
-    ``_pinned_attempt`` passes k = 2 on a quotient whose diameter may exceed
-    s + 2, where no set succeeds and the walk ends before it starts."""
-    S = _first_club_set(G, s, k)
-    return ClubDecision(S is not None, S)
-
-
 def _path_edges(P, k: int) -> tuple[Edge, ...]:
     """The first k edges of the path P, each as a sorted pair."""
     return tuple(tuple(sorted(e)) for e in zip(P, P[1:k + 1]))
@@ -350,7 +331,8 @@ def _decide_tight(G: Graph, s: int, d: int, table=None) -> ClubDecision:
     dominating pair and none is given."""
     k = d - s
     if k <= 2:
-        return _brute_force(G, k, s)
+        S = _first_club_set(G, s, k)
+        return ClubDecision(S is not None, S)
     u, v = _dominating_diametral_pair(G, table or AvoidingComponents(G))
     prof = _profile(G, u, v)
     unpinned, found_any, _ = _scan_paths(G, prof, k)
@@ -368,16 +350,18 @@ def _decide_tight(G: Graph, s: int, d: int, table=None) -> ClubDecision:
 def _pinned_attempt(G: Graph, s: int, k: int, anchor: int):
     """All satisfying paths start at this anchor: the vertex at each distance
     0..k-2 from it must be unique, those chain edges are forced, and two
-    more contractions are guessed exhaustively.  Consecutive chain vertices
-    are always adjacent: chain[i+1] is the only vertex at distance i + 1,
-    so its BFS parent is the only vertex at distance i, chain[i]."""
+    more contractions are guessed by the subset walk.  Consecutive chain
+    vertices are always adjacent: chain[i+1] is the only vertex at distance
+    i + 1, so its BFS parent is the only vertex at distance i, chain[i].
+    The quotient's diameter may exceed s + 2, and then the walk returns
+    None before it starts."""
     layers = _layers(G, anchor)[:k - 1]
     if any(layer & (layer - 1) for layer in layers):
         return None
     chain = [layer.bit_length() - 1 for layer in layers]
     forced = [tuple(sorted((chain[i], chain[i + 1]))) for i in range(k - 2)]
-    dec = _brute_force(contract_edges(G, forced), 2, s)
-    return tuple(forced) + _lift_edges(G, forced, dec.witness) if dec.yes else None
+    S = _first_club_set(contract_edges(G, forced), s, 2)
+    return None if S is None else tuple(forced) + _lift_edges(G, forced, S)
 
 
 def _lift_edges(G: Graph, contracted, quotient_edges) -> tuple[Edge, ...]:

@@ -11,51 +11,14 @@ import math
 from typing import Iterator
 
 from .errors import CapacityError, DomainError
-from .graph import (Edge, Graph, _bag_quotient, _contract_rows,
-                    _diametral_pairs, _iter_bits, _mask_component,
-                    _mask_connected, components, diameter_at_most,
+from .graph import (Edge, Graph, _contract_rows, _diametral_pairs,
+                    _iter_bits, components, diameter, diameter_at_most,
                     induced_subgraph, max_clique)
 from .witness import certify, verify_witness
 
 PARTITION_CAP = 12
 MATCHING_CAP = 14
 SUBSET_BUDGET = 5_000_000
-DEFAULT_CHORDALITY_CAP = 16
-
-
-def connected_partitions(G: Graph) -> Iterator[list[tuple[int, ...]]]:
-    """All partitions of V(G) into blocks inducing connected subgraphs.
-
-    Vertices are assigned in label order (restricted-growth style); a branch
-    is abandoned as soon as some block can no longer be reconnected through
-    unassigned vertices.
-    """
-    n = G.n
-    if n == 0:
-        yield []
-        return
-
-    def reconnectable(mask: int, future: int) -> bool:
-        return _mask_component(G.rows, mask | future) & mask == mask
-
-    blocks: list[int] = []
-
-    def assign(v: int):
-        if v == n:
-            if all(_mask_connected(G, b) for b in blocks):
-                yield [tuple(_iter_bits(b)) for b in blocks]
-            return
-        future = ((1 << n) - 1) & ~((1 << (v + 1)) - 1)
-        for i in range(len(blocks)):
-            blocks[i] |= 1 << v
-            if all(reconnectable(b, future) for b in blocks):
-                yield from assign(v + 1)
-            blocks[i] &= ~(1 << v)
-        blocks.append(1 << v)
-        yield from assign(v + 1)
-        blocks.pop()
-
-    yield from assign(0)
 
 
 def _cycle_bound(e: int) -> int:
@@ -142,8 +105,15 @@ def _component_hadwiger(H: Graph) -> tuple[int, tuple[tuple[int, ...], ...]]:
 
 
 def max_s_club_minor_oracle(G: Graph, s: int, cap: int = PARTITION_CAP) -> int:
-    """Maximum block count over full connected partitions whose quotient has
-    diameter at most s."""
+    """Most vertices of a quotient of G (a full connected partition's
+    blocks) with diameter at most s.
+
+    Depth-first over quotients as in ``_component_hadwiger``: children come
+    from ``_contract_rows`` and ``seen`` is keyed on rows.  A quotient with
+    at most ``best`` vertices is skipped and one of diameter D <= s is
+    recorded; one with D > s is expanded only when ``len(rows) - (D - s) >
+    best``, as each contraction lowers every distance by at most one.
+    """
     if G.n == 0:
         return 0
     if len(components(G)) != 1:
@@ -151,12 +121,19 @@ def max_s_club_minor_oracle(G: Graph, s: int, cap: int = PARTITION_CAP) -> int:
     if G.n > cap:
         raise CapacityError(f"graph of size {G.n} exceeds oracle cap {cap}")
     best = 0
-    for blocks in connected_partitions(G):
-        if len(blocks) <= best:
+    seen: set[tuple[int, ...]] = set()
+    stack = [G.rows]
+    while stack:
+        rows = stack.pop()
+        if len(rows) <= best or rows in seen:
             continue
-        masks = [sum(1 << v for v in block) for block in blocks]
-        if diameter_at_most(_bag_quotient(G, masks)[0], s):
-            best = len(blocks)
+        seen.add(rows)
+        g = Graph(len(rows), rows)
+        D = diameter(g)
+        if D <= s:
+            best = len(rows)
+        elif len(rows) - (D - s) > best:
+            stack.extend(_contract_rows(rows, i, j) for i, j in g.edges())
     return best
 
 
@@ -342,38 +319,3 @@ def nice_structure_oracle(G: Graph, cap: int = PARTITION_CAP) -> tuple[int, tupl
         r = sum(1 for b in bags if len(b) == 2)
         table[r] = max(table[r], len(bags))
     return max(table, default=0), tuple(table)
-
-
-def chordality(G: Graph) -> int:
-    """Length of a longest induced cycle; 0 if the graph is acyclic.
-
-    Exponential search over induced paths, for n <= DEFAULT_CHORDALITY_CAP.
-    """
-    if G.n > DEFAULT_CHORDALITY_CAP:
-        raise CapacityError(f"chordality supports at most "
-                            f"{DEFAULT_CHORDALITY_CAP} vertices, got {G.n}")
-    best = 0
-    for s in range(G.n):
-        # Search induced cycles whose minimum vertex is s.  A path
-        # s, p1, ..., pk is grown keeping it induced; closing back to s is
-        # allowed once it has length >= 2.
-        start_nbrs = [v for v in _iter_bits(G.rows[s]) if v > s]
-        for p1 in start_nbrs:
-            stack = [([s, p1], 1 << s | 1 << p1)]
-            while stack:
-                path, used = stack.pop()
-                last = path[-1]
-                closing = G.rows[last] >> s & 1 and len(path) >= 3
-                if closing and path[1] < path[-1]:
-                    best = max(best, len(path))
-                if closing:
-                    continue  # a chord to s forbids any longer induced cycle
-                forbidden = 0
-                for w in path[:-1]:
-                    if w != s:
-                        forbidden |= G.rows[w]
-                cand = G.rows[last] & ~used & ~forbidden & ~(1 << s)
-                for w in _iter_bits(cand):
-                    if w > s:
-                        stack.append((path + [w], used | 1 << w))
-    return best

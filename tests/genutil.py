@@ -9,9 +9,12 @@ from __future__ import annotations
 import random
 from functools import lru_cache
 from itertools import combinations, permutations, product
+from typing import Iterator
 
-from minorclub.graph import (Graph, _iter_bits, _mask_connected, complement,
-                             components, contract_edges, diameter_at_most,
+from minorclub.errors import CapacityError
+from minorclub.graph import (Graph, _iter_bits, _mask_component,
+                             _mask_connected, complement, components,
+                             contract_edges, diameter_at_most,
                              disjoint_union, is_connected, join)
 
 # Canonical forms and isomorph-free enumeration ---------------------------
@@ -222,6 +225,78 @@ def is_chordal_peo(G: Graph) -> bool:
 
 
 # Independent brute-force routes -------------------------------------------
+
+DEFAULT_CHORDALITY_CAP = 16
+
+
+def connected_partitions(G: Graph) -> Iterator[list[tuple[int, ...]]]:
+    """All partitions of V(G) into blocks inducing connected subgraphs.
+
+    Vertices are assigned in label order (restricted-growth style); a branch
+    is abandoned as soon as some block can no longer be reconnected through
+    unassigned vertices.
+    """
+    n = G.n
+    if n == 0:
+        yield []
+        return
+
+    def reconnectable(mask: int, future: int) -> bool:
+        return _mask_component(G.rows, mask | future) & mask == mask
+
+    blocks: list[int] = []
+
+    def assign(v: int):
+        if v == n:
+            if all(_mask_connected(G, b) for b in blocks):
+                yield [tuple(_iter_bits(b)) for b in blocks]
+            return
+        future = ((1 << n) - 1) & ~((1 << (v + 1)) - 1)
+        for i in range(len(blocks)):
+            blocks[i] |= 1 << v
+            if all(reconnectable(b, future) for b in blocks):
+                yield from assign(v + 1)
+            blocks[i] &= ~(1 << v)
+        blocks.append(1 << v)
+        yield from assign(v + 1)
+        blocks.pop()
+
+    yield from assign(0)
+
+
+def chordality(G: Graph) -> int:
+    """Length of a longest induced cycle; 0 if the graph is acyclic.
+
+    Exponential search over induced paths, for n <= DEFAULT_CHORDALITY_CAP.
+    """
+    if G.n > DEFAULT_CHORDALITY_CAP:
+        raise CapacityError(f"chordality supports at most "
+                            f"{DEFAULT_CHORDALITY_CAP} vertices, got {G.n}")
+    best = 0
+    for s in range(G.n):
+        # Search induced cycles whose minimum vertex is s.  A path
+        # s, p1, ..., pk is grown keeping it induced; closing back to s is
+        # allowed once it has length >= 2.
+        start_nbrs = [v for v in _iter_bits(G.rows[s]) if v > s]
+        for p1 in start_nbrs:
+            stack = [([s, p1], 1 << s | 1 << p1)]
+            while stack:
+                path, used = stack.pop()
+                last = path[-1]
+                closing = G.rows[last] >> s & 1 and len(path) >= 3
+                if closing and path[1] < path[-1]:
+                    best = max(best, len(path))
+                if closing:
+                    continue  # a chord to s forbids any longer induced cycle
+                forbidden = 0
+                for w in path[:-1]:
+                    if w != s:
+                        forbidden |= G.rows[w]
+                cand = G.rows[last] & ~used & ~forbidden & ~(1 << s)
+                for w in _iter_bits(cand):
+                    if w > s:
+                        stack.append((path + [w], used | 1 << w))
+    return best
 
 
 def brute_minor_bags(G: Graph) -> int:

@@ -19,6 +19,7 @@ P5 = b"DhC"
 C5 = b"Dhc"
 C6 = b"EhEG"
 C13 = b"LhCGGC@?G?_@_@"
+C12_K1 = b"LhCGGC@?G?o@??"
 CNF = b"p cnf 3 2\n1 2 -3 0\n-1 2 3 0\n"
 SETS = b"4 2\n0 1\n2 3\n"
 
@@ -67,6 +68,8 @@ def test_fixture_graphs():
     assert parse_graph(C5, "graph6") == Graph.cycle(5)
     assert parse_graph(C6, "graph6") == Graph.cycle(6)
     assert parse_graph(C13, "graph6") == Graph.cycle(13)
+    assert parse_graph(C12_K1, "graph6") == disjoint_union(Graph.cycle(12),
+                                                           Graph.empty(1))
 
 
 @pytest.mark.parametrize("argv, data, command", [
@@ -389,6 +392,32 @@ def test_club_reports_on_tiny_graphs_are_pinned(tmp_path, capsys, data, command)
     else:
         assert err == ""
         assert hashlib.sha256(out.encode()).hexdigest() == want_sha
+
+
+# Exit code and the result value, or stderr on an error, of `oracle
+# club-minor --s 2` on its edge paths, as the partition search printed them.
+# Connectivity is checked before the cap, so C12 + K1 exits 3 and C13 4.
+DISCONNECTED = "error: disconnected graphs cannot be contracted to finite diameter\n"
+ORACLE_CLUB_MINOR_EDGES = {
+    b"?": (0, 0),
+    b"@": (0, 1),
+    b"A_": (0, 2),
+    b"A?": (3, DISCONNECTED),
+    C12_K1: (3, DISCONNECTED),
+    C13: (4, "capacity exceeded: graph of size 13 exceeds oracle cap 12\n"),
+}
+
+
+@pytest.mark.parametrize("data", sorted(ORACLE_CLUB_MINOR_EDGES))
+def test_oracle_club_minor_edge_paths_are_pinned(tmp_path, capsys, data):
+    code, out, err = run(tmp_path, capsys,
+                         ["oracle", "club-minor", "--s", "2", "--json"], data)
+    want_code, want = ORACLE_CLUB_MINOR_EDGES[data]
+    assert code == want_code
+    if code == 0:
+        assert err == "" and json.loads(out)["result"] == {"value": want}
+    else:
+        assert out == "" and err == want
 
 
 @pytest.mark.parametrize("data, s", [(C6, 2), (P5, 1)])

@@ -13,8 +13,7 @@ from minorclub.graph import (Graph, _quotient, clique_number, components,
                              contract_edges, diameter, diameter_at_most,
                              disjoint_union, induced_subgraph, is_connected,
                              join, max_clique)
-from minorclub.oracle import (chordality, clique_matching_oracle,
-                              connected_partitions,
+from minorclub.oracle import (clique_matching_oracle,
                               enumerate_nice_structures, hadwiger_oracle,
                               max_s_club_minor_oracle,
                               min_club_contraction_oracle,
@@ -22,10 +21,10 @@ from minorclub.oracle import (chordality, clique_matching_oracle,
                               nice_structure_oracle)
 from minorclub.witness import verify_witness
 
-from genutil import (all_graphs, brute_minor_bags, connected_graphs,
-                     is_chordal_peo, random_bipperm, random_chordal,
-                     random_interval_graph, random_permutation_graph,
-                     reference_club_set)
+from genutil import (all_graphs, brute_minor_bags, chordality,
+                     connected_graphs, connected_partitions, is_chordal_peo,
+                     random_bipperm, random_chordal, random_interval_graph,
+                     random_permutation_graph, reference_club_set)
 
 
 def test_connected_partitions_counts():
@@ -337,6 +336,40 @@ def test_max_s_club_examples():
     assert max_s_club_minor_oracle(G, 2) == 5
     with pytest.raises(DomainError):
         max_s_club_minor_oracle(Graph.empty(3), 2)
+
+
+def _partition_club_minors(G: Graph, s_max: int) -> list[int]:
+    """For each s = 0..s_max, the most blocks of a connected partition of G
+    whose quotient, built here from G's edges, has diameter at most s."""
+    best = [0] * (s_max + 1)
+    for blocks in connected_partitions(G):
+        label = {v: i for i, block in enumerate(blocks) for v in block}
+        D = diameter(Graph.from_edges(len(blocks), {
+            (min(label[a], label[b]), max(label[a], label[b]))
+            for a, b in G.edges() if label[a] != label[b]}))
+        for s in range(D, s_max + 1):
+            best[s] = max(best[s], len(blocks))
+    return best
+
+
+def test_club_minor_search_matches_the_partition_reference():
+    """The quotient walk against every connected partition, at s = 0..3, on
+    all connected graphs with n <= 6 and on seeded connected G(n, p) with
+    n = 8, 9 (n = 7 exhaustively takes about 20 s)."""
+    graphs = [G for n in range(1, 7) for G in connected_graphs(n)]
+    rng = random.Random(21)
+    for n in (8, 9):
+        found = 0
+        while found < 4:
+            p = rng.uniform(0.25, 0.7)
+            G = Graph.from_edges(n, [e for e in combinations(range(n), 2)
+                                     if rng.random() < p])
+            if is_connected(G):
+                graphs.append(G)
+                found += 1
+    for G in graphs:
+        assert [max_s_club_minor_oracle(G, s) for s in range(4)] == \
+            _partition_club_minors(G, 3), G.edges()
 
 
 def test_min_club_examples():

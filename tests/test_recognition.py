@@ -12,7 +12,6 @@ from minorclub.graph import (Graph, _iter_bits, _mask_components, complement,
                              disjoint_union, diameter, distances,
                              induced_subgraph, is_bipartite, is_connected,
                              join)
-from minorclub.oracle import chordality
 from minorclub.recognition import (AvoidingComponents, Cotree, StrongOrdering,
                                    diameter_dominating_pair, find_induced_p4,
                                    is_at_free, is_chordal_bipartite,
@@ -20,9 +19,9 @@ from minorclub.recognition import (AvoidingComponents, Cotree, StrongOrdering,
                                    is_split, recognize_cograph,
                                    strong_ordering, verify_ordering)
 
-from genutil import (all_graphs, connected_graphs, induced_p4_exists,
-                     ordering_exists_exhaustive, random_bipperm,
-                     random_caterpillar, random_cograph,
+from genutil import (all_graphs, chordality, connected_graphs,
+                     induced_p4_exists, ordering_exists_exhaustive,
+                     random_bipperm, random_caterpillar, random_cograph,
                      random_interval_graph, random_permutation_graph,
                      random_staircase, restrict_ordering)
 

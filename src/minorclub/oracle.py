@@ -33,8 +33,9 @@ def hadwiger_oracle(G: Graph, cap: int = PARTITION_CAP,
     are pairwise adjacent.  Searches all quotients reachable by contractions
     (equivalently, all full connected partitions per component) and takes the
     best clique over them, skipping by the cycle-rank bound (per quotient
-    and per child) and the parent's clique number plus one only quotients
-    that cannot beat the best so far, so the witness is the full search's.
+    and per child), an elimination-width (treewidth) bound and the parent's
+    clique number plus one only quotients that cannot beat the best so far,
+    so the witness is the full search's.
     Raises CapacityError, before any search, when some component has more
     than ``cap`` vertices.
     """
@@ -67,13 +68,17 @@ def _component_hadwiger(H: Graph) -> tuple[int, tuple[tuple[int, ...], ...]]:
     Its rows are those of ``_quotient`` (vertices ordered by smallest
     member), so ``seen``, keyed on rows, holds one key per labelled quotient
     whatever contraction order reached it.  Bags become sorted tuples only
-    for the answer.  Three cuts skip only work that cannot beat ``best``,
+    for the answer.  Four cuts skip only work that cannot beat ``best``,
     which only grows and changes only on a strict ``>``, so value and
     witness are the uncut search's: a quotient with m - n = e is dropped
-    when ``_cycle_bound(e) <= best``; edge ij is not contracted when the
-    child's excess e - |N(i) & N(j)| fails that test; ``max_clique`` runs
-    only when ``bound > best``, the root's bound being n and a child's its
-    parent's (exact once ``max_clique`` ran) plus one.
+    when ``_cycle_bound(e) <= best``; a quotient is dropped when
+    ``_width_below(rows, best)``, since minors never raise treewidth and
+    tw(K_h) = h - 1, so h <= tw + 1 <= best (Bodlaender & Koster,
+    "Treewidth computations I. Upper bounds", Inf. Comput. 2010); edge ij
+    is not contracted when the child's excess e - |N(i) & N(j)| fails the
+    cycle-rank test; ``max_clique`` runs only when ``bound > best``, the
+    root's bound being n and a child's its parent's (exact once
+    ``max_clique`` ran) plus one.
     """
     best = 0
     best_bags: tuple[int, ...] = ()
@@ -86,7 +91,7 @@ def _component_hadwiger(H: Graph) -> tuple[int, tuple[tuple[int, ...], ...]]:
         seen.add(rows)
         g = Graph(len(rows), rows)
         e = g.m - g.n
-        if _cycle_bound(e) <= best:
+        if _cycle_bound(e) <= best or _width_below(rows, best):
             continue
         if bound > best:
             bound, wverts = max_clique(g)
@@ -104,6 +109,27 @@ def _component_hadwiger(H: Graph) -> tuple[int, tuple[tuple[int, ...], ...]]:
     return best, tuple(tuple(_iter_bits(bag)) for bag in best_bags)
 
 
+def _width_below(rows: tuple[int, ...], best: int) -> bool:
+    """Whether repeatedly eliminating the first vertex, in label order, with
+    fewer than ``best`` remaining neighbours, and making those neighbours a
+    clique, eliminates every vertex.  If so, that order's chordal completion
+    has clique number at most ``best``, so treewidth is at most best - 1 and
+    every minor has Hadwiger number at most ``best``."""
+    rows = list(rows)
+    left = (1 << len(rows)) - 1
+    while left:
+        for v in _iter_bits(left):
+            nb = rows[v] & left
+            if nb.bit_count() < best:
+                break
+        else:
+            return False
+        left ^= 1 << v
+        for w in _iter_bits(nb):
+            rows[w] |= nb ^ 1 << w
+    return True
+
+
 def max_s_club_minor_oracle(G: Graph, s: int, cap: int = PARTITION_CAP) -> int:
     """Most vertices of a quotient of G (a full connected partition's
     blocks) with diameter at most s.
@@ -113,6 +139,12 @@ def max_s_club_minor_oracle(G: Graph, s: int, cap: int = PARTITION_CAP) -> int:
     at most ``best`` vertices is skipped and one of diameter D <= s is
     recorded; one with D > s is expanded only when ``len(rows) - (D - s) >
     best``, as each contraction lowers every distance by at most one.
+
+    At s = 0 the answer is 1, the one-block partition.  At s = 1 it is the
+    Hadwiger number, from ``_component_hadwiger``: a K_h model in a
+    connected graph extends to a full connected partition, each component
+    of the leftover vertices joining a bag it touches, whose quotient is
+    still complete.
     """
     if G.n == 0:
         return 0
@@ -120,6 +152,10 @@ def max_s_club_minor_oracle(G: Graph, s: int, cap: int = PARTITION_CAP) -> int:
         raise DomainError("disconnected graphs cannot be contracted to finite diameter")
     if G.n > cap:
         raise CapacityError(f"graph of size {G.n} exceeds oracle cap {cap}")
+    if s == 0:
+        return 1
+    if s == 1:
+        return _component_hadwiger(G)[0]
     best = 0
     seen: set[tuple[int, ...]] = set()
     stack = [G.rows]

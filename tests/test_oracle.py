@@ -136,8 +136,9 @@ def test_cycle_bound_bounds_the_hadwiger_number():
 def test_hadwiger_search_work_at_the_cap(monkeypatch):
     # A seeded G(12, 1/2) with 36 edges, at the default cap.  Searching it
     # without the cycle-rank and clique-bound cuts took 11 368 clique
-    # searches and 102 948 contractions; with them it takes 1 811 and
-    # 16 677, with the same witness.
+    # searches and 102 948 contractions; with them it took 1 811 and
+    # 16 677, and with the elimination-width cut as well it takes 7 and
+    # 309, with the same witness.
     calls = {"max_clique": 0, "_contract_rows": 0}
 
     def counted(name):
@@ -152,7 +153,41 @@ def test_hadwiger_search_work_at_the_cap(monkeypatch):
     counted("_contract_rows")
     assert hadwiger_oracle(parse_graph(b"KnV@FQD~X_|u"), with_witness=True) == (
         6, ((0,), (1,), (2, 6, 8, 11), (3,), (4, 7), (5, 9, 10)))
-    assert calls["max_clique"] <= 2500 and calls["_contract_rows"] <= 25000, calls
+    assert calls["max_clique"] <= 20 and calls["_contract_rows"] <= 1000, calls
+
+
+def test_width_below_bounds_the_hadwiger_number():
+    for n in range(1, 8):
+        for G in connected_graphs(n):
+            h = hadwiger_oracle(G)
+            for b in range(1, n + 1):
+                assert not oracle._width_below(G.rows, b) or h <= b, (G.edges(), b)
+    # it is tight on trees, cycles and complete graphs
+    rng = random.Random(22)
+    for n in range(2, 11):
+        label = rng.sample(range(n), n)
+        tree = Graph.from_edges(n, [tuple(sorted((label[rng.randrange(v)], label[v])))
+                                    for v in range(1, n)])
+        assert oracle._width_below(tree.rows, 2), tree.edges()
+        assert not oracle._width_below(tree.rows, 1), tree.edges()
+    for n in range(3, 11):
+        rows = Graph.cycle(n).rows
+        assert oracle._width_below(rows, 3) and not oracle._width_below(rows, 2)
+    for n in range(2, 11):
+        rows = Graph.complete(n).rows
+        assert oracle._width_below(rows, n) and not oracle._width_below(rows, n - 1)
+
+
+def test_hadwiger_oracle_above_the_default_cap():
+    # Two seeded connected G(14, 0.4), the first and third drawn by
+    # random.Random(14); the pins are the search's without the
+    # elimination-width cut, which took about 0.2 s on each.
+    assert hadwiger_oracle(parse_graph(b"MBh\\SDNBBxw@OJcU?"), cap=14,
+                           with_witness=True) == (
+        7, ((0, 1, 11, 12), (2, 3), (4,), (5,), (6, 8), (7, 9, 13), (10,)))
+    assert hadwiger_oracle(parse_graph(b"M]aVKGluUjOGO{N`_"), cap=14,
+                           with_witness=True) == (
+        8, ((0,), (1, 10), (2, 11, 13), (3, 9), (4, 8), (5,), (6, 12), (7,)))
 
 
 def _reference_component_hadwiger(H):
@@ -336,6 +371,15 @@ def test_max_s_club_examples():
     assert max_s_club_minor_oracle(G, 2) == 5
     with pytest.raises(DomainError):
         max_s_club_minor_oracle(Graph.empty(3), 2)
+
+
+def test_club_minor_at_s_0_and_1_at_the_cap():
+    # the icosahedron and a seeded connected G(12, 1/2); the quotient walk
+    # took 1-2.4 s on each at s = 0 and 1
+    for g6, h in ((b"KhFJ{B`KWqph", 4), (b"Kbv|msH[GSJv", 7)):
+        G = parse_graph(g6)
+        assert max_s_club_minor_oracle(G, 0) == 1
+        assert max_s_club_minor_oracle(G, 1) == hadwiger_oracle(G) == h
 
 
 def _partition_club_minors(G: Graph, s_max: int) -> list[int]:

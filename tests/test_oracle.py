@@ -179,9 +179,8 @@ def test_width_below_bounds_the_hadwiger_number():
 
 
 def test_hadwiger_oracle_above_the_default_cap():
-    # Two seeded connected G(14, 0.4), the first and third drawn by
-    # random.Random(14); the pins are the search's without the
-    # elimination-width cut, which took about 0.2 s on each.
+    # Two seeded connected G(14, 0.4); the pins are the search's without
+    # the elimination-width cut, which took about 0.2 s on each.
     assert hadwiger_oracle(parse_graph(b"MBh\\SDNBBxw@OJcU?"), cap=14,
                            with_witness=True) == (
         7, ((0, 1, 11, 12), (2, 3), (4,), (5,), (6, 8), (7, 9, 13), (10,)))

@@ -6,6 +6,14 @@ adjacent disjoint bags achievable when exactly r bags are edges and the rest
 are single vertices (0 when no such family exists).  c_0 is the clique
 number.  Leaves and unions are immediate; joins combine the two children's
 tables by choosing how many bags straddle the two sides.
+
+The nonzero entries of a table form a prefix: dropping one edge bag from a
+family with r edge bags leaves a family with r - 1 (c_0 >= 1 covers a lone
+edge bag).  So the fold, which ``recognition.cotree_fold`` runs while it
+splits the cotree, carries each node's table as a plain ``(n, values)``
+tuple cut after its last nonzero entry, and pads it into one CrTable at the
+root.  The cut loses nothing: a zero adds nothing to the union's maximum,
+and the join skips zero entries.
 """
 
 from __future__ import annotations
@@ -13,9 +21,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import reduce
 
-from .errors import DomainError
 from .graph import Graph
-from .recognition import Cotree, recognize_cograph
+from .recognition import Cotree, cotree_fold
 
 
 @dataclass(frozen=True)
@@ -41,16 +48,20 @@ def cr_leaf() -> CrTable:
     return CrTable(1, (1, 0))
 
 
-def cr_union(t1: CrTable, t2: CrTable) -> CrTable:
-    """Disjoint union: bags cannot straddle sides or see across, so the best
-    family lives entirely in one side; pointwise maximum."""
-    n = t1.n + t2.n
-    short, longer = sorted((t1.values, t2.values), key=len)
-    values = tuple(map(max, short, longer)) + longer[len(short):]
+def _padded(table: tuple[int, tuple[int, ...]]) -> CrTable:
+    n, values = table
     return CrTable(n, values + (0,) * (n + 1 - len(values)))
 
 
-def cr_join(t1: CrTable, t2: CrTable) -> CrTable:
+def _union(t1, t2):
+    """Disjoint union: bags cannot straddle sides or see across, so the best
+    family lives entirely in one side; pointwise maximum."""
+    (n1, v1), (n2, v2) = t1, t2
+    short, longer = (v1, v2) if len(v1) <= len(v2) else (v2, v1)
+    return n1 + n2, tuple(map(max, short, longer)) + longer[len(short):]
+
+
+def _join(t1, t2):
     """Join: for each r, maximize over the number s of bags straddling the
     sides and over which side carries the remaining r-s edge bags.
 
@@ -64,15 +75,14 @@ def cr_join(t1: CrTable, t2: CrTable) -> CrTable:
     The loop runs over k = r-s, the edge bags inside side i (k = 0 or
     c_k(side i) > 0), then over s <= min(n_1, n_2, n_i - 2k), which is the
     admissibility condition.  So 2r = 2k + 2s <= n_i + s <= n: entries past
-    n/2 are never reached and stay 0.
+    n/2 are never reached, and the result is cut after its last nonzero
+    entry.
     """
-    n1, n2 = t1.n, t2.n
+    (n1, v1), (n2, v2) = t1, t2
     cross = min(n1, n2)
-    values = [0] * (n1 + n2 + 1)
-    for ci, ni, nother, c0other in ((t1.values, n1, n2, t2.values[0]),
-                                    (t2.values, n2, n1, t1.values[0])):
-        for k in range(ni // 2 + 1):
-            inner = ci[k]
+    values = [0] * ((n1 + n2) // 2 + 1)
+    for ci, ni, nother, c0other in ((v1, n1, n2, v2[0]), (v2, n2, n1, v1[0])):
+        for k, inner in enumerate(ci):
             if k and not inner:
                 continue
             room = ni - k
@@ -83,21 +93,36 @@ def cr_join(t1: CrTable, t2: CrTable) -> CrTable:
                        + (c0other if c0other < rest else rest))
                 if val > values[k + s]:
                     values[k + s] = val
-    return CrTable(n1 + n2, tuple(values))
+    while not values[-1]:
+        values.pop()
+    return n1 + n2, tuple(values)
+
+
+def _node(kind: str, tables: list):
+    """Table of a union or join node: its children's tables folded left to
+    right."""
+    return reduce(_union if kind == "union" else _join, tables)
+
+
+def cr_union(t1: CrTable, t2: CrTable) -> CrTable:
+    """Disjoint union of two tables (see ``_union``)."""
+    return _padded(_union((t1.n, t1.values), (t2.n, t2.values)))
+
+
+def cr_join(t1: CrTable, t2: CrTable) -> CrTable:
+    """Join of two tables (see ``_join``)."""
+    return _padded(_join((t1.n, t1.values), (t2.n, t2.values)))
 
 
 def cotree_cr_table(tree: Cotree) -> CrTable:
-    """Fold the table bottom-up; multi-child nodes fold left to right."""
-    return tree.fold(lambda v: cr_leaf(), lambda kind, tables: reduce(
-        cr_union if kind == "union" else cr_join, tables))
+    """Fold the table bottom-up over a cotree already built."""
+    return _padded(tree.fold(lambda v: (1, (1,)), _node))
 
 
 def cograph_cr_table(G: Graph) -> CrTable:
-    """CrTable of a cograph; raises DomainError with the induced P4 otherwise."""
-    result = recognize_cograph(G)
-    if not isinstance(result, Cotree):
-        raise DomainError("graph is not a cograph", certificate=result)
-    return cotree_cr_table(result)
+    """CrTable of a cograph, folded while its cotree is split; raises
+    DomainError with the induced P4 otherwise."""
+    return _padded(cotree_fold(G, lambda v: (1, (1,)), _node))
 
 
 def hadwiger_cograph(G: Graph) -> int:

@@ -20,6 +20,7 @@ raised for malformed bytes carries the byte offset of the offending token.
 
 from __future__ import annotations
 
+import base64
 import re
 
 from .errors import ParseError
@@ -59,8 +60,11 @@ def emit_graph(G: Graph, format: str = "graph6") -> bytes:
 
 _G6_HEADER = b">>graph6<<"
 _G6_DIGITS = bytes(range(63, 127))
-_G6_BITS = {byte: format(byte - 63, "06b") for byte in _G6_DIGITS}
-_G6_BYTE = {bits: byte for byte, bits in _G6_BITS.items()}
+# graph6 digit d and base64 digit d carry the same 6 bits, so the base64
+# codec in C packs and unpacks the payload.
+_B64_DIGITS = b"ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/"
+_G6_TO_B64 = bytes.maketrans(_G6_DIGITS, _B64_DIGITS)
+_B64_TO_G6 = bytes.maketrans(_B64_DIGITS, _G6_DIGITS)
 
 
 def _parse_graph6(raw: bytes) -> Graph:
@@ -80,7 +84,9 @@ def _parse_graph6(raw: bytes) -> Graph:
         raise ParseError(f"graph6 payload for n={n} needs {need} bytes, "
                          f"got {len(data) - pos}", base + min(len(data), pos + need))
     # Bit (i, j), i < j, is character j(j-1)/2 + i: column j is one slice.
-    bits = "".join(map(_G6_BITS.__getitem__, data[pos:]))
+    payload = data[pos:].translate(_G6_TO_B64)
+    packed = base64.b64decode(payload + b"A" * (-len(payload) % 4))
+    bits = format(int.from_bytes(packed, "big"), f"0{8 * len(packed)}b")[:6 * len(payload)]
     if bits.count("1") * 8 > len(bits):
         # Column j padded to n characters is row j of an n x n square; the
         # stride-n slice at column i is then i's upper neighbours.  Reversed,
@@ -131,8 +137,10 @@ def _emit_graph6(G: Graph) -> bytes:
         head = bytes([126, 126] + [((n >> (6 * k)) & 63) + 63 for k in range(5, -1, -1)])
     # Column j is the slice that _parse_graph6 decodes: bit i of rows[j], i < j.
     bits = "".join(format(rows[j] & ((1 << j) - 1), f"0{j}b")[::-1] for j in range(1, n))
-    bits += "0" * (-len(bits) % 6)
-    return head + bytes(map(_G6_BYTE.__getitem__, map("".join, zip(*[iter(bits)] * 6))))
+    size = (len(bits) + 5) // 6
+    bits += "0" * (-len(bits) % 24)
+    packed = int(bits or "0", 2).to_bytes(len(bits) // 8, "big")
+    return head + base64.b64encode(packed).translate(_B64_TO_G6)[:size]
 
 
 # text formats -----------------------------------------------------------

@@ -244,14 +244,25 @@ def diameter_at_most(G: Graph, s: int) -> bool:
 
 def _mask_component(rows: Sequence[int], mask: int) -> int:
     """Connected component, as a bitmask, of the lowest vertex of ``mask`` in
-    the subgraph that the adjacency ``rows`` induce on ``mask`` (0 if empty)."""
+    the subgraph that the adjacency ``rows`` induce on ``mask`` (0 if empty).
+    Each step ORs the rows of the frontier, or, when fewer vertices are
+    missing than on the frontier, keeps the missing ones with a frontier
+    neighbour, so a hub's component does not cost a pass over the graph.
+    It stops as soon as nothing in ``mask`` is missing."""
     comp = frontier = mask & -mask
-    while frontier:
+    missing = mask ^ comp
+    while frontier and missing:
         reach = 0
-        for u in _iter_bits(frontier):
-            reach |= rows[u]
-        frontier = reach & mask & ~comp
+        if missing.bit_count() < frontier.bit_count():
+            for w in _iter_bits(missing):
+                if rows[w] & frontier:
+                    reach |= 1 << w
+        else:
+            for u in _iter_bits(frontier):
+                reach |= rows[u]
+        frontier = reach & missing
         comp |= frontier
+        missing ^= frontier
     return comp
 
 

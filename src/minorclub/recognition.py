@@ -8,8 +8,10 @@ cap: the cotree splits vertex masks into components or co-components until
 a mask splits neither way, which happens exactly at an induced P4.  Only the
 root tries both splits: the parts of a union are connected and those of a
 join co-connected, so every other cotree node tests the one split its
-parent's kind leaves open.  The strong ordering is read off BFS layers and
-returned only when verify_ordering accepts it.
+parent's kind leaves open.  One such split pass folds any bottom-up value
+over the cotree as it finds it (``cotree_fold``), and recognize_cograph is
+the fold that builds the Cotree itself.  The strong ordering is read off BFS
+layers and returned only when verify_ordering accepts it.
 """
 
 from __future__ import annotations
@@ -79,27 +81,36 @@ class Cotree:
         return self.fold(str, node)
 
 
-def recognize_cograph(G: Graph):
-    """A canonical cotree for G, or the four vertices of an induced P4.
+def cotree_fold(G: Graph, leaf, node):
+    """Bottom-up value of G's canonical cotree, computed while the cotree is
+    found, without building it: ``leaf(vertex)`` for a leaf and
+    ``node(kind, child_values)`` for a union or join node, with child values
+    in child order.  Raises DomainError with the four vertices of an induced
+    P4 as its certificate when G is not a cograph.
 
     Works on vertex masks of G with an explicit stack: a mask whose induced
     subgraph is disconnected is a union over its components, one whose
     complement is disconnected is a join over its co-components, and one
     where both are connected contains an induced P4 (located by direct
     search).  A child mask is tested only for the split its parent's kind
-    does not rule out.  Children are ordered by their smallest vertex.
+    does not rule out.  Children are ordered by their smallest vertex.  A
+    split node leaves a marker under its children on the stack, so it is
+    folded once they all are.
     """
     if G.n == 0:
         raise DomainError("cograph recognition needs at least one vertex")
     co_rows = complement(G).rows
-    root = (1 << G.n) - 1
-    splits: dict[int, tuple[str, list[int]]] = {}
-    visited = []
-    stack = [(root, "")]
+    values: list = []
+    stack = [((1 << G.n) - 1, "")]
     while stack:
         mask, parent = stack.pop()
-        visited.append(mask)
+        if mask < 0:  # marker: fold the last -mask values into one node
+            kids = values[mask:]
+            del values[mask:]
+            values.append(node(parent, kids))
+            continue
         if mask & (mask - 1) == 0:
+            values.append(leaf(mask.bit_length() - 1))
             continue
         # A union's parts are connected and a join's co-connected, so below
         # the root only the split of the other kind can succeed.
@@ -110,17 +121,24 @@ def recognize_cograph(G: Graph):
                     break
         else:
             verts = list(_iter_bits(mask))
-            return tuple(verts[i] for i in find_induced_p4(induced_subgraph(G, verts)))
-        splits[mask] = (kind, parts)
+            p4 = find_induced_p4(induced_subgraph(G, verts))
+            raise DomainError("graph is not a cograph",
+                              certificate=tuple(verts[i] for i in p4))
+        stack.append((-len(parts), kind))
         stack.extend((part, kind) for part in reversed(parts))
-    trees: dict[int, Cotree] = {}
-    for mask in reversed(visited):  # children before their parent
-        if mask in splits:
-            kind, parts = splits[mask]
-            trees[mask] = Cotree(kind, tuple(trees[p] for p in parts))
-        else:
-            trees[mask] = Cotree("leaf", vertex=mask.bit_length() - 1)
-    return trees[root]
+    return values[0]
+
+
+def recognize_cograph(G: Graph):
+    """A canonical cotree for G, or the four vertices of an induced P4: the
+    fold of ``cotree_fold`` that builds Cotree nodes."""
+    try:
+        return cotree_fold(G, lambda v: Cotree("leaf", vertex=v),
+                           lambda kind, kids: Cotree(kind, tuple(kids)))
+    except DomainError as exc:
+        if exc.certificate is None:
+            raise
+        return exc.certificate
 
 
 def find_induced_p4(G: Graph):

@@ -4,6 +4,7 @@ import gc
 import math
 import random
 import weakref
+from collections import deque
 
 import pytest
 from hypothesis import given, settings
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 
 from minorclub.errors import DomainError
 from minorclub.graph import (Graph, _contract_rows, _diametral_pairs,
+                             _mask_component, _mask_components,
                              clique_number, complement, components,
                              contract_edge, contract_edges,
                              contraction_map, diameter, diameter_at_most,
@@ -252,6 +254,42 @@ def test_components_and_connectivity():
     assert components(G) == [[0, 1, 2], [3, 4]]
     assert not is_connected(G)
     assert is_connected(Graph.complete(4))
+
+
+def _queue_component(rows, mask):
+    """Component of mask's lowest vertex in the subgraph rows induce on
+    mask, by a plain queue BFS over vertex numbers."""
+    if not mask:
+        return 0
+    start = (mask & -mask).bit_length() - 1
+    seen, queue = {start}, deque([start])
+    while queue:
+        u = queue.popleft()
+        for v in range(len(rows)):
+            if rows[u] >> v & 1 and mask >> v & 1 and v not in seen:
+                seen.add(v)
+                queue.append(v)
+    return sum(1 << v for v in seen)
+
+
+def test_mask_components_match_a_queue_bfs():
+    """Random masks of seeded graphs and of their complements, whose hubs
+    make the step that scans the missing vertices run."""
+    rng = random.Random(23)
+    for _ in range(200):
+        n = rng.randint(0, 30)
+        p = rng.random()
+        G = Graph.from_edges(n, [(u, v) for u in range(n) for v in range(u + 1, n)
+                                 if rng.random() < p])
+        for rows in (G.rows, complement(G).rows):
+            for _ in range(5):
+                mask = rng.getrandbits(n) if rng.random() < 0.7 else (1 << n) - 1
+                assert _mask_component(rows, mask) == _queue_component(rows, mask)
+                comps, rest = [], mask
+                while rest:
+                    comps.append(_queue_component(rows, rest))
+                    rest &= ~comps[-1]
+                assert _mask_components(rows, mask) == comps, (rows, mask)
 
 
 def test_max_clique():

@@ -2,11 +2,13 @@ from __future__ import annotations
 
 import math
 import random
+import sys
 from itertools import combinations
 
 import pytest
 
-from minorclub.cograph_dp import hadwiger_cograph
+from minorclub.cograph_dp import (cograph_cr_table, cotree_cr_table,
+                                  hadwiger_cograph)
 from minorclub.errors import DomainError
 from minorclub.graph import (Graph, _iter_bits, _mask_components, complement,
                              disjoint_union, diameter, distances,
@@ -187,6 +189,52 @@ def test_cotrees_and_p4s_match_the_reference_that_tries_both_splits():
             assert recognize_cograph(G).to_text() == want.to_text()
         else:
             assert recognize_cograph(G) == want
+
+
+def _checked_fold_table(G: Graph):
+    """cograph_cr_table(G) held to the two passes it replaces: the same
+    table as cotree_cr_table on recognize_cograph's cotree, or that cotree
+    search's P4 as the DomainError certificate.  Both are also held to the
+    reference search, which builds the cotree without cotree_fold.  A
+    table's nonzero entries must form a prefix."""
+    want, reference = recognize_cograph(G), _reference_cotree(G)
+    if not isinstance(want, Cotree):
+        with pytest.raises(DomainError) as err:
+            cograph_cr_table(G)
+        assert err.value.certificate == want == reference
+        return None
+    table = cograph_cr_table(G)
+    assert table == cotree_cr_table(want) == cotree_cr_table(reference)
+    nonzero = sum(1 for value in table.values if value)
+    assert all(table.values[:nonzero]), table.values
+    return table
+
+
+def test_cr_table_fold_matches_recognition_then_cotree_fold():
+    for n in range(1, 8):
+        for G in all_graphs(n):
+            _checked_fold_table(G)
+    rng = random.Random(43)
+    for leaves in (10, 25, 50, 100, 200, 400):
+        for _ in range(3):
+            for G in (random_cograph(leaves, rng), _random_threshold_graph(leaves, rng)):
+                assert _checked_fold_table(_relabelled(G, rng)) is not None
+    for _ in range(100):
+        _checked_fold_table(_relabelled(_non_cograph(rng.randint(4, 40), rng), rng))
+
+
+def test_cr_table_fold_needs_no_recursion_on_a_deep_cotree():
+    """The threshold cograph on 2000 vertices has a cotree 1999 levels deep;
+    the fold must not recurse even with a small recursion limit."""
+    G = _relabelled(_threshold_cograph(2000), random.Random(44))
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(200)
+    try:
+        table = cograph_cr_table(G)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert table == cotree_cr_table(recognize_cograph(G))
+    assert table.best == 1001
 
 
 @pytest.mark.parametrize("n", [600, 2000])

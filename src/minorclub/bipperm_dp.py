@@ -2,19 +2,20 @@
 complete minor obtained from it.
 
 A clique-matching is a matching in which every two edges have some pair of
-adjacent end-vertices.  Each call computes one strong ordering and reads it
-as an interval table: with the ordered side ranked 1, 2, ... in order, every
-vertex of the other side maps to the (lo, hi) rank interval of its
-neighborhood.  Every sub-problem, a connected component or a keep set of the
-Hadwiger cases, runs on this table clipped to the kept vertices: a kept
-vertex keeps the kept ranks of its interval, renumbered in order.  Clipping
-is sound because strong orderings are hereditary (Spinrad, Brandstaedt &
-Stewart, Discrete Appl. Math. 1987): the kept part of an interval is again
-an interval once renumbered, and two clipped intervals that nest share an
-endpoint, as the enclosure property asks.  So the clipped table is the
-table of the induced subgraph under the inherited ordering, and since every
-tie below is broken on labels, which clipping leaves in order, no subgraph
-is built.
+adjacent end-vertices, that is, a complete minor whose bags are edges.  Each
+call computes one strong ordering and reads it as an interval table with
+``recognition._rank_intervals``, the step that also verifies orderings: with
+the ordered side ranked 1, 2, ... in order, every vertex of the other side
+maps to the (lo, hi) rank interval of its neighborhood.  Every sub-problem,
+a connected component or a keep set of the Hadwiger cases, runs on this
+table clipped to the kept vertices: a kept vertex keeps the kept ranks of
+its interval, renumbered in order.  Clipping is sound because strong
+orderings are hereditary (Spinrad, Brandstaedt & Stewart, Discrete Appl.
+Math. 1987): the kept part of an interval is again an interval once
+renumbered, and two clipped intervals that nest share an endpoint, as the
+enclosure property asks.  So the clipped table is the table of the induced
+subgraph under the inherited ordering, and since every tie below is broken
+on labels, which clipping leaves in order, no subgraph is built.
 
 The solver fixes an anchor edge (u, v) in turn, assuming v is the smallest
 vertex of the ordered side saturated by an optimal matching.  After
@@ -64,28 +65,17 @@ from dataclasses import dataclass
 
 from .errors import DomainError
 from .graph import Edge, Graph, _iter_bits, _mask_components
-from .recognition import StrongOrdering, strong_ordering
+from .recognition import StrongOrdering, _rank_intervals, strong_ordering
 from .witness import certify, verify_witness
 
 NEG = -(1 << 30)
 
 
 def is_clique_matching(G: Graph, edges) -> bool:
-    """Disjoint edges of G such that every pair has adjacent end-vertices."""
-    used: set[int] = set()
+    """Disjoint edges of G such that every pair has adjacent end-vertices:
+    a complete minor whose bags are edges."""
     es = list(edges)
-    for u, v in es:
-        if u in used or v in used or not G.has_edge(u, v):
-            return False
-        used.update((u, v))
-    for i in range(len(es)):
-        a, b = es[i]
-        for j in range(i + 1, len(es)):
-            c, d = es[j]
-            if not (G.has_edge(a, c) or G.has_edge(a, d)
-                    or G.has_edge(b, c) or G.has_edge(b, d)):
-                return False
-    return True
+    return all(len(set(e)) == 2 for e in es) and verify_witness(G, es)
 
 
 def max_clique_matching(G: Graph) -> tuple[int, tuple[Edge, ...]]:
@@ -99,18 +89,11 @@ def max_clique_matching(G: Graph) -> tuple[int, tuple[Edge, ...]]:
 
 
 def _interval_table(G: Graph) -> tuple[StrongOrdering, dict[int, tuple[int, int]]]:
-    """A verified strong ordering, and the (lo, hi) rank interval of every
-    first-side vertex with a neighbor, ranking ``order2`` from 1."""
+    """A verified strong ordering and its rank intervals."""
     ordering = strong_ordering(G)
     if ordering is None:
         raise DomainError("graph is not a bipartite permutation graph")
-    rank = {v: i for i, v in enumerate(ordering.order2, 1)}
-    table = {}
-    for w in ordering.side1:
-        ranks = [rank[x] for x in G.neighbors(w)]
-        if ranks:
-            table[w] = (min(ranks), max(ranks))
-    return ordering, table
+    return ordering, _rank_intervals(G, ordering)
 
 
 def _clip(order2, table, keep: int):

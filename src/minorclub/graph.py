@@ -373,22 +373,26 @@ def _contract_rows(rows: Sequence[int], i: int, j: int) -> tuple[int, ...]:
 
 
 def max_clique(G: Graph) -> tuple[int, list[int]]:
-    """Maximum clique size and its lexicographically smallest witness."""
+    """Maximum clique size and its lexicographically smallest witness.
+
+    Branch and bound over candidate masks: ``grow`` first takes the lowest
+    candidate v into the clique, recursing on v's candidate neighbours, then
+    drops v and loops on the rest, until the chosen vertices and the
+    candidates left cannot beat the best clique so far.  So the recursion is
+    as deep as the clique, not as the graph."""
     best = 0
     best_set: list[int] = []
 
     def grow(chosen: list[int], cand: int):
         nonlocal best, best_set
-        if len(chosen) + cand.bit_count() <= best:
-            return
-        if cand == 0:
-            if len(chosen) > best:
+        while len(chosen) + cand.bit_count() > best:
+            if cand == 0:
                 best = len(chosen)
                 best_set = list(chosen)
-            return
-        v = (cand & -cand).bit_length() - 1
-        grow(chosen + [v], cand & G.rows[v] & ~((1 << (v + 1)) - 1))
-        grow(chosen, cand & ~(1 << v))
+                return
+            v = (cand & -cand).bit_length() - 1
+            grow(chosen + [v], cand & G.rows[v])
+            cand ^= 1 << v
 
     grow([], (1 << G.n) - 1)
     return best, best_set

@@ -287,33 +287,17 @@ def _excess(G: Graph, pair: tuple[int, int, int], e: Edge) -> int:
 
 def clique_matching_oracle(G: Graph, cap: int = MATCHING_CAP) -> int:
     """Maximum size of a matching whose edges pairwise have adjacent
-    end-vertices, by branch and bound over lexicographic edge choices."""
+    end-vertices: ``max_clique`` on the graph over G's edges in which two
+    edges are adjacent when they are disjoint and an end of one sees the
+    other.  Each edge keeps two masks, its ends and their neighbours."""
     if G.n > cap:
         raise CapacityError(f"graph of size {G.n} exceeds matching cap {cap}")
     edges = G.edges()
-    k = len(edges)
-    compat = [[False] * k for _ in range(k)]
-    for i in range(k):
-        a, b = edges[i]
-        for j in range(i + 1, k):
-            c, d = edges[j]
-            if len({a, b, c, d}) == 4 and (
-                G.has_edge(a, c) or G.has_edge(a, d)
-                or G.has_edge(b, c) or G.has_edge(b, d)
-            ):
-                compat[i][j] = compat[j][i] = True
-    best = 0
-
-    def dfs(count: int, cands: list[int]):
-        nonlocal best
-        best = max(best, count)
-        if count + len(cands) <= best:
-            return
-        for pos, i in enumerate(cands):
-            dfs(count + 1, [j for j in cands[pos + 1:] if compat[i][j]])
-
-    dfs(0, list(range(k)))
-    return best
+    ends = [1 << u | 1 << v for u, v in edges]
+    seen = [G.rows[u] | G.rows[v] for u, v in edges]
+    rows = tuple(sum(1 << j for j, f in enumerate(ends) if not e & f and s & f)
+                 for e, s in zip(ends, seen))
+    return max_clique(Graph(len(rows), rows))[0]
 
 
 def enumerate_nice_structures(G: Graph) -> Iterator[tuple[tuple[int, ...], ...]]:

@@ -11,7 +11,11 @@ join co-connected, so every other cotree node tests the one split its
 parent's kind leaves open.  One such split pass folds any bottom-up value
 over the cotree as it finds it (``cotree_fold``), and recognize_cograph is
 the fold that builds the Cotree itself.  The strong ordering is read off BFS
-layers and returned only when verify_ordering accepts it.
+layers and returned only when verify_ordering accepts it.  Both read an
+ordering as rank spans (``_rank_intervals``): ranking the ordered side 1, 2,
+..., each vertex of the other side maps to the (lo, hi) span of its
+neighborhood.  The ordering is strong when every span is exactly its
+neighborhood and any two nested spans share an end.
 """
 
 from __future__ import annotations
@@ -171,33 +175,41 @@ class StrongOrdering:
     order2: tuple[int, ...]
 
 
-def verify_ordering(G: Graph, ordering: StrongOrdering) -> bool:
-    """Direct definition check of the adjacency and enclosure properties."""
-    side1 = list(ordering.side1)
-    order2 = list(ordering.order2)
-    if sorted(side1 + order2) != list(range(G.n)):
+def _rank_intervals(G: Graph, ordering: StrongOrdering) -> dict[int, tuple[int, int]]:
+    """The (lo, hi) rank span of every first-side vertex with a neighbor, in
+    ``side1`` order, ranking ``order2`` from 1.  Raises DomainError when the
+    sides do not partition the vertex set or are not a bipartition."""
+    side1, order2 = ordering.side1, ordering.order2
+    if sorted((*side1, *order2)) != list(range(G.n)):
         raise DomainError("ordering sides do not partition the vertex set")
-    for side in (side1, order2):
-        sset = set(side)
-        for u in side:
-            if any(v in sset for v in G.neighbors(u)):
-                raise DomainError("ordering sides are not a bipartition")
-    pos = {v: i for i, v in enumerate(order2)}
-    nbrs = {u: sorted(pos[v] for v in G.neighbors(u)) for u in side1}
+    mask1 = sum(1 << u for u in side1)
+    if any(G.rows[u] & mask1 for u in side1) or any(G.rows[v] & ~mask1 for v in order2):
+        raise DomainError("ordering sides are not a bipartition")
+    rank = {v: i for i, v in enumerate(order2, 1)}
+    spans = {}
     for u in side1:
-        ps = nbrs[u]
-        if ps and ps[-1] - ps[0] + 1 != len(ps):
-            return False
-    for u in side1:
-        for v in side1:
-            if u == v:
-                continue
-            su, sv = set(nbrs[u]), set(nbrs[v])
-            if su <= sv:
-                diff = sorted(sv - su)
-                if diff and diff[-1] - diff[0] + 1 != len(diff):
-                    return False
-    return True
+        if G.rows[u]:
+            ranks = [rank[v] for v in _iter_bits(G.rows[u])]
+            spans[u] = (min(ranks), max(ranks))
+    return spans
+
+
+def verify_ordering(G: Graph, ordering: StrongOrdering) -> bool:
+    """The adjacency and enclosure properties, read off the rank spans.
+
+    Adjacency holds when every span is as long as its vertex's degree.  The
+    neighborhoods are then the spans, and one contains another exactly when
+    the spans nest, [a, b] inside [c, d]; their difference [c, a) and (b, d]
+    is consecutive exactly when the two share an end.  So enclosure fails
+    exactly when some span starts further left than another and ends
+    further right, that is, when sorting the spans by (lo, hi) leaves their
+    right ends out of order.
+    """
+    spans = _rank_intervals(G, ordering)
+    if any(hi - lo + 1 != G.degree(u) for u, (lo, hi) in spans.items()):
+        return False
+    ends = [hi for _, hi in sorted(spans.values())]
+    return ends == sorted(ends)
 
 
 def strong_ordering(G: Graph) -> StrongOrdering | None:

@@ -11,7 +11,7 @@ from functools import lru_cache
 from itertools import combinations, permutations, product
 from typing import Iterator
 
-from minorclub.errors import CapacityError
+from minorclub.errors import CapacityError, DomainError
 from minorclub.graph import (Graph, _iter_bits, _mask_component,
                              _mask_connected, complement, components,
                              contract_edges, diameter_at_most,
@@ -391,14 +391,61 @@ def all_matchings(G: Graph):
     yield from rec(0, 0, [])
 
 
+def reference_is_clique_matching(G: Graph, edges) -> bool:
+    """Disjoint edges of G such that every pair has adjacent end-vertices,
+    checked pair by pair.  Expects pairs of vertices of G."""
+    used: set[int] = set()
+    es = list(edges)
+    for u, v in es:
+        if u in used or v in used or not G.has_edge(u, v):
+            return False
+        used.update((u, v))
+    for i in range(len(es)):
+        a, b = es[i]
+        for j in range(i + 1, len(es)):
+            c, d = es[j]
+            if not (G.has_edge(a, c) or G.has_edge(a, d)
+                    or G.has_edge(b, c) or G.has_edge(b, d)):
+                return False
+    return True
+
+
+def reference_verify_ordering(G: Graph, ordering) -> bool:
+    """Direct definition check of the adjacency and enclosure properties on
+    neighborhood sets, raising the DomainErrors of verify_ordering."""
+    side1 = list(ordering.side1)
+    order2 = list(ordering.order2)
+    if sorted(side1 + order2) != list(range(G.n)):
+        raise DomainError("ordering sides do not partition the vertex set")
+    for side in (side1, order2):
+        sset = set(side)
+        for u in side:
+            if any(v in sset for v in G.neighbors(u)):
+                raise DomainError("ordering sides are not a bipartition")
+    pos = {v: i for i, v in enumerate(order2)}
+    nbrs = {u: sorted(pos[v] for v in G.neighbors(u)) for u in side1}
+    for u in side1:
+        ps = nbrs[u]
+        if ps and ps[-1] - ps[0] + 1 != len(ps):
+            return False
+    for u in side1:
+        for v in side1:
+            if u == v:
+                continue
+            su, sv = set(nbrs[u]), set(nbrs[v])
+            if su <= sv:
+                diff = sorted(sv - su)
+                if diff and diff[-1] - diff[0] + 1 != len(diff):
+                    return False
+    return True
+
+
 def maximum_clique_matchings(G: Graph):
     """All maximum clique-matchings, by exhaustive matching enumeration."""
-    from minorclub.bipperm_dp import is_clique_matching
-
     best = 0
     out = []
     for M in all_matchings(G):
-        if not is_clique_matching(G, M):
+        if not reference_is_clique_matching(G, M):
             continue
         if len(M) > best:
             best = len(M)
@@ -412,7 +459,7 @@ def ordering_exists_exhaustive(G: Graph) -> bool:
     """Does some bipartition-plus-order satisfy both ordering properties?
     Tries every order of the smaller side; independent of the constructor."""
     from minorclub.graph import is_bipartite
-    from minorclub.recognition import StrongOrdering, verify_ordering
+    from minorclub.recognition import StrongOrdering
 
     bip = is_bipartite(G)
     if bip is None:
@@ -421,7 +468,7 @@ def ordering_exists_exhaustive(G: Graph) -> bool:
         if len(v2) > 8:
             continue
         for perm in permutations(v2):
-            if verify_ordering(G, StrongOrdering(tuple(v1), tuple(perm))):
+            if reference_verify_ordering(G, StrongOrdering(tuple(v1), tuple(perm))):
                 return True
     return False
 

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+from itertools import combinations
 
 import pytest
 
@@ -15,8 +16,9 @@ from minorclub.graph import (Graph, _iter_bits, _mask_components,
 from minorclub.oracle import clique_matching_oracle, hadwiger_oracle
 from minorclub.recognition import strong_ordering, verify_ordering
 
-from genutil import (connected_graphs, maximum_clique_matchings,
-                     random_bipperm, random_staircase, restrict_ordering)
+from genutil import (all_graphs, connected_graphs, maximum_clique_matchings,
+                     random_bipperm, random_staircase,
+                     reference_is_clique_matching, restrict_ordering)
 
 
 def test_examples():
@@ -33,6 +35,44 @@ def test_is_clique_matching():
     assert not is_clique_matching(G, [(0, 1), (3, 4)])  # no cross adjacency
     assert not is_clique_matching(G, [(0, 1), (1, 2)])  # shares a vertex
     assert not is_clique_matching(G, [(0, 2)])          # not an edge
+    # malformed pairs: a negative label, a label out of range, a loop and a
+    # pair that is not two vertices
+    assert not is_clique_matching(Graph.complete(3), [(-1, 0)])
+    assert not is_clique_matching(Graph.complete(3), [(0, 3)])
+    assert not is_clique_matching(Graph.cycle(4), [(0, 1), (-2, -1)])
+    assert not is_clique_matching(G, [(1, 1)])
+    assert not is_clique_matching(G, [(0, 1, 2)])
+
+
+def _edge_subsets(G: Graph):
+    edges = G.edges()
+    for mask in range(1 << len(edges)):
+        yield [e for i, e in enumerate(edges) if mask >> i & 1]
+
+
+def test_is_clique_matching_matches_the_pairwise_reference():
+    # every edge subset of every graph with n <= 5, then seeded graphs with
+    # n <= 8, their edges in random order and orientation
+    seen = set()
+    for n in range(6):
+        for G in all_graphs(n):
+            for edges in _edge_subsets(G):
+                want = reference_is_clique_matching(G, edges)
+                assert is_clique_matching(G, edges) == want, (G.edges(), edges)
+                seen.add(want)
+    rng = random.Random(35)
+    for _ in range(300):
+        n = rng.randint(2, 8)
+        G = Graph.from_edges(n, [e for e in combinations(range(n), 2)
+                                 if rng.random() < 0.5])
+        for _ in range(10):
+            edges = [e[::rng.choice((1, -1))] for e in G.edges()
+                     if rng.random() < 0.4]
+            rng.shuffle(edges)
+            want = reference_is_clique_matching(G, edges)
+            assert is_clique_matching(G, edges) == want, (G.edges(), edges)
+            seen.add(want)
+    assert seen == {True, False}
 
 
 def test_rejects_non_bipartite_permutation_inputs():

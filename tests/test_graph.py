@@ -5,6 +5,7 @@ import math
 import random
 import weakref
 from collections import deque
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
@@ -297,6 +298,23 @@ def test_max_clique():
     assert size == 5 and members == [0, 1, 2, 3, 4]
     assert clique_number(Graph.cycle(6)) == 2
     assert clique_number(join(Graph.cycle(5), Graph.complete(2))) == 4
+    # dropping a vertex must not cost a stack frame
+    assert max_clique(Graph.empty(1500)) == (1, [0])
+
+
+def test_max_clique_is_the_first_largest_clique_by_subset_search():
+    # the witness is the lexicographically first clique of the largest size
+    rng = random.Random(37)
+    for _ in range(300):
+        n = rng.randint(0, 10)
+        p = rng.random()
+        G = Graph.from_edges(n, [e for e in combinations(range(n), 2)
+                                 if rng.random() < p])
+        want = next(((k, list(c)) for k in range(n, 0, -1)
+                     for c in combinations(range(n), k)
+                     if all(G.has_edge(u, v) for u, v in combinations(c, 2))),
+                    (0, []))
+        assert max_clique(G) == want, G.edges()
 
 
 def test_bipartition_sides():

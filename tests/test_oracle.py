@@ -23,8 +23,9 @@ from minorclub.witness import verify_witness
 
 from genutil import (all_graphs, brute_minor_bags, chordality,
                      connected_graphs, connected_partitions, is_chordal_peo,
-                     random_bipperm, random_chordal, random_interval_graph,
-                     random_permutation_graph, reference_club_set)
+                     maximum_clique_matchings, random_bipperm, random_chordal,
+                     random_interval_graph, random_permutation_graph,
+                     reference_club_set)
 
 
 def test_connected_partitions_counts():
@@ -458,6 +459,23 @@ def test_clique_matching_examples():
     assert clique_matching_oracle(Graph.complete(6)) == 3
     with pytest.raises(CapacityError):
         clique_matching_oracle(Graph.empty(15))
+    # 1000 edges, no two of which see each other: the edge graph is empty,
+    # and its clique search must not recurse once per vertex
+    matching = Graph.from_edges(2000, [(2 * i, 2 * i + 1) for i in range(1000)])
+    assert clique_matching_oracle(matching, cap=2000) == 1
+
+
+def test_clique_matching_oracle_matches_matching_enumeration():
+    # every graph with n <= 5, then seeded graphs with n <= 8
+    graphs = [G for n in range(6) for G in all_graphs(n)]
+    rng = random.Random(36)
+    for _ in range(150):
+        n = rng.randint(2, 8)
+        p = rng.random()
+        graphs.append(Graph.from_edges(n, [e for e in combinations(range(n), 2)
+                                           if rng.random() < p]))
+    for G in graphs:
+        assert clique_matching_oracle(G) == maximum_clique_matchings(G)[0], G.edges()
 
 
 def test_nice_structure_examples():

@@ -3,7 +3,7 @@ from __future__ import annotations
 import math
 import random
 import sys
-from itertools import combinations
+from itertools import combinations, permutations
 
 import pytest
 
@@ -25,7 +25,8 @@ from genutil import (all_graphs, chordality, connected_graphs,
                      induced_p4_exists, ordering_exists_exhaustive,
                      random_bipperm, random_caterpillar, random_cograph,
                      random_interval_graph, random_permutation_graph,
-                     random_staircase, restrict_ordering)
+                     random_staircase, reference_verify_ordering,
+                     restrict_ordering)
 
 
 # Cotrees ------------------------------------------------------------------
@@ -315,6 +316,66 @@ def test_relabelled_staircases_always_get_an_ordering(dense):
             assert verify_ordering(G, got)
 
 
+def _ordering_outcome(check, G, ordering):
+    """check(G, ordering), or the message of the DomainError it raises."""
+    try:
+        return check(G, ordering)
+    except DomainError as exc:
+        return str(exc)
+
+
+def test_verify_ordering_matches_the_set_reference_on_every_side_and_order():
+    # every first side, every order of the second, every graph with n <= 5:
+    # bad partitions are not reachable this way, bad bipartitions are
+    outcomes = set()
+    for n in range(6):
+        for G in all_graphs(n):
+            for mask in range(1 << n):
+                side1 = tuple(v for v in range(n) if mask >> v & 1)
+                rest = [v for v in range(n) if not mask >> v & 1]
+                for order2 in permutations(rest):
+                    ordering = StrongOrdering(side1, order2)
+                    want = _ordering_outcome(reference_verify_ordering, G, ordering)
+                    assert _ordering_outcome(verify_ordering, G, ordering) == want, \
+                        (G.edges(), ordering)
+                    outcomes.add(want)
+    assert outcomes == {True, False, "ordering sides are not a bipartition"}
+
+
+def test_verify_ordering_matches_the_set_reference_on_seeded_graphs():
+    rng = random.Random(34)
+    outcomes = set()
+    for k in range(600):
+        n = rng.randint(1, 8)
+        if k % 3 == 0:
+            G = random_staircase(max(n, 2), rng, dense=k % 2 == 1)
+        else:
+            G = Graph.from_edges(n, [e for e in combinations(range(n), 2)
+                                     if rng.random() < 0.4])
+        orderings = []
+        got = strong_ordering(G)
+        if got is not None:
+            orderings.append(got)
+            order2 = list(got.order2)
+            if len(order2) > 1:
+                i = rng.randrange(len(order2) - 1)
+                order2[i], order2[i + 1] = order2[i + 1], order2[i]
+                orderings.append(StrongOrdering(got.side1, tuple(order2)))
+        verts = list(range(G.n))
+        for _ in range(3):
+            rng.shuffle(verts)
+            cut = rng.randint(0, G.n)
+            orderings.append(StrongOrdering(tuple(verts[:cut]), tuple(verts[cut:])))
+        orderings.append(StrongOrdering(tuple(verts[:1]), tuple(verts[2:])))
+        for ordering in orderings:
+            want = _ordering_outcome(reference_verify_ordering, G, ordering)
+            assert _ordering_outcome(verify_ordering, G, ordering) == want, \
+                (G.edges(), ordering)
+            outcomes.add(want)
+    assert outcomes == {True, False, "ordering sides are not a bipartition",
+                        "ordering sides do not partition the vertex set"}
+
+
 def test_strong_ordering_exists_iff_bipartite_and_at_free():
     graphs = [G for n in range(1, 8) for G in all_graphs(n)]
     rng = random.Random(32)
@@ -546,7 +607,7 @@ def test_at_free_and_dominating_pairs_match_the_reference_loops():
 # Simple predicates --------------------------------------------------------
 
 def test_split_recognition_against_brute_force():
-    from itertools import combinations
+    from itertools import combinations, permutations
 
     def brute_split(G):
         verts = range(G.n)

@@ -3,13 +3,13 @@ complete minor obtained from it.
 
 A clique-matching is a matching in which every two edges have some pair of
 adjacent end-vertices, that is, a complete minor whose bags are edges.  Each
-call computes one strong ordering and reads it as an interval table with
-``recognition._rank_intervals``, the step that also verifies orderings: with
-the ordered side ranked 1, 2, ... in order, every vertex of the other side
-maps to the (lo, hi) rank interval of its neighborhood.  Every sub-problem,
-a connected component or a keep set of the Hadwiger cases, runs on this
-table clipped to the kept vertices: a kept vertex keeps the kept ranks of
-its interval, renumbered in order.  Clipping is sound because strong
+call computes one strong ordering and reads it as the interval table that
+verified it (``StrongOrdering.spans``): with the ordered side ranked 1, 2,
+... in order, every vertex of the other side maps to the (lo, hi) rank
+interval of its neighborhood.  Every sub-problem, a connected component or
+a keep set of the Hadwiger cases, runs on this table clipped to the kept
+vertices: a kept vertex keeps the kept ranks of its interval, renumbered in
+order.  Clipping is sound because strong
 orderings are hereditary (Spinrad, Brandstaedt & Stewart, Discrete Appl.
 Math. 1987): the kept part of an interval is again an interval once
 renumbered, and two clipped intervals that nest share an endpoint, as the
@@ -48,13 +48,19 @@ The picks of a prefix of the list are a prefix of the picks, and picks
 inside the current interval come last, so one run per starting vertex
 serves every prefix and every budget.
 
-Three cuts skip work that cannot beat the best candidate so far.  A
-Hadwiger case whose keep set has too few vertices on one side to improve on
-it is not solved; the anchor loop stops once too few ranks remain from the
-anchor's rank up; and an anchor stops after its forced pairs when the x's
-and y's, which all take distinct ranks in [2, r], are too few.  Each cut
-compares an upper bound with the best so far, and a candidate replaces the
-best only when strictly larger, so no value, tie-break or witness changes.
+Three cuts skip work that cannot beat the best candidate so far, and each
+Hadwiger case starts from the best case before it.  A case whose keep set
+has too few vertices on one side to improve on the best case is not
+solved.  A case that is solved gets a bar, the size its clique-matching
+must exceed to win, and its anchor loop starts at that bar instead of 0,
+so an anchor that only matches it builds no table or witness, and a case
+that never beats it returns nothing.  The anchor loop stops once too few
+ranks remain from the anchor's rank up, or too few vertices have an
+interval that reaches it; both counts fall as the rank grows.  An anchor
+stops after its forced pairs when the x's and y's, which all take distinct
+ranks in [2, r], are too few.  Each cut compares an upper bound with the
+best so far, and a candidate replaces the best only when strictly larger,
+so no value, tie-break or witness changes.
 """
 
 from __future__ import annotations
@@ -65,7 +71,7 @@ from dataclasses import dataclass
 
 from .errors import DomainError
 from .graph import Edge, Graph, _iter_bits, _mask_components
-from .recognition import StrongOrdering, _rank_intervals, strong_ordering
+from .recognition import StrongOrdering, strong_ordering
 from .witness import certify, verify_witness
 
 NEG = -(1 << 30)
@@ -93,7 +99,7 @@ def _interval_table(G: Graph) -> tuple[StrongOrdering, dict[int, tuple[int, int]
     ordering = strong_ordering(G)
     if ordering is None:
         raise DomainError("graph is not a bipartite permutation graph")
-    return ordering, _rank_intervals(G, ordering)
+    return ordering, ordering.spans
 
 
 def _clip(order2, table, keep: int):
@@ -107,20 +113,30 @@ def _clip(order2, table, keep: int):
     return [v for v in order2 if keep >> v & 1], clipped
 
 
-def _solve(G: Graph, order2, table) -> tuple[int, tuple[Edge, ...]]:
+def _solve(G: Graph, order2, table, beat: int = 0) -> tuple[int, tuple[Edge, ...]] | None:
     """Maximum clique-matching of the subgraph of G described by an interval
-    table over the ordered side ``order2``; edges in G's labels."""
+    table over the ordered side ``order2``, as (size, edges in G's labels);
+    None when ``beat`` > 0 and no clique-matching is larger than ``beat``.
+
+    Anchors run by increasing rank v_rank of their ordered-side vertex, and
+    the loop stops once a matching saturating no rank below v_rank cannot
+    beat the best so far: it uses at most the len(order2) - v_rank + 1
+    ranks from v_rank up, and only vertices whose interval reaches v_rank.
+    """
     anchors = sorted((v_rank, u) for u, (lo, hi) in table.items()
                      for v_rank in range(lo, hi + 1))
-    best = 0
+    his = sorted(hi for _, hi in table.values())
+    best = beat
     best_pairs: tuple[tuple[int, int], ...] = ()
     for v_rank, u in anchors:
-        if len(order2) - v_rank + 1 <= best:
+        if min(len(order2) - v_rank + 1, len(his) - bisect_left(his, v_rank)) <= best:
             break
         size, pairs = _solve_anchor(table, u, v_rank, best)
         if size > best:
             best = size
             best_pairs = pairs
+    if beat and best == beat:
+        return None
     edges = tuple(sorted(tuple(sorted((w, order2[r - 1]))) for w, r in best_pairs))
     certify(len(edges) == best and is_clique_matching(G, edges),
             f"matching of size {best} is not a clique-matching")
@@ -332,7 +348,9 @@ def hadwiger_bipperm(G: Graph, with_details: bool = False):
     component, and keeps the first strictly larger candidate.  Each
     clique-matching is solved on G's interval table clipped to its vertex
     set, unless len(T) plus the smaller side of that set, which bounds the
-    matching, cannot beat the best so far.  The winning bag family is
+    matching, cannot beat the best so far.  The solve starts at the bar
+    best - len(T) and returns nothing when it cannot clear it, so a losing
+    case replays and certifies no witness.  The winning bag family is
     verified as a complete-minor witness.
     """
     ordering, table = _interval_table(G)
@@ -353,9 +371,10 @@ def hadwiger_bipperm(G: Graph, with_details: bool = False):
             if len(T) + min((keep & side1).bit_count(),
                             (keep & ~side1).bit_count()) <= best.h:
                 continue
-            size, edges = _solve(G, *_clip(ordering.order2, table, keep))
-            if len(T) + size > best.h:
-                best = BippermHadwiger(len(T) + size, len(T), T, edges)
+            solved = _solve(G, *_clip(ordering.order2, table, keep),
+                            max(0, best.h - len(T)))
+            if solved is not None and len(T) + solved[0] > best.h:
+                best = BippermHadwiger(len(T) + solved[0], len(T), T, solved[1])
     bags = best.bags()
     certify(len(bags) == best.h and verify_witness(G, bags),
             f"bags {bags} are not a complete minor of size {best.h}")

@@ -15,12 +15,13 @@ layers and returned only when verify_ordering accepts it.  Both read an
 ordering as rank spans (``_rank_intervals``): ranking the ordered side 1, 2,
 ..., each vertex of the other side maps to the (lo, hi) span of its
 neighborhood.  The ordering is strong when every span is exactly its
-neighborhood and any two nested spans share an end.
+neighborhood and any two nested spans share an end, and an accepted
+ordering keeps its spans for the solvers.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import reduce
 
 from .errors import DomainError
@@ -169,10 +170,15 @@ class StrongOrdering:
     Adjacency property: every first-side neighborhood occupies consecutive
     positions of ``order2``.  Enclosure property: whenever one first-side
     neighborhood contains another, their difference is consecutive too.
+    ``spans`` holds the rank spans of the graph the ordering last passed
+    verify_ordering on, so that a solver reads them without ranking again;
+    it takes no part in comparison or repr.
     """
 
     side1: tuple[int, ...]
     order2: tuple[int, ...]
+    spans: dict[int, tuple[int, int]] | None = field(
+        default=None, init=False, compare=False, repr=False)
 
 
 def _rank_intervals(G: Graph, ordering: StrongOrdering) -> dict[int, tuple[int, int]]:
@@ -203,13 +209,16 @@ def verify_ordering(G: Graph, ordering: StrongOrdering) -> bool:
     is consecutive exactly when the two share an end.  So enclosure fails
     exactly when some span starts further left than another and ends
     further right, that is, when sorting the spans by (lo, hi) leaves their
-    right ends out of order.
+    right ends out of order.  An accepted ordering keeps its spans.
     """
     spans = _rank_intervals(G, ordering)
     if any(hi - lo + 1 != G.degree(u) for u, (lo, hi) in spans.items()):
         return False
     ends = [hi for _, hi in sorted(spans.values())]
-    return ends == sorted(ends)
+    if ends != sorted(ends):
+        return False
+    object.__setattr__(ordering, "spans", spans)
+    return True
 
 
 def strong_ordering(G: Graph) -> StrongOrdering | None:

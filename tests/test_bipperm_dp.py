@@ -317,6 +317,29 @@ def test_case_bound_keeps_the_first_best_case():
         assert hadwiger_bipperm(G, with_details=True) == best, G.edges()
 
 
+def test_case_bar_returns_nothing_exactly_when_it_cannot_be_beaten():
+    # every case's clipped table, solved from each bar 0..size+1: nothing
+    # when the bar is positive and the clique-matching cannot exceed it,
+    # else the unbarred answer, witness included
+    for G in _staircases(30):
+        ordering, table = _interval_table(G)
+        side1 = sum(1 << w for w in ordering.side1)
+        for comp in _mask_components(G.rows, (1 << G.n) - 1):
+            singles = [()] + [(u,) for u in _iter_bits(comp)] + [
+                (a, b) for a in _iter_bits(comp) for b in _iter_bits(comp & G.rows[a])
+                if a < b]
+            for T in singles:
+                keep = comp
+                for t in T:
+                    side = side1 if side1 >> t & 1 else ~side1
+                    keep &= side & ~(1 << t) | G.rows[t]
+                order2, clipped = _clip(ordering.order2, table, keep)
+                size, edges = _solve(G, order2, clipped)
+                for beat in range(size + 2):
+                    want = None if 0 < beat >= size else (size, edges)
+                    assert _solve(G, order2, clipped, beat) == want, (G.edges(), T, beat)
+
+
 # Hadwiger numbers above the oracle's cap, from exact relations rather than
 # the brute force.
 
@@ -350,7 +373,9 @@ def test_bipartite_cographs_agree_across_solvers(n):
         assert hadwiger_cograph(G) == hadwiger_bipperm(G), G.edges()
 
 
-# Dense staircases stop at n = 48: at n = 96 the relations take about 10 s.
+# Dense staircases stop at n = 48: at n = 96, h(G) alone took 10-15 s before
+# each case's solve started at the best case so far, and the whole check
+# still takes 34-44 s after it.
 @pytest.mark.parametrize("n, dense", [(24, False), (48, False), (96, False),
                                       (24, True), (48, True)])
 def test_hadwiger_relations_on_staircases_above_the_oracle_cap(n, dense):

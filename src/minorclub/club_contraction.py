@@ -9,9 +9,12 @@ optimal on any graph, and ``tight_contraction`` looks for one with the path
 scan below before anything asks whether the graph is AT-free.  A double BFS
 sweep gives a pair at distance d' <= d (on AT-free graphs such sweeps fall
 short by at most 1; Corneil, Dragan and Koehler, Networks 2003), the scan
-reads a few other rows of the graph's BFS memo ``G.dist``, and a set of
-d' - s edges that passes the re-check proves d' = d.  On a miss it reruns
-from the first diametral pair, which reads every row, when that differs.
+grows balls of radius at most s around its candidate end edges, and a set
+of d' - s edges that passes the re-check, which grows radius-s balls in the
+rows with the set's edges merged, proves d' = d.  So an answer reads only
+the BFS rows of vertex 0 and of the pair from the graph's memo ``G.dist``.
+On a miss it reruns from the first diametral pair, which reads every row,
+when that differs.
 
 The decision procedure is driven by paths between a diameter dominating
 pair (u, v): a path Q = x_0..x_k is *satisfying* when it extends to a
@@ -129,8 +132,19 @@ def _end_conditions_ok(d0, d1, ref: int, X, Y) -> bool:
 
 def _scan_paths(G: Graph, prof: DistanceProfile, k: int):
     """Search for a satisfying path of length k >= 3 by trying all ordered
-    choices of the first and last edge; of G's BFS rows, only those of
-    candidate first and last edges are read.
+    choices of the first and last edge, each in lexicographic order.
+
+    Every vertex of a satisfying path lies on a shortest (u, v)-path, so
+    edges are taken from the u-layers cut to those vertices; an edge off
+    them closes no path, and skipping it changes no result.  A first edge
+    needs du[x0] + k <= d and a last edge dv[x_k] <= d - k, so each end
+    condition compares distances of at most r = d - k.  It reads balls of
+    radius at most r around the edge's two ends, grown once per vertex as
+    bitmasks, instead of BFS rows.  All of X lies at distance ref from x0
+    iff X lies in ball(x0, ref): x0 is at distance d - ref from v, and X at
+    distance d, so no vertex of X is nearer to x0 (the same holds at x_k).
+    All of Y lies within ref of x0 or x1 iff it lies in the union of their
+    radius-ref balls.
 
     Each first edge (x0, x1) grows its reach once, one u-layer per step, up
     to x_{k-1}'s layer; every last edge (x_{k-1}, x_k) whose x_{k-1} is
@@ -139,42 +153,68 @@ def _scan_paths(G: Graph, prof: DistanceProfile, k: int):
     whether any path was found, first path found that starts at u or ends
     at v)."""
     assert k >= 3
-    du, dv = prof.dist_u, prof.dist_v
     d = prof.d
-    dist = G.dist
-    layers = _layers(G, prof.u)
-    layered = [(a, b) for a in range(G.n) for b in _iter_bits(G.rows[a])
-               if du[b] == du[a] + 1]
-    # Last edges by x_k's u-layer: x_k must lie on a shortest (u, v)-path,
-    # and only layers >= k are ever looked up.
+    if d < k:
+        return None, False, None
+    rows, du = G.rows, prof.dist_u
+    X_u, Y_u, X_v, Y_v = (sum(1 << z for z in zs) for zs in
+                          (prof.X_u, prof.Y_u, prof.X_v, prof.Y_v))
+    # The u-layers, cut to the vertices on shortest (u, v)-paths.
+    layers = [0] * (d + 1)
+    for x, (a, b) in enumerate(zip(du, prof.dist_v)):
+        if a + b == d:
+            layers[a] |= 1 << x
+    balls: dict[int, list[int]] = {}
+
+    def ball(x: int, t: int) -> int:
+        """The vertices within distance t of x, grown[0] = 0 seeding the
+        first frontier."""
+        grown = balls.get(x)
+        if grown is None:
+            grown = balls[x] = [0, 1 << x]
+        while len(grown) < t + 2:
+            reach = grown[-1]
+            for w in _iter_bits(grown[-1] ^ grown[-2]):
+                reach |= rows[w]
+            grown.append(reach)
+        return grown[t + 1]
+
+    def ends_ok(x0: int, x1: int, ref: int, X: int, Y: int) -> bool:
+        near = ball(x0, ref)
+        far = Y & ~near
+        return not X & ~near and (not far or not far & ~ball(x1, ref))
+
+    # Last edges by x_k's u-layer t >= k, each list in (x_{k-1}, x_k) order.
     lasts: dict[int, list[Edge]] = {}
-    for xk1, xk in layered:
-        if du[xk] >= k and du[xk] + dv[xk] == d and _end_conditions_ok(
-                dist[xk], dist[xk1], dv[xk], prof.X_u, prof.Y_u):
-            lasts.setdefault(du[xk], []).append((xk1, xk))
+    for t in range(k, d + 1):
+        for xk1 in _iter_bits(layers[t - 1]):
+            for xk in _iter_bits(rows[xk1] & layers[t]):
+                if ends_ok(xk, xk1, d - t, X_u, Y_u):
+                    lasts.setdefault(t, []).append((xk1, xk))
     pinned_example = None
-    for x0, x1 in layered:
-        if du[x0] + k not in lasts or not _end_conditions_ok(
-                dist[x0], dist[x1], du[x0], prof.X_v, prof.Y_v):
-            continue
-        reach = [1 << x1]
-        for layer in layers[du[x1] + 1:du[x1] + k - 1]:
-            nxt = 0
-            for w in _iter_bits(reach[-1]):
-                nxt |= G.rows[w]
-            reach.append(nxt & layer)
-        for xk1, xk in lasts[du[x0] + k]:
-            if not reach[-1] >> xk1 & 1:
+    for x0 in _iter_bits(sum(layers[t - k] for t in lasts)):
+        for x1 in _iter_bits(rows[x0] & layers[du[x0] + 1]):
+            if not ends_ok(x0, x1, du[x0], X_v, Y_v):
                 continue
-            path = [xk, xk1]
-            for t in range(k - 3, -1, -1):
-                path.append(min(_iter_bits(G.rows[path[-1]] & reach[t])))
-            path.append(x0)
-            path.reverse()
-            if x0 != prof.u and xk != prof.v:
-                return path, True, pinned_example
-            if pinned_example is None:
-                pinned_example = path
+            reach = [1 << x1]
+            for layer in layers[du[x1] + 1:du[x1] + k - 1]:
+                nxt = 0
+                for w in _iter_bits(reach[-1]):
+                    nxt |= rows[w]
+                reach.append(nxt & layer)
+            for xk1, xk in lasts[du[x0] + k]:
+                if not reach[-1] >> xk1 & 1:
+                    continue
+                path = [xk, xk1]
+                for t in range(k - 3, -1, -1):
+                    back = rows[path[-1]] & reach[t]
+                    path.append((back & -back).bit_length() - 1)
+                path.append(x0)
+                path.reverse()
+                if x0 != prof.u and xk != prof.v:
+                    return path, True, pinned_example
+                if pinned_example is None:
+                    pinned_example = path
     return None, pinned_example is not None, pinned_example
 
 
@@ -223,7 +263,7 @@ def _tight_from_pair(G: Graph, s: int, pair) -> tuple[Edge, ...] | None:
     if path is None:
         return None
     S = tuple(sorted(_path_edges(path, d - s)))
-    return S if diameter_at_most(contract_edges(G, S), s) else None
+    return S if diameter_at_most(G, s, S) else None
 
 
 def s_club_contract_decide(G: Graph, k: int, s: int) -> ClubDecision:
@@ -304,7 +344,7 @@ def _one_extra_contraction(G: Graph, s: int, d: int):
 
 def _verified_yes(G: Graph, S, k: int, s: int) -> ClubDecision:
     S = tuple(sorted(set(tuple(sorted(e)) for e in S)))
-    certify(len(S) <= k and diameter_at_most(contract_edges(G, S), s),
+    certify(len(S) <= k and diameter_at_most(G, s, S),
             f"contracting {S} does not reach diameter {s} within {k} edges")
     return ClubDecision(True, S)
 
@@ -315,7 +355,7 @@ def _dominating_path_witness(G: Graph, s: int, d: int, table) -> tuple[Edge, ...
     u, v = _dominating_diametral_pair(G, table)
     P = shortest_path(G, u, v)
     S = _path_edges(P, d - s + 2)
-    certify(diameter_at_most(contract_edges(G, S), s),
+    certify(diameter_at_most(G, s, S),
             f"contracting {S} does not reach diameter {s}")
     return S
 

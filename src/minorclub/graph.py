@@ -212,34 +212,75 @@ def _diametral_pairs(G: Graph) -> Iterator[tuple[int, int, int]]:
             yield from ((u, v, d) for v in range(u + 1, G.n) if row[v] == d)
 
 
-def diameter_at_most(G: Graph, s: int) -> bool:
-    """diameter(G) <= s, decided by growing the radius-s ball of each vertex
-    as a bitset and stopping at the first vertex whose ball misses one.
-    Each step ORs the rows of the frontier, or, when fewer vertices are
-    missing than on the frontier, keeps the missing ones with a frontier
-    neighbour, so a hub's ball does not cost a pass over the graph."""
-    if s < 0:
-        return False
-    full = (1 << G.n) - 1
-    for v in range(G.n):
-        ball = frontier = 1 << v
-        for _ in range(s):
+def diameter_at_most(G: Graph, s: int, S: Iterable[Edge] = ()) -> bool:
+    """diameter(contract_edges(G, S)) <= s; DomainError when a pair of S is
+    not an edge.  The quotient is not built: ``_merged_rows`` merges each
+    bag into its lowest vertex without relabelling, which leaves every
+    distance as it is.  The radius-s ball of each vertex left is grown as a
+    bitset from its row, stopping at the first ball that misses one.  A
+    vertex whose ball is full by radius s - 1 is a hub, and the ball of a
+    vertex next to a hub is full by radius s, so it is not grown; the bag
+    of a contracted path is often a hub.  Each step ORs the rows of the frontier,
+    or, when fewer vertices are missing than on the frontier, keeps the
+    missing ones with a frontier neighbour, so a hub's ball does not cost a
+    pass over the graph."""
+    rows, alive = _merged_rows(G, S) if S else (G.rows, (1 << G.n) - 1)
+    if s <= 0:
+        return s == 0 and not alive & (alive - 1)
+    hubs = 0
+    for v in _iter_bits(alive):
+        frontier = rows[v]
+        ball = frontier | 1 << v
+        if ball & hubs:
+            continue
+        for _ in range(s - 1):
+            if ball == alive:
+                hubs |= 1 << v
+                break
             reach = 0
-            missing = full & ~ball
+            missing = alive & ~ball
             if missing.bit_count() < frontier.bit_count():
                 for w in _iter_bits(missing):
-                    if G.rows[w] & frontier:
+                    if rows[w] & frontier:
                         reach |= 1 << w
             else:
                 for u in _iter_bits(frontier):
-                    reach |= G.rows[u]
+                    reach |= rows[u]
             frontier = reach & ~ball
             ball |= frontier
-            if ball == full or not frontier:
+            if not frontier:
                 break
-        if ball != full:
+        if ball != alive:
             return False
     return True
+
+
+def _merged_rows(G: Graph, S: Iterable[Edge]) -> tuple[Sequence[int], int]:
+    """(rows, alive): G's adjacency rows with each component of the spanning
+    subgraph (V, S) merged into its lowest vertex, and the mask of the
+    vertices left, those lowest ones and every vertex S does not touch.
+    Rows of merged-away vertices are stale, and no row left names them."""
+    srows = [0] * G.n
+    touched = 0
+    for u, v in S:
+        _check_edge(G, u, v)
+        srows[u] |= 1 << v
+        srows[v] |= 1 << u
+        touched |= 1 << u | 1 << v
+    alive = (1 << G.n) - 1
+    rows = list(G.rows)
+    for bag in _mask_components(srows, touched):
+        low = bag & -bag
+        rest = bag ^ low
+        alive ^= rest
+        far = 0
+        for b in _iter_bits(rest):
+            far |= rows[b]
+        root = low.bit_length() - 1
+        rows[root] = (rows[root] | far) & ~bag
+        for w in _iter_bits(far & ~bag):
+            rows[w] = rows[w] & ~rest | low
+    return rows, alive
 
 
 def _mask_component(rows: Sequence[int], mask: int) -> int:
@@ -290,6 +331,11 @@ def _mask_connected(G: Graph, mask: int) -> bool:
     return _mask_component(G.rows, mask) == mask
 
 
+def _check_edge(G: Graph, u: int, v: int) -> None:
+    if not (0 <= u < G.n and 0 <= v < G.n and G.rows[u] >> v & 1):
+        raise DomainError(f"({u},{v}) is not an edge of the graph")
+
+
 def contract_edges(G: Graph, S: Iterable[Edge]) -> Graph:
     """Contract every edge in S simultaneously.
 
@@ -318,8 +364,7 @@ def _quotient(G: Graph, S: Iterable[Edge]) -> tuple[Graph, list[int]]:
         return x
 
     for u, v in S:
-        if not (0 <= u < G.n and 0 <= v < G.n) or not G.has_edge(u, v):
-            raise DomainError(f"({u},{v}) is not an edge of the graph")
+        _check_edge(G, u, v)
         ru, rv = find(u), find(v)
         if ru != rv:
             parent[max(ru, rv)] = min(ru, rv)
@@ -355,8 +400,7 @@ def contract_edge(G: Graph, e: Edge) -> Graph:
     rule of ``contract_edges``: the new vertex keeps the smaller endpoint's
     label, and every label above the larger endpoint moves down by one."""
     u, v = e
-    if not (0 <= u < G.n and 0 <= v < G.n) or not G.has_edge(u, v):
-        raise DomainError(f"({u},{v}) is not an edge of the graph")
+    _check_edge(G, u, v)
     return Graph(G.n - 1, _contract_rows(G.rows, min(u, v), max(u, v)))
 
 

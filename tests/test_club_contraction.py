@@ -18,7 +18,7 @@ from minorclub.graph import (Graph, all_pairs_distances, contract_edges,
 from minorclub.oracle import min_club_contraction_oracle
 from minorclub.recognition import diameter_dominating_pair, is_at_free
 
-from genutil import (connected_graphs, random_caterpillar,
+from genutil import (connected_graphs, random_caterpillar, random_chordal,
                      random_interval_graph, random_permutation_graph,
                      reference_club_set)
 
@@ -201,17 +201,32 @@ def test_tight_contraction_from_the_matrix_pair_when_the_sweep_falls_short():
 
 
 def test_tight_scan_reads_only_rows_near_the_ends():
-    """The scan from the sweep's pair computes few BFS rows, and finds the
-    same path as from the full matrix."""
+    """An answer from the double sweep's pair computes the BFS rows of
+    vertex 0, u and v alone: the scan reads balls around its candidate
+    edges, and the re-check grows balls in the merged rows.  The scan finds
+    the same path as from the full matrix."""
     G = random_interval_graph(320, random.Random(61), spread=0.5)
     u, v, d = sweep_pair(G)
     prof = _profile(G, u, v)
     paths = [_scan_paths(G, prof, d - s) for s in (2, 3)]
-    assert len(G.dist) < 40
+    assert set(G.dist) <= {0, u, v}
     assert all(path[0] is not None for path in paths)
     H = Graph(G.n, G.rows)
     all_pairs_distances(H)
     assert paths == [_scan_paths(H, _profile(H, u, v), d - s) for s in (2, 3)]
+    rng = random.Random(67)
+    answered = 0
+    for n in (200, 320):
+        for _ in range(3):
+            for G in (random_interval_graph(n, rng, spread=0.5),
+                      random_caterpillar(n, rng)):
+                u, v, _ = sweep_pair(Graph(G.n, G.rows))
+                for s in (2, 3):
+                    H = Graph(G.n, G.rows)
+                    if tight_contraction(H, s) is not None:
+                        assert set(H.dist) <= {0, u, v}, (n, s)
+                        answered += 1
+    assert answered == 24
 
 
 # Graphs with d = 5 whose first diametral pair's scanned path of length
@@ -376,6 +391,10 @@ def _per_pair_scan(G: Graph, prof, k: int, dist):
 
 
 def test_path_scan_matches_the_per_pair_scan():
+    """From a diameter dominating pair of AT-free graphs, and from the pairs
+    that ``tight_contraction`` scans from, the double sweep's and the first
+    diametral pair, of those graphs, of seeded chordal graphs and of every
+    connected graph with n <= 7, most of them not AT-free."""
     graphs = list(_scan_graphs())
     rng = random.Random(43)
     for _ in range(100):
@@ -389,6 +408,18 @@ def test_path_scan_matches_the_per_pair_scan():
         for k in range(3, prof.d + 1):
             assert _scan_paths(G, prof, k) == _per_pair_scan(G, prof, k, dist), \
                 (G.rows, k)
+    graphs += [random_chordal(rng.randint(8, 40), rng) for _ in range(100)]
+    graphs += [G for n in range(4, 8) for G in connected_graphs(n)]
+    scans = 0
+    for G in graphs:
+        dist = all_pairs_distances(G)
+        for u, v, d in {sweep_pair(G), diametral_pair(G)}:
+            prof = _profile(G, u, v)
+            for k in range(3, d + 1):
+                assert _scan_paths(G, prof, k) == _per_pair_scan(G, prof, k, dist), \
+                    (G.rows, u, v, k)
+                scans += 1
+    assert scans > 3000
 
 
 def test_is_satisfying_path_rejects_non_paths():

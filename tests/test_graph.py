@@ -4,7 +4,7 @@ import gc
 import math
 import random
 import weakref
-from collections import deque
+from collections import Counter, deque
 from itertools import combinations
 
 import pytest
@@ -208,6 +208,33 @@ def test_diameter_at_most_matches_diameter():
         d = diameter(G)
         for s in range(-1, G.n + 2):
             assert diameter_at_most(G, s) == (d <= s), (G.rows, s)
+
+
+def test_diameter_at_most_after_contracting_matches_the_quotient():
+    """Merging the bags of S in the rows decides what building the quotient
+    decides, on seeded connected graphs whose S spans several bags."""
+    rng = random.Random(29)
+    several = 0
+    for _ in range(800):
+        n = rng.randint(1, 12)
+        p = rng.choice((0.2, 0.35, 0.6))
+        G = Graph.from_edges(n, [(u, v) for u in range(n)
+                                 for v in range(u + 1, n) if rng.random() < p])
+        if not is_connected(G):
+            continue
+        edges = G.edges()
+        S = rng.sample(edges, rng.randint(0, min(len(edges), n // 2 + 1)))
+        Q = contract_edges(G, S)
+        sizes = Counter(contraction_map(G, S)).values()
+        several += sum(size > 1 for size in sizes) >= 2
+        for s in range(5):
+            assert diameter_at_most(G, s, S) == diameter_at_most(Q, s) \
+                == (diameter(Q) <= s), (G.rows, S, s)
+    assert several > 100
+    P4 = Graph.path(4)
+    for S in ([(0, 1), (0, 2)], [(3, 4)], [(-1, 0)], [(1, 1)]):
+        with pytest.raises(DomainError):
+            diameter_at_most(P4, 2, S)
 
 
 @settings(max_examples=40, deadline=None)

@@ -14,6 +14,24 @@ splits the cotree, carries each node's table as a plain ``(n, values)``
 tuple cut after its last nonzero entry, and pads it into one CrTable at the
 root.  The cut loses nothing: a zero adds nothing to the union's maximum,
 and the join skips zero entries.
+
+The join skips candidates that cannot win.  Write V(k, s) for the value of
+s straddling bags and k edge bags inside side i (see ``_join``).  For
+s < cross, (k - 1, s + 1) fills the same entry r = k + s and is admissible,
+and with N = n_i - k - s,
+    V(k, s) - V(k - 1, s + 1) = -1 + [min(c_k, N) - min(c_{k-1}, N)]
+                              + [n_other - s <= c_0(other)].
+The first bracket is at most 0 when c_k <= c_{k-1} and at most 1 when
+c_k = c_{k-1} + 1, so when k - 1 is usable (k = 1 or c_{k-1} > 0),
+(k, s) is no better than (k - 1, s + 1) unless c_k = c_{k-1} + 1 and
+n_other - s <= c_0(other).  By induction on k, every skipped candidate is
+matched at its r by one that is kept.  The argument uses nothing about the
+tables, so it holds for arbitrary ones.
+
+A union or join node folds its children smallest table first: a table is a
+graph invariant, and both operations are associative and commutative, so
+any order gives the same table, and small siblings then meet each other
+before they meet the big one.
 """
 
 from __future__ import annotations
@@ -77,16 +95,27 @@ def _join(t1, t2):
     admissibility condition.  So 2r = 2k + 2s <= n_i + s <= n: entries past
     n/2 are never reached, and the result is cut after its last nonzero
     entry.
+
+    When k - 1 is usable, the s loop starts where (k, s) can beat
+    (k - 1, s + 1) (see the module docstring): at ``cross`` when
+    c_k <= c_{k-1}, at ``climb`` = max(0, min(cross, n_other - c_0(other)))
+    when c_k = c_{k-1} + 1, and at 0 otherwise.
     """
     (n1, v1), (n2, v2) = t1, t2
     cross = min(n1, n2)
     values = [0] * ((n1 + n2) // 2 + 1)
     for ci, ni, nother, c0other in ((v1, n1, n2, v2[0]), (v2, n2, n1, v1[0])):
+        climb = max(0, min(cross, nother - c0other))
+        prev = None  # c_{k-1} while k - 1 is usable
         for k, inner in enumerate(ci):
             if k and not inner:
+                prev = None
                 continue
+            start = (0 if prev is None or inner > prev + 1
+                     else cross if inner <= prev else climb)
+            prev = inner
             room = ni - k
-            for s in range(min(cross, room - k) + 1):
+            for s in range(start, min(cross, room - k) + 1):
                 # the two min() terms, spelled out: this is the DP's hot loop
                 free, rest = room - s, nother - s
                 val = (s + (inner if inner < free else free)
@@ -99,9 +128,10 @@ def _join(t1, t2):
 
 
 def _node(kind: str, tables: list):
-    """Table of a union or join node: its children's tables folded left to
-    right."""
-    return reduce(_union if kind == "union" else _join, tables)
+    """Table of a union or join node: its children's tables folded smallest
+    first (see the module docstring), so leaf siblings meet each other
+    before each one rescans a big table."""
+    return reduce(_union if kind == "union" else _join, sorted(tables))
 
 
 def cr_union(t1: CrTable, t2: CrTable) -> CrTable:

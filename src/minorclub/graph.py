@@ -286,12 +286,21 @@ def _merged_rows(G: Graph, S: Iterable[Edge]) -> tuple[Sequence[int], int]:
 def _mask_component(rows: Sequence[int], mask: int) -> int:
     """Connected component, as a bitmask, of the lowest vertex of ``mask`` in
     the subgraph that the adjacency ``rows`` induce on ``mask`` (0 if empty).
-    Each step ORs the rows of the frontier, or, when fewer vertices are
-    missing than on the frontier, keeps the missing ones with a frontier
-    neighbour, so a hub's component does not cost a pass over the graph.
-    It stops as soon as nothing in ``mask`` is missing."""
-    comp = frontier = mask & -mask
-    missing = mask ^ comp
+    The first step reads the lowest vertex's row alone, so a vertex with no
+    neighbour in ``mask`` is returned at once.  Each later step ORs the rows
+    of the frontier, or, when fewer vertices are missing than on the
+    frontier, keeps the missing ones with a frontier neighbour, so a hub's
+    component does not cost a pass over the graph.  It stops as soon as
+    nothing in ``mask`` is missing."""
+    if not mask:
+        return 0
+    low = mask & -mask
+    missing = mask ^ low
+    frontier = rows[low.bit_length() - 1] & missing
+    if not frontier:
+        return low
+    comp = low | frontier
+    missing ^= frontier
     while frontier and missing:
         reach = 0
         if missing.bit_count() < frontier.bit_count():
@@ -312,8 +321,9 @@ def _mask_components(rows: Sequence[int], mask: int) -> list[int]:
     induce on ``mask``, as bitmasks ordered by minimum vertex."""
     comps = []
     while mask:
-        comps.append(_mask_component(rows, mask))
-        mask &= ~comps[-1]
+        comp = _mask_component(rows, mask)
+        comps.append(comp)
+        mask ^= comp
     return comps
 
 

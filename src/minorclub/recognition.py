@@ -26,8 +26,7 @@ from functools import reduce
 
 from .errors import DomainError
 from .graph import (Graph, _diametral_pairs, _iter_bits, _layers,
-                    _mask_components, complement, induced_subgraph,
-                    is_bipartite, is_connected)
+                    _mask_components, complement, is_bipartite, is_connected)
 
 
 # Cotrees ----------------------------------------------------------------
@@ -125,10 +124,8 @@ def cotree_fold(G: Graph, leaf, node):
                 if len(parts) > 1:
                     break
         else:
-            verts = list(_iter_bits(mask))
-            p4 = find_induced_p4(induced_subgraph(G, verts))
             raise DomainError("graph is not a cograph",
-                              certificate=tuple(verts[i] for i in p4))
+                              certificate=find_induced_p4(G, mask))
         stack.append((-len(parts), kind))
         stack.extend((part, kind) for part in reversed(parts))
     return values[0]
@@ -146,15 +143,22 @@ def recognize_cograph(G: Graph):
         return exc.certificate
 
 
-def find_induced_p4(G: Graph):
-    """Four vertices inducing a path a-b-c-d, the first in deterministic
-    scan order, or None when G is a cograph."""
-    for b in range(G.n):
-        for c in _iter_bits(G.rows[b]):
-            a_cands = G.rows[b] & ~G.rows[c] & ~(1 << c)
-            d_cands = G.rows[c] & ~G.rows[b] & ~(1 << b)
+def find_induced_p4(G: Graph, mask: int | None = None):
+    """Four vertices of ``mask`` (default: all of G) inducing a path
+    a-b-c-d, the first in deterministic scan order, or None when the
+    subgraph induced on ``mask`` is a cograph.  The scan order is that of
+    the induced subgraph, whose relabelling keeps the vertex order."""
+    rows = G.rows
+    if mask is None:
+        mask = (1 << G.n) - 1
+    for b in _iter_bits(mask):
+        row_b = rows[b] & mask
+        for c in _iter_bits(row_b):
+            row_c = rows[c] & mask
+            a_cands = row_b & ~row_c & ~(1 << c)
+            d_cands = row_c & ~row_b & ~(1 << b)
             for a in _iter_bits(a_cands):
-                picks = d_cands & ~G.rows[a] & ~(1 << a)
+                picks = d_cands & ~rows[a] & ~(1 << a)
                 if picks:
                     d = (picks & -picks).bit_length() - 1
                     return (a, b, c, d)

@@ -12,7 +12,7 @@ from minorclub.graph import (Graph, clique_number, disjoint_union,
                              induced_subgraph, join)
 from minorclub.oracle import (enumerate_nice_structures, hadwiger_oracle,
                               nice_structure_oracle)
-from minorclub.recognition import recognize_cograph
+from minorclub.recognition import Cotree, recognize_cograph
 
 from genutil import all_graphs, random_cograph
 
@@ -125,8 +125,6 @@ def test_star_join_table_needs_realizability_guard():
 
 
 def test_exhaustive_small_cographs_match_oracle():
-    from minorclub.recognition import Cotree
-
     for n in range(1, 6):
         for G in all_graphs(n):
             if not isinstance(recognize_cograph(G), Cotree):
@@ -209,3 +207,78 @@ def test_hadwiger_relations_above_the_oracle_cap():
         for v in rng.sample(range(G.n), 4):
             rest = [w for w in range(G.n) if w != v]
             assert h - 1 <= hadwiger_cograph(induced_subgraph(G, rest)) <= h, (G.rows, v)
+
+
+def _small_cographs(max_n: int):
+    """Every cograph with 1..max_n vertices, one per isomorphism class."""
+    return [G for n in range(1, max_n + 1) for G in all_graphs(n)
+            if isinstance(recognize_cograph(G), Cotree)]
+
+
+def test_join_matches_the_reference_on_every_pair_of_small_cograph_tables():
+    tables = sorted({cograph_cr_table(G) for G in _small_cographs(6)},
+                    key=lambda t: (t.n, t.values))
+    for t1 in tables:
+        for t2 in tables:
+            assert cr_join(t1, t2).values == reference_join(t1, t2), (t1, t2)
+
+
+def long_random_table(rng: random.Random) -> CrTable:
+    """A table with up to 30 vertices: arbitrary entries with zeros in
+    between, or a walk with steps in -2..2 cut at a random r, so that
+    c_k <= c_{k-1}, c_k = c_{k-1} + 1 and larger climbs all occur."""
+    n = rng.randint(1, 30)
+    if rng.random() < 0.3:
+        return CrTable(n, tuple(0 if rng.random() < 0.3 else rng.randint(1, n + 1)
+                                for _ in range(n + 1)))
+    values, val = [], rng.randint(1, n)
+    for _ in range(rng.randint(1, n // 2 + 1)):
+        values.append(val)
+        val = max(1, val + rng.randint(-2, 2))
+    return CrTable(n, tuple(values) + (0,) * (n + 1 - len(values)))
+
+
+def test_join_matches_the_reference_on_long_random_tables():
+    for seed in (13, 14, 15, 16):
+        rng = random.Random(seed)
+        for _ in range(150):
+            t1, t2 = long_random_table(rng), long_random_table(rng)
+            assert cr_join(t1, t2).values == reference_join(t1, t2), (seed, t1, t2)
+
+
+@pytest.mark.parametrize("t1, t2, want", [
+    # start 0: c_1 = 3 > c_0 + 1 on the first side (an arbitrary table),
+    # and (k, s) = (1, 0) alone reaches c_1 = 3.
+    (CrTable(3, (1, 3, 0, 0)), CrTable(1, (1, 0)), (2, 3, 2, 0, 0)),
+    # the climb start: 2K1 joined with C4 + K1, where the second side has
+    # c_1 = c_0 + 1, cross = 2 and n_other - c_0(other) = 1, so its k = 1
+    # loop starts at s = 1, and (1, 1) alone reaches c_2 = 5.
+    (CrTable(2, (1, 0, 0)), CrTable(5, (2, 3, 2, 0, 0, 0)), (3, 4, 5, 4, 0, 0, 0, 0)),
+    # the cross start: K1 joined with K2 + K1, where the second side has
+    # c_1 <= c_0, so its k = 1 loop runs s = cross = 1 only, and (1, 1)
+    # alone reaches c_2 = 2.
+    (CrTable(1, (1, 0)), CrTable(3, (2, 1, 0, 0)), (3, 3, 2, 0, 0)),
+])
+def test_join_keeps_the_candidate_at_each_start_of_the_s_loop(t1, t2, want):
+    assert reference_join(t1, t2) == want
+    assert cr_join(t1, t2).values == cr_join(t2, t1).values == want
+
+
+def _shuffled_fold(tree: Cotree, rng: random.Random) -> CrTable:
+    """The cotree's root table with each node's children folded in a random
+    order, left to right, without the smallest-first sort."""
+    def node(kind, tables):
+        tables = list(tables)
+        rng.shuffle(tables)
+        return reduce(cr_join if kind == "join" else cr_union, tables)
+    return tree.fold(lambda v: cr_leaf(), node)
+
+
+def test_root_table_does_not_depend_on_the_child_order():
+    rng = random.Random(17)
+    graphs = _small_cographs(7) + [random_cograph(leaves, rng)
+                                   for leaves in (40, 80, 160) for _ in range(2)]
+    for G in graphs:
+        tree = recognize_cograph(G)
+        for _ in range(2):
+            assert _shuffled_fold(tree, rng).values == cograph_cr_table(G).values, G.rows

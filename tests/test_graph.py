@@ -320,6 +320,26 @@ def test_mask_components_match_a_queue_bfs():
                 assert _mask_components(rows, mask) == comps, (rows, mask)
 
 
+def test_mask_components_settle_isolated_vertices_across_the_word_boundary():
+    """Sparse seeded graphs with some vertices cut loose, so masks hold
+    isolated vertices, for n = 1..70: the lowest vertex's first step
+    settles a singleton, and n > 64 crosses the 64-bit word boundary."""
+    rng = random.Random(29)
+    for n in range(1, 71):
+        for _ in range(3):
+            p = rng.choice((0.02, 0.05, 0.1, 0.3))
+            loose = set(rng.sample(range(n), rng.randint(0, n // 3)))
+            G = Graph.from_edges(n, [(u, v) for u, v in combinations(range(n), 2)
+                                     if u not in loose and v not in loose
+                                     and rng.random() < p])
+            for mask in ((1 << n) - 1, rng.getrandbits(n), rng.getrandbits(n)):
+                comps, rest = [], mask
+                while rest:
+                    comps.append(_queue_component(G.rows, rest))
+                    rest ^= comps[-1]
+                assert _mask_components(G.rows, mask) == comps, (G.rows, mask)
+
+
 def test_max_clique():
     size, members = max_clique(Graph.complete(5))
     assert size == 5 and members == [0, 1, 2, 3, 4]

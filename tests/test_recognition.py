@@ -91,6 +91,23 @@ def test_find_induced_p4_none_on_cograph():
     assert find_induced_p4(Graph.complete(5)) is None
 
 
+def test_find_induced_p4_on_a_mask_matches_its_induced_subgraph():
+    """Random masks, most of them not modules, so vertices outside the mask
+    see some of it: the P4 found inside the mask is the induced subgraph's,
+    mapped back through its order-keeping relabelling."""
+    rng = random.Random(43)
+    for _ in range(300):
+        n = rng.randint(1, 70)
+        p = rng.random()
+        G = Graph.from_edges(n, (e for e in combinations(range(n), 2) if rng.random() < p))
+        mask = rng.getrandbits(n) or 1
+        verts = list(_iter_bits(mask))
+        p4 = find_induced_p4(induced_subgraph(G, verts))
+        want = None if p4 is None else tuple(verts[i] for i in p4)
+        assert find_induced_p4(G, mask) == want, (G.rows, mask)
+    assert find_induced_p4(Graph.path(4), 0b111) is None
+
+
 def _threshold_cograph(n: int) -> Graph:
     """Vertex v joins as an isolated vertex for even v and as a dominating
     vertex for odd v, so the cotree alternates union and join, one level

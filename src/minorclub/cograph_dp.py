@@ -32,12 +32,23 @@ A union or join node folds its children smallest table first: a table is a
 graph invariant, and both operations are associative and commutative, so
 any order gives the same table, and small siblings then meet each other
 before they meet the big one.
+
+One fold meets the same pair of tables again and again: two leaves under a
+join, two edges under a union, one small subtree shape repeated across the
+cotree.  Each fold therefore carries a memo of the unions and joins it has
+computed, keyed on the two argument tables.  This is exact because both
+operations are pure functions of their two tables.  The memo is made when
+a fold starts and dropped when it returns, so it holds at most one entry
+per distinct pair of that graph's fold and nothing outlives the call.  On
+the benchmark's random cographs with n = 200 it cuts about 100 joins and
+99 unions per graph to about 40 and 39 distinct pairs.  On a deep
+threshold cotree no pair repeats, and the memo only adds the hashing of
+its keys: about 7% of the fold at n = 4000.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
 
 from .graph import Graph
 from .recognition import Cotree, cotree_fold
@@ -127,11 +138,27 @@ def _join(t1, t2):
     return n1 + n2, tuple(values)
 
 
-def _node(kind: str, tables: list):
-    """Table of a union or join node: its children's tables folded smallest
-    first (see the module docstring), so leaf siblings meet each other
-    before each one rescans a big table."""
-    return reduce(_union if kind == "union" else _join, sorted(tables))
+def _fold_node():
+    """A fresh node function for one fold.  A union or join node's table is
+    its children's tables folded smallest first, and every ``_union`` and
+    ``_join`` result is kept in a memo keyed on its two argument tables, so
+    a pair the fold has already combined costs one lookup (see the module
+    docstring).  The memo lives as long as the node function."""
+    memo: dict = {}
+
+    def node(kind, tables):
+        op = _union if kind == "union" else _join
+        tables = sorted(tables)
+        value = tables[0]
+        for table in tables[1:]:
+            key = op, value, table
+            found = memo.get(key)
+            if found is None:
+                found = memo[key] = op(value, table)
+            value = found
+        return value
+
+    return node
 
 
 def cr_union(t1: CrTable, t2: CrTable) -> CrTable:
@@ -146,13 +173,18 @@ def cr_join(t1: CrTable, t2: CrTable) -> CrTable:
 
 def cotree_cr_table(tree: Cotree) -> CrTable:
     """Fold the table bottom-up over a cotree already built."""
-    return _padded(tree.fold(lambda v: (1, (1,)), _node))
+    return _padded(tree.fold(lambda v: (1, (1,)), _fold_node()))
 
 
 def cograph_cr_table(G: Graph) -> CrTable:
     """CrTable of a cograph, folded while its cotree is split; raises
-    DomainError with the induced P4 otherwise."""
-    return _padded(cotree_fold(G, lambda v: (1, (1,)), _node))
+    DomainError with the induced P4 otherwise.
+
+    The fold keeps its own memo of the unions and joins it has computed,
+    keyed on the two argument tables (see ``_fold_node``).  The memo is
+    made here and dropped on return, so nothing is kept between calls, and
+    a graph rejected at the cotree root never fills it."""
+    return _padded(cotree_fold(G, lambda v: (1, (1,)), _fold_node()))
 
 
 def hadwiger_cograph(G: Graph) -> int:

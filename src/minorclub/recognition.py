@@ -96,10 +96,12 @@ def cotree_fold(G: Graph, leaf, node):
     subgraph is disconnected is a union over its components, one whose
     complement is disconnected is a join over its co-components, and one
     where both are connected contains an induced P4 (located by direct
-    search).  A child mask is tested only for the split its parent's kind
-    does not rule out.  Children are ordered by their smallest vertex.  A
-    split node leaves a marker under its children on the stack, so it is
-    folded once they all are.
+    search).  Only the root tries both splits, union first.  A union's parts
+    are connected and a join's co-connected, so every other mask is tested
+    for the one split its parent's kind leaves open, and a mask that does
+    not split that way is the one whose P4 is reported.  Children are
+    ordered by their smallest vertex.  A split node pushes a marker and then
+    its children onto the stack, so it is folded once they all are.
     """
     if G.n == 0:
         raise DomainError("cograph recognition needs at least one vertex")
@@ -116,18 +118,16 @@ def cotree_fold(G: Graph, leaf, node):
         if mask & (mask - 1) == 0:
             values.append(leaf(mask.bit_length() - 1))
             continue
-        # A union's parts are connected and a join's co-connected, so below
-        # the root only the split of the other kind can succeed.
-        for kind, rows in (("union", G.rows), ("join", co_rows)):
-            if kind != parent:
-                parts = _mask_components(rows, mask)
-                if len(parts) > 1:
-                    break
+        if parent == "union":
+            kind, parts = "join", _mask_components(co_rows, mask)
         else:
+            kind, parts = "union", _mask_components(G.rows, mask)
+            if not parent and len(parts) == 1:  # the root may be a join
+                kind, parts = "join", _mask_components(co_rows, mask)
+        if len(parts) == 1:
             raise DomainError("graph is not a cograph",
                               certificate=find_induced_p4(G, mask))
-        stack.append((-len(parts), kind))
-        stack.extend((part, kind) for part in reversed(parts))
+        stack += [(-len(parts), kind), *((part, kind) for part in reversed(parts))]
     return values[0]
 
 

@@ -5,6 +5,7 @@ from functools import reduce
 
 import pytest
 
+from minorclub import cograph_dp
 from minorclub.cograph_dp import (CrTable, cograph_cr_table, cr_join, cr_leaf,
                                   cr_union, hadwiger_cograph)
 from minorclub.errors import DomainError
@@ -282,3 +283,39 @@ def test_root_table_does_not_depend_on_the_child_order():
         tree = recognize_cograph(G)
         for _ in range(2):
             assert _shuffled_fold(tree, rng).values == cograph_cr_table(G).values, G.rows
+
+
+def test_fold_combines_each_distinct_pair_of_tables_once(monkeypatch):
+    """One cograph_cr_table call runs _union and _join once per distinct
+    argument pair, on the same pairs as a fold without a memo, and a second
+    call on the same graph makes the same calls again: the memo lives
+    within one fold."""
+    G = random_cograph(160, random.Random(29))
+    ops = {"union": cograph_dp._union, "join": cograph_dp._join}
+    plain = {kind: [] for kind in ops}
+
+    def plain_node(kind, tables):
+        def step(t1, t2):
+            plain[kind].append((t1, t2))
+            return ops[kind](t1, t2)
+        return reduce(step, sorted(tables))
+
+    want = recognize_cograph(G).fold(lambda v: (1, (1,)), plain_node)
+    calls = {kind: [] for kind in ops}
+    for kind, op in ops.items():
+        def counted(t1, t2, op=op, log=calls[kind]):
+            log.append((t1, t2))
+            return op(t1, t2)
+        monkeypatch.setattr(cograph_dp, "_" + kind, counted)
+    counts = []
+    for _ in range(2):
+        for log in calls.values():
+            log.clear()
+        table = cograph_cr_table(G)
+        assert table.values[:len(want[1])] == want[1]
+        for kind, log in calls.items():
+            assert len(log) == len(set(log)), kind
+            assert set(log) == set(plain[kind]), kind
+            assert len(log) < len(plain[kind]), kind
+        counts.append({kind: len(log) for kind, log in calls.items()})
+    assert counts[0] == counts[1]

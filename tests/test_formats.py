@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+import random
+from itertools import combinations
+
 import pytest
 
 from minorclub.errors import ParseError
@@ -42,6 +45,50 @@ def test_graph6_padding_bits_are_ignored():
     # n = 2 has one payload bit; the five padding bits after it are ignored
     assert parse_graph(b"AA", "graph6") == Graph.empty(2)
     assert parse_graph(b"A~", "graph6") == Graph.complete(2)
+
+
+def _reference_graph6(n: int, edges) -> bytes:
+    """graph6 written out bit by bit: the order's header, then bit (i, j)
+    of each column j = 1..n-1 for i < j, six bits to a byte plus 63."""
+    edges = {(min(u, v), max(u, v)) for u, v in edges}
+    bits = "".join("1" if (i, j) in edges else "0" for j in range(1, n) for i in range(j))
+    bits += "0" * (-len(bits) % 6)
+    head = [n] if n <= 62 else [63, n >> 12 & 63, n >> 6 & 63, n & 63]
+    payload = [int(bits[k:k + 6], 2) for k in range(0, len(bits), 6)]
+    return bytes(d + 63 for d in head + payload)
+
+
+def _random_edges(n: int, m: int, rng: random.Random):
+    return rng.sample(list(combinations(range(n), 2)), m)
+
+
+# A payload is read edge by edge while at most 1 in 8 of its n(n-1)/2 edge
+# bits is set, and through the n x n square above that: m = n(n-1)/2 // 8
+# edges is the densest sparse payload and one more edge the sparsest dense
+# one.  The orders cross the one-byte header at 62/63 and the 64-bit word.
+@pytest.mark.parametrize("n", [*range(1, 71), 126, 127, 200])
+def test_graph6_decodes_both_sides_of_the_density_switch(n):
+    rng = random.Random(n)
+    pairs = n * (n - 1) // 2
+    for m in (pairs // 8, pairs // 8 + 1):
+        if m <= pairs:
+            edges = _random_edges(n, m, rng)
+            assert parse_graph(_reference_graph6(n, edges), "graph6") == \
+                Graph.from_edges(n, edges), m
+
+
+# Setting the padding bits of the last byte leaves the graph and the path
+# alike unchanged.  n = 64 has no padding bits: its 2016 edge bits fill 336
+# bytes.
+@pytest.mark.parametrize("n", [5, 7, 64, 70])
+def test_graph6_padding_bits_are_ignored_on_both_decoder_paths(n):
+    rng = random.Random(100 + n)
+    pairs = n * (n - 1) // 2
+    for m in (pairs // 8, pairs // 2):
+        edges = _random_edges(n, m, rng)
+        data = bytearray(_reference_graph6(n, edges))
+        data[-1] |= (1 << -pairs % 6) - 1
+        assert parse_graph(bytes(data), "graph6") == Graph.from_edges(n, edges), m
 
 
 # The decoder reads payloads with more than 1 bit in 8 set through an n x n

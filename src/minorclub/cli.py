@@ -11,10 +11,10 @@ deterministic.
 Exit codes: 0 success, 2 unreadable or malformed input (malformed input bytes
 always name their byte offset; a missing --k for `reduce hitting-set` or
 `reduce lift` exits 2 without one), 3 no applicable method or problem
-precondition violated, such as a negative budget --k, 4 a brute-force
-oracle's size cap exceeded (the polynomial solvers and their recognizers have
-no caps), 5 internal error: a solver's output failed its certificate check;
-stderr then names the command and the input's SHA-256.
+precondition violated, such as a negative budget --k or a negative club-minor
+--s, 4 a brute-force oracle's size cap exceeded (the polynomial solvers and
+their recognizers have no caps), 5 internal error: a solver's output failed
+its certificate check; stderr then names the command and the input's SHA-256.
 
 recognize reports every class, chordal-bipartite included, at any size.
 club-contract and club-minor, when s >= 2, first ask
@@ -40,8 +40,8 @@ import time
 
 from . import oracle as oracle_mod
 from .bipperm_dp import hadwiger_bipperm, max_clique_matching
-from .club_contraction import (ClubDecision, minimum_contraction,
-                               s_club_contract_decide, tight_contraction)
+from .club_contraction import (minimum_contraction, s_club_contract_decide,
+                               tight_contraction)
 from .cograph_dp import cograph_cr_table
 from .errors import (CapacityError, DomainError, InvalidStructureError,
                      ParseError)
@@ -146,27 +146,22 @@ def _club_solver(G, args, bound, atfree, oracle):
     return "oracle", oracle()
 
 
-def _club_contract_oracle(G, s: int, k: int) -> ClubDecision:
-    """The oracle's answer; a yes carries the first smallest edge set that
-    reaches diameter s."""
-    S = oracle_mod.min_club_contraction_set(G, s, k) if is_connected(G) else None
-    return ClubDecision(S is not None, S)
-
-
 def cmd_club_contract(G, args):
     if args.k < 0:
         raise DomainError("contraction budget must be non-negative")
-    solver, dec = _club_solver(
-        G, args,
-        lambda S: ClubDecision(True, S) if args.k >= len(S) else ClubDecision(False),
+    solver, S = _club_solver(
+        G, args, lambda S: S if args.k >= len(S) else None,
         lambda: s_club_contract_decide(G, args.k, args.s),
-        lambda: _club_contract_oracle(G, args.s, args.k))
-    return ({"answer": "yes" if dec.yes else "no",
-             "witness_edges": [list(e) for e in dec.witness] if dec.witness else None},
+        lambda: (oracle_mod.min_club_contraction_set(G, args.s, args.k)
+                 if is_connected(G) else None))
+    return ({"answer": "no" if S is None else "yes",
+             "witness_edges": [list(e) for e in S] if S else None},
             solver, {})
 
 
 def cmd_club_minor(G, args):
+    if args.s < 0:
+        raise DomainError("diameter bound --s must be non-negative")
     if not is_connected(G) or G.n == 0:
         raise DomainError(
             "disconnected graphs cannot be contracted to finite diameter")

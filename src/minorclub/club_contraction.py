@@ -63,12 +63,6 @@ class DistanceProfile:
     dist_v: tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class ClubDecision:
-    yes: bool
-    witness: tuple[Edge, ...] | None = None
-
-
 def distance_profile(G: Graph, u: int, v: int) -> DistanceProfile:
     """Profile for a diameter pair; errors when dist(u, v) != diam(G)."""
     d = diameter(G)
@@ -266,19 +260,19 @@ def _tight_from_pair(G: Graph, s: int, pair) -> tuple[Edge, ...] | None:
     return S if diameter_at_most(G, s, S) else None
 
 
-def s_club_contract_decide(G: Graph, k: int, s: int) -> ClubDecision:
+def s_club_contract_decide(G: Graph, k: int, s: int) -> tuple[Edge, ...] | None:
     """Can at most k edge contractions bring diam(G) down to s or less?
 
-    Every yes comes with a witness edge set that has been re-verified by
-    contracting it and measuring the diameter.
+    Yes is a set of at most k edges whose contraction has been re-verified
+    to reach diameter s, () when G is already within s; no is None.
     """
     if k < 0:
         raise DomainError("contraction budget must be non-negative")
     d, table = _checked_diameter(G, s)
     if d <= s:
-        return ClubDecision(True, ())
+        return ()
     if k < d - s:
-        return ClubDecision(False)
+        return None
     return _ladder(G, s, d, k, table)
 
 
@@ -289,9 +283,9 @@ def minimum_contraction(G: Graph, s: int) -> tuple[int, tuple[Edge, ...]]:
         raise DomainError("disconnected graphs cannot reach finite diameter")
     if d <= s:
         return 0, ()
-    dec = _ladder(G, s, d, d - s + 1, table)
-    if dec.yes:
-        return len(dec.witness), dec.witness
+    S = _ladder(G, s, d, d - s + 1, table)
+    if S is not None:
+        return len(S), S
     return d - s + 2, _dominating_path_witness(G, s, d, table)
 
 
@@ -310,21 +304,20 @@ def _checked_diameter(G: Graph, s: int):
     return diameter(G), table
 
 
-def _ladder(G: Graph, s: int, d: int, k: int, table) -> ClubDecision:
+def _ladder(G: Graph, s: int, d: int, k: int, table) -> tuple[Edge, ...] | None:
     """Decide budget k >= d - s on G with s < d = diam(G), given G's
     AvoidingComponents table.  Budget d-s+2 always suffices; otherwise try
     the tight budget d-s, then with one spare contraction the subset walk
     (k <= 2) or guess the extra contractions."""
     if k >= d - s + 2:
-        return ClubDecision(True, _dominating_path_witness(G, s, d, table))
-    tight = _decide_tight(G, s, d, table)
-    if tight.yes or k == d - s:
-        return tight
+        return _dominating_path_witness(G, s, d, table)
+    S = _decide_tight(G, s, d, table)
+    if S is not None or k == d - s:
+        return S
     if k <= 2:
-        S = _first_club_set(G, s, k)
-        return ClubDecision(S is not None, S)
+        return _first_club_set(G, s, k)
     S = _one_extra_contraction(G, s, d)
-    return ClubDecision(False) if S is None else _verified_yes(G, S, k, s)
+    return None if S is None else _verified_yes(G, S, k, s)
 
 
 def _one_extra_contraction(G: Graph, s: int, d: int):
@@ -337,16 +330,16 @@ def _one_extra_contraction(G: Graph, s: int, d: int):
             if diameter(Gq) != d - size + 1:
                 continue
             rec = _decide_tight(Gq, s, d - size + 1)
-            if rec.yes:
-                return Sp + _lift_edges(G, Sp, rec.witness)
+            if rec is not None:
+                return Sp + _lift_edges(G, Sp, rec)
     return None
 
 
-def _verified_yes(G: Graph, S, k: int, s: int) -> ClubDecision:
+def _verified_yes(G: Graph, S, k: int, s: int) -> tuple[Edge, ...]:
     S = tuple(sorted(set(tuple(sorted(e)) for e in S)))
     certify(len(S) <= k and diameter_at_most(G, s, S),
             f"contracting {S} does not reach diameter {s} within {k} edges")
-    return ClubDecision(True, S)
+    return S
 
 
 def _dominating_path_witness(G: Graph, s: int, d: int, table) -> tuple[Edge, ...]:
@@ -365,26 +358,25 @@ def _path_edges(P, k: int) -> tuple[Edge, ...]:
     return tuple(tuple(sorted(e)) for e in zip(P, P[1:k + 1]))
 
 
-def _decide_tight(G: Graph, s: int, d: int, table=None) -> ClubDecision:
+def _decide_tight(G: Graph, s: int, d: int, table=None) -> tuple[Edge, ...] | None:
     """Budget exactly k = d - s >= 1, where d = diam(G); G's
     AvoidingComponents ``table`` is built here when the budget needs a
     dominating pair and none is given."""
     k = d - s
     if k <= 2:
-        S = _first_club_set(G, s, k)
-        return ClubDecision(S is not None, S)
+        return _first_club_set(G, s, k)
     u, v = _dominating_diametral_pair(G, table or AvoidingComponents(G))
     prof = _profile(G, u, v)
     unpinned, found_any, _ = _scan_paths(G, prof, k)
     if unpinned is not None:
         return _verified_yes(G, _path_edges(unpinned, k), k, s)
     if not found_any:
-        return ClubDecision(False)
+        return None
     for anchor in (u, v):
         S = _pinned_attempt(G, s, k, anchor)
         if S is not None:
             return _verified_yes(G, S, k, s)
-    return ClubDecision(False)
+    return None
 
 
 def _pinned_attempt(G: Graph, s: int, k: int, anchor: int):

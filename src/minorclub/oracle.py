@@ -2,7 +2,8 @@
 
 Every polynomial-time algorithm in this library is certified against these
 oracles on small instances.  All enumeration orders are deterministic so
-failures reproduce exactly.
+failures reproduce exactly.  Both s-club oracles, fewest contractions and
+largest minor, read one edge-subset walk, except at s = 1 (Hadwiger).
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from typing import Iterator
 
 from .errors import CapacityError, DomainError
 from .graph import (Edge, Graph, _contract_rows, _diametral_pairs,
-                    _iter_bits, components, diameter, diameter_at_most,
+                    _iter_bits, components, diameter_at_most,
                     induced_subgraph, max_clique)
 from .witness import certify, verify_witness
 
@@ -132,19 +133,14 @@ def _width_below(rows: tuple[int, ...], best: int) -> bool:
 
 def max_s_club_minor_oracle(G: Graph, s: int, cap: int = PARTITION_CAP) -> int:
     """Most vertices of a quotient of G (a full connected partition's
-    blocks) with diameter at most s.
+    blocks) with diameter at most s; 0 when none has, as when s < 0.
 
-    Depth-first over quotients as in ``_component_hadwiger``: children come
-    from ``_contract_rows`` and ``seen`` is keyed on rows.  A quotient with
-    at most ``best`` vertices is skipped and one of diameter D <= s is
-    recorded; one with D > s is expanded only when ``len(rows) - (D - s) >
-    best``, as each contraction lowers every distance by at most one.
-
-    At s = 0 the answer is 1, the one-block partition.  At s = 1 it is the
-    Hadwiger number, from ``_component_hadwiger``: a K_h model in a
-    connected graph extends to a full connected partition, each component
-    of the leftover vertices joining a bag it touches, whose quotient is
-    still complete.
+    Contracting a spanning forest of the p blocks takes n - p edges, so
+    this is n - |S| for ``min_club_contraction_set``'s smallest S.  At
+    s = 1, where that walk is slow, it is the Hadwiger number, from
+    ``_component_hadwiger``: a K_h model in a connected graph extends to a
+    full connected partition, each component of the leftover vertices
+    joining a bag it touches, whose quotient is still complete.
     """
     if G.n == 0:
         return 0
@@ -152,25 +148,10 @@ def max_s_club_minor_oracle(G: Graph, s: int, cap: int = PARTITION_CAP) -> int:
         raise DomainError("disconnected graphs cannot be contracted to finite diameter")
     if G.n > cap:
         raise CapacityError(f"graph of size {G.n} exceeds oracle cap {cap}")
-    if s == 0:
-        return 1
     if s == 1:
         return _component_hadwiger(G)[0]
-    best = 0
-    seen: set[tuple[int, ...]] = set()
-    stack = [G.rows]
-    while stack:
-        rows = stack.pop()
-        if len(rows) <= best or rows in seen:
-            continue
-        seen.add(rows)
-        g = Graph(len(rows), rows)
-        D = diameter(g)
-        if D <= s:
-            best = len(rows)
-        elif len(rows) - (D - s) > best:
-            stack.extend(_contract_rows(rows, i, j) for i, j in g.edges())
-    return best
+    S = min_club_contraction_set(G, s, G.n - 1)
+    return 0 if S is None else G.n - len(S)
 
 
 def min_club_contraction_oracle(G: Graph, s: int, k_max: int):
@@ -184,16 +165,21 @@ def min_club_contraction_set(G: Graph, s: int, k_max: int) -> tuple[Edge, ...] |
     """The first smallest edge set S, in ``combinations`` order over
     ``G.edges()``, with diam(G/S) <= s, by increasing-size subset
     enumeration: () when G is already within s, None if no set of at most
-    k_max edges works.  ``SUBSET_BUDGET`` caps the subsets of every size up
-    to the one being tried, sizes below d - s included although
-    ``_first_club_set`` rules those out at once, so the CapacityError fires
-    on exactly the inputs where the unpruned walk would have raised it."""
+    k_max edges works.  No set reaches s < 0, and at s = 0 the sets that
+    work are the spanning trees, the bases of G's cycle matroid, whose
+    first in that order is Kruskal's greedy tree; so s <= 0 needs no walk.
+    Above, ``SUBSET_BUDGET`` caps the subsets of every size up to the one
+    being tried, sizes below d - s included although ``_first_club_set``
+    rules those out at once, so the CapacityError fires on exactly the
+    inputs where the unpruned walk would have raised it."""
     if k_max < 0:
         raise DomainError("contraction budget must be non-negative")
     if len(components(G)) != 1 or G.n == 0:
         raise DomainError("graph must be connected")
     if diameter_at_most(G, s):
         return ()
+    if s <= 0:
+        return None if s < 0 or k_max < G.n - 1 else _greedy_spanning_tree(G)
     m = G.m
     total = 0
     for k in range(1, min(k_max, m) + 1):
@@ -206,6 +192,26 @@ def min_club_contraction_set(G: Graph, s: int, k_max: int) -> tuple[Edge, ...] |
         if S is not None:
             return S
     return None
+
+
+def _greedy_spanning_tree(G: Graph) -> tuple[Edge, ...]:
+    """Kruskal's pass: the edges of ``G.edges()``, in order, that join two
+    of the trees chosen so far."""
+    parent = list(range(G.n))
+
+    def find(x: int) -> int:
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    chosen = []
+    for e in G.edges():
+        a, b = map(find, e)
+        if a != b:
+            parent[b] = a
+            chosen.append(e)
+    return tuple(chosen)
 
 
 def _first_club_set(G: Graph, s: int, k: int) -> tuple[Edge, ...] | None:

@@ -243,6 +243,26 @@ def test_no_applicable_method_exits_3(tmp_path, capsys, argv, data):
     assert code == 3 and out == "" and "error" in err
 
 
+def test_club_minor_rejects_a_negative_diameter_bound(tmp_path, capsys):
+    code, out, err = run(tmp_path, capsys, ["club-minor", "--s", "-1"], C6)
+    assert code == 3 and out == ""
+    assert err == "error: diameter bound --s must be non-negative\n"
+
+
+ICOSAHEDRON = b"KhFJ{B`KWqph"
+
+
+def test_club_minor_at_s_0_answers_with_a_spanning_tree(tmp_path, capsys):
+    """Kruskal's tree over the edge list, the subset walk's first set, which
+    used to run into the subset budget on the icosahedron."""
+    rep = run_json(tmp_path, capsys, ["club-minor", "--s", "0"], ICOSAHEDRON)
+    assert rep["solver"] == "oracle"
+    assert rep["result"]["k_min"] == 11 and rep["result"]["p"] == 1
+    witness = rep["result"]["witness_edges"]
+    assert len(witness) == 11
+    _check_contraction(ICOSAHEDRON, witness, 0)
+
+
 def _never(*args):
     return False
 

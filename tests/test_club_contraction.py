@@ -51,12 +51,11 @@ def test_exhaustive_small_atfree_graphs_match_oracle():
             _check_witness(G, S, k_min, s)
             assert len(S) == k_min
             for k in range(max(0, d - s - 1), d - s + 3):
-                dec = s_club_contract_decide(G, k, s)
-                assert dec.yes == (k >= k_min), (G.rows, s, k)
-                if dec.yes:
-                    _check_witness(G, dec.witness, k, s)
+                S = s_club_contract_decide(G, k, s)
+                if k >= k_min:
+                    _check_witness(G, S, k, s)
                 else:
-                    assert dec.witness is None
+                    assert S is None, (G.rows, s, k)
                 decided += 1
     assert decided > 3000
 
@@ -134,7 +133,7 @@ def test_brute_force_answers_match_the_unpruned_walk_at_scale():
             ref = reference_club_set(G, s, d - s + 1)
             assert ref is not None and len(ref) <= 2, (n, seed, s)
             tight = ref if len(ref) == d - s else None
-            assert s_club_contract_decide(G, d - s, s).witness == tight
+            assert s_club_contract_decide(G, d - s, s) == tight
             assert minimum_contraction(G, s) == (len(ref), ref), (n, seed, s)
             seen.add((d - s, len(ref)))
     assert seen == {(1, 1), (2, 2), (1, 2)}
@@ -274,10 +273,10 @@ def test_pinned_branches_beyond_the_exhaustive_sweep(monkeypatch, g6, step):
     _check_witness(G, S, k_min, s)
     assert any(r is not None for r in results)
     for k in range(0, 6):
-        dec = s_club_contract_decide(G, k, s)
-        assert dec.yes == (k >= k_min)
-        if dec.yes:
-            _check_witness(G, dec.witness, k, s)
+        S = s_club_contract_decide(G, k, s)
+        assert (S is not None) == (k >= k_min)
+        if S is not None:
+            _check_witness(G, S, k, s)
 
 
 # AT-free graphs with d = 5 whose tight budget d - s = 3 fails: the first
@@ -294,16 +293,15 @@ def test_tight_no_answers_beyond_the_exhaustive_sweep(monkeypatch, g6, found_any
     scans = _spy(monkeypatch, "_scan_paths")
     pinned = _spy(monkeypatch, "_pinned_attempt")
     extra = _spy(monkeypatch, "_one_extra_contraction")
-    dec = s_club_contract_decide(G, d - s, s)
-    assert not dec.yes and dec.witness is None
+    assert s_club_contract_decide(G, d - s, s) is None
     assert [scan[1] for scan in scans] == [found_any]
     assert pinned == ([None, None] if found_any else [])
     assert extra == []
     for k in range(0, d - s + 3):
-        dec = s_club_contract_decide(G, k, s)
-        assert dec.yes == (k >= k_min)
-        if dec.yes:
-            _check_witness(G, dec.witness, k, s)
+        S = s_club_contract_decide(G, k, s)
+        assert (S is not None) == (k >= k_min)
+        if S is not None:
+            _check_witness(G, S, k, s)
     assert len(extra) == 1 and extra[0] is not None
 
 
@@ -449,7 +447,7 @@ def test_domain_errors():
     split = disjoint_union(Graph.path(3), Graph.path(3))
     with pytest.raises(DomainError):
         minimum_contraction(split, 2)
-    assert s_club_contract_decide(split, 3, 2).yes is False
+    assert s_club_contract_decide(split, 3, 2) is None
     with pytest.raises(DomainError):
         distance_profile(split, 0, 2)
     with pytest.raises(DomainError):

@@ -369,12 +369,19 @@ def test_max_s_club_examples():
     assert max_s_club_minor_oracle(G, 3) == 6  # s >= diam keeps everything
     assert max_s_club_minor_oracle(Graph.path(5), 2) == 3
     assert max_s_club_minor_oracle(G, 2) == 5
+    assert max_s_club_minor_oracle(G, -1) == 0
     with pytest.raises(DomainError):
         max_s_club_minor_oracle(Graph.empty(3), 2)
+    # C12 and the 2 x 6 grid at s = 0..4, the slowest shapes for the subset
+    # walk found at the cap; the values are a quotient walk's
+    grid = Graph.from_edges(12, [(6 * r + c, 6 * r + c + 1) for r in (0, 1)
+                                 for c in range(5)] + [(c, c + 6) for c in range(6)])
+    for H, want in ((Graph.cycle(12), [1, 3, 5, 7, 9]), (grid, [1, 3, 7, 8, 9])):
+        assert [max_s_club_minor_oracle(H, s) for s in range(5)] == want
 
 
 def test_club_minor_at_s_0_and_1_at_the_cap():
-    # the icosahedron and a seeded connected G(12, 1/2); the quotient walk
+    # the icosahedron and a seeded connected G(12, 1/2); a quotient walk
     # took 1-2.4 s on each at s = 0 and 1
     for g6, h in ((b"KhFJ{B`KWqph", 4), (b"Kbv|msH[GSJv", 7)):
         G = parse_graph(g6)
@@ -397,9 +404,10 @@ def _partition_club_minors(G: Graph, s_max: int) -> list[int]:
 
 
 def test_club_minor_search_matches_the_partition_reference():
-    """The quotient walk against every connected partition, at s = 0..3, on
-    all connected graphs with n <= 6 and on seeded connected G(n, p) with
-    n = 8, 9 (n = 7 exhaustively takes about 20 s)."""
+    """The club-minor oracle, which reads the subset walk at s >= 2, against
+    every connected partition, at s = 0..3, on all connected graphs with
+    n <= 6 and on seeded connected G(n, p) with n = 8, 9 (n = 7
+    exhaustively takes about 20 s)."""
     graphs = [G for n in range(1, 7) for G in connected_graphs(n)]
     rng = random.Random(21)
     for n in (8, 9):
@@ -414,6 +422,22 @@ def test_club_minor_search_matches_the_partition_reference():
     for G in graphs:
         assert [max_s_club_minor_oracle(G, s) for s in range(4)] == \
             _partition_club_minors(G, 3), G.edges()
+
+
+def test_zero_club_set_is_the_first_spanning_tree():
+    """At s = 0 the first working set, from Kruskal's pass, is the subset
+    walk's; one edge short of n - 1, nothing works."""
+    checked = 0
+    for n in range(1, 7):
+        for G in connected_graphs(n):
+            want = reference_club_set(G, 0, n - 1)
+            assert min_club_contraction_set(G, 0, n - 1) == want, G.edges()
+            assert len(want) == n - 1
+            if n > 1:
+                assert min_club_contraction_set(G, 0, n - 2) is None
+            assert min_club_contraction_set(G, -1, G.m) is None
+            checked += 1
+    assert checked == 143
 
 
 def test_min_club_examples():

@@ -20,12 +20,15 @@ recognize reports every class, chordal-bipartite included, at any size.
 club-contract and club-minor, when s >= 2, first ask
 ``club_contraction.tight_contraction`` for d - s edges (d the diameter) whose
 contraction leaves diameter s.  It scans a shortest path between the double
-BFS sweep's pair, and on a miss between the first diametral pair.  No graph
-gets there with fewer than d - s contractions, so that set, once re-checked,
-answers on any graph, AT-free or not, with solver "bound"; a graph above
---cap that it answers does not exit 3.  Otherwise they run the AT-free solver
-when s >= 2 and the graph has no asteroidal triple, else the brute-force
-oracle within --cap, else exit 3.  A negative budget --k exits 3
+BFS sweep's pair, and on a miss reads the first diametral pair: d <= s needs
+no edge, d - s of 1 or 2 is decided by the exact subset walk, and a larger
+d - s by a scan from that pair.  No graph gets there with fewer than d - s
+contractions, and none joins two components, so that set, once re-checked,
+answers on any graph, AT-free or not, with solver "bound", and so does "no"
+for a budget --k below d - s, or on a disconnected graph; a graph above
+--cap that the bound answers does not exit 3.  Otherwise they run the AT-free
+solver when s >= 2 and the graph has no asteroidal triple, else the
+brute-force oracle within --cap, else exit 3.  A negative budget --k exits 3
 on every path, `oracle club-contract` and `reduce` too.
 """
 
@@ -35,6 +38,7 @@ import argparse
 import functools
 import hashlib
 import json
+import math
 import sys
 import time
 
@@ -123,18 +127,19 @@ def cmd_clique_matching(G, args):
     return {"size": size, "matching_edges": [list(e) for e in edges]}, "bipperm", {}
 
 
-def _club_solver(G, args, bound, atfree, oracle):
-    """(solver, value) for s >= 2: ``bound(S)`` under solver "bound" when
-    ``tight_contraction`` finds a set S of d - s edges, which is optimal on
-    any graph and so needs no recognition.  Else ``atfree()``, which reuses
-    the BFS rows that G memoizes, unless it finds an asteroidal triple.
-    Otherwise, and for s < 2, ``oracle()`` when G fits within --cap.  A
-    graph above --cap exits 3 only when neither the bound nor the AT-free
-    solver answers."""
+def _club_solver(G, args, k, atfree, oracle):
+    """(solver, S): S a set of at most k edges whose contraction leaves
+    diameter at most s, or None when there is none.  For s >= 2, solver
+    "bound" answers without recognition when ``tight_contraction`` finds a
+    set of d - s edges, which is optimal on any graph, or proves that k is
+    below d - s.  Else ``atfree()``, which reuses the BFS rows that G
+    memoizes, unless it finds an asteroidal triple.  Otherwise, and for
+    s < 2, ``oracle()`` when G fits within --cap.  A graph above --cap exits
+    3 only when neither the bound nor the AT-free solver answers."""
     if args.s >= 2:
-        S = tight_contraction(G, args.s)
-        if S is not None:
-            return "bound", bound(S)
+        bound, S = tight_contraction(G, args.s, k)
+        if S is not None or k < bound:
+            return "bound", S
         try:
             return "atfree", atfree()
         except DomainError as exc:
@@ -150,8 +155,7 @@ def cmd_club_contract(G, args):
     if args.k < 0:
         raise DomainError("contraction budget must be non-negative")
     solver, S = _club_solver(
-        G, args, lambda S: S if args.k >= len(S) else None,
-        lambda: s_club_contract_decide(G, args.k, args.s),
+        G, args, args.k, lambda: s_club_contract_decide(G, args.k, args.s),
         lambda: (oracle_mod.min_club_contraction_set(G, args.s, args.k)
                  if is_connected(G) else None))
     return ({"answer": "no" if S is None else "yes",
@@ -165,12 +169,11 @@ def cmd_club_minor(G, args):
     if not is_connected(G) or G.n == 0:
         raise DomainError(
             "disconnected graphs cannot be contracted to finite diameter")
-    solver, (kmin, witness) = _club_solver(
-        G, args, lambda S: (len(S), S),
-        lambda: minimum_contraction(G, args.s),
-        lambda: (len(S := oracle_mod.min_club_contraction_set(G, args.s, G.n - 1)), S))
-    return ({"k_min": kmin, "p": G.n - kmin,
-             "witness_edges": [list(e) for e in witness] if witness else None},
+    solver, S = _club_solver(
+        G, args, math.inf, lambda: minimum_contraction(G, args.s)[1],
+        lambda: oracle_mod.min_club_contraction_set(G, args.s, G.n - 1))
+    return ({"k_min": len(S), "p": G.n - len(S),
+             "witness_edges": [list(e) for e in S] if S else None},
             solver, {})
 
 

@@ -11,10 +11,13 @@ sweep gives a pair at distance d' <= d (on AT-free graphs such sweeps fall
 short by at most 1; Corneil, Dragan and Koehler, Networks 2003), the scan
 grows balls of radius at most s around its candidate end edges, and a set
 of d' - s edges that passes the re-check, which grows radius-s balls in the
-rows with the set's edges merged, proves d' = d.  So an answer reads only
-the BFS rows of vertex 0 and of the pair from the graph's memo ``G.dist``.
-On a miss it reruns from the first diametral pair, which reads every row,
-when that differs.
+rows with the set's edges merged, proves d' = d.  So such an answer reads
+only the BFS rows of vertex 0 and of the pair from the graph's memo
+``G.dist``, and so does a budget below d' - s, which the bound refutes.
+Otherwise the bound reads every row for the first diametral pair: d <= s
+needs no contraction, d - s of 1 or 2 is answered by the subset walk, exact
+on any graph, and a larger d - s by a rerun of the scan when that pair
+differs.
 
 The decision procedure is driven by paths between a diameter dominating
 pair (u, v): a path Q = x_0..x_k is *satisfying* when it extends to a
@@ -232,25 +235,53 @@ def diametral_pair(G: Graph):
     return next(_diametral_pairs(G), None)
 
 
-def tight_contraction(G: Graph, s: int) -> tuple[Edge, ...] | None:
-    """A set of exactly d - s edges whose contraction leaves diameter at
-    most s, found without recognizing any graph class; None decides nothing.
+def tight_contraction(G: Graph, s: int, k: float = math.inf
+                      ) -> tuple[float, tuple[Edge, ...] | None]:
+    """(b, S) without recognizing any graph class: no set of fewer than b
+    edges contracts G to diameter at most s, and S is a set of exactly b
+    edges that does, or None when none was found.
 
-    It tries ``sweep_pair``, two BFS runs, then ``diametral_pair`` when
-    that differs.  No connected graph reaches diameter s with fewer than
-    diam(G) - s contractions, so a set that passes is optimal.
+    No connected graph reaches diameter s with fewer than diam(G) - s
+    contractions, and none joins two components, so b = inf on a
+    disconnected graph.  It reads ``sweep_pair``, two BFS runs, and scans
+    from it when d' - s >= 3; on a miss it reads ``diametral_pair`` (every
+    BFS row) unless G has one vertex, and answers from it by
+    ``_tight_from_diametral``.  It stops, with S None, as soon as b exceeds
+    the budget k, before any scan or walk.
     """
-    pair = sweep_pair(G)
-    S = _tight_from_pair(G, s, pair)
-    if S is None and (first := diametral_pair(G)) != pair:
-        S = _tight_from_pair(G, s, first)
-    return S
+    sweep = sweep_pair(G)
+    if sweep is None:
+        return (math.inf if G.n else 0), None
+    bound = max(0, sweep[2] - s)
+    if k < bound:
+        return bound, None
+    S = _tight_from_pair(G, s, sweep)
+    first = None if S is not None else diametral_pair(G)
+    if first is None:
+        return bound, S
+    bound = max(0, first[2] - s)
+    if k < bound or bound >= 3 and first == sweep:
+        return bound, None
+    return bound, _tight_from_diametral(G, s, first)
+
+
+def _tight_from_diametral(G: Graph, s: int, pair) -> tuple[Edge, ...] | None:
+    """The set of d - s edges from a diametral pair (u, v, d): () when
+    d <= s, the first that the subset walk ``_first_club_set`` finds when
+    d - s is 1 or 2, else the scan's.  The walk is exact on any graph, and
+    at slack 0 it tries only the edges on shortest paths between every
+    diametral pair; its set is the one that the AT-free solver and the
+    oracle's ``min_club_contraction_set`` find first."""
+    k = pair[2] - s
+    if k <= 0:
+        return ()
+    return _first_club_set(G, s, k) if k <= 2 else _tight_from_pair(G, s, pair)
 
 
 def _tight_from_pair(G: Graph, s: int, pair) -> tuple[Edge, ...] | None:
     """The scan for k = d' - s >= 3 from the pair (u, v, d'), its unpinned
     path contracted and re-checked, which proves d' = diam(G); else None."""
-    if pair is None or pair[2] - s < 3:
+    if pair[2] - s < 3:
         return None
     u, v, d = pair
     path, _, _ = _scan_paths(G, _profile(G, u, v), d - s)

@@ -18,6 +18,10 @@ from genutil import random_staircase
 P5 = b"DhC"
 C5 = b"Dhc"
 C6 = b"EhEG"
+C7 = b"FhCKG"
+# AT-free with d = 3, where d - s = 1 edge does not reach diameter 2 but two
+# do: the bound misses and the AT-free solver answers.
+ATFREE_D3 = b"F?bBo"
 C13 = b"LhCGGC@?G?_@_@"
 C12_K1 = b"LhCGGC@?G?o@??"
 CNF = b"p cnf 3 2\n1 2 -3 0\n-1 2 3 0\n"
@@ -26,13 +30,16 @@ SETS = b"4 2\n0 1\n2 3\n"
 
 # SHA-256 of the --json report (with its newline) of each subcommand in
 # test_every_subcommand_reports_deterministically, as printed by the
-# earlier, per-command implementation of the CLI.
+# earlier, per-command implementation of the CLI.  P5 has d - s = 2 at s = 2,
+# which the d - s bound now decides by its subset walk: the club-contract and
+# club-minor reports differ from those printed then only in solver "bound"
+# for "atfree".
 PINNED_SHA256 = {
     "recognize": "9f274f939698ca41bc547124f91876702b73ece3f0d32528aa886be0e6127c1a",
     "hadwiger": "098bcbee6bebae304a6e47417388e727982bb538054b1782f9b0c4d3aa901298",
     "clique-matching": "1203b28792041ff28c4fc0adafd2d6e22814b340462e0d3f74fed02ca3b604ea",
-    "club-contract": "24d390ed2ac7a7f9b405d56c7f80c2ba21b2cb3eae4bf63c75d8fbfeea6a8b42",
-    "club-minor": "4f82c915533283e2d3d944ed62787efb39c11c502972e855c1d1723409d1a3ea",
+    "club-contract": "7380c6774c4435eeafa92f63168f616d3e9f567cc7233259c91440e5a5825375",
+    "club-minor": "81361403ea295cfffdd49e429ca8183b3dc8bb3e2e5301926e4326df2610def0",
     "oracle:hadwiger": "b1f11b09c8049c22c6738e305d11930ea1a119e89a8a24daa7a6c989a0d69a9e",
     "oracle:club-minor": "b1169993b2a0c32885b471856e737b539cc428afebd88e08df94a3313f41e3e3",
     "oracle:club-contract": "96e489a263dd747588d1f2f8e1e920d5fb26c23fc27b53f2233db47c2a0eadfd",
@@ -67,6 +74,9 @@ def test_fixture_graphs():
     assert parse_graph(P5, "graph6") == Graph.path(5)
     assert parse_graph(C5, "graph6") == Graph.cycle(5)
     assert parse_graph(C6, "graph6") == Graph.cycle(6)
+    assert parse_graph(C7, "graph6") == Graph.cycle(7)
+    G = parse_graph(ATFREE_D3, "graph6")
+    assert is_at_free(G) is True and diameter(G) == 3
     assert parse_graph(C13, "graph6") == Graph.cycle(13)
     assert parse_graph(C12_K1, "graph6") == disjoint_union(Graph.cycle(12),
                                                            Graph.empty(1))
@@ -143,7 +153,10 @@ def test_dense_staircase_reports_are_pinned(tmp_path, capsys, n):
 # ORACLE_CLUB_COUNT[n] connected graphs G(n, 0.4) per n with an asteroidal
 # triple, ``club-contract --s s`` with budgets d - s and d - s + 1 (d the
 # diameter, s = 2, 3) and ``club-minor --s 2``.  Printed while both oracle
-# searches rebuilt every quotient from G.
+# searches rebuilt every quotient from G.  Where d - s <= 2 and d - s edges
+# suffice, the d - s bound now answers with the subset walk's first set,
+# which is the oracle's: such a report is hashed with its solver "bound"
+# read as "oracle", so the pin holds it to the oracle's bytes.
 ORACLE_HADWIGER_COUNT = {8: 6, 9: 6, 10: 4, 11: 3}
 ORACLE_CLUB_COUNT = {8: 4, 9: 4, 10: 4}
 ORACLE_SHA256 = {
@@ -159,6 +172,7 @@ def _gnp(n: int, p: float, rng: random.Random) -> Graph:
 
 def test_oracle_reports_are_pinned(tmp_path, capsys):
     digests = {"hadwiger": hashlib.sha256(), "club": hashlib.sha256()}
+    solvers = {"bound": 0, "oracle": 0}
     for n, count in ORACLE_HADWIGER_COUNT.items():
         rng = random.Random(n)
         while count:
@@ -181,10 +195,18 @@ def test_oracle_reports_are_pinned(tmp_path, capsys):
             for argv in argvs:
                 code, out, err = run(tmp_path, capsys, argv + ["--json"], _g6(G))
                 assert code == 0, err
-                assert json.loads(out)["solver"] == "oracle"
-                digests["club"].update(out.encode())
+                rep = json.loads(out)
+                tight = max(0, d - int(argv[2]))
+                edges = rep["result"]["witness_edges"] or ()
+                solver = ("bound" if rep["result"].get("answer") != "no"
+                          and len(edges) == tight <= 2 else "oracle")
+                assert rep["solver"] == solver, argv
+                solvers[solver] += 1
+                digests["club"].update(
+                    out.replace('"solver":"bound"', '"solver":"oracle"').encode())
     for kind, digest in digests.items():
         assert digest.hexdigest() == ORACLE_SHA256[kind], kind
+    assert solvers == {"bound": 45, "oracle": 15}
 
 
 def test_recognize_cograph_report(tmp_path, capsys):
@@ -232,8 +254,8 @@ def test_malformed_graph6_exits_2(tmp_path, capsys, data):
 @pytest.mark.parametrize("argv, data", [
     (["club-contract", "--s", "1", "--k", "3", "--cap", "4"], P5),
     (["club-minor", "--s", "1", "--cap", "4"], P5),
-    (["club-contract", "--s", "2", "--k", "1", "--cap", "5"], C6),
-    (["club-minor", "--s", "2", "--cap", "5"], C6),
+    (["club-contract", "--s", "2", "--k", "1", "--cap", "5"], C7),
+    (["club-minor", "--s", "2", "--cap", "5"], C7),
     (["hadwiger", "--method", "cograph"], P5),
     (["hadwiger", "--method", "bipperm"], C5),
     (["hadwiger"], C13),
@@ -273,7 +295,7 @@ def _never(*args):
     (["clique-matching"], P5, "clique-matching",
      "minorclub.bipperm_dp.is_clique_matching", _never),
     (["hadwiger"], P5, "hadwiger", "minorclub.bipperm_dp.verify_witness", _never),
-    (["club-contract", "--s", "2", "--k", "4"], P5, "club-contract",
+    (["club-contract", "--s", "2", "--k", "3"], ATFREE_D3, "club-contract",
      "minorclub.club_contraction.diameter_at_most", _never),
     (["recognize"], b"Cr", "recognize", "minorclub.recognition.Cotree.to_graph",
      lambda tree, n: Graph.empty(n)),
@@ -314,8 +336,9 @@ def test_hadwiger_falls_back_to_the_oracle(tmp_path, capsys):
     ["club-minor", "--s", "2"],
 ])
 def test_club_dispatch(tmp_path, capsys, argv):
-    assert run_json(tmp_path, capsys, argv, P5)["solver"] == "atfree"
-    assert run_json(tmp_path, capsys, argv, C6)["solver"] == "oracle"
+    assert run_json(tmp_path, capsys, argv, P5)["solver"] == "bound"
+    assert run_json(tmp_path, capsys, argv, ATFREE_D3)["solver"] == "atfree"
+    assert run_json(tmp_path, capsys, argv, C7)["solver"] == "oracle"
 
 
 def _check_contraction(data: bytes, edges, s: int) -> None:
@@ -384,18 +407,69 @@ def test_club_bound_reruns_from_the_matrix_pair(tmp_path, capsys):
         "edb5bc799f2aa4c6de8b45a29ff6cd0cdee11819da157e21e6f4fa37f0656340")
 
 
+# The benchmark generator's non_atfree graph with n = 20 (index 0): an
+# asteroidal triple, d = 6, and above the default --cap of 12.
+NON_ATFREE_20 = b"SkE?GiCOA?P??C?cG??_???GC?@?A?A??"
+
+
+def test_club_bound_walks_above_the_cap(tmp_path, capsys):
+    """At s = 5, d - s = 1 and the subset walk finds the one edge, so the
+    graph no longer exits 3; at s = 2 the budget 3 is below d' - s = 4 from
+    the double sweep, and budget 4 is left to the oracle, which exits 3."""
+    G = parse_graph(NON_ATFREE_20, "graph6")
+    assert G.n == 20 and diameter(G) == 6 and is_at_free(G) is not True
+    rep = run_json(tmp_path, capsys, ["club-contract", "--s", "5", "--k", "1"],
+                   NON_ATFREE_20)
+    assert rep["solver"] == "bound" and rep["result"]["answer"] == "yes"
+    _check_contraction(NON_ATFREE_20, rep["result"]["witness_edges"], 5)
+    rep = run_json(tmp_path, capsys, ["club-minor", "--s", "5"], NON_ATFREE_20)
+    assert rep["solver"] == "bound" and rep["result"]["k_min"] == 1
+    rep = run_json(tmp_path, capsys, ["club-contract", "--s", "2", "--k", "3"],
+                   NON_ATFREE_20)
+    assert rep["solver"] == "bound"
+    assert rep["result"] == {"answer": "no", "witness_edges": None}
+    code, out, err = run(tmp_path, capsys,
+                         ["club-contract", "--s", "2", "--k", "4"], NON_ATFREE_20)
+    assert code == 3 and out == "" and "cap" in err
+
+
+def test_club_contract_refutes_a_disconnected_graph_at_any_size(tmp_path, capsys):
+    """No contraction joins two components: C7 + K1 is answered "no" by the
+    bound above --cap as within it."""
+    data = _g6(disjoint_union(Graph.cycle(7), Graph.empty(1)))
+    assert data == b"GhCKG?"
+    for cap in ("5", "12"):
+        rep = run_json(tmp_path, capsys,
+                       ["club-contract", "--s", "2", "--k", "1", "--cap", cap], data)
+        assert rep["solver"] == "bound"
+        assert rep["result"] == {"answer": "no", "witness_edges": None}
+
+
+def test_club_contract_above_the_tight_budget_reports_the_tight_set(tmp_path, capsys):
+    """P5 at s = 2 has d - s = 2: budget d - s + 2 = 4 carries the two edges
+    that club-minor reports, not a dominating path of four."""
+    minor = run_json(tmp_path, capsys, ["club-minor", "--s", "2"], P5)
+    rep = run_json(tmp_path, capsys, ["club-contract", "--s", "2", "--k", "4"], P5)
+    assert rep["solver"] == minor["solver"] == "bound"
+    witness = rep["result"]["witness_edges"]
+    assert witness == minor["result"]["witness_edges"] and len(witness) == 2
+    _check_contraction(P5, witness, 2)
+
+
 # SHA-256 of the --json stdout (empty on an error), exit code and stderr on
 # graphs with at most two vertices: the empty graph, K1, K2 and two isolated
 # vertices, as the solver printed them when every call built the distance
-# matrix first.
+# matrix first, except that the d - s bound now answers K2 (d = 1 <= s) and
+# the budget on two isolated vertices (d = inf): those three reports differ
+# from the earlier ones only in solver "bound" for "atfree".
 TINY_CLUB_REPORTS = {
     (b"?", "club-contract"): (0, "ae0fc34dd1786120efbca9ccef48845655415153d7507d41e1e4d74863a132b1"),
     (b"?", "club-minor"): (3, None),
     (b"@", "club-contract"): (0, "c07a75aa431ebe6a18ad25030e72fad9ad8641e45793f1b7d6ea42716820bd80"),
     (b"@", "club-minor"): (0, "6b574eff7c1d0bbc8df29760681a4a8c398bb18e4060c28632500ccc3709c167"),
-    (b"A_", "club-contract"): (0, "adfcbbcd75fed0e99003af95415c8907f887850cf29faa88cb788a3714e55c87"),
-    (b"A_", "club-minor"): (0, "e26d1565b4131c90c04c5565905b4ba0b2ccc30e95c47fdb0819e577e81f4cb7"),
-    (b"A?", "club-contract"): (0, "6cdc680b65039bd1af32ff7fffda8b6fa169c22f8c3623487c510d1afe0a343d"),
+    (b"A_", "club-contract"): (0, "ddf566252385b56c22f57d76523e947be25577ba4b31a8fe052cce96a62ef9d7"),
+    (b"A_", "club-minor"): (0, "f2204b84b6e4faeabe284dacbb1cdcc9f4d931505143722d8a5894f20e5f91b9"),
+    (b"A?", "club-contract"): (0, "096a431d9f4d8182237cd58dcc8f015873f6c36c3b977779839342fcaeeeabab"),
     (b"A?", "club-minor"): (3, None),
 }
 
@@ -440,7 +514,7 @@ def test_oracle_club_minor_edge_paths_are_pinned(tmp_path, capsys, data):
         assert out == "" and err == want
 
 
-@pytest.mark.parametrize("data, s", [(C6, 2), (P5, 1)])
+@pytest.mark.parametrize("data, s", [(C7, 2), (P5, 1)])
 def test_club_minor_oracle_reports_its_witness(tmp_path, capsys, data, s):
     rep = run_json(tmp_path, capsys, ["club-minor", "--s", str(s)], data)
     assert rep["solver"] == "oracle"

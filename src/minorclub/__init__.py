@@ -18,8 +18,7 @@ from .oracle import (clique_matching_oracle, hadwiger_oracle,
                      nice_structure_oracle)
 from .cograph_dp import CrTable, cr_join, cr_leaf, cr_union, hadwiger_cograph
 from .bipperm_dp import hadwiger_bipperm, max_clique_matching
-from .club_contraction import (distance_profile, is_satisfying_path,
-                               s_club_contract_decide)
+from .club_contraction import distance_profile, s_club_contract_decide
 from .reductions import (HittingSetInstance, NaeFormula, ReductionInstance,
                          hitting_set_solve, hitting_set_to_chordal,
                          hitting_set_to_split, nae3sat_solve,

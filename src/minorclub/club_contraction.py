@@ -27,12 +27,9 @@ Contracting an interior satisfying path of length d-s is enough; when every
 satisfying path starts at u or ends at v, the near-end edges of the unique
 shortest chain are forced and only two edges remain to guess.
 
-``is_satisfying_path`` states the definition directly; the tests hold the
-path scan of the decision procedure to it.
-
 Budgets k <= 2 are decided by the oracle's subset walk,
-``oracle._first_club_set``, whose docstring proves the excess bound it
-prunes by.
+``oracle._first_club_set``, whose docstring proves the excess and chain
+bounds it prunes by.
 """
 
 from __future__ import annotations
@@ -89,42 +86,6 @@ def _profile(G: Graph, u: int, v: int) -> DistanceProfile:
         frozenset(x for x, t in enumerate(dv) if t == d - 1),
         tuple(du), tuple(dv),
     )
-
-
-def is_satisfying_path(G: Graph, prof: DistanceProfile, Q) -> bool:
-    """Definition check of conditions i) through iii) for the path Q.
-
-    i) holds iff Q climbs one breadth-first layer from u per step and its
-    end distances sum with its length to d; any such path extends to a
-    (u, v)-path of length d, every one of which is a shortest path.
-    """
-    Q = list(Q)
-    if len(Q) < 2 or len(set(Q)) != len(Q):
-        raise DomainError("Q must be a path on at least two distinct vertices")
-    for a, b in zip(Q, Q[1:]):
-        if not G.has_edge(a, b):
-            raise DomainError("Q must be a path in the graph")
-    k = len(Q) - 1
-    du, dv = prof.dist_u, prof.dist_v
-    base = du[Q[0]]
-    if any(du[x] != base + i for i, x in enumerate(Q)):
-        return False
-    if base + k + dv[Q[-1]] != prof.d:
-        return False
-    dist = G.dist
-    return (_end_conditions_ok(dist[Q[0]], dist[Q[1]], du[Q[0]],
-                               prof.X_v, prof.Y_v)
-            and _end_conditions_ok(dist[Q[-1]], dist[Q[-2]], dv[Q[-1]],
-                                   prof.X_u, prof.Y_u))
-
-
-def _end_conditions_ok(d0, d1, ref: int, X, Y) -> bool:
-    """End conditions at a path end x0 with next vertex x1, given their BFS
-    rows d0 and d1: all of X lies at distance ref from x0 and all of Y
-    within ref of x0 or x1."""
-    if any(d0[z] != ref for z in X):
-        return False
-    return all(d0[z] <= ref or d1[z] <= ref for z in Y)
 
 
 def _scan_paths(G: Graph, prof: DistanceProfile, k: int):

@@ -62,51 +62,55 @@ def hadwiger_oracle(G: Graph, cap: int = PARTITION_CAP,
 def _component_hadwiger(H: Graph) -> tuple[int, tuple[tuple[int, ...], ...]]:
     """Depth-first search over the quotients of H for the largest clique.
 
-    A state is (rows, bags, bound): the quotient's adjacency rows, per
-    quotient vertex the bitmask of the vertices of H it holds, and a bound
-    on its clique number.  A child contracts one edge ij, i < j, in
-    ``edges()`` order, by ``_contract_rows``, and bag j merges into bag i.
-    Its rows are those of ``_quotient`` (vertices ordered by smallest
-    member), so ``seen``, keyed on rows, holds one key per labelled quotient
-    whatever contraction order reached it.  Bags become sorted tuples only
-    for the answer.  Four cuts skip only work that cannot beat ``best``,
-    which only grows and changes only on a strict ``>``, so value and
-    witness are the uncut search's: a quotient with m - n = e is dropped
-    when ``_cycle_bound(e) <= best``; a quotient is dropped when
+    A state is (rows, bags, bound, e): the quotient's adjacency rows, per
+    quotient vertex the bitmask of the vertices of H it holds, a bound on
+    its clique number, and its excess e = m - n.  A child contracts one
+    edge ij, i < j, in ``Graph.edges()`` order, read off the rows, by
+    ``_contract_rows``, and bag j merges into bag i; it loses the edge ij,
+    the vertex j and one edge per common neighbour of i and j, so its
+    excess is e - |N(i) & N(j)|.  Its rows are those of ``_quotient``
+    (vertices ordered by smallest member), so ``seen``, keyed on rows,
+    holds one key per labelled quotient whatever contraction order reached
+    it.  A ``Graph`` is built only for ``max_clique``, and bags become
+    sorted tuples only for the answer.  Four cuts skip only work that
+    cannot beat ``best``, which only grows and changes only on a strict
+    ``>``, so value and witness are the uncut search's: a quotient is
+    dropped when ``_cycle_bound(e) <= best``; a quotient is dropped when
     ``_width_below(rows, best)``, since minors never raise treewidth and
     tw(K_h) = h - 1, so h <= tw + 1 <= best (Bodlaender & Koster,
     "Treewidth computations I. Upper bounds", Inf. Comput. 2010); edge ij
-    is not contracted when the child's excess e - |N(i) & N(j)| fails the
-    cycle-rank test; ``max_clique`` runs only when ``bound > best``, the
-    root's bound being n and a child's its parent's (exact once
-    ``max_clique`` ran) plus one.
+    is not contracted when the child's excess fails the cycle-rank test;
+    ``max_clique`` runs only when ``bound > best``, the root's bound being
+    n and a child's its parent's (exact once ``max_clique`` ran) plus one.
     """
     best = 0
     best_bags: tuple[int, ...] = ()
     seen: set[tuple[int, ...]] = set()
-    stack = [(H.rows, tuple(1 << v for v in range(H.n)), H.n)]
+    stack = [(H.rows, tuple(1 << v for v in range(H.n)), H.n, H.m - H.n)]
     while stack:
-        rows, bags, bound = stack.pop()
-        if len(rows) <= best or rows in seen:
+        rows, bags, bound, e = stack.pop()
+        n = len(rows)
+        if n <= best or rows in seen:
             continue
         seen.add(rows)
-        g = Graph(len(rows), rows)
-        e = g.m - g.n
         if _cycle_bound(e) <= best or _width_below(rows, best):
             continue
         if bound > best:
-            bound, wverts = max_clique(g)
+            bound, wverts = max_clique(Graph(n, rows))
             if bound > best:
                 best = bound
                 best_bags = tuple(bags[v] for v in wverts)
-        if g.n - 1 <= best:
+        if n - 1 <= best:
             continue
-        for i, j in g.edges():
-            if _cycle_bound(e - (rows[i] & rows[j]).bit_count()) > best:
-                child = _contract_rows(rows, i, j)
-                if child not in seen:
-                    stack.append((child, bags[:i] + (bags[i] | bags[j],)
-                                  + bags[i + 1:j] + bags[j + 1:], bound + 1))
+        for i, row in enumerate(rows):
+            for j in _iter_bits(row >> (i + 1) << (i + 1)):
+                ce = e - (row & rows[j]).bit_count()
+                if _cycle_bound(ce) > best:
+                    child = _contract_rows(rows, i, j)
+                    if child not in seen:
+                        stack.append((child, bags[:i] + (bags[i] | bags[j],)
+                                      + bags[i + 1:j] + bags[j + 1:],
+                                      bound + 1, ce))
     return best, tuple(tuple(_iter_bits(bag)) for bag in best_bags)
 
 
@@ -115,19 +119,27 @@ def _width_below(rows: tuple[int, ...], best: int) -> bool:
     fewer than ``best`` remaining neighbours, and making those neighbours a
     clique, eliminates every vertex.  If so, that order's chordal completion
     has clique number at most ``best``, so treewidth is at most best - 1 and
-    every minor has Hadwiger number at most ``best``."""
+    every minor has Hadwiger number at most ``best``.  ``low`` holds the
+    vertices left with fewer than ``best`` neighbours left, so its lowest
+    bit is the vertex to eliminate.  Eliminating v changes only the rows of
+    v's neighbours and the degree of no other vertex, so only their bits
+    are recounted.  Once ``best`` vertices are left, each has fewer than
+    ``best`` neighbours left, so all of them are eliminated."""
     rows = list(rows)
     left = (1 << len(rows)) - 1
-    while left:
-        for v in _iter_bits(left):
-            nb = rows[v] & left
-            if nb.bit_count() < best:
-                break
-        else:
+    low = sum(1 << v for v, row in enumerate(rows) if row.bit_count() < best)
+    for _ in range(len(rows) - best):
+        if not low:
             return False
-        left ^= 1 << v
+        b = low & -low
+        left ^= b
+        low ^= b
+        nb = rows[b.bit_length() - 1] & left
+        low &= ~nb
         for w in _iter_bits(nb):
-            rows[w] |= nb ^ 1 << w
+            row = rows[w] = rows[w] | nb ^ 1 << w
+            if (row & left).bit_count() < best:
+                low |= 1 << w
     return True
 
 
@@ -236,8 +248,22 @@ def _first_club_set(G: Graph, s: int, k: int) -> tuple[Edge, ...] | None:
     edges of excess above t thus lie among the k - w <= t edges of S off W.
     Hence t < 0 needs no walk; t = 0 walks only the edges on a shortest path
     between every diametral pair; t >= 1 lets a prefix hold at most t edges
-    of excess above t for the first diametral pair.  Every set that
-    succeeds passes, so the first one found is the unpruned walk's.
+    of excess above t for the first diametral pair.
+
+    At t = 0 the walk also skips every set whose edges do not lie on one
+    shortest (u, v)-path, for the first diametral pair.  There W has length
+    at most s + w <= s + k = d and at least d, so it is a shortest
+    (u, v)-path and w = k: it holds every edge of S.  Each edge walked at
+    t = 0 lies on such a path, so its ends lie on consecutive levels of u;
+    orient it as ab with du[a] < du[b].  Along W, du rises by one per edge.
+    So of two edges of S, the one W meets first, (a, b), ends no farther
+    from u than the other, (a', b'), starts, and the stretch of W from b to
+    a' is a shortest path: du[b] <= du[a'] and dist(b, a') = du[a'] - du[b].
+    Two edges on one level never chain so.  A prefix is extended only by an
+    edge that chains with each chosen edge, tested before its contraction;
+    the test reads BFS rows that listing the diametral pairs has already
+    read.  Every set that succeeds passes both tests, so the first one
+    found is the unpruned walk's.
     """
     pairs = _diametral_pairs(G)
     first = next(pairs, None)
@@ -255,7 +281,15 @@ def _first_club_set(G: Graph, s: int, k: int) -> tuple[Edge, ...] | None:
                 return None
             edges = [e for e in edges if not _excess(G, pair, e)]
         high = [False] * len(edges)
-    chosen: list[Edge] = []
+        du = G.dist[first[0]]
+        ends = [(a, b) if du[a] < du[b] else (b, a) for a, b in edges]
+    chosen: list[int] = []
+
+    def chained(i: int, j: int) -> bool:
+        (_, b), (a, _) = ends[i], ends[j]
+        if du[b] > du[a]:
+            (_, b), (a, _) = ends[j], ends[i]
+        return du[b] <= du[a] and G.dist[b][a] == du[a] - du[b]
 
     def extend(start: int, rows: tuple[int, ...], label: list[int],
                spare: int) -> bool:
@@ -264,9 +298,11 @@ def _first_club_set(G: Graph, s: int, k: int) -> tuple[Edge, ...] | None:
         for i in range(start, len(edges) - k + len(chosen) + 1):
             if high[i] and not spare:
                 continue
+            if not slack and not all(chained(j, i) for j in chosen):
+                continue
             u, v = edges[i]
             a, b = sorted((label[u], label[v]))
-            chosen.append(edges[i])
+            chosen.append(i)
             if a == b:
                 found = extend(i + 1, rows, label, spare - high[i])
             else:
@@ -279,7 +315,7 @@ def _first_club_set(G: Graph, s: int, k: int) -> tuple[Edge, ...] | None:
         return False
 
     found = extend(0, G.rows, list(range(G.n)), slack)
-    return tuple(chosen) if found else None
+    return tuple(edges[i] for i in chosen) if found else None
 
 
 def _excess(G: Graph, pair: tuple[int, int, int], e: Edge) -> int:

@@ -367,13 +367,76 @@ def reference_club_set(G: Graph, s: int, k_max: int):
     contraction has diameter at most s; every subset is tried."""
     if diameter_at_most(G, s):
         return ()
-    edges = G.edges()
-    for k in range(1, min(k_max, len(edges)) + 1):
-        for S in combinations(edges, k):
-            if diameter_at_most(contract_edges(G, S), s):
-                return S
+    for k in range(1, min(k_max, G.m) + 1):
+        S = reference_first_club_set(G, s, k)
+        if S is not None:
+            return S
     return None
 
+
+def reference_first_club_set(G: Graph, s: int, k: int):
+    """The first k-subset of ``G.edges()``, in ``combinations`` order, whose
+    contraction has diameter at most s, or None; every subset is tried."""
+    for S in combinations(G.edges(), k):
+        if diameter_at_most(contract_edges(G, S), s):
+            return S
+    return None
+
+
+def reference_width_below(rows, best: int) -> bool:
+    """Whether eliminating, again and again, the first vertex in label order
+    with fewer than ``best`` neighbours left, and making those neighbours a
+    clique, eliminates every vertex; every step rescans the vertices left."""
+    rows = list(rows)
+    left = (1 << len(rows)) - 1
+    while left:
+        for v in _iter_bits(left):
+            nb = rows[v] & left
+            if nb.bit_count() < best:
+                break
+        else:
+            return False
+        left ^= 1 << v
+        for w in _iter_bits(nb):
+            rows[w] |= nb ^ 1 << w
+    return True
+
+
+def is_satisfying_path(G: Graph, prof, Q) -> bool:
+    """Definition check of conditions i) through iii) for the path Q, with
+    ``prof`` the ``club_contraction.DistanceProfile`` of the pair (u, v).
+
+    i) holds iff Q climbs one breadth-first layer from u per step and its
+    end distances sum with its length to d; any such path extends to a
+    (u, v)-path of length d, every one of which is a shortest path.
+    """
+    Q = list(Q)
+    if len(Q) < 2 or len(set(Q)) != len(Q):
+        raise DomainError("Q must be a path on at least two distinct vertices")
+    for a, b in zip(Q, Q[1:]):
+        if not G.has_edge(a, b):
+            raise DomainError("Q must be a path in the graph")
+    k = len(Q) - 1
+    du, dv = prof.dist_u, prof.dist_v
+    base = du[Q[0]]
+    if any(du[x] != base + i for i, x in enumerate(Q)):
+        return False
+    if base + k + dv[Q[-1]] != prof.d:
+        return False
+    dist = G.dist
+    return (_end_conditions_ok(dist[Q[0]], dist[Q[1]], du[Q[0]],
+                               prof.X_v, prof.Y_v)
+            and _end_conditions_ok(dist[Q[-1]], dist[Q[-2]], dv[Q[-1]],
+                                   prof.X_u, prof.Y_u))
+
+
+def _end_conditions_ok(d0, d1, ref: int, X, Y) -> bool:
+    """End conditions at a path end x0 with next vertex x1, given their BFS
+    rows d0 and d1: all of X lies at distance ref from x0 and all of Y
+    within ref of x0 or x1."""
+    if any(d0[z] != ref for z in X):
+        return False
+    return all(d0[z] <= ref or d1[z] <= ref for z in Y)
 
 def all_matchings(G: Graph):
     edges = G.edges()

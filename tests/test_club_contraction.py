@@ -9,8 +9,7 @@ from minorclub import club_contraction
 from minorclub.club_contraction import (_profile, _scan_paths,
                                         _tight_from_diametral,
                                         _tight_from_pair, diametral_pair,
-                                        distance_profile, is_satisfying_path,
-                                        minimum_contraction,
+                                        distance_profile, minimum_contraction,
                                         s_club_contract_decide, sweep_pair,
                                         tight_contraction)
 from minorclub.errors import DomainError
@@ -20,9 +19,9 @@ from minorclub.graph import (Graph, all_pairs_distances, contract_edges,
 from minorclub.oracle import min_club_contraction_oracle
 from minorclub.recognition import diameter_dominating_pair, is_at_free
 
-from genutil import (connected_graphs, random_caterpillar, random_chordal,
-                     random_interval_graph, random_permutation_graph,
-                     reference_club_set)
+from genutil import (connected_graphs, is_satisfying_path, random_caterpillar,
+                     random_chordal, random_interval_graph,
+                     random_permutation_graph, reference_club_set)
 
 
 def _check_witness(G: Graph, S, k: int, s: int) -> None:

@@ -25,7 +25,8 @@ from genutil import (all_graphs, brute_minor_bags, chordality,
                      connected_graphs, connected_partitions, is_chordal_peo,
                      maximum_clique_matchings, random_bipperm, random_chordal,
                      random_interval_graph, random_permutation_graph,
-                     reference_club_set)
+                     reference_club_set, reference_first_club_set,
+                     reference_width_below)
 
 
 def test_connected_partitions_counts():
@@ -179,6 +180,35 @@ def test_width_below_bounds_the_hadwiger_number():
         assert oracle._width_below(rows, n) and not oracle._width_below(rows, n - 1)
 
 
+def test_width_below_matches_the_rescanning_reference():
+    for n in range(1, 8):
+        for G in all_graphs(n):
+            for best in range(1, n + 1):
+                assert oracle._width_below(G.rows, best) == reference_width_below(
+                    G.rows, best), (G.edges(), best)
+
+
+@pytest.mark.parametrize("g6, answer", [
+    # Seeded G(n, 1/2), two for each n = 8..12 (Random(3131)).  The pins are
+    # those of the search that rebuilt a Graph per quotient and rescanned
+    # every vertex at each step of the width cut.
+    (b"GMkA]{", (4, ((0,), (3,), (4,), (7,)))),
+    (b"Gh}|hk", (5, ((2,), (3,), (5,), (6,), (7,)))),
+    (b"Hyf}HJD", (5, ((0,), (1,), (2,), (5,), (7, 8)))),
+    (b"HgOEbyx", (4, ((0,), (1,), (3, 6), (4, 5, 7, 8)))),
+    (b"I|?CgUXRG", (5, ((0,), (1, 5, 9), (2, 3), (4, 7, 8), (6,)))),
+    (b"IWHc{npS_", (5, ((1,), (2,), (4, 6, 9), (5,), (7, 8)))),
+    (b"JnLOIqnyO}?", (6, ((0, 9), (1,), (2,), (3,), (4, 7, 10), (5, 6, 8)))),
+    (b"JNa[duy@Ue_", (6, ((0,), (2, 8), (3,), (4, 5), (6, 9, 10), (7,)))),
+    (b"KUmqLhz~agsW",
+     (7, ((0,), (1, 5, 10), (2,), (3, 9), (4, 8), (6, 11), (7,)))),
+    (b"KllSc?V@hnWj",
+     (6, ((0,), (1, 5), (2, 10, 11), (3, 4), (6, 9), (7, 8)))),
+])
+def test_hadwiger_witness_on_seeded_gnp(g6, answer):
+    assert hadwiger_oracle(parse_graph(g6), with_witness=True) == answer
+
+
 def test_hadwiger_oracle_above_the_default_cap():
     # Two seeded connected G(14, 0.4); the pins are the search's without
     # the elimination-width cut, which took about 0.2 s on each.
@@ -266,6 +296,22 @@ def _bfs_rows(G):
     return rows
 
 
+def _chain_sets(dist, u, edges, k):
+    """How many k-sets of the edges pairwise lie on one shortest path from u:
+    of two edges, the later one starts as far from the earlier one's end as
+    their distances from u differ."""
+    du = dist[u]
+    ends = [(a, b) if du[a] < du[b] else (b, a) for a, b in edges]
+
+    def chain(e, f):
+        if du[e[0]] > du[f[0]]:
+            e, f = f, e
+        return du[e[1]] <= du[f[0]] and dist[e[1]][f[0]] == du[f[0]] - du[e[1]]
+
+    return sum(all(chain(e, f) for e, f in combinations(S, 2))
+               for S in combinations(ends, k))
+
+
 def _excesses(dist, u, v, edges):
     """Per edge ab, how much longer than dist(u, v) the shortest
     (u, v)-walk through ab is."""
@@ -306,7 +352,8 @@ def test_excess_bound_holds_for_every_valid_set():
 @pytest.mark.parametrize("g6, sizes, answers", [
     # random_permutation_graph(40, Random(40005)): 341 edges, d = 4.  The
     # unpruned walk checked 8 172 sets for s = 2, k = 2 and 6 550 610 for
-    # s = 1, k = 3; the walk checks 25 and 8 436.
+    # s = 1, k = 3; the excess bound alone cut that to 25 and 8 436, and
+    # with the chain test the walk checks 1 and 0.
     (None, (1, 2, 3), {(2, 2): ((0, 30), (29, 30)),
                        (2, 3): ((0, 1), (0, 30), (29, 30)), (3, 1): ((0, 30),),
                        (3, 2): ((0, 1), (0, 30)),
@@ -323,7 +370,8 @@ def test_club_walk_checks_only_sets_within_the_excess_bound(monkeypatch, g6,
                                                             sizes, answers):
     # Each quotient the walk checks belongs to a k-set with at most t edges
     # of excess above t for the first diametral pair, and at t = 0 to a set
-    # of edges on shortest paths between every diametral pair, so the checks
+    # of edges on shortest paths between every diametral pair that pairwise
+    # chain along one shortest path from the first pair's u, so the checks
     # number at most the count of such sets.  The answers are the unpruned
     # walk's.
     G = (parse_graph(g6) if g6 else
@@ -334,8 +382,8 @@ def test_club_walk_checks_only_sets_within_the_excess_bound(monkeypatch, g6,
     pairs = [(u, v) for u in range(G.n) for v in range(u + 1, G.n)
              if dist[u][v] == d]
     excess = _excesses(dist, *pairs[0], G.edges())
-    geodesic = sum(not any(_excesses(dist, u, v, [e])[0] for u, v in pairs)
-                   for e in G.edges())
+    geodesic = [e for e in G.edges()
+                if not any(_excesses(dist, u, v, [e])[0] for u, v in pairs)]
     checks = []
     monkeypatch.setattr(oracle, "diameter_at_most",
                         lambda H, s: checks.append(H.n) or diameter_at_most(H, s))
@@ -346,10 +394,23 @@ def test_club_walk_checks_only_sets_within_the_excess_bound(monkeypatch, g6,
             allowed = sum(math.comb(high, j) * math.comb(G.m - high, k - j)
                           for j in range(t + 1))
             if t == 0:
-                allowed = math.comb(geodesic, k)
+                allowed = _chain_sets(dist, pairs[0][0], geodesic, k)
             checks.clear()
             assert oracle._first_club_set(G, s, k) == answers.get((s, k)), (s, k)
             assert len(checks) <= allowed, (s, k, len(checks), allowed)
+
+
+def test_club_walk_at_slack_0_matches_the_unpruned_walk():
+    # At t = 0 the walk keeps only the edges on shortest paths between every
+    # diametral pair, and only sets whose edges chain along one shortest
+    # path of the first pair.
+    for n in range(2, 8):
+        for G in connected_graphs(n):
+            d = diameter(G)
+            for s in (1, 2, 3):
+                if d >= s:
+                    assert oracle._first_club_set(G, s, d - s) == (
+                        reference_first_club_set(G, s, d - s)), (G, s)
 
 
 def test_club_budget_counts_sizes_the_walk_rules_out(monkeypatch):

@@ -11,25 +11,20 @@ deterministic.
 Exit codes: 0 success, 2 unreadable or malformed input (malformed input bytes
 always name their byte offset; a missing --k for `reduce hitting-set` or
 `reduce lift` exits 2 without one), 3 no applicable method or problem
-precondition violated, such as a negative budget --k or a negative club-minor
---s, 4 a brute-force oracle's size cap exceeded (the polynomial solvers and
-their recognizers have no caps), 5 internal error: a solver's output failed
-its certificate check; stderr then names the command and the input's SHA-256.
+precondition violated, such as a negative budget --k or a negative --s of
+club-contract or club-minor, 4 a brute-force oracle's size cap exceeded (the
+polynomial solvers and their recognizers have no caps), 5 internal error: a
+solver's output failed its certificate check; stderr then names the command
+and the input's SHA-256.
 
 recognize reports every class, chordal-bipartite included, at any size.
-club-contract and club-minor, when s >= 2, first ask
-``club_contraction.tight_contraction`` for d - s edges (d the diameter) whose
-contraction leaves diameter s.  It scans a shortest path between the double
-BFS sweep's pair, and on a miss reads the first diametral pair: d <= s needs
-no edge, d - s of 1 or 2 is decided by the exact subset walk, and a larger
-d - s by a scan from that pair.  No graph gets there with fewer than d - s
-contractions, and none joins two components, so that set, once re-checked,
-answers on any graph, AT-free or not, with solver "bound", and so does "no"
-for a budget --k below d - s, or on a disconnected graph; a graph above
---cap that the bound answers does not exit 3.  Otherwise they run the AT-free
-solver when s >= 2 and the graph has no asteroidal triple, else the
-brute-force oracle within --cap, else exit 3.  A negative budget --k exits 3
-on every path, `oracle club-contract` and `reduce` too.
+club-contract and club-minor, when s >= 2, first ask the class-free d - s
+bound, ``club_contraction.tight_contraction``; when it finds a set of d - s
+edges (d the diameter), or the budget --k lies below d - s, they answer with
+solver "bound" at any size.  Otherwise they run the AT-free solver when
+s >= 2 and the graph has no asteroidal triple, else the brute-force oracle
+within --cap, else exit 3.  A negative budget --k exits 3 on every path,
+`oracle club-contract` and `reduce` too.
 """
 
 from __future__ import annotations
@@ -129,13 +124,12 @@ def cmd_clique_matching(G, args):
 
 def _club_solver(G, args, k, atfree, oracle):
     """(solver, S): S a set of at most k edges whose contraction leaves
-    diameter at most s, or None when there is none.  For s >= 2, solver
-    "bound" answers without recognition when ``tight_contraction`` finds a
-    set of d - s edges, which is optimal on any graph, or proves that k is
-    below d - s.  Else ``atfree()``, which reuses the BFS rows that G
-    memoizes, unless it finds an asteroidal triple.  Otherwise, and for
-    s < 2, ``oracle()`` when G fits within --cap.  A graph above --cap exits
-    3 only when neither the bound nor the AT-free solver answers."""
+    diameter at most s, or None when there is none.  A negative s exits 3.
+    For s >= 2, solver "bound" when ``tight_contraction`` answers, else
+    ``atfree()`` unless it finds an asteroidal triple.  Otherwise, and for
+    s < 2, ``oracle()`` when G fits within --cap, else exit 3."""
+    if args.s < 0:
+        raise DomainError("diameter bound --s must be non-negative")
     if args.s >= 2:
         bound, S = tight_contraction(G, args.s, k)
         if S is not None or k < bound:
@@ -164,8 +158,6 @@ def cmd_club_contract(G, args):
 
 
 def cmd_club_minor(G, args):
-    if args.s < 0:
-        raise DomainError("diameter bound --s must be non-negative")
     if not is_connected(G) or G.n == 0:
         raise DomainError(
             "disconnected graphs cannot be contracted to finite diameter")

@@ -14,10 +14,14 @@ of d' - s edges that passes the re-check, which grows radius-s balls in the
 rows with the set's edges merged, proves d' = d.  So such an answer reads
 only the BFS rows of vertex 0 and of the pair from the graph's memo
 ``G.dist``, and so does a budget below d' - s, which the bound refutes.
-Otherwise the bound reads every row for the first diametral pair: d <= s
-needs no contraction, d - s of 1 or 2 is answered by the subset walk, exact
-on any graph, and a larger d - s by a rerun of the scan when that pair
-differs.
+Otherwise the bound reads every row for the first diametral pair.
+
+``_tight_from`` is the one step that decides the tight budget d - s from a
+pair (u, v, d): d <= s needs no contraction, d - s of 1 or 2 is answered by
+the subset walk, exact on any graph, and a larger d - s by the scan.  Its
+two callers are ``tight_contraction``, with the sweep's and the first
+diametral pair, and the AT-free ladder ``_ladder``, with a diameter
+dominating pair, where a pinned scan falls back to the pinned attempts.
 
 The decision procedure is driven by paths between a diameter dominating
 pair (u, v): a path Q = x_0..x_k is *satisfying* when it extends to a
@@ -25,11 +29,9 @@ pair (u, v): a path Q = x_0..x_k is *satisfying* when it extends to a
 sets X_v, Y_v, X_u, Y_u (vertices at distance d and d-1 from v and u).
 Contracting an interior satisfying path of length d-s is enough; when every
 satisfying path starts at u or ends at v, the near-end edges of the unique
-shortest chain are forced and only two edges remain to guess.
-
-Budgets k <= 2 are decided by the oracle's subset walk,
-``oracle._first_club_set``, whose docstring proves the excess and chain
-bounds it prunes by.
+shortest chain are forced and only two edges remain to guess.  The subset
+walk, ``oracle._first_club_set``, also decides budgets k <= 2; its
+docstring proves the excess and chain bounds it prunes by.
 """
 
 from __future__ import annotations
@@ -204,11 +206,11 @@ def tight_contraction(G: Graph, s: int, k: float = math.inf
 
     No connected graph reaches diameter s with fewer than diam(G) - s
     contractions, and none joins two components, so b = inf on a
-    disconnected graph.  It reads ``sweep_pair``, two BFS runs, and scans
-    from it when d' - s >= 3; on a miss it reads ``diametral_pair`` (every
-    BFS row) unless G has one vertex, and answers from it by
-    ``_tight_from_diametral``.  It stops, with S None, as soon as b exceeds
-    the budget k, before any scan or walk.
+    disconnected graph.  It reads ``sweep_pair``, two BFS runs, and asks
+    ``_tight_from`` about it when d' - s >= 3; on a miss it reads
+    ``diametral_pair`` (every BFS row) unless G has one vertex, and asks
+    ``_tight_from`` about that pair.  It stops, with S None, as soon as b
+    exceeds the budget k, before any scan or walk.
     """
     sweep = sweep_pair(G)
     if sweep is None:
@@ -216,40 +218,42 @@ def tight_contraction(G: Graph, s: int, k: float = math.inf
     bound = max(0, sweep[2] - s)
     if k < bound:
         return bound, None
-    S = _tight_from_pair(G, s, sweep)
+    S = _tight_from(G, s, sweep) if bound >= 3 else None
     first = None if S is not None else diametral_pair(G)
     if first is None:
         return bound, S
     bound = max(0, first[2] - s)
     if k < bound or bound >= 3 and first == sweep:
         return bound, None
-    return bound, _tight_from_diametral(G, s, first)
+    return bound, _tight_from(G, s, first)
 
 
-def _tight_from_diametral(G: Graph, s: int, pair) -> tuple[Edge, ...] | None:
-    """The set of d - s edges from a diametral pair (u, v, d): () when
-    d <= s, the first that the subset walk ``_first_club_set`` finds when
-    d - s is 1 or 2, else the scan's.  The walk is exact on any graph, and
-    at slack 0 it tries only the edges on shortest paths between every
-    diametral pair; its set is the one that the AT-free solver and the
-    oracle's ``min_club_contraction_set`` find first."""
-    k = pair[2] - s
+def _tight_from(G: Graph, s: int, pair, dominating: bool = False
+                ) -> tuple[Edge, ...] | None:
+    """A set of exactly d - s edges, from the pair (u, v, d), whose
+    contraction leaves diameter s, or None; the module docstring lists its
+    cases.  The walk's set is the one that the oracle's
+    ``min_club_contraction_set`` finds first, and a scanned path that
+    passes the re-check proves d = diam(G).  With ``dominating``, (u, v) is
+    a diameter dominating pair of an AT-free G: the path must pass the
+    re-check, and when every satisfying path is pinned, the pinned attempts
+    from u and then v decide."""
+    u, v, d = pair
+    k = d - s
     if k <= 0:
         return ()
-    return _first_club_set(G, s, k) if k <= 2 else _tight_from_pair(G, s, pair)
-
-
-def _tight_from_pair(G: Graph, s: int, pair) -> tuple[Edge, ...] | None:
-    """The scan for k = d' - s >= 3 from the pair (u, v, d'), its unpinned
-    path contracted and re-checked, which proves d' = diam(G); else None."""
-    if pair[2] - s < 3:
+    if k <= 2:
+        return _first_club_set(G, s, k)
+    path, found_any, _ = _scan_paths(G, _profile(G, u, v), k)
+    if path is not None:
+        S = tuple(sorted(_path_edges(path, k)))
+        if not dominating:
+            return S if diameter_at_most(G, s, S) else None
+    elif dominating and found_any:
+        S = _pinned_attempt(G, s, k, u) or _pinned_attempt(G, s, k, v)
+    else:
         return None
-    u, v, d = pair
-    path, _, _ = _scan_paths(G, _profile(G, u, v), d - s)
-    if path is None:
-        return None
-    S = tuple(sorted(_path_edges(path, d - s)))
-    return S if diameter_at_most(G, s, S) else None
+    return None if S is None else _verified_yes(G, S, k, s)
 
 
 def s_club_contract_decide(G: Graph, k: int, s: int) -> tuple[Edge, ...] | None:
@@ -275,10 +279,8 @@ def minimum_contraction(G: Graph, s: int) -> tuple[int, tuple[Edge, ...]]:
         raise DomainError("disconnected graphs cannot reach finite diameter")
     if d <= s:
         return 0, ()
-    S = _ladder(G, s, d, d - s + 1, table)
-    if S is not None:
-        return len(S), S
-    return d - s + 2, _dominating_path_witness(G, s, d, table)
+    S = _ladder(G, s, d, d - s + 1, table) or _ladder(G, s, d, d - s + 2, table)
+    return len(S), S
 
 
 def _checked_diameter(G: Graph, s: int):
@@ -299,11 +301,13 @@ def _checked_diameter(G: Graph, s: int):
 def _ladder(G: Graph, s: int, d: int, k: int, table) -> tuple[Edge, ...] | None:
     """Decide budget k >= d - s on G with s < d = diam(G), given G's
     AvoidingComponents table.  Budget d-s+2 always suffices; otherwise try
-    the tight budget d-s, then with one spare contraction the subset walk
-    (k <= 2) or guess the extra contractions."""
+    the tight budget d-s from a diameter dominating pair, then with one
+    spare contraction the subset walk (k <= 2) or guess the extra
+    contractions."""
+    pair = (*_dominating_diametral_pair(G, table), d)
     if k >= d - s + 2:
-        return _dominating_path_witness(G, s, d, table)
-    S = _decide_tight(G, s, d, table)
+        return _dominating_path_witness(G, s, pair)
+    S = _tight_from(G, s, pair, dominating=True)
     if S is not None or k == d - s:
         return S
     if k <= 2:
@@ -315,13 +319,18 @@ def _ladder(G: Graph, s: int, d: int, k: int, table) -> tuple[Edge, ...] | None:
 def _one_extra_contraction(G: Graph, s: int, d: int):
     """Budget d - s + 1 >= 3 after the tight budget failed: some set of at
     most two contractions must leave the diameter at exactly one above the
-    new tight bound; guess it and solve the quotient tightly."""
+    new tight bound; guess it and solve the quotient tightly.  A quotient's
+    AvoidingComponents table is built only when its d - s >= 3: below that
+    the subset walk decides and reads no pair."""
     for size in (1, 2):
         for Sp in combinations(G.edges(), size):
             Gq = contract_edges(G, Sp)
-            if diameter(Gq) != d - size + 1:
+            dq = d - size + 1
+            if diameter(Gq) != dq:
                 continue
-            rec = _decide_tight(Gq, s, d - size + 1)
+            uv = (_dominating_diametral_pair(Gq, AvoidingComponents(Gq))
+                  if dq - s >= 3 else (None, None))
+            rec = _tight_from(Gq, s, (*uv, dq), dominating=True)
             if rec is not None:
                 return Sp + _lift_edges(G, Sp, rec)
     return None
@@ -334,12 +343,12 @@ def _verified_yes(G: Graph, S, k: int, s: int) -> tuple[Edge, ...]:
     return S
 
 
-def _dominating_path_witness(G: Graph, s: int, d: int, table) -> tuple[Edge, ...]:
-    """Contract d-s+2 edges of a shortest path between a diameter dominating
-    pair; what remains of the path still dominates and has length s-2."""
-    u, v = _dominating_diametral_pair(G, table)
-    P = shortest_path(G, u, v)
-    S = _path_edges(P, d - s + 2)
+def _dominating_path_witness(G: Graph, s: int, pair) -> tuple[Edge, ...]:
+    """Contract d-s+2 edges of a shortest path between the diameter
+    dominating pair (u, v, d); what remains of the path still dominates and
+    has length s-2."""
+    u, v, d = pair
+    S = _path_edges(shortest_path(G, u, v), d - s + 2)
     certify(diameter_at_most(G, s, S),
             f"contracting {S} does not reach diameter {s}")
     return S
@@ -348,27 +357,6 @@ def _dominating_path_witness(G: Graph, s: int, d: int, table) -> tuple[Edge, ...
 def _path_edges(P, k: int) -> tuple[Edge, ...]:
     """The first k edges of the path P, each as a sorted pair."""
     return tuple(tuple(sorted(e)) for e in zip(P, P[1:k + 1]))
-
-
-def _decide_tight(G: Graph, s: int, d: int, table=None) -> tuple[Edge, ...] | None:
-    """Budget exactly k = d - s >= 1, where d = diam(G); G's
-    AvoidingComponents ``table`` is built here when the budget needs a
-    dominating pair and none is given."""
-    k = d - s
-    if k <= 2:
-        return _first_club_set(G, s, k)
-    u, v = _dominating_diametral_pair(G, table or AvoidingComponents(G))
-    prof = _profile(G, u, v)
-    unpinned, found_any, _ = _scan_paths(G, prof, k)
-    if unpinned is not None:
-        return _verified_yes(G, _path_edges(unpinned, k), k, s)
-    if not found_any:
-        return None
-    for anchor in (u, v):
-        S = _pinned_attempt(G, s, k, anchor)
-        if S is not None:
-            return _verified_yes(G, S, k, s)
-    return None
 
 
 def _pinned_attempt(G: Graph, s: int, k: int, anchor: int):

@@ -269,6 +269,19 @@ def test_club_minor_rejects_a_negative_diameter_bound(tmp_path, capsys):
     code, out, err = run(tmp_path, capsys, ["club-minor", "--s", "-1"], C6)
     assert code == 3 and out == ""
     assert err == "error: diameter bound --s must be non-negative\n"
+    # club-contract rejects it the same way, within --cap and above it.
+    for cap in ([], ["--cap", "3"]):
+        for data in (C5, C6):
+            code, out, err = run(tmp_path, capsys,
+                                 ["club-contract", "--s", "-1", "--k", "2"] + cap, data)
+            assert code == 3 and out == ""
+            assert err == "error: diameter bound --s must be non-negative\n"
+    # The oracles still answer: no contraction set reaches diameter s < 0.
+    rep = run_json(tmp_path, capsys, ["oracle", "club-minor", "--s", "-1"], C6)
+    assert rep["result"]["value"] == 0
+    rep = run_json(tmp_path, capsys,
+                   ["oracle", "club-contract", "--s", "-1", "--k", "2"], C6)
+    assert rep["result"]["value"] is None
 
 
 ICOSAHEDRON = b"KhFJ{B`KWqph"

@@ -1,18 +1,18 @@
 from __future__ import annotations
 
+import hashlib
 import math
 import random
 
 import pytest
 
 from minorclub import club_contraction
-from minorclub.club_contraction import (_profile, _scan_paths,
-                                        _tight_from_diametral,
-                                        _tight_from_pair, diametral_pair,
+from minorclub.club_contraction import (_profile, _scan_paths, _tight_from,
+                                        diametral_pair,
                                         distance_profile, minimum_contraction,
                                         s_club_contract_decide, sweep_pair,
                                         tight_contraction)
-from minorclub.errors import DomainError
+from minorclub.errors import DomainError, InvalidStructureError
 from minorclub.formats import parse_graph
 from minorclub.graph import (Graph, all_pairs_distances, contract_edges,
                              diameter, disjoint_union, is_connected)
@@ -40,25 +40,36 @@ def _atfree_connected(max_n: int):
                 yield G
 
 
+# SHA-256 of the repr of every answer below, in order: each
+# minimum_contraction pair and each s_club_contract_decide set or None.  It
+# pins the witnesses as well as the verdicts.
+_SWEEP_ANSWERS_SHA256 = "95b912b72525882f594cc87607bad8f7bfcd80c3b4fac228b7c30e45b8b8747b"
+
+
 def test_exhaustive_small_atfree_graphs_match_oracle():
     graphs = list(_atfree_connected(7))
     assert len(graphs) == 862
     decided = 0
+    answers = []
     for G in graphs:
         d = diameter(G)
         for s in (2, 3):
-            k_min, S = minimum_contraction(G, s)
+            answers.append(minimum_contraction(G, s))
+            k_min, S = answers[-1]
             assert k_min == min_club_contraction_oracle(G, s, G.n), (G.rows, s)
             _check_witness(G, S, k_min, s)
             assert len(S) == k_min
             for k in range(max(0, d - s - 1), d - s + 3):
                 S = s_club_contract_decide(G, k, s)
+                answers.append(S)
                 if k >= k_min:
                     _check_witness(G, S, k, s)
                 else:
                     assert S is None, (G.rows, s, k)
                 decided += 1
     assert decided > 3000
+    digest = hashlib.sha256(repr(answers).encode()).hexdigest()
+    assert digest == _SWEEP_ANSWERS_SHA256
 
 
 def _bound_graphs():
@@ -78,7 +89,7 @@ def _tight_from_the_matrix(G: Graph, s: int):
     """The bound's set from the distance matrix's first diametral pair
     alone, not the double sweep's."""
     first = diametral_pair(G)
-    return None if first is None else _tight_from_diametral(G, s, first)
+    return None if first is None else _tight_from(G, s, first)
 
 
 def _tight_set(G: Graph, s: int):
@@ -226,16 +237,30 @@ def test_tight_contraction_stops_at_a_budget_below_the_bound(monkeypatch):
 # Not AT-free, d = 5: the double sweep from vertex 0 reaches the pair (6, 7)
 # at distance 4, so d' - s = 2 and nothing is scanned, while the matrix's
 # first diametral pair (5, 7) yields 3 edges.
-def test_tight_contraction_from_the_matrix_pair_when_the_sweep_falls_short():
+def test_tight_contraction_from_the_matrix_pair_when_the_sweep_falls_short(
+        monkeypatch):
     G = parse_graph(b"HrO__OG", "graph6")
     assert G.n == 9 and is_at_free(G) is not True and diameter(G) == 5
     assert sweep_pair(G) == (6, 7, 4)
     assert diametral_pair(G) == (5, 7, 5)
-    assert _tight_from_pair(G, 2, sweep_pair(G)) is None
+    assert _tight_from(G, 2, sweep_pair(G)) is None
     S = _tight_from_the_matrix(G, 2)
     assert len(S) == 3 == min_club_contraction_oracle(G, 2, G.n)
     _check_witness(G, S, 3, 2)
+    # The sweep's d' - s = 2 is below the scan's 3: tight_contraction goes
+    # straight to the first diametral pair, scanning it alone and walking
+    # no subsets, where _tight_from on the sweep pair would walk.
+    scanned = []
+    scan = club_contraction._scan_paths
+
+    def spy_scan(H, prof, k):
+        scanned.append((prof.u, prof.v, k))
+        return scan(H, prof, k)
+
+    monkeypatch.setattr(club_contraction, "_scan_paths", spy_scan)
+    walks = _spy(monkeypatch, "_first_club_set")
     assert tight_contraction(G, 2) == (3, S)
+    assert scanned == [(5, 7, 3)] and walks == []
 
 
 def test_tight_scan_reads_only_rows_near_the_ends():
@@ -296,11 +321,26 @@ def _spy(monkeypatch, name: str) -> list:
     return results
 
 
+# The exact set that s_club_contract_decide answers at each budget k >= k_min
+# (s = 2) on the graphs below; minimum_contraction answers the set at k_min.
+_NAMED_WITNESSES = {
+    "GQr@Og": {3: ((0, 2), (0, 4), (2, 6)), 4: ((0, 2), (0, 4), (1, 4), (1, 3)),
+               5: ((0, 2), (0, 4), (1, 4), (1, 3))},
+    "GUW?KG": {3: ((0, 7), (5, 6), (5, 7)), 4: ((0, 7), (5, 6), (5, 7)),
+               5: ((1, 3), (0, 3), (0, 7), (5, 7), (5, 6))},
+    "ItLwO?B?G": {4: ((0, 1), (2, 4), (4, 6), (6, 8)),
+                  5: ((0, 2), (2, 4), (4, 6), (6, 8), (7, 8))},
+    "IgKWWKA@W": {4: ((0, 1), (1, 2), (2, 4), (3, 4)),
+                  5: ((0, 1), (1, 2), (2, 4), (4, 6), (6, 8))},
+}
+
+
 @pytest.mark.parametrize("g6, step", [
     ("GQr@Og", "_one_extra_contraction"),
     ("GUW?KG", "_pinned_attempt"),
 ])
 def test_pinned_branches_beyond_the_exhaustive_sweep(monkeypatch, g6, step):
+    witnesses = _NAMED_WITNESSES[g6]
     G = parse_graph(g6.encode(), "graph6")
     s = 2
     assert is_at_free(G) is True and G.n == 8
@@ -310,10 +350,12 @@ def test_pinned_branches_beyond_the_exhaustive_sweep(monkeypatch, g6, step):
     got, S = minimum_contraction(G, s)
     assert got == k_min
     _check_witness(G, S, k_min, s)
+    assert S == witnesses[k_min]
     assert any(r is not None for r in results)
     for k in range(0, 6):
         S = s_club_contract_decide(G, k, s)
         assert (S is not None) == (k >= k_min)
+        assert S == witnesses.get(k)
         if S is not None:
             _check_witness(G, S, k, s)
 
@@ -324,11 +366,13 @@ def test_pinned_branches_beyond_the_exhaustive_sweep(monkeypatch, g6, step):
 # guessed contraction.
 @pytest.mark.parametrize("g6, found_any", [("ItLwO?B?G", False), ("IgKWWKA@W", True)])
 def test_tight_no_answers_beyond_the_exhaustive_sweep(monkeypatch, g6, found_any):
+    witnesses = _NAMED_WITNESSES[g6]
     G = parse_graph(g6.encode(), "graph6")
     s, d = 2, 5
     assert is_at_free(G) is True and G.n == 10 and diameter(G) == d
     k_min = min_club_contraction_oracle(G, s, G.n)
     assert k_min == 4
+    assert minimum_contraction(G, s) == (k_min, witnesses[k_min])
     scans = _spy(monkeypatch, "_scan_paths")
     pinned = _spy(monkeypatch, "_pinned_attempt")
     extra = _spy(monkeypatch, "_one_extra_contraction")
@@ -339,9 +383,43 @@ def test_tight_no_answers_beyond_the_exhaustive_sweep(monkeypatch, g6, found_any
     for k in range(0, d - s + 3):
         S = s_club_contract_decide(G, k, s)
         assert (S is not None) == (k >= k_min)
+        assert S == witnesses.get(k)
         if S is not None:
             _check_witness(G, S, k, s)
     assert len(extra) == 1 and extra[0] is not None
+
+
+def _never(*args):
+    return False
+
+
+def test_tight_step_certifies_only_from_a_dominating_pair(monkeypatch):
+    """P8 at s = 2 has d - s = 5 and an unpinned scanned path.  When its
+    re-check fails, the ladder's call (``dominating``) raises, as a
+    dominating pair's path must reach diameter s, and the bound's call
+    answers None."""
+    G = Graph.path(8)
+    pair = (*diameter_dominating_pair(G), diameter(G))
+    assert pair == (0, 7, 7)
+    assert _tight_from(G, 2, pair) == _tight_from(G, 2, pair, dominating=True) \
+        == ((1, 2), (2, 3), (3, 4), (4, 5), (5, 6))
+    monkeypatch.setattr(club_contraction, "diameter_at_most", _never)
+    with pytest.raises(InvalidStructureError):
+        _tight_from(G, 2, pair, dominating=True)
+    assert _tight_from(G, 2, pair) is None
+
+
+def test_tight_step_tries_the_pinned_attempts_only_from_a_dominating_pair(monkeypatch):
+    """On GUW?KG (d = 5) every satisfying path of length 3 is pinned: the
+    bound's call answers None without trying them, and the ladder's call
+    finds the set from the pinned attempts."""
+    G = parse_graph(b"GUW?KG", "graph6")
+    pair = (*diameter_dominating_pair(G), diameter(G))
+    pinned = _spy(monkeypatch, "_pinned_attempt")
+    assert _tight_from(G, 2, pair) is None
+    assert pinned == []
+    assert _tight_from(G, 2, pair, dominating=True) == ((0, 7), (5, 6), (5, 7))
+    assert pinned and pinned[-1] is not None
 
 
 def test_pinned_instances_have_the_expected_diameters():

@@ -11,9 +11,10 @@ The nonzero entries of a table form a prefix: dropping one edge bag from a
 family with r edge bags leaves a family with r - 1 (c_0 >= 1 covers a lone
 edge bag).  So the fold, which ``recognition.cotree_fold`` runs while it
 splits the cotree, carries each node's table as a plain ``(n, values)``
-tuple cut after its last nonzero entry, and pads it into one CrTable at the
-root.  The cut loses nothing: a zero adds nothing to the union's maximum,
-and the join skips zero entries.
+tuple cut after its last nonzero entry: a node's stack frame collects its
+children's tables and hands its own to its parent's frame, and the root's
+is padded into one CrTable.  The cut loses nothing: a zero adds nothing to
+the union's maximum, and the join skips zero entries.
 
 The join skips candidates that cannot win.  Write V(k, s) for the value of
 s straddling bags and k edge bags inside side i (see ``_join``).  For
@@ -43,7 +44,8 @@ per distinct pair of that graph's fold and nothing outlives the call.  On
 the benchmark's random cographs with n = 200 it cuts about 100 joins and
 99 unions per graph to about 40 and 39 distinct pairs.  On a deep
 threshold cotree no pair repeats, and the memo only adds the hashing of
-its keys: about 7% of the fold at n = 4000.
+its keys: 2-4% of ``cograph_cr_table`` at n = 4000, or 5-11% of the time
+it spends outside the split.
 """
 
 from __future__ import annotations

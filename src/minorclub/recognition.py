@@ -9,14 +9,15 @@ a mask splits neither way, which happens exactly at an induced P4.  Only the
 root tries both splits: the parts of a union are connected and those of a
 join co-connected, so every other cotree node tests the one split its
 parent's kind leaves open.  One such split pass folds any bottom-up value
-over the cotree as it finds it (``cotree_fold``), and recognize_cograph is
-the fold that builds the Cotree itself.  The strong ordering is read off BFS
-layers and returned only when verify_ordering accepts it.  Both read an
-ordering as rank spans (``_rank_intervals``): ranking the ordered side 1, 2,
-..., each vertex of the other side maps to the (lo, hi) span of its
-neighborhood.  The ordering is strong when every span is exactly its
-neighborhood and any two nested spans share an end, and an accepted
-ordering keeps its spans for the solvers.
+over the cotree as it finds it (``cotree_fold``, one stack frame per cotree
+node), and recognize_cograph is the fold that builds the Cotree itself.
+The strong ordering is read off BFS layers and returned only when
+verify_ordering accepts it.  Both read an ordering as rank spans
+(``_rank_intervals``): ranking the ordered side 1, 2, ..., each vertex of
+the other side maps to the (lo, hi) span of its neighborhood.  The ordering
+is strong when every span is exactly its neighborhood and any two nested
+spans share an end, and an accepted ordering keeps its spans for the
+solvers.
 """
 
 from __future__ import annotations
@@ -99,24 +100,31 @@ def cotree_fold(G: Graph, leaf, node):
     search).  Only the root tries both splits, union first.  A union's parts
     are connected and a join's co-connected, so every other mask is tested
     for the one split its parent's kind leaves open, and a mask that does
-    not split that way is the one whose P4 is reported.  Children are
-    ordered by their smallest vertex.  A split node pushes a marker and then
-    its children onto the stack, so it is folded once they all are.
+    not split that way is the one whose P4 is reported, also in the error
+    message.  Children are ordered by their smallest vertex.
+
+    Each split node is one frame on the stack: its kind, an iterator over
+    the parts its split found, and its children's values so far.  The top
+    frame folds its singleton parts with ``leaf`` at once and stops at the
+    next larger part, which is split into a child frame; a frame whose parts
+    are used up hands ``node(kind, kids)`` to the frame below.  The bottom
+    frame, of kind "", holds the whole vertex mask as its one part.
     """
     if G.n == 0:
         raise DomainError("cograph recognition needs at least one vertex")
     co_rows = complement(G).rows
-    values: list = []
-    stack = [((1 << G.n) - 1, "")]
-    while stack:
-        mask, parent = stack.pop()
-        if mask < 0:  # marker: fold the last -mask values into one node
-            kids = values[mask:]
-            del values[mask:]
-            values.append(node(parent, kids))
-            continue
-        if mask & (mask - 1) == 0:
-            values.append(leaf(mask.bit_length() - 1))
+    stack = [("", iter(((1 << G.n) - 1,)), [])]
+    while True:
+        parent, parts, kids = stack[-1]
+        for mask in parts:
+            if mask & (mask - 1):
+                break
+            kids.append(leaf(mask.bit_length() - 1))
+        else:
+            if not parent:
+                return kids[0]
+            stack.pop()
+            stack[-1][2].append(node(parent, kids))
             continue
         if parent == "union":
             kind, parts = "join", _mask_components(co_rows, mask)
@@ -125,10 +133,10 @@ def cotree_fold(G: Graph, leaf, node):
             if not parent and len(parts) == 1:  # the root may be a join
                 kind, parts = "join", _mask_components(co_rows, mask)
         if len(parts) == 1:
-            raise DomainError("graph is not a cograph",
-                              certificate=find_induced_p4(G, mask))
-        stack += [(-len(parts), kind), *((part, kind) for part in reversed(parts))]
-    return values[0]
+            a, b, c, d = p4 = find_induced_p4(G, mask)
+            raise DomainError(f"graph is not a cograph (induced P4: {a} {b} {c} {d})",
+                              certificate=p4)
+        stack.append((kind, iter(parts), []))
 
 
 def recognize_cograph(G: Graph):

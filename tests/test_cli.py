@@ -265,6 +265,21 @@ def test_no_applicable_method_exits_3(tmp_path, capsys, argv, data):
     assert code == 3 and out == "" and "error" in err
 
 
+# P4 0-7-8-9 as the first component and P4 2-1-3-4 as the second: the root
+# splits as a union, and its first part splits neither way, so that part's
+# P4 is named, although a scan of the whole graph meets 2 1 3 4 first.
+TWO_P4 = _g6(Graph.from_edges(10, [(0, 7), (7, 8), (8, 9), (2, 1), (1, 3), (3, 4)]))
+
+
+@pytest.mark.parametrize("data, p4", [(b"Ch", "0 1 2 3"), (TWO_P4, "0 7 8 9")])
+def test_cograph_method_names_the_induced_p4(tmp_path, capsys, data, p4):
+    for json_flag in ([], ["--json"]):
+        code, out, err = run(tmp_path, capsys,
+                             ["hadwiger", "--method", "cograph"] + json_flag, data)
+        assert code == 3 and out == ""
+        assert err == f"error: graph is not a cograph (induced P4: {p4})\n"
+
+
 def test_club_minor_rejects_a_negative_diameter_bound(tmp_path, capsys):
     code, out, err = run(tmp_path, capsys, ["club-minor", "--s", "-1"], C6)
     assert code == 3 and out == ""

@@ -15,11 +15,12 @@ from minorclub.graph import (Graph, _iter_bits, _mask_components, complement,
                              induced_subgraph, is_bipartite, is_connected,
                              join)
 from minorclub.recognition import (AvoidingComponents, Cotree, StrongOrdering,
-                                   diameter_dominating_pair, find_induced_p4,
-                                   is_at_free, is_chordal_bipartite,
-                                   is_cobipartite, is_dominating_pair,
-                                   is_split, recognize_cograph,
-                                   strong_ordering, verify_ordering)
+                                   cotree_fold, diameter_dominating_pair,
+                                   find_induced_p4, is_at_free,
+                                   is_chordal_bipartite, is_cobipartite,
+                                   is_dominating_pair, is_split,
+                                   recognize_cograph, strong_ordering,
+                                   verify_ordering)
 
 from genutil import (all_graphs, chordality, connected_graphs,
                      induced_p4_exists, ordering_exists_exhaustive,
@@ -239,6 +240,51 @@ def test_cr_table_fold_matches_recognition_then_cotree_fold():
                 assert _checked_fold_table(_relabelled(G, rng)) is not None
     for _ in range(100):
         _checked_fold_table(_relabelled(_non_cograph(rng.randint(4, 40), rng), rng))
+
+
+def _fold_recorder():
+    """leaf and node functions that record their calls and fold each
+    subtree to its vertex mask."""
+    leaves, nodes = [], []
+
+    def leaf(v):
+        leaves.append(v)
+        return 1 << v
+
+    def node(kind, kids):
+        nodes.append((kind, tuple(kids)))
+        return sum(kids)
+
+    return leaves, nodes, leaf, node
+
+
+def _check_fold_calls(G: Graph) -> None:
+    """cotree_fold on a cograph calls leaf once per vertex and node once per
+    internal node of recognize_cograph's tree, both in that tree's own
+    bottom-up order, and hands node its kids in smallest-vertex order."""
+    leaves, nodes, leaf, node = _fold_recorder()
+    assert cotree_fold(G, leaf, node) == (1 << G.n) - 1
+    assert sorted(leaves) == list(range(G.n))
+    tree_leaves, tree_nodes, leaf, node = _fold_recorder()
+    recognize_cograph(G).fold(leaf, node)
+    assert leaves == tree_leaves
+    assert nodes == tree_nodes and len(set(nodes)) == len(nodes)
+    for kind, kids in nodes:
+        lows = [kid & -kid for kid in kids]
+        assert len(kids) >= 2 and lows == sorted(lows), (kind, kids)
+
+
+def test_cotree_fold_calls_leaf_and_node_once_per_cotree_node():
+    for n in range(1, 8):
+        for G in all_graphs(n):
+            if isinstance(recognize_cograph(G), Cotree):
+                _check_fold_calls(G)
+    rng = random.Random(47)
+    for leaves in (10, 50, 100, 200, 400):
+        for _ in range(2):
+            for G in (random_cograph(leaves, rng), _random_threshold_graph(leaves, rng),
+                      _threshold_cograph(leaves)):
+                _check_fold_calls(_relabelled(G, rng))
 
 
 def test_cr_table_fold_needs_no_recursion_on_a_deep_cotree():

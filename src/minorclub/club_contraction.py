@@ -42,8 +42,7 @@ from itertools import combinations
 
 from .errors import DomainError
 from .graph import (Edge, Graph, _diametral_pairs, _iter_bits, _layers,
-                    contract_edges, contraction_map, diameter,
-                    diameter_at_most, shortest_path)
+                    _quotient, diameter, diameter_at_most, shortest_path)
 from .oracle import _first_club_set
 from .recognition import AvoidingComponents, _dominating_diametral_pair
 from .witness import certify
@@ -97,14 +96,14 @@ def _scan_paths(G: Graph, prof: DistanceProfile, k: int):
     Every vertex of a satisfying path lies on a shortest (u, v)-path, so
     edges are taken from the u-layers cut to those vertices; an edge off
     them closes no path, and skipping it changes no result.  A first edge
-    needs du[x0] + k <= d and a last edge dv[x_k] <= d - k, so each end
-    condition compares distances of at most r = d - k.  It reads balls of
-    radius at most r around the edge's two ends, grown once per vertex as
-    bitmasks, instead of BFS rows.  All of X lies at distance ref from x0
-    iff X lies in ball(x0, ref): x0 is at distance d - ref from v, and X at
-    distance d, so no vertex of X is nearer to x0 (the same holds at x_k).
-    All of Y lies within ref of x0 or x1 iff it lies in the union of their
-    radius-ref balls.
+    needs du[x0] + k <= d and a last edge dv[x_k] <= d - k, so none is
+    found when k > d, and each end condition compares distances of at most
+    r = d - k.  It reads balls of radius at most r around the edge's two
+    ends, grown once per vertex as bitmasks, instead of BFS rows.  All of X
+    lies at distance ref from x0 iff X lies in ball(x0, ref): x0 is at
+    distance d - ref from v, and X at distance d, so no vertex of X is
+    nearer to x0 (the same holds at x_k).  All of Y lies within ref of x0
+    or x1 iff it lies in the union of their radius-ref balls.
 
     Each first edge (x0, x1) grows its reach once, one u-layer per step, up
     to x_{k-1}'s layer; every last edge (x_{k-1}, x_k) whose x_{k-1} is
@@ -114,8 +113,6 @@ def _scan_paths(G: Graph, prof: DistanceProfile, k: int):
     at v)."""
     assert k >= 3
     d = prof.d
-    if d < k:
-        return None, False, None
     rows, du = G.rows, prof.dist_u
     X_u, Y_u, X_v, Y_v = (sum(1 << z for z in zs) for zs in
                           (prof.X_u, prof.Y_u, prof.X_v, prof.Y_v))
@@ -324,7 +321,7 @@ def _one_extra_contraction(G: Graph, s: int, d: int):
     the subset walk decides and reads no pair."""
     for size in (1, 2):
         for Sp in combinations(G.edges(), size):
-            Gq = contract_edges(G, Sp)
+            Gq, label = _quotient(G, Sp)
             dq = d - size + 1
             if diameter(Gq) != dq:
                 continue
@@ -332,7 +329,7 @@ def _one_extra_contraction(G: Graph, s: int, d: int):
                   if dq - s >= 3 else (None, None))
             rec = _tight_from(Gq, s, (*uv, dq), dominating=True)
             if rec is not None:
-                return Sp + _lift_edges(G, Sp, rec)
+                return Sp + _lift_edges(G, label, rec)
     return None
 
 
@@ -372,16 +369,17 @@ def _pinned_attempt(G: Graph, s: int, k: int, anchor: int):
         return None
     chain = [layer.bit_length() - 1 for layer in layers]
     forced = [tuple(sorted((chain[i], chain[i + 1]))) for i in range(k - 2)]
-    S = _first_club_set(contract_edges(G, forced), s, 2)
-    return None if S is None else tuple(forced) + _lift_edges(G, forced, S)
+    Gq, label = _quotient(G, forced)
+    S = _first_club_set(Gq, s, 2)
+    return None if S is None else tuple(forced) + _lift_edges(G, label, S)
 
 
-def _lift_edges(G: Graph, contracted, quotient_edges) -> tuple[Edge, ...]:
-    """Map quotient edges back to concrete edges of G (smallest preimage)."""
-    vmap = contraction_map(G, contracted)
+def _lift_edges(G: Graph, label, quotient_edges) -> tuple[Edge, ...]:
+    """Map quotient edges back to concrete edges of G (smallest preimage),
+    ``label`` being the quotient vertex of each vertex of G."""
     lifts = []
     for a, b in quotient_edges:
         pick = min((u, v) for u, v in G.edges()
-                   if {vmap[u], vmap[v]} == {a, b})
+                   if {label[u], label[v]} == {a, b})
         lifts.append(pick)
     return tuple(lifts)

@@ -24,7 +24,8 @@ and on the benchmark's sparse families: interval n = 160 (339 edges) 162
 us.  So both paths stay; the edge walk wins on graphs with O(n) edges.
 
 DIMACS CNF: ``p cnf n m`` then m clauses of nonzero signed 1-based
-literals, each ended by 0, with ``c`` and ``%`` comment lines.  Set system:
+literals, each ended by 0 except the last, which may end with the input,
+with ``c`` and ``%`` comment lines.  Set system:
 an ``n m`` header line, then one set per line as member indexes in
 0..n-1.  Every ParseError raised for malformed bytes carries the byte
 offset of the offending token.
@@ -262,7 +263,8 @@ def _build(n: int, pairs: list[tuple[int, int]], one_based: bool) -> Graph:
 
 
 def parse_dimacs_cnf(data: bytes) -> NaeFormula:
-    """DIMACS CNF: 'p cnf n m' then m clauses, each terminated by 0."""
+    """DIMACS CNF: 'p cnf n m' then m clauses, each terminated by 0; the
+    end of the input also ends the last one."""
     n = m = m_off = None
     clauses = []
     current: list[tuple[int, int]] = []  # (literal, byte offset)

@@ -8,6 +8,14 @@ So BFS distances are a memo on the graph that every reader shares:
 ``G.dist[u]`` computes u's BFS row on first use and keeps it.  The memo holds
 the adjacency rows, not the graph, so it makes no reference cycle, and a
 graph whose distances are never read allocates nothing.
+
+Every relabelled quotient comes from one step, ``_contract_step``, which
+contracts one edge by O(n) row shifts and moves each vertex's label along;
+``contract_edges`` folds it over S and the club subset walk takes it per
+edge.  The diameter re-checks read ``_merged_rows`` instead, which merges
+each bag into its lowest vertex without relabelling: distances need no
+labels, and a long contracted path costs one merge per bag, not O(n) row
+shifts per edge.
 """
 
 from __future__ import annotations
@@ -363,62 +371,42 @@ def contraction_map(G: Graph, S: Iterable[Edge]) -> list[int]:
 
 
 def _quotient(G: Graph, S: Iterable[Edge]) -> tuple[Graph, list[int]]:
-    """``_bag_quotient`` over the components of the spanning subgraph (V, S),
-    found by union-find; each component's root is its smallest vertex."""
-    parent = list(range(G.n))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
+    """``_contract_step`` folded over S from G's rows and the identity
+    labels.  Each step merges two bags, keeps the smaller one's label and
+    leaves the bags ordered by smallest member, so the result does not
+    depend on the order of S."""
+    rows, label = G.rows, list(range(G.n))
     for u, v in S:
         _check_edge(G, u, v)
-        ru, rv = find(u), find(v)
-        if ru != rv:
-            parent[max(ru, rv)] = min(ru, rv)
-    bags: dict[int, int] = {}
-    for v in range(G.n):
-        r = find(v)
-        bags[r] = bags.get(r, 0) | (1 << v)
-    return _bag_quotient(G, list(bags.values()))
+        rows, label = _contract_step(rows, label, u, v)
+    return Graph(len(rows), rows), label
 
 
-def _bag_quotient(G: Graph, bags: Sequence[int]) -> tuple[Graph, list[int]]:
-    """The graph with one vertex per bag, bags being disjoint vertex bitmasks
-    that cover V(G) ordered by smallest vertex, and bags i and j adjacent iff
-    some edge of G joins them; returned with vmap[v], the bag holding v."""
-    vmap = [0] * G.n
-    for i, bag in enumerate(bags):
-        for v in _iter_bits(bag):
-            vmap[v] = i
-    rows = []
-    for bag in bags:
-        reach = 0
-        for v in _iter_bits(bag):
-            reach |= G.rows[v]
-        row = 0
-        for w in _iter_bits(reach & ~bag):
-            row |= 1 << vmap[w]
-        rows.append(row)
-    return Graph(len(bags), tuple(rows)), vmap
+def _contract_step(rows: tuple[int, ...], label: list[int], u: int,
+                   v: int) -> tuple[tuple[int, ...], list[int]]:
+    """(rows, label) after contracting the quotient vertices label[u] and
+    label[v] of the original vertices u and v by ``_contract_rows``, where
+    label[x] is the quotient vertex that holds x; the inputs themselves
+    when u and v already share a bag."""
+    a, b = label[u], label[v]
+    if a == b:
+        return rows, label
+    if a > b:
+        a, b = b, a
+    return (_contract_rows(rows, a, b),
+            [a if x == b else x - (x > b) for x in label])
 
 
 def contract_edge(G: Graph, e: Edge) -> Graph:
-    """Contract a single edge by ``_contract_rows``.  It follows the label
-    rule of ``contract_edges``: the new vertex keeps the smaller endpoint's
-    label, and every label above the larger endpoint moves down by one."""
-    u, v = e
-    _check_edge(G, u, v)
-    return Graph(G.n - 1, _contract_rows(G.rows, min(u, v), max(u, v)))
+    """``contract_edges(G, [e])``."""
+    return contract_edges(G, [e])
 
 
 def _contract_rows(rows: Sequence[int], i: int, j: int) -> tuple[int, ...]:
-    """Adjacency rows after contracting the edge ij, i < j, equal to
-    ``_quotient(Graph(len(rows), rows), [(i, j)])[0].rows``: j merges into i,
+    """Adjacency rows after contracting the edge ij, i < j: j merges into i,
     every row that had bit j gains bit i, the loop bit is cleared, and every
-    label above j moves down by one, all in O(n) int operations."""
+    label above j moves down by one, all in O(n) int operations.  So the
+    merged vertex keeps the smaller label, and the others keep their order."""
     low = (1 << j) - 1
     out = [(x | (x >> j & 1) << i) & low | x >> (j + 1) << j for x in rows]
     out[i] = (out[i] | out[j]) & ~(1 << i)

@@ -12,9 +12,9 @@ import math
 from typing import Iterator
 
 from .errors import CapacityError, DomainError
-from .graph import (Edge, Graph, _contract_rows, _diametral_pairs,
-                    _iter_bits, components, diameter_at_most,
-                    induced_subgraph, max_clique)
+from .graph import (Edge, Graph, _contract_rows, _contract_step,
+                    _diametral_pairs, _iter_bits, components,
+                    diameter_at_most, induced_subgraph, max_clique)
 from .witness import certify, verify_witness
 
 PARTITION_CAP = 12
@@ -68,7 +68,7 @@ def _component_hadwiger(H: Graph) -> tuple[int, tuple[tuple[int, ...], ...]]:
     edge ij, i < j, in ``Graph.edges()`` order, read off the rows, by
     ``_contract_rows``, and bag j merges into bag i; it loses the edge ij,
     the vertex j and one edge per common neighbour of i and j, so its
-    excess is e - |N(i) & N(j)|.  Its rows are those of ``_quotient``
+    excess is e - |N(i) & N(j)|.  Its rows are those of ``contract_edges``
     (vertices ordered by smallest member), so ``seen``, keyed on rows,
     holds one key per labelled quotient whatever contraction order reached
     it.  A ``Graph`` is built only for ``max_clique``, and bags become
@@ -231,9 +231,8 @@ def _first_club_set(G: Graph, s: int, k: int) -> tuple[Edge, ...] | None:
     order, whose contraction has diameter at most s, or None.
 
     The subsets are walked depth first, and each prefix carries its
-    quotient: its rows, built by ``_contract_rows`` and so equal to
-    ``_quotient``'s, and ``label``, each original vertex's quotient vertex.
-    An edge whose ends already share a bag leaves the quotient as it is.
+    quotient, ``contract_edges``'s rows and ``contraction_map``'s labels,
+    extended by one ``_contract_step`` per edge.
 
     The walk skips only sets that cannot succeed, by the excess bound.  Let
     (u, v) be a diametral pair, d = diam(G) and t = k - (d - s) the slack.
@@ -300,16 +299,9 @@ def _first_club_set(G: Graph, s: int, k: int) -> tuple[Edge, ...] | None:
                 continue
             if not slack and not all(chained(j, i) for j in chosen):
                 continue
-            u, v = edges[i]
-            a, b = sorted((label[u], label[v]))
             chosen.append(i)
-            if a == b:
-                found = extend(i + 1, rows, label, spare - high[i])
-            else:
-                found = extend(i + 1, _contract_rows(rows, a, b),
-                               [a if x == b else x - (x > b) for x in label],
-                               spare - high[i])
-            if found:
+            if extend(i + 1, *_contract_step(rows, label, *edges[i]),
+                      spare - high[i]):
                 return True
             chosen.pop()
         return False

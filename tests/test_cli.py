@@ -251,6 +251,18 @@ def test_malformed_graph6_exits_2(tmp_path, capsys, data):
     assert code == 2 and out == "" and "input error" in err
 
 
+@pytest.mark.parametrize("data, message", [
+    (b"~~?", "truncated graph6 vertex count (byte offset 3)"),
+    # n = 2^36 - 1 from the eight-byte header: the payload length is checked
+    # before anything is allocated for the graph.
+    (b"~~~~~~~~", "graph6 payload for n=68719476735 needs "
+                  "393530540221957231958 bytes, got 0 (byte offset 8)"),
+])
+def test_malformed_graph6_long_header_exits_2(tmp_path, capsys, data, message):
+    code, out, err = run(tmp_path, capsys, ["hadwiger", "--json"], data)
+    assert (code, out, err) == (2, "", f"input error: {message}\n")
+
+
 @pytest.mark.parametrize("argv, data", [
     (["club-contract", "--s", "1", "--k", "3", "--cap", "4"], P5),
     (["club-minor", "--s", "1", "--cap", "4"], P5),

@@ -303,6 +303,8 @@ def test_tight_contraction_misses_when_the_recheck_fails(g6, k_min):
     u, v, _ = diametral_pair(G)
     prof = distance_profile(G, u, v)
     assert _scan_paths(G, prof, 3)[0] is not None
+    # no path is longer than the diameter
+    assert _scan_paths(G, prof, 6) == (None, False, None)
     assert tight_contraction(G, s) == (3, None)
     assert min_club_contraction_oracle(G, s, G.n) == k_min
 

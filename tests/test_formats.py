@@ -6,8 +6,9 @@ from itertools import combinations
 import pytest
 
 from minorclub.errors import ParseError
-from minorclub.formats import emit_graph, parse_graph
+from minorclub.formats import emit_graph, parse_dimacs_cnf, parse_graph
 from minorclub.graph import Graph, disjoint_union
+from minorclub.reductions import NaeFormula
 
 
 SAMPLES = [
@@ -113,6 +114,8 @@ def test_graph6_long_order_boundary():
     data = emit_graph(G, "graph6")
     assert data.startswith(b"~")
     assert parse_graph(data, "graph6") == G
+    # the eight-byte header that n >= 258048 needs, here with n = 0
+    assert parse_graph(b"~~??????", "graph6") == Graph.empty(0)
 
 
 def test_graph6_errors():
@@ -175,6 +178,12 @@ def test_dimacs():
     assert err.value.offset == 9
     with pytest.raises(ParseError):
         parse_graph(b"p edge 2 1\ne 1 1\n", "dimacs")
+
+
+def test_dimacs_cnf_last_clause_may_omit_its_zero():
+    phi = parse_dimacs_cnf(b"p cnf 3 2\n1 2 3 0\n-1 -2 -3")
+    assert phi == NaeFormula(3, ((1, 2, 3), (-1, -2, -3)))
+    assert phi == parse_dimacs_cnf(b"p cnf 3 2\n1 2 3 0\n-1 -2 -3 0\n")
 
 
 def test_unknown_format():

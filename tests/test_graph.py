@@ -12,8 +12,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from minorclub.errors import DomainError
-from minorclub.graph import (Graph, _contract_rows, _diametral_pairs,
-                             _mask_component, _mask_components,
+from minorclub.graph import (Graph, _contract_rows, _contract_step,
+                             _diametral_pairs, _mask_component, _mask_components,
                              clique_number, complement, components,
                              contract_edge, contract_edges,
                              contraction_map, diameter, diameter_at_most,
@@ -70,6 +70,13 @@ def test_contract_edge_label_rule():
     assert H.has_edge(2, 3)
 
 
+def test_contract_step_moves_labels_and_leaves_a_shared_bag_alone():
+    rows, label = _contract_step(Graph.path(4).rows, [0, 1, 2, 3], 2, 1)
+    assert (rows, label) == (Graph.path(3).rows, [0, 1, 1, 2])
+    again = _contract_step(rows, label, 1, 2)
+    assert again[0] is rows and again[1] is label
+
+
 def test_contract_edges_examples():
     P5 = Graph.path(5)
     assert contract_edges(P5, [(0, 1), (3, 4)]) == Graph.path(3)
@@ -117,6 +124,15 @@ def test_contract_edges_vertex_count_and_order_independence(G, rng):
     assert canonical_key(H) == canonical_key(merged)
 
 
+def _networkx_quotient(nx, H, blocks):
+    """networkx's quotient of H by the vertex blocks, blocks labelled by
+    their smallest vertex in increasing order, and each vertex's label."""
+    Q = nx.quotient_graph(H, blocks)
+    label = {b: i for i, b in enumerate(sorted(Q.nodes, key=min))}
+    want = Graph.from_edges(len(label), [(label[a], label[b]) for a, b in Q.edges])
+    return want, [label[next(b for b in Q.nodes if v in b)] for v in H.nodes]
+
+
 def test_contraction_matches_networkx_quotient_graph():
     nx = pytest.importorskip("networkx")
     rng = random.Random(17)
@@ -129,16 +145,16 @@ def test_contraction_matches_networkx_quotient_graph():
         H, span = nx.empty_graph(n), nx.empty_graph(n)
         H.add_edges_from(edges)
         span.add_edges_from(S)
-        # Blocks are labelled by their smallest vertex, in increasing order.
-        Q = nx.quotient_graph(H, list(nx.connected_components(span)))
-        label = {b: i for i, b in enumerate(sorted(Q.nodes, key=min))}
-        want = Graph.from_edges(len(label), [(label[a], label[b]) for a, b in Q.edges])
+        want, label = _networkx_quotient(nx, H, list(nx.connected_components(span)))
         assert contract_edges(G, S) == want, (G.edges(), S)
-        assert contraction_map(G, S) == [label[next(b for b in Q.nodes if v in b)]
-                                         for v in range(n)]
+        assert contraction_map(G, S) == label
         if edges:
+            # The one-edge kernel alone, held to networkx, not to the fold
+            # that calls it.
             a, b = rng.choice(edges)
-            assert _contract_rows(G.rows, a, b) == contract_edges(G, [(a, b)]).rows
+            blocks = [{a, b}] + [{v} for v in range(n) if v not in (a, b)]
+            want = _networkx_quotient(nx, H, blocks)[0]
+            assert _contract_rows(G.rows, a, b) == want.rows, (G.edges(), a, b)
 
 
 def test_forest_contraction_loses_one_vertex_per_edge():

@@ -222,7 +222,10 @@ def test_hadwiger_oracle_above_the_default_cap():
 
 def _reference_component_hadwiger(H):
     """Reference quotient search: every child is rebuilt from g by
-    ``_quotient(g, [e])``, and its bags are merged as sorted vertex lists."""
+    ``_quotient(g, [e])``, and its bags are merged as sorted vertex lists.
+    ``_quotient`` contracts by the same step as the search, so this holds
+    the search's bags, cuts and order, not the step; the contraction step
+    itself is held to networkx's quotient in ``test_graph.py``."""
     best = 0
     best_bags = ()
     seen = set()

@@ -25,6 +25,11 @@ solver "bound" at any size.  Otherwise they run the AT-free solver when
 s >= 2 and the graph has no asteroidal triple, else the brute-force oracle
 within --cap, else exit 3.  A negative budget --k exits 3 on every path,
 `oracle club-contract` and `reduce` too.
+
+--cap defaults to ``oracle.PARTITION_CAP``.  `oracle clique-matching` uses
+max(--cap, ``oracle.MATCHING_CAP``), that is at least 14, and `oracle
+club-contract` is bounded by the subset count ``oracle.SUBSET_BUDGET``, not
+by --cap.
 """
 
 from __future__ import annotations
@@ -236,7 +241,7 @@ def make_parser() -> argparse.ArgumentParser:
         p.add_argument("--format", choices=FORMATS, default="graph6")
         p.add_argument("--json", action="store_true")
         if cap:
-            p.add_argument("--cap", type=int, default=12,
+            p.add_argument("--cap", type=int, default=oracle_mod.PARTITION_CAP,
                            help="size cap for brute-force fallbacks")
         p.set_defaults(fn=fn)
         return p

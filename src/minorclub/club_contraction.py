@@ -27,6 +27,8 @@ The decision procedure is driven by paths between a diameter dominating
 pair (u, v): a path Q = x_0..x_k is *satisfying* when it extends to a
 (u,v)-path of length d and its end segments stay close to the far vertex
 sets X_v, Y_v, X_u, Y_u (vertices at distance d and d-1 from v and u).
+Every step passes its pair as the tuple (u, v, d), and ``_scan_paths``
+reads the four far sets as bitmasks off the BFS rows of u and v.
 Contracting an interior satisfying path of length d-s is enough; when every
 satisfying path starts at u or ends at v, the near-end edges of the unique
 shortest chain are forced and only two edges remain to guess.  The subset
@@ -37,7 +39,6 @@ docstring proves the excess and chain bounds it prunes by.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from itertools import combinations
 
 from .errors import DomainError
@@ -48,50 +49,23 @@ from .recognition import AvoidingComponents, _dominating_diametral_pair
 from .witness import certify
 
 
-@dataclass(frozen=True)
-class DistanceProfile:
-    """Distance data of a diameter pair: d = dist(u, v) = diam(G), the far
-    sets X/Y at distance d and d-1 from each endpoint, and both BFS rows."""
-
-    u: int
-    v: int
-    d: int
-    X_u: frozenset[int]
-    Y_u: frozenset[int]
-    X_v: frozenset[int]
-    Y_v: frozenset[int]
-    dist_u: tuple[int, ...]
-    dist_v: tuple[int, ...]
-
-
-def distance_profile(G: Graph, u: int, v: int) -> DistanceProfile:
-    """Profile for a diameter pair; errors when dist(u, v) != diam(G)."""
+def distance_profile(G: Graph, u: int, v: int) -> tuple[int, int, int]:
+    """The pair (u, v, d) that ``_scan_paths`` reads, with d = dist(u, v);
+    errors when G is disconnected or d != diam(G)."""
     d = diameter(G)
     if d == math.inf:
         raise DomainError("graph must be connected")
     if G.dist[u][v] != d:
         raise DomainError(f"({u},{v}) is not a diameter pair")
-    return _profile(G, u, v)
+    return u, v, d
 
 
-def _profile(G: Graph, u: int, v: int) -> DistanceProfile:
-    """The profile of the pair (u, v), with d = dist(u, v); only the BFS
-    rows of u and v are read."""
-    du, dv = G.dist[u], G.dist[v]
-    d = du[v]
-    return DistanceProfile(
-        u, v, d,
-        frozenset(x for x, t in enumerate(du) if t == d),
-        frozenset(x for x, t in enumerate(du) if t == d - 1),
-        frozenset(x for x, t in enumerate(dv) if t == d),
-        frozenset(x for x, t in enumerate(dv) if t == d - 1),
-        tuple(du), tuple(dv),
-    )
-
-
-def _scan_paths(G: Graph, prof: DistanceProfile, k: int):
-    """Search for a satisfying path of length k >= 3 by trying all ordered
-    choices of the first and last edge, each in lexicographic order.
+def _scan_paths(G: Graph, pair, k: int):
+    """Search for a satisfying path of length k >= 3 between the pair
+    (u, v, d), d = dist(u, v), by trying all ordered choices of the first
+    and last edge, each in lexicographic order.  Only the BFS rows of u and
+    v are read; one pass over them builds the far masks X_u, Y_u, X_v, Y_v
+    (the vertices at distance exactly d and d-1 from u and from v).
 
     Every vertex of a satisfying path lies on a shortest (u, v)-path, so
     edges are taken from the u-layers cut to those vertices; an edge off
@@ -112,15 +86,24 @@ def _scan_paths(G: Graph, prof: DistanceProfile, k: int):
     whether any path was found, first path found that starts at u or ends
     at v)."""
     assert k >= 3
-    d = prof.d
-    rows, du = G.rows, prof.dist_u
-    X_u, Y_u, X_v, Y_v = (sum(1 << z for z in zs) for zs in
-                          (prof.X_u, prof.Y_u, prof.X_v, prof.Y_v))
-    # The u-layers, cut to the vertices on shortest (u, v)-paths.
+    u, v, d = pair
+    rows, du = G.rows, G.dist[u]
+    # The u-layers, cut to the vertices on shortest (u, v)-paths, and the
+    # far masks; dv may exceed d when (u, v) is not diametral.
     layers = [0] * (d + 1)
-    for x, (a, b) in enumerate(zip(du, prof.dist_v)):
+    X_u = Y_u = X_v = Y_v = 0
+    for x, (a, b) in enumerate(zip(du, G.dist[v])):
+        bit = 1 << x
         if a + b == d:
-            layers[a] |= 1 << x
+            layers[a] |= bit
+        if a == d:
+            X_u |= bit
+        elif a == d - 1:
+            Y_u |= bit
+        if b == d:
+            X_v |= bit
+        elif b == d - 1:
+            Y_v |= bit
     balls: dict[int, list[int]] = {}
 
     def ball(x: int, t: int) -> int:
@@ -168,7 +151,7 @@ def _scan_paths(G: Graph, prof: DistanceProfile, k: int):
                     path.append((back & -back).bit_length() - 1)
                 path.append(x0)
                 path.reverse()
-                if x0 != prof.u and xk != prof.v:
+                if x0 != u and xk != v:
                     return path, True, pinned_example
                 if pinned_example is None:
                     pinned_example = path
@@ -241,7 +224,7 @@ def _tight_from(G: Graph, s: int, pair, dominating: bool = False
         return ()
     if k <= 2:
         return _first_club_set(G, s, k)
-    path, found_any, _ = _scan_paths(G, _profile(G, u, v), k)
+    path, found_any, _ = _scan_paths(G, pair, k)
     if path is not None:
         S = tuple(sorted(_path_edges(path, k)))
         if not dominating:
@@ -301,7 +284,7 @@ def _ladder(G: Graph, s: int, d: int, k: int, table) -> tuple[Edge, ...] | None:
     the tight budget d-s from a diameter dominating pair, then with one
     spare contraction the subset walk (k <= 2) or guess the extra
     contractions."""
-    pair = (*_dominating_diametral_pair(G, table), d)
+    pair = _dominating_diametral_pair(G, table)
     if k >= d - s + 2:
         return _dominating_path_witness(G, s, pair)
     S = _tight_from(G, s, pair, dominating=True)
@@ -325,9 +308,9 @@ def _one_extra_contraction(G: Graph, s: int, d: int):
             dq = d - size + 1
             if diameter(Gq) != dq:
                 continue
-            uv = (_dominating_diametral_pair(Gq, AvoidingComponents(Gq))
-                  if dq - s >= 3 else (None, None))
-            rec = _tight_from(Gq, s, (*uv, dq), dominating=True)
+            pair = (_dominating_diametral_pair(Gq, AvoidingComponents(Gq))
+                    if dq - s >= 3 else (None, None, dq))
+            rec = _tight_from(Gq, s, pair, dominating=True)
             if rec is not None:
                 return Sp + _lift_edges(G, label, rec)
     return None

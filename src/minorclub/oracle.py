@@ -228,7 +228,9 @@ def _greedy_spanning_tree(G: Graph) -> tuple[Edge, ...]:
 
 def _first_club_set(G: Graph, s: int, k: int) -> tuple[Edge, ...] | None:
     """The first k-subset of ``G.edges()``, in ``itertools.combinations``
-    order, whose contraction has diameter at most s, or None.
+    order, whose contraction has diameter at most s, or None.  G must be
+    connected with at least two vertices, so that it has a diametral pair;
+    every caller answers the other graphs before it walks.
 
     The subsets are walked depth first, and each prefix carries its
     quotient, ``contract_edges``'s rows and ``contraction_map``'s labels,
@@ -265,9 +267,7 @@ def _first_club_set(G: Graph, s: int, k: int) -> tuple[Edge, ...] | None:
     found is the unpruned walk's.
     """
     pairs = _diametral_pairs(G)
-    first = next(pairs, None)
-    if first is None:  # disconnected, or fewer than two vertices
-        return () if k == 0 and diameter_at_most(G, s) else None
+    first = next(pairs)
     slack = k - (first[2] - s)
     if slack < 0:
         return None

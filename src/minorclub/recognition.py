@@ -378,21 +378,21 @@ def diameter_dominating_pair(G: Graph) -> tuple[int, int]:
 
     The graph's BFS rows give the diametral pairs and one AvoidingComponents
     table decides each of them, (u, v) being dominating iff C_uv is empty."""
-    return _dominating_diametral_pair(G, AvoidingComponents(G))
+    return _dominating_diametral_pair(G, AvoidingComponents(G))[:2]
 
 
-def _dominating_diametral_pair(G: Graph,
-                              table: AvoidingComponents) -> tuple[int, int]:
-    """diameter_dominating_pair given G's AvoidingComponents table: the
-    first pair (u, v), in the order of ``_diametral_pairs``, with C_uv
-    empty."""
+def _dominating_diametral_pair(G: Graph, table: AvoidingComponents
+                               ) -> tuple[int, int, int]:
+    """The pair of diameter_dominating_pair as (u, v, d), d = diam(G), given
+    G's AvoidingComponents table: the first pair that ``_diametral_pairs``
+    yields with C_uv empty."""
     if G.n == 0 or not is_connected(G):
         raise DomainError("graph must be connected")
     if G.n == 1:
-        return (0, 0)
-    for u, v, _ in _diametral_pairs(G):
+        return (0, 0, 0)
+    for u, v, d in _diametral_pairs(G):
         if table.linking(u, v) == 0:
-            return (u, v)
+            return u, v, d
     raise DomainError("no diameter dominating pair exists; is the graph AT-free?")
 
 

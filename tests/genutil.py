@@ -402,9 +402,10 @@ def reference_width_below(rows, best: int) -> bool:
     return True
 
 
-def is_satisfying_path(G: Graph, prof, Q) -> bool:
-    """Definition check of conditions i) through iii) for the path Q, with
-    ``prof`` the ``club_contraction.DistanceProfile`` of the pair (u, v).
+def is_satisfying_path(G: Graph, pair, Q) -> bool:
+    """Definition check of conditions i) through iii) for the path Q between
+    the pair (u, v, d), d = dist(u, v); the far sets X and Y of u and v are
+    read off their BFS rows as the vertices at distance d and d - 1.
 
     i) holds iff Q climbs one breadth-first layer from u per step and its
     end distances sum with its length to d; any such path extends to a
@@ -417,17 +418,19 @@ def is_satisfying_path(G: Graph, prof, Q) -> bool:
         if not G.has_edge(a, b):
             raise DomainError("Q must be a path in the graph")
     k = len(Q) - 1
-    du, dv = prof.dist_u, prof.dist_v
+    u, v, d = pair
+    dist = G.dist
+    du, dv = dist[u], dist[v]
     base = du[Q[0]]
     if any(du[x] != base + i for i, x in enumerate(Q)):
         return False
-    if base + k + dv[Q[-1]] != prof.d:
+    if base + k + dv[Q[-1]] != d:
         return False
-    dist = G.dist
-    return (_end_conditions_ok(dist[Q[0]], dist[Q[1]], du[Q[0]],
-                               prof.X_v, prof.Y_v)
+    X_u, Y_u, X_v, Y_v = ([z for z, t in enumerate(row) if t == r]
+                          for row in (du, dv) for r in (d, d - 1))
+    return (_end_conditions_ok(dist[Q[0]], dist[Q[1]], du[Q[0]], X_v, Y_v)
             and _end_conditions_ok(dist[Q[-1]], dist[Q[-2]], dv[Q[-1]],
-                                   prof.X_u, prof.Y_u))
+                                   X_u, Y_u))
 
 
 def _end_conditions_ok(d0, d1, ref: int, X, Y) -> bool:

@@ -292,6 +292,20 @@ def test_cograph_method_names_the_induced_p4(tmp_path, capsys, data, p4):
         assert err == f"error: graph is not a cograph (induced P4: {p4})\n"
 
 
+def test_hadwiger_on_the_empty_graph(tmp_path, capsys):
+    """Cograph recognition needs a vertex, so auto passes the empty graph on
+    to bipperm, which answers h = 0 with no bags."""
+    for method in ("auto", "bipperm"):
+        report = run_json(tmp_path, capsys, ["hadwiger", "--method", method], b"?")
+        assert report["solver"] == "bipperm"
+        assert report["result"]["h"] == 0 and report["result"]["witness"] == []
+    report = run_json(tmp_path, capsys, ["hadwiger", "--method", "oracle"], b"?")
+    assert report["solver"] == "oracle" and report["result"]["h"] == 0
+    code, out, err = run(tmp_path, capsys, ["hadwiger", "--method", "cograph"], b"?")
+    assert code == 3 and out == ""
+    assert err == "error: cograph recognition needs at least one vertex\n"
+
+
 def test_club_minor_rejects_a_negative_diameter_bound(tmp_path, capsys):
     code, out, err = run(tmp_path, capsys, ["club-minor", "--s", "-1"], C6)
     assert code == 3 and out == ""
@@ -356,6 +370,18 @@ def test_oracle_above_cap_exits_4(tmp_path, capsys):
                        (["hadwiger", "--method", "oracle", "--cap", "4"], C5)):
         code, out, err = run(tmp_path, capsys, argv, data)
         assert code == 4 and out == "" and "capacity exceeded" in err
+    code, out, err = run(tmp_path, capsys, ["oracle", "nice-structure"], C13)
+    assert code == 4 and out == ""
+    assert err == "capacity exceeded: graph of size 13 exceeds oracle cap 12\n"
+
+
+def test_oracle_club_contract_ignores_the_cap(tmp_path, capsys):
+    """The subset walk is bounded by SUBSET_BUDGET alone: P6 at s = 2 needs
+    three contractions, also with --cap 3."""
+    for cap in ([], ["--cap", "3"]):
+        report = run_json(tmp_path, capsys, ["oracle", "club-contract", "--s", "2",
+                                             "--k", "3"] + cap, _g6(Graph.path(6)))
+        assert report["result"] == {"value": 3}
 
 
 def test_hadwiger_falls_back_to_the_oracle(tmp_path, capsys):

@@ -7,7 +7,7 @@ import random
 import pytest
 
 from minorclub import club_contraction
-from minorclub.club_contraction import (_profile, _scan_paths, _tight_from,
+from minorclub.club_contraction import (_scan_paths, _tight_from,
                                         diametral_pair,
                                         distance_profile, minimum_contraction,
                                         s_club_contract_decide, sweep_pair,
@@ -253,9 +253,9 @@ def test_tight_contraction_from_the_matrix_pair_when_the_sweep_falls_short(
     scanned = []
     scan = club_contraction._scan_paths
 
-    def spy_scan(H, prof, k):
-        scanned.append((prof.u, prof.v, k))
-        return scan(H, prof, k)
+    def spy_scan(H, pair, k):
+        scanned.append((*pair[:2], k))
+        return scan(H, pair, k)
 
     monkeypatch.setattr(club_contraction, "_scan_paths", spy_scan)
     walks = _spy(monkeypatch, "_first_club_set")
@@ -269,14 +269,13 @@ def test_tight_scan_reads_only_rows_near_the_ends():
     edges, and the re-check grows balls in the merged rows.  The scan finds
     the same path as from the full matrix."""
     G = random_interval_graph(320, random.Random(61), spread=0.5)
-    u, v, d = sweep_pair(G)
-    prof = _profile(G, u, v)
-    paths = [_scan_paths(G, prof, d - s) for s in (2, 3)]
+    pair = u, v, d = sweep_pair(G)
+    paths = [_scan_paths(G, pair, d - s) for s in (2, 3)]
     assert set(G.dist) <= {0, u, v}
     assert all(path[0] is not None for path in paths)
     H = Graph(G.n, G.rows)
     all_pairs_distances(H)
-    assert paths == [_scan_paths(H, _profile(H, u, v), d - s) for s in (2, 3)]
+    assert paths == [_scan_paths(H, pair, d - s) for s in (2, 3)]
     rng = random.Random(67)
     answered = 0
     for n in (200, 320):
@@ -301,10 +300,10 @@ def test_tight_contraction_misses_when_the_recheck_fails(g6, k_min):
     s = 2
     assert diameter(G) == 5 and is_at_free(G) is not True
     u, v, _ = diametral_pair(G)
-    prof = distance_profile(G, u, v)
-    assert _scan_paths(G, prof, 3)[0] is not None
+    pair = distance_profile(G, u, v)
+    assert _scan_paths(G, pair, 3)[0] is not None
     # no path is longer than the diameter
-    assert _scan_paths(G, prof, 6) == (None, False, None)
+    assert _scan_paths(G, pair, 6) == (None, False, None)
     assert tight_contraction(G, s) == (3, None)
     assert min_club_contraction_oracle(G, s, G.n) == k_min
 
@@ -452,26 +451,31 @@ def _scan_setup(G: Graph):
 def test_scanned_paths_satisfy_the_definition():
     checked = 0
     for G in _scan_graphs():
-        prof, _ = _scan_setup(G)
-        u, v = prof.u, prof.v
-        for k in range(3, prof.d + 1):
-            unpinned, found_any, pinned = _scan_paths(G, prof, k)
+        pair, _ = _scan_setup(G)
+        u, v, d = pair
+        for k in range(3, d + 1):
+            unpinned, found_any, pinned = _scan_paths(G, pair, k)
             paths = [p for p in (unpinned, pinned) if p is not None]
             assert found_any == bool(paths)
             for Q in paths:
                 assert len(Q) == k + 1
-                assert is_satisfying_path(G, prof, Q)
+                assert is_satisfying_path(G, pair, Q)
                 checked += 1
             if unpinned is not None:
                 assert unpinned[0] != u and unpinned[-1] != v
     assert checked > 600
 
 
-def _per_pair_scan(G: Graph, prof, k: int, dist):
-    """Reference scan: for every ordered (first edge, last edge) pair that
-    meets the end conditions, grow a layered reach from x1 from scratch and
-    trace it back from x_{k-1} through the smallest reached neighbours."""
-    du, dv, d = prof.dist_u, prof.dist_v, prof.d
+def _per_pair_scan(G: Graph, pair, k: int, dist):
+    """Reference scan between the pair (u, v, d): for every ordered (first
+    edge, last edge) pair that meets the end conditions, grow a layered
+    reach from x1 from scratch and trace it back from x_{k-1} through the
+    smallest reached neighbours.  The far sets are the vertices at distance
+    d and d - 1 in the BFS rows of u and v."""
+    u, v, d = pair
+    du, dv = dist[u], dist[v]
+    X_u, Y_u, X_v, Y_v = ([z for z, t in enumerate(row) if t == r]
+                          for row in (du, dv) for r in (d, d - 1))
 
     def ends_ok(x0, x1, ref, X, Y):
         d0, d1 = dist[x0], dist[x1]
@@ -482,12 +486,12 @@ def _per_pair_scan(G: Graph, prof, k: int, dist):
                if du[b] == du[a] + 1]
     pinned = None
     for x0, x1 in layered:
-        if du[x0] + k > d or not ends_ok(x0, x1, du[x0], prof.X_v, prof.Y_v):
+        if du[x0] + k > d or not ends_ok(x0, x1, du[x0], X_v, Y_v):
             continue
         for xk1, xk in layered:
             if (du[xk1] != du[x0] + k - 1 or du[xk] != du[x0] + k
                     or du[x0] + k + dv[xk] != d
-                    or not ends_ok(xk, xk1, dv[xk], prof.X_u, prof.Y_u)):
+                    or not ends_ok(xk, xk1, dv[xk], X_u, Y_u)):
                 continue
             reach = [{x1}]
             for _ in range(k - 2):
@@ -500,7 +504,7 @@ def _per_pair_scan(G: Graph, prof, k: int, dist):
                 interior.append(min(w for w in G.neighbors(interior[-1])
                                     if w in reach[t]))
             path = [x0] + interior[::-1] + [xk]
-            if x0 != prof.u and xk != prof.v:
+            if x0 != u and xk != v:
                 return path, True, pinned
             if pinned is None:
                 pinned = path
@@ -521,33 +525,33 @@ def test_path_scan_matches_the_per_pair_scan():
                 graphs.append(G)
     assert len(graphs) > 250
     for G in graphs:
-        prof, dist = _scan_setup(G)
-        for k in range(3, prof.d + 1):
-            assert _scan_paths(G, prof, k) == _per_pair_scan(G, prof, k, dist), \
+        pair, dist = _scan_setup(G)
+        for k in range(3, pair[2] + 1):
+            assert _scan_paths(G, pair, k) == _per_pair_scan(G, pair, k, dist), \
                 (G.rows, k)
     graphs += [random_chordal(rng.randint(8, 40), rng) for _ in range(100)]
     graphs += [G for n in range(4, 8) for G in connected_graphs(n)]
     scans = 0
     for G in graphs:
         dist = all_pairs_distances(G)
-        for u, v, d in {sweep_pair(G), diametral_pair(G)}:
-            prof = _profile(G, u, v)
-            for k in range(3, d + 1):
-                assert _scan_paths(G, prof, k) == _per_pair_scan(G, prof, k, dist), \
-                    (G.rows, u, v, k)
+        for pair in {sweep_pair(G), diametral_pair(G)}:
+            for k in range(3, pair[2] + 1):
+                assert _scan_paths(G, pair, k) == _per_pair_scan(G, pair, k, dist), \
+                    (G.rows, pair, k)
                 scans += 1
     assert scans > 3000
 
 
 def test_is_satisfying_path_rejects_non_paths():
     G = Graph.path(6)
-    prof = distance_profile(G, 0, 5)
-    assert is_satisfying_path(G, prof, [1, 2, 3, 4])
-    assert not is_satisfying_path(G, prof, [4, 3, 2])
+    pair = distance_profile(G, 0, 5)
+    assert pair == (0, 5, 5)
+    assert is_satisfying_path(G, pair, [1, 2, 3, 4])
+    assert not is_satisfying_path(G, pair, [4, 3, 2])
     with pytest.raises(DomainError):
-        is_satisfying_path(G, prof, [1, 3])
+        is_satisfying_path(G, pair, [1, 3])
     with pytest.raises(DomainError):
-        is_satisfying_path(G, prof, [2])
+        is_satisfying_path(G, pair, [2])
 
 
 def test_domain_errors():

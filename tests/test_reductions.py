@@ -5,6 +5,7 @@ from itertools import combinations, combinations_with_replacement, product
 
 import pytest
 
+from minorclub.errors import DomainError
 from minorclub.graph import Graph, induced_subgraph, is_bipartite
 from minorclub.oracle import min_club_contraction_oracle
 from minorclub.reductions import (HittingSetInstance, NaeFormula, _is_chordal,
@@ -89,6 +90,20 @@ def test_hitting_set_reductions_preserve_the_answer():
             for build, s in ((hitting_set_to_split, 2), (hitting_set_to_chordal, 3)):
                 got = min_club_contraction_oracle(build(inst).graph, s, k)
                 assert (got is not None) == want, (inst, s)
+
+
+def test_source_instances_reject_malformed_input():
+    for clauses, message in ((((1, 2),), "exactly 3 literals"),
+                             (((1, 0, 2),), "literal 0 out of range"),
+                             (((1, 3, 2),), "literal 3 out of range")):
+        with pytest.raises(DomainError, match=message):
+            NaeFormula(2, clauses)
+    with pytest.raises(DomainError, match="at least one variable"):
+        nae3sat_to_cobipartite(NaeFormula(0, ()))
+    for sets, message in ((({0}, set()), "nonempty"),
+                          (({0, 4},), "outside the universe")):
+        with pytest.raises(DomainError, match=message):
+            HittingSetInstance(4, sets, 1)
 
 
 def _reference_nae_graph(phi: NaeFormula):

@@ -3,9 +3,8 @@ graph classes, certified by brute-force oracles on small graphs."""
 
 from .errors import (CapacityError, DomainError, InvalidStructureError,
                      MinorclubError, ParseError)
-from .graph import (Graph, clique_number, complement, components,
-                    contract_edge, contract_edges, diameter, disjoint_union,
-                    distances, induced_subgraph, is_connected, join,
+from .graph import (Graph, complement, components, contract_edges, diameter,
+                    disjoint_union, induced_subgraph, is_connected, join,
                     max_clique)
 from .formats import emit_graph, parse_graph
 from .witness import verify_witness
@@ -16,12 +15,11 @@ from .recognition import (Cotree, StrongOrdering, diameter_dominating_pair,
 from .oracle import (clique_matching_oracle, hadwiger_oracle,
                      max_s_club_minor_oracle, min_club_contraction_oracle,
                      nice_structure_oracle)
-from .cograph_dp import CrTable, cr_join, cr_leaf, cr_union, hadwiger_cograph
+from .cograph_dp import CrTable, cr_join, cr_union, hadwiger_cograph
 from .bipperm_dp import hadwiger_bipperm, max_clique_matching
 from .club_contraction import distance_profile, s_club_contract_decide
 from .reductions import (HittingSetInstance, NaeFormula, ReductionInstance,
-                         hitting_set_solve, hitting_set_to_chordal,
-                         hitting_set_to_split, nae3sat_solve,
+                         hitting_set_to_chordal, hitting_set_to_split,
                          nae3sat_to_cobipartite, pendant_lift, subdivide_edges)
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -42,8 +42,9 @@ import math
 from itertools import combinations
 
 from .errors import DomainError
-from .graph import (Edge, Graph, _diametral_pairs, _iter_bits, _layers,
-                    _quotient, diameter, diameter_at_most, shortest_path)
+from .graph import (Edge, Graph, _diametral_pairs, _grow, _iter_bits,
+                    _layers, _quotient, diameter, diameter_at_most,
+                    shortest_path)
 from .oracle import _first_club_set
 from .recognition import AvoidingComponents, _dominating_diametral_pair
 from .witness import certify
@@ -83,11 +84,11 @@ def _scan_paths(G: Graph, pair, k: int):
     to x_{k-1}'s layer; every last edge (x_{k-1}, x_k) whose x_{k-1} is
     reached closes a path, traced back through the smallest reached
     neighbour per layer.  Returns (first path with x_0 != u and x_k != v,
-    whether any path was found, first path found that starts at u or ends
-    at v)."""
+    first path found before it, or in the whole scan when there is none,
+    that starts at u or ends at v); each is None when there is none."""
     assert k >= 3
     u, v, d = pair
-    rows, du = G.rows, G.dist[u]
+    rows, du, full = G.rows, G.dist[u], (1 << G.n) - 1
     # The u-layers, cut to the vertices on shortest (u, v)-paths, and the
     # far masks; dv may exceed d when (u, v) is not diametral.
     layers = [0] * (d + 1)
@@ -113,10 +114,8 @@ def _scan_paths(G: Graph, pair, k: int):
         if grown is None:
             grown = balls[x] = [0, 1 << x]
         while len(grown) < t + 2:
-            reach = grown[-1]
-            for w in _iter_bits(grown[-1] ^ grown[-2]):
-                reach |= rows[w]
-            grown.append(reach)
+            grown.append(grown[-1] | _grow(rows, grown[-1] ^ grown[-2],
+                                           full ^ grown[-1]))
         return grown[t + 1]
 
     def ends_ok(x0: int, x1: int, ref: int, X: int, Y: int) -> bool:
@@ -138,10 +137,7 @@ def _scan_paths(G: Graph, pair, k: int):
                 continue
             reach = [1 << x1]
             for layer in layers[du[x1] + 1:du[x1] + k - 1]:
-                nxt = 0
-                for w in _iter_bits(reach[-1]):
-                    nxt |= rows[w]
-                reach.append(nxt & layer)
+                reach.append(_grow(rows, reach[-1], layer))
             for xk1, xk in lasts[du[x0] + k]:
                 if not reach[-1] >> xk1 & 1:
                     continue
@@ -152,10 +148,10 @@ def _scan_paths(G: Graph, pair, k: int):
                 path.append(x0)
                 path.reverse()
                 if x0 != u and xk != v:
-                    return path, True, pinned_example
+                    return path, pinned_example
                 if pinned_example is None:
                     pinned_example = path
-    return None, pinned_example is not None, pinned_example
+    return None, pinned_example
 
 
 # Decision procedure ------------------------------------------------------
@@ -224,12 +220,12 @@ def _tight_from(G: Graph, s: int, pair, dominating: bool = False
         return ()
     if k <= 2:
         return _first_club_set(G, s, k)
-    path, found_any, _ = _scan_paths(G, pair, k)
+    path, pinned = _scan_paths(G, pair, k)
     if path is not None:
         S = tuple(sorted(_path_edges(path, k)))
         if not dominating:
             return S if diameter_at_most(G, s, S) else None
-    elif dominating and found_any:
+    elif dominating and pinned is not None:
         S = _pinned_attempt(G, s, k, u) or _pinned_attempt(G, s, k, v)
     else:
         return None

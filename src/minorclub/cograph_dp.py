@@ -66,17 +66,9 @@ class CrTable:
     def __post_init__(self):
         assert len(self.values) == self.n + 1
 
-    def get(self, r: int) -> int:
-        return self.values[r] if 0 <= r <= self.n else 0
-
     @property
     def best(self) -> int:
         return max(self.values)
-
-
-def cr_leaf() -> CrTable:
-    """Single vertex: one singleton bag, nothing with edge bags."""
-    return CrTable(1, (1, 0))
 
 
 def _padded(table: tuple[int, tuple[int, ...]]) -> CrTable:

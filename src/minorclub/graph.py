@@ -16,6 +16,13 @@ edge.  The diameter re-checks read ``_merged_rows`` instead, which merges
 each bag into its lowest vertex without relabelling: distances need no
 labels, and a long contracted path costs one merge per bag, not O(n) row
 shifts per edge.
+
+Every breadth-first walk over the rows but ``_bfs`` grows its set one
+frontier at a time through ``_grow``, where the frontier switch lives: the
+balls of ``diameter_at_most`` and of the path scan, ``_mask_component`` and
+``_layers``.  ``_bfs`` keeps its own loop, which writes each distance as it
+passes: distance rows built from ``_layers`` made the AT-free plan's passes
+25-30% slower.
 """
 
 from __future__ import annotations
@@ -177,26 +184,34 @@ def _bfs(rows: Sequence[int], source: int) -> list[int]:
     return dist
 
 
+def _grow(rows: Sequence[int], frontier: int, missing: int) -> int:
+    """The vertices of ``missing`` with a neighbour on ``frontier``, over
+    the symmetric adjacency ``rows``.  When fewer vertices are missing than
+    on the frontier it tests the missing ones' rows, so a hub's ball or
+    component does not cost a pass over the graph; otherwise it ORs the
+    frontier's rows."""
+    reach = 0
+    if missing.bit_count() < frontier.bit_count():
+        for w in _iter_bits(missing):
+            if rows[w] & frontier:
+                reach |= 1 << w
+        return reach
+    for u in _iter_bits(frontier):
+        reach |= rows[u]
+    return reach & missing
+
+
 def _layers(G: Graph, source: int) -> list[int]:
     """Breadth-first layers from source as vertex masks: layer t holds the
     vertices at distance t."""
     layers = []
-    seen = frontier = 1 << source
+    frontier = 1 << source
+    missing = ((1 << G.n) - 1) ^ frontier
     while frontier:
         layers.append(frontier)
-        reach = 0
-        for u in _iter_bits(frontier):
-            reach |= G.rows[u]
-        frontier = reach & ~seen
-        seen |= frontier
+        frontier = _grow(G.rows, frontier, missing)
+        missing ^= frontier
     return layers
-
-
-def distances(G: Graph, u: int) -> list[int | float]:
-    """Exact BFS distances from u; math.inf for unreachable vertices."""
-    if not 0 <= u < G.n:
-        raise DomainError(f"vertex {u} not in graph of order {G.n}")
-    return [d if d >= 0 else math.inf for d in G.dist[u]]
 
 
 def diameter(G: Graph) -> int | float:
@@ -225,13 +240,10 @@ def diameter_at_most(G: Graph, s: int, S: Iterable[Edge] = ()) -> bool:
     not an edge.  The quotient is not built: ``_merged_rows`` merges each
     bag into its lowest vertex without relabelling, which leaves every
     distance as it is.  The radius-s ball of each vertex left is grown as a
-    bitset from its row, stopping at the first ball that misses one.  A
-    vertex whose ball is full by radius s - 1 is a hub, and the ball of a
-    vertex next to a hub is full by radius s, so it is not grown; the bag
-    of a contracted path is often a hub.  Each step ORs the rows of the frontier,
-    or, when fewer vertices are missing than on the frontier, keeps the
-    missing ones with a frontier neighbour, so a hub's ball does not cost a
-    pass over the graph."""
+    bitset from its row by ``_grow``, stopping at the first ball that
+    misses one.  A vertex whose ball is full by radius s - 1 is a hub, and
+    the ball of a vertex next to a hub is full by radius s, so it is not
+    grown; the bag of a contracted path is often a hub."""
     rows, alive = _merged_rows(G, S) if S else (G.rows, (1 << G.n) - 1)
     if s <= 0:
         return s == 0 and not alive & (alive - 1)
@@ -245,16 +257,7 @@ def diameter_at_most(G: Graph, s: int, S: Iterable[Edge] = ()) -> bool:
             if ball == alive:
                 hubs |= 1 << v
                 break
-            reach = 0
-            missing = alive & ~ball
-            if missing.bit_count() < frontier.bit_count():
-                for w in _iter_bits(missing):
-                    if rows[w] & frontier:
-                        reach |= 1 << w
-            else:
-                for u in _iter_bits(frontier):
-                    reach |= rows[u]
-            frontier = reach & ~ball
+            frontier = _grow(rows, frontier, alive & ~ball)
             ball |= frontier
             if not frontier:
                 break
@@ -295,11 +298,8 @@ def _mask_component(rows: Sequence[int], mask: int) -> int:
     """Connected component, as a bitmask, of the lowest vertex of ``mask`` in
     the subgraph that the adjacency ``rows`` induce on ``mask`` (0 if empty).
     The first step reads the lowest vertex's row alone, so a vertex with no
-    neighbour in ``mask`` is returned at once.  Each later step ORs the rows
-    of the frontier, or, when fewer vertices are missing than on the
-    frontier, keeps the missing ones with a frontier neighbour, so a hub's
-    component does not cost a pass over the graph.  It stops as soon as
-    nothing in ``mask`` is missing."""
+    neighbour in ``mask`` is returned at once.  Each later step is one
+    ``_grow``, and it stops as soon as nothing in ``mask`` is missing."""
     if not mask:
         return 0
     low = mask & -mask
@@ -310,15 +310,7 @@ def _mask_component(rows: Sequence[int], mask: int) -> int:
     comp = low | frontier
     missing ^= frontier
     while frontier and missing:
-        reach = 0
-        if missing.bit_count() < frontier.bit_count():
-            for w in _iter_bits(missing):
-                if rows[w] & frontier:
-                    reach |= 1 << w
-        else:
-            for u in _iter_bits(frontier):
-                reach |= rows[u]
-        frontier = reach & missing
+        frontier = _grow(rows, frontier, missing)
         comp |= frontier
         missing ^= frontier
     return comp
@@ -341,7 +333,8 @@ def components(G: Graph) -> list[list[int]]:
 
 
 def is_connected(G: Graph) -> bool:
-    return len(components(G)) <= 1
+    """Is G connected?  The graph with no vertex counts as connected."""
+    return _mask_connected(G, (1 << G.n) - 1)
 
 
 def _mask_connected(G: Graph, mask: int) -> bool:
@@ -397,11 +390,6 @@ def _contract_step(rows: tuple[int, ...], label: list[int], u: int,
             [a if x == b else x - (x > b) for x in label])
 
 
-def contract_edge(G: Graph, e: Edge) -> Graph:
-    """``contract_edges(G, [e])``."""
-    return contract_edges(G, [e])
-
-
 def _contract_rows(rows: Sequence[int], i: int, j: int) -> tuple[int, ...]:
     """Adjacency rows after contracting the edge ij, i < j: j merges into i,
     every row that had bit j gains bit i, the loop bit is cleared, and every
@@ -438,10 +426,6 @@ def max_clique(G: Graph) -> tuple[int, list[int]]:
 
     grow([], (1 << G.n) - 1)
     return best, best_set
-
-
-def clique_number(G: Graph) -> int:
-    return max_clique(G)[0]
 
 
 def is_bipartite(G: Graph) -> tuple[list[int], list[int]] | None:

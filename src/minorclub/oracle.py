@@ -14,7 +14,8 @@ from typing import Iterator
 from .errors import CapacityError, DomainError
 from .graph import (Edge, Graph, _contract_rows, _contract_step,
                     _diametral_pairs, _iter_bits, components,
-                    diameter_at_most, induced_subgraph, max_clique)
+                    diameter_at_most, induced_subgraph, is_connected,
+                    max_clique)
 from .witness import certify, verify_witness
 
 PARTITION_CAP = 12
@@ -156,7 +157,7 @@ def max_s_club_minor_oracle(G: Graph, s: int, cap: int = PARTITION_CAP) -> int:
     """
     if G.n == 0:
         return 0
-    if len(components(G)) != 1:
+    if not is_connected(G):
         raise DomainError("disconnected graphs cannot be contracted to finite diameter")
     if G.n > cap:
         raise CapacityError(f"graph of size {G.n} exceeds oracle cap {cap}")
@@ -186,7 +187,7 @@ def min_club_contraction_set(G: Graph, s: int, k_max: int) -> tuple[Edge, ...] |
     inputs where the unpruned walk would have raised it."""
     if k_max < 0:
         raise DomainError("contraction budget must be non-negative")
-    if len(components(G)) != 1 or G.n == 0:
+    if not is_connected(G) or G.n == 0:
         raise DomainError("graph must be connected")
     if diameter_at_most(G, s):
         return ()

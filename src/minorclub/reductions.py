@@ -1,5 +1,4 @@
-"""Generators for the hard-instance constructions, with brute-force solvers
-for the source problems so generated instances can be validated end to end.
+"""Generators for the hard-instance constructions.
 
 Constructions: not-all-equal 3-SAT to clique contraction on a co-bipartite
 graph; hitting set to diameter-2 contraction on a split graph and to
@@ -10,15 +9,11 @@ diameter target by two; and the one-subdivision making any graph bipartite.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import combinations
 
-from .errors import CapacityError, DomainError
+from .errors import DomainError
 from .graph import Graph, _iter_bits
 from .recognition import is_cobipartite, is_split
 from .witness import certify
-
-SOLVER_CAP = 20
-
 
 @dataclass(frozen=True)
 class NaeFormula:
@@ -206,34 +201,3 @@ def subdivide_edges(G: Graph) -> Graph:
         edges.append((v, nv))
         nv += 1
     return Graph.from_edges(nv, edges)
-
-
-def nae3sat_solve(phi: NaeFormula):
-    """First assignment (as a bool tuple) giving every clause at least one
-    true and one false literal, else None.  Exhaustive, n <= SOLVER_CAP."""
-    if phi.n > SOLVER_CAP:
-        raise CapacityError(f"solver capped at {SOLVER_CAP} variables")
-    for bits in range(1 << phi.n):
-        assign = [(bits >> i) & 1 == 1 for i in range(phi.n)]
-        ok = True
-        for clause in phi.clauses:
-            vals = [assign[abs(l) - 1] == (l > 0) for l in clause]
-            if all(vals) or not any(vals):
-                ok = False
-                break
-        if ok:
-            return tuple(assign)
-    return None
-
-
-def hitting_set_solve(inst: HittingSetInstance):
-    """Smallest hitting set within the budget, else None.  Exhaustive,
-    n <= SOLVER_CAP."""
-    if inst.n > SOLVER_CAP:
-        raise CapacityError(f"solver capped at {SOLVER_CAP} universe elements")
-    for size in range(0, inst.k + 1):
-        for U in combinations(range(inst.n), size):
-            chosen = set(U)
-            if all(chosen & S for S in inst.sets):
-                return tuple(U)
-    return None

@@ -16,6 +16,7 @@ from minorclub.graph import (Graph, _iter_bits, _mask_component,
                              _mask_connected, complement, components,
                              contract_edges, diameter_at_most,
                              disjoint_union, is_connected, join)
+from minorclub.reductions import HittingSetInstance, NaeFormula
 
 # Canonical forms and isomorph-free enumeration ---------------------------
 
@@ -558,3 +559,39 @@ def induced_p4_exists(G: Graph) -> bool:
                     if H[i][j]])):
             return True
     return False
+
+
+# Source-problem solvers for the hardness reductions -----------------------
+
+SOLVER_CAP = 20
+
+
+def nae3sat_solve(phi: NaeFormula):
+    """First assignment (as a bool tuple) giving every clause at least one
+    true and one false literal, else None.  Exhaustive, n <= SOLVER_CAP."""
+    if phi.n > SOLVER_CAP:
+        raise CapacityError(f"solver capped at {SOLVER_CAP} variables")
+    for bits in range(1 << phi.n):
+        assign = [(bits >> i) & 1 == 1 for i in range(phi.n)]
+        ok = True
+        for clause in phi.clauses:
+            vals = [assign[abs(l) - 1] == (l > 0) for l in clause]
+            if all(vals) or not any(vals):
+                ok = False
+                break
+        if ok:
+            return tuple(assign)
+    return None
+
+
+def hitting_set_solve(inst: HittingSetInstance):
+    """Smallest hitting set within the budget, else None.  Exhaustive,
+    n <= SOLVER_CAP."""
+    if inst.n > SOLVER_CAP:
+        raise CapacityError(f"solver capped at {SOLVER_CAP} universe elements")
+    for size in range(0, inst.k + 1):
+        for U in combinations(range(inst.n), size):
+            chosen = set(U)
+            if all(chosen & S for S in inst.sets):
+                return tuple(U)
+    return None

@@ -303,7 +303,7 @@ def test_tight_contraction_misses_when_the_recheck_fails(g6, k_min):
     pair = distance_profile(G, u, v)
     assert _scan_paths(G, pair, 3)[0] is not None
     # no path is longer than the diameter
-    assert _scan_paths(G, pair, 6) == (None, False, None)
+    assert _scan_paths(G, pair, 6) == (None, None)
     assert tight_contraction(G, s) == (3, None)
     assert min_club_contraction_oracle(G, s, G.n) == k_min
 
@@ -378,7 +378,8 @@ def test_tight_no_answers_beyond_the_exhaustive_sweep(monkeypatch, g6, found_any
     pinned = _spy(monkeypatch, "_pinned_attempt")
     extra = _spy(monkeypatch, "_one_extra_contraction")
     assert s_club_contract_decide(G, d - s, s) is None
-    assert [scan[1] for scan in scans] == [found_any]
+    assert [(path, pinned is not None) for path, pinned in scans] \
+        == [(None, found_any)]
     assert pinned == ([None, None] if found_any else [])
     assert extra == []
     for k in range(0, d - s + 3):
@@ -454,15 +455,16 @@ def test_scanned_paths_satisfy_the_definition():
         pair, _ = _scan_setup(G)
         u, v, d = pair
         for k in range(3, d + 1):
-            unpinned, found_any, pinned = _scan_paths(G, pair, k)
+            unpinned, pinned = _scan_paths(G, pair, k)
             paths = [p for p in (unpinned, pinned) if p is not None]
-            assert found_any == bool(paths)
             for Q in paths:
                 assert len(Q) == k + 1
                 assert is_satisfying_path(G, pair, Q)
                 checked += 1
             if unpinned is not None:
                 assert unpinned[0] != u and unpinned[-1] != v
+            if pinned is not None:
+                assert pinned[0] == u or pinned[-1] == v
     assert checked > 600
 
 
@@ -505,10 +507,10 @@ def _per_pair_scan(G: Graph, pair, k: int, dist):
                                     if w in reach[t]))
             path = [x0] + interior[::-1] + [xk]
             if x0 != u and xk != v:
-                return path, True, pinned
+                return path, pinned
             if pinned is None:
                 pinned = path
-    return None, pinned is not None, pinned
+    return None, pinned
 
 
 def test_path_scan_matches_the_per_pair_scan():

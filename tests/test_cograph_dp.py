@@ -6,16 +6,19 @@ from functools import reduce
 import pytest
 
 from minorclub import cograph_dp
-from minorclub.cograph_dp import (CrTable, cograph_cr_table, cr_join, cr_leaf,
-                                  cr_union, hadwiger_cograph)
+from minorclub.cograph_dp import (CrTable, cograph_cr_table, cr_join, cr_union,
+                                  hadwiger_cograph)
 from minorclub.errors import DomainError
-from minorclub.graph import (Graph, clique_number, disjoint_union,
-                             induced_subgraph, join)
+from minorclub.graph import (Graph, disjoint_union, induced_subgraph, join,
+                             max_clique)
 from minorclub.oracle import (enumerate_nice_structures, hadwiger_oracle,
                               nice_structure_oracle)
 from minorclub.recognition import Cotree, recognize_cograph
 
 from genutil import all_graphs, random_cograph
+
+# A single vertex: one singleton bag, nothing with edge bags.
+LEAF = CrTable(1, (1, 0))
 
 
 def reference_join(t1: CrTable, t2: CrTable) -> tuple[int, ...]:
@@ -28,17 +31,17 @@ def reference_join(t1: CrTable, t2: CrTable) -> tuple[int, ...]:
             for ti, ni, tother, nother in ((t1, n1, t2, n2), (t2, n2, t1, n1)):
                 if ni - 2 * r + s < 0:
                     continue
-                inner = ti.get(r - s)
+                inner = ti.values[r - s]
                 if r - s > 0 and inner == 0:
                     continue
-                val = s + min(inner, ni - r) + min(nother - s, tother.get(0))
+                val = s + min(inner, ni - r) + min(nother - s, tother.values[0])
                 best = max(best, val)
         values.append(best)
     return tuple(values)
 
 
 def reference_union(t1: CrTable, t2: CrTable) -> tuple[int, ...]:
-    return tuple(max(t1.get(r), t2.get(r)) for r in range(t1.n + t2.n + 1))
+    return tuple(map(max, t1.values + (0,) * t2.n, t2.values + (0,) * t1.n))
 
 
 def random_table(rng: random.Random) -> CrTable:
@@ -48,27 +51,27 @@ def random_table(rng: random.Random) -> CrTable:
 
 
 def test_leaf_table():
-    t = cr_leaf()
-    assert t.n == 1 and t.values == (1, 0)
+    t = cograph_cr_table(Graph.empty(1))
+    assert t == LEAF
     assert t.best == 1
 
 
 def test_union_is_pointwise_max():
-    k2 = cr_join(cr_leaf(), cr_leaf())
+    k2 = cr_join(LEAF, LEAF)
     assert k2.values == (2, 1, 0)
     u = cr_union(k2, k2)
     assert u.n == 4 and u.values == (2, 1, 0, 0, 0)
     # padding with an absent side keeps entries
-    single = cr_union(cr_leaf(), cr_leaf())
+    single = cr_union(LEAF, LEAF)
     assert single.values == (1, 0, 0)
 
 
 def test_join_of_two_singletons_gives_edge_table():
-    assert cr_join(cr_leaf(), cr_leaf()).values == (2, 1, 0)
+    assert cr_join(LEAF, LEAF).values == (2, 1, 0)
 
 
 def test_join_reproduces_cycle_table():
-    two = cr_union(cr_leaf(), cr_leaf())  # 2K1
+    two = cr_union(LEAF, LEAF)  # 2K1
     c4 = cr_join(two, two)
     assert c4.values == (2, 3, 2, 0, 0)
     assert nice_structure_oracle(join(Graph.empty(2), Graph.empty(2)))[1] == c4.values
@@ -80,7 +83,7 @@ def test_join_r0_column_is_additive():
         G1 = random_cograph(rng.randint(1, 5), rng)
         G2 = random_cograph(rng.randint(1, 5), rng)
         t = cr_join(cograph_cr_table(G1), cograph_cr_table(G2))
-        assert t.get(0) == clique_number(G1) + clique_number(G2)
+        assert t.values[0] == max_clique(G1)[0] + max_clique(G2)[0]
 
 
 def test_join_dominates_union():
@@ -192,7 +195,7 @@ def test_join_and_union_match_the_reference_on_cotree_children():
     rng = random.Random(12)
     for _ in range(40):
         tree = recognize_cograph(random_cograph(rng.randint(2, 40), rng))
-        tree.fold(lambda v: cr_leaf(), checked)
+        tree.fold(lambda v: LEAF, checked)
 
 
 def test_hadwiger_relations_above_the_oracle_cap():
@@ -272,7 +275,7 @@ def _shuffled_fold(tree: Cotree, rng: random.Random) -> CrTable:
         tables = list(tables)
         rng.shuffle(tables)
         return reduce(cr_join if kind == "join" else cr_union, tables)
-    return tree.fold(lambda v: cr_leaf(), node)
+    return tree.fold(lambda v: LEAF, node)
 
 
 def test_root_table_does_not_depend_on_the_child_order():

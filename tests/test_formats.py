@@ -189,3 +189,5 @@ def test_dimacs_cnf_last_clause_may_omit_its_zero():
 def test_unknown_format():
     with pytest.raises(ParseError):
         parse_graph(b"", "bogus")
+    with pytest.raises(ParseError):
+        emit_graph(Graph.path(2), "bogus")

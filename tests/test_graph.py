@@ -14,12 +14,10 @@ from hypothesis import strategies as st
 from minorclub.errors import DomainError
 from minorclub.graph import (Graph, _contract_rows, _contract_step,
                              _diametral_pairs, _mask_component, _mask_components,
-                             clique_number, complement, components,
-                             contract_edge, contract_edges,
+                             complement, components, contract_edges,
                              contraction_map, diameter, diameter_at_most,
-                             disjoint_union, distances, induced_subgraph,
-                             is_bipartite, is_connected, join, max_clique,
-                             shortest_path)
+                             disjoint_union, induced_subgraph, is_bipartite,
+                             is_connected, join, max_clique, shortest_path)
 
 from genutil import all_graphs, canonical_key
 
@@ -38,6 +36,14 @@ def test_from_edges_rejects_bad_input():
         Graph.from_edges(3, [(0, 0)])
     with pytest.raises(DomainError):
         Graph.from_edges(2, [(0, 5)])
+    with pytest.raises(DomainError):
+        Graph.from_edges(-1, [])
+
+
+def test_cycle_needs_three_vertices():
+    with pytest.raises(DomainError):
+        Graph.cycle(2)
+    assert Graph.cycle(3) == Graph.complete(3)
 
 
 def test_basic_accessors():
@@ -50,21 +56,21 @@ def test_basic_accessors():
 
 
 def test_contract_edge_examples():
-    assert contract_edge(Graph.complete(3), (0, 1)) == Graph.complete(2)
-    assert contract_edge(Graph.path(4), (1, 2)) == Graph.path(3)
+    assert contract_edges(Graph.complete(3), [(0, 1)]) == Graph.complete(2)
+    assert contract_edges(Graph.path(4), [(1, 2)]) == Graph.path(3)
     # one contraction turns the 4-cycle into a triangle
-    assert contract_edge(Graph.cycle(4), (0, 1)) == Graph.complete(3)
+    assert contract_edges(Graph.cycle(4), [(0, 1)]) == Graph.complete(3)
 
 
 def test_contract_edge_requires_edge():
     with pytest.raises(DomainError):
-        contract_edge(Graph.path(3), (0, 2))
+        contract_edges(Graph.path(3), [(0, 2)])
 
 
 def test_contract_edge_label_rule():
     # new vertex keeps the smaller endpoint's label, higher labels shift down
     G = Graph.path(5)
-    H = contract_edge(G, (2, 3))
+    H = contract_edges(G, [(2, 3)])
     assert H == Graph.path(4)
     # neighbors of old vertex 4 became neighbors of new vertex 3
     assert H.has_edge(2, 3)
@@ -119,7 +125,7 @@ def test_contract_edges_vertex_count_and_order_independence(G, rng):
         if a == b:
             continue
         a, b = min(a, b), max(a, b)
-        H = contract_edge(H, (a, b))
+        H = contract_edges(H, [(a, b)])
         labels = [lb - 1 if lb > b else (a if lb == b else lb) for lb in labels]
     assert canonical_key(H) == canonical_key(merged)
 
@@ -164,9 +170,9 @@ def test_forest_contraction_loses_one_vertex_per_edge():
 
 
 def test_distances_and_diameter():
-    assert distances(Graph.path(4), 0) == [0, 1, 2, 3]
-    assert distances(Graph.complete(5), 2) == [1, 1, 0, 1, 1]
-    assert distances(Graph.empty(2), 0) == [0, math.inf]
+    assert Graph.path(4).dist[0] == [0, 1, 2, 3]
+    assert Graph.complete(5).dist[2] == [1, 1, 0, 1, 1]
+    assert Graph.empty(2).dist[0] == [0, -1]
     assert diameter(Graph.cycle(6)) == 3
     assert diameter(Graph.empty(1)) == 0
     assert diameter(Graph.path(9)) == 8
@@ -179,7 +185,7 @@ def test_distance_memo_fills_on_demand_and_frees_with_the_graph():
     G = Graph.path(6)
     assert len(G.dist) == 0
     assert G.dist[2] == [2, 1, 0, 1, 2, 3]
-    assert distances(G, 5) == [5, 4, 3, 2, 1, 0]
+    assert G.dist[5] == [5, 4, 3, 2, 1, 0]
     assert sorted(G.dist) == [2, 5]
     assert diameter(G) == 5 and len(G.dist) == 6
     gc.disable()
@@ -207,7 +213,7 @@ def test_diametral_pairs_are_every_pair_at_the_diameter_in_order():
         for G in all_graphs(n):
             d = diameter(G)
             want = [(u, v, d) for u in range(n) for v in range(u + 1, n)
-                    if d < math.inf and distances(G, u)[v] == d]
+                    if d < math.inf and G.dist[u][v] == d]
             assert list(_diametral_pairs(G)) == want, G.rows
 
 
@@ -260,7 +266,7 @@ def test_diameter_never_grows_under_contraction(G):
         return
     d = diameter(G)
     for e in G.edges():
-        assert diameter(contract_edge(G, e)) <= d
+        assert diameter(contract_edges(G, [e])) <= d
 
 
 def test_complement_and_join_duality_examples():
@@ -298,6 +304,9 @@ def test_components_and_connectivity():
     assert components(G) == [[0, 1, 2], [3, 4]]
     assert not is_connected(G)
     assert is_connected(Graph.complete(4))
+    for n in range(6):
+        for H in all_graphs(n):
+            assert is_connected(H) == (len(components(H)) <= 1), H.rows
 
 
 def _queue_component(rows, mask):
@@ -359,8 +368,8 @@ def test_mask_components_settle_isolated_vertices_across_the_word_boundary():
 def test_max_clique():
     size, members = max_clique(Graph.complete(5))
     assert size == 5 and members == [0, 1, 2, 3, 4]
-    assert clique_number(Graph.cycle(6)) == 2
-    assert clique_number(join(Graph.cycle(5), Graph.complete(2))) == 4
+    assert max_clique(Graph.cycle(6))[0] == 2
+    assert max_clique(join(Graph.cycle(5), Graph.complete(2)))[0] == 4
     # dropping a vertex must not cost a stack frame
     assert max_clique(Graph.empty(1500)) == (1, [0])
 

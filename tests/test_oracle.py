@@ -9,10 +9,9 @@ import pytest
 from minorclub import oracle
 from minorclub.errors import CapacityError, DomainError
 from minorclub.formats import parse_graph
-from minorclub.graph import (Graph, _quotient, clique_number, components,
-                             contract_edges, diameter, diameter_at_most,
-                             disjoint_union, induced_subgraph, is_connected,
-                             join, max_clique)
+from minorclub.graph import (Graph, _quotient, components, contract_edges,
+                             diameter, diameter_at_most, disjoint_union,
+                             induced_subgraph, is_connected, join, max_clique)
 from minorclub.oracle import (clique_matching_oracle,
                               enumerate_nice_structures, hadwiger_oracle,
                               max_s_club_minor_oracle,
@@ -99,7 +98,7 @@ def test_hadwiger_at_least_clique_number():
         n = rng.randint(2, 8)
         pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
         G = Graph.from_edges(n, [p for p in pairs if rng.random() < 0.5])
-        assert hadwiger_oracle(G) >= clique_number(G)
+        assert hadwiger_oracle(G) >= max_clique(G)[0]
 
 
 def test_chordal_graphs_clique_equals_minor():
@@ -107,7 +106,7 @@ def test_chordal_graphs_clique_equals_minor():
     for _ in range(15):
         G = random_chordal(rng.randint(3, 9), rng)
         assert is_chordal_peo(G)
-        assert hadwiger_oracle(G) == clique_number(G)
+        assert hadwiger_oracle(G) == max_clique(G)[0]
 
 
 def test_cycle_bound_matches_its_definition():
@@ -582,7 +581,7 @@ def test_nice_structure_table_bounds():
         pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
         G = Graph.from_edges(n, [p for p in pairs if rng.random() < 0.5])
         best, table = nice_structure_oracle(G)
-        assert table[0] == clique_number(G)
+        assert table[0] == max_clique(G)[0]
         for r, val in enumerate(table):
             assert val <= max(0, n - r)
             if 2 * r > n:

@@ -11,9 +11,8 @@ from minorclub.cograph_dp import (cograph_cr_table, cotree_cr_table,
                                   hadwiger_cograph)
 from minorclub.errors import DomainError
 from minorclub.graph import (Graph, _iter_bits, _mask_components, complement,
-                             disjoint_union, diameter, distances,
-                             induced_subgraph, is_bipartite, is_connected,
-                             join)
+                             disjoint_union, diameter, induced_subgraph,
+                             is_bipartite, join)
 from minorclub.recognition import (AvoidingComponents, Cotree, StrongOrdering,
                                    cotree_fold, diameter_dominating_pair,
                                    find_induced_p4, is_at_free,
@@ -35,6 +34,12 @@ from genutil import (all_graphs, chordality, connected_graphs,
 def test_single_vertex_is_a_leaf():
     tree = recognize_cograph(Graph.empty(1))
     assert isinstance(tree, Cotree) and tree.kind == "leaf"
+
+
+def test_no_vertex_raises_without_a_certificate():
+    with pytest.raises(DomainError) as err:
+        recognize_cograph(Graph.empty(0))
+    assert err.value.certificate is None
 
 
 def test_p4_yields_certificate_in_path_order():
@@ -602,7 +607,7 @@ def _reference_dominating(comp, u: int, v: int) -> bool:
 
 
 def _reference_diameter_pair(G: Graph, comp):
-    dist = [distances(G, u) for u in range(G.n)]
+    dist = G.dist
     d = diameter(G)
     if G.n == 0 or d == math.inf:
         return None

@@ -9,12 +9,12 @@ from minorclub.errors import DomainError
 from minorclub.graph import Graph, induced_subgraph, is_bipartite
 from minorclub.oracle import min_club_contraction_oracle
 from minorclub.reductions import (HittingSetInstance, NaeFormula, _is_chordal,
-                                  hitting_set_solve, hitting_set_to_chordal,
-                                  hitting_set_to_split, nae3sat_solve,
+                                  hitting_set_to_chordal, hitting_set_to_split,
                                   nae3sat_to_cobipartite, pendant_lift,
                                   subdivide_edges)
 
-from genutil import all_graphs, chordality, is_chordal_peo, random_chordal
+from genutil import (all_graphs, chordality, hitting_set_solve,
+                     is_chordal_peo, nae3sat_solve, random_chordal)
 
 
 def _nx_graph(nx, G: Graph):

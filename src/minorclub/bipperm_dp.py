@@ -38,7 +38,7 @@ interchangeable, which keeps the state space to interval counts only.  One
 walk down the back pointers gives each matched vertex an interval of ranks
 that keeps every cross pair adjacent, and an earliest-deadline sweep
 (Glover, Naval Res. Logist. Q. 1967) gives each vertex a distinct rank
-inside its interval.  Every returned matching is re-verified from scratch.
+inside its interval.  Each public exit re-verifies its answer from scratch.
 
 Every greedy pass above, the forced pairs, the rows c(i, 0) and c(0, j),
 and the y's matched when x_i jumps left of the interval, is one greedy:
@@ -91,7 +91,10 @@ def max_clique_matching(G: Graph) -> tuple[int, tuple[Edge, ...]]:
     Anchors are solved independently and merged by a deterministic maximum.
     """
     ordering, table = _interval_table(G)
-    return _solve(G, ordering.order2, table)
+    size, edges = _solve(ordering.order2, table)
+    certify(len(edges) == size and is_clique_matching(G, edges),
+            f"matching of size {size} is not a clique-matching")
+    return size, edges
 
 
 def _interval_table(G: Graph) -> tuple[StrongOrdering, dict[int, tuple[int, int]]]:
@@ -113,8 +116,8 @@ def _clip(order2, table, keep: int):
     return [v for v in order2 if keep >> v & 1], clipped
 
 
-def _solve(G: Graph, order2, table, beat: int = 0) -> tuple[int, tuple[Edge, ...]] | None:
-    """Maximum clique-matching of the subgraph of G described by an interval
+def _solve(order2, table, beat: int = 0) -> tuple[int, tuple[Edge, ...]] | None:
+    """Maximum clique-matching of the subgraph described by an interval
     table over the ordered side ``order2``, as (size, edges in G's labels);
     None when ``beat`` > 0 and no clique-matching is larger than ``beat``.
 
@@ -137,10 +140,7 @@ def _solve(G: Graph, order2, table, beat: int = 0) -> tuple[int, tuple[Edge, ...
             best_pairs = pairs
     if beat and best == beat:
         return None
-    edges = tuple(sorted(tuple(sorted((w, order2[r - 1]))) for w, r in best_pairs))
-    certify(len(edges) == best and is_clique_matching(G, edges),
-            f"matching of size {best} is not a clique-matching")
-    return best, edges
+    return best, tuple(sorted(tuple(sorted((w, order2[r - 1]))) for w, r in best_pairs))
 
 
 def _greedy(starts, cap: int) -> list[int]:
@@ -266,8 +266,6 @@ def _solve_anchor(table, u: int, v_rank: int, beat: int):
     if len(forced) + value <= beat:
         return len(forced) + value, None
     pairs = _replay(bp, c, R, L, r, xs, ys, s_len, t_len, ln_final)
-    certify(len(pairs) + 1 == value,
-            f"replay matched {len(pairs) + 1} of {value} vertices")
     all_pairs = [(u, 1 + shift)] + [(w, j + shift) for w, j in forced] \
         + [(w, j + shift) for w, j in pairs]
     return len(forced) + value, tuple(all_pairs)
@@ -290,7 +288,7 @@ def _replay(bp, c, R, L, r, xs, ys, i, j, ell):
     their upper end r; the anchor and the forced pairs see all of [1, r].
     The DP's choices put distinct ranks in these intervals, so an
     earliest-deadline sweep (each rank, ascending, to the open interval
-    with the smallest right end) matches all of them; the caller checks.
+    with the smallest right end) matches all of them; public exits check.
     """
     want: list[tuple[int, int, int]] = []  # (lo, hi, vertex)
     while i and j:
@@ -317,7 +315,7 @@ def _replay(bp, c, R, L, r, xs, ys, i, j, ell):
             _, hi, w = want.pop()
             heapq.heappush(open_, (hi, w))
         while open_ and open_[0][0] < rank:
-            heapq.heappop(open_)  # unmatched: the caller's count check fails
+            heapq.heappop(open_)  # unmatched: a public exit's count check fails
         if open_:
             pairs.append((heapq.heappop(open_)[1], rank))
     return pairs
@@ -371,7 +369,7 @@ def hadwiger_bipperm(G: Graph, with_details: bool = False):
             if len(T) + min((keep & side1).bit_count(),
                             (keep & ~side1).bit_count()) <= best.h:
                 continue
-            solved = _solve(G, *_clip(ordering.order2, table, keep),
+            solved = _solve(*_clip(ordering.order2, table, keep),
                             max(0, best.h - len(T)))
             if solved is not None and len(T) + solved[0] > best.h:
                 best = BippermHadwiger(len(T) + solved[0], len(T), T, solved[1])

@@ -17,6 +17,12 @@ polynomial solvers and their recognizers have no caps), 5 internal error: a
 solver's output failed its certificate check; stderr then names the command
 and the input's SHA-256.
 
+Club commands follow ``graph.py``: the graph with no vertex is connected, and
+it and a single vertex have diameter 0, so every club path answers them as
+any graph within s >= 0.  On a disconnected graph club-contract answers no
+(within --cap if s < 2), `oracle club-contract` null, and club-minor and
+`oracle club-minor` exit 3.
+
 recognize reports every class, chordal-bipartite included, at any size.
 club-contract and club-minor, when s >= 2, first ask the class-free d - s
 bound, ``club_contraction.tight_contraction``; when it finds a set of d - s
@@ -155,20 +161,18 @@ def cmd_club_contract(G, args):
         raise DomainError("contraction budget must be non-negative")
     solver, S = _club_solver(
         G, args, args.k, lambda: s_club_contract_decide(G, args.k, args.s),
-        lambda: (oracle_mod.min_club_contraction_set(G, args.s, args.k)
-                 if is_connected(G) else None))
+        lambda: oracle_mod.min_club_contraction_set(G, args.s, args.k))
     return ({"answer": "no" if S is None else "yes",
              "witness_edges": [list(e) for e in S] if S else None},
             solver, {})
 
 
 def cmd_club_minor(G, args):
-    if not is_connected(G) or G.n == 0:
-        raise DomainError(
-            "disconnected graphs cannot be contracted to finite diameter")
+    if not is_connected(G):
+        raise DomainError("disconnected graphs cannot be contracted to finite diameter")
     solver, S = _club_solver(
         G, args, math.inf, lambda: minimum_contraction(G, args.s)[1],
-        lambda: oracle_mod.min_club_contraction_set(G, args.s, G.n - 1))
+        lambda: oracle_mod.min_club_contraction_set(G, args.s, G.m))
     return ({"k_min": len(S), "p": G.n - len(S),
              "witness_edges": [list(e) for e in S] if S else None},
             solver, {})

@@ -169,8 +169,8 @@ def sweep_pair(G: Graph):
 
 
 def diametral_pair(G: Graph):
-    """The first pair (u, v, d) with u < v at distance d = diam(G); None when
-    G is disconnected or has fewer than two vertices."""
+    """The first pair (u, v, d) with u <= v at distance d = diam(G), (0, 0, 0)
+    on one vertex; None when G is empty or disconnected."""
     return next(_diametral_pairs(G), None)
 
 
@@ -184,20 +184,20 @@ def tight_contraction(G: Graph, s: int, k: float = math.inf
     contractions, and none joins two components, so b = inf on a
     disconnected graph.  It reads ``sweep_pair``, two BFS runs, and asks
     ``_tight_from`` about it when d' - s >= 3; on a miss it reads
-    ``diametral_pair`` (every BFS row) unless G has one vertex, and asks
-    ``_tight_from`` about that pair.  It stops, with S None, as soon as b
-    exceeds the budget k, before any scan or walk.
+    ``diametral_pair`` (every BFS row), and asks ``_tight_from`` about that
+    pair.  It stops, with S None, as soon as b exceeds the budget k, before
+    any scan or walk.
     """
     sweep = sweep_pair(G)
     if sweep is None:
-        return (math.inf if G.n else 0), None
+        return (math.inf, None) if G.n else (0, ())
     bound = max(0, sweep[2] - s)
     if k < bound:
         return bound, None
     S = _tight_from(G, s, sweep) if bound >= 3 else None
-    first = None if S is not None else diametral_pair(G)
-    if first is None:
+    if S is not None:
         return bound, S
+    first = diametral_pair(G)
     bound = max(0, first[2] - s)
     if k < bound or bound >= 3 and first == sweep:
         return bound, None
@@ -252,7 +252,7 @@ def minimum_contraction(G: Graph, s: int) -> tuple[int, tuple[Edge, ...]]:
     """Smallest k with diam(G/S) <= s for some k-edge set S, plus a witness."""
     d, table = _checked_diameter(G, s)
     if d == math.inf:
-        raise DomainError("disconnected graphs cannot reach finite diameter")
+        raise DomainError("disconnected graphs cannot be contracted to finite diameter")
     if d <= s:
         return 0, ()
     S = _ladder(G, s, d, d - s + 1, table) or _ladder(G, s, d, d - s + 2, table)

@@ -223,8 +223,8 @@ def diameter(G: Graph) -> int | float:
 
 
 def _diametral_pairs(G: Graph) -> Iterator[tuple[int, int, int]]:
-    """The pairs u < v at distance d = diam(G), as (u, v, d) in lexicographic
-    order; none when G is disconnected or has fewer than two vertices.  The
+    """The pairs u <= v at distance d = diam(G), as (u, v, d) in lexicographic
+    order: (0, 0, 0) on one vertex, none when G is empty or disconnected.  The
     first is (lowest vertex of eccentricity d, lowest vertex at distance d
     from it): no lower vertex reaches distance d."""
     d = diameter(G)
@@ -232,7 +232,7 @@ def _diametral_pairs(G: Graph) -> Iterator[tuple[int, int, int]]:
         return
     for u, row in enumerate(all_pairs_distances(G)):
         if d in row:
-            yield from ((u, v, d) for v in range(u + 1, G.n) if row[v] == d)
+            yield from ((u, v, d) for v in range(u, G.n) if row[v] == d)
 
 
 def diameter_at_most(G: Graph, s: int, S: Iterable[Edge] = ()) -> bool:

@@ -148,22 +148,21 @@ def max_s_club_minor_oracle(G: Graph, s: int, cap: int = PARTITION_CAP) -> int:
     """Most vertices of a quotient of G (a full connected partition's
     blocks) with diameter at most s; 0 when none has, as when s < 0.
 
-    Contracting a spanning forest of the p blocks takes n - p edges, so
-    this is n - |S| for ``min_club_contraction_set``'s smallest S.  At
-    s = 1, where that walk is slow, it is the Hadwiger number, from
-    ``_component_hadwiger``: a K_h model in a connected graph extends to a
-    full connected partition, each component of the leftover vertices
-    joining a bag it touches, whose quotient is still complete.
+    Contracting a spanning forest of the p blocks takes n - p edges, so this
+    is n - |S| for ``min_club_contraction_set``'s smallest S, which a
+    spanning tree bounds by n - 1 <= m edges.  At s = 1, where that walk is
+    slow, it is the Hadwiger number, from ``_component_hadwiger``: a K_h
+    model in a connected graph extends to a full connected partition, each
+    component of the leftover vertices joining a bag it touches, whose
+    quotient is still complete.
     """
-    if G.n == 0:
-        return 0
     if not is_connected(G):
         raise DomainError("disconnected graphs cannot be contracted to finite diameter")
     if G.n > cap:
         raise CapacityError(f"graph of size {G.n} exceeds oracle cap {cap}")
     if s == 1:
         return _component_hadwiger(G)[0]
-    S = min_club_contraction_set(G, s, G.n - 1)
+    S = min_club_contraction_set(G, s, G.m)
     return 0 if S is None else G.n - len(S)
 
 
@@ -177,18 +176,18 @@ def min_club_contraction_oracle(G: Graph, s: int, k_max: int):
 def min_club_contraction_set(G: Graph, s: int, k_max: int) -> tuple[Edge, ...] | None:
     """The first smallest edge set S, in ``combinations`` order over
     ``G.edges()``, with diam(G/S) <= s, by increasing-size subset
-    enumeration: () when G is already within s, None if no set of at most
-    k_max edges works.  No set reaches s < 0, and at s = 0 the sets that
-    work are the spanning trees, the bases of G's cycle matroid, whose
-    first in that order is Kruskal's greedy tree; so s <= 0 needs no walk.
-    Above, ``SUBSET_BUDGET`` caps the subsets of every size up to the one
-    being tried, sizes below d - s included although ``_first_club_set``
-    rules those out at once, so the CapacityError fires on exactly the
-    inputs where the unpruned walk would have raised it."""
+    enumeration: () when G is already within s, None if G is disconnected
+    or no set of at most k_max edges works.  No set reaches s < 0, and at
+    s = 0 the sets that work are the spanning trees, the bases of G's cycle
+    matroid, whose first in that order is Kruskal's greedy tree; so s <= 0
+    needs no walk.  Above, ``SUBSET_BUDGET`` caps the subsets of every size
+    up to the one being tried, sizes below d - s included although
+    ``_first_club_set`` rules those out at once, so the CapacityError fires
+    on exactly the inputs where the unpruned walk would have raised it."""
     if k_max < 0:
         raise DomainError("contraction budget must be non-negative")
-    if not is_connected(G) or G.n == 0:
-        raise DomainError("graph must be connected")
+    if not is_connected(G):
+        return None
     if diameter_at_most(G, s):
         return ()
     if s <= 0:
@@ -230,8 +229,8 @@ def _greedy_spanning_tree(G: Graph) -> tuple[Edge, ...]:
 def _first_club_set(G: Graph, s: int, k: int) -> tuple[Edge, ...] | None:
     """The first k-subset of ``G.edges()``, in ``itertools.combinations``
     order, whose contraction has diameter at most s, or None.  G must be
-    connected with at least two vertices, so that it has a diametral pair;
-    every caller answers the other graphs before it walks.
+    connected and non-empty, so that it has a diametral pair; every caller
+    answers the other graphs before it walks.
 
     The subsets are walked depth first, and each prefix carries its
     quotient, ``contract_edges``'s rows and ``contraction_map``'s labels,

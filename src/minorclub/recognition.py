@@ -388,8 +388,6 @@ def _dominating_diametral_pair(G: Graph, table: AvoidingComponents
     yields with C_uv empty."""
     if G.n == 0 or not is_connected(G):
         raise DomainError("graph must be connected")
-    if G.n == 1:
-        return (0, 0, 0)
     for u, v, d in _diametral_pairs(G):
         if table.linking(u, v) == 0:
             return u, v, d

@@ -13,9 +13,9 @@ from typing import Iterator
 
 from minorclub.errors import CapacityError, DomainError
 from minorclub.graph import (Graph, _iter_bits, _mask_component,
-                             _mask_connected, complement, components,
-                             contract_edges, diameter_at_most,
-                             disjoint_union, is_connected, join)
+                             _mask_connected, contract_edges,
+                             diameter_at_most, disjoint_union, is_connected,
+                             join)
 from minorclub.reductions import HittingSetInstance, NaeFormula
 
 # Canonical forms and isomorph-free enumeration ---------------------------

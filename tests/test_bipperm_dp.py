@@ -249,7 +249,7 @@ def test_clipped_tables_solve_induced_subgraphs():
                 keep[w]: (min(rank[x] for x in sub.neighbors(w)),
                           max(rank[x] for x in sub.neighbors(w)))
                 for w in sub_ord.side1 if sub.degree(w)}
-            size, edges = _solve(G, order2, clipped)
+            size, edges = _solve(order2, clipped)
             assert len(edges) == size and is_clique_matching(G, edges)
             assert {v for e in edges for v in e} <= set(keep)
             assert size == clique_matching_oracle(sub), (G.edges(), keep)
@@ -293,7 +293,7 @@ def test_anchor_loop_stop_keeps_the_first_best_anchor():
                 best, best_pairs = size, pairs
         edges = tuple(sorted(tuple(sorted((w, ordering.order2[r - 1])))
                              for w, r in best_pairs))
-        assert _solve(G, ordering.order2, table) == (best, edges), G.edges()
+        assert _solve(ordering.order2, table) == (best, edges), G.edges()
 
 
 def test_case_bound_keeps_the_first_best_case():
@@ -311,7 +311,7 @@ def test_case_bound_keeps_the_first_best_case():
                 for t in T:
                     side = side1 if side1 >> t & 1 else ~side1
                     keep &= side & ~(1 << t) | G.rows[t]
-                size, edges = _solve(G, *_clip(ordering.order2, table, keep))
+                size, edges = _solve(*_clip(ordering.order2, table, keep))
                 if len(T) + size > best.h:
                     best = BippermHadwiger(len(T) + size, len(T), T, edges)
         assert hadwiger_bipperm(G, with_details=True) == best, G.edges()
@@ -334,10 +334,10 @@ def test_case_bar_returns_nothing_exactly_when_it_cannot_be_beaten():
                     side = side1 if side1 >> t & 1 else ~side1
                     keep &= side & ~(1 << t) | G.rows[t]
                 order2, clipped = _clip(ordering.order2, table, keep)
-                size, edges = _solve(G, order2, clipped)
+                size, edges = _solve(order2, clipped)
                 for beat in range(size + 2):
                     want = None if 0 < beat >= size else (size, edges)
-                    assert _solve(G, order2, clipped, beat) == want, (G.edges(), T, beat)
+                    assert _solve(order2, clipped, beat) == want, (G.edges(), T, beat)
 
 
 # Hadwiger numbers above the oracle's cap, from exact relations rather than

@@ -7,7 +7,9 @@ import random
 
 import pytest
 
+from minorclub.bipperm_dp import _replay
 from minorclub.cli import main
+from minorclub.errors import DomainError
 from minorclub.formats import emit_graph, parse_graph
 from minorclub.graph import (Graph, contract_edges, diameter, disjoint_union,
                              induced_subgraph, is_connected)
@@ -355,6 +357,11 @@ def _never(*args):
      lambda tree, n: Graph.empty(n)),
     (["oracle", "hadwiger"], P5, "oracle:hadwiger", "minorclub.oracle.verify_witness",
      _never),
+    # A replay that drops its last pair: only the public exits count them.
+    (["hadwiger"], P5, "hadwiger", "minorclub.bipperm_dp._replay",
+     lambda *args: _replay(*args)[:-1]),
+    (["clique-matching"], P5, "clique-matching", "minorclub.bipperm_dp._replay",
+     lambda *args: _replay(*args)[:-1]),
 ])
 def test_failed_certificate_exits_5(tmp_path, capsys, monkeypatch, argv, data,
                                     command, target, fake):
@@ -525,14 +532,15 @@ def test_club_contract_above_the_tight_budget_reports_the_tight_set(tmp_path, ca
 # SHA-256 of the --json stdout (empty on an error), exit code and stderr on
 # graphs with at most two vertices: the empty graph, K1, K2 and two isolated
 # vertices, as the solver printed them when every call built the distance
-# matrix first, except that the d - s bound now answers K2 (d = 1 <= s) and
-# the budget on two isolated vertices (d = inf): those three reports differ
-# from the earlier ones only in solver "bound" for "atfree".
+# matrix first, except for the solver, now "bound" in every report (the
+# d - s bound answers them all), and for the empty graph's club-minor, which
+# exited 3 as if the graph were disconnected and now answers k_min 0.  Only
+# club-minor on two isolated vertices exits 3.
 TINY_CLUB_REPORTS = {
-    (b"?", "club-contract"): (0, "ae0fc34dd1786120efbca9ccef48845655415153d7507d41e1e4d74863a132b1"),
-    (b"?", "club-minor"): (3, None),
-    (b"@", "club-contract"): (0, "c07a75aa431ebe6a18ad25030e72fad9ad8641e45793f1b7d6ea42716820bd80"),
-    (b"@", "club-minor"): (0, "6b574eff7c1d0bbc8df29760681a4a8c398bb18e4060c28632500ccc3709c167"),
+    (b"?", "club-contract"): (0, "e72f3c982faf4aa61bfd741bfd0cb6f9c0926c2aed93a9fdd08455359656f109"),
+    (b"?", "club-minor"): (0, "28792a221fbbc4a7588ee91583543c42164769b052e24cdb7cda70e809c3a839"),
+    (b"@", "club-contract"): (0, "b87e6783811786077b630533d7273d5a889e6df727ad51f41c55e25c584ccc6b"),
+    (b"@", "club-minor"): (0, "04e41b8b3613ff6e01272ef50f902d00bb5a5cb1dc1cda0108e20ee503d4677c"),
     (b"A_", "club-contract"): (0, "ddf566252385b56c22f57d76523e947be25577ba4b31a8fe052cce96a62ef9d7"),
     (b"A_", "club-minor"): (0, "f2204b84b6e4faeabe284dacbb1cdcc9f4d931505143722d8a5894f20e5f91b9"),
     (b"A?", "club-contract"): (0, "096a431d9f4d8182237cd58dcc8f015873f6c36c3b977779839342fcaeeeabab"),
@@ -548,7 +556,7 @@ def test_club_reports_on_tiny_graphs_are_pinned(tmp_path, capsys, data, command)
     assert code == want_code
     if want_sha is None:
         assert out == ""
-        assert err == "error: disconnected graphs cannot be contracted to finite diameter\n"
+        assert err == DISCONNECTED
     else:
         assert err == ""
         assert hashlib.sha256(out.encode()).hexdigest() == want_sha
@@ -578,6 +586,58 @@ def test_oracle_club_minor_edge_paths_are_pinned(tmp_path, capsys, data):
         assert err == "" and json.loads(out)["result"] == {"value": want}
     else:
         assert out == "" and err == want
+
+
+# (n, k_min at s = 0) of connected graphs with at most two vertices, and
+# None for two disconnected graphs: two isolated vertices and C7 + K1.
+CLUB_RULE_GRAPHS = {b"?": (0, 0), b"@": (1, 0), b"A_": (2, 1), b"A?": None,
+                    b"GhCKG?": None}
+
+
+@pytest.mark.parametrize("s", range(4))
+@pytest.mark.parametrize("data", sorted(CLUB_RULE_GRAPHS))
+def test_club_commands_share_one_rule_on_degenerate_graphs(tmp_path, capsys,
+                                                           data, s):
+    """Every club command answers a graph with fewer than two vertices as it
+    answers any graph already within s, with solver "bound" at s >= 2.  A
+    disconnected graph gets "no" and null, and both club-minor commands
+    reject it with one message."""
+    solver = "bound" if s >= 2 else "oracle"
+    contract = run_json(tmp_path, capsys,
+                        ["club-contract", "--s", str(s), "--k", "0"], data)
+    oracle = run_json(tmp_path, capsys,
+                      ["oracle", "club-contract", "--s", str(s)], data)
+    minors = [run(tmp_path, capsys, argv + ["--s", str(s), "--json"], data)
+              for argv in (["club-minor"], ["oracle", "club-minor"])]
+    assert contract["solver"] == solver
+    if CLUB_RULE_GRAPHS[data] is None:
+        assert contract["result"] == {"answer": "no", "witness_edges": None}
+        assert oracle["result"] == {"value": None}
+        assert minors == [(3, "", DISCONNECTED)] * 2
+        return
+    n, k0 = CLUB_RULE_GRAPHS[data]
+    k_min = k0 if s == 0 else 0
+    assert contract["result"]["answer"] == ("no" if k_min else "yes")
+    assert oracle["result"] == {"value": k_min}
+    (code, out, err), (ocode, oout, oerr) = minors
+    assert code == ocode == 0 and err == oerr == ""
+    minor = json.loads(out)
+    assert minor["solver"] == solver
+    assert (minor["result"]["k_min"], minor["result"]["p"]) == (k_min, n - k_min)
+    assert json.loads(oout)["result"] == {"value": n - k_min}
+
+
+def test_atfree_error_without_a_certificate_exits_3(tmp_path, capsys,
+                                                    monkeypatch):
+    """Only an asteroidal triple sends a club question from the AT-free
+    solver to the oracle; on GUW?KG at s = 2 the bound misses, and any other
+    DomainError of the solver exits 3 with its own message."""
+    def refuse(G, s):
+        raise DomainError("refused")
+
+    monkeypatch.setattr("minorclub.cli.minimum_contraction", refuse)
+    code, out, err = run(tmp_path, capsys, ["club-minor", "--s", "2"], b"GUW?KG")
+    assert (code, out, err) == (3, "", "error: refused\n")
 
 
 @pytest.mark.parametrize("data, s", [(C7, 2), (P5, 1)])

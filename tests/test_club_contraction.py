@@ -203,12 +203,13 @@ def test_tight_contraction_from_the_matrix_matches_the_oracle_on_any_small_graph
     disjoint_union(Graph.empty(1), Graph.path(8)),
 ])
 def test_tight_contraction_decides_nothing_on_tiny_or_disconnected_graphs(G):
-    """No set: bound 0 below two vertices, and on a disconnected graph an
-    infinite bound, which refutes every budget."""
+    """No set on a disconnected graph: its infinite bound refutes every
+    budget.  Below two vertices the bound is 0 and its set (), as on any
+    graph already within s; the matrix has a pair there only on K1."""
     for s in (2, 3):
-        assert tight_contraction(G, s) == (math.inf if G.n > 1 else 0, None)
+        assert tight_contraction(G, s) == ((math.inf, None) if G.n > 1 else (0, ()))
         assert tight_contraction(G, s, 0) == tight_contraction(G, s)
-        assert _tight_from_the_matrix(G, s) is None
+        assert _tight_from_the_matrix(G, s) == (() if G.n == 1 else None)
 
 
 def test_tight_contraction_needs_no_edge_within_s():
@@ -570,7 +571,9 @@ def test_domain_errors():
             call(Graph.cycle(6))
         assert info.value.certificate == (0, 2, 4)
     split = disjoint_union(Graph.path(3), Graph.path(3))
-    with pytest.raises(DomainError):
+    # the one message of club-minor and `oracle club-minor`
+    with pytest.raises(DomainError, match="^disconnected graphs cannot be "
+                       "contracted to finite diameter$"):
         minimum_contraction(split, 2)
     assert s_club_contract_decide(split, 3, 2) is None
     with pytest.raises(DomainError):

@@ -5,6 +5,9 @@ A name counts as called when some library module other than ``__init__``
 refers to it outside its own definition, when a benchmark script under
 ``perfbench/`` refers to it or names it in a string (the per-layer tracer
 wraps functions by name), or when a CI step names it.
+
+Every name that a library module (``__init__`` aside, whose imports are its
+exports) or a test module imports is also read by that module.
 """
 
 from __future__ import annotations
@@ -65,3 +68,26 @@ def test_every_public_name_has_a_caller_outside_the_tests():
             if name not in elsewhere and name not in _references(tree, node):
                 uncalled.append(f"{stem}.{name}")
     assert uncalled == []
+
+
+def _imported_names(tree: ast.Module) -> list[str]:
+    """The names that the module's imports bind, ``__future__`` features
+    aside."""
+    return [(alias.asname or alias.name).split(".")[0]
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.Import, ast.ImportFrom))
+            and getattr(node, "module", None) != "__future__"
+            for alias in node.names]
+
+
+def test_every_imported_name_is_read():
+    paths = [path for path in sorted(SRC.glob("*.py")) if path.name != "__init__.py"]
+    paths += sorted((ROOT / "tests").glob("*.py"))
+    assert {SRC / "cli.py", Path(__file__)} <= set(paths)
+    unread = []
+    for path in paths:
+        tree = ast.parse(path.read_text())
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unread += [f"{path.relative_to(ROOT)}: {name}"
+                   for name in _imported_names(tree) if name not in read]
+    assert unread == []

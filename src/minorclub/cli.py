@@ -20,8 +20,8 @@ and the input's SHA-256.
 Club commands follow ``graph.py``: the graph with no vertex is connected, and
 it and a single vertex have diameter 0, so every club path answers them as
 any graph within s >= 0.  On a disconnected graph club-contract answers no
-(within --cap if s < 2), `oracle club-contract` null, and club-minor and
-`oracle club-minor` exit 3.
+at any size, `oracle club-contract` null, and club-minor and `oracle
+club-minor` exit 3.
 
 recognize reports every class, chordal-bipartite included, at any size.
 club-contract and club-minor, when s >= 2, first ask the class-free d - s
@@ -138,7 +138,8 @@ def _club_solver(G, args, k, atfree, oracle):
     diameter at most s, or None when there is none.  A negative s exits 3.
     For s >= 2, solver "bound" when ``tight_contraction`` answers, else
     ``atfree()`` unless it finds an asteroidal triple.  Otherwise, and for
-    s < 2, ``oracle()`` when G fits within --cap, else exit 3."""
+    s < 2, ``oracle()`` when G fits within --cap or is disconnected, which
+    the oracle answers without a search, else exit 3."""
     if args.s < 0:
         raise DomainError("diameter bound --s must be non-negative")
     if args.s >= 2:
@@ -150,7 +151,7 @@ def _club_solver(G, args, k, atfree, oracle):
         except DomainError as exc:
             if exc.certificate is None:
                 raise
-    if G.n > args.cap:
+    if G.n > args.cap and is_connected(G):
         raise DomainError(
             "graph is not AT-free (or s < 2) and exceeds the brute-force cap")
     return "oracle", oracle()

@@ -63,39 +63,60 @@ def hadwiger_oracle(G: Graph, cap: int = PARTITION_CAP,
 def _component_hadwiger(H: Graph) -> tuple[int, tuple[tuple[int, ...], ...]]:
     """Depth-first search over the quotients of H for the largest clique.
 
-    A state is (rows, bags, bound, e): the quotient's adjacency rows, per
-    quotient vertex the bitmask of the vertices of H it holds, a bound on
-    its clique number, and its excess e = m - n.  A child contracts one
-    edge ij, i < j, in ``Graph.edges()`` order, read off the rows, by
-    ``_contract_rows``, and bag j merges into bag i; it loses the edge ij,
-    the vertex j and one edge per common neighbour of i and j, so its
-    excess is e - |N(i) & N(j)|.  Its rows are those of ``contract_edges``
-    (vertices ordered by smallest member), so ``seen``, keyed on rows,
-    holds one key per labelled quotient whatever contraction order reached
-    it.  A ``Graph`` is built only for ``max_clique``, and bags become
-    sorted tuples only for the answer.  Four cuts skip only work that
-    cannot beat ``best``, which only grows and changes only on a strict
-    ``>``, so value and witness are the uncut search's: a quotient is
-    dropped when ``_cycle_bound(e) <= best``; a quotient is dropped when
-    ``_width_below(rows, best)``, since minors never raise treewidth and
+    A stack entry (rows, bags, i, j, bound, e) names a child: its parent's
+    adjacency rows and, per parent vertex, the bitmask of the vertices of H
+    it holds; the edge ij, i < j, read off the rows in ``Graph.edges()``
+    order, whose contraction makes the child (j = 0 names the root, H
+    itself); a bound on its clique number; and its excess e = m - n.
+    Contracting ij loses the vertex j, the edge ij and one edge per common
+    neighbour of i and j, so the child has one vertex less than its parent
+    and excess e - |N(i) & N(j)|, known without its rows.  Its rows, by
+    ``_contract_rows``, are ``contract_edges``'s (vertices ordered by
+    smallest member), so ``seen``, keyed on rows, holds one key per
+    labelled quotient whatever order reached it.  A ``Graph`` is built only
+    for ``max_clique``, and bags become sorted tuples only for the answer.
+
+    A popped child is dropped, in this order: when n <= best; when
+    ``_cycle_bound(e) <= best``; once contracted, when it is in ``seen``;
+    and, once added to ``seen``, when ``_width_below(rows, best)``; only
+    then is bag j merged into bag i.  Minors never raise treewidth and
     tw(K_h) = h - 1, so h <= tw + 1 <= best (Bodlaender & Koster,
-    "Treewidth computations I. Upper bounds", Inf. Comput. 2010); edge ij
-    is not contracted when the child's excess fails the cycle-rank test;
-    ``max_clique`` runs only when ``bound > best``, the root's bound being
-    n and a child's its parent's (exact once ``max_clique`` ran) plus one.
+    "Treewidth computations I. Upper bounds", Inf. Comput. 2010).  A child
+    is pushed only when its excess passes the cycle-rank test, and
+    ``max_clique`` runs only when ``bound > best``, the root's bound being n
+    and a child's its parent's (exact once ``max_clique`` ran) plus one.
+    Each cut skips only work that cannot beat ``best``, which only grows
+    and changes only on a strict ``>``, so value and witness are the uncut
+    search's.  Contracting at pop, after the size and cycle-rank cuts,
+    expands the same states in the same order as contracting at push: n
+    and e belong to the quotient and ``best`` only grows, so a quotient
+    those cuts drop, and so keep out of ``seen``, fails them at every later
+    pop too; and ``seen`` only grows, so testing it at pop drops every child
+    a test at push would have.  That saves about a third of the
+    contractions up to n = 11 (8 483 -> 5 716 over one pass of the
+    benchmark's ``fallback`` plan), but few at n = 12, where the width cut,
+    which needs the rows, drops most quotients, and a child already in
+    ``seen`` is now pushed and popped before its contraction finds it there
+    (74 816 of the icosahedron's 85 188 entries).
     """
     best = 0
     best_bags: tuple[int, ...] = ()
     seen: set[tuple[int, ...]] = set()
-    stack = [(H.rows, tuple(1 << v for v in range(H.n)), H.n, H.m - H.n)]
+    stack = [(H.rows, tuple(1 << v for v in range(H.n)), 0, 0, H.n, H.m - H.n)]
     while stack:
-        rows, bags, bound, e = stack.pop()
-        n = len(rows)
-        if n <= best or rows in seen:
+        rows, bags, i, j, bound, e = stack.pop()
+        n = len(rows) - (j > 0)
+        if n <= best or _cycle_bound(e) <= best:
+            continue
+        if j:
+            rows = _contract_rows(rows, i, j)
+        if rows in seen:
             continue
         seen.add(rows)
-        if _cycle_bound(e) <= best or _width_below(rows, best):
+        if _width_below(rows, best):
             continue
+        if j:
+            bags = bags[:i] + (bags[i] | bags[j],) + bags[i + 1:j] + bags[j + 1:]
         if bound > best:
             bound, wverts = max_clique(Graph(n, rows))
             if bound > best:
@@ -107,11 +128,7 @@ def _component_hadwiger(H: Graph) -> tuple[int, tuple[tuple[int, ...], ...]]:
             for j in _iter_bits(row >> (i + 1) << (i + 1)):
                 ce = e - (row & rows[j]).bit_count()
                 if _cycle_bound(ce) > best:
-                    child = _contract_rows(rows, i, j)
-                    if child not in seen:
-                        stack.append((child, bags[:i] + (bags[i] | bags[j],)
-                                      + bags[i + 1:j] + bags[j + 1:],
-                                      bound + 1, ce))
+                    stack.append((rows, bags, i, j, bound + 1, ce))
     return best, tuple(tuple(_iter_bits(bag)) for bag in best_bags)
 
 
@@ -263,8 +280,21 @@ def _first_club_set(G: Graph, s: int, k: int) -> tuple[Edge, ...] | None:
     Two edges on one level never chain so.  A prefix is extended only by an
     edge that chains with each chosen edge, tested before its contraction;
     the test reads BFS rows that listing the diametral pairs has already
-    read.  Every set that succeeds passes both tests, so the first one
-    found is the unpruned walk's.
+    read.
+
+    At t >= 1 the walk also drops a prefix of k - 1 edges whose quotient P
+    has diameter above s + 1, before it tries any last edge.  Contracting
+    one edge shortens a distance by at most one, so diam(P/S') >=
+    diam(P) - |S'| for any edge set S' of P, and no last edge brings P
+    within s.  The cut runs only at the leaf's parent: testing the bound
+    s + k - |prefix| at every depth costs more than it saves (the walks of
+    the benchmark's ``fallback`` club instances took 3-8% longer).  At
+    t = 0 the chain test leaves it little to cut: over every connected
+    graph with n <= 7 and s = 1, 2, 3 it would save 153 of the 2 763 leaf
+    re-checks at the cost of 2 339 checks of its own.
+
+    Every set that succeeds passes every test, so the first one found is
+    the unpruned walk's.
     """
     pairs = _diametral_pairs(G)
     first = next(pairs)
@@ -294,6 +324,9 @@ def _first_club_set(G: Graph, s: int, k: int) -> tuple[Edge, ...] | None:
                spare: int) -> bool:
         if len(chosen) == k:
             return diameter_at_most(Graph(len(rows), rows), s)
+        if (slack and len(chosen) == k - 1
+                and not diameter_at_most(Graph(len(rows), rows), s + 1)):
+            return False
         for i in range(start, len(edges) - k + len(chosen) + 1):
             if high[i] and not spare:
                 continue

@@ -386,7 +386,9 @@ def _dominating_diametral_pair(G: Graph, table: AvoidingComponents
     """The pair of diameter_dominating_pair as (u, v, d), d = diam(G), given
     G's AvoidingComponents table: the first pair that ``_diametral_pairs``
     yields with C_uv empty."""
-    if G.n == 0 or not is_connected(G):
+    if G.n == 0:
+        raise DomainError("a diameter dominating pair needs at least one vertex")
+    if not is_connected(G):
         raise DomainError("graph must be connected")
     for u, v, d in _diametral_pairs(G):
         if table.linking(u, v) == 0:

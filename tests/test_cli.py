@@ -507,15 +507,17 @@ def test_club_bound_walks_above_the_cap(tmp_path, capsys):
 
 
 def test_club_contract_refutes_a_disconnected_graph_at_any_size(tmp_path, capsys):
-    """No contraction joins two components: C7 + K1 is answered "no" by the
-    bound above --cap as within it."""
+    """No contraction joins two components: C7 + K1 is answered "no" above
+    --cap as within it, by the bound at s = 2 and by the oracle, which
+    needs no search, at s = 1."""
     data = _g6(disjoint_union(Graph.cycle(7), Graph.empty(1)))
     assert data == b"GhCKG?"
-    for cap in ("5", "12"):
-        rep = run_json(tmp_path, capsys,
-                       ["club-contract", "--s", "2", "--k", "1", "--cap", cap], data)
-        assert rep["solver"] == "bound"
-        assert rep["result"] == {"answer": "no", "witness_edges": None}
+    for s, k, solver in (("1", "0", "oracle"), ("2", "1", "bound")):
+        for cap in ("3", "5", "12"):
+            rep = run_json(tmp_path, capsys, ["club-contract", "--s", s,
+                                              "--k", k, "--cap", cap], data)
+            assert rep["solver"] == solver
+            assert rep["result"] == {"answer": "no", "witness_edges": None}
 
 
 def test_club_contract_above_the_tight_budget_reports_the_tight_set(tmp_path, capsys):

@@ -138,8 +138,9 @@ def test_hadwiger_search_work_at_the_cap(monkeypatch):
     # A seeded G(12, 1/2) with 36 edges, at the default cap.  Searching it
     # without the cycle-rank and clique-bound cuts took 11 368 clique
     # searches and 102 948 contractions; with them it took 1 811 and
-    # 16 677, and with the elimination-width cut as well it takes 7 and
-    # 309, with the same witness.
+    # 16 677, and with the elimination-width cut as well 7 and 309.
+    # Contracting a child only once it has passed the size and cycle-rank
+    # cuts at pop takes 7 and 280, with the same witness.
     calls = {"max_clique": 0, "_contract_rows": 0}
 
     def counted(name):
@@ -154,7 +155,7 @@ def test_hadwiger_search_work_at_the_cap(monkeypatch):
     counted("_contract_rows")
     assert hadwiger_oracle(parse_graph(b"KnV@FQD~X_|u"), with_witness=True) == (
         6, ((0,), (1,), (2, 6, 8, 11), (3,), (4, 7), (5, 9, 10)))
-    assert calls["max_clique"] <= 20 and calls["_contract_rows"] <= 1000, calls
+    assert calls["max_clique"] <= 20 and calls["_contract_rows"] <= 280, calls
 
 
 def test_width_below_bounds_the_hadwiger_number():
@@ -351,17 +352,24 @@ def test_excess_bound_holds_for_every_valid_set():
     assert (checked, tight) == (19237, 435)
 
 
+# (leaf re-checks, cut checks) of the walks below where the cut acts.
+WALK_COUNTS = {None: {(2, 3): (288, 24)}, b"I?gQhAi@_": {(1, 4): (8, 110)}}
+
+
 @pytest.mark.parametrize("g6, sizes, answers", [
     # random_permutation_graph(40, Random(40005)): 341 edges, d = 4.  The
     # unpruned walk checked 8 172 sets for s = 2, k = 2 and 6 550 610 for
     # s = 1, k = 3; the excess bound alone cut that to 25 and 8 436, and
-    # with the chain test the walk checks 1 and 0.
+    # with the chain test the walk checks 1 and 0.  At s = 2, k = 3 (slack
+    # 1) the walk re-checked 7 832 leaves; the cut at the leaf's parent
+    # leaves 288, for 24 checks of its own.
     (None, (1, 2, 3), {(2, 2): ((0, 30), (29, 30)),
                        (2, 3): ((0, 1), (0, 30), (29, 30)), (3, 1): ((0, 30),),
                        (3, 2): ((0, 1), (0, 30)),
                        (3, 3): ((0, 1), (0, 2), (0, 30))}),
-    # 13 edges, d = 4: at s = 1, k = 4 (slack 1) no set works, and the walk
-    # checks 155 of the 715 4-subsets.
+    # 13 edges, d = 4: at s = 1, k = 4 (slack 1) no set works.  The walk
+    # re-checked 155 of the 715 4-subsets; the cut at the leaf's parent
+    # leaves 8, for 110 checks of its own.
     (b"I?gQhAi@_", (1, 2, 3, 4), {
         (2, 2): ((2, 7), (6, 8)), (2, 3): ((0, 4), (2, 7), (6, 8)),
         (2, 4): ((0, 4), (0, 8), (2, 4), (2, 7)), (3, 1): ((2, 7),),
@@ -370,12 +378,13 @@ def test_excess_bound_holds_for_every_valid_set():
 ])
 def test_club_walk_checks_only_sets_within_the_excess_bound(monkeypatch, g6,
                                                             sizes, answers):
-    # Each quotient the walk checks belongs to a k-set with at most t edges
-    # of excess above t for the first diametral pair, and at t = 0 to a set
-    # of edges on shortest paths between every diametral pair that pairwise
-    # chain along one shortest path from the first pair's u, so the checks
-    # number at most the count of such sets.  The answers are the unpruned
-    # walk's.
+    # Each leaf the walk re-checks (bound s) belongs to a k-set with at most
+    # t edges of excess above t for the first diametral pair, and at t = 0
+    # to a set of edges on shortest paths between every diametral pair that
+    # pairwise chain along one shortest path from the first pair's u, so
+    # the re-checks number at most the count of such sets.  The cut at the
+    # leaf's parent (bound s + 1) runs only at t >= 1.  The answers are the
+    # unpruned walk's, and WALK_COUNTS pins both counts where the cut acts.
     G = (parse_graph(g6) if g6 else
          random_permutation_graph(40, random.Random(40005)))
     dist = _bfs_rows(G)
@@ -386,9 +395,9 @@ def test_club_walk_checks_only_sets_within_the_excess_bound(monkeypatch, g6,
     excess = _excesses(dist, *pairs[0], G.edges())
     geodesic = [e for e in G.edges()
                 if not any(_excesses(dist, u, v, [e])[0] for u, v in pairs)]
-    checks = []
+    bounds = []
     monkeypatch.setattr(oracle, "diameter_at_most",
-                        lambda H, s: checks.append(H.n) or diameter_at_most(H, s))
+                        lambda H, b: bounds.append(b) or diameter_at_most(H, b))
     for s in (1, 2, 3):
         for k in sizes:
             t = k - (d - s)
@@ -397,9 +406,14 @@ def test_club_walk_checks_only_sets_within_the_excess_bound(monkeypatch, g6,
                           for j in range(t + 1))
             if t == 0:
                 allowed = _chain_sets(dist, pairs[0][0], geodesic, k)
-            checks.clear()
+            bounds.clear()
             assert oracle._first_club_set(G, s, k) == answers.get((s, k)), (s, k)
-            assert len(checks) <= allowed, (s, k, len(checks), allowed)
+            leaves, cuts = bounds.count(s), bounds.count(s + 1)
+            assert leaves + cuts == len(bounds)
+            assert leaves <= allowed, (s, k, leaves, allowed)
+            assert t >= 1 or not cuts, (s, k, cuts)
+            if (s, k) in WALK_COUNTS[g6]:
+                assert (leaves, cuts) == WALK_COUNTS[g6][s, k], (s, k)
 
 
 def test_club_walk_at_slack_0_matches_the_unpruned_walk():
@@ -413,6 +427,20 @@ def test_club_walk_at_slack_0_matches_the_unpruned_walk():
                 if d >= s:
                     assert oracle._first_club_set(G, s, d - s) == (
                         reference_first_club_set(G, s, d - s)), (G, s)
+
+
+def test_club_walk_at_slack_1_and_2_matches_the_unpruned_walk():
+    # At t >= 1 the walk drops each prefix of k - 1 edges whose quotient has
+    # diameter above s + 1.  min_club_contraction_set stops at the smallest
+    # k, so it never reaches some of these walks.
+    for n in range(2, 8):
+        for G in connected_graphs(n):
+            d = diameter(G)
+            for s in (1, 2, 3):
+                for k in (d - s + 1, d - s + 2):
+                    if k >= 1:
+                        assert oracle._first_club_set(G, s, k) == (
+                            reference_first_club_set(G, s, k)), (G, s, k)
 
 
 def test_club_budget_counts_sizes_the_walk_rules_out(monkeypatch):

@@ -548,8 +548,14 @@ def test_dominating_pair_definition_holds():
 
 
 def test_dominating_pair_needs_connected_graph():
-    with pytest.raises(DomainError):
-        diameter_dominating_pair(Graph.empty(3))
+    # The empty graph counts as connected, so it is refused for having no
+    # vertex; K1's pair is its one vertex twice.
+    for n in (2, 3):
+        with pytest.raises(DomainError, match="^graph must be connected$"):
+            diameter_dominating_pair(Graph.empty(n))
+    with pytest.raises(DomainError, match="needs at least one vertex"):
+        diameter_dominating_pair(Graph.empty(0))
+    assert diameter_dominating_pair(Graph.empty(1)) == (0, 0)
 
 
 def test_connected_at_free_graphs_have_diameter_dominating_pair():

@@ -9,17 +9,20 @@ So BFS distances are a memo on the graph that every reader shares:
 the adjacency rows, not the graph, so it makes no reference cycle, and a
 graph whose distances are never read allocates nothing.
 
-Every relabelled quotient comes from one step, ``_contract_step``, which
-contracts one edge by O(n) row shifts and moves each vertex's label along;
-``contract_edges`` folds it over S and the club subset walk takes it per
-edge.  The diameter re-checks read ``_merged_rows`` instead, which merges
-each bag into its lowest vertex without relabelling: distances need no
+Quotients come in two forms.  Relabelled rows, whose vertices are the bags
+ordered by smallest member, serve ``contract_edges``, ``contraction_map`` and
+the Hadwiger search's ``_contract_rows``; ``_quotient`` contracts one edge
+at a time by O(n) row shifts and moves each vertex's label along.  Rows
+with each bag merged into its lowest vertex, without relabelling, serve
+every diameter check: ``_merged_rows`` builds them for an edge set, and the
+club subset walk extends its prefix's by one ``_merge_step`` per edge, which
+rewrites only the rows that name the merged vertex.  Distances need no
 labels, and a long contracted path costs one merge per bag, not O(n) row
 shifts per edge.
 
 Every breadth-first walk over the rows but ``_bfs`` grows its set one
 frontier at a time through ``_grow``, where the frontier switch lives: the
-balls of ``diameter_at_most`` and of the path scan, ``_mask_component`` and
+balls of ``_balls_within`` and of the path scan, ``_mask_component`` and
 ``_layers``.  ``_bfs`` keeps its own loop, which writes each distance as it
 passes: distance rows built from ``_layers`` made the AT-free plan's passes
 25-30% slower.
@@ -239,12 +242,19 @@ def diameter_at_most(G: Graph, s: int, S: Iterable[Edge] = ()) -> bool:
     """diameter(contract_edges(G, S)) <= s; DomainError when a pair of S is
     not an edge.  The quotient is not built: ``_merged_rows`` merges each
     bag into its lowest vertex without relabelling, which leaves every
-    distance as it is.  The radius-s ball of each vertex left is grown as a
+    distance as it is, and ``_balls_within`` reads the merged rows."""
+    rows, alive = _merged_rows(G, S) if S else (G.rows, (1 << G.n) - 1)
+    return _balls_within(rows, alive, s)
+
+
+def _balls_within(rows: Sequence[int], alive: int, s: int) -> bool:
+    """Whether every two vertices of ``alive`` lie within distance s over
+    the adjacency ``rows``, where no row of an alive vertex names a vertex
+    outside ``alive``.  The radius-s ball of each vertex is grown as a
     bitset from its row by ``_grow``, stopping at the first ball that
     misses one.  A vertex whose ball is full by radius s - 1 is a hub, and
     the ball of a vertex next to a hub is full by radius s, so it is not
     grown; the bag of a contracted path is often a hub."""
-    rows, alive = _merged_rows(G, S) if S else (G.rows, (1 << G.n) - 1)
     if s <= 0:
         return s == 0 and not alive & (alive - 1)
     hubs = 0
@@ -292,6 +302,35 @@ def _merged_rows(G: Graph, S: Iterable[Edge]) -> tuple[Sequence[int], int]:
         for w in _iter_bits(far & ~bag):
             rows[w] = rows[w] & ~rest | low
     return rows, alive
+
+
+def _merge_step(rows: Sequence[int], alive: int, rep: list[int], u: int,
+                v: int) -> tuple[Sequence[int], int, list[int]]:
+    """(rows, alive, rep) after contracting the edge uv of G in
+    ``_merged_rows``'s form, where rep[x] is a lower vertex of x's bag, or x
+    itself for the bag's lowest vertex: of the two bags' lowest vertices the
+    higher, b, merges into the lower, a, so only a's row and the rows that
+    name b change, and rep[b] becomes a.  The inputs themselves when u and v
+    already share a bag.  Fresh lists are returned, so a caller may keep the
+    inputs for other edges."""
+    a, b = u, v
+    while rep[a] != a:
+        a = rep[a]
+    while rep[b] != b:
+        b = rep[b]
+    if a == b:
+        return rows, alive, rep
+    if a > b:
+        a, b = b, a
+    low, high = 1 << a, 1 << b
+    rows = list(rows)
+    far = rows[b] & ~low
+    rows[a] = (rows[a] | far) & ~high
+    for w in _iter_bits(far):
+        rows[w] = rows[w] ^ high | low
+    rep = rep[:]
+    rep[b] = a
+    return rows, alive ^ high, rep
 
 
 def _mask_component(rows: Sequence[int], mask: int) -> int:
@@ -364,30 +403,19 @@ def contraction_map(G: Graph, S: Iterable[Edge]) -> list[int]:
 
 
 def _quotient(G: Graph, S: Iterable[Edge]) -> tuple[Graph, list[int]]:
-    """``_contract_step`` folded over S from G's rows and the identity
-    labels.  Each step merges two bags, keeps the smaller one's label and
-    leaves the bags ordered by smallest member, so the result does not
-    depend on the order of S."""
+    """Contraction of S one edge at a time from G's rows and the identity
+    labels, where label[x] is the quotient vertex that holds x: each edge
+    whose ends lie in two bags merges the higher-labelled bag into the
+    lower by ``_contract_rows``, so the bags stay ordered by smallest member
+    and the result does not depend on the order of S."""
     rows, label = G.rows, list(range(G.n))
     for u, v in S:
         _check_edge(G, u, v)
-        rows, label = _contract_step(rows, label, u, v)
+        a, b = sorted((label[u], label[v]))
+        if a != b:
+            rows = _contract_rows(rows, a, b)
+            label = [a if x == b else x - (x > b) for x in label]
     return Graph(len(rows), rows), label
-
-
-def _contract_step(rows: tuple[int, ...], label: list[int], u: int,
-                   v: int) -> tuple[tuple[int, ...], list[int]]:
-    """(rows, label) after contracting the quotient vertices label[u] and
-    label[v] of the original vertices u and v by ``_contract_rows``, where
-    label[x] is the quotient vertex that holds x; the inputs themselves
-    when u and v already share a bag."""
-    a, b = label[u], label[v]
-    if a == b:
-        return rows, label
-    if a > b:
-        a, b = b, a
-    return (_contract_rows(rows, a, b),
-            [a if x == b else x - (x > b) for x in label])
 
 
 def _contract_rows(rows: Sequence[int], i: int, j: int) -> tuple[int, ...]:

@@ -9,11 +9,11 @@ largest minor, read one edge-subset walk, except at s = 1 (Hadwiger).
 from __future__ import annotations
 
 import math
-from typing import Iterator
+from typing import Iterator, Sequence
 
 from .errors import CapacityError, DomainError
-from .graph import (Edge, Graph, _contract_rows, _contract_step,
-                    _diametral_pairs, _iter_bits, components,
+from .graph import (Edge, Graph, _balls_within, _contract_rows,
+                    _diametral_pairs, _iter_bits, _merge_step, components,
                     diameter_at_most, induced_subgraph, is_connected,
                     max_clique)
 from .witness import certify, verify_witness
@@ -63,11 +63,14 @@ def hadwiger_oracle(G: Graph, cap: int = PARTITION_CAP,
 def _component_hadwiger(H: Graph) -> tuple[int, tuple[tuple[int, ...], ...]]:
     """Depth-first search over the quotients of H for the largest clique.
 
-    A stack entry (rows, bags, i, j, bound, e) names a child: its parent's
-    adjacency rows and, per parent vertex, the bitmask of the vertices of H
-    it holds; the edge ij, i < j, read off the rows in ``Graph.edges()``
-    order, whose contraction makes the child (j = 0 names the root, H
-    itself); a bound on its clique number; and its excess e = m - n.
+    A stack entry (rows, bags, i, j, bound, e, tested) names a child: its
+    parent's adjacency rows and, per parent vertex, the bitmask of the
+    vertices of H it holds; the edge ij, i < j, read off the rows in
+    ``Graph.edges()`` order, whose contraction makes the child (j = 0 names
+    the root, H itself); a bound on its clique number; its excess e = m - n;
+    and a cell that the parent's children share, holding the ``best`` at
+    which the parent's width was last tested, or inf once that test
+    eliminated every vertex.
     Contracting ij loses the vertex j, the edge ij and one edge per common
     neighbour of i and j, so the child has one vertex less than its parent
     and excess e - |N(i) & N(j)|, known without its rows.  Its rows, by
@@ -77,11 +80,18 @@ def _component_hadwiger(H: Graph) -> tuple[int, tuple[tuple[int, ...], ...]]:
     for ``max_clique``, and bags become sorted tuples only for the answer.
 
     A popped child is dropped, in this order: when n <= best; when
-    ``_cycle_bound(e) <= best``; once contracted, when it is in ``seen``;
-    and, once added to ``seen``, when ``_width_below(rows, best)``; only
-    then is bag j merged into bag i.  Minors never raise treewidth and
-    tw(K_h) = h - 1, so h <= tw + 1 <= best (Bodlaender & Koster,
-    "Treewidth computations I. Upper bounds", Inf. Comput. 2010).  A child
+    ``_cycle_bound(e) <= best``; when its parent's width, tested again
+    whenever ``best`` has risen since the cell's last test, passes
+    ``_width_below(parent rows, best)``; once contracted, when it is in
+    ``seen``; and, once added to ``seen``, when ``_width_below(rows,
+    best)``; only then is bag j merged into bag i.  Minors never raise
+    treewidth and tw(K_h) = h - 1, so h <= tw + 1 <= best (Bodlaender &
+    Koster, "Treewidth computations I. Upper bounds", Inf. Comput. 2010);
+    a parent that passes has treewidth at most best - 1, so none of its
+    minors, the child and every later sibling among them, has h > best,
+    and the cell drops those siblings with no test of their own.  The
+    parent's own test ran before ``max_clique``; when that raises
+    ``best``, the first child popped tests the parent again.  A child
     is pushed only when its excess passes the cycle-rank test, and
     ``max_clique`` runs only when ``bound > best``, the root's bound being n
     and a child's its parent's (exact once ``max_clique`` ran) plus one.
@@ -94,25 +104,33 @@ def _component_hadwiger(H: Graph) -> tuple[int, tuple[tuple[int, ...], ...]]:
     pop too; and ``seen`` only grows, so testing it at pop drops every child
     a test at push would have.  That saves about a third of the
     contractions up to n = 11 (8 483 -> 5 716 over one pass of the
-    benchmark's ``fallback`` plan), but few at n = 12, where the width cut,
-    which needs the rows, drops most quotients, and a child already in
-    ``seen`` is now pushed and popped before its contraction finds it there
-    (74 816 of the icosahedron's 85 188 entries).
+    benchmark's ``fallback`` plan), and the parent's re-test a fifth of the
+    rest (5 716 -> 4 533), but few at n = 12, where the width cut drops most
+    quotients, and a child already in ``seen`` is pushed and popped before
+    its contraction finds it there (74 816 of the icosahedron's 85 188
+    entries, which neither saving moves).  A child the re-test drops stays
+    out of ``seen``; ``seen`` only prunes, so that costs work, not answers.
     """
     best = 0
     best_bags: tuple[int, ...] = ()
     seen: set[tuple[int, ...]] = set()
-    stack = [(H.rows, tuple(1 << v for v in range(H.n)), 0, 0, H.n, H.m - H.n)]
+    stack = [(H.rows, tuple(1 << v for v in range(H.n)), 0, 0, H.n, H.m - H.n,
+              None)]
     while stack:
-        rows, bags, i, j, bound, e = stack.pop()
+        rows, bags, i, j, bound, e, tested = stack.pop()
         n = len(rows) - (j > 0)
         if n <= best or _cycle_bound(e) <= best:
             continue
         if j:
+            if tested[0] < best:
+                tested[0] = math.inf if _width_below(rows, best) else best
+            if tested[0] == math.inf:
+                continue
             rows = _contract_rows(rows, i, j)
         if rows in seen:
             continue
         seen.add(rows)
+        tested = [best]
         if _width_below(rows, best):
             continue
         if j:
@@ -128,7 +146,7 @@ def _component_hadwiger(H: Graph) -> tuple[int, tuple[tuple[int, ...], ...]]:
             for j in _iter_bits(row >> (i + 1) << (i + 1)):
                 ce = e - (row & rows[j]).bit_count()
                 if _cycle_bound(ce) > best:
-                    stack.append((rows, bags, i, j, bound + 1, ce))
+                    stack.append((rows, bags, i, j, bound + 1, ce, tested))
     return best, tuple(tuple(_iter_bits(bag)) for bag in best_bags)
 
 
@@ -200,7 +218,10 @@ def min_club_contraction_set(G: Graph, s: int, k_max: int) -> tuple[Edge, ...] |
     needs no walk.  Above, ``SUBSET_BUDGET`` caps the subsets of every size
     up to the one being tried, sizes below d - s included although
     ``_first_club_set`` rules those out at once, so the CapacityError fires
-    on exactly the inputs where the unpruned walk would have raised it."""
+    on exactly the inputs where the unpruned walk would have raised it.
+    A nonempty S is returned only once ``diameter_at_most``, which merges
+    its bags by ``_merged_rows`` and not by the walk's ``_merge_step``, has
+    certified it."""
     if k_max < 0:
         raise DomainError("contraction budget must be non-negative")
     if not is_connected(G):
@@ -208,19 +229,24 @@ def min_club_contraction_set(G: Graph, s: int, k_max: int) -> tuple[Edge, ...] |
     if diameter_at_most(G, s):
         return ()
     if s <= 0:
-        return None if s < 0 or k_max < G.n - 1 else _greedy_spanning_tree(G)
-    m = G.m
-    total = 0
-    for k in range(1, min(k_max, m) + 1):
-        total += math.comb(m, k)
-        if total > SUBSET_BUDGET:
-            raise CapacityError(
-                f"subset enumeration up to size {k} needs {total} checks "
-                f"(budget {SUBSET_BUDGET})")
-        S = _first_club_set(G, s, k)
-        if S is not None:
-            return S
-    return None
+        S = None if s < 0 or k_max < G.n - 1 else _greedy_spanning_tree(G)
+    else:
+        S = None
+        m = G.m
+        total = 0
+        for k in range(1, min(k_max, m) + 1):
+            total += math.comb(m, k)
+            if total > SUBSET_BUDGET:
+                raise CapacityError(
+                    f"subset enumeration up to size {k} needs {total} checks "
+                    f"(budget {SUBSET_BUDGET})")
+            S = _first_club_set(G, s, k)
+            if S is not None:
+                break
+    if S is not None:
+        certify(diameter_at_most(G, s, S),
+                f"contracting {S} does not reach diameter {s}")
+    return S
 
 
 def _greedy_spanning_tree(G: Graph) -> tuple[Edge, ...]:
@@ -250,8 +276,13 @@ def _first_club_set(G: Graph, s: int, k: int) -> tuple[Edge, ...] | None:
     answers the other graphs before it walks.
 
     The subsets are walked depth first, and each prefix carries its
-    quotient, ``contract_edges``'s rows and ``contraction_map``'s labels,
-    extended by one ``_contract_step`` per edge.
+    quotient in ``_merged_rows``'s form: the rows with each bag merged into
+    its lowest vertex, the mask of the vertices left, and per vertex a
+    pointer toward its bag's lowest vertex.  One ``_merge_step`` per edge
+    extends it, rewriting only the rows that name the merged vertex, with
+    no relabelling.  The leaf checks (bound s) and the cut checks below
+    (bound s + 1) read these rows through ``_balls_within``, the ball loop
+    of ``diameter_at_most``.
 
     The walk skips only sets that cannot succeed, by the excess bound.  Let
     (u, v) be a diametral pair, d = diam(G) and t = k - (d - s) the slack.
@@ -320,12 +351,12 @@ def _first_club_set(G: Graph, s: int, k: int) -> tuple[Edge, ...] | None:
             (_, b), (a, _) = ends[j], ends[i]
         return du[b] <= du[a] and G.dist[b][a] == du[a] - du[b]
 
-    def extend(start: int, rows: tuple[int, ...], label: list[int],
+    def extend(start: int, rows: Sequence[int], alive: int, rep: list[int],
                spare: int) -> bool:
         if len(chosen) == k:
-            return diameter_at_most(Graph(len(rows), rows), s)
+            return _balls_within(rows, alive, s)
         if (slack and len(chosen) == k - 1
-                and not diameter_at_most(Graph(len(rows), rows), s + 1)):
+                and not _balls_within(rows, alive, s + 1)):
             return False
         for i in range(start, len(edges) - k + len(chosen) + 1):
             if high[i] and not spare:
@@ -333,13 +364,13 @@ def _first_club_set(G: Graph, s: int, k: int) -> tuple[Edge, ...] | None:
             if not slack and not all(chained(j, i) for j in chosen):
                 continue
             chosen.append(i)
-            if extend(i + 1, *_contract_step(rows, label, *edges[i]),
+            if extend(i + 1, *_merge_step(rows, alive, rep, *edges[i]),
                       spare - high[i]):
                 return True
             chosen.pop()
         return False
 
-    found = extend(0, G.rows, list(range(G.n)), slack)
+    found = extend(0, G.rows, (1 << G.n) - 1, list(range(G.n)), slack)
     return tuple(edges[i] for i in chosen) if found else None
 
 

@@ -362,6 +362,10 @@ def _never(*args):
      lambda *args: _replay(*args)[:-1]),
     (["clique-matching"], P5, "clique-matching", "minorclub.bipperm_dp._replay",
      lambda *args: _replay(*args)[:-1]),
+    # C7 has an asteroidal triple, so the oracle's walk answers budget 2; a
+    # walk that answers with its first k edges is caught by the re-check.
+    (["club-contract", "--s", "2", "--k", "2"], C7, "club-contract",
+     "minorclub.oracle._first_club_set", lambda G, s, k: tuple(G.edges()[:k])),
 ])
 def test_failed_certificate_exits_5(tmp_path, capsys, monkeypatch, argv, data,
                                     command, target, fake):

@@ -12,14 +12,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from minorclub.errors import DomainError
-from minorclub.graph import (Graph, _contract_rows, _contract_step,
-                             _diametral_pairs, _mask_component, _mask_components,
+from minorclub.graph import (Graph, _contract_rows, _diametral_pairs,
+                             _mask_component, _mask_components, _merge_step,
+                             _merged_rows, _quotient,
                              complement, components, contract_edges,
                              contraction_map, diameter, diameter_at_most,
                              disjoint_union, induced_subgraph, is_bipartite,
                              is_connected, join, max_clique, shortest_path)
 
-from genutil import all_graphs, canonical_key
+from genutil import all_graphs, canonical_key, connected_graphs
 
 
 @st.composite
@@ -76,11 +77,12 @@ def test_contract_edge_label_rule():
     assert H.has_edge(2, 3)
 
 
-def test_contract_step_moves_labels_and_leaves_a_shared_bag_alone():
-    rows, label = _contract_step(Graph.path(4).rows, [0, 1, 2, 3], 2, 1)
-    assert (rows, label) == (Graph.path(3).rows, [0, 1, 1, 2])
-    again = _contract_step(rows, label, 1, 2)
-    assert again[0] is rows and again[1] is label
+def test_quotient_moves_labels_and_leaves_a_shared_bag_alone():
+    P4 = Graph.path(4)
+    assert _quotient(P4, [(1, 2)]) == (Graph.path(3), [0, 1, 1, 2])
+    assert _quotient(P4, [(1, 2), (1, 2)]) == (Graph.path(3), [0, 1, 1, 2])
+    assert _quotient(Graph.cycle(4), [(0, 1), (1, 2), (0, 3), (2, 3)]) == (
+        Graph.empty(1), [0, 0, 0, 0])
 
 
 def test_contract_edges_examples():
@@ -257,6 +259,49 @@ def test_diameter_at_most_after_contracting_matches_the_quotient():
     for S in ([(0, 1), (0, 2)], [(3, 4)], [(-1, 0)], [(1, 1)]):
         with pytest.raises(DomainError):
             diameter_at_most(P4, 2, S)
+
+
+def _same_merged_rows(G, seq):
+    state = (G.rows, (1 << G.n) - 1, list(range(G.n)))
+    for u, v in seq:
+        state = _merge_step(*state, u, v)
+    rows, alive, _ = state
+    want, want_alive = _merged_rows(G, seq)
+    return alive == want_alive and all(
+        rows[v] == want[v] for v in range(G.n) if alive >> v & 1)
+
+
+def test_merge_steps_fold_to_the_merged_rows():
+    """One merge step per edge, in any order, gives ``_merged_rows``'s alive
+    mask and its rows on the vertices left: on every connected graph with
+    n <= 6, every prefix of the edges in order and reversed, and on seeded
+    random graphs with random edge sequences that repeat edges."""
+    for n in range(1, 7):
+        for G in connected_graphs(n):
+            edges = G.edges()
+            for seq in (edges, edges[::-1]):
+                for k in range(len(seq) + 1):
+                    assert _same_merged_rows(G, seq[:k]), (G.rows, seq[:k])
+    rng = random.Random(39)
+    for _ in range(400):
+        n = rng.randint(2, 14)
+        p = rng.choice((0.2, 0.4, 0.7))
+        G = Graph.from_edges(n, [(u, v) for u in range(n)
+                                 for v in range(u + 1, n) if rng.random() < p])
+        edges = G.edges()
+        if edges:
+            seq = [rng.choice(edges) for _ in range(rng.randint(1, n + 2))]
+            assert _same_merged_rows(G, seq), (G.rows, seq)
+
+
+def test_merge_step_leaves_its_inputs_and_a_shared_bag_alone():
+    C4 = Graph.cycle(4)
+    state = (C4.rows, 15, [0, 1, 2, 3])
+    rows, alive, rep = step = _merge_step(*state, 2, 3)
+    assert state == (C4.rows, 15, [0, 1, 2, 3])
+    assert (alive, rep) == (0b0111, [0, 1, 2, 2]) and rows[:3] == [0b110, 0b101, 0b011]
+    again = _merge_step(*step, 3, 2)
+    assert all(x is y for x, y in zip(again, step))
 
 
 @settings(max_examples=40, deadline=None)

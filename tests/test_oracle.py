@@ -7,11 +7,12 @@ from itertools import combinations
 import pytest
 
 from minorclub import oracle
-from minorclub.errors import CapacityError, DomainError
+from minorclub.errors import CapacityError, DomainError, InvalidStructureError
 from minorclub.formats import parse_graph
-from minorclub.graph import (Graph, _quotient, components, contract_edges,
-                             diameter, diameter_at_most, disjoint_union,
-                             induced_subgraph, is_connected, max_clique)
+from minorclub.graph import (Graph, _balls_within, _quotient, components,
+                             contract_edges, diameter, diameter_at_most,
+                             disjoint_union, induced_subgraph, is_connected,
+                             max_clique)
 from minorclub.oracle import (clique_matching_oracle,
                               enumerate_nice_structures, hadwiger_oracle,
                               max_s_club_minor_oracle,
@@ -140,8 +141,11 @@ def test_hadwiger_search_work_at_the_cap(monkeypatch):
     # searches and 102 948 contractions; with them it took 1 811 and
     # 16 677, and with the elimination-width cut as well 7 and 309.
     # Contracting a child only once it has passed the size and cycle-rank
-    # cuts at pop takes 7 and 280, with the same witness.
-    calls = {"max_clique": 0, "_contract_rows": 0}
+    # cuts at pop takes 7 and 280, with the same witness, and 222 width
+    # tests.  Testing a parent's width again before contracting its
+    # children, once the best has risen, takes 228 contractions and 180
+    # width tests.
+    calls = {"max_clique": 0, "_contract_rows": 0, "_width_below": 0}
 
     def counted(name):
         fn = getattr(oracle, name)
@@ -153,9 +157,11 @@ def test_hadwiger_search_work_at_the_cap(monkeypatch):
 
     counted("max_clique")
     counted("_contract_rows")
+    counted("_width_below")
     assert hadwiger_oracle(parse_graph(b"KnV@FQD~X_|u"), with_witness=True) == (
         6, ((0,), (1,), (2, 6, 8, 11), (3,), (4, 7), (5, 9, 10)))
-    assert calls["max_clique"] <= 20 and calls["_contract_rows"] <= 280, calls
+    assert calls["max_clique"] <= 20 and calls["_contract_rows"] <= 228 \
+        and calls["_width_below"] <= 180, calls
 
 
 def test_width_below_bounds_the_hadwiger_number():
@@ -396,8 +402,8 @@ def test_club_walk_checks_only_sets_within_the_excess_bound(monkeypatch, g6,
     geodesic = [e for e in G.edges()
                 if not any(_excesses(dist, u, v, [e])[0] for u, v in pairs)]
     bounds = []
-    monkeypatch.setattr(oracle, "diameter_at_most",
-                        lambda H, b: bounds.append(b) or diameter_at_most(H, b))
+    monkeypatch.setattr(oracle, "_balls_within", lambda rows, alive, b:
+                        bounds.append(b) or _balls_within(rows, alive, b))
     for s in (1, 2, 3):
         for k in sizes:
             t = k - (d - s)
@@ -441,6 +447,25 @@ def test_club_walk_at_slack_1_and_2_matches_the_unpruned_walk():
                     if k >= 1:
                         assert oracle._first_club_set(G, s, k) == (
                             reference_first_club_set(G, s, k)), (G, s, k)
+
+
+def test_club_set_is_certified_before_it_is_returned(monkeypatch):
+    # C7 needs two contractions to reach diameter 2.  A walk that answers
+    # with its first k edges, and a greedy pass that stops one edge short,
+    # both hand back sets that fail the re-check through the merged rows,
+    # which runs under python -O too.
+    C7 = Graph.cycle(7)
+    assert min_club_contraction_set(C7, 2, 2) == ((0, 1), (0, 6))
+    monkeypatch.setattr(oracle, "_first_club_set",
+                        lambda G, s, k: tuple(G.edges()[:k]))
+    with pytest.raises(InvalidStructureError, match=r"\(\(0, 1\),\)"):
+        min_club_contraction_set(C7, 2, 2)
+    with pytest.raises(InvalidStructureError):
+        max_s_club_minor_oracle(C7, 2)
+    monkeypatch.setattr(oracle, "_greedy_spanning_tree",
+                        lambda G: tuple(G.edges()[:G.n - 2]))
+    with pytest.raises(InvalidStructureError):
+        min_club_contraction_set(C7, 0, 6)
 
 
 def test_club_budget_counts_sizes_the_walk_rules_out(monkeypatch):

@@ -30,7 +30,8 @@ edges (d the diameter), or the budget --k lies below d - s, they answer with
 solver "bound" at any size.  Otherwise they run the AT-free solver when
 s >= 2 and the graph has no asteroidal triple, else the brute-force oracle
 within --cap, else exit 3.  A negative budget --k exits 3 on every path,
-`oracle club-contract` and `reduce` too.
+`oracle club-contract` and `reduce` too.  Every set a club command prints
+has passed ``graph.diameter_at_most`` at its solver's exit.
 
 --cap defaults to ``oracle.PARTITION_CAP``.  `oracle clique-matching` uses
 max(--cap, ``oracle.MATCHING_CAP``), that is at least 14, and `oracle

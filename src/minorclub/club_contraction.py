@@ -16,12 +16,19 @@ only the BFS rows of vertex 0 and of the pair from the graph's memo
 ``G.dist``, and so does a budget below d' - s, which the bound refutes.
 Otherwise the bound reads every row for the first diametral pair.
 
-``_tight_from`` is the one step that decides the tight budget d - s from a
-pair (u, v, d): d <= s needs no contraction, d - s of 1 or 2 is answered by
-the subset walk, exact on any graph, and a larger d - s by the scan.  Its
-two callers are ``tight_contraction``, with the sweep's and the first
-diametral pair, and the AT-free ladder ``_ladder``, with a diameter
+``_tight_from`` is the one step that proposes a set for the tight budget
+d - s from a pair (u, v, d): d <= s needs no contraction, d - s of 1 or 2 is
+answered by the subset walk, exact on any graph, and a larger d - s by the
+scan.  Its two callers are ``tight_contraction``, with the sweep's and the
+first diametral pair, and the AT-free ladder ``_ladder``, with a diameter
 dominating pair, where a pinned scan falls back to the pinned attempts.
+
+Each solver checks its set once, where it returns it, with
+``diameter_at_most``: the bound re-checks every nonempty set that
+``_tight_from`` proposes and counts a failure as a miss, and the ladder
+passes whatever it found through one ``certify``, which raises
+``InvalidStructureError`` on a set that fails.  The steps below them only
+propose.
 
 The decision procedure is driven by paths between a diameter dominating
 pair (u, v): a path Q = x_0..x_k is *satisfying* when it extends to a
@@ -168,12 +175,6 @@ def sweep_pair(G: Graph):
     return u, G.dist[u].index(d), d
 
 
-def diametral_pair(G: Graph):
-    """The first pair (u, v, d) with u <= v at distance d = diam(G), (0, 0, 0)
-    on one vertex; None when G is empty or disconnected."""
-    return next(_diametral_pairs(G), None)
-
-
 def tight_contraction(G: Graph, s: int, k: float = math.inf
                       ) -> tuple[float, tuple[Edge, ...] | None]:
     """(b, S) without recognizing any graph class: no set of fewer than b
@@ -183,10 +184,12 @@ def tight_contraction(G: Graph, s: int, k: float = math.inf
     No connected graph reaches diameter s with fewer than diam(G) - s
     contractions, and none joins two components, so b = inf on a
     disconnected graph.  It reads ``sweep_pair``, two BFS runs, and asks
-    ``_tight_from`` about it when d' - s >= 3; on a miss it reads
-    ``diametral_pair`` (every BFS row), and asks ``_tight_from`` about that
-    pair.  It stops, with S None, as soon as b exceeds the budget k, before
-    any scan or walk.
+    ``_tight_from`` about it when d' - s >= 3; on a miss it reads the first
+    diametral pair (every BFS row), and asks ``_tight_from`` about that
+    pair.  Every nonempty set ``_tight_from`` proposes, walked or scanned,
+    is re-checked by ``diameter_at_most`` here, and one that fails is a
+    miss, so no set leaves the bound unchecked.  It stops, with S None, as
+    soon as b exceeds the budget k, before any scan or walk.
     """
     sweep = sweep_pair(G)
     if sweep is None:
@@ -195,25 +198,26 @@ def tight_contraction(G: Graph, s: int, k: float = math.inf
     if k < bound:
         return bound, None
     S = _tight_from(G, s, sweep) if bound >= 3 else None
-    if S is not None:
+    if S is not None and diameter_at_most(G, s, S):
         return bound, S
-    first = diametral_pair(G)
+    first = next(_diametral_pairs(G))
     bound = max(0, first[2] - s)
     if k < bound or bound >= 3 and first == sweep:
         return bound, None
-    return bound, _tight_from(G, s, first)
+    S = _tight_from(G, s, first)
+    return bound, S if not S or diameter_at_most(G, s, S) else None
 
 
 def _tight_from(G: Graph, s: int, pair, dominating: bool = False
                 ) -> tuple[Edge, ...] | None:
-    """A set of exactly d - s edges, from the pair (u, v, d), whose
-    contraction leaves diameter s, or None; the module docstring lists its
-    cases.  The walk's set is the one that the oracle's
-    ``min_club_contraction_set`` finds first, and a scanned path that
-    passes the re-check proves d = diam(G).  With ``dominating``, (u, v) is
-    a diameter dominating pair of an AT-free G: the path must pass the
-    re-check, and when every satisfying path is pinned, the pinned attempts
-    from u and then v decide."""
+    """A set of exactly d - s edges, from the pair (u, v, d), proposed to
+    contract G to diameter s, or None; the module docstring lists its
+    cases.  It checks nothing: its callers re-check what it proposes.  The
+    walk's set is the one that the oracle's ``min_club_contraction_set``
+    finds first, and a scanned path comes as its d - s edges, sorted.
+    With ``dominating``, (u, v) is a diameter dominating pair of an AT-free
+    G, and when every satisfying path is pinned, the pinned attempts from u
+    and then v propose the set."""
     u, v, d = pair
     k = d - s
     if k <= 0:
@@ -222,14 +226,10 @@ def _tight_from(G: Graph, s: int, pair, dominating: bool = False
         return _first_club_set(G, s, k)
     path, pinned = _scan_paths(G, pair, k)
     if path is not None:
-        S = tuple(sorted(_path_edges(path, k)))
-        if not dominating:
-            return S if diameter_at_most(G, s, S) else None
-    elif dominating and pinned is not None:
-        S = _pinned_attempt(G, s, k, u) or _pinned_attempt(G, s, k, v)
-    else:
-        return None
-    return None if S is None else _verified_yes(G, S, k, s)
+        return tuple(sorted(_path_edges(path, k)))
+    if dominating and pinned is not None:
+        return _pinned_attempt(G, s, k, u) or _pinned_attempt(G, s, k, v)
+    return None
 
 
 def s_club_contract_decide(G: Graph, k: int, s: int) -> tuple[Edge, ...] | None:
@@ -276,20 +276,25 @@ def _checked_diameter(G: Graph, s: int):
 
 def _ladder(G: Graph, s: int, d: int, k: int, table) -> tuple[Edge, ...] | None:
     """Decide budget k >= d - s on G with s < d = diam(G), given G's
-    AvoidingComponents table.  Budget d-s+2 always suffices; otherwise try
-    the tight budget d-s from a diameter dominating pair, then with one
-    spare contraction the subset walk (k <= 2) or guess the extra
-    contractions."""
+    AvoidingComponents table.  Budget d-s+2 always suffices: contracting
+    d-s+2 edges of a shortest path between a diameter dominating pair
+    leaves a path of length s-2 that still dominates.  Otherwise try the
+    tight budget d-s from that pair, then with one spare contraction the
+    subset walk (k <= 2) or guess the extra contractions.  Whichever
+    proposes S, it leaves through one check: at most k edges, re-checked
+    by ``diameter_at_most`` to reach diameter s."""
     pair = _dominating_diametral_pair(G, table)
     if k >= d - s + 2:
-        return _dominating_path_witness(G, s, pair)
-    S = _tight_from(G, s, pair, dominating=True)
-    if S is not None or k == d - s:
-        return S
-    if k <= 2:
-        return _first_club_set(G, s, k)
-    S = _one_extra_contraction(G, s, d)
-    return None if S is None else _verified_yes(G, S, k, s)
+        S = _path_edges(shortest_path(G, pair[0], pair[1]), d - s + 2)
+    else:
+        S = _tight_from(G, s, pair, dominating=True)
+        if S is None and k > d - s:
+            S = _first_club_set(G, s, k) if k <= 2 else _one_extra_contraction(G, s, d)
+    if S is None:
+        return None
+    certify(len(S) <= k and diameter_at_most(G, s, S),
+            f"contracting {S} does not reach diameter {s} within {k} edges")
+    return S
 
 
 def _one_extra_contraction(G: Graph, s: int, d: int):
@@ -308,26 +313,8 @@ def _one_extra_contraction(G: Graph, s: int, d: int):
                     if dq - s >= 3 else (None, None, dq))
             rec = _tight_from(Gq, s, pair, dominating=True)
             if rec is not None:
-                return Sp + _lift_edges(G, label, rec)
+                return tuple(sorted(Sp + _lift_edges(G, label, rec)))
     return None
-
-
-def _verified_yes(G: Graph, S, k: int, s: int) -> tuple[Edge, ...]:
-    S = tuple(sorted(set(tuple(sorted(e)) for e in S)))
-    certify(len(S) <= k and diameter_at_most(G, s, S),
-            f"contracting {S} does not reach diameter {s} within {k} edges")
-    return S
-
-
-def _dominating_path_witness(G: Graph, s: int, pair) -> tuple[Edge, ...]:
-    """Contract d-s+2 edges of a shortest path between the diameter
-    dominating pair (u, v, d); what remains of the path still dominates and
-    has length s-2."""
-    u, v, d = pair
-    S = _path_edges(shortest_path(G, u, v), d - s + 2)
-    certify(diameter_at_most(G, s, S),
-            f"contracting {S} does not reach diameter {s}")
-    return S
 
 
 def _path_edges(P, k: int) -> tuple[Edge, ...]:
@@ -347,10 +334,10 @@ def _pinned_attempt(G: Graph, s: int, k: int, anchor: int):
     if any(layer & (layer - 1) for layer in layers):
         return None
     chain = [layer.bit_length() - 1 for layer in layers]
-    forced = [tuple(sorted((chain[i], chain[i + 1]))) for i in range(k - 2)]
+    forced = tuple(tuple(sorted((chain[i], chain[i + 1]))) for i in range(k - 2))
     Gq, label = _quotient(G, forced)
     S = _first_club_set(Gq, s, 2)
-    return None if S is None else tuple(forced) + _lift_edges(G, label, S)
+    return None if S is None else tuple(sorted(forced + _lift_edges(G, label, S)))
 
 
 def _lift_edges(G: Graph, label, quotient_edges) -> tuple[Edge, ...]:

@@ -7,6 +7,12 @@ graph's class, and passes the outcome to ``certify(ok, what)``, which raises
 ``assert``, so the checks still run under ``python -O``; ``assert`` is kept
 for the solvers' internal invariants.  ``verify_witness`` is the
 complete-minor check that the Hadwiger solvers' bags must pass.
+
+A contraction set is checked by ``graph.diameter_at_most`` at one exit per
+club solver: the AT-free ladder ``club_contraction._ladder`` certifies it,
+the subset oracle ``oracle.min_club_contraction_set`` certifies it, and the
+class-free bound ``club_contraction.tight_contraction`` re-checks it and
+answers no set when the re-check fails, as the bound is allowed to miss.
 """
 
 from __future__ import annotations

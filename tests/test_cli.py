@@ -366,6 +366,12 @@ def _never(*args):
     # walk that answers with its first k edges is caught by the re-check.
     (["club-contract", "--s", "2", "--k", "2"], C7, "club-contract",
      "minorclub.oracle._first_club_set", lambda G, s, k: tuple(G.edges()[:k])),
+    # The AT-free caterpillar FsCGG (d = 5): the bound answers budget 2 at
+    # s = 3 from the walk, so a faulty walk is caught by the bound's re-check
+    # and then by the ladder's exit.
+    (["club-contract", "--s", "3", "--k", "2"], b"FsCGG", "club-contract",
+     "minorclub.club_contraction._first_club_set",
+     lambda G, s, k: tuple(G.edges()[:k])),
 ])
 def test_failed_certificate_exits_5(tmp_path, capsys, monkeypatch, argv, data,
                                     command, target, fake):

@@ -7,15 +7,16 @@ import random
 import pytest
 
 from minorclub import club_contraction
-from minorclub.club_contraction import (_scan_paths, _tight_from,
-                                        diametral_pair,
-                                        distance_profile, minimum_contraction,
+from minorclub.club_contraction import (_one_extra_contraction, _scan_paths,
+                                        _tight_from, distance_profile,
+                                        minimum_contraction,
                                         s_club_contract_decide, sweep_pair,
                                         tight_contraction)
 from minorclub.errors import DomainError, InvalidStructureError
 from minorclub.formats import parse_graph
-from minorclub.graph import (Graph, all_pairs_distances, contract_edges,
-                             diameter, disjoint_union, is_connected)
+from minorclub.graph import (Graph, _diametral_pairs, all_pairs_distances,
+                             contract_edges, diameter, diameter_at_most,
+                             disjoint_union, is_connected)
 from minorclub.oracle import min_club_contraction_oracle
 from minorclub.recognition import diameter_dominating_pair, is_at_free
 
@@ -87,9 +88,11 @@ def _bound_graphs():
 
 def _tight_from_the_matrix(G: Graph, s: int):
     """The bound's set from the distance matrix's first diametral pair
-    alone, not the double sweep's."""
-    first = diametral_pair(G)
-    return None if first is None else _tight_from(G, s, first)
+    alone, not the double sweep's: what ``_tight_from`` proposes, kept only
+    when it passes the bound's re-check."""
+    first = next(_diametral_pairs(G), None)
+    S = None if first is None else _tight_from(G, s, first)
+    return S if not S or diameter_at_most(G, s, S) else None
 
 
 def _tight_set(G: Graph, s: int):
@@ -243,7 +246,7 @@ def test_tight_contraction_from_the_matrix_pair_when_the_sweep_falls_short(
     G = parse_graph(b"HrO__OG", "graph6")
     assert G.n == 9 and is_at_free(G) is not True and diameter(G) == 5
     assert sweep_pair(G) == (6, 7, 4)
-    assert diametral_pair(G) == (5, 7, 5)
+    assert next(_diametral_pairs(G), None) == (5, 7, 5)
     assert _tight_from(G, 2, sweep_pair(G)) is None
     S = _tight_from_the_matrix(G, 2)
     assert len(S) == 3 == min_club_contraction_oracle(G, 2, G.n)
@@ -300,7 +303,7 @@ def test_tight_contraction_misses_when_the_recheck_fails(g6, k_min):
     G = parse_graph(g6.encode(), "graph6")
     s = 2
     assert diameter(G) == 5 and is_at_free(G) is not True
-    u, v, _ = diametral_pair(G)
+    u, v, _ = next(_diametral_pairs(G), None)
     pair = distance_profile(G, u, v)
     assert _scan_paths(G, pair, 3)[0] is not None
     # no path is longer than the diameter
@@ -397,10 +400,10 @@ def _never(*args):
 
 
 def test_tight_step_certifies_only_from_a_dominating_pair(monkeypatch):
-    """P8 at s = 2 has d - s = 5 and an unpinned scanned path.  When its
-    re-check fails, the ladder's call (``dominating``) raises, as a
-    dominating pair's path must reach diameter s, and the bound's call
-    answers None."""
+    """P8 at s = 2 has d - s = 5 and an unpinned scanned path, which both
+    modes of the tight step propose unchecked.  When its re-check fails,
+    the ladder's exit raises, as a dominating pair's path must reach
+    diameter s, and the bound counts a miss."""
     G = Graph.path(8)
     pair = (*diameter_dominating_pair(G), diameter(G))
     assert pair == (0, 7, 7)
@@ -408,8 +411,18 @@ def test_tight_step_certifies_only_from_a_dominating_pair(monkeypatch):
         == ((1, 2), (2, 3), (3, 4), (4, 5), (5, 6))
     monkeypatch.setattr(club_contraction, "diameter_at_most", _never)
     with pytest.raises(InvalidStructureError):
-        _tight_from(G, 2, pair, dominating=True)
-    assert _tight_from(G, 2, pair) is None
+        s_club_contract_decide(G, 5, 2)
+    assert tight_contraction(G, 2) == (5, None)
+
+
+def test_one_extra_contraction_misses_when_no_quotient_is_tight():
+    """C9 at s = 2 (d = 4): every guessed quotient has dq - s <= 2, so its
+    walk decides with no dominating pair, and none reaches diameter 2 with
+    the tight budget.  The oracle's minimum is d - s + 2."""
+    G = Graph.cycle(9)
+    assert diameter(G) == 4
+    assert _one_extra_contraction(G, 2, 4) is None
+    assert min_club_contraction_oracle(G, 2, G.n) == 4
 
 
 def test_tight_step_tries_the_pinned_attempts_only_from_a_dominating_pair(monkeypatch):
@@ -537,7 +550,7 @@ def test_path_scan_matches_the_per_pair_scan():
     scans = 0
     for G in graphs:
         dist = all_pairs_distances(G)
-        for pair in {sweep_pair(G), diametral_pair(G)}:
+        for pair in {sweep_pair(G), next(_diametral_pairs(G), None)}:
             for k in range(3, pair[2] + 1):
                 assert _scan_paths(G, pair, k) == _per_pair_scan(G, pair, k, dist), \
                     (G.rows, pair, k)

@@ -8,14 +8,23 @@ machine-readable report that is byte-identical across runs on identical
 input; timing is shown only in the human-readable output so reports stay
 deterministic.
 
-Exit codes: 0 success, 2 unreadable or malformed input (malformed input bytes
-always name their byte offset; a missing --k for `reduce hitting-set` or
-`reduce lift` exits 2 without one), 3 no applicable method or problem
-precondition violated, such as a negative budget --k or a negative --s of
-club-contract or club-minor, 4 a brute-force oracle's size cap exceeded (the
-polynomial solvers and their recognizers have no caps), 5 internal error: a
-solver's output failed its certificate check; stderr then names the command
-and the input's SHA-256.
+Command line: ``minorclub <command> [<positional>] [options]``, the command
+first.  Only ``oracle`` (its problem) and ``reduce`` (its construction) take
+the one positional, anywhere after the command.  Options come in any order
+as ``--name value`` or ``--name=value``, spelled in full; the value is the
+next token whatever it starts with (``--k -1``, ``--input -``), and the last
+of a repeated option wins.  ``--json`` takes no value.  ``-h`` or ``--help``,
+alone or after a command, prints the usage to stdout and exits 0.
+
+Exit codes: 0 success, 2 a malformed command line (stderr: one ``usage:``
+line, then one ``error:`` line naming the token at fault), or unreadable or
+malformed input (malformed input bytes always name their byte offset; a
+missing --k for `reduce hitting-set` or `reduce lift` exits 2 without one),
+3 no applicable method or problem precondition violated, such as a negative
+budget --k or a negative --s of club-contract or club-minor, 4 a brute-force
+oracle's size cap exceeded (the polynomial solvers and their recognizers have
+no caps), 5 internal error: a solver's output failed its certificate check;
+stderr then names the command and the input's SHA-256.
 
 Club commands follow ``graph.py``: the graph with no vertex is connected, and
 it and a single vertex have diameter 0, so every club path answers them as
@@ -41,13 +50,12 @@ by --cap.
 
 from __future__ import annotations
 
-import argparse
-import functools
 import hashlib
 import json
 import math
 import sys
 import time
+from types import SimpleNamespace
 
 from . import oracle as oracle_mod
 from .bipperm_dp import hadwiger_bipperm, max_clique_matching
@@ -229,57 +237,138 @@ def cmd_reduce(raw: bytes, args):
     return result, "generator", {}
 
 
-@functools.cache
-def make_parser() -> argparse.ArgumentParser:
-    """The argument parser, built once per process and shared: do not
-    modify it."""
-    parser = argparse.ArgumentParser(
-        prog="minorclub",
-        description="Clique minors and bounded-diameter minors on structured "
-                    "graph classes.")
-    sub = parser.add_subparsers(dest="cmd", required=True)
+_REQUIRED = object()  # the default of an option that must be given
 
-    def command(name, fn, help, positional=None, choices=(), cap=False):
-        p = sub.add_parser(name, help=help)
-        if positional:
-            p.add_argument(positional, choices=choices)
-        p.add_argument("--input", required=True, help="path or '-' for stdin")
-        p.add_argument("--format", choices=FORMATS, default="graph6")
-        p.add_argument("--json", action="store_true")
-        if cap:
-            p.add_argument("--cap", type=int, default=oracle_mod.PARTITION_CAP,
-                           help="size cap for brute-force fallbacks")
-        p.set_defaults(fn=fn)
-        return p
+# Option -> (converter, choices, default).  The converter None marks a flag,
+# which takes no value and is False unless given.
+_INPUT = {"--input": (str, (), _REQUIRED), "--format": (str, FORMATS, "graph6"),
+          "--json": (None, (), False)}
+_CAP = {**_INPUT, "--cap": (int, (), oracle_mod.PARTITION_CAP)}
 
-    command("recognize", cmd_recognize, "run all class recognizers")
-    p = command("hadwiger", cmd_hadwiger, "largest complete minor", cap=True)
-    p.add_argument("--method", choices=("auto", "cograph", "bipperm", "oracle"),
-                   default="auto")
-    command("clique-matching", cmd_clique_matching, "maximum clique-matching")
-    p = command("club-contract", cmd_club_contract,
-                "can k contractions reach diameter s?", cap=True)
-    p.add_argument("--s", type=int, required=True)
-    p.add_argument("--k", type=int, required=True)
-    p = command("club-minor", cmd_club_minor, "largest bounded-diameter minor",
-                cap=True)
-    p.add_argument("--s", type=int, required=True)
-    p = command("oracle", cmd_oracle, "brute-force reference answers", "problem",
-                ("hadwiger", "club-minor", "club-contract", "clique-matching",
-                 "nice-structure"), cap=True)
-    p.add_argument("--s", type=int, default=2)
-    p.add_argument("--k", type=int, default=4)
-    p = command("reduce", cmd_reduce, "generate hard instances", "construction",
-                ("nae3sat", "hitting-set", "lift", "subdivide"))
-    p.add_argument("--s", type=int, choices=(2, 3), default=2)
-    p.add_argument("--k", type=int, default=None)
-    p.add_argument("--out", default=None, help="write the graph here "
-                   "(plus a .json sidecar for instance metadata)")
-    return parser
+# Command -> (function, help, positional as (attribute, choices) or None,
+# options).
+_COMMANDS = {
+    "recognize": (cmd_recognize, "run all class recognizers", None, _INPUT),
+    "hadwiger": (cmd_hadwiger, "largest complete minor", None, {
+        **_CAP, "--method": (str, ("auto", "cograph", "bipperm", "oracle"), "auto")}),
+    "clique-matching": (cmd_clique_matching, "maximum clique-matching", None, _INPUT),
+    "club-contract": (cmd_club_contract, "can k contractions reach diameter s?", None, {
+        **_CAP, "--s": (int, (), _REQUIRED), "--k": (int, (), _REQUIRED)}),
+    "club-minor": (cmd_club_minor, "largest bounded-diameter minor", None, {
+        **_CAP, "--s": (int, (), _REQUIRED)}),
+    "oracle": (cmd_oracle, "brute-force reference answers",
+               ("problem", ("hadwiger", "club-minor", "club-contract",
+                            "clique-matching", "nice-structure")),
+               {**_CAP, "--s": (int, (), 2), "--k": (int, (), 4)}),
+    "reduce": (cmd_reduce, "generate hard instances; --out writes the graph "
+               "and a .json sidecar",
+               ("construction", ("nae3sat", "hitting-set", "lift", "subdivide")),
+               {**_INPUT, "--s": (int, (2, 3), 2), "--k": (int, (), None),
+                "--out": (str, (), None)}),
+}
+
+
+class _Exit(Exception):
+    """Raised as _Exit(code, text): a help text for stdout (code 0), or a
+    malformed line's usage and error for stderr (code 2)."""
+
+
+def _choices(values) -> str:
+    return "{" + ",".join(map(str, values)) + "}"
+
+
+def _usage(name: str | None = None) -> str:
+    """The usage line of one command, or of the program."""
+    if name is None:
+        return f"usage: minorclub {_choices(_COMMANDS)} ... --input INPUT"
+    _, _, positional, options = _COMMANDS[name]
+    words = ["usage: minorclub", name] + ([_choices(positional[1])] if positional else [])
+    for opt, (convert, choices, default) in options.items():
+        word = (opt if convert is None else
+                f"{opt} {_choices(choices) if choices else opt[2:].upper()}")
+        words.append(word if default is _REQUIRED else f"[{word}]")
+    return " ".join(words)
+
+
+def _help(name: str | None = None) -> str:
+    """The help text of one command, or of the program."""
+    if name is not None:
+        return f"{_usage(name)}\n\n{_COMMANDS[name][1]}"
+    return "\n".join(
+        [_usage(), "", "Clique minors and bounded-diameter minors on structured "
+         "graph classes.", "", "commands:"]
+        + [f"  {cmd:<17}{spec[1]}" for cmd, spec in _COMMANDS.items()]
+        + ["", "--input is a path, or '-' for stdin.  'minorclub <command> --help' "
+           "shows a command's options."])
+
+
+def _malformed(name: str | None, message: str) -> _Exit:
+    return _Exit(2, f"{_usage(name)}\nerror: {message}")
+
+
+def _parse_args(argv: list[str]) -> SimpleNamespace:
+    """The attributes the commands read: cmd, fn, the positional and every
+    option of the command.  Raises _Exit for help and for a malformed line."""
+    name = argv[0] if argv else None
+    if name in ("-h", "--help"):
+        raise _Exit(0, _help())
+    if name not in _COMMANDS:
+        raise _malformed(None, f"unknown command {name!r}" if argv else "no command given")
+    fn, _, positional, options = _COMMANDS[name]
+    values = {}
+    words = []
+    tokens = iter(argv[1:])
+    for token in tokens:
+        if token in ("-h", "--help"):
+            raise _Exit(0, _help(name))
+        if token[:1] != "-":
+            words.append(token)
+            continue
+        opt, eq, value = token.partition("=")
+        if opt not in options:
+            raise _malformed(name, f"unknown option {opt}")
+        convert, choices, _ = options[opt]
+        if convert is None:
+            if eq:
+                raise _malformed(name, f"option {opt} takes no value")
+            value = True
+        else:
+            if not eq:
+                value = next(tokens, None)
+                if value is None:
+                    raise _malformed(name, f"option {opt} needs a value")
+            try:
+                value = convert(value)
+            except ValueError:
+                raise _malformed(name, f"option {opt}: {value!r} is not an integer") from None
+            if choices and value not in choices:
+                raise _malformed(name, f"option {opt}: {value!r} is not one of "
+                                       f"{_choices(choices)}")
+        values[opt[2:]] = value
+    if positional:
+        attr, choices = positional
+        if not words:
+            raise _malformed(name, f"missing {attr}, one of {_choices(choices)}")
+        if words[0] not in choices:
+            raise _malformed(name, f"{attr} {words[0]!r} is not one of {_choices(choices)}")
+        values[attr] = words.pop(0)
+    if words:
+        raise _malformed(name, f"unexpected argument {words[0]!r}")
+    for opt, (_, _, default) in options.items():
+        if opt[2:] not in values:
+            if default is _REQUIRED:
+                raise _malformed(name, f"option {opt} is required")
+            values[opt[2:]] = default
+    return SimpleNamespace(cmd=name, fn=fn, **values)
 
 
 def main(argv=None) -> int:
-    args = make_parser().parse_args(argv)
+    try:
+        args = _parse_args(sys.argv[1:] if argv is None else argv)
+    except _Exit as stop:
+        code, text = stop.args
+        print(text, file=sys.stderr if code else sys.stdout)
+        return code
     try:
         if args.input == "-":
             raw = sys.stdin.buffer.read()

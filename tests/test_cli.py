@@ -780,3 +780,58 @@ def test_unreadable_input_exits_2(tmp_path, capsys):
 def test_negative_reduce_budget_exits_3(tmp_path, capsys, argv, data):
     code, out, err = run(tmp_path, capsys, argv, data)
     assert code == 3 and out == "" and "non-negative" in err
+
+
+COMMANDS = ["recognize", "hadwiger", "clique-matching", "club-contract",
+            "club-minor", "oracle", "reduce"]
+
+
+@pytest.mark.parametrize("argv, token", [
+    ([], "no command"),
+    (["bogus", "--input", "-"], "'bogus'"),
+    (["hadwiger", "--bogus", "--input", "-"], "--bogus"),
+    (["hadwiger", "--inp", "-"], "--inp"),
+    (["hadwiger", "--input"], "--input"),
+    (["club-contract", "--s", "2", "--k", "x", "--input", "-"], "'x'"),
+    (["hadwiger", "--format", "graph7", "--input", "-"], "'graph7'"),
+    (["reduce", "hitting-set", "--k", "2", "--s", "4", "--input", "-"], "--s: 4"),
+    (["hadwiger", "--json"], "--input"),
+    (["club-minor", "--input", "-"], "--s"),
+    (["oracle", "--input", "-"], "problem"),
+    (["hadwiger", "extra", "--input", "-"], "'extra'"),
+    (["oracle", "hadwiger", "club-minor", "--input", "-"], "'club-minor'"),
+    (["hadwiger", "--json=yes", "--input", "-"], "--json"),
+])
+def test_malformed_command_line_exits_2(monkeypatch, capsys, argv, token):
+    monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(P5)))
+    code = main(argv)  # a SystemExit fails the test
+    out, err = capsys.readouterr()
+    assert code == 2 and out == ""
+    usage, error = err.splitlines()
+    assert usage.startswith("usage: minorclub ")
+    assert error.startswith("error: ") and token in error, err
+
+
+@pytest.mark.parametrize("argv, code, wanted", [
+    (["club-contract", "--s", "2", "--k=-1", "--input", "-"], 3, ["non-negative"]),
+    (["club-minor", "--s", "-1", "--input", "-"], 3, ["non-negative"]),
+    (["hadwiger", "--input", "-", "--json"], 0, ['"solver":"bipperm"']),
+    (["hadwiger", "--method", "cograph", "--input", "missing.g6", "--json",
+      "--method=bipperm", "--input", "-"], 0, ['"solver":"bipperm"']),
+    (["oracle", "--s", "3", "club-minor", "--input", "-", "--json"], 0,
+     ['"command":"oracle:club-minor"', '"value":4']),
+    (["-h"], 0, COMMANDS),
+    (["--help"], 0, COMMANDS),
+    (["club-contract", "--help"], 0,
+     ["--input", "--format", "--json", "--cap", "--s", "--k"]),
+    (["reduce", "--input", "-", "-h"], 0,
+     ["hitting-set", "--input", "--format", "--json", "--s", "--k", "--out"]),
+])
+def test_accepted_command_lines(monkeypatch, capsys, argv, code, wanted):
+    monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(P5)))
+    assert main(argv) == code
+    out, err = capsys.readouterr()
+    text = out if code == 0 else err
+    assert all(word in text for word in wanted), text
+    if "-h" in argv or "--help" in argv:
+        assert out.startswith("usage: minorclub") and err == ""

@@ -3,10 +3,11 @@ complete minor obtained from it.
 
 A clique-matching is a matching in which every two edges have some pair of
 adjacent end-vertices, that is, a complete minor whose bags are edges.  Each
-call computes one strong ordering and reads it as the interval table that
-verified it (``StrongOrdering.spans``): with the ordered side ranked 1, 2,
-... in order, every vertex of the other side maps to the (lo, hi) rank
-interval of its neighborhood.  Every sub-problem, a connected component or
+call computes one strong ordering and reads it as an interval table, the
+rank spans that come with the ordering strong_ordering returns
+(``StrongOrdering.spans``): with the ordered side ranked 1, 2, ... in
+order, every vertex of the other side maps to the (lo, hi) rank interval of
+its neighborhood.  Every sub-problem, a connected component or
 a keep set of the Hadwiger cases, runs on this table clipped to the kept
 vertices: a kept vertex keeps the kept ranks of its interval, renumbered in
 order.  Clipping is sound because strong
@@ -67,7 +68,6 @@ from __future__ import annotations
 
 import heapq
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
 
 from .errors import DomainError
 from .graph import Edge, Graph, _iter_bits, _mask_components
@@ -246,9 +246,11 @@ def _solve_anchor(table, u: int, v_rank: int, beat: int):
                         ptr = ("core", ell - 1 + ln_up - ln)
                 for jp, got, outside, ln_ch in jumps:
                     q = min(got, outside + ell)
+                    # ell2 >= 0: p and the `outside` picks are distinct
+                    # ranks in [bounds(i - 1, jp)[0], a_ij), and that span
+                    # also holds [a_ij, b_ij] since R does not increase, so
+                    # outside + 1 <= ln_ch - ln, and q <= outside + ell.
                     ell2 = (ln_ch - ln) + ell - (q + 1)
-                    if ell2 < 0:
-                        continue
                     sub = c[i - 1][jp][ell2]
                     if sub > NEG and sub + q + 1 > best:
                         best = sub + q + 1
@@ -321,19 +323,6 @@ def _replay(bp, c, R, L, r, xs, ys, i, j, ell):
     return pairs
 
 
-@dataclass(frozen=True)
-class BippermHadwiger:
-    """Winning decomposition: h bags total, `case` of them singletons."""
-
-    h: int
-    case: int
-    singletons: tuple[int, ...]
-    matching: tuple[Edge, ...]
-
-    def bags(self) -> tuple[tuple[int, ...], ...]:
-        return tuple((v,) for v in self.singletons) + tuple(self.matching)
-
-
 def hadwiger_bipperm(G: Graph, with_details: bool = False):
     """Largest complete minor of a bipartite permutation graph.
 
@@ -349,7 +338,9 @@ def hadwiger_bipperm(G: Graph, with_details: bool = False):
     matching, cannot beat the best so far.  The solve starts at the bar
     best - len(T) and returns nothing when it cannot clear it, so a losing
     case replays and certifies no witness.  The winning bag family is
-    verified as a complete-minor witness.
+    verified as a complete-minor witness.  With ``with_details`` the
+    answer is (h, case, bags): the winning T has ``case`` vertices, and
+    its singleton bags come first, then the clique-matching's edges.
     """
     ordering, table = _interval_table(G)
     side1 = sum(1 << w for w in ordering.side1)
@@ -358,22 +349,21 @@ def hadwiger_bipperm(G: Graph, with_details: bool = False):
         side = side1 if side1 >> t & 1 else ~side1
         return side & ~(1 << t) | G.rows[t]
 
-    best = BippermHadwiger(0, 0, (), ())
+    h, singles, matching = 0, (), ()
     for comp in _mask_components(G.rows, (1 << G.n) - 1):
-        singles = [()] + [(u,) for u in _iter_bits(comp)] + [
+        cases = [()] + [(u,) for u in _iter_bits(comp)] + [
             (a, b) for a in _iter_bits(comp) for b in _iter_bits(G.rows[a] >> a << a)]
-        for T in singles:
+        for T in cases:
             keep = comp
             for t in T:
                 keep &= near(t)
             if len(T) + min((keep & side1).bit_count(),
-                            (keep & ~side1).bit_count()) <= best.h:
+                            (keep & ~side1).bit_count()) <= h:
                 continue
-            solved = _solve(*_clip(ordering.order2, table, keep),
-                            max(0, best.h - len(T)))
-            if solved is not None and len(T) + solved[0] > best.h:
-                best = BippermHadwiger(len(T) + solved[0], len(T), T, solved[1])
-    bags = best.bags()
-    certify(len(bags) == best.h and verify_witness(G, bags),
-            f"bags {bags} are not a complete minor of size {best.h}")
-    return best if with_details else best.h
+            solved = _solve(*_clip(ordering.order2, table, keep), max(0, h - len(T)))
+            if solved is not None and len(T) + solved[0] > h:
+                h, singles, matching = len(T) + solved[0], T, solved[1]
+    bags = tuple((v,) for v in singles) + matching
+    certify(len(bags) == h and verify_witness(G, bags),
+            f"bags {bags} are not a complete minor of size {h}")
+    return (h, len(singles), bags) if with_details else h

@@ -118,13 +118,13 @@ def cmd_hadwiger(G, args):
             return {"h": table.best, "cr_table": list(table.values)}, "cograph", {}
     if method in ("auto", "bipperm"):
         try:
-            det = hadwiger_bipperm(G, with_details=True)
+            h, case, bags = hadwiger_bipperm(G, with_details=True)
         except DomainError:
             if method == "bipperm":
                 raise
         else:
-            return ({"h": det.h, "case": det.case,
-                     "witness": [list(b) for b in det.bags()]}, "bipperm", {})
+            return ({"h": h, "case": case, "witness": [list(b) for b in bags]},
+                    "bipperm", {})
     try:
         value, bags = oracle_mod.hadwiger_oracle(G, cap=args.cap, with_witness=True)
     except CapacityError:
@@ -134,7 +134,7 @@ def cmd_hadwiger(G, args):
             "no polynomial method applies (not a cograph, no strong ordering) "
             "and the graph exceeds the brute-force cap; the general problem "
             "is intractable") from None
-    return {"h": value, "witness_bags": [list(b) for b in (bags or ())]}, "oracle", {}
+    return {"h": value, "witness_bags": [list(b) for b in bags]}, "oracle", {}
 
 
 def cmd_clique_matching(G, args):
@@ -142,36 +142,37 @@ def cmd_clique_matching(G, args):
     return {"size": size, "matching_edges": [list(e) for e in edges]}, "bipperm", {}
 
 
-def _club_solver(G, args, k, atfree, oracle):
+def _club_solver(G, args, k):
     """(solver, S): S a set of at most k edges whose contraction leaves
-    diameter at most s, or None when there is none.  A negative s exits 3.
-    For s >= 2, solver "bound" when ``tight_contraction`` answers, else
-    ``atfree()`` unless it finds an asteroidal triple.  Otherwise, and for
-    s < 2, ``oracle()`` when G fits within --cap or is disconnected, which
-    the oracle answers without a search, else exit 3."""
-    if args.s < 0:
+    diameter at most s, or None when there is none; k None asks for a
+    smallest set (club-minor).  A negative s exits 3.  For s >= 2, solver
+    "bound" when ``tight_contraction`` answers, else the AT-free solver
+    unless it finds an asteroidal triple.  Otherwise, and for s < 2, the
+    oracle when G fits within --cap or is disconnected, which the oracle
+    answers without a search, else exit 3."""
+    s = args.s
+    if s < 0:
         raise DomainError("diameter bound --s must be non-negative")
-    if args.s >= 2:
-        bound, S = tight_contraction(G, args.s, k)
-        if S is not None or k < bound:
+    if s >= 2:
+        bound, S = tight_contraction(G, s, math.inf if k is None else k)
+        if S is not None or k is not None and k < bound:
             return "bound", S
         try:
-            return "atfree", atfree()
+            return "atfree", (minimum_contraction(G, s)[1] if k is None
+                              else s_club_contract_decide(G, s, k))
         except DomainError as exc:
             if exc.certificate is None:
                 raise
     if G.n > args.cap and is_connected(G):
         raise DomainError(
             "graph is not AT-free (or s < 2) and exceeds the brute-force cap")
-    return "oracle", oracle()
+    return "oracle", oracle_mod.min_club_contraction_set(G, s, G.m if k is None else k)
 
 
 def cmd_club_contract(G, args):
     if args.k < 0:
         raise DomainError("contraction budget must be non-negative")
-    solver, S = _club_solver(
-        G, args, args.k, lambda: s_club_contract_decide(G, args.k, args.s),
-        lambda: oracle_mod.min_club_contraction_set(G, args.s, args.k))
+    solver, S = _club_solver(G, args, args.k)
     return ({"answer": "no" if S is None else "yes",
              "witness_edges": [list(e) for e in S] if S else None},
             solver, {})
@@ -180,9 +181,7 @@ def cmd_club_contract(G, args):
 def cmd_club_minor(G, args):
     if not is_connected(G):
         raise DomainError("disconnected graphs cannot be contracted to finite diameter")
-    solver, S = _club_solver(
-        G, args, math.inf, lambda: minimum_contraction(G, args.s)[1],
-        lambda: oracle_mod.min_club_contraction_set(G, args.s, G.m))
+    solver, S = _club_solver(G, args, None)
     return ({"k_min": len(S), "p": G.n - len(S),
              "witness_edges": [list(e) for e in S] if S else None},
             solver, {})
@@ -192,7 +191,7 @@ def cmd_oracle(G, args):
     what = args.problem
     if what == "hadwiger":
         value, bags = oracle_mod.hadwiger_oracle(G, cap=args.cap, with_witness=True)
-        result = {"value": value, "witness_bags": [list(b) for b in (bags or ())]}
+        result = {"value": value, "witness_bags": [list(b) for b in bags]}
     elif what == "club-minor":
         result = {"value": oracle_mod.max_s_club_minor_oracle(G, args.s, cap=args.cap)}
     elif what == "club-contract":

@@ -232,7 +232,7 @@ def _tight_from(G: Graph, s: int, pair, dominating: bool = False
     return None
 
 
-def s_club_contract_decide(G: Graph, k: int, s: int) -> tuple[Edge, ...] | None:
+def s_club_contract_decide(G: Graph, s: int, k: int) -> tuple[Edge, ...] | None:
     """Can at most k edge contractions bring diam(G) down to s or less?
 
     Yes is a set of at most k edges whose contraction has been re-verified

@@ -42,7 +42,7 @@ def hadwiger_oracle(G: Graph, cap: int = PARTITION_CAP,
     than ``cap`` vertices.
     """
     if G.n == 0:
-        return (0, None) if with_witness else 0
+        return (0, ()) if with_witness else 0
     comps = components(G)
     for comp in comps:
         if len(comp) > cap:

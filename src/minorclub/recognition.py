@@ -11,13 +11,13 @@ join co-connected, so every other cotree node tests the one split its
 parent's kind leaves open.  One such split pass folds any bottom-up value
 over the cotree as it finds it (``cotree_fold``, one stack frame per cotree
 node), and recognize_cograph is the fold that builds the Cotree itself.
-The strong ordering is read off BFS layers and returned only when
-verify_ordering accepts it.  Both read an ordering as rank spans
-(``_rank_intervals``): ranking the ordered side 1, 2, ..., each vertex of
-the other side maps to the (lo, hi) span of its neighborhood.  The ordering
-is strong when every span is exactly its neighborhood and any two nested
-spans share an end, and an accepted ordering keeps its spans for the
-solvers.
+The strong ordering is read off BFS layers and checked by the one test
+that verify_ordering also runs (``_strong_spans``), which reads an ordering
+as rank spans: ranking the ordered side 1, 2, ..., each vertex of the other
+side maps to the (lo, hi) span of its neighborhood.  The ordering is strong
+when every span is exactly its neighborhood and any two nested spans share
+an end.  The spans come with the ordering that strong_ordering returns, so
+the solvers read them without ranking again.
 """
 
 from __future__ import annotations
@@ -182,22 +182,31 @@ class StrongOrdering:
     Adjacency property: every first-side neighborhood occupies consecutive
     positions of ``order2``.  Enclosure property: whenever one first-side
     neighborhood contains another, their difference is consecutive too.
-    ``spans`` holds the rank spans of the graph the ordering last passed
-    verify_ordering on, so that a solver reads them without ranking again;
-    it takes no part in comparison or repr.
+    ``spans`` holds the rank spans of an ordering that strong_ordering
+    built, and None on one built by hand; it takes no part in comparison or
+    repr.
     """
 
     side1: tuple[int, ...]
     order2: tuple[int, ...]
     spans: dict[int, tuple[int, int]] | None = field(
-        default=None, init=False, compare=False, repr=False)
+        default=None, compare=False, repr=False)
 
 
-def _rank_intervals(G: Graph, ordering: StrongOrdering) -> dict[int, tuple[int, int]]:
+def _strong_spans(G: Graph, side1, order2) -> dict[int, tuple[int, int]] | None:
     """The (lo, hi) rank span of every first-side vertex with a neighbor, in
-    ``side1`` order, ranking ``order2`` from 1.  Raises DomainError when the
-    sides do not partition the vertex set or are not a bipartition."""
-    side1, order2 = ordering.side1, ordering.order2
+    ``side1`` order, ranking ``order2`` from 1, when the ordering is strong,
+    else None.  Raises DomainError when the sides do not partition the
+    vertex set or are not a bipartition.
+
+    Adjacency holds when every span is as long as its vertex's degree.  The
+    neighborhoods are then the spans, and one contains another exactly when
+    the spans nest, [a, b] inside [c, d]; their difference [c, a) and (b, d]
+    is consecutive exactly when the two share an end.  So enclosure fails
+    exactly when some span starts further left than another and ends
+    further right, that is, when sorting the spans by (lo, hi) leaves their
+    right ends out of order.
+    """
     if sorted((*side1, *order2)) != list(range(G.n)):
         raise DomainError("ordering sides do not partition the vertex set")
     mask1 = sum(1 << u for u in side1)
@@ -209,28 +218,16 @@ def _rank_intervals(G: Graph, ordering: StrongOrdering) -> dict[int, tuple[int, 
         if G.rows[u]:
             ranks = [rank[v] for v in _iter_bits(G.rows[u])]
             spans[u] = (min(ranks), max(ranks))
-    return spans
+    if any(hi - lo + 1 != G.degree(u) for u, (lo, hi) in spans.items()):
+        return None
+    ends = [hi for _, hi in sorted(spans.values())]
+    return spans if ends == sorted(ends) else None
 
 
 def verify_ordering(G: Graph, ordering: StrongOrdering) -> bool:
-    """The adjacency and enclosure properties, read off the rank spans.
-
-    Adjacency holds when every span is as long as its vertex's degree.  The
-    neighborhoods are then the spans, and one contains another exactly when
-    the spans nest, [a, b] inside [c, d]; their difference [c, a) and (b, d]
-    is consecutive exactly when the two share an end.  So enclosure fails
-    exactly when some span starts further left than another and ends
-    further right, that is, when sorting the spans by (lo, hi) leaves their
-    right ends out of order.  An accepted ordering keeps its spans.
-    """
-    spans = _rank_intervals(G, ordering)
-    if any(hi - lo + 1 != G.degree(u) for u, (lo, hi) in spans.items()):
-        return False
-    ends = [hi for _, hi in sorted(spans.values())]
-    if ends != sorted(ends):
-        return False
-    object.__setattr__(ordering, "spans", spans)
-    return True
+    """The adjacency and enclosure properties, read off the rank spans of
+    ``_strong_spans``."""
+    return _strong_spans(G, ordering.side1, ordering.order2) is not None
 
 
 def strong_ordering(G: Graph) -> StrongOrdering | None:
@@ -251,11 +248,12 @@ def strong_ordering(G: Graph) -> StrongOrdering | None:
     and the odd layers ``order2``.  Isolated vertices go last in ``order2``.
     A layer that holds an edge shows an odd cycle, and the result is None.
 
-    There is no search and no size cap: a single verify_ordering call on
+    There is no search and no size cap: a single ``_strong_spans`` check on
     the whole graph decides the result, so a returned ordering is always
-    valid.  By the layering argument the check fails only off the class;
-    the tests confirm this against exhaustive search on every graph with at
-    most 7 vertices and against bipartite AT-freeness on larger ones.
+    valid, and it carries the spans that check ranked.  By the layering
+    argument the check fails only off the class; the tests confirm this
+    against exhaustive search on every graph with at most 7 vertices and
+    against bipartite AT-freeness on larger ones.
     """
     side1: list[int] = []
     order2: list[int] = []
@@ -280,8 +278,9 @@ def strong_ordering(G: Graph) -> StrongOrdering | None:
                 min(pos[w] for w in _iter_bits(G.rows[v] & prev)), G.degree(v), v))
             pos.update((v, i) for i, v in enumerate(layer))
             (order2 if depth % 2 else side1).extend(layer)
-    ordering = StrongOrdering(tuple(side1), tuple(order2 + isolated))
-    return ordering if verify_ordering(G, ordering) else None
+    side1, order2 = tuple(side1), tuple(order2 + isolated)
+    spans = _strong_spans(G, side1, order2)
+    return None if spans is None else StrongOrdering(side1, order2, spans)
 
 
 # AT-freeness and dominating pairs ---------------------------------------

@@ -5,8 +5,8 @@ from itertools import combinations
 
 import pytest
 
-from minorclub.bipperm_dp import (BippermHadwiger, _clip, _interval_table,
-                                  _solve, _solve_anchor, hadwiger_bipperm,
+from minorclub.bipperm_dp import (_clip, _interval_table, _solve,
+                                  _solve_anchor, hadwiger_bipperm,
                                   is_clique_matching, max_clique_matching)
 from minorclub.cograph_dp import hadwiger_cograph
 from minorclub.errors import DomainError
@@ -85,8 +85,9 @@ def test_rejects_non_bipartite_permutation_inputs():
 def test_hadwiger_examples():
     assert hadwiger_bipperm(Graph.path(6)) == 2
     assert hadwiger_bipperm(Graph.complete_bipartite(3, 3)) == 4
-    det = hadwiger_bipperm(Graph.cycle(4), with_details=True)
-    assert det.h == 3 and det.case == 2
+    # the case's singleton bags first, then the clique-matching's edges
+    assert hadwiger_bipperm(Graph.cycle(4), with_details=True) == (
+        3, 2, ((0,), (1,), (2, 3)))
     assert hadwiger_bipperm(Graph.empty(3)) == 1
 
 
@@ -301,7 +302,7 @@ def test_case_bound_keeps_the_first_best_case():
     for G in _staircases(29):
         ordering, table = _interval_table(G)
         side1 = sum(1 << w for w in ordering.side1)
-        best = BippermHadwiger(0, 0, (), ())
+        best = (0, 0, ())
         for comp in _mask_components(G.rows, (1 << G.n) - 1):
             singles = [()] + [(u,) for u in _iter_bits(comp)] + [
                 (a, b) for a in _iter_bits(comp) for b in _iter_bits(comp & G.rows[a])
@@ -312,8 +313,8 @@ def test_case_bound_keeps_the_first_best_case():
                     side = side1 if side1 >> t & 1 else ~side1
                     keep &= side & ~(1 << t) | G.rows[t]
                 size, edges = _solve(*_clip(ordering.order2, table, keep))
-                if len(T) + size > best.h:
-                    best = BippermHadwiger(len(T) + size, len(T), T, edges)
+                if len(T) + size > best[0]:
+                    best = (len(T) + size, len(T), tuple((t,) for t in T) + edges)
         assert hadwiger_bipperm(G, with_details=True) == best, G.edges()
 
 

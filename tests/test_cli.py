@@ -801,6 +801,8 @@ COMMANDS = ["recognize", "hadwiger", "clique-matching", "club-contract",
     (["hadwiger", "extra", "--input", "-"], "'extra'"),
     (["oracle", "hadwiger", "club-minor", "--input", "-"], "'club-minor'"),
     (["hadwiger", "--json=yes", "--input", "-"], "--json"),
+    (["oracle", "bogus", "--input", "-"], "problem 'bogus' is not one of {"),
+    (["reduce", "bogus", "--input", "-"], "construction 'bogus' is not one of {"),
 ])
 def test_malformed_command_line_exits_2(monkeypatch, capsys, argv, token):
     monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(P5)))

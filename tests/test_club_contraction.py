@@ -61,7 +61,7 @@ def test_exhaustive_small_atfree_graphs_match_oracle():
             _check_witness(G, S, k_min, s)
             assert len(S) == k_min
             for k in range(max(0, d - s - 1), d - s + 3):
-                S = s_club_contract_decide(G, k, s)
+                S = s_club_contract_decide(G, s, k)
                 answers.append(S)
                 if k >= k_min:
                     _check_witness(G, S, k, s)
@@ -158,7 +158,7 @@ def test_brute_force_answers_match_the_unpruned_walk_at_scale():
             ref = reference_club_set(G, s, d - s + 1)
             assert ref is not None and len(ref) <= 2, (n, seed, s)
             tight = ref if len(ref) == d - s else None
-            assert s_club_contract_decide(G, d - s, s) == tight
+            assert s_club_contract_decide(G, s, d - s) == tight
             assert tight_contraction(G, s) == (d - s, tight), (n, seed, s)
             assert minimum_contraction(G, s) == (len(ref), ref), (n, seed, s)
             seen.add((d - s, len(ref)))
@@ -358,7 +358,7 @@ def test_pinned_branches_beyond_the_exhaustive_sweep(monkeypatch, g6, step):
     assert S == witnesses[k_min]
     assert any(r is not None for r in results)
     for k in range(0, 6):
-        S = s_club_contract_decide(G, k, s)
+        S = s_club_contract_decide(G, s, k)
         assert (S is not None) == (k >= k_min)
         assert S == witnesses.get(k)
         if S is not None:
@@ -381,13 +381,13 @@ def test_tight_no_answers_beyond_the_exhaustive_sweep(monkeypatch, g6, found_any
     scans = _spy(monkeypatch, "_scan_paths")
     pinned = _spy(monkeypatch, "_pinned_attempt")
     extra = _spy(monkeypatch, "_one_extra_contraction")
-    assert s_club_contract_decide(G, d - s, s) is None
+    assert s_club_contract_decide(G, s, d - s) is None
     assert [(path, pinned is not None) for path, pinned in scans] \
         == [(None, found_any)]
     assert pinned == ([None, None] if found_any else [])
     assert extra == []
     for k in range(0, d - s + 3):
-        S = s_club_contract_decide(G, k, s)
+        S = s_club_contract_decide(G, s, k)
         assert (S is not None) == (k >= k_min)
         assert S == witnesses.get(k)
         if S is not None:
@@ -411,7 +411,7 @@ def test_tight_step_certifies_only_from_a_dominating_pair(monkeypatch):
         == ((1, 2), (2, 3), (3, 4), (4, 5), (5, 6))
     monkeypatch.setattr(club_contraction, "diameter_at_most", _never)
     with pytest.raises(InvalidStructureError):
-        s_club_contract_decide(G, 5, 2)
+        s_club_contract_decide(G, 2, 5)
     assert tight_contraction(G, 2) == (5, None)
 
 
@@ -573,13 +573,13 @@ def test_is_satisfying_path_rejects_non_paths():
 def test_domain_errors():
     P5 = Graph.path(5)
     with pytest.raises(DomainError):
-        s_club_contract_decide(P5, 2, 1)
+        s_club_contract_decide(P5, 1, 2)
     with pytest.raises(DomainError):
         minimum_contraction(P5, 1)
     with pytest.raises(DomainError):
-        s_club_contract_decide(P5, -1, 2)
+        s_club_contract_decide(P5, 2, -1)
     for call in (lambda G: minimum_contraction(G, 2),
-                 lambda G: s_club_contract_decide(G, 3, 2)):
+                 lambda G: s_club_contract_decide(G, 2, 3)):
         with pytest.raises(DomainError) as info:
             call(Graph.cycle(6))
         assert info.value.certificate == (0, 2, 4)
@@ -588,7 +588,7 @@ def test_domain_errors():
     with pytest.raises(DomainError, match="^disconnected graphs cannot be "
                        "contracted to finite diameter$"):
         minimum_contraction(split, 2)
-    assert s_club_contract_decide(split, 3, 2) is None
+    assert s_club_contract_decide(split, 2, 3) is None
     with pytest.raises(DomainError):
         distance_profile(split, 0, 2)
     with pytest.raises(DomainError):

@@ -48,6 +48,7 @@ def test_hadwiger_examples():
         assert hadwiger_oracle(Graph.cycle(n)) == 3
     assert hadwiger_oracle(Graph.empty(4)) == 1
     assert hadwiger_oracle(Graph.empty(0)) == 0
+    assert hadwiger_oracle(Graph.empty(0), with_witness=True) == (0, ())
 
 
 def test_hadwiger_petersen():

@@ -363,6 +363,24 @@ def test_verify_ordering_rejects_bad_bipartition():
         verify_ordering(G, StrongOrdering((0, 1), (2,)))  # edge inside side1
 
 
+def test_verify_ordering_leaves_its_argument_unchanged():
+    # hand-built orderings keep spans None, pass or fail; a built one keeps
+    # the very spans it came with, also when checked against other graphs
+    P5 = Graph.path(5)
+    for ordering in (StrongOrdering((1, 3), (0, 2, 4)), StrongOrdering((1, 3), (0, 4, 2))):
+        verify_ordering(P5, ordering)
+        assert ordering.spans is None
+    ordering = strong_ordering(Graph.complete_bipartite(2, 3))
+    spans = ordering.spans
+    want = (ordering.side1, ordering.order2, dict(spans))
+    outcomes = set()
+    for G in all_graphs(5):
+        outcomes.add(_ordering_outcome(verify_ordering, G, ordering))
+        assert ordering.spans is spans
+        assert (ordering.side1, ordering.order2, ordering.spans) == want
+    assert outcomes == {True, False, "ordering sides are not a bipartition"}
+
+
 def test_strong_ordering_matches_exhaustive_on_small_graphs():
     for n in range(1, 8):
         for G in all_graphs(n):
@@ -371,6 +389,12 @@ def test_strong_ordering_matches_exhaustive_on_small_graphs():
             assert (got is not None) == want, G.edges()
             if got is not None:
                 assert verify_ordering(G, got)
+                # its spans are a fresh ranking of order2, in side1 order
+                rank = {v: i for i, v in enumerate(got.order2, 1)}
+                assert list(got.spans.items()) == [
+                    (u, (min(rank[v] for v in G.neighbors(u)),
+                         max(rank[v] for v in G.neighbors(u))))
+                    for u in got.side1 if G.degree(u)], G.edges()
 
 
 @pytest.mark.parametrize("dense", [False, True])

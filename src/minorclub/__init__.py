@@ -15,7 +15,7 @@ from .recognition import (Cotree, StrongOrdering, diameter_dominating_pair,
 from .oracle import (clique_matching_oracle, hadwiger_oracle,
                      max_s_club_minor_oracle, min_club_contraction_oracle,
                      nice_structure_oracle)
-from .cograph_dp import CrTable, cr_join, cr_union, hadwiger_cograph
+from .cograph_dp import cr_join, cr_union, hadwiger_cograph
 from .bipperm_dp import hadwiger_bipperm, max_clique_matching
 from .club_contraction import distance_profile, s_club_contract_decide
 from .reductions import (HittingSetInstance, NaeFormula, ReductionInstance,

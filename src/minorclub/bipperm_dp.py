@@ -90,19 +90,19 @@ def max_clique_matching(G: Graph) -> tuple[int, tuple[Edge, ...]]:
 
     Anchors are solved independently and merged by a deterministic maximum.
     """
-    ordering, table = _interval_table(G)
-    size, edges = _solve(ordering.order2, table)
+    ordering = _ordering(G)
+    size, edges = _solve(ordering.order2, ordering.spans)
     certify(len(edges) == size and is_clique_matching(G, edges),
             f"matching of size {size} is not a clique-matching")
     return size, edges
 
 
-def _interval_table(G: Graph) -> tuple[StrongOrdering, dict[int, tuple[int, int]]]:
-    """A verified strong ordering and its rank intervals."""
+def _ordering(G: Graph) -> StrongOrdering:
+    """A verified strong ordering, its rank intervals in ``spans``."""
     ordering = strong_ordering(G)
     if ordering is None:
         raise DomainError("graph is not a bipartite permutation graph")
-    return ordering, ordering.spans
+    return ordering
 
 
 def _clip(order2, table, keep: int):
@@ -342,7 +342,7 @@ def hadwiger_bipperm(G: Graph, with_details: bool = False):
     answer is (h, case, bags): the winning T has ``case`` vertices, and
     its singleton bags come first, then the clique-matching's edges.
     """
-    ordering, table = _interval_table(G)
+    ordering = _ordering(G)
     side1 = sum(1 << w for w in ordering.side1)
 
     def near(t: int) -> int:
@@ -360,7 +360,8 @@ def hadwiger_bipperm(G: Graph, with_details: bool = False):
             if len(T) + min((keep & side1).bit_count(),
                             (keep & ~side1).bit_count()) <= h:
                 continue
-            solved = _solve(*_clip(ordering.order2, table, keep), max(0, h - len(T)))
+            solved = _solve(*_clip(ordering.order2, ordering.spans, keep),
+                            max(0, h - len(T)))
             if solved is not None and len(T) + solved[0] > h:
                 h, singles, matching = len(T) + solved[0], T, solved[1]
     bags = tuple((v,) for v in singles) + matching

@@ -33,6 +33,9 @@ at any size, `oracle club-contract` null, and club-minor and `oracle
 club-minor` exit 3.
 
 recognize reports every class, chordal-bipartite included, at any size.
+Cographs and bipartite permutation graphs, known from the cotree or strong
+ordering it builds, are permutation graphs and so AT-free; only other
+graphs are searched for an asteroidal triple.
 club-contract and club-minor, when s >= 2, first ask the class-free d - s
 bound, ``club_contraction.tight_contraction``; when it finds a set of d - s
 edges (d the diameter), or the budget --k lies below d - s, they answer with
@@ -96,7 +99,9 @@ def cmd_recognize(G, args):
     if ordering is not None:
         certs["strong-ordering"] = ("side1 " + " ".join(map(str, ordering.side1))
                                     + " | order2 " + " ".join(map(str, ordering.order2)))
-    at = is_at_free(G)
+    # cographs and bipartite permutation graphs are permutation graphs, hence
+    # cocomparability graphs: no asteroidal triple (Golumbic, Monma & Trotter 1984)
+    at = isinstance(cograph, Cotree) or ordering is not None or is_at_free(G)
     result["at-free"] = at is True
     if at is not True:
         certs["asteroidal-triple"] = " ".join(map(str, at))
@@ -115,7 +120,7 @@ def cmd_hadwiger(G, args):
             if method == "cograph":
                 raise
         else:
-            return {"h": table.best, "cr_table": list(table.values)}, "cograph", {}
+            return {"h": max(table), "cr_table": list(table)}, "cograph", {}
     if method in ("auto", "bipperm"):
         try:
             h, case, bags = hadwiger_bipperm(G, with_details=True)
@@ -200,8 +205,8 @@ def cmd_oracle(G, args):
         cap = max(args.cap, oracle_mod.MATCHING_CAP)
         result = {"value": oracle_mod.clique_matching_oracle(G, cap=cap)}
     else:  # nice-structure
-        best, table = oracle_mod.nice_structure_oracle(G, cap=args.cap)
-        result = {"value": best, "per_edge_bag_count": list(table)}
+        table = oracle_mod.nice_structure_oracle(G, cap=args.cap)
+        result = {"value": max(table), "per_edge_bag_count": list(table)}
     return result, "oracle", {}
 
 

@@ -10,11 +10,12 @@ tables by choosing how many bags straddle the two sides.
 The nonzero entries of a table form a prefix: dropping one edge bag from a
 family with r edge bags leaves a family with r - 1 (c_0 >= 1 covers a lone
 edge bag).  So the fold, which ``recognition.cotree_fold`` runs while it
-splits the cotree, carries each node's table as a plain ``(n, values)``
-tuple cut after its last nonzero entry: a node's stack frame collects its
-children's tables and hands its own to its parent's frame, and the root's
-is padded into one CrTable.  The cut loses nothing: a zero adds nothing to
-the union's maximum, and the join skips zero entries.
+splits the cotree, carries each node's table cut after its last nonzero
+entry, with n beside it since the cut hides n: a node's stack frame collects
+its children's ``(n, values)`` pairs and hands its own to its parent's
+frame, and the root's is padded into the tuple of n + 1 entries that every
+public function returns.  The cut loses nothing: a zero adds nothing to the
+union's maximum, and the join skips zero entries.
 
 The join skips candidates that cannot win.  Write V(k, s) for the value of
 s straddling bags and k edge bags inside side i (see ``_join``).  For
@@ -50,30 +51,15 @@ it spends outside the split.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .graph import Graph
 from .recognition import Cotree, cotree_fold
 
 
-@dataclass(frozen=True)
-class CrTable:
-    """Per-r maxima for one cotree node's subgraph; values has length n+1."""
-
-    n: int
-    values: tuple[int, ...]
-
-    def __post_init__(self):
-        assert len(self.values) == self.n + 1
-
-    @property
-    def best(self) -> int:
-        return max(self.values)
-
-
-def _padded(table: tuple[int, tuple[int, ...]]) -> CrTable:
+def _padded(table: tuple[int, tuple[int, ...]]) -> tuple[int, ...]:
+    """The public table of n + 1 entries padded from the fold's (n, cut
+    values) pair: n is len(table) - 1 and the best entry is max(table)."""
     n, values = table
-    return CrTable(n, values + (0,) * (n + 1 - len(values)))
+    return values + (0,) * (n + 1 - len(values))
 
 
 def _union(t1, t2):
@@ -155,24 +141,25 @@ def _fold_node():
     return node
 
 
-def cr_union(t1: CrTable, t2: CrTable) -> CrTable:
+def cr_union(t1: tuple[int, ...], t2: tuple[int, ...]) -> tuple[int, ...]:
     """Disjoint union of two tables (see ``_union``)."""
-    return _padded(_union((t1.n, t1.values), (t2.n, t2.values)))
+    return _padded(_union((len(t1) - 1, t1), (len(t2) - 1, t2)))
 
 
-def cr_join(t1: CrTable, t2: CrTable) -> CrTable:
+def cr_join(t1: tuple[int, ...], t2: tuple[int, ...]) -> tuple[int, ...]:
     """Join of two tables (see ``_join``)."""
-    return _padded(_join((t1.n, t1.values), (t2.n, t2.values)))
+    return _padded(_join((len(t1) - 1, t1), (len(t2) - 1, t2)))
 
 
-def cotree_cr_table(tree: Cotree) -> CrTable:
+def cotree_cr_table(tree: Cotree) -> tuple[int, ...]:
     """Fold the table bottom-up over a cotree already built."""
     return _padded(tree.fold(lambda v: (1, (1,)), _fold_node()))
 
 
-def cograph_cr_table(G: Graph) -> CrTable:
-    """CrTable of a cograph, folded while its cotree is split; raises
-    DomainError with the induced P4 otherwise.
+def cograph_cr_table(G: Graph) -> tuple[int, ...]:
+    """The table c_0, ..., c_n of a cograph (see the module docstring),
+    folded while its cotree is split; raises DomainError with the induced
+    P4 otherwise.
 
     The fold keeps its own memo of the unions and joins it has computed,
     keyed on the two argument tables (see ``_fold_node``).  The memo is
@@ -187,4 +174,4 @@ def hadwiger_cograph(G: Graph) -> int:
     Disconnected inputs are covered by the union rule, which already takes
     the per-component maximum.
     """
-    return cograph_cr_table(G).best
+    return max(cograph_cr_table(G))

@@ -424,16 +424,14 @@ def enumerate_nice_structures(G: Graph) -> Iterator[tuple[tuple[int, ...], ...]]
     yield from dfs(0, 0)
 
 
-def nice_structure_oracle(G: Graph, cap: int = PARTITION_CAP) -> tuple[int, tuple[int, ...]]:
-    """Best pairwise-adjacent family of singleton and edge bags.
-
-    Returns (max bag count, table) where table[r] is the maximum bag count
-    over families with exactly r two-vertex bags (0 when none exists).
-    """
+def nice_structure_oracle(G: Graph, cap: int = PARTITION_CAP) -> tuple[int, ...]:
+    """The table c_0, ..., c_n of ``cograph_dp`` by enumeration, on any
+    graph: c_r is the most bags in a pairwise-adjacent family of singleton
+    and edge bags with exactly r edge bags (0 when none exists)."""
     if G.n > cap:
         raise CapacityError(f"graph of size {G.n} exceeds oracle cap {cap}")
     table = [0] * (G.n + 1)
     for bags in enumerate_nice_structures(G):
         r = sum(1 for b in bags if len(b) == 2)
         table[r] = max(table[r], len(bags))
-    return max(table, default=0), tuple(table)
+    return tuple(table)

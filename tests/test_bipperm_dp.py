@@ -5,7 +5,7 @@ from itertools import combinations
 
 import pytest
 
-from minorclub.bipperm_dp import (_clip, _interval_table, _solve,
+from minorclub.bipperm_dp import (_clip, _ordering, _solve,
                                   _solve_anchor, hadwiger_bipperm,
                                   is_clique_matching, max_clique_matching)
 from minorclub.cograph_dp import hadwiger_cograph
@@ -236,7 +236,8 @@ def test_clipped_tables_solve_induced_subgraphs():
     rng = random.Random(26)
     for k in range(300):
         G = random_staircase(rng.randint(2, 12), rng, dense=k % 2 == 1)
-        ordering, table = _interval_table(G)
+        ordering = _ordering(G)
+        table = ordering.spans
         for _ in range(3):
             keep = sorted(rng.sample(range(G.n), rng.randint(1, G.n)))
             order2, clipped = _clip(ordering.order2, table,
@@ -276,7 +277,7 @@ def test_anchor_bound_never_cuts_a_winning_anchor():
     # one below an anchor's uncut value the anchor still wins with the same
     # pairs; at its value it loses, with no pairs replayed
     for G in _staircases(27):
-        _, table = _interval_table(G)
+        table = _ordering(G).spans
         for v_rank, u in _anchors(table):
             value, pairs = _solve_anchor(table, u, v_rank, -1)
             assert pairs is not None and len(pairs) == value
@@ -286,7 +287,8 @@ def test_anchor_bound_never_cuts_a_winning_anchor():
 
 def test_anchor_loop_stop_keeps_the_first_best_anchor():
     for G in _staircases(28):
-        ordering, table = _interval_table(G)
+        ordering = _ordering(G)
+        table = ordering.spans
         best, best_pairs = 0, ()
         for v_rank, u in _anchors(table):
             size, pairs = _solve_anchor(table, u, v_rank, -1)
@@ -300,7 +302,8 @@ def test_anchor_loop_stop_keeps_the_first_best_anchor():
 def test_case_bound_keeps_the_first_best_case():
     # every T of hadwiger_bipperm's docstring, in its order, each solved
     for G in _staircases(29):
-        ordering, table = _interval_table(G)
+        ordering = _ordering(G)
+        table = ordering.spans
         side1 = sum(1 << w for w in ordering.side1)
         best = (0, 0, ())
         for comp in _mask_components(G.rows, (1 << G.n) - 1):
@@ -323,7 +326,8 @@ def test_case_bar_returns_nothing_exactly_when_it_cannot_be_beaten():
     # when the bar is positive and the clique-matching cannot exceed it,
     # else the unbarred answer, witness included
     for G in _staircases(30):
-        ordering, table = _interval_table(G)
+        ordering = _ordering(G)
+        table = ordering.spans
         side1 = sum(1 << w for w in ordering.side1)
         for comp in _mask_components(G.rows, (1 << G.n) - 1):
             singles = [()] + [(u,) for u in _iter_bits(comp)] + [

@@ -15,7 +15,7 @@ from minorclub.graph import (Graph, contract_edges, diameter, disjoint_union,
                              induced_subgraph, is_connected)
 from minorclub.recognition import is_at_free
 
-from genutil import random_staircase
+from genutil import all_graphs, random_staircase
 
 P5 = b"DhC"
 C5 = b"Dhc"
@@ -223,6 +223,45 @@ def test_recognize_cograph_report(tmp_path, capsys):
         '"split":false},"schema":1,"solver":null}\n')
 
 
+def test_recognize_reports_at_freeness_on_every_small_graph(tmp_path, capsys):
+    for n in range(8):
+        for G in all_graphs(n):
+            rep = run_json(tmp_path, capsys, ["recognize"], _g6(G))
+            assert rep["result"]["at-free"] == (is_at_free(G) is True), G.edges()
+
+
+def test_recognize_reads_at_freeness_off_the_cotree_and_the_ordering(
+        tmp_path, capsys, monkeypatch):
+    """K4 is a cograph with no strong ordering, and P5 and a staircase have a
+    strong ordering but no cotree: recognize reports each AT-free without
+    searching for an asteroidal triple."""
+    def search(G):
+        raise AssertionError("is_at_free called")
+
+    monkeypatch.setattr("minorclub.cli.is_at_free", search)
+    staircase = _g6(random_staircase(12, random.Random(3), dense=True))
+    for data, cograph in ((b"C~", True), (P5, False), (staircase, False)):
+        code, out, err = run(tmp_path, capsys, ["recognize"], data)
+        assert code == 0, err
+        assert "at-free: True\n" in out and "asteroidal-triple" not in out
+        assert f"cograph: {cograph}\n" in out
+        assert f"bipartite-permutation: {not cograph}\n" in out
+
+
+def test_recognize_searches_c6_for_an_asteroidal_triple(tmp_path, capsys, monkeypatch):
+    calls = []
+
+    def counted(G):
+        calls.append(G)
+        return is_at_free(G)
+
+    monkeypatch.setattr("minorclub.cli.is_at_free", counted)
+    code, out, err = run(tmp_path, capsys, ["recognize"], C6)
+    assert code == 0, err
+    assert len(calls) == 1
+    assert "asteroidal-triple: 0 2 4\n" in out and "at-free: False\n" in out
+
+
 def test_input_from_stdin(monkeypatch, capsys):
     monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(P5)))
     assert main(["hadwiger", "--input", "-", "--json"]) == 0
@@ -390,6 +429,12 @@ def test_oracle_above_cap_exits_4(tmp_path, capsys):
     code, out, err = run(tmp_path, capsys, ["oracle", "nice-structure"], C13)
     assert code == 4 and out == ""
     assert err == "capacity exceeded: graph of size 13 exceeds oracle cap 12\n"
+
+
+def test_oracle_nice_structure_on_the_empty_graph(tmp_path, capsys):
+    code, out, err = run(tmp_path, capsys, ["oracle", "nice-structure", "--json"], b"?")
+    assert code == 0, err
+    assert '"per_edge_bag_count":[0]' in out and '"value":0' in out
 
 
 def test_oracle_club_contract_ignores_the_cap(tmp_path, capsys):

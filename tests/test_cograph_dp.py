@@ -6,7 +6,7 @@ from functools import reduce
 import pytest
 
 from minorclub import cograph_dp
-from minorclub.cograph_dp import (CrTable, cograph_cr_table, cr_join, cr_union,
+from minorclub.cograph_dp import (cograph_cr_table, cr_join, cr_union,
                                   hadwiger_cograph)
 from minorclub.errors import DomainError
 from minorclub.graph import (Graph, disjoint_union, induced_subgraph, join,
@@ -18,12 +18,12 @@ from minorclub.recognition import Cotree, recognize_cograph
 from genutil import all_graphs, random_cograph
 
 # A single vertex: one singleton bag, nothing with edge bags.
-LEAF = CrTable(1, (1, 0))
+LEAF = (1, 0)
 
 
-def reference_join(t1: CrTable, t2: CrTable) -> tuple[int, ...]:
+def reference_join(t1: tuple[int, ...], t2: tuple[int, ...]) -> tuple[int, ...]:
     """The cr_join docstring formula as a plain loop over every (r, s)."""
-    n1, n2 = t1.n, t2.n
+    n1, n2 = len(t1) - 1, len(t2) - 1
     values = []
     for r in range(n1 + n2 + 1):
         best = 0
@@ -31,50 +31,49 @@ def reference_join(t1: CrTable, t2: CrTable) -> tuple[int, ...]:
             for ti, ni, tother, nother in ((t1, n1, t2, n2), (t2, n2, t1, n1)):
                 if ni - 2 * r + s < 0:
                     continue
-                inner = ti.values[r - s]
+                inner = ti[r - s]
                 if r - s > 0 and inner == 0:
                     continue
-                val = s + min(inner, ni - r) + min(nother - s, tother.values[0])
+                val = s + min(inner, ni - r) + min(nother - s, tother[0])
                 best = max(best, val)
         values.append(best)
     return tuple(values)
 
 
-def reference_union(t1: CrTable, t2: CrTable) -> tuple[int, ...]:
-    return tuple(map(max, t1.values + (0,) * t2.n, t2.values + (0,) * t1.n))
+def reference_union(t1: tuple[int, ...], t2: tuple[int, ...]) -> tuple[int, ...]:
+    return tuple(map(max, t1 + (0,) * (len(t2) - 1), t2 + (0,) * (len(t1) - 1)))
 
 
-def random_table(rng: random.Random) -> CrTable:
+def random_table(rng: random.Random) -> tuple[int, ...]:
     n = rng.randint(1, 12)
-    return CrTable(n, tuple(0 if rng.random() < 0.4 else rng.randint(1, n + 1)
-                            for _ in range(n + 1)))
+    return tuple(0 if rng.random() < 0.4 else rng.randint(1, n + 1) for _ in range(n + 1))
 
 
 def test_leaf_table():
     t = cograph_cr_table(Graph.empty(1))
     assert t == LEAF
-    assert t.best == 1
+    assert max(t) == 1
 
 
 def test_union_is_pointwise_max():
     k2 = cr_join(LEAF, LEAF)
-    assert k2.values == (2, 1, 0)
+    assert k2 == (2, 1, 0)
     u = cr_union(k2, k2)
-    assert u.n == 4 and u.values == (2, 1, 0, 0, 0)
+    assert len(u) == 5 and u == (2, 1, 0, 0, 0)
     # padding with an absent side keeps entries
     single = cr_union(LEAF, LEAF)
-    assert single.values == (1, 0, 0)
+    assert single == (1, 0, 0)
 
 
 def test_join_of_two_singletons_gives_edge_table():
-    assert cr_join(LEAF, LEAF).values == (2, 1, 0)
+    assert cr_join(LEAF, LEAF) == (2, 1, 0)
 
 
 def test_join_reproduces_cycle_table():
     two = cr_union(LEAF, LEAF)  # 2K1
     c4 = cr_join(two, two)
-    assert c4.values == (2, 3, 2, 0, 0)
-    assert nice_structure_oracle(join(Graph.empty(2), Graph.empty(2)))[1] == c4.values
+    assert c4 == (2, 3, 2, 0, 0)
+    assert nice_structure_oracle(join(Graph.empty(2), Graph.empty(2))) == c4
 
 
 def test_join_r0_column_is_additive():
@@ -83,7 +82,7 @@ def test_join_r0_column_is_additive():
         G1 = random_cograph(rng.randint(1, 5), rng)
         G2 = random_cograph(rng.randint(1, 5), rng)
         t = cr_join(cograph_cr_table(G1), cograph_cr_table(G2))
-        assert t.values[0] == max_clique(G1)[0] + max_clique(G2)[0]
+        assert t[0] == max_clique(G1)[0] + max_clique(G2)[0]
 
 
 def test_join_dominates_union():
@@ -92,7 +91,7 @@ def test_join_dominates_union():
         t1 = cograph_cr_table(random_cograph(rng.randint(1, 5), rng))
         t2 = cograph_cr_table(random_cograph(rng.randint(1, 5), rng))
         tj, tu = cr_join(t1, t2), cr_union(t1, t2)
-        assert all(a >= b for a, b in zip(tj.values, tu.values))
+        assert all(a >= b for a, b in zip(tj, tu))
 
 
 def test_table_entry_bound():
@@ -100,8 +99,8 @@ def test_table_entry_bound():
     for _ in range(25):
         G = random_cograph(rng.randint(1, 8), rng)
         t = cograph_cr_table(G)
-        for r, val in enumerate(t.values):
-            assert val <= max(0, t.n - r)
+        for r, val in enumerate(t):
+            assert val <= max(0, len(t) - 1 - r)
 
 
 def test_hadwiger_examples():
@@ -125,17 +124,15 @@ def test_star_join_table_needs_realizability_guard():
     # value 1.
     star = join(Graph.empty(4), Graph.empty(1))
     table = cograph_cr_table(star)
-    assert table.values == nice_structure_oracle(star)[1] == (2, 2, 0, 0, 0, 0)
+    assert table == nice_structure_oracle(star) == (2, 2, 0, 0, 0, 0)
 
 
 def test_exhaustive_small_cographs_match_oracle():
-    for n in range(1, 6):
-        for G in all_graphs(n):
-            if not isinstance(recognize_cograph(G), Cotree):
-                continue
-            table = cograph_cr_table(G)
-            assert table.best == hadwiger_oracle(G), G.edges()
-            assert table.values == nice_structure_oracle(G)[1], G.edges()
+    for G in _small_cographs(7):
+        table = cograph_cr_table(G)
+        assert type(table) is tuple and len(table) == G.n + 1
+        assert max(table) == hadwiger_oracle(G), G.edges()
+        assert table == nice_structure_oracle(G), G.edges()
 
 
 def test_random_cographs_match_oracle():
@@ -143,7 +140,7 @@ def test_random_cographs_match_oracle():
     for _ in range(60):
         G = random_cograph(rng.randint(1, 7), rng)
         assert hadwiger_cograph(G) == hadwiger_oracle(G)
-        assert cograph_cr_table(G).values == nice_structure_oracle(G)[1]
+        assert cograph_cr_table(G) == nice_structure_oracle(G)
 
 
 def test_optimal_join_structures_can_avoid_two_sided_edge_bags():
@@ -154,7 +151,8 @@ def test_optimal_join_structures_can_avoid_two_sided_edge_bags():
         G1 = random_cograph(rng.randint(1, 3), rng)
         G2 = random_cograph(rng.randint(1, 3), rng)
         G = join(G1, G2)
-        best, table = nice_structure_oracle(G)
+        table = nice_structure_oracle(G)
+        best = max(table)
         side1 = set(range(G1.n))
         side2 = set(range(G1.n, G.n))
         for r, val in enumerate(table):
@@ -177,8 +175,9 @@ def test_join_and_union_match_the_reference_on_random_tables():
     rng = random.Random(11)
     for _ in range(3000):
         t1, t2 = random_table(rng), random_table(rng)
-        assert cr_join(t1, t2).values == reference_join(t1, t2), (t1, t2)
-        assert cr_union(t1, t2).values == reference_union(t1, t2), (t1, t2)
+        assert cr_join(t1, t2) == reference_join(t1, t2), (t1, t2)
+        assert cr_union(t1, t2) == reference_union(t1, t2), (t1, t2)
+        assert len(cr_join(t1, t2)) == len(cr_union(t1, t2)) == len(t1) + len(t2) - 1
 
 
 def test_join_and_union_match_the_reference_on_cotree_children():
@@ -188,7 +187,7 @@ def test_join_and_union_match_the_reference_on_cotree_children():
 
         def step(t1, t2):
             t = combine(t1, t2)
-            assert t.values == reference(t1, t2), (kind, t1, t2)
+            assert t == reference(t1, t2), (kind, t1, t2)
             return t
         return reduce(step, tables)
 
@@ -221,25 +220,25 @@ def _small_cographs(max_n: int):
 
 def test_join_matches_the_reference_on_every_pair_of_small_cograph_tables():
     tables = sorted({cograph_cr_table(G) for G in _small_cographs(6)},
-                    key=lambda t: (t.n, t.values))
+                    key=lambda t: (len(t), t))
     for t1 in tables:
         for t2 in tables:
-            assert cr_join(t1, t2).values == reference_join(t1, t2), (t1, t2)
+            assert cr_join(t1, t2) == reference_join(t1, t2), (t1, t2)
 
 
-def long_random_table(rng: random.Random) -> CrTable:
+def long_random_table(rng: random.Random) -> tuple[int, ...]:
     """A table with up to 30 vertices: arbitrary entries with zeros in
     between, or a walk with steps in -2..2 cut at a random r, so that
     c_k <= c_{k-1}, c_k = c_{k-1} + 1 and larger climbs all occur."""
     n = rng.randint(1, 30)
     if rng.random() < 0.3:
-        return CrTable(n, tuple(0 if rng.random() < 0.3 else rng.randint(1, n + 1)
-                                for _ in range(n + 1)))
+        return tuple(0 if rng.random() < 0.3 else rng.randint(1, n + 1)
+                     for _ in range(n + 1))
     values, val = [], rng.randint(1, n)
     for _ in range(rng.randint(1, n // 2 + 1)):
         values.append(val)
         val = max(1, val + rng.randint(-2, 2))
-    return CrTable(n, tuple(values) + (0,) * (n + 1 - len(values)))
+    return tuple(values) + (0,) * (n + 1 - len(values))
 
 
 def test_join_matches_the_reference_on_long_random_tables():
@@ -247,28 +246,30 @@ def test_join_matches_the_reference_on_long_random_tables():
         rng = random.Random(seed)
         for _ in range(150):
             t1, t2 = long_random_table(rng), long_random_table(rng)
-            assert cr_join(t1, t2).values == reference_join(t1, t2), (seed, t1, t2)
+            assert cr_join(t1, t2) == reference_join(t1, t2), (seed, t1, t2)
+            assert (len(cr_join(t1, t2)) == len(cr_union(t1, t2))
+                    == len(t1) + len(t2) - 1), (seed, t1, t2)
 
 
 @pytest.mark.parametrize("t1, t2, want", [
     # start 0: c_1 = 3 > c_0 + 1 on the first side (an arbitrary table),
     # and (k, s) = (1, 0) alone reaches c_1 = 3.
-    (CrTable(3, (1, 3, 0, 0)), CrTable(1, (1, 0)), (2, 3, 2, 0, 0)),
+    ((1, 3, 0, 0), (1, 0), (2, 3, 2, 0, 0)),
     # the climb start: 2K1 joined with C4 + K1, where the second side has
     # c_1 = c_0 + 1, cross = 2 and n_other - c_0(other) = 1, so its k = 1
     # loop starts at s = 1, and (1, 1) alone reaches c_2 = 5.
-    (CrTable(2, (1, 0, 0)), CrTable(5, (2, 3, 2, 0, 0, 0)), (3, 4, 5, 4, 0, 0, 0, 0)),
+    ((1, 0, 0), (2, 3, 2, 0, 0, 0), (3, 4, 5, 4, 0, 0, 0, 0)),
     # the cross start: K1 joined with K2 + K1, where the second side has
     # c_1 <= c_0, so its k = 1 loop runs s = cross = 1 only, and (1, 1)
     # alone reaches c_2 = 2.
-    (CrTable(1, (1, 0)), CrTable(3, (2, 1, 0, 0)), (3, 3, 2, 0, 0)),
+    ((1, 0), (2, 1, 0, 0), (3, 3, 2, 0, 0)),
 ])
 def test_join_keeps_the_candidate_at_each_start_of_the_s_loop(t1, t2, want):
     assert reference_join(t1, t2) == want
-    assert cr_join(t1, t2).values == cr_join(t2, t1).values == want
+    assert cr_join(t1, t2) == cr_join(t2, t1) == want
 
 
-def _shuffled_fold(tree: Cotree, rng: random.Random) -> CrTable:
+def _shuffled_fold(tree: Cotree, rng: random.Random) -> tuple[int, ...]:
     """The cotree's root table with each node's children folded in a random
     order, left to right, without the smallest-first sort."""
     def node(kind, tables):
@@ -285,7 +286,7 @@ def test_root_table_does_not_depend_on_the_child_order():
     for G in graphs:
         tree = recognize_cograph(G)
         for _ in range(2):
-            assert _shuffled_fold(tree, rng).values == cograph_cr_table(G).values, G.rows
+            assert _shuffled_fold(tree, rng) == cograph_cr_table(G), G.rows
 
 
 def test_fold_combines_each_distinct_pair_of_tables_once(monkeypatch):
@@ -315,7 +316,7 @@ def test_fold_combines_each_distinct_pair_of_tables_once(monkeypatch):
         for log in calls.values():
             log.clear()
         table = cograph_cr_table(G)
-        assert table.values[:len(want[1])] == want[1]
+        assert table[:len(want[1])] == want[1]
         for kind, log in calls.items():
             assert len(log) == len(set(log)), kind
             assert set(log) == set(plain[kind]), kind

@@ -229,8 +229,8 @@ def _checked_fold_table(G: Graph):
         return None
     table = cograph_cr_table(G)
     assert table == cotree_cr_table(want) == cotree_cr_table(reference)
-    nonzero = sum(1 for value in table.values if value)
-    assert all(table.values[:nonzero]), table.values
+    nonzero = sum(1 for value in table if value)
+    assert all(table[:nonzero]), table
     return table
 
 
@@ -303,7 +303,7 @@ def test_cr_table_fold_needs_no_recursion_on_a_deep_cotree():
     finally:
         sys.setrecursionlimit(limit)
     assert table == cotree_cr_table(recognize_cograph(G))
-    assert table.best == 1001
+    assert max(table) == 1001
 
 
 @pytest.mark.parametrize("n", [600, 2000])

@@ -49,7 +49,7 @@ The picks of a prefix of the list are a prefix of the picks, and picks
 inside the current interval come last, so one run per starting vertex
 serves every prefix and every budget.
 
-Three cuts skip work that cannot beat the best candidate so far, and each
+Four cuts skip work that cannot beat the best candidate so far, and each
 Hadwiger case starts from the best case before it.  A case whose keep set
 has too few vertices on one side to improve on the best case is not
 solved.  A case that is solved gets a bar, the size its clique-matching
@@ -58,10 +58,17 @@ so an anchor that only matches it builds no table or witness, and a case
 that never beats it returns nothing.  The anchor loop stops once too few
 ranks remain from the anchor's rank up, or too few vertices have an
 interval that reaches it; both counts fall as the rank grows.  An anchor
-stops after its forced pairs when the x's and y's, which all take distinct
-ranks in [2, r], are too few.  Each cut compares an upper bound with the
-best so far, and a candidate replaces the best only when strictly larger,
-so no value, tie-break or witness changes.
+is skipped before any list is built when counting spans already bounds
+it: the x's and y's are vertices other than u whose interval reaches
+past v and take distinct ranks in [2, r], and the forced pairs are
+vertices whose interval starts at or before v and ends past r, and take
+distinct ranks above r.  Two bisections on the sorted lower and upper
+ends give both counts, since sorting the spans by (lo, hi) leaves the
+upper ends in order (enclosure, which clipping keeps).  An anchor that is
+solved stops after its forced pairs when the x's and y's are too few.
+Each cut compares an upper bound on what it skips with the best so far,
+and a candidate replaces the best only when strictly larger, so no value,
+tie-break or witness changes.
 """
 
 from __future__ import annotations
@@ -125,15 +132,36 @@ def _solve(order2, table, beat: int = 0) -> tuple[int, tuple[Edge, ...]] | None:
     the loop stops once a matching saturating no rank below v_rank cannot
     beat the best so far: it uses at most the len(order2) - v_rank + 1
     ranks from v_rank up, and only vertices whose interval reaches v_rank.
+
+    An anchor (u, v_rank) is skipped, unsolved, when its count bound
+    1 + min(hi_u - v_rank, inner) + min(len(order2) - hi_u, forced) does
+    not beat the best so far.  The x's and y's of _solve_anchor are
+    vertices w != u with hi_w > v_rank, ``inner`` of them, and take
+    distinct ranks in [v_rank + 1, hi_u].  A forced pair w has
+    lo_w <= v_rank and hi_w > hi_u, ``forced`` of them, and takes a
+    distinct rank in (hi_u, len(order2)].  Sorting the spans by (lo, hi)
+    leaves their hi values non-decreasing (enclosure, kept by _clip since
+    both its rank maps are non-decreasing), so the spans with
+    lo_w <= v_rank and those with hi_w <= hi_u are two prefixes of that
+    order, and ``forced`` is the difference of their lengths when
+    positive.  The bound is never below the anchor's value, and a
+    candidate replaces the best only when strictly larger, so a skip
+    changes nothing.
     """
     anchors = sorted((v_rank, u) for u, (lo, hi) in table.items()
                      for v_rank in range(lo, hi + 1))
+    los = sorted(lo for lo, _ in table.values())
     his = sorted(hi for _, hi in table.values())
     best = beat
     best_pairs: tuple[tuple[int, int], ...] = ()
     for v_rank, u in anchors:
         if min(len(order2) - v_rank + 1, len(his) - bisect_left(his, v_rank)) <= best:
             break
+        hi_u = table[u][1]
+        inner = len(his) - bisect_right(his, v_rank) - (hi_u > v_rank)
+        forced = max(0, bisect_right(los, v_rank) - bisect_right(his, hi_u))
+        if 1 + min(hi_u - v_rank, inner) + min(len(order2) - hi_u, forced) <= best:
+            continue
         size, pairs = _solve_anchor(table, u, v_rank, best)
         if size > best:
             best = size

@@ -212,14 +212,17 @@ def _strong_spans(G: Graph, side1, order2) -> dict[int, tuple[int, int]] | None:
     mask1 = sum(1 << u for u in side1)
     if any(G.rows[u] & mask1 for u in side1) or any(G.rows[v] & ~mask1 for v in order2):
         raise DomainError("ordering sides are not a bipartition")
-    rank = {v: i for i, v in enumerate(order2, 1)}
+    rank = [0] * G.n
+    for i, v in enumerate(order2, 1):
+        rank[v] = i
     spans = {}
     for u in side1:
         if G.rows[u]:
             ranks = [rank[v] for v in _iter_bits(G.rows[u])]
-            spans[u] = (min(ranks), max(ranks))
-    if any(hi - lo + 1 != G.degree(u) for u, (lo, hi) in spans.items()):
-        return None
+            lo, hi = min(ranks), max(ranks)
+            if hi - lo + 1 != len(ranks):
+                return None
+            spans[u] = (lo, hi)
     ends = [hi for _, hi in sorted(spans.values())]
     return spans if ends == sorted(ends) else None
 
@@ -246,7 +249,10 @@ def strong_ordering(G: Graph) -> StrongOrdering | None:
     degree.  Hence each layer is sorted by (position of its first neighbor
     in the previous layer, degree, label); the even layers form ``side1``
     and the odd layers ``order2``.  Isolated vertices go last in ``order2``.
-    A layer that holds an edge shows an odd cycle, and the result is None.
+    The keys come from one walk of the previous layer in its sorted order:
+    a vertex of the new layer is first reached from its first neighbor, so
+    its key takes that neighbor's index in the walk.  A vertex reached with
+    a neighbor in its own layer shows an odd cycle, and the result is None.
 
     There is no search and no size cap: a single ``_strong_spans`` check on
     the whole graph decides the result, so a returned ordering is always
@@ -268,15 +274,18 @@ def strong_ordering(G: Graph) -> StrongOrdering | None:
         end = min(_iter_bits(_layers(G, start)[-1]), key=lambda v: (G.degree(v), v))
         layers = _layers(G, end)
         seen |= reduce(int.__or__, layers)
-        pos = {end: 0}
+        layer = [end]
         side1.append(end)
-        for depth in range(1, len(layers)):
-            prev, here = layers[depth - 1], layers[depth]
-            if any(G.rows[v] & here for v in _iter_bits(here)):
-                return None
-            layer = sorted(_iter_bits(here), key=lambda v: (
-                min(pos[w] for w in _iter_bits(G.rows[v] & prev)), G.degree(v), v))
-            pos.update((v, i) for i, v in enumerate(layer))
+        for depth, here in enumerate(layers[1:], 1):
+            left = here
+            keys = []
+            for i, w in enumerate(layer):
+                for v in _iter_bits(G.rows[w] & left):
+                    if G.rows[v] & here:
+                        return None
+                    keys.append((i, G.degree(v), v))
+                left &= ~G.rows[w]
+            layer = [v for _, _, v in sorted(keys)]
             (order2 if depth % 2 else side1).extend(layer)
     side1, order2 = tuple(side1), tuple(order2 + isolated)
     spans = _strong_spans(G, side1, order2)

@@ -507,6 +507,58 @@ def reference_verify_ordering(G: Graph, ordering) -> bool:
     return True
 
 
+def reference_strong_ordering(G: Graph):
+    """strong_ordering's layer-by-layer construction with each layer sorted
+    on its own: (smallest position of a neighbor in the previous layer,
+    degree, label) per vertex, an odd cycle checked over the whole layer,
+    and None unless the set-definition check passes; spans ranked from a
+    dict, in side1 order."""
+    from minorclub.recognition import StrongOrdering
+
+    def layers_from(source: int) -> list[int]:
+        layers, seen = [1 << source], 1 << source
+        while layers[-1]:
+            grown = 0
+            for v in _iter_bits(layers[-1]):
+                grown |= G.rows[v]
+            layers.append(grown & ~seen)
+            seen |= grown
+        return layers[:-1]
+
+    side1: list[int] = []
+    order2: list[int] = []
+    isolated: list[int] = []
+    seen = 0
+    for start in range(G.n):
+        if seen >> start & 1:
+            continue
+        if not G.rows[start]:
+            isolated.append(start)
+            continue
+        end = min(_iter_bits(layers_from(start)[-1]), key=lambda v: (G.degree(v), v))
+        layers = layers_from(end)
+        for mask in layers:
+            seen |= mask
+        pos = {end: 0}
+        side1.append(end)
+        for depth in range(1, len(layers)):
+            prev, here = layers[depth - 1], layers[depth]
+            if any(G.rows[v] & here for v in _iter_bits(here)):
+                return None
+            layer = sorted(_iter_bits(here), key=lambda v: (
+                min(pos[w] for w in _iter_bits(G.rows[v] & prev)), G.degree(v), v))
+            pos.update((v, i) for i, v in enumerate(layer))
+            (order2 if depth % 2 else side1).extend(layer)
+    ordering = StrongOrdering(tuple(side1), tuple(order2 + isolated))
+    if not reference_verify_ordering(G, ordering):
+        return None
+    rank = {v: i for i, v in enumerate(ordering.order2, 1)}
+    spans = {u: (min(rank[v] for v in G.neighbors(u)),
+                 max(rank[v] for v in G.neighbors(u)))
+             for u in ordering.side1 if G.degree(u)}
+    return StrongOrdering(ordering.side1, ordering.order2, spans)
+
+
 def maximum_clique_matchings(G: Graph):
     """All maximum clique-matchings, by exhaustive matching enumeration."""
     best = 0

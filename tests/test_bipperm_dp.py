@@ -5,6 +5,7 @@ from itertools import combinations
 
 import pytest
 
+from minorclub import bipperm_dp
 from minorclub.bipperm_dp import (_clip, _ordering, _solve,
                                   _solve_anchor, hadwiger_bipperm,
                                   is_clique_matching, max_clique_matching)
@@ -299,25 +300,31 @@ def test_anchor_loop_stop_keeps_the_first_best_anchor():
         assert _solve(ordering.order2, table) == (best, edges), G.edges()
 
 
+def _cases(G: Graph):
+    """Every T of hadwiger_bipperm's docstring, in its order, with the
+    clipped ordered side and interval table of its clique-matching."""
+    ordering = _ordering(G)
+    side1 = sum(1 << w for w in ordering.side1)
+    for comp in _mask_components(G.rows, (1 << G.n) - 1):
+        singles = [()] + [(u,) for u in _iter_bits(comp)] + [
+            (a, b) for a in _iter_bits(comp) for b in _iter_bits(comp & G.rows[a])
+            if a < b]
+        for T in singles:
+            keep = comp
+            for t in T:
+                side = side1 if side1 >> t & 1 else ~side1
+                keep &= side & ~(1 << t) | G.rows[t]
+            yield T, _clip(ordering.order2, ordering.spans, keep)
+
+
 def test_case_bound_keeps_the_first_best_case():
-    # every T of hadwiger_bipperm's docstring, in its order, each solved
+    # every case solved, the first strictly larger one kept
     for G in _staircases(29):
-        ordering = _ordering(G)
-        table = ordering.spans
-        side1 = sum(1 << w for w in ordering.side1)
         best = (0, 0, ())
-        for comp in _mask_components(G.rows, (1 << G.n) - 1):
-            singles = [()] + [(u,) for u in _iter_bits(comp)] + [
-                (a, b) for a in _iter_bits(comp) for b in _iter_bits(comp & G.rows[a])
-                if a < b]
-            for T in singles:
-                keep = comp
-                for t in T:
-                    side = side1 if side1 >> t & 1 else ~side1
-                    keep &= side & ~(1 << t) | G.rows[t]
-                size, edges = _solve(*_clip(ordering.order2, table, keep))
-                if len(T) + size > best[0]:
-                    best = (len(T) + size, len(T), tuple((t,) for t in T) + edges)
+        for T, (order2, clipped) in _cases(G):
+            size, edges = _solve(order2, clipped)
+            if len(T) + size > best[0]:
+                best = (len(T) + size, len(T), tuple((t,) for t in T) + edges)
         assert hadwiger_bipperm(G, with_details=True) == best, G.edges()
 
 
@@ -326,23 +333,56 @@ def test_case_bar_returns_nothing_exactly_when_it_cannot_be_beaten():
     # when the bar is positive and the clique-matching cannot exceed it,
     # else the unbarred answer, witness included
     for G in _staircases(30):
-        ordering = _ordering(G)
-        table = ordering.spans
-        side1 = sum(1 << w for w in ordering.side1)
-        for comp in _mask_components(G.rows, (1 << G.n) - 1):
-            singles = [()] + [(u,) for u in _iter_bits(comp)] + [
-                (a, b) for a in _iter_bits(comp) for b in _iter_bits(comp & G.rows[a])
-                if a < b]
-            for T in singles:
-                keep = comp
-                for t in T:
-                    side = side1 if side1 >> t & 1 else ~side1
-                    keep &= side & ~(1 << t) | G.rows[t]
-                order2, clipped = _clip(ordering.order2, table, keep)
-                size, edges = _solve(order2, clipped)
-                for beat in range(size + 2):
-                    want = None if 0 < beat >= size else (size, edges)
-                    assert _solve(order2, clipped, beat) == want, (G.edges(), T, beat)
+        for T, (order2, clipped) in _cases(G):
+            size, edges = _solve(order2, clipped)
+            for beat in range(size + 2):
+                want = None if 0 < beat >= size else (size, edges)
+                assert _solve(order2, clipped, beat) == want, (G.edges(), T, beat)
+
+
+def test_spans_sorted_by_lo_keep_their_upper_ends_in_order():
+    # the precondition of the count cut: on the whole table and on every
+    # case's clipped table the spans sorted by (lo, hi) have non-decreasing
+    # upper ends
+    for G in _staircases(31):
+        tables = [_ordering(G).spans] + [clipped for _, (_, clipped) in _cases(G)]
+        for table in tables:
+            ends = [hi for _, hi in sorted(table.values())]
+            assert ends == sorted(ends), (G.edges(), table)
+
+
+def test_count_bound_never_cuts_below_an_anchors_value():
+    # the count bound of every anchor of every case's clipped table, its
+    # counts taken span by span, is at least the anchor's uncut value
+    for G in _staircases(32):
+        for T, (order2, clipped) in _cases(G):
+            for v_rank, u in _anchors(clipped):
+                hi_u = clipped[u][1]
+                inner = sum(hi > v_rank for w, (_, hi) in clipped.items() if w != u)
+                forced = sum(lo <= v_rank and hi > hi_u for lo, hi in clipped.values())
+                bound = 1 + min(hi_u - v_rank, inner) + min(len(order2) - hi_u, forced)
+                value = _solve_anchor(clipped, u, v_rank, -1)[0]
+                assert value <= bound, (G.edges(), T, u, v_rank)
+
+
+def test_hadwiger_anchor_work_on_a_dense_staircase(monkeypatch):
+    # A seeded dense staircase with n = 40 and 140 edges, won by a case with
+    # two singleton bags.  Solving every anchor that the loop stop and the
+    # case bars leave took 305 anchor solves; skipping those whose span
+    # counts cannot beat the best so far takes 28.
+    calls = 0
+    solve_anchor = bipperm_dp._solve_anchor
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return solve_anchor(*args)
+
+    monkeypatch.setattr(bipperm_dp, "_solve_anchor", counted)
+    G = random_staircase(40, random.Random(45), dense=True)
+    h, case, bags = hadwiger_bipperm(G, with_details=True)
+    assert (G.m, h, case, len(bags)) == (140, 12, 2, 12)
+    assert calls <= 28, calls
 
 
 # Hadwiger numbers above the oracle's cap, from exact relations rather than

@@ -25,8 +25,8 @@ from genutil import (all_graphs, chordality, connected_graphs,
                      induced_p4_exists, ordering_exists_exhaustive,
                      random_bipperm, random_caterpillar, random_cograph,
                      random_interval_graph, random_permutation_graph,
-                     random_staircase, reference_verify_ordering,
-                     restrict_ordering)
+                     random_staircase, reference_strong_ordering,
+                     reference_verify_ordering, restrict_ordering)
 
 
 # Cotrees ------------------------------------------------------------------
@@ -406,6 +406,37 @@ def test_relabelled_staircases_always_get_an_ordering(dense):
             got = strong_ordering(G)
             assert got is not None, G.edges()
             assert verify_ordering(G, got)
+
+
+def _same_as_reference(G: Graph):
+    """strong_ordering(G), held to reference_strong_ordering, spans and
+    their order included (spans take no part in ==)."""
+    got, want = strong_ordering(G), reference_strong_ordering(G)
+    assert got == want, G.edges()
+    assert got is None or list(got.spans.items()) == list(want.spans.items()), G.edges()
+    return got
+
+
+def test_strong_ordering_matches_the_layer_sort_reference_on_small_graphs():
+    outcomes = {_same_as_reference(G) is None for n in range(1, 8) for G in all_graphs(n)}
+    assert outcomes == {True, False}
+
+
+def test_strong_ordering_matches_the_layer_sort_reference_on_staircases():
+    rng = random.Random(44)
+    for k in range(300):
+        G = random_staircase(rng.randint(2, 48), rng, dense=k % 2 == 1)
+        assert _same_as_reference(G) is not None
+
+
+def test_strong_ordering_matches_the_layer_sort_reference_off_the_class():
+    # C6 has no strong ordering and C7 an odd cycle; a disconnected graph
+    # is ordered component by component, isolated vertices last
+    assert _same_as_reference(Graph.cycle(6)) is None
+    assert _same_as_reference(Graph.cycle(7)) is None
+    G = disjoint_union(disjoint_union(Graph.path(5), Graph.empty(2)),
+                       Graph.complete_bipartite(2, 3))
+    assert _same_as_reference(G).order2[-2:] == (5, 6)
 
 
 def _ordering_outcome(check, G, ordering):

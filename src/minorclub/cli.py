@@ -40,15 +40,17 @@ club-contract and club-minor, when s >= 2, first ask the class-free d - s
 bound, ``club_contraction.tight_contraction``; when it finds a set of d - s
 edges (d the diameter), or the budget --k lies below d - s, they answer with
 solver "bound" at any size.  Otherwise they run the AT-free solver when
-s >= 2 and the graph has no asteroidal triple, else the brute-force oracle
-within --cap, else exit 3.  A negative budget --k exits 3 on every path,
-`oracle club-contract` and `reduce` too.  Every set a club command prints
-has passed ``graph.diameter_at_most`` at its solver's exit.
+s >= 2 and the graph has no asteroidal triple, else the brute-force oracle,
+or exit 3 where --cap refuses its search.  A negative budget --k exits 3 on
+every path, `oracle club-contract` and `reduce` too.  Every set a club
+command prints has passed ``graph.diameter_at_most`` at its solver's exit.
 
---cap defaults to ``oracle.PARTITION_CAP``.  `oracle clique-matching` uses
-max(--cap, ``oracle.MATCHING_CAP``), that is at least 14, and `oracle
-club-contract` is bounded by the subset count ``oracle.SUBSET_BUDGET``, not
-by --cap.
+--cap defaults to ``oracle.PARTITION_CAP`` and guards only a search: a club
+question needs one (``oracle._needs_search``) only on a connected graph not
+within s >= 1, so s = 0, a graph within s and, at `oracle club-minor`, s < 0
+are answered at any size.  `oracle clique-matching` uses max(--cap,
+``oracle.MATCHING_CAP``), at least 14, and `oracle club-contract` is bounded
+by the subset count ``oracle.SUBSET_BUDGET``, not by --cap.
 """
 
 from __future__ import annotations
@@ -153,8 +155,8 @@ def _club_solver(G, args, k):
     smallest set (club-minor).  A negative s exits 3.  For s >= 2, solver
     "bound" when ``tight_contraction`` answers, else the AT-free solver
     unless it finds an asteroidal triple.  Otherwise, and for s < 2, the
-    oracle when G fits within --cap or is disconnected, which the oracle
-    answers without a search, else exit 3."""
+    oracle, which exits 3 above --cap only when ``oracle._needs_search``:
+    a disconnected graph, a graph within s and s = 0 need no search."""
     s = args.s
     if s < 0:
         raise DomainError("diameter bound --s must be non-negative")
@@ -168,9 +170,9 @@ def _club_solver(G, args, k):
         except DomainError as exc:
             if exc.certificate is None:
                 raise
-    if G.n > args.cap and is_connected(G):
-        raise DomainError(
-            "graph is not AT-free (or s < 2) and exceeds the brute-force cap")
+    if G.n > args.cap and oracle_mod._needs_search(G, s):
+        raise DomainError("no polynomial method applies (s < 2, or the graph has an "
+                          "asteroidal triple) and the graph exceeds the brute-force cap")
     return "oracle", oracle_mod.min_club_contraction_set(G, s, G.m if k is None else k)
 
 

@@ -3,7 +3,8 @@
 Every polynomial-time algorithm in this library is certified against these
 oracles on small instances.  All enumeration orders are deterministic so
 failures reproduce exactly.  Both s-club oracles, fewest contractions and
-largest minor, read one edge-subset walk, except at s = 1 (Hadwiger).
+largest minor, read one edge-subset walk, except that the largest minor at
+s = 1 reads the Hadwiger search through ``hadwiger_oracle``.
 """
 
 from __future__ import annotations
@@ -37,19 +38,18 @@ def hadwiger_oracle(G: Graph, cap: int = PARTITION_CAP,
     best clique over them, skipping by the cycle-rank bound (per quotient
     and per child), an elimination-width (treewidth) bound and the parent's
     clique number plus one only quotients that cannot beat the best so far,
-    so the witness is the full search's.
-    Raises CapacityError, before any search, when some component has more
-    than ``cap`` vertices.
+    so the witness is the full search's.  It is the search's one entry, so
+    every answer, (0, ()) on the empty graph too, passes ``verify_witness``.
+    Its cap guards that search: CapacityError, before it, when some
+    component has more than ``cap`` vertices.
     """
-    if G.n == 0:
-        return (0, ()) if with_witness else 0
     comps = components(G)
     for comp in comps:
         if len(comp) > cap:
             raise CapacityError(
                 f"component of size {len(comp)} exceeds oracle cap {cap}")
     best = 0
-    best_bags = None
+    best_bags = ()
     for comp in comps:
         value, bags = _component_hadwiger(induced_subgraph(G, comp))
         if value > best:
@@ -102,14 +102,8 @@ def _component_hadwiger(H: Graph) -> tuple[int, tuple[tuple[int, ...], ...]]:
     and e belong to the quotient and ``best`` only grows, so a quotient
     those cuts drop, and so keep out of ``seen``, fails them at every later
     pop too; and ``seen`` only grows, so testing it at pop drops every child
-    a test at push would have.  That saves about a third of the
-    contractions up to n = 11 (8 483 -> 5 716 over one pass of the
-    benchmark's ``fallback`` plan), and the parent's re-test a fifth of the
-    rest (5 716 -> 4 533), but few at n = 12, where the width cut drops most
-    quotients, and a child already in ``seen`` is pushed and popped before
-    its contraction finds it there (74 816 of the icosahedron's 85 188
-    entries, which neither saving moves).  A child the re-test drops stays
-    out of ``seen``; ``seen`` only prunes, so that costs work, not answers.
+    a test at push would have.  A child the re-test drops stays out of
+    ``seen``; ``seen`` only prunes, so that costs work, not answers.
     """
     best = 0
     best_bags: tuple[int, ...] = ()
@@ -179,6 +173,11 @@ def _width_below(rows: tuple[int, ...], best: int) -> bool:
     return True
 
 
+def _needs_search(G: Graph, s: int) -> bool:
+    """Whether a club question at s on G needs a search, all a cap refuses."""
+    return s >= 1 and is_connected(G) and not diameter_at_most(G, s)
+
+
 def max_s_club_minor_oracle(G: Graph, s: int, cap: int = PARTITION_CAP) -> int:
     """Most vertices of a quotient of G (a full connected partition's
     blocks) with diameter at most s; 0 when none has, as when s < 0.
@@ -186,17 +185,18 @@ def max_s_club_minor_oracle(G: Graph, s: int, cap: int = PARTITION_CAP) -> int:
     Contracting a spanning forest of the p blocks takes n - p edges, so this
     is n - |S| for ``min_club_contraction_set``'s smallest S, which a
     spanning tree bounds by n - 1 <= m edges.  At s = 1, where that walk is
-    slow, it is the Hadwiger number, from ``_component_hadwiger``: a K_h
-    model in a connected graph extends to a full connected partition, each
+    slow, it is the Hadwiger number, from ``hadwiger_oracle``: a K_h model
+    in a connected graph extends to a full connected partition, each
     component of the leftover vertices joining a bag it touches, whose
-    quotient is still complete.
+    quotient is still complete.  Only a search (``_needs_search``) meets ``cap``.
     """
     if not is_connected(G):
         raise DomainError("disconnected graphs cannot be contracted to finite diameter")
-    if G.n > cap:
-        raise CapacityError(f"graph of size {G.n} exceeds oracle cap {cap}")
-    if s == 1:
-        return _component_hadwiger(G)[0]
+    if _needs_search(G, s):
+        if G.n > cap:
+            raise CapacityError(f"graph of size {G.n} exceeds oracle cap {cap}")
+        if s == 1:
+            return hadwiger_oracle(G, cap)
     S = min_club_contraction_set(G, s, G.m)
     return 0 if S is None else G.n - len(S)
 
@@ -317,12 +317,9 @@ def _first_club_set(G: Graph, s: int, k: int) -> tuple[Edge, ...] | None:
     has diameter above s + 1, before it tries any last edge.  Contracting
     one edge shortens a distance by at most one, so diam(P/S') >=
     diam(P) - |S'| for any edge set S' of P, and no last edge brings P
-    within s.  The cut runs only at the leaf's parent: testing the bound
-    s + k - |prefix| at every depth costs more than it saves (the walks of
-    the benchmark's ``fallback`` club instances took 3-8% longer).  At
-    t = 0 the chain test leaves it little to cut: over every connected
-    graph with n <= 7 and s = 1, 2, 3 it would save 153 of the 2 763 leaf
-    re-checks at the cost of 2 339 checks of its own.
+    within s.  The cut runs only at the leaf's parent and only at t >= 1:
+    at every depth (bound s + k - |prefix|), or at t = 0, where the chain
+    test leaves it little to cut, it cost more than it saved.
 
     Every set that succeeds passes every test, so the first one found is
     the unpruned walk's.

@@ -6,7 +6,8 @@ graph's class, and passes the outcome to ``certify(ok, what)``, which raises
 ``InvalidStructureError`` when the check fails.  It is a plain call, not an
 ``assert``, so the checks still run under ``python -O``; ``assert`` is kept
 for the solvers' internal invariants.  ``verify_witness`` is the
-complete-minor check that the Hadwiger solvers' bags must pass.
+complete-minor check that the Hadwiger solvers' bags must pass, among them
+``oracle.hadwiger_oracle``'s, which also answer `oracle club-minor` at s = 1.
 
 A contraction set is checked by ``graph.diameter_at_most`` at one exit per
 club solver: the AT-free ladder ``club_contraction._ladder`` certifies it,

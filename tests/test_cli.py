@@ -15,7 +15,7 @@ from minorclub.graph import (Graph, contract_edges, diameter, disjoint_union,
                              induced_subgraph, is_connected)
 from minorclub.recognition import is_at_free
 
-from genutil import all_graphs, random_staircase
+from genutil import all_graphs, connected_graphs, random_staircase
 
 P5 = b"DhC"
 C5 = b"Dhc"
@@ -26,6 +26,7 @@ C7 = b"FhCKG"
 ATFREE_D3 = b"F?bBo"
 C13 = b"LhCGGC@?G?_@_@"
 C12_K1 = b"LhCGGC@?G?o@??"
+K13 = b"L~~~~~~~~~~~~~"
 CNF = b"p cnf 3 2\n1 2 -3 0\n-1 2 3 0\n"
 SETS = b"4 2\n0 1\n2 3\n"
 
@@ -380,6 +381,59 @@ def test_club_minor_at_s_0_answers_with_a_spanning_tree(tmp_path, capsys):
     _check_contraction(ICOSAHEDRON, witness, 0)
 
 
+NO_METHOD = ("error: no polynomial method applies (s < 2, or the graph has an "
+             "asteroidal triple) and the graph exceeds the brute-force cap\n")
+
+
+def test_club_answers_that_need_no_search_ignore_the_cap(tmp_path, capsys):
+    """C13 and K13 lie above the default cap of 12.  s = 0 needs one
+    Kruskal pass, and a graph already within s the empty set, so the
+    oracle answers them; a connected graph not within s >= 1 needs a
+    search, which the cap refuses."""
+    reports = {}
+    for data, argv in ((C13, ["club-minor", "--s", "0"]),
+                       (C13, ["club-contract", "--s", "0", "--k", "11"]),
+                       (C13, ["club-contract", "--s", "0", "--k", "12"]),
+                       (C13, ["oracle", "club-minor", "--s", "0"]),
+                       (C13, ["oracle", "club-minor", "--s", "6"]),
+                       (K13, ["club-contract", "--s", "1", "--k", "0"]),
+                       (K13, ["club-minor", "--s", "1"]),
+                       (K13, ["oracle", "club-minor", "--s", "1"])):
+        reports[data, " ".join(argv)] = rep = run_json(tmp_path, capsys, argv, data)
+        assert rep["solver"] == "oracle"
+    minor = reports[C13, "club-minor --s 0"]["result"]
+    assert (minor["k_min"], minor["p"], len(minor["witness_edges"])) == (12, 1, 12)
+    _check_contraction(C13, minor["witness_edges"], 0)
+    assert reports[C13, "club-contract --s 0 --k 11"]["result"] == {
+        "answer": "no", "witness_edges": None}
+    yes = reports[C13, "club-contract --s 0 --k 12"]["result"]
+    assert yes["answer"] == "yes" and len(yes["witness_edges"]) == 12
+    _check_contraction(C13, yes["witness_edges"], 0)
+    assert reports[C13, "oracle club-minor --s 0"]["result"] == {"value": 1}
+    assert reports[C13, "oracle club-minor --s 6"]["result"] == {"value": 13}
+    assert reports[K13, "club-contract --s 1 --k 0"]["result"] == {
+        "answer": "yes", "witness_edges": None}
+    assert reports[K13, "club-minor --s 1"]["result"] == {
+        "k_min": 0, "p": 13, "witness_edges": None}
+    assert reports[K13, "oracle club-minor --s 1"]["result"] == {"value": 13}
+    code, out, err = run(tmp_path, capsys, ["club-contract", "--s", "1", "--k", "3"], C13)
+    assert (code, out, err) == (3, "", NO_METHOD)
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_club_minor_at_s_0_ignores_the_cap(tmp_path, capsys, n):
+    """Every connected graph on n vertices, with --cap 2: one spanning
+    tree contracts it to a single vertex."""
+    for G in connected_graphs(n):
+        data = _g6(G)
+        rep = run_json(tmp_path, capsys, ["club-minor", "--s", "0", "--cap", "2"], data)
+        assert rep["solver"] == "oracle" and rep["result"]["k_min"] == n - 1
+        _check_contraction(data, rep["result"]["witness_edges"] or [], 0)
+        rep = run_json(tmp_path, capsys,
+                       ["oracle", "club-minor", "--s", "0", "--cap", "2"], data)
+        assert rep["result"] == {"value": 1}
+
+
 def _never(*args):
     return False
 
@@ -411,6 +465,10 @@ def _never(*args):
     (["club-contract", "--s", "3", "--k", "2"], b"FsCGG", "club-contract",
      "minorclub.club_contraction._first_club_set",
      lambda G, s, k: tuple(G.edges()[:k])),
+    # At s = 1 the club-minor oracle reads the Hadwiger search through
+    # hadwiger_oracle, so its bags pass the same check.
+    (["oracle", "club-minor", "--s", "1"], C5, "oracle:club-minor",
+     "minorclub.oracle.verify_witness", _never),
 ])
 def test_failed_certificate_exits_5(tmp_path, capsys, monkeypatch, argv, data,
                                     command, target, fake):

@@ -7,12 +7,14 @@ refers to it outside its own definition, when a benchmark script under
 wraps functions by name), or when a CI step names it.
 
 Every name that a library module (``__init__`` aside, whose imports are its
-exports) or a test module imports is also read by that module.
+exports) or a test module imports is also read by that module, and every
+name that the per-layer tracer wraps still exists in its module.
 """
 
 from __future__ import annotations
 
 import ast
+import importlib
 import re
 from pathlib import Path
 
@@ -91,3 +93,18 @@ def test_every_imported_name_is_read():
         unread += [f"{path.relative_to(ROOT)}: {name}"
                    for name in _imported_names(tree) if name not in read]
     assert unread == []
+
+
+def test_every_traced_name_exists():
+    """The per-layer tracer wraps ``perfbench/layertrace.WRAPPED`` by name,
+    module by module, so a name that leaves its module breaks only a traced
+    benchmark run; the literal is read from the file, not imported."""
+    tree = ast.parse((ROOT / "perfbench" / "layertrace.py").read_text())
+    wrapped = next(ast.literal_eval(node.value) for node in tree.body
+                   if isinstance(node, ast.Assign)
+                   and [t.id for t in node.targets if isinstance(t, ast.Name)] == ["WRAPPED"])
+    assert "oracle" in wrapped and "hadwiger_oracle" in wrapped["oracle"]
+    missing = [f"{layer}.{name}" for layer, names in wrapped.items()
+               for name in names
+               if not hasattr(importlib.import_module(f"minorclub.{layer}"), name)]
+    assert missing == []

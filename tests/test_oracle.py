@@ -19,6 +19,7 @@ from minorclub.oracle import (clique_matching_oracle,
                               min_club_contraction_oracle,
                               min_club_contraction_set,
                               nice_structure_oracle)
+from minorclub.recognition import is_cobipartite
 from minorclub.witness import verify_witness
 
 from genutil import (all_graphs, brute_minor_bags, chordality,
@@ -225,6 +226,21 @@ def test_hadwiger_oracle_above_the_default_cap():
     assert hadwiger_oracle(parse_graph(b"M]aVKGluUjOGO{N`_"), cap=14,
                            with_witness=True) == (
         8, ((0,), (1, 10), (2, 11, 13), (3, 9), (4, 8), (5,), (6, 12), (7,)))
+
+
+def test_hadwiger_oracle_on_a_cobipartite_graph_needs_a_large_bag():
+    """Cliques 0-6 and 7-13 joined by seven cross edges, no vertex with more
+    than two.  Bags inside one clique touch every bag that meets it, so only
+    bags on opposite sides need a cross edge.  The bag (0, 1, 3, 4, 5, 6)
+    pools the cross edges of 0, 3 and 5 to see the six singletons 7, 9-13,
+    and (2, 8) meets both cliques: h = 8.  A singleton or edge bag of the
+    first clique sees at most four vertices of the second, so the best
+    family of singleton and edge bags (``nice_structure_oracle``) has 7."""
+    G = parse_graph(b"M~~~w_`@WJaN_^_^_")
+    assert (G.n, G.m) == (14, 49) and is_cobipartite(G)
+    assert hadwiger_oracle(G, cap=14, with_witness=True) == (
+        8, ((0, 1, 3, 4, 5, 6), (2, 8), (7,), (9,), (10,), (11,), (12,), (13,)))
+    assert max(nice_structure_oracle(G, cap=14)) == 7
 
 
 def _reference_component_hadwiger(H):
@@ -504,6 +520,18 @@ def test_club_minor_at_s_0_and_1_at_the_cap():
         G = parse_graph(g6)
         assert max_s_club_minor_oracle(G, 0) == 1
         assert max_s_club_minor_oracle(G, 1) == hadwiger_oracle(G) == h
+
+
+def test_club_minor_oracle_caps_only_a_search():
+    """Above the cap, s = 0, s < 0 and a graph already within s need no
+    search and are answered; a connected graph not within s >= 1 is
+    refused before any search."""
+    C13, K13 = Graph.cycle(13), Graph.complete(13)
+    assert [max_s_club_minor_oracle(C13, s) for s in (-1, 0, 6, 7)] == [0, 1, 13, 13]
+    assert max_s_club_minor_oracle(K13, 1) == 13
+    for s in (1, 2, 5):
+        with pytest.raises(CapacityError, match="^graph of size 13 exceeds oracle cap 12$"):
+            max_s_club_minor_oracle(C13, s)
 
 
 def _partition_club_minors(G: Graph, s_max: int) -> list[int]:

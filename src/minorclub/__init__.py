@@ -17,7 +17,7 @@ from .oracle import (clique_matching_oracle, hadwiger_oracle,
                      nice_structure_oracle)
 from .cograph_dp import cr_join, cr_union, hadwiger_cograph
 from .bipperm_dp import hadwiger_bipperm, max_clique_matching
-from .club_contraction import distance_profile, s_club_contract_decide
+from .club_contraction import distance_profile, s_club_contract_decide, solve_club
 from .reductions import (HittingSetInstance, NaeFormula, ReductionInstance,
                          hitting_set_to_chordal, hitting_set_to_split,
                          nae3sat_to_cobipartite, pendant_lift, subdivide_edges)

@@ -36,42 +36,35 @@ recognize reports every class, chordal-bipartite included, at any size.
 Cographs and bipartite permutation graphs, known from the cotree or strong
 ordering it builds, are permutation graphs and so AT-free; only other
 graphs are searched for an asteroidal triple.
-club-contract and club-minor, when s >= 2, first ask the class-free d - s
-bound, ``club_contraction.tight_contraction``; when it finds a set of d - s
-edges (d the diameter), or the budget --k lies below d - s, they answer with
-solver "bound" at any size.  Otherwise they run the AT-free solver when
-s >= 2 and the graph has no asteroidal triple, else the brute-force oracle,
-or exit 3 where --cap refuses its search.  A negative budget --k exits 3 on
-every path, `oracle club-contract` and `reduce` too.  Every set a club
-command prints has passed ``graph.diameter_at_most`` at its solver's exit.
+club-contract and club-minor print what ``club_contraction.solve_club``
+answers, with its solver "bound", "atfree" or "oracle", or exit 3 where
+--cap refuses the oracle's search.  A negative budget --k exits 3 on every
+path, `oracle club-contract` and `reduce` too.
 
 --cap defaults to ``oracle.PARTITION_CAP`` and guards only a search: a club
-question needs one (``oracle._needs_search``) only on a connected graph not
-within s >= 1, so s = 0, a graph within s and, at `oracle club-minor`, s < 0
-are answered at any size.  `oracle clique-matching` uses max(--cap,
-``oracle.MATCHING_CAP``), at least 14, and `oracle club-contract` is bounded
-by the subset count ``oracle.SUBSET_BUDGET``, not by --cap.
+question needs one only on a connected graph not within s >= 1, so s = 0, a
+graph within s and, at `oracle club-minor`, s < 0 are answered at any size.
+`oracle clique-matching` uses max(--cap, ``oracle.MATCHING_CAP``), at least
+14, and `oracle club-contract` is bounded by the subset count
+``oracle.SUBSET_BUDGET``, not by --cap.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-import math
 import sys
 import time
 from types import SimpleNamespace
 
 from . import oracle as oracle_mod
 from .bipperm_dp import hadwiger_bipperm, max_clique_matching
-from .club_contraction import (minimum_contraction, s_club_contract_decide,
-                               tight_contraction)
+from .club_contraction import solve_club
 from .cograph_dp import cograph_cr_table
 from .errors import (CapacityError, DomainError, InvalidStructureError,
                      ParseError)
 from .formats import (FORMATS, emit_graph, parse_dimacs_cnf, parse_graph,
                       parse_set_system)
-from .graph import is_connected
 from .recognition import (Cotree, is_at_free, is_chordal_bipartite,
                           is_cobipartite, is_split, recognize_cograph,
                           strong_ordering)
@@ -149,46 +142,15 @@ def cmd_clique_matching(G, args):
     return {"size": size, "matching_edges": [list(e) for e in edges]}, "bipperm", {}
 
 
-def _club_solver(G, args, k):
-    """(solver, S): S a set of at most k edges whose contraction leaves
-    diameter at most s, or None when there is none; k None asks for a
-    smallest set (club-minor).  A negative s exits 3.  For s >= 2, solver
-    "bound" when ``tight_contraction`` answers, else the AT-free solver
-    unless it finds an asteroidal triple.  Otherwise, and for s < 2, the
-    oracle, which exits 3 above --cap only when ``oracle._needs_search``:
-    a disconnected graph, a graph within s and s = 0 need no search."""
-    s = args.s
-    if s < 0:
-        raise DomainError("diameter bound --s must be non-negative")
-    if s >= 2:
-        bound, S = tight_contraction(G, s, math.inf if k is None else k)
-        if S is not None or k is not None and k < bound:
-            return "bound", S
-        try:
-            return "atfree", (minimum_contraction(G, s)[1] if k is None
-                              else s_club_contract_decide(G, s, k))
-        except DomainError as exc:
-            if exc.certificate is None:
-                raise
-    if G.n > args.cap and oracle_mod._needs_search(G, s):
-        raise DomainError("no polynomial method applies (s < 2, or the graph has an "
-                          "asteroidal triple) and the graph exceeds the brute-force cap")
-    return "oracle", oracle_mod.min_club_contraction_set(G, s, G.m if k is None else k)
-
-
 def cmd_club_contract(G, args):
-    if args.k < 0:
-        raise DomainError("contraction budget must be non-negative")
-    solver, S = _club_solver(G, args, args.k)
+    solver, S = solve_club(G, args.s, args.k, args.cap)
     return ({"answer": "no" if S is None else "yes",
              "witness_edges": [list(e) for e in S] if S else None},
             solver, {})
 
 
 def cmd_club_minor(G, args):
-    if not is_connected(G):
-        raise DomainError("disconnected graphs cannot be contracted to finite diameter")
-    solver, S = _club_solver(G, args, None)
+    solver, S = solve_club(G, args.s, None, args.cap)
     return ({"k_min": len(S), "p": G.n - len(S),
              "witness_edges": [list(e) for e in S] if S else None},
             solver, {})

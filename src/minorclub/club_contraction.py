@@ -1,7 +1,15 @@
-"""Deciding how many edge contractions bring an AT-free graph to diameter
-at most s (s >= 2).
+"""Deciding how many edge contractions bring a graph to diameter at most s.
 
-Writing d for the diameter, the minimum number of contractions always lies
+``solve_club`` answers each club question, a budget k or a smallest set.
+At s >= 2 the class-free d - s bound ``tight_contraction`` answers first
+(solver "bound"), at any size, when it finds d - s edges, d the diameter,
+or k < d - s.  Then the AT-free solver (solver "atfree") answers unless it
+finds an asteroidal triple, the only error that passes the question on.
+The rest, s < 2 included, is NP-hard already on chordal graphs: the subset
+walk ``oracle.min_club_contraction_set`` (solver "oracle") answers, and
+``cap`` refuses it only where ``oracle._needs_search`` holds.
+
+On an AT-free graph and s >= 2 the minimum number of contractions lies
 in [d-s, d-s+2].  The lower end holds on every connected graph, AT-free or
 not: contracting one edge shortens each distance by at most 1.  So a set of
 exactly d-s edges whose contraction is re-checked to reach diameter s is
@@ -51,8 +59,8 @@ from itertools import combinations
 from .errors import DomainError
 from .graph import (Edge, Graph, _diametral_pairs, _grow, _iter_bits,
                     _layers, _quotient, diameter, diameter_at_most,
-                    shortest_path)
-from .oracle import _first_club_set
+                    is_connected, shortest_path)
+from .oracle import _first_club_set, _needs_search, min_club_contraction_set
 from .recognition import AvoidingComponents, _dominating_diametral_pair
 from .witness import certify
 
@@ -257,6 +265,34 @@ def minimum_contraction(G: Graph, s: int) -> tuple[int, tuple[Edge, ...]]:
         return 0, ()
     S = _ladder(G, s, d, d - s + 1, table) or _ladder(G, s, d, d - s + 2, table)
     return len(S), S
+
+
+def solve_club(G: Graph, s: int, k: int | None, cap: int
+               ) -> tuple[str, tuple[Edge, ...] | None]:
+    """(solver, S): S a set of at most k edges whose contraction leaves
+    diameter at most s, or None when there is none; k None asks for a
+    smallest set, and a disconnected G is then an error.  A negative k, and
+    then a negative s, is an error; the module docstring orders the solvers."""
+    if k is None and not is_connected(G):
+        raise DomainError("disconnected graphs cannot be contracted to finite diameter")
+    if k is not None and k < 0:
+        raise DomainError("contraction budget must be non-negative")
+    if s < 0:
+        raise DomainError("diameter bound --s must be non-negative")
+    if s >= 2:
+        bound, S = tight_contraction(G, s, math.inf if k is None else k)
+        if S is not None or k is not None and k < bound:
+            return "bound", S
+        try:
+            return "atfree", (minimum_contraction(G, s)[1] if k is None
+                              else s_club_contract_decide(G, s, k))
+        except DomainError as exc:
+            if exc.certificate is None:
+                raise
+    if G.n > cap and _needs_search(G, s):
+        raise DomainError("no polynomial method applies (s < 2, or the graph has an "
+                          "asteroidal triple) and the graph exceeds the brute-force cap")
+    return "oracle", min_club_contraction_set(G, s, G.m if k is None else k)
 
 
 def _checked_diameter(G: Graph, s: int):

@@ -350,18 +350,6 @@ def complete_after_contractions(G: Graph, k: int) -> bool:
     return False
 
 
-def complete_after_contractions_subsets(G: Graph, k: int) -> bool:
-    """Plain subset enumeration; for cross-validating the branching search."""
-    edges = G.edges()
-    full = (1 << G.n) - 1
-    for size in range(0, k + 1):
-        for S in combinations(edges, size):
-            H = contract_edges(G, S)
-            if all(H.rows[v] == ((1 << H.n) - 1) ^ (1 << v) for v in range(H.n)):
-                return True
-    return False
-
-
 def reference_club_set(G: Graph, s: int, k_max: int):
     """The first smallest edge set of at most k_max edges, in
     ``combinations`` order over ``G.edges()``, whose simultaneous

@@ -9,6 +9,7 @@ import pytest
 
 from minorclub.bipperm_dp import _replay
 from minorclub.cli import main
+from minorclub.club_contraction import solve_club
 from minorclub.errors import DomainError
 from minorclub.formats import emit_graph, parse_graph
 from minorclub.graph import (Graph, contract_edges, diameter, disjoint_union,
@@ -567,6 +568,24 @@ def test_club_bound_answers_above_the_cap(tmp_path, capsys):
     assert code == 3 and out == "" and "error" in err
 
 
+def test_solve_club_asks_the_bound_then_the_atfree_solver_then_the_oracle():
+    """The dispatch behind club-contract and club-minor, called directly."""
+    solver, S = solve_club(parse_graph(C6_TAIL, "graph6"), 3, None, 12)
+    assert solver == "bound" and len(S) == 10
+    _check_contraction(C6_TAIL, S, 3)
+    assert solve_club(parse_graph(b"GUW?KG", "graph6"), 2, None, 12) == (
+        "atfree", ((0, 7), (5, 6), (5, 7)))
+    assert solve_club(parse_graph(C7, "graph6"), 2, None, 12) == (
+        "oracle", ((0, 1), (0, 6)))
+    with pytest.raises(DomainError, match="^no polynomial method applies "):
+        solve_club(parse_graph(C6_TAIL, "graph6"), 2, None, 12)
+    split = disjoint_union(Graph.path(3), Graph.path(3))
+    with pytest.raises(DomainError, match="^disconnected graphs cannot be "):
+        solve_club(split, -1, None, 12)
+    with pytest.raises(DomainError, match="^contraction budget must be non-negative$"):
+        solve_club(Graph.path(3), -1, -1, 12)
+
+
 # Non-AT-free graphs with d = 5 where the bound misses for s = 2: the
 # contraction of the scanned path fails its re-check.
 @pytest.mark.parametrize("g6, k_min", [(b"Il_OQP_?O", 4), (b"HrGGWd?", 3)])
@@ -750,7 +769,7 @@ def test_atfree_error_without_a_certificate_exits_3(tmp_path, capsys,
     def refuse(G, s):
         raise DomainError("refused")
 
-    monkeypatch.setattr("minorclub.cli.minimum_contraction", refuse)
+    monkeypatch.setattr("minorclub.club_contraction.minimum_contraction", refuse)
     code, out, err = run(tmp_path, capsys, ["club-minor", "--s", "2"], b"GUW?KG")
     assert (code, out, err) == (3, "", "error: refused\n")
 

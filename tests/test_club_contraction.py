@@ -17,7 +17,7 @@ from minorclub.formats import parse_graph
 from minorclub.graph import (Graph, _diametral_pairs, all_pairs_distances,
                              contract_edges, diameter, diameter_at_most,
                              disjoint_union, is_connected)
-from minorclub.oracle import min_club_contraction_oracle
+from minorclub.oracle import min_club_contraction_oracle, min_club_contraction_set
 from minorclub.recognition import diameter_dominating_pair, is_at_free
 
 from genutil import (connected_graphs, is_satisfying_path, random_caterpillar,
@@ -340,6 +340,28 @@ _NAMED_WITNESSES = {
 }
 
 
+def test_minimum_contraction_needs_two_extra_edges_on_a_path_blow_up():
+    """GUWEGg with each vertex u replaced by the path 4u..4u+3, and two
+    paths joined completely where their vertices are adjacent: AT-free, with
+    d - s = 1 at s = 2, and no set of d - s + 1 = 2 edges works, so the
+    ladder answers from its d - s + 2 step."""
+    H = parse_graph(b"GUWEGg", "graph6")
+    c = 4
+    G = Graph.from_edges(c * H.n, [(c * u + i, c * u + i + 1)
+                                   for u in range(H.n) for i in range(c - 1)]
+                         + [(c * u + i, c * v + j)
+                            for u in range(H.n) for v in range(u + 1, H.n)
+                            if H.has_edge(u, v)
+                            for i in range(c) for j in range(c)])
+    assert (G.n, G.m, diameter(G)) == (32, 184, 3) and is_at_free(G) is True
+    assert tight_contraction(G, 2) == (1, None)
+    assert min_club_contraction_set(G, 2, 2) is None
+    assert s_club_contract_decide(G, 2, 2) is None
+    k, S = minimum_contraction(G, 2)
+    assert (k, S) == (3, ((0, 8), (0, 24), (20, 24)))
+    assert diameter_at_most(G, 2, S)
+
+
 @pytest.mark.parametrize("g6, step", [
     ("GQr@Og", "_one_extra_contraction"),
     ("GUW?KG", "_pinned_attempt"),
@@ -593,3 +615,4 @@ def test_domain_errors():
         distance_profile(split, 0, 2)
     with pytest.raises(DomainError):
         distance_profile(P5, 0, 3)
+

@@ -13,8 +13,9 @@ from minorclub.reductions import (HittingSetInstance, NaeFormula, _is_chordal,
                                   nae3sat_to_cobipartite, pendant_lift,
                                   subdivide_edges)
 
-from genutil import (all_graphs, chordality, hitting_set_solve,
-                     is_chordal_peo, nae3sat_solve, random_chordal)
+from genutil import (all_graphs, chordality, complete_after_contractions,
+                     hitting_set_solve, is_chordal_peo, nae3sat_solve,
+                     random_chordal)
 
 
 def _nx_graph(nx, G: Graph):
@@ -90,6 +91,23 @@ def test_hitting_set_reductions_preserve_the_answer():
             for build, s in ((hitting_set_to_split, 2), (hitting_set_to_chordal, 3)):
                 got = min_club_contraction_oracle(build(inst).graph, s, k)
                 assert (got is not None) == want, (inst, s)
+
+
+def test_nae_reduction_preserves_the_answer():
+    # Every formula over 2 variables with one or two clauses, each a sorted
+    # triple of literals with repetition: 20 + 210 formulas.  k contractions
+    # make the co-bipartite graph complete iff the formula is NAE-satisfiable.
+    triples = list(combinations_with_replacement((-2, -1, 1, 2), 3))
+    formulas = [(c,) for c in triples] + list(combinations_with_replacement(triples, 2))
+    assert len(formulas) == 230
+    satisfiable = 0
+    for clauses in formulas:
+        phi = NaeFormula(2, clauses)
+        inst = nae3sat_to_cobipartite(phi)
+        want = nae3sat_solve(phi) is not None
+        assert complete_after_contractions(inst.graph, inst.k) == want, clauses
+        satisfiable += want
+    assert satisfiable == 136
 
 
 def test_source_instances_reject_malformed_input():

@@ -367,8 +367,8 @@ def hadwiger_bipperm(G: Graph, with_details: bool = False):
     best - len(T) and returns nothing when it cannot clear it, so a losing
     case replays and certifies no witness.  The winning bag family is
     verified as a complete-minor witness.  With ``with_details`` the
-    answer is (h, case, bags): the winning T has ``case`` vertices, and
-    its singleton bags come first, then the clique-matching's edges.
+    answer is (h, bags): the winning T's singleton bags come first, then
+    the clique-matching's edges.
     """
     ordering = _ordering(G)
     side1 = sum(1 << w for w in ordering.side1)
@@ -395,4 +395,4 @@ def hadwiger_bipperm(G: Graph, with_details: bool = False):
     bags = tuple((v,) for v in singles) + matching
     certify(len(bags) == h and verify_witness(G, bags),
             f"bags {bags} are not a complete minor of size {h}")
-    return (h, len(singles), bags) if with_details else h
+    return (h, bags) if with_details else h

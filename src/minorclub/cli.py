@@ -17,10 +17,11 @@ of a repeated option wins.  ``--json`` takes no value.  ``-h`` or ``--help``,
 alone or after a command, prints the usage to stdout and exits 0.
 
 Exit codes: 0 success, 2 a malformed command line (stderr: one ``usage:``
-line, then one ``error:`` line naming the token at fault), or unreadable or
+line, then one ``error:`` line naming the token at fault), unreadable or
 malformed input (malformed input bytes always name their byte offset; a
 missing --k for `reduce hitting-set` or `reduce lift` exits 2 without one),
-3 no applicable method or problem precondition violated, such as a negative
+or a `reduce --out` file that cannot be written (``output error:``), 3 no
+applicable method or problem precondition violated, such as a negative
 budget --k or a negative --s of club-contract or club-minor, 4 a brute-force
 oracle's size cap exceeded (the polynomial solvers and their recognizers have
 no caps), 5 internal error: a solver's output failed its certificate check;
@@ -118,13 +119,13 @@ def cmd_hadwiger(G, args):
             return {"h": max(table), "cr_table": list(table)}, "cograph", {}
     if method in ("auto", "bipperm"):
         try:
-            h, case, bags = hadwiger_bipperm(G, with_details=True)
+            h, bags = hadwiger_bipperm(G, with_details=True)
         except DomainError:
             if method == "bipperm":
                 raise
         else:
-            return ({"h": h, "case": case, "witness": [list(b) for b in bags]},
-                    "bipperm", {})
+            return ({"h": h, "case": sum(len(b) == 1 for b in bags),
+                     "witness": [list(b) for b in bags]}, "bipperm", {})
     try:
         value, bags = oracle_mod.hadwiger_oracle(G, cap=args.cap, with_witness=True)
     except CapacityError:
@@ -368,6 +369,9 @@ def main(argv=None) -> int:
         print(f"internal error: {exc}\ncommand: {command}\ninput: sha256:{digest}",
               file=sys.stderr)
         return 5
+    except OSError as exc:  # only reduce --out writes files
+        print(f"output error: cannot write {exc.filename}: {exc.strerror}", file=sys.stderr)
+        return 2
     if args.json:
         print(json.dumps({"schema": SCHEMA_VERSION, "command": command,
                           "input_sha256": digest, "certificates": certs,

@@ -349,7 +349,7 @@ def _one_extra_contraction(G: Graph, s: int, d: int):
                     if dq - s >= 3 else (None, None, dq))
             rec = _tight_from(Gq, s, pair, dominating=True)
             if rec is not None:
-                return tuple(sorted(Sp + _lift_edges(G, label, rec)))
+                return _lift_edges(G, label, Sp, rec)
     return None
 
 
@@ -370,18 +370,17 @@ def _pinned_attempt(G: Graph, s: int, k: int, anchor: int):
     if any(layer & (layer - 1) for layer in layers):
         return None
     chain = [layer.bit_length() - 1 for layer in layers]
-    forced = tuple(tuple(sorted((chain[i], chain[i + 1]))) for i in range(k - 2))
+    forced = _path_edges(chain, k - 2)
     Gq, label = _quotient(G, forced)
     S = _first_club_set(Gq, s, 2)
-    return None if S is None else tuple(sorted(forced + _lift_edges(G, label, S)))
+    return None if S is None else _lift_edges(G, label, forced, S)
 
 
-def _lift_edges(G: Graph, label, quotient_edges) -> tuple[Edge, ...]:
-    """Map quotient edges back to concrete edges of G (smallest preimage),
-    ``label`` being the quotient vertex of each vertex of G."""
-    lifts = []
+def _lift_edges(G: Graph, label, contracted, quotient_edges) -> tuple[Edge, ...]:
+    """The edges ``contracted`` of G and each edge of the quotient G /
+    contracted mapped back to its smallest preimage in G, all sorted;
+    ``label`` is the quotient vertex of each vertex of G."""
+    lifts = list(contracted)
     for a, b in quotient_edges:
-        pick = min((u, v) for u, v in G.edges()
-                   if {label[u], label[v]} == {a, b})
-        lifts.append(pick)
-    return tuple(lifts)
+        lifts.append(min((u, v) for u, v in G.edges() if {label[u], label[v]} == {a, b}))
+    return tuple(sorted(lifts))

@@ -130,29 +130,21 @@ def _parse_graph6(raw: bytes) -> Graph:
 def _g6_decode_order(data: bytes, base: int) -> tuple[int, int]:
     if data[0] != 126:
         return data[0] - 63, 1
-    if len(data) >= 2 and data[1] == 126:
-        if len(data) < 8:
-            raise ParseError("truncated graph6 vertex count", base + len(data))
-        n = 0
-        for byte in data[2:8]:
-            n = (n << 6) | (byte - 63)
-        return n, 8
-    if len(data) < 4:
+    start, end = (2, 8) if data[1:2] == b"~" else (1, 4)
+    if len(data) < end:
         raise ParseError("truncated graph6 vertex count", base + len(data))
     n = 0
-    for byte in data[1:4]:
+    for byte in data[start:end]:
         n = (n << 6) | (byte - 63)
-    return n, 4
+    return n, end
 
 
 def _emit_graph6(G: Graph) -> bytes:
     n, rows = G.n, G.rows
-    if n <= 62:
-        head = bytes([n + 63])
-    elif n <= 258047:
-        head = bytes([126, (n >> 12 & 63) + 63, (n >> 6 & 63) + 63, (n & 63) + 63])
-    else:
-        head = bytes([126, 126] + [((n >> (6 * k)) & 63) + 63 for k in range(5, -1, -1)])
+    # n takes one digit up to 62, three after one ~ up to 2^18 - 1, else six after two.
+    digits = 1 if n <= 62 else 3 if n <= 258047 else 6
+    head = b"~" * (digits // 3) + bytes((n >> 6 * k & 63) + 63
+                                        for k in range(digits - 1, -1, -1))
     # Column j is the slice that _parse_graph6 decodes: bit i of rows[j], i < j.
     bits = "".join(format(rows[j] & ((1 << j) - 1), f"0{j}b")[::-1] for j in range(1, n))
     size = (len(bits) + 5) // 6

@@ -8,7 +8,7 @@ diameter target by two; and the one-subdivision making any graph bipartite.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import DomainError
 from .graph import Graph, _iter_bits
@@ -66,7 +66,7 @@ class ReductionInstance:
     graph: Graph
     k: int
     target: str
-    labels: dict[str, int] = field(default_factory=dict)
+    labels: dict[str, int]
 
 
 def _add_vertex(rows: list[int], labels: dict[str, int], label: str, nbrs: int) -> int:

@@ -894,6 +894,18 @@ def test_unreadable_input_exits_2(tmp_path, capsys):
         assert err.startswith(f"input error: cannot read {path}: "), err
 
 
+def test_unwritable_reduce_out_exits_2(tmp_path, capsys):
+    # the graph file in a missing directory, then a sidecar path that is a
+    # directory
+    (tmp_path / "nae.g6.json").mkdir()
+    for out_path, bad in ((tmp_path / "missing" / "nae.g6",) * 2,
+                          (tmp_path / "nae.g6", tmp_path / "nae.g6.json")):
+        code, out, err = run(tmp_path, capsys, ["reduce", "nae3sat", "--out", str(out_path)],
+                             CNF)
+        assert code == 2 and out == ""
+        assert err.startswith(f"output error: cannot write {bad}: "), err
+
+
 @pytest.mark.parametrize("argv, data", [
     (["reduce", "lift", "--k", "-3"], P5),
     (["reduce", "hitting-set", "--k", "-1"], SETS),

@@ -6,7 +6,8 @@ from itertools import combinations
 import pytest
 
 from minorclub.errors import ParseError
-from minorclub.formats import emit_graph, parse_dimacs_cnf, parse_graph
+from minorclub.formats import (_g6_decode_order, emit_graph, parse_dimacs_cnf,
+                               parse_graph)
 from minorclub.graph import Graph, disjoint_union
 from minorclub.reductions import NaeFormula
 
@@ -116,6 +117,30 @@ def test_graph6_long_order_boundary():
     assert parse_graph(data, "graph6") == G
     # the eight-byte header that n >= 258048 needs, here with n = 0
     assert parse_graph(b"~~??????", "graph6") == Graph.empty(0)
+
+
+@pytest.mark.parametrize("n, head", [(62, b"}"), (63, b"~??~"), (64, b"~?@?"),
+                                     (4095, b"~?~~"), (4096, b"~@??")])
+def test_graph6_order_header_at_each_width(n, head):
+    for G in (Graph.empty(n), Graph.complete(n)):
+        data = emit_graph(G, "graph6")
+        assert data.startswith(head)
+        assert len(data) == len(head) + (n * (n - 1) // 2 + 5) // 6
+        assert parse_graph(data, "graph6") == G
+
+
+@pytest.mark.parametrize("data, n", [(b"~~???~??", 258048), (b"~~~~~~~~", 2 ** 36 - 1)])
+def test_graph6_eight_byte_order(data, n):
+    assert _g6_decode_order(data, 0) == (n, 8)
+
+
+@pytest.mark.parametrize("data, offset", [(b"~", 1), (b"~??", 3), (b"~~", 2),
+                                          (b"~~?????", 7)])
+def test_graph6_truncated_order(data, offset):
+    with pytest.raises(ParseError) as err:
+        _g6_decode_order(data, 0)
+    assert (str(err.value), err.value.offset) == (
+        f"truncated graph6 vertex count (byte offset {offset})", offset)
 
 
 def test_graph6_errors():

@@ -19,13 +19,13 @@ alone or after a command, prints the usage to stdout and exits 0.
 Exit codes: 0 success, 2 a malformed command line (stderr: one ``usage:``
 line, then one ``error:`` line naming the token at fault), unreadable or
 malformed input (malformed input bytes always name their byte offset; a
-missing --k for `reduce hitting-set` or `reduce lift` exits 2 without one),
-or a `reduce --out` file that cannot be written (``output error:``), 3 no
-applicable method or problem precondition violated, such as a negative
-budget --k or a negative --s of club-contract or club-minor, 4 a brute-force
-oracle's size cap exceeded (the polynomial solvers and their recognizers have
-no caps), 5 internal error: a solver's output failed its certificate check;
-stderr then names the command and the input's SHA-256.
+missing --k for `reduce hitting-set` or `reduce lift` exits 2 without one), or
+a `reduce --out` file that cannot be written (``output error:``; no graph file
+is left behind), 3 no applicable method or problem precondition violated, such
+as a negative budget --k or a negative --s of club-contract or club-minor, 4 a
+brute-force oracle's size cap exceeded (the polynomial solvers and their
+recognizers have no caps), 5 internal error: a solver's output failed its
+certificate check; stderr then names the command and the input's SHA-256.
 
 Club commands follow ``graph.py``: the graph with no vertex is connected, and
 it and a single vertex have diameter 0, so every club path answers them as
@@ -54,6 +54,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 import sys
 import time
 from types import SimpleNamespace
@@ -197,11 +198,16 @@ def cmd_reduce(raw: bytes, args):
         G = inst.graph
         meta = {"k": inst.k, "target": inst.target, "role_labels": inst.labels}
     if args.out:
-        with open(args.out, "wb") as fh:
-            fh.write(emit_graph(G, args.format) + b"\n")
-        if meta:
-            with open(args.out + ".json", "w") as fh:
-                json.dump(meta, fh, sort_keys=True, indent=2)
+        fh = open(args.out, "wb")
+        try:  # once args.out is open, a failed write removes it
+            with fh:
+                fh.write(emit_graph(G, args.format) + b"\n")
+            if meta:
+                with open(args.out + ".json", "w") as side:
+                    json.dump(meta, side, sort_keys=True, indent=2)
+        except OSError:
+            os.remove(args.out)
+            raise
     result = {"graph6": emit_graph(G, "graph6").decode("ascii"), "n": G.n, "m": G.m, **meta}
     return result, "generator", {}
 

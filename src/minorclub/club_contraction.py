@@ -27,16 +27,17 @@ Otherwise the bound reads every row for the first diametral pair.
 ``_tight_from`` is the one step that proposes a set for the tight budget
 d - s from a pair (u, v, d): d <= s needs no contraction, d - s of 1 or 2 is
 answered by the subset walk, exact on any graph, and a larger d - s by the
-scan.  Its two callers are ``tight_contraction``, with the sweep's and the
-first diametral pair, and the AT-free ladder ``_ladder``, with a diameter
-dominating pair, where a pinned scan falls back to the pinned attempts.
+scan.  ``tight_contraction`` calls it with the sweep's and the first
+diametral pair; the AT-free ladder ``_ladder``, on G and on its guessed
+quotients with d - s >= 3, with a diameter dominating pair, where a pinned
+scan falls back to the pinned attempts.
 
 Each solver checks its set once, where it returns it, with
 ``diameter_at_most``: the bound re-checks every nonempty set that
-``_tight_from`` proposes and counts a failure as a miss, and the ladder
-passes whatever it found through one ``certify``, which raises
-``InvalidStructureError`` on a set that fails.  The steps below them only
-propose.
+``_tight_from`` proposes and counts a failure as a miss, and both AT-free
+entries, ``s_club_contract_decide`` and ``minimum_contraction``, leave
+through ``_ladder``'s one ``certify``, which raises ``InvalidStructureError``
+on a set that fails.  The steps below them only propose.
 
 The decision procedure is driven by paths between a diameter dominating
 pair (u, v): a path Q = x_0..x_k is *satisfying* when it extends to a
@@ -248,22 +249,12 @@ def s_club_contract_decide(G: Graph, s: int, k: int) -> tuple[Edge, ...] | None:
     """
     if k < 0:
         raise DomainError("contraction budget must be non-negative")
-    d, table = _checked_diameter(G, s)
-    if d <= s:
-        return ()
-    if k < d - s:
-        return None
-    return _ladder(G, s, d, k, table)
+    return _ladder(G, s, k)
 
 
 def minimum_contraction(G: Graph, s: int) -> tuple[int, tuple[Edge, ...]]:
     """Smallest k with diam(G/S) <= s for some k-edge set S, plus a witness."""
-    d, table = _checked_diameter(G, s)
-    if d == math.inf:
-        raise DomainError("disconnected graphs cannot be contracted to finite diameter")
-    if d <= s:
-        return 0, ()
-    S = _ladder(G, s, d, d - s + 1, table) or _ladder(G, s, d, d - s + 2, table)
+    S = _ladder(G, s, None)
     return len(S), S
 
 
@@ -295,41 +286,44 @@ def solve_club(G: Graph, s: int, k: int | None, cap: int
     return "oracle", min_club_contraction_set(G, s, G.m if k is None else k)
 
 
-def _checked_diameter(G: Graph, s: int):
-    """(diam(G), its AvoidingComponents table), the diameter infinite when
-    G is disconnected, after checking that s >= 2 and that the table shows
-    no asteroidal triple."""
+def _ladder(G: Graph, s: int, k: int | None) -> tuple[Edge, ...] | None:
+    """Decide budget k, or find a smallest set when k is None, after checking
+    that s >= 2 and that G's AvoidingComponents table shows no asteroidal
+    triple.  Budget d-s+2 always suffices: contracting d-s+2 edges of a
+    shortest path between a diameter dominating pair leaves a path of length
+    s-2 that still dominates.  Below it try the tight budget d-s from that
+    pair, then with one spare contraction the subset walk (d-s+1 <= 2) or
+    guess the extra contractions.  Whichever proposes S, it leaves through
+    one check: at most k edges (with k None, d-s+2 from the path, else
+    d-s+1), re-checked by ``diameter_at_most`` to reach diameter s."""
     if s <= 1:
-        raise DomainError(
-            "only s >= 2 is supported on AT-free graphs; use the brute-force "
-            "oracle for s = 1")
+        raise DomainError("only s >= 2 is supported on AT-free graphs; use the "
+                          "brute-force oracle for s = 1")
     table = AvoidingComponents(G)
     at = table.asteroidal_triple()
     if at is not None:
         raise DomainError("graph has an asteroidal triple", certificate=at)
-    return diameter(G), table
-
-
-def _ladder(G: Graph, s: int, d: int, k: int, table) -> tuple[Edge, ...] | None:
-    """Decide budget k >= d - s on G with s < d = diam(G), given G's
-    AvoidingComponents table.  Budget d-s+2 always suffices: contracting
-    d-s+2 edges of a shortest path between a diameter dominating pair
-    leaves a path of length s-2 that still dominates.  Otherwise try the
-    tight budget d-s from that pair, then with one spare contraction the
-    subset walk (k <= 2) or guess the extra contractions.  Whichever
-    proposes S, it leaves through one check: at most k edges, re-checked
-    by ``diameter_at_most`` to reach diameter s."""
+    d = diameter(G)
+    if d == math.inf and k is None:
+        raise DomainError("disconnected graphs cannot be contracted to finite diameter")
+    if d <= s:
+        return ()
+    tight = d - s
+    if k is not None and k < tight:
+        return None
     pair = _dominating_diametral_pair(G, table)
-    if k >= d - s + 2:
-        S = _path_edges(shortest_path(G, pair[0], pair[1]), d - s + 2)
-    else:
-        S = _tight_from(G, s, pair, dominating=True)
-        if S is None and k > d - s:
-            S = _first_club_set(G, s, k) if k <= 2 else _one_extra_contraction(G, s, d)
+    budget = tight + 1 if k is None else k
+    S = _tight_from(G, s, pair, dominating=True) if budget <= tight + 1 else None
+    if S is None and budget == tight + 1:
+        S = (_first_club_set(G, s, tight + 1) if tight < 2
+             else _one_extra_contraction(G, s, d))
+    if S is None and (k is None or budget > tight + 1):
+        budget = max(budget, tight + 2)
+        S = _path_edges(shortest_path(G, pair[0], pair[1]), tight + 2)
     if S is None:
         return None
-    certify(len(S) <= k and diameter_at_most(G, s, S),
-            f"contracting {S} does not reach diameter {s} within {k} edges")
+    certify(len(S) <= budget and diameter_at_most(G, s, S),
+            f"contracting {S} does not reach diameter {s} within {budget} edges")
     return S
 
 
@@ -345,9 +339,9 @@ def _one_extra_contraction(G: Graph, s: int, d: int):
             dq = d - size + 1
             if diameter(Gq) != dq:
                 continue
-            pair = (_dominating_diametral_pair(Gq, AvoidingComponents(Gq))
-                    if dq - s >= 3 else (None, None, dq))
-            rec = _tight_from(Gq, s, pair, dominating=True)
+            rec = (_first_club_set(Gq, s, dq - s) if dq - s <= 2 else
+                   _tight_from(Gq, s, _dominating_diametral_pair(Gq, AvoidingComponents(Gq)),
+                               dominating=True))
             if rec is not None:
                 return _lift_edges(G, label, Sp, rec)
     return None

@@ -60,13 +60,11 @@ def emit_graph(G: Graph, format: str = "graph6") -> bytes:
     """Encode a graph; inverse of parse_graph up to canonical whitespace."""
     if format == "graph6":
         return _emit_graph6(G)
-    if format == "edgelist":
-        lines = [f"{G.n} {G.m}"] + [f"{u} {v}" for u, v in G.edges()]
-        return ("\n".join(lines) + "\n").encode("ascii")
-    if format == "dimacs":
-        lines = [f"p edge {G.n} {G.m}"] + [f"e {u + 1} {v + 1}" for u, v in G.edges()]
-        return ("\n".join(lines) + "\n").encode("ascii")
-    raise ParseError(f"unknown graph format {format!r}")
+    if format not in FORMATS:
+        raise ParseError(f"unknown graph format {format!r}")
+    head, edge, shift = ("", "", 0) if format == "edgelist" else ("p edge ", "e ", 1)
+    lines = [f"{head}{G.n} {G.m}"] + [f"{edge}{u + shift} {v + shift}" for u, v in G.edges()]
+    return ("\n".join(lines) + "\n").encode("ascii")
 
 
 # graph6 ---------------------------------------------------------------

@@ -10,10 +10,11 @@ complete-minor check that the Hadwiger solvers' bags must pass, among them
 ``oracle.hadwiger_oracle``'s, which also answer `oracle club-minor` at s = 1.
 
 A contraction set is checked by ``graph.diameter_at_most`` at one exit per
-club solver: the AT-free ladder ``club_contraction._ladder`` certifies it,
-the subset oracle ``oracle.min_club_contraction_set`` certifies it, and the
-class-free bound ``club_contraction.tight_contraction`` re-checks it and
-answers no set when the re-check fails, as the bound is allowed to miss.
+club solver: both AT-free entries, ``s_club_contract_decide`` and
+``minimum_contraction``, leave through ``club_contraction._ladder``'s one
+``certify``, the subset oracle ``oracle.min_club_contraction_set`` certifies
+its set, and the class-free bound ``club_contraction.tight_contraction``
+re-checks what ``_tight_from`` proposes and answers no set when that fails.
 """
 
 from __future__ import annotations

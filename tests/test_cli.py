@@ -896,7 +896,7 @@ def test_unreadable_input_exits_2(tmp_path, capsys):
 
 def test_unwritable_reduce_out_exits_2(tmp_path, capsys):
     # the graph file in a missing directory, then a sidecar path that is a
-    # directory
+    # directory; neither leaves the graph file behind
     (tmp_path / "nae.g6.json").mkdir()
     for out_path, bad in ((tmp_path / "missing" / "nae.g6",) * 2,
                           (tmp_path / "nae.g6", tmp_path / "nae.g6.json")):
@@ -904,6 +904,7 @@ def test_unwritable_reduce_out_exits_2(tmp_path, capsys):
                              CNF)
         assert code == 2 and out == ""
         assert err.startswith(f"output error: cannot write {bad}: "), err
+        assert not out_path.exists()
 
 
 @pytest.mark.parametrize("argv, data", [

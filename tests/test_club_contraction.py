@@ -340,11 +340,12 @@ _NAMED_WITNESSES = {
 }
 
 
-def test_minimum_contraction_needs_two_extra_edges_on_a_path_blow_up():
+def test_minimum_contraction_needs_two_extra_edges_on_a_path_blow_up(monkeypatch):
     """GUWEGg with each vertex u replaced by the path 4u..4u+3, and two
     paths joined completely where their vertices are adjacent: AT-free, with
     d - s = 1 at s = 2, and no set of d - s + 1 = 2 edges works, so the
-    ladder answers from its d - s + 2 step."""
+    ladder answers from its d - s + 2 step, from the one table and the one
+    dominating pair that it built for the tight step."""
     H = parse_graph(b"GUWEGg", "graph6")
     c = 4
     G = Graph.from_edges(c * H.n, [(c * u + i, c * u + i + 1)
@@ -357,8 +358,11 @@ def test_minimum_contraction_needs_two_extra_edges_on_a_path_blow_up():
     assert tight_contraction(G, 2) == (1, None)
     assert min_club_contraction_set(G, 2, 2) is None
     assert s_club_contract_decide(G, 2, 2) is None
+    pairs = _spy(monkeypatch, "_dominating_diametral_pair")
+    tables = _spy(monkeypatch, "AvoidingComponents")
     k, S = minimum_contraction(G, 2)
     assert (k, S) == (3, ((0, 8), (0, 24), (20, 24)))
+    assert (len(pairs), len(tables)) == (1, 1)
     assert diameter_at_most(G, 2, S)
 
 

@@ -18,8 +18,9 @@ alone or after a command, prints the usage to stdout and exits 0.
 
 Exit codes: 0 success, 2 a malformed command line (stderr: one ``usage:``
 line, then one ``error:`` line naming the token at fault), unreadable or
-malformed input (malformed input bytes always name their byte offset; a
-missing --k for `reduce hitting-set` or `reduce lift` exits 2 without one), or
+malformed input (malformed input bytes always name their byte offset, as does
+a vertex count too large to allocate; a missing --k for `reduce hitting-set`
+or `reduce lift` exits 2 without one), or
 a `reduce --out` file that cannot be written (``output error:``; no graph file
 is left behind), 3 no applicable method or problem precondition violated, such
 as a negative budget --k or a negative --s of club-contract or club-minor, 4 a

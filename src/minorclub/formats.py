@@ -2,9 +2,9 @@
 DIMACS, and the reductions' source problems in DIMACS CNF and as set systems.
 
 Edge list format: a header line ``n m`` followed by one ``u v`` pair per
-line, 0-based.  DIMACS: ``p edge n m`` then ``e u v`` lines, 1-based, with
-``c`` comment lines.  graph6 is the standard 6-bit packed upper-triangle
-encoding, and the padding bits of the last byte are ignored.  The decoder
+line, 0-based.  DIMACS: ``p edge n m`` then ``e u v`` lines, 1-based.
+graph6 is the standard 6-bit packed upper-triangle encoding, and the
+padding bits of the last byte are ignored.  The decoder
 takes one of two paths, chosen by the share of set bits among the
 n(n-1)/2 edge bits.  A sparse payload (at most 1 bit in 8 set) is decoded
 edge by edge: ``str.find`` walks the set bits while tracking the column,
@@ -24,11 +24,13 @@ and on the benchmark's sparse families: interval n = 160 (339 edges) 162
 us.  So both paths stay; the edge walk wins on graphs with O(n) edges.
 
 DIMACS CNF: ``p cnf n m`` then m clauses of nonzero signed 1-based
-literals, each ended by 0 except the last, which may end with the input,
-with ``c`` and ``%`` comment lines.  Set system:
-an ``n m`` header line, then one set per line as member indexes in
-0..n-1.  Every ParseError raised for malformed bytes carries the byte
-offset of the offending token.
+literals, each ended by 0 except the last, which may end with the input.
+Both DIMACS formats skip comment lines anywhere (``c``, and in CNF also
+``%``) and take exactly one problem line, before any record line.  Set
+system: an ``n m`` header line, then one set per line as member indexes
+in 0..n-1.  Every ParseError raised for malformed bytes carries the byte
+offset of the offending token; a vertex count too large to allocate is
+one, at the count's offset.
 """
 
 from __future__ import annotations
@@ -45,8 +47,9 @@ _TOKEN = re.compile(rb"[^ \t\r\n]+")
 
 
 def parse_graph(data: bytes | str, format: str = "graph6") -> Graph:
-    """Decode a graph from bytes (or text) in the named format."""
-    raw = data.encode("ascii", errors="replace") if isinstance(data, str) else bytes(data)
+    """Decode a graph from bytes, or from text read as its UTF-8 bytes, in
+    the named format; byte offsets count into those bytes."""
+    raw = data.encode("utf-8", "surrogatepass") if isinstance(data, str) else bytes(data)
     if format == "graph6":
         return _parse_graph6(raw)
     if format == "edgelist":
@@ -154,19 +157,13 @@ def _emit_graph6(G: Graph) -> bytes:
 # text formats -----------------------------------------------------------
 
 
-def _tokenize(raw: bytes):
-    """Yield (token, byte_offset) pairs; tokens are separated by spaces,
-    tabs, CRs and LFs."""
-    for m in _TOKEN.finditer(raw):
-        yield m.group().decode("ascii", errors="replace"), m.start()
-
-
 def _lines(raw: bytes):
-    """Yield the (token, byte_offset) pairs of each line that has a token;
-    offsets count from the start of ``raw``."""
+    """Yield the (token, offset into ``raw``) pairs of each line that has a
+    token; tokens are separated by spaces, tabs, CRs and LFs."""
     offset = 0
     for line in raw.splitlines(keepends=True):
-        toks = [(tok, offset + off) for tok, off in _tokenize(line)]
+        toks = [(m.group().decode("ascii", errors="replace"), offset + m.start())
+                for m in _TOKEN.finditer(line)]
         offset += len(line)
         if toks:
             yield toks
@@ -188,54 +185,63 @@ def _counts(toks) -> list[int]:
     return counts
 
 
-def _problem_line(toks, kind: str) -> list[int]:
-    """n and m of a DIMACS ``p <kind> n m`` line."""
-    if len(toks) != 4 or toks[1][0] != kind:
-        raise ParseError(f"malformed problem line, expected 'p {kind} n m'", toks[0][1])
-    return _counts(toks[2:])
+def _dimacs(raw: bytes, kind: str, comments: tuple[str, ...], tag: str | None, record: str):
+    """Yield the ``n m`` tokens of the problem line ``p <kind> n m``, then the
+    record lines, lazily so that errors come in line order.  A record line
+    starts with ``tag``, or with anything but p if ``tag`` is None."""
+    head = None
+    for toks in _lines(raw):
+        first, off = toks[0]
+        if first.startswith(comments):
+            continue
+        if tag and first not in (tag, "p"):
+            raise ParseError(f"unknown DIMACS line type {first!r}", off)
+        if not first.startswith("p"):
+            if head is None:
+                raise ParseError(f"{record} before problem line", off)
+            yield toks
+        elif head is not None:
+            raise ParseError("second problem line", off)
+        elif len(toks) != 4 or toks[1][0] != kind:
+            raise ParseError(f"malformed problem line, expected 'p {kind} n m'", off)
+        else:
+            head = toks[2:]
+            yield head
+    if head is None:
+        raise ParseError(f"missing 'p {kind} n m' line", 0)
 
 
 def _parse_edgelist(raw: bytes) -> Graph:
-    toks = list(_tokenize(raw))
+    toks = [tok for line in _lines(raw) for tok in line]
     if len(toks) < 2:
         raise ParseError("edge list needs an 'n m' header", 0)
-    n, m = _counts(toks[:2])
-    pairs = [(_int(tok, off), off) for tok, off in toks[2:]]
-    if len(pairs) != 2 * m:
-        raise ParseError(f"header declares {m} edges but {len(pairs) // 2} pairs follow",
-                         toks[1][1])
-    return _build(n, pairs, one_based=False)
+    return _build(toks[:2], ((_int(tok, off), off) for tok, off in toks[2:]), 0)
 
 
 def _parse_dimacs(raw: bytes) -> Graph:
-    n = m = m_off = None
-    pairs: list[tuple[int, int]] = []
-    for toks in _lines(raw):
-        kind, off0 = toks[0]
-        if kind.startswith("c"):
-            continue
-        if kind == "p":
-            n, m = _problem_line(toks, "edge")
-            m_off = toks[3][1]
-        elif kind == "e":
-            if n is None:
-                raise ParseError("edge line before problem line", off0)
+    lines = _dimacs(raw, "edge", ("c",), "e", "edge line")
+
+    def pairs():
+        for toks in lines:
             if len(toks) != 3:
-                raise ParseError("malformed edge line, expected 'e u v'", off0)
-            pairs += ((_int(tok, off), off) for tok, off in toks[1:])
-        else:
-            raise ParseError(f"unknown DIMACS line type {kind!r}", off0)
-    if n is None:
-        raise ParseError("missing 'p edge n m' line", 0)
+                raise ParseError("malformed edge line, expected 'e u v'", toks[0][1])
+            yield from ((_int(tok, off), off) for tok, off in toks[1:])
+
+    return _build(next(lines), pairs(), 1)
+
+
+def _build(head, pairs, shift: int) -> Graph:
+    """The graph of an ``n m`` header, given as its two tokens, and the
+    (vertex, byte offset) pairs of its m edges, vertices numbered from
+    ``shift``; the pairs are read after the counts."""
+    n, m = _counts(head)
+    pairs = list(pairs)
     if len(pairs) != 2 * m:
-        raise ParseError(f"problem line declares {m} edges but {len(pairs) // 2} follow",
-                         m_off)
-    return _build(n, pairs, one_based=True)
-
-
-def _build(n: int, pairs: list[tuple[int, int]], one_based: bool) -> Graph:
-    shift = 1 if one_based else 0
-    rows = [0] * n
+        raise ParseError(f"header declares {m} edges but {len(pairs) // 2} follow", head[1][1])
+    try:
+        rows = [0] * n
+    except (MemoryError, OverflowError):
+        raise ParseError(f"cannot allocate {n} vertices", head[0][1]) from None
     for k in range(0, len(pairs), 2):
         (u, off_u), (v, off_v) = pairs[k], pairs[k + 1]
         u -= shift
@@ -255,17 +261,12 @@ def _build(n: int, pairs: list[tuple[int, int]], one_based: bool) -> Graph:
 def parse_dimacs_cnf(data: bytes) -> NaeFormula:
     """DIMACS CNF: 'p cnf n m' then m clauses, each terminated by 0; the
     end of the input also ends the last one."""
-    n = m = m_off = None
+    lines = _dimacs(data, "cnf", ("c", "%"), None, "clause")
+    head = next(lines)
+    n, m = _counts(head)
     clauses = []
     current: list[tuple[int, int]] = []  # (literal, byte offset)
-    for toks in _lines(data):
-        kind = toks[0][0]
-        if kind.startswith(("c", "%")):
-            continue
-        if kind.startswith("p"):
-            n, m = _problem_line(toks, "cnf")
-            m_off = toks[3][1]
-            continue
+    for toks in lines:
         for tok, off in toks:
             lit = _int(tok, off)
             if lit == 0:
@@ -276,10 +277,8 @@ def parse_dimacs_cnf(data: bytes) -> NaeFormula:
                 current.append((lit, off))
     if current:
         clauses.append(current)
-    if n is None:
-        raise ParseError("missing 'p cnf n m' line", 0)
     if m != len(clauses):
-        raise ParseError(f"header declares {m} clauses but {len(clauses)} follow", m_off)
+        raise ParseError(f"header declares {m} clauses but {len(clauses)} follow", head[1][1])
     for clause in clauses:
         if len(clause) != 3:
             raise ParseError(f"clause has {len(clause)} literals, expected 3", clause[0][1])

@@ -1,13 +1,14 @@
 from __future__ import annotations
 
 import random
+import re
 from itertools import combinations
 
 import pytest
 
 from minorclub.errors import ParseError
 from minorclub.formats import (_g6_decode_order, emit_graph, parse_dimacs_cnf,
-                               parse_graph)
+                               parse_graph, parse_set_system)
 from minorclub.graph import Graph, disjoint_union
 from minorclub.reductions import NaeFormula
 
@@ -203,6 +204,76 @@ def test_dimacs():
     assert err.value.offset == 9
     with pytest.raises(ParseError):
         parse_graph(b"p edge 2 1\ne 1 1\n", "dimacs")
+
+
+def _read_edgelist(data):
+    return parse_graph(data, "edgelist")
+
+
+def _read_dimacs(data):
+    return parse_graph(data, "dimacs")
+
+
+@pytest.mark.parametrize("read, data, message, offset", [
+    # A DIMACS file takes one problem line, before every record line.
+    (_read_dimacs, b"p edge 3 1\ne 1 2\np edge 4 1\n", "second problem line", 17),
+    (parse_dimacs_cnf, b"p cnf 3 1\n1 2 3 0\np cnf 4 1\n", "second problem line", 18),
+    (parse_dimacs_cnf, b"1 2 3 0\np cnf 3 1\n", "clause before problem line", 0),
+    (parse_dimacs_cnf, b"c no problem line\n1 2 3 0\n", "clause before problem line", 18),
+    (_read_dimacs, b"e 1 2\np edge 2 1\n", "edge line before problem line", 0),
+    # Vertex counts that no list can hold: 10^15 fails to allocate and 10^19
+    # overflows a list's size.
+    (_read_edgelist, b"1000000000000000 0\n", "cannot allocate 1000000000000000 vertices", 0),
+    (_read_edgelist, b"10000000000000000000 0\n",
+     "cannot allocate 10000000000000000000 vertices", 0),
+    (_read_dimacs, b"p edge 1000000000000000 0\n",
+     "cannot allocate 1000000000000000 vertices", 7),
+    # Both graph readers state a count mismatch in the same words.
+    (_read_edgelist, b"3 2\n0 1\n", "header declares 2 edges but 1 follow", 2),
+    (_read_dimacs, b"p edge 3 2\ne 1 2\n", "header declares 2 edges but 1 follow", 9),
+])
+def test_text_format_errors(read, data, message, offset):
+    with pytest.raises(ParseError) as err:
+        read(data)
+    assert (str(err.value), err.value.offset) == (f"{message} (byte offset {offset})", offset)
+
+
+def test_text_is_read_as_its_utf8_bytes():
+    # The two bytes of \u00e9 are not graph6 digits, so no character outside
+    # ASCII can stand for one; a lone surrogate is read too.
+    for data in ("B\u00e9", b"B\xc3\xa9"):
+        with pytest.raises(ParseError) as err:
+            parse_graph(data, "graph6")
+        assert str(err.value) == "invalid graph6 byte 195 (byte offset 1)"
+    with pytest.raises(ParseError):
+        parse_graph("\ud800", "graph6")
+
+
+# Short random inputs over the text formats' tokens, graph6 digits and text
+# outside ASCII.  No run of digits and the underscores int() accepts between
+# them is longer than 5, so that no count asks for a list the machine could
+# actually allocate.
+_FUZZ_ALPHABET = "0123456789 -\n\tpecx%~?@ABC_\u00e9\ud800"
+_READERS = [
+    lambda text: parse_graph(text, "graph6"),
+    lambda text: parse_graph(text, "edgelist"),
+    lambda text: parse_graph(text, "dimacs"),
+    lambda text: parse_dimacs_cnf(text.encode("utf-8", "surrogatepass")),
+    lambda text: parse_set_system(text.encode("utf-8", "surrogatepass"), 1),
+]
+
+
+def test_fuzzed_text_raises_only_parse_errors():
+    rng = random.Random(50)
+    for _ in range(3000):
+        text = "".join(rng.choice(_FUZZ_ALPHABET) for _ in range(rng.randint(0, 24)))
+        if re.search(r"[0-9_]{6}", text):
+            continue
+        for read in _READERS:
+            try:
+                read(text)
+            except ParseError:
+                pass
 
 
 def test_dimacs_cnf_last_clause_may_omit_its_zero():

@@ -79,7 +79,7 @@ from bisect import bisect_left, bisect_right
 from .errors import DomainError
 from .graph import Edge, Graph, _iter_bits, _mask_components
 from .recognition import StrongOrdering, strong_ordering
-from .witness import certify, verify_witness
+from .witness import certify, certify_minor, verify_witness
 
 NEG = -(1 << 30)
 
@@ -393,6 +393,5 @@ def hadwiger_bipperm(G: Graph, with_details: bool = False):
             if solved is not None and len(T) + solved[0] > h:
                 h, singles, matching = len(T) + solved[0], T, solved[1]
     bags = tuple((v,) for v in singles) + matching
-    certify(len(bags) == h and verify_witness(G, bags),
-            f"bags {bags} are not a complete minor of size {h}")
+    certify_minor(G, h, bags)
     return (h, bags) if with_details else h

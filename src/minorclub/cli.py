@@ -39,13 +39,15 @@ Cographs and bipartite permutation graphs, known from the cotree or strong
 ordering it builds, are permutation graphs and so AT-free; only other
 graphs are searched for an asteroidal triple.
 club-contract and club-minor print what ``club_contraction.solve_club``
-answers, with its solver "bound", "atfree" or "oracle", or exit 3 where
---cap refuses the oracle's search.  A negative budget --k exits 3 on every
-path, `oracle club-contract` and `reduce` too.
+answers, with its solver "bound" (s >= 1), "atfree" (s >= 2) or "oracle",
+or exit 3 where --cap refuses the oracle's search.  A negative budget --k
+exits 3 on every path, `oracle club-contract` and `reduce` too.
 
 --cap defaults to ``oracle.PARTITION_CAP`` and guards only a search: a club
-question needs one only on a connected graph not within s >= 1, so s = 0, a
-graph within s and, at `oracle club-minor`, s < 0 are answered at any size.
+question needs one only on a connected graph not within s >= 1, and at
+club-contract and club-minor only where the d - s bound does not answer, so
+s = 0, a graph within s and, at `oracle club-minor`, s < 0 are answered at
+any size.
 `oracle clique-matching` uses max(--cap, ``oracle.MATCHING_CAP``), at least
 14, and `oracle club-contract` is bounded by the subset count
 ``oracle.SUBSET_BUDGET``, not by --cap.
@@ -73,7 +75,6 @@ from .recognition import (Cotree, is_at_free, is_chordal_bipartite,
                           strong_ordering)
 from .reductions import (hitting_set_to_chordal, hitting_set_to_split,
                          nae3sat_to_cobipartite, pendant_lift, subdivide_edges)
-from .witness import certify
 
 SCHEMA_VERSION = 1
 
@@ -86,7 +87,6 @@ def cmd_recognize(G, args):
     result: dict[str, object] = {}
     cograph = recognize_cograph(G) if G.n else None
     if isinstance(cograph, Cotree):
-        certify(cograph.to_graph(G.n) == G, "cotree does not rebuild the input graph")
         result["cograph"] = True
         certs["cotree"] = cograph.to_text()
     elif cograph is not None:

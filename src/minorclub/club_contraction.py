@@ -1,13 +1,14 @@
 """Deciding how many edge contractions bring a graph to diameter at most s.
 
 ``solve_club`` answers each club question, a budget k or a smallest set.
-At s >= 2 the class-free d - s bound ``tight_contraction`` answers first
+At s >= 1 the class-free d - s bound ``tight_contraction`` answers first
 (solver "bound"), at any size, when it finds d - s edges, d the diameter,
-or k < d - s.  Then the AT-free solver (solver "atfree") answers unless it
-finds an asteroidal triple, the only error that passes the question on.
-The rest, s < 2 included, is NP-hard already on chordal graphs: the subset
-walk ``oracle.min_club_contraction_set`` (solver "oracle") answers, and
-``cap`` refuses it only where ``oracle._needs_search`` holds.
+or k < d - s.  Then at s >= 2 the AT-free solver (solver "atfree") answers
+unless it finds an asteroidal triple, the only error that passes the
+question on.  The rest, s = 1 included, is NP-hard already on chordal
+graphs: the subset walk ``oracle.min_club_contraction_set`` (solver
+"oracle"), at s = 0 Kruskal's pass, answers, and ``cap`` refuses it only
+where ``oracle._needs_search`` holds.
 
 On an AT-free graph and s >= 2 the minimum number of contractions lies
 in [d-s, d-s+2].  The lower end holds on every connected graph, AT-free or
@@ -32,12 +33,9 @@ diametral pair; the AT-free ladder ``_ladder``, on G and on its guessed
 quotients with d - s >= 3, with a diameter dominating pair, where a pinned
 scan falls back to the pinned attempts.
 
-Each solver checks its set once, where it returns it, with
-``diameter_at_most``: the bound re-checks every nonempty set that
-``_tight_from`` proposes and counts a failure as a miss, and both AT-free
-entries, ``s_club_contract_decide`` and ``minimum_contraction``, leave
-through ``_ladder``'s one ``certify``, which raises ``InvalidStructureError``
-on a set that fails.  The steps below them only propose.
+The AT-free entries leave through ``witness.certify_contraction``, and
+the bound counts a set that fails ``diameter_at_most`` as a miss; the steps
+below them only propose.
 
 The decision procedure is driven by paths between a diameter dominating
 pair (u, v): a path Q = x_0..x_k is *satisfying* when it extends to a
@@ -63,7 +61,7 @@ from .graph import (Edge, Graph, _diametral_pairs, _grow, _iter_bits,
                     is_connected, shortest_path)
 from .oracle import _first_club_set, _needs_search, min_club_contraction_set
 from .recognition import AvoidingComponents, _dominating_diametral_pair
-from .witness import certify
+from .witness import certify_contraction
 
 
 def distance_profile(G: Graph, u: int, v: int) -> tuple[int, int, int]:
@@ -270,10 +268,11 @@ def solve_club(G: Graph, s: int, k: int | None, cap: int
         raise DomainError("contraction budget must be non-negative")
     if s < 0:
         raise DomainError("diameter bound --s must be non-negative")
-    if s >= 2:
+    if s >= 1:
         bound, S = tight_contraction(G, s, math.inf if k is None else k)
         if S is not None or k is not None and k < bound:
             return "bound", S
+    if s >= 2:
         try:
             return "atfree", (minimum_contraction(G, s)[1] if k is None
                               else s_club_contract_decide(G, s, k))
@@ -294,8 +293,8 @@ def _ladder(G: Graph, s: int, k: int | None) -> tuple[Edge, ...] | None:
     s-2 that still dominates.  Below it try the tight budget d-s from that
     pair, then with one spare contraction the subset walk (d-s+1 <= 2) or
     guess the extra contractions.  Whichever proposes S, it leaves through
-    one check: at most k edges (with k None, d-s+2 from the path, else
-    d-s+1), re-checked by ``diameter_at_most`` to reach diameter s."""
+    ``certify_contraction`` with the budget k (with k None, d-s+2 from the
+    path, else d-s+1)."""
     if s <= 1:
         raise DomainError("only s >= 2 is supported on AT-free graphs; use the "
                           "brute-force oracle for s = 1")
@@ -322,8 +321,7 @@ def _ladder(G: Graph, s: int, k: int | None) -> tuple[Edge, ...] | None:
         S = _path_edges(shortest_path(G, pair[0], pair[1]), tight + 2)
     if S is None:
         return None
-    certify(len(S) <= budget and diameter_at_most(G, s, S),
-            f"contracting {S} does not reach diameter {s} within {budget} edges")
+    certify_contraction(G, s, S, budget)
     return S
 
 

@@ -170,10 +170,11 @@ def _lines(raw: bytes):
 
 
 def _int(tok: str, off: int) -> int:
-    try:
-        return int(tok)
-    except ValueError:
-        raise ParseError(f"expected an integer, got {tok!r}", off) from None
+    """``tok`` read as an optional ``-`` and ASCII digits, and nothing else
+    that ``int`` would read, such as ``+`` or ``_``."""
+    if not (tok.isascii() and tok.removeprefix("-").isdigit()):
+        raise ParseError(f"expected an integer, got {tok!r}", off)
+    return int(tok)
 
 
 def _counts(toks) -> list[int]:

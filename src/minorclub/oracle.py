@@ -17,7 +17,7 @@ from .graph import (Edge, Graph, _balls_within, _contract_rows,
                     _diametral_pairs, _iter_bits, _merge_step, components,
                     diameter_at_most, induced_subgraph, is_connected,
                     max_clique)
-from .witness import certify, verify_witness
+from .witness import certify_contraction, certify_minor
 
 PARTITION_CAP = 12
 MATCHING_CAP = 14
@@ -39,7 +39,7 @@ def hadwiger_oracle(G: Graph, cap: int = PARTITION_CAP,
     and per child), an elimination-width (treewidth) bound and the parent's
     clique number plus one only quotients that cannot beat the best so far,
     so the witness is the full search's.  It is the search's one entry, so
-    every answer, (0, ()) on the empty graph too, passes ``verify_witness``.
+    every answer, (0, ()) on the empty graph too, passes ``certify_minor``.
     Its cap guards that search: CapacityError, before it, when some
     component has more than ``cap`` vertices.
     """
@@ -55,8 +55,7 @@ def hadwiger_oracle(G: Graph, cap: int = PARTITION_CAP,
         if value > best:
             best = value
             best_bags = tuple(tuple(comp[v] for v in bag) for bag in bags)
-    certify(len(best_bags) == best and verify_witness(G, best_bags),
-            f"bags {best_bags} are not a complete minor of size {best}")
+    certify_minor(G, best, best_bags)
     return (best, best_bags) if with_witness else best
 
 
@@ -244,8 +243,7 @@ def min_club_contraction_set(G: Graph, s: int, k_max: int) -> tuple[Edge, ...] |
             if S is not None:
                 break
     if S is not None:
-        certify(diameter_at_most(G, s, S),
-                f"contracting {S} does not reach diameter {s}")
+        certify_contraction(G, s, S, k_max)
     return S
 
 

@@ -28,6 +28,7 @@ from functools import reduce
 from .errors import DomainError
 from .graph import (Graph, _diametral_pairs, _iter_bits, _layers,
                     _mask_components, complement, is_bipartite, is_connected)
+from .witness import certify
 
 
 # Cotrees ----------------------------------------------------------------
@@ -140,15 +141,17 @@ def cotree_fold(G: Graph, leaf, node):
 
 
 def recognize_cograph(G: Graph):
-    """A canonical cotree for G, or the four vertices of an induced P4: the
-    fold of ``cotree_fold`` that builds Cotree nodes."""
+    """A canonical cotree for G, certified to rebuild G, or the four vertices
+    of an induced P4: the fold of ``cotree_fold`` that builds Cotree nodes."""
     try:
-        return cotree_fold(G, lambda v: Cotree("leaf", vertex=v),
+        tree = cotree_fold(G, lambda v: Cotree("leaf", vertex=v),
                            lambda kind, kids: Cotree(kind, tuple(kids)))
     except DomainError as exc:
         if exc.certificate is None:
             raise
         return exc.certificate
+    certify(tree.to_graph(G.n) == G, "cotree does not rebuild the input graph")
+    return tree
 
 
 def find_induced_p4(G: Graph, mask: int | None = None):

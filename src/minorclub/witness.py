@@ -5,16 +5,9 @@ complete minor, a clique-matching, a contraction set) or a constructed
 graph's class, and passes the outcome to ``certify(ok, what)``, which raises
 ``InvalidStructureError`` when the check fails.  It is a plain call, not an
 ``assert``, so the checks still run under ``python -O``; ``assert`` is kept
-for the solvers' internal invariants.  ``verify_witness`` is the
-complete-minor check that the Hadwiger solvers' bags must pass, among them
-``oracle.hadwiger_oracle``'s, which also answer `oracle club-minor` at s = 1.
-
-A contraction set is checked by ``graph.diameter_at_most`` at one exit per
-club solver: both AT-free entries, ``s_club_contract_decide`` and
-``minimum_contraction``, leave through ``club_contraction._ladder``'s one
-``certify``, the subset oracle ``oracle.min_club_contraction_set`` certifies
-its set, and the class-free bound ``club_contraction.tight_contraction``
-re-checks what ``_tight_from`` proposes and answers no set when that fails.
+for the solvers' internal invariants.  A certificate that more than one
+solver returns is checked by one function here: ``certify_minor`` for the
+bags of a complete minor, ``certify_contraction`` for a contraction set.
 """
 
 from __future__ import annotations
@@ -22,7 +15,7 @@ from __future__ import annotations
 from typing import Iterable
 
 from .errors import InvalidStructureError
-from .graph import Graph, _iter_bits, _mask_connected
+from .graph import Graph, _iter_bits, _mask_connected, diameter_at_most
 
 
 def certify(ok: bool, what: str) -> None:
@@ -30,6 +23,19 @@ def certify(ok: bool, what: str) -> None:
     failed its certificate check."""
     if not ok:
         raise InvalidStructureError(what)
+
+
+def certify_minor(G: Graph, h: int, bags) -> None:
+    """Certify that ``bags`` are h bags witnessing a complete minor of G."""
+    certify(len(bags) == h and verify_witness(G, bags),
+            f"bags {bags} are not a complete minor of size {h}")
+
+
+def certify_contraction(G: Graph, s: int, S, k) -> None:
+    """Certify that S has at most k edges and that contracting them leaves
+    diameter at most s."""
+    certify(len(S) <= k and diameter_at_most(G, s, S),
+            f"contracting {S} does not reach diameter {s} within {k} edges")
 
 
 def verify_witness(G: Graph, bags: Iterable[Iterable[int]]) -> bool:

@@ -389,19 +389,23 @@ NO_METHOD = ("error: no polynomial method applies (s < 2, or the graph has an "
 def test_club_answers_that_need_no_search_ignore_the_cap(tmp_path, capsys):
     """C13 and K13 lie above the default cap of 12.  s = 0 needs one
     Kruskal pass, and a graph already within s the empty set, so the
-    oracle answers them; a connected graph not within s >= 1 needs a
-    search, which the cap refuses."""
+    oracle answers them, and at s >= 1 the d - s bound answers first; a
+    connected graph not within s >= 1 that the bound does not answer needs
+    a search, which the cap refuses."""
     reports = {}
-    for data, argv in ((C13, ["club-minor", "--s", "0"]),
-                       (C13, ["club-contract", "--s", "0", "--k", "11"]),
-                       (C13, ["club-contract", "--s", "0", "--k", "12"]),
-                       (C13, ["oracle", "club-minor", "--s", "0"]),
-                       (C13, ["oracle", "club-minor", "--s", "6"]),
-                       (K13, ["club-contract", "--s", "1", "--k", "0"]),
-                       (K13, ["club-minor", "--s", "1"]),
-                       (K13, ["oracle", "club-minor", "--s", "1"])):
+    for data, argv, solver in (
+            (C13, ["club-minor", "--s", "0"], "oracle"),
+            (C13, ["club-contract", "--s", "0", "--k", "11"], "oracle"),
+            (C13, ["club-contract", "--s", "0", "--k", "12"], "oracle"),
+            (C13, ["oracle", "club-minor", "--s", "0"], "oracle"),
+            (C13, ["oracle", "club-minor", "--s", "6"], "oracle"),
+            (K13, ["club-contract", "--s", "1", "--k", "0"], "bound"),
+            (K13, ["club-minor", "--s", "1"], "bound"),
+            (K13, ["oracle", "club-minor", "--s", "1"], "oracle"),
+            # d - s = 5 > k on C13: no set of three edges reaches diameter 1.
+            (C13, ["club-contract", "--s", "1", "--k", "3"], "bound")):
         reports[data, " ".join(argv)] = rep = run_json(tmp_path, capsys, argv, data)
-        assert rep["solver"] == "oracle"
+        assert rep["solver"] == solver
     minor = reports[C13, "club-minor --s 0"]["result"]
     assert (minor["k_min"], minor["p"], len(minor["witness_edges"])) == (12, 1, 12)
     _check_contraction(C13, minor["witness_edges"], 0)
@@ -417,7 +421,9 @@ def test_club_answers_that_need_no_search_ignore_the_cap(tmp_path, capsys):
     assert reports[K13, "club-minor --s 1"]["result"] == {
         "k_min": 0, "p": 13, "witness_edges": None}
     assert reports[K13, "oracle club-minor --s 1"]["result"] == {"value": 13}
-    code, out, err = run(tmp_path, capsys, ["club-contract", "--s", "1", "--k", "3"], C13)
+    assert reports[C13, "club-contract --s 1 --k 3"]["result"] == {
+        "answer": "no", "witness_edges": None}
+    code, out, err = run(tmp_path, capsys, ["club-contract", "--s", "1", "--k", "5"], C13)
     assert (code, out, err) == (3, "", NO_METHOD)
 
 
@@ -444,12 +450,12 @@ def _never(*args):
 @pytest.mark.parametrize("argv, data, command, target, fake", [
     (["clique-matching"], P5, "clique-matching",
      "minorclub.bipperm_dp.is_clique_matching", _never),
-    (["hadwiger"], P5, "hadwiger", "minorclub.bipperm_dp.verify_witness", _never),
+    (["hadwiger"], P5, "hadwiger", "minorclub.witness.verify_witness", _never),
     (["club-contract", "--s", "2", "--k", "3"], ATFREE_D3, "club-contract",
-     "minorclub.club_contraction.diameter_at_most", _never),
+     "minorclub.witness.diameter_at_most", _never),
     (["recognize"], b"Cr", "recognize", "minorclub.recognition.Cotree.to_graph",
      lambda tree, n: Graph.empty(n)),
-    (["oracle", "hadwiger"], P5, "oracle:hadwiger", "minorclub.oracle.verify_witness",
+    (["oracle", "hadwiger"], P5, "oracle:hadwiger", "minorclub.witness.verify_witness",
      _never),
     # A replay that drops its last pair: only the public exits count them.
     (["hadwiger"], P5, "hadwiger", "minorclub.bipperm_dp._replay",
@@ -469,7 +475,7 @@ def _never(*args):
     # At s = 1 the club-minor oracle reads the Hadwiger search through
     # hadwiger_oracle, so its bags pass the same check.
     (["oracle", "club-minor", "--s", "1"], C5, "oracle:club-minor",
-     "minorclub.oracle.verify_witness", _never),
+     "minorclub.witness.verify_witness", _never),
 ])
 def test_failed_certificate_exits_5(tmp_path, capsys, monkeypatch, argv, data,
                                     command, target, fake):
@@ -640,15 +646,14 @@ def test_club_bound_walks_above_the_cap(tmp_path, capsys):
 
 def test_club_contract_refutes_a_disconnected_graph_at_any_size(tmp_path, capsys):
     """No contraction joins two components: C7 + K1 is answered "no" above
-    --cap as within it, by the bound at s = 2 and by the oracle, which
-    needs no search, at s = 1."""
+    --cap as within it, by the bound at s = 1 and s = 2."""
     data = _g6(disjoint_union(Graph.cycle(7), Graph.empty(1)))
     assert data == b"GhCKG?"
-    for s, k, solver in (("1", "0", "oracle"), ("2", "1", "bound")):
+    for s, k in (("1", "0"), ("2", "1")):
         for cap in ("3", "5", "12"):
             rep = run_json(tmp_path, capsys, ["club-contract", "--s", s,
                                               "--k", k, "--cap", cap], data)
-            assert rep["solver"] == solver
+            assert rep["solver"] == "bound"
             assert rep["result"] == {"answer": "no", "witness_edges": None}
 
 
@@ -733,10 +738,10 @@ CLUB_RULE_GRAPHS = {b"?": (0, 0), b"@": (1, 0), b"A_": (2, 1), b"A?": None,
 def test_club_commands_share_one_rule_on_degenerate_graphs(tmp_path, capsys,
                                                            data, s):
     """Every club command answers a graph with fewer than two vertices as it
-    answers any graph already within s, with solver "bound" at s >= 2.  A
+    answers any graph already within s, with solver "bound" at s >= 1.  A
     disconnected graph gets "no" and null, and both club-minor commands
     reject it with one message."""
-    solver = "bound" if s >= 2 else "oracle"
+    solver = "bound" if s >= 1 else "oracle"
     contract = run_json(tmp_path, capsys,
                         ["club-contract", "--s", str(s), "--k", "0"], data)
     oracle = run_json(tmp_path, capsys,

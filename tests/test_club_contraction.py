@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from minorclub import club_contraction
+from minorclub import club_contraction, witness
 from minorclub.club_contraction import (_one_extra_contraction, _scan_paths,
                                         _tight_from, distance_profile,
                                         minimum_contraction,
@@ -17,7 +17,8 @@ from minorclub.formats import parse_graph
 from minorclub.graph import (Graph, _diametral_pairs, all_pairs_distances,
                              contract_edges, diameter, diameter_at_most,
                              disjoint_union, is_connected)
-from minorclub.oracle import min_club_contraction_oracle, min_club_contraction_set
+from minorclub.oracle import (_first_club_set, min_club_contraction_oracle,
+                              min_club_contraction_set)
 from minorclub.recognition import diameter_dominating_pair, is_at_free
 
 from genutil import (connected_graphs, is_satisfying_path, random_caterpillar,
@@ -428,14 +429,16 @@ def _never(*args):
 def test_tight_step_certifies_only_from_a_dominating_pair(monkeypatch):
     """P8 at s = 2 has d - s = 5 and an unpinned scanned path, which both
     modes of the tight step propose unchecked.  When its re-check fails,
-    the ladder's exit raises, as a dominating pair's path must reach
-    diameter s, and the bound counts a miss."""
+    the ladder's exit, ``witness.certify_contraction``, raises, as a
+    dominating pair's path must reach diameter s, and the bound counts a
+    miss."""
     G = Graph.path(8)
     pair = (*diameter_dominating_pair(G), diameter(G))
     assert pair == (0, 7, 7)
     assert _tight_from(G, 2, pair) == _tight_from(G, 2, pair, dominating=True) \
         == ((1, 2), (2, 3), (3, 4), (4, 5), (5, 6))
     monkeypatch.setattr(club_contraction, "diameter_at_most", _never)
+    monkeypatch.setattr(witness, "diameter_at_most", _never)
     with pytest.raises(InvalidStructureError):
         s_club_contract_decide(G, 2, 5)
     assert tight_contraction(G, 2) == (5, None)
@@ -449,6 +452,20 @@ def test_one_extra_contraction_misses_when_no_quotient_is_tight():
     assert diameter(G) == 4
     assert _one_extra_contraction(G, 2, 4) is None
     assert min_club_contraction_oracle(G, 2, G.n) == 4
+
+
+def test_one_extra_contraction_misses_on_an_at_free_graph(monkeypatch):
+    """H?`DA_{, two 5-cycles sharing a vertex, is AT-free with n = 9 and
+    d = 4: at s = 2 no set of d - s + 1 = 3 edges works, so the ladder's
+    guess of one extra contraction returns None, and the smallest set
+    comes from its d - s + 2 step."""
+    G = parse_graph(b"H?`DA_{", "graph6")
+    assert (G.n, diameter(G), is_at_free(G)) == (9, 4, True)
+    assert minimum_contraction(G, 2) == (4, ((0, 4), (4, 8), (5, 8), (1, 5)))
+    assert _first_club_set(G, 2, 3) is None
+    extra = _spy(monkeypatch, "_one_extra_contraction")
+    assert s_club_contract_decide(G, 2, 3) is None
+    assert extra == [None]
 
 
 def test_tight_step_tries_the_pinned_attempts_only_from_a_dominating_pair(monkeypatch):

@@ -231,6 +231,15 @@ def _read_dimacs(data):
     # Both graph readers state a count mismatch in the same words.
     (_read_edgelist, b"3 2\n0 1\n", "header declares 2 edges but 1 follow", 2),
     (_read_dimacs, b"p edge 3 2\ne 1 2\n", "header declares 2 edges but 1 follow", 9),
+    # An integer is an optional minus sign and ASCII digits: no plus sign
+    # and no underscore digit groups, which Python's int() would read.
+    (_read_edgelist, b"1_0 0", "expected an integer, got '1_0'", 0),
+    (_read_edgelist, b"+3 0", "expected an integer, got '+3'", 0),
+    (_read_dimacs, b"p edge 1_2 0", "expected an integer, got '1_2'", 7),
+    (parse_dimacs_cnf, b"p cnf 30 1\n+3_0 1 2 0\n", "expected an integer, got '+3_0'", 11),
+    # A negative count or vertex passes the grammar and fails its range.
+    (_read_edgelist, b"-3 0", "negative count in header", 0),
+    (_read_edgelist, b"3 1\n0 -1", "vertex -1 out of range for n=3", 6),
 ])
 def test_text_format_errors(read, data, message, offset):
     with pytest.raises(ParseError) as err:

@@ -9,7 +9,7 @@ import pytest
 
 from minorclub.cograph_dp import (cograph_cr_table, cotree_cr_table,
                                   hadwiger_cograph)
-from minorclub.errors import DomainError
+from minorclub.errors import DomainError, InvalidStructureError
 from minorclub.graph import (Graph, _iter_bits, _mask_components, complement,
                              disjoint_union, diameter, induced_subgraph,
                              is_bipartite, join)
@@ -40,6 +40,12 @@ def test_no_vertex_raises_without_a_certificate():
     with pytest.raises(DomainError) as err:
         recognize_cograph(Graph.empty(0))
     assert err.value.certificate is None
+
+
+def test_cotree_that_does_not_rebuild_the_graph_raises(monkeypatch):
+    monkeypatch.setattr(Cotree, "to_graph", lambda tree, n: Graph.empty(n))
+    with pytest.raises(InvalidStructureError):
+        recognize_cograph(Graph.cycle(4))
 
 
 def test_p4_yields_certificate_in_path_order():

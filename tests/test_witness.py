@@ -1,8 +1,12 @@
 from __future__ import annotations
 
+import pytest
+
+from minorclub.errors import InvalidStructureError
 from minorclub.graph import Graph
 from minorclub.oracle import hadwiger_oracle
-from minorclub.witness import verify_witness
+from minorclub.witness import (certify_contraction, certify_minor,
+                               verify_witness)
 
 
 def test_triangle_minor_of_cycle():
@@ -34,3 +38,22 @@ def test_minor_witness_bounds_oracle():
     # independent of the outcome, the oracle dominates any verified witness
     assert verify_witness(G, [{1, 2}, {0, 5}, {3, 4}])
     assert hadwiger_oracle(G) >= 3
+
+
+def test_certify_minor():
+    G = Graph.cycle(4)
+    certify_minor(G, 3, ((0, 1), (2,), (3,)))
+    for h, bags in ((4, ((0, 1), (2,), (3,))),  # one bag short
+                    (2, ((0,), (2,))),           # no edge between the bags
+                    (2, ((0, 2), (1,)))):        # a disconnected bag
+        with pytest.raises(InvalidStructureError):
+            certify_minor(G, h, bags)
+
+
+def test_certify_contraction():
+    G = Graph.path(6)
+    certify_contraction(G, 2, ((0, 1), (1, 2), (2, 3)), 3)
+    with pytest.raises(InvalidStructureError):  # k + 1 edges
+        certify_contraction(G, 2, ((0, 1), (1, 2), (2, 3)), 2)
+    with pytest.raises(InvalidStructureError):  # diameter 3 is left
+        certify_contraction(G, 2, ((0, 1), (1, 2)), 3)

@@ -44,10 +44,9 @@ or exit 3 where --cap refuses the oracle's search.  A negative budget --k
 exits 3 on every path, `oracle club-contract` and `reduce` too.
 
 --cap defaults to ``oracle.PARTITION_CAP`` and guards only a search: a club
-question needs one only on a connected graph not within s >= 1, and at
-club-contract and club-minor only where the d - s bound does not answer, so
-s = 0, a graph within s and, at `oracle club-minor`, s < 0 are answered at
-any size.
+question needs one only on a connected graph not within s >= 1 that, at
+club-contract and club-minor, the d - s bound does not answer; so s = 0, a
+graph within s and, at `oracle club-minor`, s < 0 are answered at any size.
 `oracle clique-matching` uses max(--cap, ``oracle.MATCHING_CAP``), at least
 14, and `oracle club-contract` is bounded by the subset count
 ``oracle.SUBSET_BUDGET``, not by --cap.

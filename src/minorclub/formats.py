@@ -170,11 +170,13 @@ def _lines(raw: bytes):
 
 
 def _int(tok: str, off: int) -> int:
-    """``tok`` read as an optional ``-`` and ASCII digits, and nothing else
-    that ``int`` would read, such as ``+`` or ``_``."""
-    if not (tok.isascii() and tok.removeprefix("-").isdigit()):
-        raise ParseError(f"expected an integer, got {tok!r}", off)
-    return int(tok)
+    """An optional ``-`` and ASCII digits, no more digits than ``int`` reads."""
+    try:
+        if tok.isascii() and tok.removeprefix("-").isdigit():
+            return int(tok)
+    except ValueError:
+        pass
+    raise ParseError(f"expected an integer, got {tok!r}", off)
 
 
 def _counts(toks) -> list[int]:

@@ -10,8 +10,8 @@ from minorclub import club_contraction, witness
 from minorclub.club_contraction import (_one_extra_contraction, _scan_paths,
                                         _tight_from, distance_profile,
                                         minimum_contraction,
-                                        s_club_contract_decide, sweep_pair,
-                                        tight_contraction)
+                                        s_club_contract_decide, solve_club,
+                                        sweep_pair, tight_contraction)
 from minorclub.errors import DomainError, InvalidStructureError
 from minorclub.formats import parse_graph
 from minorclub.graph import (Graph, _diametral_pairs, all_pairs_distances,
@@ -199,6 +199,30 @@ def test_tight_contraction_matches_the_oracle_on_any_small_graph():
 
 def test_tight_contraction_from_the_matrix_matches_the_oracle_on_any_small_graph():
     _check_tight_matches_the_oracle(_tight_from_the_matrix)
+
+
+def test_solve_club_at_s1_agrees_with_the_subset_walk_on_any_small_graph():
+    """At s = 1 the d - s bound answers before the subset walk.  On every
+    connected graph with n <= 7 the answer has the walk's size, every set
+    the bound gives certifies, and the bound says no only to k < d - 1.  It
+    gives 77 smallest sets, 153 yeses and 1 641 noes."""
+    answers = {"set": 0, "yes": 0, "no": 0}
+    for n in range(1, 8):
+        for G in connected_graphs(n):
+            k_min, d = len(min_club_contraction_set(G, 1, G.m)), diameter(G)
+            solver, S = solve_club(G, 1, None, G.n)
+            assert len(S) == k_min, G.rows
+            _check_witness(G, S, k_min, 1)
+            answers["set"] += solver == "bound"
+            for k in range(d + 1):
+                solver, S = solve_club(G, 1, k, G.n)
+                assert (S is not None) == (k >= k_min), (G.rows, k)
+                if S is not None:
+                    _check_witness(G, S, k, 1)
+                if solver == "bound":
+                    assert S is not None and diameter_at_most(G, 1, S) or k < d - 1
+                    answers["yes" if S is not None else "no"] += 1
+    assert answers == {"set": 77, "yes": 153, "no": 1641}
 
 
 @pytest.mark.parametrize("G", [

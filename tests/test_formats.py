@@ -237,6 +237,10 @@ def _read_dimacs(data):
     (_read_edgelist, b"+3 0", "expected an integer, got '+3'", 0),
     (_read_dimacs, b"p edge 1_2 0", "expected an integer, got '1_2'", 7),
     (parse_dimacs_cnf, b"p cnf 30 1\n+3_0 1 2 0\n", "expected an integer, got '+3_0'", 11),
+    # A digit run past int()'s conversion limit (4 300 digits on Python
+    # 3.11) is malformed input like any other, not a crash.
+    pytest.param(_read_edgelist, b"9" * 5000 + b" 0",
+                 f"expected an integer, got '{'9' * 5000}'", 0, id="5000-digit-count"),
     # A negative count or vertex passes the grammar and fails its range.
     (_read_edgelist, b"-3 0", "negative count in header", 0),
     (_read_edgelist, b"3 1\n0 -1", "vertex -1 out of range for n=3", 6),
